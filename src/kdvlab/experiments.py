@@ -181,6 +181,11 @@ class ExperimentConfig:
                  f"must be one of {sorted(_PRESET_NAMES)}, got {preset_name!r}")
         params = raw.get("params", {})
         _require(isinstance(params, dict), "params", "must be a mapping")
+        try:
+            params = {k: float(v) for k, v in params.items()}
+            preset(_PRESET_NAMES[preset_name], params)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"params: {exc}") from None
 
         grid = raw.get("grid", {})
         n = grid.get("n")
@@ -250,7 +255,7 @@ class ExperimentConfig:
             experiment=experiment,
             preset_name=preset_name,
             kind=_PRESET_NAMES[preset_name],
-            params={k: float(v) for k, v in params.items()},
+            params=params,
             n=n,
             length=length,
             t_final=t_final,
@@ -386,9 +391,6 @@ def _run_kdv(cfg: ExperimentConfig, outdir: Path):
     linear = model.has_canonical and model.canonical_q.is_zero
     if linear:
         columns.append("dispersion_error")
-        k3 = grid.wavenumbers**3
-        if grid.n_points % 2 == 0:
-            k3[grid.n_points // 2] = 0.0
         u0_hat = np.fft.fft(u0.components, axis=-1)
     if model.has_canonical:
         columns += ["h_drift_rel", "m_drift_rel", "p_drift_abs"]
@@ -400,7 +402,7 @@ def _run_kdv(cfg: ExperimentConfig, outdir: Path):
         row = [t]
         if linear:
             exact = np.fft.ifft(
-                np.exp(model.dispersion * (-1j) * k3 * t) * u0_hat, axis=-1
+                np.exp(model.dispersion * grid.symbol(3) * t) * u0_hat, axis=-1
             ).real
             err = l2_norm(state.components - exact, grid)
             disp_errors.append(err)
@@ -676,7 +678,7 @@ def _run_hyperbolic(cfg: ExperimentConfig, outdir: Path):
     # characteristics: the scalar flux speed is 2 q u, so the first crossing
     # time from smooth data u0 is 1 / max(-d/dx (2 q u0))
     q = float(Q.coeffs[0, 0, 0])
-    slope = np.fft.ifft(1j * grid.wavenumbers * np.fft.fft(2.0 * q * u0.components[0])).real
+    slope = grid.diff(2.0 * q * u0.components[0])
     steepening = float(np.max(-slope))
     oracle = 1.0 / steepening if steepening > 0 else None
 

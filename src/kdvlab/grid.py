@@ -20,7 +20,6 @@ __all__ = [
     "ifrk4_step",
     "integrate",
     "l2_norm",
-    "dealiased_product",
     "pad_to",
     "truncate_to",
     "fourier_shift",
@@ -31,7 +30,9 @@ class Grid:
     """Uniform periodic grid on [0, L).
 
     Wavenumbers are the usual FFT layout k_j = 2*pi*j/L for j = 0,...,N/2-1,
-    -N/2,...,-1 (numpy fftfreq ordering).
+    -N/2,...,-1 (numpy fftfreq ordering).  The grid owns the Fourier
+    derivative multipliers: :meth:`symbol` builds them and :meth:`diff`
+    applies them.
     """
 
     def __init__(self, n_points: int, length: float):
@@ -47,6 +48,32 @@ class Grid:
         self.x = np.arange(n_points) * self.spacing
         # 2*pi*fftfreq(N, d=L/N) gives integer multiples of 2*pi/L
         self.wavenumbers = 2.0 * np.pi * np.fft.fftfreq(n_points, d=self.spacing)
+        self._symbols: dict[int, np.ndarray] = {}
+
+    def symbol(self, order: int) -> np.ndarray:
+        """Fourier multiplier (i k)**order of d^order/dx^order (cached, read-only).
+
+        For even N the Nyquist mode is zeroed for odd orders (the sign of its
+        wavenumber is ambiguous, and zeroing it keeps real fields real) and
+        kept for even orders.
+        """
+        sym = self._symbols.get(order)
+        if sym is None:
+            sym = (1j * self.wavenumbers) ** order
+            if order % 2 == 1 and self.n_points % 2 == 0:
+                sym[self.n_points // 2] = 0.0
+            sym.flags.writeable = False
+            self._symbols[order] = sym
+        return sym
+
+    def diff(self, values, order: int = 1) -> np.ndarray:
+        """d^order/dx^order of samples along the last axis (any leading shape).
+
+        Real input gives a real result, complex input a complex one.
+        """
+        values = np.asarray(values)
+        out = np.fft.ifft(self.symbol(order) * np.fft.fft(values, axis=-1), axis=-1)
+        return out if np.iscomplexobj(values) else out.real
 
     def __eq__(self, other):
         return (
@@ -66,8 +93,7 @@ class Field:
     """A sampled R^d- or C^d-valued function on a Grid.
 
     ``components`` is stored as a (d, N) array; real/complex flavor follows the
-    dtype.  Arithmetic (+, -, scalar *) is supported so generic steppers can
-    treat fields as vectors.
+    dtype.
     """
 
     def __init__(self, grid: Grid, components, validate: bool = True):
@@ -102,20 +128,6 @@ class Field:
 
     def copy(self):
         return Field(self.grid, self.components.copy(), validate=False)
-
-    def __add__(self, other):
-        return Field(self.grid, self.components + other.components, validate=False)
-
-    def __sub__(self, other):
-        return Field(self.grid, self.components - other.components, validate=False)
-
-    def __mul__(self, a):
-        return Field(self.grid, self.components * a, validate=False)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Field(self.grid, -self.components, validate=False)
 
     def __repr__(self):
         flavor = "real" if self.is_real else "complex"
@@ -161,23 +173,14 @@ def spectral_derivative(f: Field, order: int) -> Field:
     """Fourier-collocation derivative d^order/dx^order of a Field.
 
     Exact for band-limited input; the derivative of a constant is identically
-    zero.  For odd orders the Nyquist coefficient is zeroed (standard
-    collocation convention, keeps real fields real).
+    zero.  The Nyquist rule is the one of :meth:`Grid.symbol`.
     """
     if order < 0 or order > 4:
         raise ValueError(f"order must be in 0..4, got {order}")
     _check_finite(f, "spectral_derivative")
     if order == 0:
         return f.copy()
-    k = f.grid.wavenumbers
-    mult = (1j * k) ** order
-    if order % 2 == 1 and f.grid.n_points % 2 == 0:
-        mult = mult.copy()
-        mult[f.grid.n_points // 2] = 0.0
-    out = np.fft.ifft(mult * np.fft.fft(f.components, axis=-1), axis=-1)
-    if f.is_real:
-        out = out.real
-    return Field(f.grid, out, validate=False)
+    return Field(f.grid, f.grid.diff(f.components, order), validate=False)
 
 
 def hs_seminorms(f: Field, s: int) -> list[float]:
@@ -191,17 +194,9 @@ def hs_seminorms(f: Field, s: int) -> list[float]:
     _check_finite(f, "hs_seminorms")
     grid = f.grid
     coeffs = np.fft.fft(f.components, axis=-1) / grid.n_points
-    k = grid.wavenumbers
     out = []
     for j in range(s + 1):
-        if j == 0:
-            mult = np.ones_like(k)
-        else:
-            mult = k.astype(float) ** j
-            if j % 2 == 1 and grid.n_points % 2 == 0:
-                mult = mult.copy()
-                mult[grid.n_points // 2] = 0.0
-        power = np.sum(np.abs(mult * coeffs) ** 2)
+        power = np.sum(np.abs(np.abs(grid.symbol(j)) * coeffs) ** 2)
         out.append(float(np.sqrt(grid.length * power)))
     return out
 
@@ -209,13 +204,12 @@ def hs_seminorms(f: Field, s: int) -> list[float]:
 def advance_linear(f: Field, symbol, dt: float) -> Field:
     """Exact integrator of a Fourier-diagonal linear flow.
 
-    Each mode is multiplied by exp(symbol(k)*dt).  ``symbol`` maps the
-    wavenumber array to per-mode complex multipliers, e.g.
-    symbol = lambda k: -1j*k**3/(8*c) for the quarter-Airy flow
-    2c*dA/dt = (1/4)*dxxx A.
+    Each mode is multiplied by exp(symbol*dt).  ``symbol`` holds the per-mode
+    complex multipliers in FFT order, e.g. grid.symbol(3) / (8*c) for the
+    quarter-Airy flow 2c*dA/dt = (1/4)*dxxx A.
     """
     _check_finite(f, "advance_linear")
-    sym = np.asarray(symbol(f.grid.wavenumbers), dtype=np.complex128)
+    sym = np.asarray(symbol, dtype=np.complex128)
     with np.errstate(over="ignore"):
         factor = np.exp(sym * dt)
     if not np.isfinite(factor).all():
@@ -229,16 +223,14 @@ def advance_linear(f: Field, symbol, dt: float) -> Field:
 def rk4_step(state, rhs, dt: float):
     """One classical RK4 step for d/dt state = rhs(state).
 
-    Works on anything supporting +, - and scalar multiplication (Field, plain
-    ndarray).  Raises if the step produces non-finite values.
+    ``state`` is an ndarray.  Raises if the step produces non-finite values.
     """
     k1 = rhs(state)
     k2 = rhs(state + (0.5 * dt) * k1)
     k3 = rhs(state + (0.5 * dt) * k2)
     k4 = rhs(state + dt * k3)
     out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    data = out.components if isinstance(out, Field) else np.asarray(out)
-    if not np.isfinite(data).all():
+    if not np.isfinite(out).all():
         raise FloatingPointError("rk4_step: non-finite state produced")
     return out
 
@@ -247,12 +239,13 @@ def ifrk4_step(state: Field, symbol, nonlinear_rhs, dt: float) -> Field:
     """Integrating-factor RK4: linear part exact in Fourier, nonlinear part RK4.
 
     Integrates d/dt u = L u + N(u) where L is diagonal in Fourier with the
-    given symbol and N is an arbitrary callable Field -> Field.  The scheme is
+    given symbol array (FFT order) and N is an arbitrary callable
+    Field -> Field.  The scheme is
     classical RK4 applied to w = exp(-L t) u_hat, so the stiff linear part
     contributes no stability restriction.
     """
     grid = state.grid
-    sym = np.asarray(symbol(grid.wavenumbers), dtype=np.complex128)
+    sym = np.asarray(symbol, dtype=np.complex128)
     e_half = np.exp(sym * (dt / 2.0))
     e_full = e_half * e_half
     real_in = state.is_real
@@ -335,22 +328,9 @@ def truncate_to(comps, n: int):
 
 
 def _pad_size(n: int, factor: float) -> int:
+    """Smallest even grid size >= n*factor (factor 3/2 is the 2/3 rule)."""
     m = int(np.ceil(n * factor))
     return m + (m % 2)
-
-
-def dealiased_product(a, b, factor: float = 1.5):
-    """Pointwise product of two sample arrays, dealiased by zero-padding.
-
-    factor=3/2 is the classical 2/3 rule, exact for quadratic nonlinearities;
-    cubic terms need factor=2.
-    """
-    a = np.atleast_2d(np.asarray(a))
-    b = np.atleast_2d(np.asarray(b))
-    n = a.shape[-1]
-    m = _pad_size(n, factor)
-    prod = pad_to(a, m) * pad_to(b, m)
-    return truncate_to(prod, n)
 
 
 def fourier_shift(comps, grid: Grid, delta: float):

@@ -26,7 +26,6 @@ from .models import (
     chart_radius,
     dphi_matrix,
     normal_coupling,
-    preset,
 )
 
 _RESIDUAL_KINDS = ("GP_SCALAR", "LL_EASY_PLANE")
@@ -60,10 +59,6 @@ class Observables:
         self.W = W
         self.U = U
         self.A = A
-
-
-def _geometry(spec):
-    return preset(spec.kind, spec.params)[0]
 
 
 def extract_hydro(spec, s: MicroState, phase_ref=None) -> HydroState:
@@ -107,10 +102,9 @@ def observables(spec, h: HydroState) -> Observables:
     The coordinates satisfy DPhi dx(phi) = (U + W)/(2c) and
     A = ((c+iB)U - (c-iB)W)/(2c) identically.
     """
-    g = _geometry(spec)
+    g = spec.geometry
     C = normal_coupling(spec)
-    dphi = np.stack([np.fft.ifft(1j * h.grid.wavenumbers * np.fft.fft(row)).real
-                     for row in h.phi.components])
+    dphi = h.grid.diff(h.phi.components)
     J = dphi_matrix(spec, h.phi.components, h.eps)
     X = np.einsum("ijN,jN->iN", J, dphi)
     A = -2.0 * g.lam * (C.T @ h.n.components)
@@ -126,7 +120,7 @@ def observables(spec, h: HydroState) -> Observables:
 def _s0_correction(spec, X: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Coordinate form of the shape-operator correction II(., n) applied to a
     tangent coordinate field: the O(eps^2) part of S0 X."""
-    g = _geometry(spec)
+    g = spec.geometry
     Cn = normal_coupling(spec).T @ n
     return np.einsum("ijm,iN,mN->jN", g.ii_perp, X, Cn)
 
@@ -143,15 +137,13 @@ def almost_hamiltonian(spec, h: HydroState):
     with S0 = Id + eps^2 II(., n), and ``leading`` is ||W||^2/(4 lam), which
     H matches up to O(eps^2).  Along a microscopic run H drifts by O(eps).
     """
-    g = _geometry(spec)
+    g = spec.geometry
     eps = h.eps
     C = normal_coupling(spec)
     n = h.n.components
     grid = h.grid
-    k = grid.wavenumbers
-    dphi = np.stack([np.fft.ifft(1j * k * np.fft.fft(row)).real
-                     for row in h.phi.components])
-    dn = np.stack([np.fft.ifft(1j * k * np.fft.fft(row)).real for row in n])
+    dphi = grid.diff(h.phi.components)
+    dn = grid.diff(n)
     J = dphi_matrix(spec, h.phi.components, eps)
     X = np.einsum("ijN,jN->iN", J, dphi)
     corr = _s0_correction(spec, X, n)
@@ -175,8 +167,7 @@ def almost_hamiltonian(spec, h: HydroState):
 
 def energy_proxy(spec, h: HydroState, s: int = 2) -> float:
     """Heuristic energy monitor ||dx phi||_{H^s} + ||n||_{H^s}."""
-    dphi = np.stack([np.fft.ifft(1j * h.grid.wavenumbers * np.fft.fft(row)).real
-                     for row in h.phi.components])
+    dphi = h.grid.diff(h.phi.components)
     a = hs_seminorms(Field(h.grid, dphi, validate=False), s)
     b = hs_seminorms(h.n, s)
     return float(np.sqrt(np.sum(np.square(a))) + np.sqrt(np.sum(np.square(b))))
@@ -219,15 +210,11 @@ def hydro_residual(spec, traj: Trajectory, ablate_singular: bool = False) -> dic
             f"hydro residual not supported for {spec.kind}; "
             f"supported kinds: {_RESIDUAL_KINDS}"
         )
-    g = _geometry(spec)
+    g = spec.geometry
     eps = traj.meta["eps"]
     dt = traj.dt
     grid = traj.states[0].grid
-    k = grid.wavenumbers
-
-    def dx(a):
-        return np.fft.ifft(1j * k * np.fft.fft(a)).real
-
+    dx = grid.diff
     times, r1_norms, r2_norms = [], [], []
     for idx in range(len(traj.states)):
         trip = _triplet(spec, traj, idx)

@@ -20,6 +20,7 @@ from .grid import (
     Field,
     Grid,
     Trajectory,
+    _pad_size,
     ifrk4_step,
     l2_norm,
     pad_to,
@@ -30,7 +31,6 @@ from .grid import (
 __all__ = [
     "QTensor",
     "LimitModel",
-    "q_apply",
     "kdv_rhs",
     "evolve_kdv",
     "conserved_quantities",
@@ -96,8 +96,7 @@ class QTensor:
 def bilinear_apply(tensor: np.ndarray, a: np.ndarray, b: np.ndarray, factor: float = 1.5):
     """Dealiased pointwise bilinear map: out_k(x) = sum_ij T[i,j,k] a_i(x) b_j(x)."""
     n = a.shape[-1]
-    m = int(np.ceil(n * factor))
-    m += m % 2
+    m = _pad_size(n, factor)
     ap = pad_to(a, m)
     bp = pad_to(b, m)
     prod = np.einsum("ijk,im,jm->km", tensor, ap, bp)
@@ -166,50 +165,28 @@ class LimitModel:
     def has_canonical(self) -> bool:
         return self.canonical_q is not None
 
-    def _sibling(self, form: str) -> "LimitModel":
-        if form == self.form:
+    def as_canonical(self) -> "LimitModel":
+        """The same dynamics in canonical variables (self if already canonical)."""
+        if self.form == "canonical":
             return self
-        tf = self.scale["time_factor"]
-        if form == "canonical":
-            if not self.has_canonical:
-                raise ValueError(
-                    "model has no canonical form (nonlinearity not symmetrizable); "
-                    "only raw-form tools are available"
-                )
-            factor = tf  # d/dtau = tf * d/dt
-        else:
-            if self.raw_tensor is None:
-                raise ValueError("model carries no raw-form nonlinearity")
-            factor = 1.0 / tf
+        if not self.has_canonical:
+            raise ValueError(
+                "model has no canonical form (nonlinearity not symmetrizable); "
+                "only raw-form tools are available"
+            )
+        factor = self.scale["time_factor"]  # d/dtau = tf * d/dt
         out = LimitModel.__new__(LimitModel)
         out.dim = self.dim
         out.dispersion = self.dispersion * factor
         out.advection = self.advection * factor
-        out.form = form
+        out.form = "canonical"
         out.canonical_q = self.canonical_q
         out.scale = self.scale
         out.raw_tensor = self.raw_tensor
         return out
 
-    def as_canonical(self) -> "LimitModel":
-        return self._sibling("canonical")
-
-    def as_raw(self) -> "LimitModel":
-        return self._sibling("raw")
-
-    # -- state/time maps between the two forms -----------------------------
-
     def raw_to_canonical_state(self, f: Field) -> Field:
         return Field(f.grid, self.scale["amplitude"] * f.components, validate=False)
-
-    def canonical_to_raw_state(self, f: Field) -> Field:
-        return Field(f.grid, f.components / self.scale["amplitude"], validate=False)
-
-    def raw_to_canonical_time(self, t: float) -> float:
-        return t / self.scale["time_factor"]
-
-    def canonical_to_raw_time(self, tau: float) -> float:
-        return tau * self.scale["time_factor"]
 
     def scale_consistency_defect(self) -> float:
         """Max deviation between canonical_q and the rescaled raw tensor."""
@@ -239,18 +216,10 @@ def symmetrize_bilinear(tensor: np.ndarray) -> tuple[np.ndarray, float]:
     return sym, defect
 
 
-def q_apply(Q: QTensor, u: Field, v: Field) -> Field:
-    """Pointwise Q(u, v) on fields, dealiased by the 2/3 rule."""
-    if u.dim != Q.dim or v.dim != Q.dim:
-        raise ValueError(f"dimension mismatch: Q has d={Q.dim}, fields d={u.dim},{v.dim}")
-    if u.grid != v.grid:
-        raise ValueError("q_apply: fields live on different grids")
-    out = bilinear_apply(Q.coeffs, u.components, v.components)
-    return Field(u.grid, out, validate=False)
-
-
 def kdv_rhs(model: LimitModel, u: Field) -> Field:
-    """Right-hand side of du/dt = ... for the model's active form.
+    """Right-hand side of du/dt = ... for the model's active form, split as
+    evolve_kdv integrates it: the Fourier-diagonal linear part plus the
+    nonlinear part.
 
     Canonical: delta*dxxx(u) - dx Q(u,u) + a*dx(u).
     Raw:       [ (1/4)*dxxx(A) + G(dx A, A) ] / (2c) + a*dx(A),
@@ -258,30 +227,16 @@ def kdv_rhs(model: LimitModel, u: Field) -> Field:
     """
     if u.dim != model.dim:
         raise ValueError(f"field dim {u.dim} != model dim {model.dim}")
-    out = model.dispersion * spectral_derivative(u, 3).components
-    if model.advection != 0.0:
-        out = out + model.advection * spectral_derivative(u, 1).components
-    du = spectral_derivative(u, 1).components
-    if model.form == "canonical":
-        if model.canonical_q is None:
-            raise ValueError("canonical rhs requested but model has no canonical form")
-        if not model.canonical_q.is_zero:
-            flux = bilinear_apply(model.canonical_q.coeffs, u.components, u.components)
-            out = out - spectral_derivative(Field(u.grid, flux, validate=False), 1).components
-    else:
-        if model.raw_tensor is not None and np.max(np.abs(model.raw_tensor)) > 0:
-            c = model.scale.get("sound_speed", model.scale["time_factor"] / 8.0)
-            out = out + bilinear_apply(model.raw_tensor, du, u.components) / (2.0 * c)
-    return Field(u.grid, out, validate=False)
+    linear = np.fft.ifft(
+        _linear_symbol(model, u.grid) * np.fft.fft(u.components, axis=-1), axis=-1
+    )
+    if u.is_real:
+        linear = linear.real
+    return Field(u.grid, linear + _nonlinear_rhs(model)(u).components, validate=False)
 
 
-def _linear_symbol(model: LimitModel, grid: Grid):
-    k = grid.wavenumbers
-    sym = model.dispersion * (1j * k) ** 3 + model.advection * (1j * k)
-    if grid.n_points % 2 == 0:
-        sym = sym.copy()
-        sym[grid.n_points // 2] = 0.0
-    return lambda _k, s=sym: s
+def _linear_symbol(model: LimitModel, grid: Grid) -> np.ndarray:
+    return model.dispersion * grid.symbol(3) + model.advection * grid.symbol(1)
 
 
 def _nonlinear_rhs(model: LimitModel):
@@ -294,7 +249,7 @@ def _nonlinear_rhs(model: LimitModel):
 
         def nonlin(u):
             flux = bilinear_apply(Q.coeffs, u.components, u.components)
-            return -1.0 * spectral_derivative(Field(u.grid, flux, validate=False), 1)
+            return Field(u.grid, -u.grid.diff(flux), validate=False)
 
         return nonlin
 
@@ -304,7 +259,7 @@ def _nonlinear_rhs(model: LimitModel):
     c = model.scale.get("sound_speed", model.scale["time_factor"] / 8.0)
 
     def nonlin_raw(u):
-        du = spectral_derivative(u, 1).components
+        du = u.grid.diff(u.components)
         return Field(u.grid, bilinear_apply(tensor, du, u.components) / (2.0 * c), validate=False)
 
     return nonlin_raw

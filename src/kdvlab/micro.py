@@ -23,7 +23,6 @@ from .models import (
     chart_assemble,
     chart_radius,
     normal_coupling,
-    preset,
 )
 
 _GP_KINDS = ("GP_SCALAR", "GP_COUPLED")
@@ -90,16 +89,6 @@ def _sphere_blocks(spec):
     return (slice(0, 3),)
 
 
-def _geometry(spec: MicroModelSpec) -> GeometryData:
-    return preset(spec.kind, spec.params)[0]
-
-
-def _deriv(vals, grid, order=1):
-    k = grid.wavenumbers
-    out = np.fft.ifft((1j * k) ** order * np.fft.fft(vals, axis=-1), axis=-1)
-    return out if np.iscomplexobj(vals) else out.real
-
-
 def _phase_factors(spec, vals):
     """Local self-interaction factors g_k with force +i g_k u_k / eps."""
     if spec.kind == "GP_SCALAR":
@@ -129,28 +118,28 @@ def micro_rhs(spec: MicroModelSpec, s: MicroState) -> np.ndarray:
     msg = _check_pointwise(spec, s.values)
     if msg is not None:
         raise ValueError(f"invalid state: {msg}")
-    return _rhs_raw(spec, s.values, s.grid, s.eps, _geometry(spec).c)
+    return _rhs_raw(spec, s.values, s.grid, s.eps, spec.geometry.c)
 
 
 def _rhs_raw(spec, vals, grid, eps, c):
     if spec.kind in _GP_KINDS:
         g = _phase_factors(spec, vals)
         return (
-            c * _deriv(vals, grid)
-            + 1j * (0.5 * eps * _deriv(vals, grid, 2) + g * vals / eps)
+            c * grid.diff(vals)
+            + 1j * (0.5 * eps * grid.diff(vals, 2) + g * vals / eps)
         ) / eps**2
     if spec.kind == "AF_CHAIN":
         u, v = vals[:3], vals[3:]
-        du = _deriv(u, grid)
-        dv = _deriv(v, grid)
-        wu = -0.5 * eps**2 * _deriv(u, grid, 2) - eps * dv + 2.0 * v
-        wv = -0.5 * eps**2 * _deriv(v, grid, 2) + eps * du + 2.0 * u
+        du = grid.diff(u)
+        dv = grid.diff(v)
+        wu = -0.5 * eps**2 * grid.diff(u, 2) - eps * dv + 2.0 * v
+        wv = -0.5 * eps**2 * grid.diff(v, 2) + eps * du + 2.0 * u
         ru = (c * eps * du + np.cross(u, wu, axis=0)) / eps**3
         rv = (c * eps * dv + np.cross(v, wv, axis=0)) / eps**3
         return np.concatenate([ru, rv], axis=0)
     # single spin chain
-    torque = 0.5 * eps**2 * _deriv(vals, grid, 2) - _anisotropy_gradient(spec, vals)
-    return (c * eps * _deriv(vals, grid) + np.cross(vals, torque, axis=0)) / eps**3
+    torque = 0.5 * eps**2 * grid.diff(vals, 2) - _anisotropy_gradient(spec, vals)
+    return (c * eps * grid.diff(vals) + np.cross(vals, torque, axis=0)) / eps**3
 
 
 def dt_max(spec: MicroModelSpec, eps: float, grid: Grid) -> float:
@@ -171,7 +160,7 @@ def dt_max(spec: MicroModelSpec, eps: float, grid: Grid) -> float:
     path must resolve the fastest linear wave, whose frequency is bounded by
     (c+sqrt(lam))*k/eps^2 + k^2/(2 eps) over grid wavenumbers.
     """
-    geom = _geometry(spec)
+    geom = spec.geometry
     kmax = float(np.max(np.abs(grid.wavenumbers)))
     if spec.kind in _GP_KINDS:
         sound = kmax * (geom.c + np.sqrt(geom.c**2 + eps**2 * kmax**2 / 4.0)) / eps**2
@@ -205,7 +194,7 @@ def evolve_micro(spec: MicroModelSpec, s0: MicroState, T: float, dt: float | Non
     for s in snap_steps:
         keep.update((s - 1, s, s + 1))
 
-    geom = _geometry(spec)
+    geom = spec.geometry
     stepper = _make_stepper(spec, s0.grid, eps, dt, geom.c)
 
     traj = Trajectory()
@@ -302,8 +291,8 @@ def _potential_density(spec, vals):
 
 def _azimuth_momentum_density(axis, p, q, reference, grid):
     """(gamma* - axis component) times the pointwise azimuth derivative."""
-    dp = _deriv(p[None, :], grid)[0]
-    dq = _deriv(q[None, :], grid)[0]
+    dp = grid.diff(p)
+    dq = grid.diff(q)
     planar = p * p + q * q
     with np.errstate(invalid="ignore", divide="ignore"):
         dazi = np.where(planar > 1e-28, (p * dq - q * dp) / planar, 0.0)
@@ -323,7 +312,7 @@ def micro_invariants(spec: MicroModelSpec, s: MicroState):
     """
     vals, grid, eps = s.values, s.grid, s.eps
     if spec.kind in _GP_KINDS:
-        du = _deriv(vals, grid)
+        du = grid.diff(vals)
         energy = integrate(
             0.25 * eps**2 * np.sum(np.abs(du) ** 2, axis=0) + _potential_density(spec, vals),
             grid,
@@ -332,8 +321,8 @@ def micro_invariants(spec: MicroModelSpec, s: MicroState):
         return energy, momentum
     if spec.kind == "AF_CHAIN":
         u, v = vals[:3], vals[3:]
-        du = _deriv(u, grid)
-        dv = _deriv(v, grid)
+        du = grid.diff(u)
+        dv = grid.diff(v)
         dens = (
             0.25 * eps**2 * (np.sum(du**2, axis=0) + np.sum(dv**2, axis=0))
             + np.sum((u + v) ** 2, axis=0)
@@ -346,7 +335,7 @@ def micro_invariants(spec: MicroModelSpec, s: MicroState):
         )
         return integrate(dens, grid), momentum
     # single spin chain; azimuth measured about the anisotropy axis e3
-    dg = _deriv(vals, grid)
+    dg = grid.diff(vals)
     energy = integrate(0.5 * np.sum(dg**2, axis=0) + _potential_density(spec, vals), grid)
     gamma0 = 0.0 if spec.kind == "LL_EASY_PLANE" else np.cos(spec.params["theta0"])
     momentum = integrate(_azimuth_momentum_density(vals[2], vals[0], vals[1], gamma0, grid), grid)

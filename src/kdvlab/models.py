@@ -120,7 +120,11 @@ class GeometryData:
 
 
 class MicroModelSpec:
-    """Descriptor of a microscopic model: which equation, with which parameters."""
+    """Descriptor of a microscopic model: which equation, with which parameters.
+
+    Specs built by :func:`preset` carry the model's :class:`GeometryData` as
+    ``geometry``.
+    """
 
     def __init__(self, kind: str, params: dict | None = None):
         kind = str(kind).upper()
@@ -239,6 +243,7 @@ def preset(kind: str, params: dict | None = None):
         )
     else:  # pragma: no cover - guarded by MicroModelSpec
         raise ValueError(kind)
+    spec.geometry = geom
     return geom, spec
 
 

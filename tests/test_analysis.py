@@ -236,6 +236,28 @@ def test_miura_crosscheck_d2_equal_moduli():
     assert max(errs) <= TOL["miura_d2"]
 
 
+def test_miura_crosscheck_rejects_aborted_kdv_leg(monkeypatch):
+    # an aborted KdV leg has no snapshots past its abort time; the crosscheck
+    # must fail loudly there instead of scoring the missing times as agreement
+    import kdvlab.analysis
+
+    real_evolve = kdvlab.analysis.evolve_kdv
+
+    def aborted(*args, **kwargs):
+        traj = real_evolve(*args, **kwargs)
+        del traj.times[1:], traj.states[1:]
+        traj.aborted = True
+        traj.abort_reason = "gradient blow-up"
+        traj.abort_time = 0.01
+        return traj
+
+    monkeypatch.setattr(kdvlab.analysis, "evolve_kdv", aborted)
+    grid = Grid(64, 2 * np.pi)
+    v0 = Field(grid, 0.1 * np.sin(grid.x))
+    with pytest.raises(ValueError, match=r"t=0\.01.*gradient blow-up"):
+        miura_crosscheck(QTensor.scalar(0.5), v0, T=0.1, dt=1e-2)
+
+
 def test_miura_crosscheck_rejects_violating_tensor():
     grid = Grid(64, 2 * np.pi)
     v0 = Field(grid, np.zeros((2, 64)))

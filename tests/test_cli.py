@@ -278,6 +278,16 @@ def test_cli_rejects_bad_grid_size(capsys):
     assert "grid.n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload", [
+    {"preset": "ll_easy_cone"},  # alpha and theta0 are required
+    {"preset": "gp_coupled", "params": {"lam": -1}},
+])
+def test_cli_rejects_bad_preset_params(tmp_path, capsys, payload):
+    rc = main(["micro", "--config", _write_config(tmp_path, "cfg.json", payload)])
+    assert rc == 2
+    assert "params" in capsys.readouterr().err
+
+
 def test_cli_rejects_unknown_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["dance"])

@@ -1,13 +1,14 @@
-"""Tests for the spectral grid layer: derivatives, norms, steppers, dealiasing."""
+"""Tests for the spectral grid layer: derivatives, norms, steppers, padding."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdvlab.grid import (
     Field,
     Grid,
     advance_linear,
-    dealiased_product,
     fourier_shift,
     hs_seminorms,
     ifrk4_step,
@@ -18,6 +19,7 @@ from kdvlab.grid import (
     spectral_derivative,
     truncate_to,
 )
+from kdvlab.kdv import bilinear_apply
 
 
 @pytest.fixture
@@ -116,20 +118,20 @@ def test_advance_linear_airy_phase(grid):
     k0 = 3
     f = Field(grid, np.exp(1j * k0 * grid.x))
     dt = 0.37
-    out = advance_linear(f, lambda k: -1j * k**3 / (8 * c), dt)
+    out = advance_linear(f, -1j * grid.wavenumbers**3 / (8 * c), dt)
     expected = np.exp(1j * k0 * grid.x) * np.exp(-1j * k0**3 * dt / (8 * c))
     assert np.max(np.abs(out.components[0] - expected)) < 1e-12
 
 
 def test_advance_linear_identity(grid):
     f = Field(grid, np.sin(grid.x) + 0.3 * np.cos(5 * grid.x))
-    out = advance_linear(f, lambda k: np.zeros_like(k), 0.7)
+    out = advance_linear(f, np.zeros(grid.n_points), 0.7)
     assert np.max(np.abs(out.components - f.components)) < 1e-14
 
 
 def test_advance_linear_heat_kernel(grid):
     f = Field(grid, np.sin(grid.x))
-    out = advance_linear(f, lambda k: -(k**2).astype(complex), 0.1)
+    out = advance_linear(f, grid.symbol(2), 0.1)
     expected = np.exp(-0.1) * np.sin(grid.x)
     assert np.max(np.abs(out.components[0] - expected)) < 1e-12
 
@@ -137,7 +139,7 @@ def test_advance_linear_heat_kernel(grid):
 def test_advance_linear_overflow_rejected(grid):
     f = Field(grid, np.sin(grid.x))
     with pytest.raises(OverflowError):
-        advance_linear(f, lambda k: (k**2).astype(complex), 10.0)
+        advance_linear(f, -grid.symbol(2), 10.0)
 
 
 def test_real_fields_stay_real(grid):
@@ -145,7 +147,7 @@ def test_real_fields_stay_real(grid):
     f = Field(grid, rng.normal(size=grid.n_points))
     d = spectral_derivative(f, 3)
     assert d.is_real
-    a = advance_linear(f, lambda k: -1j * k**3, 0.1)
+    a = advance_linear(f, grid.symbol(3), 0.1)
     assert a.is_real
 
 
@@ -157,16 +159,16 @@ def test_derivative_commutes_with_advance(grid):
         spec[m] = amp
         spec[-m] = np.conj(amp)
     f = Field(grid, np.fft.ifft(spec).real * grid.n_points)
-    sym = lambda k: -1j * k**3 / 8
+    sym = grid.symbol(3) / 8
     a = spectral_derivative(advance_linear(f, sym, 0.2), 1)
     b = advance_linear(spectral_derivative(f, 1), sym, 0.2)
     assert np.max(np.abs(a.components - b.components)) < 1e-12
 
 
 def test_rk4_zero_rhs(grid):
-    f = Field(grid, np.sin(grid.x))
-    out = rk4_step(f, lambda u: Field.zeros(grid), 0.1)
-    assert np.max(np.abs(out.components - f.components)) < 1e-15
+    f = np.sin(grid.x)
+    out = rk4_step(f, np.zeros_like, 0.1)
+    assert np.max(np.abs(out - f)) < 1e-15
 
 
 def test_rk4_exponential():
@@ -196,10 +198,10 @@ def test_rk4_order():
 
 
 def test_rk4_rejects_nan(grid):
-    f = Field(grid, np.ones(grid.n_points))
+    f = np.ones(grid.n_points)
 
     def bad_rhs(u):
-        return Field(grid, np.full(grid.n_points, np.nan), validate=False)
+        return np.full(grid.n_points, np.nan)
 
     with pytest.raises(FloatingPointError):
         rk4_step(f, bad_rhs, 0.1)
@@ -207,7 +209,7 @@ def test_rk4_rejects_nan(grid):
 
 def test_ifrk4_linear_only_matches_advance(grid):
     f = Field(grid, np.sin(grid.x) + 0.2 * np.cos(3 * grid.x))
-    sym = lambda k: -1j * k**3
+    sym = grid.symbol(3)
     zero = lambda u: Field.zeros(grid)
     stepped = ifrk4_step(f, sym, zero, 0.05)
     exact = advance_linear(f, sym, 0.05)
@@ -216,11 +218,11 @@ def test_ifrk4_linear_only_matches_advance(grid):
 
 def test_ifrk4_order(grid):
     # Burgers-type nonlinearity with stiff dispersion: 4th order in dt
-    sym = lambda k: -1j * k**3
+    sym = grid.symbol(3)
 
     def nonlin(u):
         du = spectral_derivative(u, 1)
-        return Field(u.grid, -dealiased_product(u.components, du.components))
+        return Field(u.grid, -bilinear_apply(np.ones((1, 1, 1)), u.components, du.components))
 
     f = Field(grid, 0.5 * np.sin(grid.x))
 
@@ -247,25 +249,67 @@ def test_pad_truncate_roundtrip(grid):
     assert np.max(np.abs(truncate_to(pad_to(f, 96), grid.n_points) - f)) < 1e-12
 
 
-def test_dealiased_product_exact_for_low_modes(grid):
-    # sin(3x)*sin(5x) = (cos 2x - cos 8x)/2, all modes below 2N/3
-    a = np.sin(3 * grid.x)
-    b = np.sin(5 * grid.x)
-    prod = dealiased_product(a, b)
-    expected = 0.5 * (np.cos(2 * grid.x) - np.cos(8 * grid.x))
-    assert np.max(np.abs(prod[0] - expected)) < 1e-12
-
-
-def test_dealiased_product_kills_aliased_modes():
-    # on a tiny grid, the aliased image of a high product mode must not appear
+def test_symbol_nyquist_rule():
     g = Grid(16, 2 * np.pi)
-    a = np.cos(6 * g.x)
-    prod = dealiased_product(a, a)
-    spec = np.fft.fft(prod[0]) / g.n_points
-    # cos^2(6x) has modes 0 and +-12; 12 aliases to -4 on N=16 without dealiasing
-    assert abs(spec[4]) < 1e-13
-    assert abs(spec[12 % 16]) < 1e-13 or g.n_points <= 24  # mode 12 cut by the 2/3 rule
-    assert abs(spec[0] - 0.5) < 1e-13
+    nyq = g.n_points // 2
+    for order in (1, 3):
+        assert g.symbol(order)[nyq] == 0.0
+    for order in (2, 4):
+        assert g.symbol(order)[nyq] == (1j * g.wavenumbers[nyq]) ** order != 0.0
+    assert g.symbol(3) is g.symbol(3)
+    assert not g.symbol(3).flags.writeable
+
+
+def _band_limited(seed: int, n: int, rows: int):
+    """Real samples holding every mode but the Nyquist one, plus a Nyquist
+    component whose odd derivatives must vanish."""
+    rng = np.random.default_rng(seed)
+    spec = np.zeros((rows, n), dtype=complex)
+    half = n // 2
+    spec[:, 1:half] = rng.normal(size=(rows, half - 1)) + 1j * rng.normal(size=(rows, half - 1))
+    spec[:, half + 1:] = np.conj(spec[:, 1:half][:, ::-1])
+    spec[:, 0] = rng.normal(size=rows)
+    spec[:, half] = rng.normal(size=rows)
+    return np.fft.ifft(spec, axis=-1).real
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log_n=st.integers(3, 7),
+    rows=st.integers(1, 3),
+    order=st.integers(1, 4),
+)
+def test_diff_real_band_limited_property(seed, log_n, rows, order):
+    g = Grid(2**log_n, 2 * np.pi)
+    f = _band_limited(seed, g.n_points, rows)
+    real = g.diff(f, order)
+    assert real.dtype == np.float64 and real.shape == f.shape
+    # batching along the last axis computes each row exactly as alone
+    assert np.array_equal(real, np.stack([g.diff(row, order) for row in f]))
+    # the complex path agrees with the real path on real input
+    cplx = g.diff(f.astype(complex), order)
+    assert cplx.dtype == np.complex128
+    scale = max(1.0, float(np.max(np.abs(real))))
+    assert np.max(np.abs(cplx.real - real)) <= 1e-12 * scale
+    assert np.max(np.abs(cplx.imag)) <= 1e-12 * scale
+    nyquist = np.fft.fft(real, axis=-1)[:, g.n_points // 2]
+    if order % 2 == 1:
+        assert np.max(np.abs(nyquist)) <= 1e-10 * scale * g.n_points
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    half_n=st.integers(4, 40),
+    extra=st.integers(0, 40),
+    rows=st.integers(1, 3),
+)
+def test_pad_truncate_inverse_property(seed, half_n, extra, rows):
+    n = 2 * half_n
+    f = np.random.default_rng(seed).normal(size=(rows, n))
+    back = truncate_to(pad_to(f, n + extra), n)
+    assert np.max(np.abs(back - f)) <= 1e-12 * max(1.0, float(np.max(np.abs(f))))
 
 
 def test_fourier_shift(grid):

@@ -1,5 +1,7 @@
 """Tests for the vector KdV core: tensors, rhs, evolution, conserved quantities."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,13 @@ from kdvlab.grid import Field, Grid, advance_linear, integrate
 from kdvlab.kdv import (
     LimitModel,
     QTensor,
+    bilinear_apply,
     blowup_monitor,
     conserved_quantities,
     evolve_kdv,
     genuine_nonlinearity,
     kdv_rhs,
-    q_apply,
+    symmetrize,
 )
 
 
@@ -54,54 +57,77 @@ def test_qtensor_rejects_bad_shape():
         QTensor(np.zeros((2, 3, 2)))
 
 
-# -- q_apply -----------------------------------------------------------------
+# -- bilinear_apply ------------------------------------------------------------
 
 
-def test_q_apply_scalar_constant(grid):
-    Q = QTensor.scalar(1.0)
-    two = Field(grid, 2.0 * np.ones(grid.n_points))
-    out = q_apply(Q, two, two)
-    assert np.max(np.abs(out.components - 4.0)) < 1e-12
+def test_bilinear_apply_scalar_constant(grid):
+    two = 2.0 * np.ones((1, grid.n_points))
+    out = bilinear_apply(QTensor.scalar(1.0).coeffs, two, two)
+    assert np.max(np.abs(out - 4.0)) < 1e-12
 
 
-def test_q_apply_commutes(grid):
-    rng = np.random.default_rng(0)
-    Q = QTensor(rng.normal(size=(2, 2, 2)))
-    u = Field(grid, np.array([np.sin(grid.x), np.cos(2 * grid.x)]))
-    v = Field(grid, np.array([np.cos(3 * grid.x), np.sin(grid.x)]))
-    a = q_apply(Q, u, v)
-    b = q_apply(Q, v, u)
-    assert np.max(np.abs(a.components - b.components)) < 1e-14
+def test_bilinear_apply_exact_for_low_modes():
+    # sin(3x)*sin(5x) = (cos 2x - cos 8x)/2, all modes below 2N/3
+    g = Grid(64, 2 * np.pi)
+    prod = bilinear_apply(np.ones((1, 1, 1)), np.sin(3 * g.x)[None], np.sin(5 * g.x)[None])
+    expected = 0.5 * (np.cos(2 * g.x) - np.cos(8 * g.x))
+    assert np.max(np.abs(prod[0] - expected)) < 1e-12
 
 
-def test_q_apply_dim_mismatch(grid):
-    Q = QTensor.scalar(1.0)
-    u = Field(grid, np.array([np.sin(grid.x), np.cos(grid.x)]))
-    with pytest.raises(ValueError):
-        q_apply(Q, u, u)
+def test_bilinear_apply_kills_aliased_modes():
+    # on a tiny grid, the aliased image of a high product mode must not appear
+    g = Grid(16, 2 * np.pi)
+    a = np.cos(6 * g.x)[None]
+    prod = bilinear_apply(np.ones((1, 1, 1)), a, a)
+    spec = np.fft.fft(prod[0]) / g.n_points
+    # cos^2(6x) has modes 0 and +-12; 12 aliases to -4 on N=16 without dealiasing
+    assert abs(spec[4]) < 1e-13
+    assert abs(spec[0] - 0.5) < 1e-13
 
 
-def test_q_apply_integral_permutation_invariant():
+def _trig_field(grid, seed, dim=2, modes=5):
+    r = np.random.default_rng(seed)
+    comps = np.zeros((dim, grid.n_points))
+    for c in range(dim):
+        for m in range(1, modes):
+            comps[c] += r.normal() * np.cos(m * grid.x) + r.normal() * np.sin(m * grid.x)
+    return comps
+
+
+def test_bilinear_apply_integral_permutation_invariant():
     # int Q(u,v).w dx is symmetric under all six permutations of (u,v,w)
     grid = Grid(64, 2 * np.pi)
-    rng = np.random.default_rng(4)
-    Q = QTensor(rng.normal(size=(2, 2, 2)))
-
-    def trig(seed):
-        r = np.random.default_rng(seed)
-        comps = np.zeros((2, grid.n_points))
-        for c in range(2):
-            for m in range(1, 5):
-                comps[c] += r.normal() * np.cos(m * grid.x) + r.normal() * np.sin(m * grid.x)
-        return Field(grid, comps)
-
-    u, v, w = trig(1), trig(2), trig(3)
-    vals = []
-    import itertools
-
-    for a, b, c in itertools.permutations([u, v, w]):
-        vals.append(integrate(np.sum(q_apply(Q, a, b).components * c.components, axis=0), grid))
+    Q = QTensor(np.random.default_rng(4).normal(size=(2, 2, 2)))
+    u, v, w = (_trig_field(grid, seed) for seed in (1, 2, 3))
+    vals = [
+        integrate(np.sum(bilinear_apply(Q.coeffs, a, b) * c, axis=0), grid)
+        for a, b, c in itertools.permutations([u, v, w])
+    ]
     assert max(vals) - min(vals) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(-10, 10), min_size=27, max_size=27))
+def test_symmetrize_idempotent(vals):
+    once, _ = symmetrize(np.array(vals).reshape(3, 3, 3))
+    twice, defect = symmetrize(once)
+    assert np.max(np.abs(twice - once)) <= 1e-13
+    assert defect <= 1e-13
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    coeffs=st.lists(st.floats(-10, 10), min_size=8, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bilinear_apply_symmetric_tensor_commutes(coeffs, seed):
+    grid = Grid(32, 2 * np.pi)
+    sym, _ = symmetrize(np.array(coeffs).reshape(2, 2, 2))
+    u = _trig_field(grid, seed)
+    v = _trig_field(grid, seed + 1)
+    a = bilinear_apply(sym, u, v)
+    b = bilinear_apply(sym, v, u)
+    assert np.max(np.abs(a - b)) <= 1e-13 * max(1.0, float(np.max(np.abs(a))))
 
 
 # -- kdv_rhs -----------------------------------------------------------------
@@ -153,7 +179,7 @@ def test_evolve_linear_matches_advance(grid):
     u0 = Field(grid, np.cos(2 * grid.x))
     T = 1.0
     traj = evolve_kdv(model, u0, T, 1e-2)
-    exact = advance_linear(u0, lambda k: (1j * k) ** 3, T)
+    exact = advance_linear(u0, grid.symbol(3), T)
     err = np.max(np.abs(traj.states[-1].components - exact.components))
     assert err < 1e-10
 

@@ -207,7 +207,7 @@ def test_spin_chain_momentum_conserved(kind, params):
 
 def test_ll_conserved_energy_variant():
     # the eps-weighted gradient form is the exactly conserved functional
-    from kdvlab.micro import _deriv, _potential_density
+    from kdvlab.micro import _potential_density
 
     eps = 0.2
     grid = Grid(256, 8 * np.pi)
@@ -215,7 +215,7 @@ def test_ll_conserved_energy_variant():
     s0 = well_prepared_init(spec, geom, Field(grid, 0.25 * _bump(grid)[None, :] / 0.3), eps)
 
     def conserved(state):
-        dg = _deriv(state.values, state.grid)
+        dg = state.grid.diff(state.values)
         return integrate(
             0.25 * state.eps**2 * np.sum(dg**2, axis=0)
             + _potential_density(spec, state.values),
