@@ -487,17 +487,14 @@ def _run_micro(cfg: ExperimentConfig, outdir: Path):
 def _converge_task(payload):
     """One ε-run of the convergence experiment (worker-pool entry point).
 
-    Isolated by construction: rebuilds its own limit reference and writes only
-    its own CSV file, so no state crosses between ε-runs.
+    Receives the shared limit reference with its payload and writes only its
+    own CSV file, so no state crosses between ε-runs.
     """
-    raw, eps = payload
+    raw, eps, kdv_traj = payload
     cfg = ExperimentConfig.from_dict(raw)
     geom, spec = preset(cfg.kind, cfg.params or None)
     grid = cfg.make_grid()
     A0 = _initial_field(cfg, grid, geom.dim)
-    model = limit_equation(geom)
-    kdv_traj = evolve_kdv(model, A0, cfg.t_final, cfg.dt, n_snapshots=cfg.snapshots)
-
     s0 = well_prepared_init(spec, geom, A0, eps)
     steps = _micro_steps(spec, eps, grid, cfg.t_final, cfg.snapshots)
     traj = evolve_micro(spec, s0, cfg.t_final, dt=cfg.t_final / steps,
@@ -546,7 +543,11 @@ def _run_converge(cfg: ExperimentConfig, outdir: Path):
     raw = dict(cfg.echo())
     raw["output_dir"] = str(outdir)
     raw["workers"] = cfg.workers
-    payloads = [(raw, eps) for eps in cfg.eps_list]
+    geom, _ = preset(cfg.kind, cfg.params or None)
+    A0 = _initial_field(cfg, cfg.make_grid(), geom.dim)
+    kdv_traj = evolve_kdv(limit_equation(geom), A0, cfg.t_final, cfg.dt,
+                          n_snapshots=cfg.snapshots)
+    payloads = [(raw, eps, kdv_traj) for eps in cfg.eps_list]
     if cfg.workers > 1:
         with Pool(processes=min(cfg.workers, len(payloads))) as pool:
             results = pool.map(_converge_task, payloads)

@@ -48,32 +48,44 @@ class Grid:
         self.x = np.arange(n_points) * self.spacing
         # 2*pi*fftfreq(N, d=L/N) gives integer multiples of 2*pi/L
         self.wavenumbers = 2.0 * np.pi * np.fft.fftfreq(n_points, d=self.spacing)
-        self._symbols: dict[int, np.ndarray] = {}
+        self._symbols: dict[int | tuple, np.ndarray] = {}
 
-    def symbol(self, order: int) -> np.ndarray:
+    def symbol(self, order) -> np.ndarray:
         """Fourier multiplier (i k)**order of d^order/dx^order (cached, read-only).
 
         For even N the Nyquist mode is zeroed for odd orders (the sign of its
         wavenumber is ambiguous, and zeroing it keeps real fields real) and
-        kept for even orders.
+        kept for even orders.  A tuple of orders stacks their multipliers.
         """
         sym = self._symbols.get(order)
         if sym is None:
-            sym = (1j * self.wavenumbers) ** order
-            if order % 2 == 1 and self.n_points % 2 == 0:
-                sym[self.n_points // 2] = 0.0
+            if isinstance(order, tuple):
+                sym = np.stack([self.symbol(o) for o in order])
+            else:
+                sym = (1j * self.wavenumbers) ** order
+                if order % 2 == 1 and self.n_points % 2 == 0:
+                    sym[self.n_points // 2] = 0.0
             sym.flags.writeable = False
             self._symbols[order] = sym
         return sym
 
-    def diff(self, values, order: int = 1) -> np.ndarray:
+    def diff(self, values, order=1) -> np.ndarray:
         """d^order/dx^order of samples along the last axis (any leading shape).
 
-        Real input gives a real result, complex input a complex one.
+        Real input goes through the rfft half spectrum and gives a real
+        result, complex input a complex one.  A tuple of orders stacks the
+        derivatives on a new leading axis, from one transform pair.
         """
         values = np.asarray(values)
-        out = np.fft.ifft(self.symbol(order) * np.fft.fft(values, axis=-1), axis=-1)
-        return out if np.iscomplexobj(values) else out.real
+        real = not np.iscomplexobj(values)
+        spec = np.fft.rfft(values, axis=-1) if real else np.fft.fft(values, axis=-1)
+        # the half spectrum keeps the Nyquist rule: (-ik)^even = (ik)^even
+        sym = self.symbol(order)[..., : spec.shape[-1]]
+        if isinstance(order, tuple):
+            sym = sym.reshape(len(order), *(1,) * (spec.ndim - 1), -1)
+        if real:
+            return np.fft.irfft(sym * spec, self.n_points, axis=-1)
+        return np.fft.ifft(sym * spec, axis=-1)
 
     def __eq__(self, other):
         return (

@@ -301,6 +301,29 @@ def test_diff_real_band_limited_property(seed, log_n, rows, order):
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
+    log_n=st.integers(3, 7),
+    rows=st.integers(1, 3),
+    orders=st.lists(st.integers(0, 4), min_size=1, max_size=3).map(tuple),
+    complex_input=st.booleans(),
+)
+def test_diff_order_tuple_stacks_single_orders_property(seed, log_n, rows, orders,
+                                                        complex_input):
+    g = Grid(2**log_n, 2 * np.pi)
+    f = _band_limited(seed, g.n_points, rows)
+    if complex_input:
+        f = f + 1j * _band_limited(seed + 1, g.n_points, rows)
+    if rows == 1:
+        f = f[0]
+    stacked = g.diff(f, orders)
+    assert stacked.shape == (len(orders),) + f.shape
+    assert stacked.dtype == (np.complex128 if complex_input else np.float64)
+    # one transform pair gives each order exactly as its own call does
+    assert np.array_equal(stacked, np.stack([g.diff(f, order) for order in orders]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
     half_n=st.integers(4, 40),
     extra=st.integers(0, 40),
     rows=st.integers(1, 3),

@@ -4,6 +4,7 @@ conservation, chart-consistent initial data, and the frame-scaling check."""
 import numpy as np
 import pytest
 
+from kdvlab import micro
 from kdvlab.grid import Field, Grid, fourier_shift, integrate
 from kdvlab.micro import (
     MicroState,
@@ -55,6 +56,47 @@ def test_ground_states_are_static(kind, params):
     geom, spec = preset(kind, params)
     state = well_prepared_init(spec, geom, Field(grid, np.zeros((geom.dim, 64))), 0.2)
     assert np.max(np.abs(micro_rhs(spec, state))) <= TOL["ground"]
+
+
+def _reference_spin_rhs(spec, vals, grid, eps, c):
+    """The spin right-hand side written with np.cross and one single-order
+    grid.diff per derivative."""
+    if spec.kind == "AF_CHAIN":
+        u, v = vals[:3], vals[3:]
+        du, dv = grid.diff(u, 1), grid.diff(v, 1)
+        wu = -0.5 * eps**2 * grid.diff(u, 2) - eps * dv + 2.0 * v
+        wv = -0.5 * eps**2 * grid.diff(v, 2) + eps * du + 2.0 * u
+        ru = (c * eps * du + np.cross(u, wu, axis=0)) / eps**3
+        rv = (c * eps * dv + np.cross(v, wv, axis=0)) / eps**3
+        return np.concatenate([ru, rv], axis=0)
+    grad = np.zeros_like(vals)
+    if spec.kind == "LL_EASY_PLANE":
+        grad[2] = 2.0 * spec.params["k"] * vals[2]
+    else:
+        dev = vals[2] - np.cos(spec.params["theta0"])
+        grad[2] = 2.0 * spec.params["alpha"] * dev - 3.0 * spec.params["beta"] * dev**2
+    torque = 0.5 * eps**2 * grid.diff(vals, 2) - grad
+    return (c * eps * grid.diff(vals, 1) + np.cross(vals, torque, axis=0)) / eps**3
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("LL_EASY_PLANE", {"k": 2.0}),
+        ("LL_EASY_CONE", {"alpha": 0.8, "theta0": 1.1, "beta": 0.2}),
+        ("AF_CHAIN", None),
+    ],
+)
+def test_fused_spin_rhs_matches_reference(kind, params):
+    eps = 0.2
+    grid = Grid(128, 8 * np.pi)
+    geom, spec = preset(kind, params)
+    A0 = Field(grid, np.stack([_bump(grid, width=1.0 + 0.5 * j) for j in range(geom.dim)]))
+    vals = well_prepared_init(spec, geom, A0, eps).values
+    got = micro._rhs_raw(spec, vals, grid, eps, geom.c)
+    want = _reference_spin_rhs(spec, vals, grid, eps, geom.c)
+    assert got.shape == want.shape == vals.shape
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_gp_rhs_matches_lab_frame_finite_difference_oracle():
@@ -302,6 +344,30 @@ def test_abort_on_chart_breakdown_returns_partial_run():
     assert "modulus" in traj.abort_reason
     assert 0 < len(traj.states) < 21
     assert traj.abort_time is not None and 0 < traj.abort_time < 0.5
+
+
+@pytest.mark.parametrize("half", [0, 1])
+def test_split_step_aborts_on_the_exact_non_finite_step(monkeypatch, half):
+    # a NaN entering either half rotation of step 7 is reported at step 7,
+    # not at the next snapshot (the last step of the run here)
+    grid = Grid(64, 2 * np.pi)
+    geom, spec = preset("GP_SCALAR")
+    s0 = well_prepared_init(spec, geom, Field(grid, _bump(grid, width=0.5)[None, :]), 0.5)
+    steps, bad_step = 40, 7
+    calls = []
+    phase_factors = micro._phase_factors
+
+    def poisoned(spec, vals):
+        calls.append(None)
+        g = phase_factors(spec, vals)
+        return g * np.nan if len(calls) == 2 * bad_step - 1 + half else g
+
+    monkeypatch.setattr(micro, "_phase_factors", poisoned)
+    traj = evolve_micro(spec, s0, T=0.05, dt=0.05 / steps, n_snapshots=2)
+    assert traj.aborted
+    assert traj.abort_reason == "non-finite state"
+    assert traj.abort_time == pytest.approx(bad_step * 0.05 / steps, rel=1e-12)
+    assert traj.times == [0.0]
 
 
 def test_snapshot_neighbors_give_centered_time_derivative():
