@@ -69,6 +69,11 @@ class Grid:
             self._symbols[order] = sym
         return sym
 
+    def rsymbol(self, order) -> np.ndarray:
+        """:meth:`symbol` on the rfft half spectrum, modes 0..N//2 (a view); the
+        Nyquist rule carries over, since (-ik)**even = (ik)**even."""
+        return self.symbol(order)[..., : self.n_points // 2 + 1]
+
     def diff(self, values, order=1) -> np.ndarray:
         """d^order/dx^order of samples along the last axis (any leading shape).
 
@@ -79,8 +84,7 @@ class Grid:
         values = np.asarray(values)
         real = not np.iscomplexobj(values)
         spec = np.fft.rfft(values, axis=-1) if real else np.fft.fft(values, axis=-1)
-        # the half spectrum keeps the Nyquist rule: (-ik)^even = (ik)^even
-        sym = self.symbol(order)[..., : spec.shape[-1]]
+        sym = self.rsymbol(order) if real else self.symbol(order)
         if isinstance(order, tuple):
             sym = sym.reshape(len(order), *(1,) * (spec.ndim - 1), -1)
         if real:
@@ -132,11 +136,6 @@ class Field:
     @property
     def is_real(self) -> bool:
         return self.components.dtype.kind != "c"
-
-    @classmethod
-    def zeros(cls, grid: Grid, dim: int = 1, complex_flavor: bool = False):
-        dtype = np.complex128 if complex_flavor else np.float64
-        return cls(grid, np.zeros((dim, grid.n_points), dtype=dtype), validate=False)
 
     def copy(self):
         return Field(self.grid, self.components.copy(), validate=False)
@@ -247,40 +246,25 @@ def rk4_step(state, rhs, dt: float):
     return out
 
 
-def ifrk4_step(state: Field, symbol, nonlinear_rhs, dt: float) -> Field:
-    """Integrating-factor RK4: linear part exact in Fourier, nonlinear part RK4.
+def ifrk4_step(v_hat, e_half, nonlinear, dt: float, e_full):
+    """Integrating-factor RK4 on Fourier coefficients; returns the new ones.
 
-    Integrates d/dt u = L u + N(u) where L is diagonal in Fourier with the
-    given symbol array (FFT order) and N is an arbitrary callable
-    Field -> Field.  The scheme is
-    classical RK4 applied to w = exp(-L t) u_hat, so the stiff linear part
+    Integrates d/dt v = L v + N(v) for coefficients v (the rfft half spectrum
+    in this package), where L is diagonal and given through the factors
+    e_half = exp(L*dt/2) and e_full = e_half**2, which the caller builds once
+    per run; ``nonlinear`` maps coefficients to coefficients.  The scheme is
+    classical RK4 applied to w = exp(-L t) v, so the stiff linear part
     contributes no stability restriction.
     """
-    grid = state.grid
-    sym = np.asarray(symbol, dtype=np.complex128)
-    e_half = np.exp(sym * (dt / 2.0))
-    e_full = e_half * e_half
-    real_in = state.is_real
-
-    def to_phys(v_hat):
-        u = np.fft.ifft(v_hat, axis=-1)
-        if real_in:
-            u = u.real
-        return Field(grid, u, validate=False)
-
-    v = np.fft.fft(state.components, axis=-1)
-    n1 = np.fft.fft(nonlinear_rhs(state).components, axis=-1)
-    u2 = to_phys(e_half * (v + (dt / 2.0) * n1))
-    n2 = np.fft.fft(nonlinear_rhs(u2).components, axis=-1)
-    u3 = to_phys(e_half * v + (dt / 2.0) * n2)
-    n3 = np.fft.fft(nonlinear_rhs(u3).components, axis=-1)
-    u4 = to_phys(e_full * v + dt * e_half * n3)
-    n4 = np.fft.fft(nonlinear_rhs(u4).components, axis=-1)
-    v_new = e_full * (v + (dt / 6.0) * n1) + (dt / 6.0) * (
+    half_dt = 0.5 * dt
+    n1 = nonlinear(v_hat)
+    n2 = nonlinear(e_half * (v_hat + half_dt * n1))
+    n3 = nonlinear(e_half * v_hat + half_dt * n2)
+    n4 = nonlinear(e_full * v_hat + dt * e_half * n3)
+    out = e_full * (v_hat + (dt / 6.0) * n1) + (dt / 6.0) * (
         2.0 * e_half * (n2 + n3) + n4
     )
-    out = to_phys(v_new)
-    if not np.isfinite(out.components).all():
+    if not np.isfinite(out).all():
         raise FloatingPointError("ifrk4_step: non-finite state produced")
     return out
 
@@ -296,47 +280,33 @@ def l2_norm(values, grid: Grid) -> float:
     return float(np.sqrt(np.sum(np.abs(v) ** 2) * grid.spacing))
 
 
-def pad_to(comps, m: int):
-    """Spectrally interpolate samples onto a finer grid with m points.
+def pad_to(coeffs, n: int, m: int):
+    """Samples on m >= n points of the trigonometric polynomial whose rfft
+    coefficients on n points are ``coeffs`` (last axis), from one irfft.
 
     Zero-pads the spectrum; exact for band-limited data.  Used for dealiased
     products (pad, multiply pointwise, truncate back).
     """
-    comps = np.atleast_2d(np.asarray(comps))
-    n = comps.shape[-1]
-    spec = np.fft.fft(comps, axis=-1)
-    out = np.zeros(comps.shape[:-1] + (m,), dtype=np.complex128)
     half = n // 2
-    out[..., :half] = spec[..., :half]
+    spec = np.zeros(coeffs.shape[:-1] + (m // 2 + 1,), dtype=np.complex128)
     if n % 2 == 0 and m > n:
-        # split the Nyquist coefficient symmetrically so real data stays real
-        out[..., m - half + 1 :] = spec[..., half + 1 :]
-        out[..., half] = 0.5 * spec[..., half]
-        out[..., m - half] = 0.5 * spec[..., half]
+        # split the Nyquist coefficient between +k and -k on the finer grid
+        spec[..., :half] = coeffs[..., :half]
+        spec[..., half] = 0.5 * coeffs[..., half]
     else:
-        out[..., m - half :] = spec[..., half:]
-    phys = np.fft.ifft(out, axis=-1) * (m / n)
-    if comps.dtype.kind != "c":
-        phys = phys.real
-    return phys
+        spec[..., : half + 1] = coeffs
+    return np.fft.irfft(spec, m, axis=-1) * (m / n)
 
 
-def truncate_to(comps, n: int):
-    """Inverse of pad_to: project fine-grid samples back onto n modes."""
-    comps = np.atleast_2d(np.asarray(comps))
-    m = comps.shape[-1]
-    spec = np.fft.fft(comps, axis=-1)
-    out = np.zeros(comps.shape[:-1] + (n,), dtype=np.complex128)
-    half = n // 2
-    out[..., :half] = spec[..., :half]
-    out[..., half:] = spec[..., m - half :]
+def truncate_to(samples, n: int):
+    """Inverse of pad_to: the rfft coefficients on n points of the n-mode
+    projection of real samples on m >= n points, from one rfft."""
+    m = samples.shape[-1]
+    coeffs = np.fft.rfft(samples, axis=-1)[..., : n // 2 + 1] * (n / m)
     if n % 2 == 0 and m > n:
         # recombine the two halves of the split Nyquist mode
-        out[..., half] = spec[..., half] + spec[..., m - half]
-    phys = np.fft.ifft(out, axis=-1) * (n / m)
-    if comps.dtype.kind != "c":
-        phys = phys.real
-    return phys
+        coeffs[..., n // 2] = 2.0 * coeffs[..., n // 2].real
+    return coeffs
 
 
 def _pad_size(n: int, factor: float) -> int:

@@ -65,11 +65,12 @@ class MicroState:
 
 
 def _check_pointwise(spec, vals, strict=False):
-    """Return None if the pointwise state invariants hold, else a message."""
+    """Return None if the pointwise state invariants hold, else a message
+    (the comparisons are written so that a NaN sample violates them)."""
     if spec.kind in _GP_KINDS:
         mod = np.abs(vals)
         lo, hi = float(mod.min()), float(mod.max())
-        if lo < _MODULUS_RANGE[0] or hi > _MODULUS_RANGE[1]:
+        if not (_MODULUS_RANGE[0] <= lo and hi <= _MODULUS_RANGE[1]):
             msg = f"modulus left [{_MODULUS_RANGE[0]}, {_MODULUS_RANGE[1]}]: range ({lo:.3g}, {hi:.3g})"
             if strict:
                 raise ValueError(msg)
@@ -77,7 +78,7 @@ def _check_pointwise(spec, vals, strict=False):
     else:
         for block in _sphere_blocks(spec):
             dev = float(np.max(np.abs(np.linalg.norm(vals[block], axis=0) - 1.0)))
-            if dev > _NORM_TOL:
+            if not dev <= _NORM_TOL:
                 msg = f"unit-norm deviation {dev:.3g} exceeds {_NORM_TOL}"
                 if strict:
                     raise ValueError(msg)

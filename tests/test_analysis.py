@@ -258,6 +258,33 @@ def test_miura_crosscheck_rejects_aborted_kdv_leg(monkeypatch):
         miura_crosscheck(QTensor.scalar(0.5), v0, T=0.1, dt=1e-2)
 
 
+def test_miura_mkdv_leg_transforms_per_step(monkeypatch, fft_calls):
+    # transforms made outside the KdV leg, per step: the mKdV stepper alone
+    import kdvlab.analysis
+
+    real_evolve = kdvlab.analysis.evolve_kdv
+    in_kdv_leg = {"total": 0}
+
+    def counted_evolve(*args, **kwargs):
+        before = fft_calls["total"]
+        try:
+            return real_evolve(*args, **kwargs)
+        finally:
+            in_kdv_leg["total"] += fft_calls["total"] - before
+
+    monkeypatch.setattr(kdvlab.analysis, "evolve_kdv", counted_evolve)
+    grid = Grid(64, 2 * np.pi)
+    v0 = Field(grid, 0.3 * np.stack([np.sin(grid.x), np.cos(2 * grid.x)]))
+    Q = complex_q_d2(1.0, 1.0)
+
+    def mkdv_transforms(steps):
+        total, kdv = fft_calls["total"], in_kdv_leg["total"]
+        miura_crosscheck(Q, v0, T=steps * 1e-3, dt=1e-3, n_snapshots=2)
+        return (fft_calls["total"] - total) - (in_kdv_leg["total"] - kdv)
+
+    assert (mkdv_transforms(20) - mkdv_transforms(10)) / 10 <= 8
+
+
 def test_miura_crosscheck_rejects_violating_tensor():
     grid = Grid(64, 2 * np.pi)
     v0 = Field(grid, np.zeros((2, 64)))

@@ -19,6 +19,7 @@ from kdvlab.kdv import (
     kdv_rhs,
     symmetrize,
 )
+from kdvlab.models import limit_equation, preset
 
 
 def canonical_scalar(q=1.0, dispersion=1.0):
@@ -164,14 +165,109 @@ def test_rhs_raw_scalar_matches_quadrature(grid):
     assert np.max(np.abs(out.components[0] - expected)) < 1e-11
 
 
+def _full_fft_bilinear(tensor, a, b):
+    """Dealiased product by a full-FFT 3/2 pad, a pointwise product and a
+    truncation, with the Nyquist coefficient split and recombined."""
+    n = a.shape[-1]
+    m = int(np.ceil(1.5 * n))
+    m += m % 2
+    half = n // 2
+
+    def pad(comps):
+        spec = np.fft.fft(comps, axis=-1)
+        out = np.zeros(comps.shape[:-1] + (m,), dtype=complex)
+        out[..., :half] = spec[..., :half]
+        out[..., m - half + 1 :] = spec[..., half + 1 :]
+        out[..., half] = out[..., m - half] = 0.5 * spec[..., half]
+        return np.fft.ifft(out, axis=-1).real * (m / n)
+
+    prod = np.einsum("ijk,im,jm->km", tensor, pad(a), pad(b))
+    spec = np.fft.fft(prod, axis=-1)
+    out = np.concatenate([spec[..., :half], spec[..., m - half :]], axis=-1)
+    out[..., half] = spec[..., half] + spec[..., m - half]
+    return np.fft.ifft(out, axis=-1).real * (n / m)
+
+
+def _full_fft_kdv_rhs(model, u):
+    """kdv_rhs written with full complex transforms in physical space."""
+    grid = u.grid
+    sym = model.dispersion * grid.symbol(3) + model.advection * grid.symbol(1)
+    linear = np.fft.ifft(sym * np.fft.fft(u.components, axis=-1), axis=-1).real
+    if model.form == "canonical":
+        Q = model.canonical_q.coeffs
+        return linear - grid.diff(_full_fft_bilinear(Q, u.components, u.components))
+    c = model.scale["sound_speed"]
+    flux = _full_fft_bilinear(model.raw_tensor, grid.diff(u.components), u.components)
+    return linear + flux / (2.0 * c)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log_n=st.integers(4, 7),
+    dim=st.integers(1, 3),
+    form=st.sampled_from(["canonical", "raw"]),
+)
+def test_kdv_rhs_matches_full_fft_formula_property(seed, log_n, dim, form):
+    rng = np.random.default_rng(seed)
+    grid = Grid(2**log_n, rng.uniform(2.0, 20.0))
+    n = grid.n_points
+    # real band-limited field: random modes up to n/3 and a Nyquist component
+    spec = np.zeros((dim, n // 2 + 1), dtype=complex)
+    kmax = n // 3
+    spec[:, : kmax + 1] = rng.normal(size=(dim, kmax + 1)) + 1j * rng.normal(size=(dim, kmax + 1))
+    spec[:, n // 2] = rng.normal(size=dim)
+    u = Field(grid, np.fft.irfft(spec, n) * rng.uniform(0.5, 4.0))
+    tensor = rng.normal(size=(dim, dim, dim))
+    if form == "canonical":
+        model = LimitModel(dim, rng.uniform(-2, 2), rng.uniform(-2, 2), canonical_q=QTensor(tensor))
+    else:
+        c = rng.uniform(0.3, 2.0)
+        model = LimitModel(dim, 1.0 / (8.0 * c), rng.uniform(-2, 2), raw_nonlinearity=tensor,
+                           scale={"time_factor": 8.0 * c, "amplitude": 1.0, "sound_speed": c},
+                           form="raw")
+    got = kdv_rhs(model, u).components
+    want = _full_fft_kdv_rhs(model, u)
+    assert np.max(np.abs(got - want)) <= 1e-12 * float(np.max(np.abs(want)))
+
+
 # -- evolve_kdv ----------------------------------------------------------------
 
 
 def test_evolve_zero_stays_zero(grid):
     model = canonical_scalar(-1.0)
-    traj = evolve_kdv(model, Field.zeros(grid), 0.5, 1e-2)
+    traj = evolve_kdv(model, Field(grid, np.zeros(grid.n_points)), 0.5, 1e-2)
     assert not traj.aborted
     assert max(np.max(np.abs(s.components)) for s in traj.states) < 1e-14
+
+
+def test_evolve_rejects_complex_state(grid):
+    u0 = Field(grid, np.exp(1j * grid.x))
+    with pytest.raises(ValueError, match="real"):
+        evolve_kdv(canonical_scalar(-1.0), u0, 0.1, 1e-2)
+    for model in (canonical_scalar(-1.0), canonical_scalar(0.0)):
+        with pytest.raises(ValueError, match="real"):
+            conserved_quantities(model, u0)
+
+
+@pytest.mark.parametrize("form", ["canonical", "raw"])
+def test_evolve_transforms_per_step(fft_calls, form):
+    # the state stays in coefficient space: a step without a snapshot makes
+    # 8 transforms in the stepper and 1 for the gradient guard
+    grid = Grid(64, 2 * np.pi)
+    if form == "canonical":
+        model = canonical_scalar(-1.0)
+    else:
+        model = limit_equation(preset("gp_coupled")[0])
+    assert model.form == form
+    u0 = Field(grid, 0.1 * np.stack([np.sin(grid.x), np.cos(grid.x)][: model.dim]))
+
+    def transforms(steps):
+        before = fft_calls["total"]
+        evolve_kdv(model, u0, steps * 1e-3, 1e-3, n_snapshots=2)
+        return fft_calls["total"] - before
+
+    assert (transforms(20) - transforms(10)) / 10 <= 9
 
 
 def test_evolve_linear_matches_advance(grid):
@@ -240,7 +336,7 @@ def test_raw_and_canonical_runs_agree():
 
 def test_conserved_zero_field(grid):
     model = canonical_scalar(1.0)
-    h, m, p = conserved_quantities(model, Field.zeros(grid))
+    h, m, p = conserved_quantities(model, Field(grid, np.zeros(grid.n_points)))
     assert h == 0.0 and m == 0.0 and np.all(p == 0.0)
 
 
@@ -268,7 +364,7 @@ def test_conserved_requires_canonical(grid):
         form="raw",
     )
     with pytest.raises(ValueError):
-        conserved_quantities(model, Field.zeros(grid))
+        conserved_quantities(model, Field(grid, np.zeros(grid.n_points)))
 
 
 # -- genuine nonlinearity -------------------------------------------------------

@@ -150,6 +150,16 @@ def test_state_validation():
         MicroState(ll, grid, 0.2, 1.1 * np.tile([[1.0], [0.0], [0.0]], 32))
 
 
+@pytest.mark.parametrize("kind,rows", [("LL_EASY_PLANE", 3), ("GP_SCALAR", 1)])
+def test_micro_rhs_rejects_nan_state(kind, rows):
+    # a NaN sample must count as a pointwise violation, not pass every comparison
+    grid = Grid(8, 2 * np.pi)
+    _, spec = preset(kind)
+    state = MicroState(spec, grid, 0.2, np.full((rows, 8), np.nan), validate=False)
+    with pytest.raises(ValueError, match="invalid state"):
+        micro_rhs(spec, state)
+
+
 # ---------------------------------------------------------------------------
 # linearized dispersion
 # ---------------------------------------------------------------------------
