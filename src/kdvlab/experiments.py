@@ -697,7 +697,8 @@ def _run_hyperbolic(cfg: ExperimentConfig, outdir: Path):
             _assertion("no_breakdown", 1.0 if report["breakdown"] else 0.0, 0.0,
                        not report["breakdown"]),
         ]
-    counters = {"kdv_steps": traj.meta["steps"], "gradient_checks": len(grad_t)}
+    counters = {"kdv_steps": traj.meta["steps"], "kdv_steps_taken": traj.meta["steps_taken"],
+                "gradient_checks": len(grad_t)}
     return assertions, counters
 
 

@@ -96,6 +96,15 @@ def extract_series(spec, traj: Trajectory) -> list[HydroState]:
     return out
 
 
+def _tangent_gradient(spec, h: HydroState) -> np.ndarray:
+    """Tangent-frame coordinates DPhi dx(phi) of a chart state, (d, N)."""
+    dphi = h.grid.diff(h.phi.components)
+    if spec.kind != "AF_CHAIN":  # DPhi is the identity on the circle charts
+        return dphi
+    J = dphi_matrix(spec, h.phi.components, h.eps)
+    return np.einsum("ijN,jN->iN", J, dphi)
+
+
 def observables(spec, h: HydroState) -> Observables:
     """Limit observables W, U, A of a chart state.
 
@@ -104,9 +113,7 @@ def observables(spec, h: HydroState) -> Observables:
     """
     g = spec.geometry
     C = normal_coupling(spec)
-    dphi = h.grid.diff(h.phi.components)
-    J = dphi_matrix(spec, h.phi.components, h.eps)
-    X = np.einsum("ijN,jN->iN", J, dphi)
+    X = _tangent_gradient(spec, h)
     A = -2.0 * g.lam * (C.T @ h.n.components)
     plus = g.c * X + np.einsum("ij,jN->iN", g.i0b0, X)
     minus = g.c * X - np.einsum("ij,jN->iN", g.i0b0, X)
@@ -142,10 +149,8 @@ def almost_hamiltonian(spec, h: HydroState):
     C = normal_coupling(spec)
     n = h.n.components
     grid = h.grid
-    dphi = grid.diff(h.phi.components)
     dn = grid.diff(n)
-    J = dphi_matrix(spec, h.phi.components, eps)
-    X = np.einsum("ijN,jN->iN", J, dphi)
+    X = _tangent_gradient(spec, h)
     corr = _s0_correction(spec, X, n)
     s0x = X + eps**2 * corr
     Cn = C.T @ n
@@ -160,8 +165,8 @@ def almost_hamiltonian(spec, h: HydroState):
         + 0.25 * np.sum(s0x**2, axis=0)
         + np.sum(cross_vec * Cn, axis=0)
     )
-    W = observables(spec, h).W
-    leading = l2_norm(W.components, grid) ** 2 / (4.0 * g.lam)
+    W = g.c * X + np.einsum("ij,jN->iN", g.i0b0, X) + 2.0 * g.lam * Cn
+    leading = l2_norm(W, grid) ** 2 / (4.0 * g.lam)
     return float(integrate(density, grid)), leading
 
 

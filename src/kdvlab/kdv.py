@@ -293,7 +293,9 @@ def evolve_kdv(
     The stiff dispersion is handled exactly by the integrating factor; dt is
     limited only by the nonlinearity.  The run aborts (partial trajectory,
     ``aborted`` flag) when max|dx u| exceeds ``blowup_multiple`` times its
-    initial value or a step produces non-finite values.
+    initial value or a step produces non-finite values.  ``meta["steps"]`` is
+    the planned step count and ``meta["steps_taken"]`` the steps run up to
+    the end or the abort.
     """
     _check_state(model, u0)
     # T is a duration; a negative dt integrates the flow backward
@@ -349,6 +351,7 @@ def evolve_kdv(
     traj.meta["grad_history"] = (np.array(grad_times), np.array(grad_vals))
     traj.meta["grad_initial"] = grad_floor
     traj.meta["steps"] = steps
+    traj.meta["steps_taken"] = step  # steps >= 1, so the loop ran
     return traj
 
 

@@ -185,6 +185,12 @@ def evolve_micro(spec: MicroModelSpec, s0: MicroState, T: float, dt: float | Non
     (trajectory flagged, partial output returned) if the pointwise state
     invariants fail at a snapshot, or on the exact step where either stepper
     produces a non-finite state.
+
+    A condensate split step makes 2 transforms and one rotation factor (its
+    trailing half rotation is the next step's leading one); a spin step is
+    one RK4 step of 4 right-hand-side evaluations.  ``meta["steps"]`` is the
+    planned step count, ``meta["steps_taken"]`` the steps run up to the end
+    or the abort, and ``meta["rhs_evals"]`` counts the stages actually run.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -202,27 +208,19 @@ def evolve_micro(spec: MicroModelSpec, s0: MicroState, T: float, dt: float | Non
     for s in snap_steps:
         keep.update((s - 1, s, s + 1))
 
-    geom = spec.geometry
-    stepper = _make_stepper(spec, s0.grid, eps, dt, geom.c)
+    stepper = _make_stepper(spec, s0.grid, eps, dt, spec.geometry.c)
 
     traj = Trajectory()
     traj.dt = dt
-    traj.meta = {
-        "kind": spec.kind,
-        "eps": eps,
-        "steps": steps,
-        "snap_every": snap_every,
-        "rhs_evals": 0 if spec.kind in _GP_KINDS else 4 * steps,
-        "spec": spec,
-    }
     stored: dict[int, np.ndarray] = {}
     vals = s0.values.copy()
     if 0 in keep:
         stored[0] = vals.copy()
+    states = stepper(vals)
     aborted_at = None
     for step in range(1, steps + 1):
         try:
-            vals = stepper(vals)
+            vals = next(states)
         except FloatingPointError:
             aborted_at = (step, "non-finite state")
             break
@@ -237,7 +235,17 @@ def evolve_micro(spec: MicroModelSpec, s0: MicroState, T: float, dt: float | Non
             if msg is not None:
                 aborted_at = (step, msg)
                 break
-    last_ok = steps if aborted_at is None else aborted_at[0] - 1
+    taken = steps if aborted_at is None else aborted_at[0]
+    traj.meta = {
+        "kind": spec.kind,
+        "eps": eps,
+        "steps": steps,
+        "steps_taken": taken,
+        "snap_every": snap_every,
+        "rhs_evals": 0 if spec.kind in _GP_KINDS else 4 * taken,
+        "spec": spec,
+    }
+    last_ok = steps if aborted_at is None else taken - 1
     for s in snap_steps:
         if s > last_ok:
             break
@@ -253,29 +261,53 @@ def evolve_micro(spec: MicroModelSpec, s0: MicroState, T: float, dt: float | Non
 
 
 def _make_stepper(spec, grid, eps, dt, c):
+    """Generator function: ``stepper(vals)`` yields the state after each step,
+    raising FloatingPointError on the step that produces a non-finite state."""
     if spec.kind in _GP_KINDS:
         k = grid.wavenumbers
         lin = np.exp(dt * (1j * c * k - 0.5j * eps * k**2) / eps**2)
+        scale = 0.5 * dt / eps**3
 
-        def step(vals):
-            vals = vals * np.exp(0.5j * dt * _phase_factors(spec, vals) / eps**3)
-            vals = np.fft.ifft(lin * np.fft.fft(vals, axis=-1), axis=-1)
-            vals = vals * np.exp(0.5j * dt * _phase_factors(spec, vals) / eps**3)
-            if not math.isfinite(np.vdot(vals, vals).real):  # the mass catches NaN/inf
-                raise FloatingPointError("split step: non-finite state produced")
-            return vals
+        def stepper(vals):
+            # Strang step R(dt/2) L(dt) R(dt/2).  R multiplies by exp(i*scale*g)
+            # with g a function of |u| alone, and keeps |u|: a step's trailing
+            # half-rotation factor is the next step's leading one, so each
+            # step computes one factor.
+            rot = np.empty(vals.shape, complex)
 
-        return step
+            def rotation(z):
+                theta = _phase_factors(spec, z)
+                theta *= scale
+                np.cos(theta, out=rot.real)
+                np.sin(theta, out=rot.imag)
+                return rot
+
+            ahead = vals * rotation(vals)
+            while True:
+                u = np.fft.fft(ahead, axis=-1)
+                u *= lin
+                u = np.fft.ifft(u, axis=-1)
+                u *= rotation(u)
+                if not math.isfinite(np.vdot(u, u).real):  # the mass catches NaN/inf
+                    raise FloatingPointError("split step: non-finite state produced")
+                yield u
+                ahead = u * rot
+
+        return stepper
 
     blocks = _sphere_blocks(spec)
 
-    def step(vals):
-        out = rk4_step(vals, lambda v: _rhs_raw(spec, v, grid, eps, c), dt)
-        for block in blocks:
-            out[block] /= np.linalg.norm(out[block], axis=0)
-        return out
+    def rhs(v):
+        return _rhs_raw(spec, v, grid, eps, c)
 
-    return step
+    def stepper(vals):
+        while True:
+            vals = rk4_step(vals, rhs, dt)
+            for block in blocks:
+                vals[block] /= np.linalg.norm(vals[block], axis=0)
+            yield vals
+
+    return stepper
 
 
 # ---------------------------------------------------------------------------

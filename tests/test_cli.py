@@ -231,9 +231,13 @@ def test_hyperbolic_breakdown_matches_characteristics(tmp_path):
     )
     rc = main(["hyperbolic", "--config", cfg])
     assert rc == 0
-    checks = _assertion_map(_summary(tmp_path / "out"))
+    summary = _summary(tmp_path / "out")
+    checks = _assertion_map(summary)
     assert checks["breakdown_detected"]["pass"]
     assert checks["breakdown_time_near_characteristics"]["value"] <= TOL["oracle_window"]
+    # the run stops on its gradient guard: fewer steps taken than planned
+    assert summary["timings"]["kdv_steps"] == 2000
+    assert 0 < summary["timings"]["kdv_steps_taken"] < 2000
 
 
 def test_hyperbolic_soliton_control_reports_no_breakdown(tmp_path):

@@ -19,7 +19,7 @@ from kdvlab.hydro import (
 )
 from kdvlab.kdv import evolve_kdv
 from kdvlab.micro import MicroState, dt_max, evolve_micro, well_prepared_init
-from kdvlab.models import limit_equation, normal_coupling, preset
+from kdvlab.models import dphi_matrix, limit_equation, normal_coupling, preset
 
 TOL = {
     "roundtrip": 1e-12,
@@ -133,6 +133,21 @@ def test_pure_amplitude_state_observables(kind, params):
     assert np.max(np.abs(obs.U.components - a_ref)) <= TOL["observables"]
 
 
+@pytest.mark.parametrize("kind,params", PRESETS)
+def test_observables_carry_the_chart_jacobian(kind, params):
+    # (U + W)/(2c) is DPhi dx(phi): the radial Jacobi factor of the
+    # antiferromagnet chart, the identity for the circle charts
+    grid = Grid(128, 2 * np.pi)
+    geom, spec = preset(kind, params)
+    eps = 0.2
+    phi = np.stack([3.0 * np.sin((i + 1) * grid.x + 0.3) for i in range(geom.dim)])
+    n = np.stack([0.5 * np.cos((i + 2) * grid.x) for i in range(geom.dim)])
+    obs = observables(spec, HydroState(grid, eps, Field(grid, phi), Field(grid, n), True))
+    ref = np.einsum("ijN,jN->iN", dphi_matrix(spec, phi, eps), grid.diff(phi))
+    got = (obs.U.components + obs.W.components) / (2.0 * geom.c)
+    assert np.max(np.abs(got - ref)) <= TOL["observables"] * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("kind", ["GP_SCALAR", "LL_EASY_PLANE"])
 def test_pure_phase_state_observables(kind):
     # with n = 0 (and no rotational block) W = U = c * dx(phi)
@@ -179,6 +194,19 @@ def test_energy_matches_w_norm_to_second_order(kind, params):
         _, spec, state = _prepared(kind, params, grid, eps)
         H, leading = almost_hamiltonian(spec, extract_hydro(spec, state))
         assert abs(H - leading) / eps**2 <= TOL["h_identity"]
+
+
+@pytest.mark.parametrize("kind,params", PRESETS)
+def test_energy_leading_term_is_the_observables_w_norm(kind, params):
+    # almost_hamiltonian forms W from its own tangent gradient; it must be
+    # the W of observables to the last bit
+    grid = Grid(128, 2 * np.pi)
+    geom, spec = preset(kind, params)
+    phi = np.stack([2.0 * np.sin((i + 1) * grid.x + 0.3) for i in range(geom.dim)])
+    n = np.stack([0.5 * np.cos((i + 2) * grid.x) for i in range(geom.dim)])
+    h = HydroState(grid, 0.2, Field(grid, phi), Field(grid, n), True)
+    w = observables(spec, h).W.components
+    assert almost_hamiltonian(spec, h)[1] == l2_norm(w, grid) ** 2 / (4.0 * geom.lam)
 
 
 @pytest.mark.parametrize("kind", ["LL_EASY_PLANE", "AF_CHAIN"])

@@ -408,6 +408,20 @@ def test_no_breakdown_linear(grid):
     assert not report["breakdown"]
 
 
+def test_aborted_run_reports_the_steps_taken():
+    # the gradient guard stops the run near t = 0.5: the planned count stays
+    # in meta["steps"], the steps actually run go to meta["steps_taken"]
+    grid = Grid(128, 2 * np.pi)
+    model = canonical_scalar(1.0, dispersion=0.0)
+    traj = evolve_kdv(model, Field(grid, np.sin(grid.x)), 1.0, 2e-3, blowup_multiple=5.0)
+    assert traj.aborted and traj.abort_reason == "gradient blow-up"
+    assert traj.meta["steps"] == 500
+    taken = traj.meta["steps_taken"]
+    assert taken < 500
+    assert taken == round(traj.abort_time / traj.dt)
+    assert traj.meta["grad_history"][0][-1] == pytest.approx(traj.abort_time)
+
+
 def test_burgers_breakdown_near_oracle_time():
     # dispersionless du/dt + dx(u^2) = 0 with u0 = sin x breaks down at
     # t* = 1/max(-d/dx f'(u0)) = 1/max(-2 cos x) = 0.5

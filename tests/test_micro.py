@@ -23,6 +23,7 @@ TOL = {
     "dispersion": 1e-2,
     "mass_drift": 1e-10,
     "gp_energy_drift": 1e-6,
+    "gp_energy_drift_at_cap": 5e-5,
     "momentum_drift": 1e-12,
     "norm_dev": 1e-12,
     "af_energy_drift": 1e-7,
@@ -34,6 +35,16 @@ TOL = {
 def _bump(grid, amp=0.3, width=2.0):
     rho = amp / np.cosh((grid.x - 0.5 * grid.length) / width) ** 2
     return rho - rho.mean()
+
+
+CONDENSATES = [("GP_SCALAR", None), ("GP_COUPLED", {"lam": 1.5, "gamma": 0.2})]
+
+
+def _condensate_init(kind, params, grid, eps):
+    """Well-prepared condensate state; the two coupled components differ."""
+    geom, spec = preset(kind, params)
+    comps = [_bump(grid), -0.5 * _bump(grid, amp=0.2, width=1.0)][: geom.dim]
+    return spec, well_prepared_init(spec, geom, Field(grid, np.stack(comps)), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +355,27 @@ def test_split_step_stays_inside_resonance_threshold():
     assert 0.9 <= mod.min() and mod.max() <= 1.1
 
 
+@pytest.mark.parametrize("kind,params", CONDENSATES)
+@pytest.mark.parametrize("eps_kmax", [1.6, 3.2, 6.4, 12.8])
+def test_split_step_stable_at_dt_max_over_validated_range(kind, params, eps_kmax):
+    # dt_max was measured over eps*kmax in [1.6, 12.8]: 2000 steps at the cap
+    # complete, stay in the modulus range and keep the energy.  The largest
+    # drift measured here was 3.06e-5 (GP_COUPLED, eps*kmax = 6.4); at 1.6x
+    # the cap seven of these eight runs abort and the eighth drifts 1.1e-4.
+    grid = Grid(128, 8 * np.pi)
+    eps = eps_kmax / np.max(np.abs(grid.wavenumbers))
+    spec, s0 = _condensate_init(kind, params, grid, eps)
+    dt = dt_max(spec, eps, grid)
+    traj = evolve_micro(spec, s0, T=2000 * dt, dt=dt, n_snapshots=11)
+    assert not traj.aborted and traj.meta["steps_taken"] == 2000
+    e0, _ = micro_invariants(spec, s0)
+    lo, hi = micro._MODULUS_RANGE
+    for state in traj.states:
+        mod = np.abs(state.values)
+        assert lo <= mod.min() and mod.max() <= hi
+        assert abs(micro_invariants(spec, state)[0] - e0) <= TOL["gp_energy_drift_at_cap"] * abs(e0)
+
+
 def test_abort_on_chart_breakdown_returns_partial_run():
     grid = Grid(128, 2 * np.pi)
     _, spec = preset("GP_SCALAR")
@@ -356,21 +388,68 @@ def test_abort_on_chart_breakdown_returns_partial_run():
     assert traj.abort_time is not None and 0 < traj.abort_time < 0.5
 
 
-@pytest.mark.parametrize("half", [0, 1])
-def test_split_step_aborts_on_the_exact_non_finite_step(monkeypatch, half):
-    # a NaN entering either half rotation of step 7 is reported at step 7,
-    # not at the next snapshot (the last step of the run here)
+def _strang_two_factor(spec, vals, grid, eps, dt, steps):
+    """Textbook Strang step R(dt/2) L(dt) R(dt/2): a fresh rotation factor for
+    each half rotation."""
+    k = grid.wavenumbers
+    lin = np.exp(dt * (1j * spec.geometry.c * k - 0.5j * eps * k**2) / eps**2)
+    for _ in range(steps):
+        vals = vals * np.exp(0.5j * dt * micro._phase_factors(spec, vals) / eps**3)
+        vals = np.fft.ifft(lin * np.fft.fft(vals, axis=-1), axis=-1)
+        vals = vals * np.exp(0.5j * dt * micro._phase_factors(spec, vals) / eps**3)
+    return vals
+
+
+@pytest.mark.parametrize("kind,params", CONDENSATES)
+def test_split_step_matches_two_factor_strang_step(kind, params):
+    # sharing the trailing half-rotation factor with the next step's leading
+    # one changes nothing but round-off
+    eps, steps = 0.2, 200
+    grid = Grid(128, 4 * np.pi)
+    spec, s0 = _condensate_init(kind, params, grid, eps)
+    dt = dt_max(spec, eps, grid)
+    traj = evolve_micro(spec, s0, T=steps * dt, dt=dt, n_snapshots=2)
+    assert not traj.aborted and traj.meta["steps"] == steps
+    ref = _strang_two_factor(spec, s0.values, grid, eps, traj.dt, steps)
+    got = traj.states[-1].values
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_split_step_computes_one_rotation_factor_per_step(monkeypatch):
     grid = Grid(64, 2 * np.pi)
     geom, spec = preset("GP_SCALAR")
     s0 = well_prepared_init(spec, geom, Field(grid, _bump(grid, width=0.5)[None, :]), 0.5)
-    steps, bad_step = 40, 7
+    calls = []
+    phase_factors = micro._phase_factors
+
+    def counted(spec, vals):
+        calls.append(None)
+        return phase_factors(spec, vals)
+
+    monkeypatch.setattr(micro, "_phase_factors", counted)
+    traj = evolve_micro(spec, s0, T=0.05, dt=0.05 / 40, n_snapshots=5)
+    assert not traj.aborted and traj.meta["steps"] == 40
+    assert len(calls) <= 40 + 1
+
+
+@pytest.mark.parametrize("half", [0, 1])
+def test_split_step_aborts_on_the_exact_non_finite_step(monkeypatch, half):
+    # call 1 makes the leading half-rotation factor of step 1; call s + 1 makes
+    # step s's trailing factor, which step s + 1 reuses as its leading one.  A
+    # NaN in either is reported on the step it enters, not at the next
+    # snapshot (the last step of the run here).
+    grid = Grid(64, 2 * np.pi)
+    geom, spec = preset("GP_SCALAR")
+    s0 = well_prepared_init(spec, geom, Field(grid, _bump(grid, width=0.5)[None, :]), 0.5)
+    steps = 40
+    bad_call, bad_step = [(1, 1), (8, 7)][half]
     calls = []
     phase_factors = micro._phase_factors
 
     def poisoned(spec, vals):
         calls.append(None)
         g = phase_factors(spec, vals)
-        return g * np.nan if len(calls) == 2 * bad_step - 1 + half else g
+        return g * np.nan if len(calls) == bad_call else g
 
     monkeypatch.setattr(micro, "_phase_factors", poisoned)
     traj = evolve_micro(spec, s0, T=0.05, dt=0.05 / steps, n_snapshots=2)
@@ -378,6 +457,32 @@ def test_split_step_aborts_on_the_exact_non_finite_step(monkeypatch, half):
     assert traj.abort_reason == "non-finite state"
     assert traj.abort_time == pytest.approx(bad_step * 0.05 / steps, rel=1e-12)
     assert traj.times == [0.0]
+    assert traj.meta["steps"] == steps and traj.meta["steps_taken"] == bad_step
+
+
+def test_aborted_spin_run_counts_the_stages_it_ran(monkeypatch):
+    # a NaN from the first stage of step 6 aborts the run there: 6 steps and
+    # 24 right-hand-side evaluations were run, not the 40 steps planned
+    grid = Grid(64, 2 * np.pi)
+    _, spec = preset("LL_EASY_PLANE")
+    pert = 0.1 * np.sin(grid.x)
+    g0 = np.stack([np.cos(pert), np.sin(pert), np.zeros(64)])
+    state = MicroState(spec, grid, 0.5, g0)
+    dt = dt_max(spec, 0.5, grid)
+    calls = []
+    rhs_raw = micro._rhs_raw
+
+    def poisoned(spec, vals, grid, eps, c):
+        calls.append(None)
+        out = rhs_raw(spec, vals, grid, eps, c)
+        return out * np.nan if len(calls) == 21 else out
+
+    monkeypatch.setattr(micro, "_rhs_raw", poisoned)
+    traj = evolve_micro(spec, state, T=40 * dt, dt=dt, n_snapshots=2)
+    assert traj.aborted and traj.abort_reason == "non-finite state"
+    assert traj.meta["steps"] == 40
+    assert traj.meta["steps_taken"] == 6
+    assert traj.meta["rhs_evals"] == 24
 
 
 def test_snapshot_neighbors_give_centered_time_derivative():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdvlab.grid import Grid
 from kdvlab.kdv import symmetrize_bilinear
@@ -261,6 +263,15 @@ def test_coupled_gp_limit_rejects_asymmetric_f1():
 # ---------------------------------------------------------------------------
 
 
+CHART_PRESETS = [
+    ("GP_SCALAR", None),
+    ("GP_COUPLED", {"lam": 1.5, "gamma": 0.2}),
+    ("LL_EASY_PLANE", {"k": 2.0}),
+    ("LL_EASY_CONE", {"alpha": 1.0, "beta": 0.4, "theta0": 1.0}),
+    ("AF_CHAIN", None),
+]
+
+
 def _smooth_fields(grid, dim, scale_phi=1.0, scale_n=1.0, seed=0):
     rng = np.random.default_rng(seed)
     x = grid.x
@@ -273,16 +284,7 @@ def _smooth_fields(grid, dim, scale_phi=1.0, scale_n=1.0, seed=0):
     return phi, n
 
 
-@pytest.mark.parametrize(
-    "kind,params",
-    [
-        ("GP_SCALAR", None),
-        ("GP_COUPLED", {"lam": 1.5, "gamma": 0.2}),
-        ("LL_EASY_PLANE", {"k": 2.0}),
-        ("LL_EASY_CONE", {"alpha": 1.0, "beta": 0.4, "theta0": 1.0}),
-        ("AF_CHAIN", None),
-    ],
-)
+@pytest.mark.parametrize("kind,params", CHART_PRESETS)
 def test_chart_round_trip(kind, params):
     _, spec = preset(kind, params)
     grid = Grid(128, 2 * np.pi)
@@ -293,6 +295,46 @@ def test_chart_round_trip(kind, params):
     assert info["in_chart"]
     assert np.max(np.abs(phi2 - phi)) <= TOL["chart"]
     assert np.max(np.abs(n2 - n)) <= 1e-7  # extraction divides roundoff by eps^2
+
+
+def _normal_radius(spec):
+    """Bound on eps^2 |n| inside which chart_extract inverts chart_assemble."""
+    if spec.kind in ("GP_SCALAR", "GP_COUPLED"):
+        return 0.5  # modulus 1 + eps^2 n in [0.5, 1.5]
+    if spec.kind == "LL_EASY_CONE":
+        theta0 = float(spec.params["theta0"])
+        return min(theta0, np.pi - theta0)  # polar angle in (0, pi)
+    return 0.5 * np.pi  # tilt off the plane / geodesic offset of the pair
+
+
+@pytest.mark.parametrize("kind,params", CHART_PRESETS)
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    eps=st.floats(0.05, 0.5),
+    phase=st.floats(0.0, 0.8),
+    normal=st.floats(0.0, 0.8),
+)
+def test_chart_round_trip_property(kind, params, seed, eps, phase, normal):
+    # random smooth fields with sup |eps phi| and sup |eps^2 n| (pointwise
+    # vector norms) up to 80% of the chart's reach, constant offsets included
+    _, spec = preset(kind, params)
+    grid = Grid(128, 2 * np.pi)
+    rng = np.random.default_rng(seed)
+    modes = np.arange(5)[:, None]
+
+    def smooth():
+        a, b = rng.normal(size=(2, spec.dim, 5))
+        f = a @ np.cos(modes * grid.x) + b @ np.sin(modes * grid.x)
+        return f / np.max(np.linalg.norm(f, axis=0))  # pointwise norm <= 1
+
+    phi = phase * chart_radius(spec) / eps * smooth()
+    n = normal * _normal_radius(spec) / eps**2 * smooth()
+    state = chart_assemble(spec, phi, n, eps)
+    phi2, n2, info = chart_extract(spec, state, eps)
+    assert info["in_chart"]
+    assert np.max(np.abs(phi2 - phi)) <= TOL["chart"]
+    assert np.max(np.abs(n2 - n)) <= 1e-7
 
 
 def test_chart_gp_scalar_values():
