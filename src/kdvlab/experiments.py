@@ -30,9 +30,9 @@ from .analysis import (
     shift_minimized_error,
 )
 from .grid import Field, Grid, l2_norm
-from .hydro import almost_hamiltonian, extract_series, limit_error, observables
+from .hydro import almost_hamiltonian, iter_blocks, limit_error
 from .kdv import LimitModel, blowup_monitor, conserved_quantities, evolve_kdv
-from .micro import dt_max, evolve_micro, mass, well_prepared_init
+from .micro import MicroState, dt_max, evolve_micro, mass, well_prepared_init
 from .models import chart_radius, limit_equation, preset
 
 __all__ = [
@@ -432,13 +432,33 @@ def _run_kdv(cfg: ExperimentConfig, outdir: Path):
     return assertions, counters
 
 
-def _unit_norm_deviation(state) -> float:
-    """Worst pointwise deviation of the spin blocks from unit length."""
-    dev = 0.0
-    for start in range(0, state.values.shape[0], 3):
-        norms = np.linalg.norm(state.values[start:start + 3], axis=0)
-        dev = max(dev, float(np.max(np.abs(norms - 1.0))))
-    return dev
+def _unit_norm_deviation(values):
+    """Worst pointwise deviation of the spin blocks from unit length, one per
+    snapshot of (..., m, N) values."""
+    return np.max([np.max(np.abs(np.linalg.norm(values[..., i:i + 3, :], axis=-2) - 1.0), axis=-1)
+                   for i in range(0, values.shape[-2], 3)], axis=0)
+
+
+def _micro_series(spec, traj) -> dict:
+    """Per-snapshot diagnostics of a microscopic run, SNAPSHOT_BLOCK snapshots
+    at a time (one chart extraction and one tangent gradient per block):
+    ||W||, max|eps phi|, the almost-conserved energy, the structure deviation
+    (relative mass drift for condensates, unit-norm deviation for spins) and
+    chart membership."""
+    grid, eps = traj.states[0].grid, traj.meta["eps"]
+    mass0 = mass(spec, traj.states[0]) if spec.is_complex else None
+    cols = {k: [] for k in ("w_norm", "eps_phi_inf", "energy", "structure_dev", "in_chart")}
+    for rows, h in iter_blocks(spec, traj):
+        energy, w = almost_hamiltonian(spec, h)
+        vals = traj.values[rows]
+        if spec.is_complex:
+            dev = np.abs(mass(spec, MicroState(spec, grid, eps, vals, validate=False)) - mass0) / mass0
+        else:
+            dev = _unit_norm_deviation(vals)
+        phi_inf = np.max(np.abs(eps * h.phi), axis=(-2, -1))
+        for name, value in zip(cols, (w, phi_inf, energy, dev, h.valid)):
+            cols[name].append(value)
+    return {k: np.concatenate(v) for k, v in cols.items()}
 
 
 def _run_micro(cfg: ExperimentConfig, outdir: Path):
@@ -451,29 +471,16 @@ def _run_micro(cfg: ExperimentConfig, outdir: Path):
         spec, s0, cfg.t_final, dt=cfg.t_final / steps, n_snapshots=cfg.snapshots
     )
 
-    series = extract_series(spec, traj)
-    energies = [almost_hamiltonian(spec, h)[0] for h in series]
-    spin_model = not np.iscomplexobj(s0.values)
+    series = _micro_series(spec, traj)
     columns = ["t", "w_norm", "eps_phi_inf", "energy", "structure_dev"]
-    rows, w_norms, devs = [], [], []
-    in_chart = True
-    mass0 = None if spin_model else mass(spec, s0)
-    for t, state, h, energy in zip(traj.times, traj.states, series, energies):
-        w = l2_norm(observables(spec, h).W.components, grid)
-        if spin_model:
-            dev = _unit_norm_deviation(state)
-        else:
-            dev = abs(mass(spec, state) - mass0) / mass0
-        w_norms.append(w)
-        devs.append(dev)
-        in_chart = in_chart and h.valid
-        rows.append([t, w, float(np.max(np.abs(cfg.eps * h.phi.components))), energy, dev])
-    emit_series(outdir / "micro_series.csv", columns, rows)
+    emit_series(outdir / "micro_series.csv", columns,
+                np.column_stack([traj.times] + [series[c] for c in columns[1:]]))
 
-    structure_name = "unit_norm_deviation" if spin_model else "mass_drift_rel"
+    structure_name = "mass_drift_rel" if spec.is_complex else "unit_norm_deviation"
+    in_chart = bool(series["in_chart"].all())
     assertions = [
         _assertion("run_completed", traj.times[-1] / cfg.t_final, 1.0, not traj.aborted),
-        _at_most(structure_name, max(devs), 1e-10),
+        _at_most(structure_name, float(np.max(series["structure_dev"])), 1e-10),
         _assertion("stayed_in_chart", 1.0 if in_chart else 0.0, 1.0, in_chart),
     ]
     counters = {
@@ -503,18 +510,15 @@ def _converge_task(payload):
         "eps": eps,
         "aborted": traj.aborted,
         "abort_reason": traj.abort_reason,
+        "steps_taken": traj.meta["steps_taken"],
         "micro_steps": traj.meta["steps"],
         "kdv_steps": kdv_traj.meta["steps"],
     }
     path = Path(cfg.output_dir) / f"converge_eps_{eps!r}.csv"
     if traj.aborted:
         # partial artifact: the chart series of whatever was reached
-        series = extract_series(spec, traj)
-        rows = [
-            [t, l2_norm(observables(spec, h).W.components, grid)]
-            for t, h in zip(traj.times, series)
-        ]
-        emit_series(path, ["t", "w_norm"], rows)
+        series = _micro_series(spec, traj)
+        emit_series(path, ["t", "w_norm"], np.column_stack([traj.times, series["w_norm"]]))
         return out
     err = limit_error(spec, traj, kdv_traj)
     emit_series(
@@ -585,6 +589,11 @@ def _run_converge(cfg: ExperimentConfig, outdir: Path):
         "kdv_steps": results[0]["kdv_steps"],
         "micro_steps": {f"{r['eps']!r}": r["micro_steps"] for r in results},
     }
+    if not all_done:
+        counters["aborts"] = {
+            f"{r['eps']!r}": {"abort_reason": r["abort_reason"], "steps_taken": r["steps_taken"]}
+            for r in results if r["aborted"]
+        }
     return assertions, counters
 
 

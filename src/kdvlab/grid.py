@@ -150,12 +150,15 @@ class Trajectory:
 
     ``neighbors[i]``, when stored, holds the states one integrator step before
     and after ``states[i]`` so diagnostics can form centered time differences
-    without re-running the solver.
+    without re-running the solver.  ``values``, when the producer keeps its
+    snapshots in one array (``evolve_micro`` does), is that (S, m, N) array:
+    ``states[i].values`` is a view of its row i.
     """
 
     def __init__(self):
         self.times: list[float] = []
         self.states: list = []
+        self.values: np.ndarray | None = None
         self.neighbors: list | None = None
         self.dt: float | None = None
         self.aborted = False
@@ -203,13 +206,17 @@ def hs_seminorms(f: Field, s: int) -> list[float]:
     if s < 0 or s > 4:
         raise ValueError(f"s must be in 0..4, got {s}")
     _check_finite(f, "hs_seminorms")
-    grid = f.grid
-    coeffs = np.fft.fft(f.components, axis=-1) / grid.n_points
-    out = []
-    for j in range(s + 1):
-        power = np.sum(np.abs(np.abs(grid.symbol(j)) * coeffs) ** 2)
-        out.append(float(np.sqrt(grid.length * power)))
-    return out
+    return [float(v) for v in _hs_norms(f.components, f.grid, s)]
+
+
+def _hs_norms(values, grid: Grid, s: int) -> np.ndarray:
+    """The hs_seminorms of samples (..., d, N), shape (..., s+1): one row of
+    norms per leading index (per snapshot of a block)."""
+    coeffs = np.fft.fft(values, axis=-1) / grid.n_points
+    return np.stack([
+        np.sqrt(grid.length * np.sum(np.abs(np.abs(grid.symbol(j)) * coeffs) ** 2, axis=(-2, -1)))
+        for j in range(s + 1)
+    ], axis=-1)
 
 
 def advance_linear(f: Field, symbol, dt: float) -> Field:
@@ -269,15 +276,19 @@ def ifrk4_step(v_hat, e_half, nonlinear, dt: float, e_full):
     return out
 
 
-def integrate(values, grid: Grid) -> float:
-    """Integral over [0, L) of grid samples (exact for trigonometric polynomials)."""
-    return float(np.sum(values) * grid.spacing)
+def integrate(values, grid: Grid):
+    """Integral over [0, L) of grid samples along the last axis (exact for
+    trigonometric polynomials): a float for (N,), one integral per leading
+    index otherwise."""
+    return np.sum(values, axis=-1) * grid.spacing
 
 
-def l2_norm(values, grid: Grid) -> float:
-    """L2 norm of (possibly multi-component, possibly complex) grid samples."""
+def l2_norm(values, grid: Grid):
+    """L2 norm of (possibly multi-component, possibly complex) grid samples:
+    a float for (N,) or (d, N), one norm per leading index of (..., d, N)."""
     v = np.asarray(values)
-    return float(np.sqrt(np.sum(np.abs(v) ** 2) * grid.spacing))
+    axes = (-2, -1) if v.ndim >= 2 else -1
+    return np.sqrt(np.sum(np.abs(v) ** 2, axis=axes) * grid.spacing)
 
 
 def pad_to(coeffs, n: int, m: int):

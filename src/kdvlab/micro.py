@@ -37,6 +37,9 @@ class MicroState:
 
     ``values`` is (m, N): complex rows u_k for condensates, three real rows
     for a single spin field, six (two stacked spheres) for the staggered pair.
+    A block of S snapshots of a run is one MicroState with values (S, m, N)
+    (``mass`` takes blocks; the steppers and ``micro_rhs`` take one state).
+    Values of the right dtype are wrapped, not copied.
     """
 
     def __init__(self, spec: MicroModelSpec, grid: Grid, eps: float, values, validate=True):
@@ -46,10 +49,10 @@ class MicroState:
         if vals.ndim == 1:
             vals = vals[None, :]
         want_complex = spec.is_complex
-        vals = vals.astype(np.complex128 if want_complex else np.float64, copy=True)
-        if vals.shape != (spec.n_components, grid.n_points):
+        vals = vals.astype(np.complex128 if want_complex else np.float64, copy=False)
+        if vals.shape[-2:] != (spec.n_components, grid.n_points):
             raise ValueError(
-                f"values must be ({spec.n_components}, {grid.n_points}), got {vals.shape}"
+                f"values must be (..., {spec.n_components}, {grid.n_points}), got {vals.shape}"
             )
         if validate:
             if not np.isfinite(vals).all():
@@ -61,7 +64,7 @@ class MicroState:
         self.values = vals
 
     def copy(self) -> "MicroState":
-        return MicroState(self.spec, self.grid, self.eps, self.values, validate=False)
+        return MicroState(self.spec, self.grid, self.eps, self.values.copy(), validate=False)
 
 
 def _check_pointwise(spec, vals, strict=False):
@@ -77,7 +80,7 @@ def _check_pointwise(spec, vals, strict=False):
             return msg
     else:
         for block in _sphere_blocks(spec):
-            dev = float(np.max(np.abs(np.linalg.norm(vals[block], axis=0) - 1.0)))
+            dev = float(np.max(np.abs(np.linalg.norm(vals[..., block, :], axis=-2) - 1.0)))
             if not dev <= _NORM_TOL:
                 msg = f"unit-norm deviation {dev:.3g} exceeds {_NORM_TOL}"
                 if strict:
@@ -191,6 +194,8 @@ def evolve_micro(spec: MicroModelSpec, s0: MicroState, T: float, dt: float | Non
     one RK4 step of 4 right-hand-side evaluations.  ``meta["steps"]`` is the
     planned step count, ``meta["steps_taken"]`` the steps run up to the end
     or the abort, and ``meta["rhs_evals"]`` counts the stages actually run.
+    Snapshots and step neighbours are stored once, in one array:
+    ``traj.values`` holds the snapshots and ``traj.states`` view its rows.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -204,19 +209,19 @@ def evolve_micro(spec: MicroModelSpec, s0: MicroState, T: float, dt: float | Non
     dt = T / steps
     snap_every = max(1, steps // max(1, n_snapshots - 1))
     snap_steps = [s for s in range(steps + 1) if s % snap_every == 0 or s == steps]
-    keep = set()
-    for s in snap_steps:
-        keep.update((s - 1, s, s + 1))
+    is_snap = set(snap_steps)
+    # every stored state lives in one array: the snapshots in rows 0..S-1,
+    # then the step neighbours that are not snapshots themselves
+    extra = {t for s in snap_steps for t in (s - 1, s + 1) if 0 < t < steps} - is_snap
+    row = {s: i for i, s in enumerate(snap_steps + sorted(extra))}
+    stored = np.empty((len(row),) + s0.values.shape, dtype=s0.values.dtype)
 
     stepper = _make_stepper(spec, s0.grid, eps, dt, spec.geometry.c)
 
     traj = Trajectory()
     traj.dt = dt
-    stored: dict[int, np.ndarray] = {}
-    vals = s0.values.copy()
-    if 0 in keep:
-        stored[0] = vals.copy()
-    states = stepper(vals)
+    stored[0] = s0.values
+    states = stepper(s0.values)
     aborted_at = None
     for step in range(1, steps + 1):
         try:
@@ -224,9 +229,9 @@ def evolve_micro(spec: MicroModelSpec, s0: MicroState, T: float, dt: float | Non
         except FloatingPointError:
             aborted_at = (step, "non-finite state")
             break
-        if step in keep:
-            stored[step] = vals.copy()
-        if step in snap_steps or step == steps:
+        if step in row:
+            stored[row[step]] = vals
+        if step in is_snap:
             msg = None
             if not np.isfinite(vals).all():
                 msg = "non-finite state"
@@ -246,13 +251,13 @@ def evolve_micro(spec: MicroModelSpec, s0: MicroState, T: float, dt: float | Non
         "spec": spec,
     }
     last_ok = steps if aborted_at is None else taken - 1
-    for s in snap_steps:
-        if s > last_ok:
-            break
-        state = MicroState(spec, s0.grid, eps, stored[s], validate=False)
-        prev = stored.get(s - 1) if s > 0 else None
-        nxt = stored.get(s + 1) if s + 1 <= last_ok else None
-        traj.append(s * dt, state, neighbor_pair=(prev, nxt))
+    snap_steps = [s for s in snap_steps if s <= last_ok]
+    traj.values = stored[: len(snap_steps)]
+    for s, vals in zip(snap_steps, traj.values):
+        prev = stored[row[s - 1]] if s > 0 else None
+        nxt = stored[row[s + 1]] if s + 1 <= last_ok else None
+        traj.append(s * dt, MicroState(spec, s0.grid, eps, vals, validate=False),
+                    neighbor_pair=(prev, nxt))
     if aborted_at is not None:
         traj.aborted = True
         traj.abort_time = aborted_at[0] * dt
@@ -385,11 +390,12 @@ def micro_invariants(spec: MicroModelSpec, s: MicroState):
     return energy, momentum
 
 
-def mass(spec: MicroModelSpec, s: MicroState) -> float:
-    """Total ∫ |u|² dx of a condensate state (conserved by the split step)."""
+def mass(spec: MicroModelSpec, s: MicroState):
+    """Total ∫ |u|² dx of a condensate state (conserved by the split step),
+    one per snapshot of a block."""
     if spec.kind not in _GP_KINDS:
         raise ValueError(f"mass is a condensate invariant; got {spec.kind}")
-    return integrate(np.sum(np.abs(s.values) ** 2, axis=0), s.grid)
+    return integrate(np.sum(np.abs(s.values) ** 2, axis=-2), s.grid)
 
 
 # ---------------------------------------------------------------------------

@@ -373,15 +373,24 @@ def _unwrap_periodic(raw: np.ndarray):
 
 
 def _apply_phase_ref(eps_phi: np.ndarray, phase_ref, eps: float, period: float):
-    """Shift each component of eps*phi by the multiple of ``period`` that
-    brings its mean closest to the reference phase's mean."""
-    if phase_ref is None:
-        return eps_phi
-    ref = np.asarray(phase_ref, dtype=float) * eps
-    ref_mean = np.mean(np.atleast_2d(ref), axis=-1)
-    cur_mean = np.mean(eps_phi, axis=-1)
-    shift = period * np.rint((ref_mean - cur_mean) / period)
-    return eps_phi + shift[..., None]
+    """Shift eps*phi, of one state (d, N) or of a run of snapshots (S, d, N),
+    by whole periods so that the phase stays continuous along the run.
+
+    Each snapshot's component means are brought closest to those of the
+    snapshot before it (after that one's own shift), the first snapshot's to
+    ``phase_ref`` (a previous phi array) when given.  The shifts are exact
+    integer multiples of ``period``: the whole turns between consecutive
+    means, accumulated along the snapshot axis.
+    """
+    d = eps_phi.shape[-2]
+    means = np.mean(eps_phi, axis=-1).reshape(-1, d)
+    turns = np.zeros_like(means)
+    turns[1:] = np.rint((means[:-1] - means[1:]) / period)
+    if phase_ref is not None:
+        ref = np.asarray(phase_ref, dtype=float) * eps
+        turns[0] = np.rint((np.mean(np.atleast_2d(ref), axis=-1) - means[0]) / period)
+    shift = period * np.cumsum(turns, axis=0)
+    return eps_phi + shift.reshape(eps_phi.shape[:-1] + (1,))
 
 
 def chart_assemble(spec: MicroModelSpec, phi: np.ndarray, n: np.ndarray, eps: float) -> np.ndarray:
@@ -409,57 +418,39 @@ def chart_assemble(spec: MicroModelSpec, phi: np.ndarray, n: np.ndarray, eps: fl
 
 
 def chart_extract(spec: MicroModelSpec, state: np.ndarray, eps: float, phase_ref=None):
-    """Chart coordinates (phi, n, info) of a microscopic state.
+    """Chart coordinates (phi, n, info) of a microscopic state (m, N), or of
+    a run of snapshots (S, m, N) at once; phi and n are (..., d, N).
 
-    ``info`` reports ``in_chart`` plus diagnostic extremes; ``phase_ref``
-    (a previous phi array) selects the branch of the multivalued phase that
-    stays closest to it, for continuity across snapshots.
+    ``info["in_chart"]`` is a boolean per state (radial/tilt range and zero
+    winding); the circle charts also report the per-row ``winding``.  The
+    phase branch is continued along the snapshot axis, and ``phase_ref`` (a
+    previous phi array) selects the branch of the first snapshot that stays
+    closest to it, for continuity across calls.
     """
     state = np.asarray(state)
     kind = spec.kind
     if kind in ("GP_SCALAR", "GP_COUPLED"):
         r = np.abs(state)
-        n = (r - 1.0) / eps**2
         eps_phi, winding = _unwrap_periodic(np.angle(state))
         eps_phi = _apply_phase_ref(eps_phi, phase_ref, eps, 2.0 * np.pi)
-        in_chart = bool(np.all(r >= 0.5) and np.all(r <= 1.5) and np.all(winding == 0))
-        info = {
-            "in_chart": in_chart,
-            "winding": winding,
-            "radial_range": (float(r.min()), float(r.max())),
-            "max_phase": float(np.max(np.abs(eps_phi))),
-        }
-        return eps_phi / eps, n, info
+        in_chart = np.all((r >= 0.5) & (r <= 1.5), axis=(-2, -1)) & np.all(winding == 0, axis=-1)
+        return eps_phi / eps, (r - 1.0) / eps**2, {"in_chart": in_chart, "winding": winding}
     if kind == "LL_EASY_PLANE":
-        tilt = np.arcsin(np.clip(state[2], -1.0, 1.0))
-        n = tilt / eps**2
-        eps_phi, winding = _unwrap_periodic(np.arctan2(state[1], state[0]))
-        eps_phi = _apply_phase_ref(eps_phi[None, :], phase_ref, eps, 2.0 * np.pi)[0]
-        in_chart = bool(np.max(np.abs(tilt)) < 0.5 * np.pi * (1.0 - 1e-9) and winding == 0)
-        info = {
-            "in_chart": in_chart,
-            "winding": winding,
-            "max_normal": float(np.max(np.abs(tilt))),
-            "max_phase": float(np.max(np.abs(eps_phi))),
-        }
-        return (eps_phi / eps)[None, :], n[None, :], info
+        tilt = np.arcsin(np.clip(state[..., 2, :], -1.0, 1.0))
+        eps_phi, winding = _unwrap_periodic(np.arctan2(state[..., 1, :], state[..., 0, :]))
+        eps_phi = _apply_phase_ref(eps_phi[..., None, :], phase_ref, eps, 2.0 * np.pi)
+        in_chart = (np.max(np.abs(tilt), axis=-1) < 0.5 * np.pi * (1.0 - 1e-9)) & (winding == 0)
+        return eps_phi / eps, (tilt / eps**2)[..., None, :], {"in_chart": in_chart, "winding": winding}
     if kind == "LL_EASY_CONE":
         theta0 = float(spec.params["theta0"])
-        theta = np.arccos(np.clip(state[2], -1.0, 1.0))
-        n = (theta - theta0) / eps**2
-        az, winding = _unwrap_periodic(np.arctan2(state[1], state[0]))
-        eps_phi = -np.sin(theta0) * az
-        eps_phi = _apply_phase_ref(eps_phi[None, :], phase_ref, eps, 2.0 * np.pi * np.sin(theta0))[0]
-        in_chart = bool(
-            np.min(theta) > 1e-9 and np.max(theta) < np.pi * (1.0 - 1e-9) and winding == 0
-        )
-        info = {
-            "in_chart": in_chart,
-            "winding": winding,
-            "max_normal": float(np.max(np.abs(theta - theta0))),
-            "max_phase": float(np.max(np.abs(eps_phi))),
-        }
-        return (eps_phi / eps)[None, :], n[None, :], info
+        theta = np.arccos(np.clip(state[..., 2, :], -1.0, 1.0))
+        az, winding = _unwrap_periodic(np.arctan2(state[..., 1, :], state[..., 0, :]))
+        eps_phi = _apply_phase_ref(-np.sin(theta0) * az[..., None, :], phase_ref, eps,
+                                   2.0 * np.pi * np.sin(theta0))
+        in_chart = ((np.min(theta, axis=-1) > 1e-9) & (np.max(theta, axis=-1) < np.pi * (1.0 - 1e-9))
+                    & (winding == 0))
+        n = ((theta - theta0) / eps**2)[..., None, :]
+        return eps_phi / eps, n, {"in_chart": in_chart, "winding": winding}
     if kind == "AF_CHAIN":
         return _af_extract(state, eps)
     raise ValueError(kind)  # pragma: no cover
@@ -467,36 +458,33 @@ def chart_extract(spec: MicroModelSpec, state: np.ndarray, eps: float, phase_ref
 
 def dphi_matrix(spec: MicroModelSpec, phi: np.ndarray, eps: float) -> np.ndarray:
     """Coordinate matrix of D(Phi) at eps*phi in the transported frames, shape
-    (d, d, N).  Identity for the circle-valued charts; the two-sphere chart of
-    the antiferromagnet picks up the radial Jacobi factor sin(r)/r."""
+    (..., d, d, N) for phi (..., d, N).  Identity for the circle-valued
+    charts; the two-sphere chart of the antiferromagnet picks up the radial
+    Jacobi factor sin(r)/r."""
     phi = np.atleast_2d(np.asarray(phi, dtype=float))
     d = spec.dim
-    N = phi.shape[-1]
-    out = np.broadcast_to(np.eye(d)[:, :, None], (d, d, N)).copy()
-    if spec.kind != "AF_CHAIN":
-        return out
-    norm = np.sqrt(np.sum(phi**2, axis=0))
-    r = eps * norm / np.sqrt(2.0)
-    jac = np.sinc(r / np.pi)
-    safe = np.where(norm > 0, norm, 1.0)
-    hat = phi / safe
-    outer = hat[:, None, :] * hat[None, :, :]
     eye = np.eye(d)[:, :, None]
-    return outer + jac * (eye - outer)
+    if spec.kind != "AF_CHAIN":
+        return np.broadcast_to(eye, phi.shape[:-2] + (d, d, phi.shape[-1])).copy()
+    norm = np.sqrt(np.sum(phi**2, axis=-2))
+    jac = np.sinc(eps * norm / np.sqrt(2.0) / np.pi)
+    hat = phi / np.where(norm > 0, norm, 1.0)[..., None, :]
+    outer = hat[..., :, None, :] * hat[..., None, :, :]
+    return outer + jac[..., None, None, :] * (eye - outer)
 
 
-# -- sphere helpers (vectorized over the trailing axis) ----------------------
+# -- sphere helpers (points and tangent vectors along axis -2) ---------------
 
 
 def _sph_exp(base: np.ndarray, tan: np.ndarray) -> np.ndarray:
-    r = np.sqrt(np.sum(tan**2, axis=0))
+    r = np.sqrt(np.sum(tan**2, axis=-2, keepdims=True))
     return np.cos(r) * base + np.sinc(r / np.pi) * tan
 
 
 def _sph_log(base: np.ndarray, point: np.ndarray) -> np.ndarray:
-    ct = np.clip(np.sum(base * point, axis=0), -1.0, 1.0)
+    ct = np.clip(np.sum(base * point, axis=-2, keepdims=True), -1.0, 1.0)
     perp = point - ct * base
-    s = np.sqrt(np.sum(perp**2, axis=0))
+    s = np.sqrt(np.sum(perp**2, axis=-2, keepdims=True))
     # atan2 keeps the geodesic distance at full precision near zero
     # separation, where arccos(ct) would lose half the digits
     theta = np.arctan2(s, ct)
@@ -506,23 +494,21 @@ def _sph_log(base: np.ndarray, point: np.ndarray) -> np.ndarray:
 
 def _sph_transport(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Parallel transport of tangent vector w from a to b along the geodesic."""
-    denom = 1.0 + np.sum(a * b, axis=0)
-    coef = np.sum(w * b, axis=0) / denom
+    denom = 1.0 + np.sum(a * b, axis=-2, keepdims=True)
+    coef = np.sum(w * b, axis=-2, keepdims=True) / denom
     return w - coef * (a + b)
 
 
-_AF_BASE = np.array([1.0, 0.0, 0.0])
-_AF_E2 = np.array([0.0, 1.0, 0.0])
-_AF_E3 = np.array([0.0, 0.0, 1.0])
+_AF_BASE = np.array([1.0, 0.0, 0.0])[:, None]
+_AF_E2 = np.array([0.0, 1.0, 0.0])[:, None]
+_AF_E3 = np.array([0.0, 0.0, 1.0])[:, None]
 
 
 def _af_assemble(phi: np.ndarray, n: np.ndarray, eps: float) -> np.ndarray:
-    N = phi.shape[-1]
-    base = np.broadcast_to(_AF_BASE[:, None], (3, N))
-    Z = (eps / np.sqrt(2.0)) * (phi[0] * _AF_E2[:, None] + phi[1] * _AF_E3[:, None])
-    omega = _sph_exp(base, Z)
-    f2 = _sph_transport(base, omega, np.broadcast_to(_AF_E2[:, None], (3, N)))
-    f3 = _sph_transport(base, omega, np.broadcast_to(_AF_E3[:, None], (3, N)))
+    Z = (eps / np.sqrt(2.0)) * (phi[0] * _AF_E2 + phi[1] * _AF_E3)
+    omega = _sph_exp(_AF_BASE, Z)
+    f2 = _sph_transport(_AF_BASE, omega, _AF_E2)
+    f3 = _sph_transport(_AF_BASE, omega, _AF_E3)
     Y = (eps**2 / np.sqrt(2.0)) * (n[0] * f3 - n[1] * f2)
     u = _sph_exp(omega, Y)
     v = -_sph_exp(omega, -Y)
@@ -530,25 +516,16 @@ def _af_assemble(phi: np.ndarray, n: np.ndarray, eps: float) -> np.ndarray:
 
 
 def _af_extract(state: np.ndarray, eps: float):
-    u, v = state[:3], state[3:]
-    m = -v
-    mid = u + m
-    mid_norm = np.sqrt(np.sum(mid**2, axis=0))
-    in_chart = bool(np.min(mid_norm) > 1e-6)
+    u, v = state[..., :3, :], state[..., 3:, :]
+    mid = u - v
+    mid_norm = np.sqrt(np.sum(mid**2, axis=-2, keepdims=True))
     omega = mid / np.where(mid_norm > 1e-14, mid_norm, 1.0)
-    N = state.shape[-1]
-    base = np.broadcast_to(_AF_BASE[:, None], (3, N))
-    Z = _sph_log(base, omega)
-    eps_phi = np.sqrt(2.0) * np.stack([np.sum(Z * _AF_E2[:, None], axis=0), np.sum(Z * _AF_E3[:, None], axis=0)])
-    f2 = _sph_transport(base, omega, np.broadcast_to(_AF_E2[:, None], (3, N)))
-    f3 = _sph_transport(base, omega, np.broadcast_to(_AF_E3[:, None], (3, N)))
+    Z = _sph_log(_AF_BASE, omega)
+    eps_phi = np.sqrt(2.0) * np.stack([np.sum(Z * _AF_E2, axis=-2), np.sum(Z * _AF_E3, axis=-2)], axis=-2)
+    f2 = _sph_transport(_AF_BASE, omega, _AF_E2)
+    f3 = _sph_transport(_AF_BASE, omega, _AF_E3)
     Y = _sph_log(omega, u)
-    n = (np.sqrt(2.0) / eps**2) * np.stack([np.sum(Y * f3, axis=0), -np.sum(Y * f2, axis=0)])
-    dist = np.sqrt(np.sum(Z**2, axis=0))
-    in_chart = in_chart and bool(np.max(dist) < np.pi * (1.0 - 1e-9))
-    info = {
-        "in_chart": in_chart,
-        "max_normal": float(np.max(np.sqrt(np.sum(Y**2, axis=0)))),
-        "max_phase": float(np.max(np.abs(eps_phi))),
-    }
-    return eps_phi / eps, n, info
+    n = (np.sqrt(2.0) / eps**2) * np.stack([np.sum(Y * f3, axis=-2), -np.sum(Y * f2, axis=-2)], axis=-2)
+    dist = np.sqrt(np.sum(Z**2, axis=-2))
+    in_chart = (np.min(mid_norm, axis=(-2, -1)) > 1e-6) & (np.max(dist, axis=-1) < np.pi * (1.0 - 1e-9))
+    return eps_phi / eps, n, {"in_chart": in_chart}

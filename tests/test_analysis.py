@@ -3,6 +3,8 @@ complex nonlinearity family."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdvlab.analysis import (
     SolitonSpec,
@@ -221,6 +223,26 @@ def test_miura_crosscheck_classical_scalar():
     grid = Grid(512, 2 * np.pi)
     v0 = Field(grid, np.sin(grid.x)[None, :])
     err = miura_crosscheck(QTensor.scalar(0.5), v0, T=0.5, dt=1e-3)
+    assert err <= TOL["miura_scalar"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    amp=st.floats(0.1, 1.0),
+    q=st.floats(0.25, 1.0),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_miura_square_commutes_property(seed, amp, q, sign):
+    # random smooth scalar data (modes 0..3, constant offset included):
+    # mapping the mKdV-evolved state must match KdV-evolving the mapped data
+    grid = Grid(64, 2 * np.pi)
+    rng = np.random.default_rng(seed)
+    modes = np.arange(4)[:, None]
+    a, b = rng.normal(size=(2, 4))
+    v = a @ np.cos(modes * grid.x) + b @ np.sin(modes * grid.x)
+    v0 = Field(grid, amp * v / np.max(np.abs(v)))
+    err = miura_crosscheck(QTensor.scalar(sign * q), v0, T=0.1, dt=1e-3)
     assert err <= TOL["miura_scalar"]
 
 

@@ -209,6 +209,50 @@ def test_converge_serial_and_parallel_agree_bytewise(tmp_path):
         assert (tmp_path / "ser" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
 
 
+def test_converge_summary_reports_each_abort(tmp_path, monkeypatch):
+    # the eps = 0.1 run gets a NaN rotation factor on step 7 (the factor of
+    # step k is the (k+1)-th built) and aborts there; the summary names the
+    # reason and the exact step, while a healthy run adds no such entry
+    import kdvlab.experiments
+    import kdvlab.micro
+
+    real_evolve = kdvlab.experiments.evolve_micro
+    real_factors = kdvlab.micro._phase_factors
+
+    def evolve(spec, s0, *args, **kwargs):
+        calls = []
+
+        def poisoned(spec, vals):
+            calls.append(None)
+            out = real_factors(spec, vals)
+            return out * np.nan if len(calls) == 8 else out
+
+        factors = poisoned if s0.eps == 0.1 else real_factors
+        monkeypatch.setattr(kdvlab.micro, "_phase_factors", factors)
+        return real_evolve(spec, s0, *args, **kwargs)
+
+    base = {
+        "grid": {"n": 64, "length": 8 * np.pi},
+        "time": {"t_final": 0.1, "dt": 1e-3, "snapshots": 3},
+        "eps_list": [0.2, 0.1],
+        "workers": 1,
+    }
+    healthy = dict(base, output_dir=str(tmp_path / "healthy"))
+    assert main(["converge", "--config", _write_config(tmp_path, "h.json", healthy)]) == 0
+    assert "aborts" not in _summary(tmp_path / "healthy")["timings"]
+
+    monkeypatch.setattr(kdvlab.experiments, "evolve_micro", evolve)
+    poisoned = dict(base, output_dir=str(tmp_path / "poisoned"))
+    assert main(["converge", "--config", _write_config(tmp_path, "p.json", poisoned)]) == 1
+    summary = _summary(tmp_path / "poisoned")
+    assert not _assertion_map(summary)["all_runs_completed"]["pass"]
+    assert summary["timings"]["aborts"] == {
+        "0.1": {"abort_reason": "non-finite state", "steps_taken": 7}
+    }
+    partial = (tmp_path / "poisoned" / "converge_eps_0.1.csv").read_text().splitlines()
+    assert partial[0] == "t,w_norm" and len(partial) == 2  # only t = 0 was reached
+
+
 def test_miura_unequal_moduli_fails_by_design(tmp_path):
     cfg = _write_config(
         tmp_path, "cfg.json",

@@ -2,24 +2,30 @@
 limit observables, the almost-conserved energy, truncated-system residuals,
 and the micro-vs-limit error measures."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from kdvlab.grid import Field, Grid, l2_norm
+from kdvlab.experiments import _micro_series, _micro_steps
+from kdvlab.grid import Field, Grid, Trajectory, l2_norm
 from kdvlab.hydro import (
+    SNAPSHOT_BLOCK,
     HydroState,
     almost_hamiltonian,
     energy_proxy,
     extract_hydro,
     extract_series,
     hydro_residual,
+    iter_blocks,
     limit_error,
     observables,
     reconstruct_micro,
 )
 from kdvlab.kdv import evolve_kdv
 from kdvlab.micro import MicroState, dt_max, evolve_micro, well_prepared_init
-from kdvlab.models import dphi_matrix, limit_equation, normal_coupling, preset
+from kdvlab.models import chart_extract, dphi_matrix, limit_equation, normal_coupling, preset
 
 TOL = {
     "roundtrip": 1e-12,
@@ -77,8 +83,8 @@ def test_condensate_ground_state_has_zero_coordinates():
     _, spec = preset("GP_SCALAR")
     h = extract_hydro(spec, MicroState(spec, grid, 0.2, np.ones((1, 64), complex)))
     assert h.valid
-    assert np.max(np.abs(h.phi.components)) == 0.0
-    assert np.max(np.abs(h.n.components)) == 0.0
+    assert np.max(np.abs(h.phi)) == 0.0
+    assert np.max(np.abs(h.n)) == 0.0
 
 
 def test_modulated_condensate_coordinates():
@@ -87,8 +93,8 @@ def test_modulated_condensate_coordinates():
     _, spec = preset("GP_SCALAR")
     u = (1.0 + eps**2 * 0.2) * np.exp(1j * eps * 0.5) * np.ones((1, 64), complex)
     h = extract_hydro(spec, MicroState(spec, grid, eps, u))
-    assert np.max(np.abs(h.phi.components - 0.5)) <= TOL["exact_chart"]
-    assert np.max(np.abs(h.n.components - 0.2)) <= TOL["exact_chart"]
+    assert np.max(np.abs(h.phi - 0.5)) <= TOL["exact_chart"]
+    assert np.max(np.abs(h.n - 0.2)) <= TOL["exact_chart"]
 
 
 def test_tilted_spin_coordinates():
@@ -97,8 +103,8 @@ def test_tilted_spin_coordinates():
     _, spec = preset("LL_EASY_PLANE")
     gam = np.tile(np.array([[np.cos(0.3)], [np.sin(0.3)], [0.0]]), 64)
     h = extract_hydro(spec, MicroState(spec, grid, 0.1, gam))
-    assert np.max(np.abs(h.phi.components - 3.0)) <= TOL["exact_chart"]
-    assert np.max(np.abs(h.n.components)) <= TOL["exact_chart"]
+    assert np.max(np.abs(h.phi - 3.0)) <= TOL["exact_chart"]
+    assert np.max(np.abs(h.n)) <= TOL["exact_chart"]
 
 
 def test_phase_reference_selects_branch():
@@ -108,10 +114,10 @@ def test_phase_reference_selects_branch():
     u = np.exp(1j * eps * 0.5) * np.ones((1, 64), complex)
     s = MicroState(spec, grid, eps, u)
     principal = extract_hydro(spec, s)
-    assert np.max(np.abs(principal.phi.components - 0.5)) <= TOL["exact_chart"]
+    assert np.max(np.abs(principal.phi - 0.5)) <= TOL["exact_chart"]
     ref = (0.5 + 2.0 * np.pi / eps) * np.ones((1, 64))
     shifted = extract_hydro(spec, s, phase_ref=ref)
-    assert np.max(np.abs(shifted.phi.components - ref)) <= TOL["exact_chart"]
+    assert np.max(np.abs(shifted.phi - ref)) <= TOL["exact_chart"]
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +131,12 @@ def test_pure_amplitude_state_observables(kind, params):
     grid = Grid(128, 2 * np.pi)
     geom, spec = preset(kind, params)
     n = np.stack([0.1 * np.cos((i + 1) * grid.x) for i in range(geom.dim)])
-    h = HydroState(grid, 0.2, Field(grid, np.zeros((geom.dim, 128))), Field(grid, n), True)
+    h = HydroState(grid, 0.2, np.zeros((geom.dim, 128)), n, True)
     obs = observables(spec, h)
     a_ref = -2.0 * geom.lam * (normal_coupling(spec).T @ n)
-    assert np.max(np.abs(obs.A.components - a_ref)) <= TOL["observables"]
-    assert np.max(np.abs(obs.W.components + a_ref)) <= TOL["observables"]
-    assert np.max(np.abs(obs.U.components - a_ref)) <= TOL["observables"]
+    assert np.max(np.abs(obs.A - a_ref)) <= TOL["observables"]
+    assert np.max(np.abs(obs.W + a_ref)) <= TOL["observables"]
+    assert np.max(np.abs(obs.U - a_ref)) <= TOL["observables"]
 
 
 @pytest.mark.parametrize("kind,params", PRESETS)
@@ -142,9 +148,9 @@ def test_observables_carry_the_chart_jacobian(kind, params):
     eps = 0.2
     phi = np.stack([3.0 * np.sin((i + 1) * grid.x + 0.3) for i in range(geom.dim)])
     n = np.stack([0.5 * np.cos((i + 2) * grid.x) for i in range(geom.dim)])
-    obs = observables(spec, HydroState(grid, eps, Field(grid, phi), Field(grid, n), True))
+    obs = observables(spec, HydroState(grid, eps, phi, n, True))
     ref = np.einsum("ijN,jN->iN", dphi_matrix(spec, phi, eps), grid.diff(phi))
-    got = (obs.U.components + obs.W.components) / (2.0 * geom.c)
+    got = (obs.U + obs.W) / (2.0 * geom.c)
     assert np.max(np.abs(got - ref)) <= TOL["observables"] * np.max(np.abs(ref))
 
 
@@ -154,12 +160,12 @@ def test_pure_phase_state_observables(kind):
     grid = Grid(128, 2 * np.pi)
     geom, spec = preset(kind)
     phi = 0.3 * np.sin(grid.x)[None, :]
-    h = HydroState(grid, 0.2, Field(grid, phi), Field(grid, np.zeros((1, 128))), True)
+    h = HydroState(grid, 0.2, phi, np.zeros((1, 128)), True)
     obs = observables(spec, h)
     w_ref = geom.c * 0.3 * np.cos(grid.x)[None, :]
-    assert np.max(np.abs(obs.W.components - w_ref)) <= TOL["observables"]
-    assert np.max(np.abs(obs.U.components - w_ref)) <= TOL["observables"]
-    assert np.max(np.abs(obs.A.components)) <= TOL["observables"]
+    assert np.max(np.abs(obs.W - w_ref)) <= TOL["observables"]
+    assert np.max(np.abs(obs.U - w_ref)) <= TOL["observables"]
+    assert np.max(np.abs(obs.A)) <= TOL["observables"]
 
 
 @pytest.mark.parametrize("kind,params", PRESETS)
@@ -167,7 +173,7 @@ def test_well_prepared_data_starts_near_the_limit_manifold(kind, params):
     grid = Grid(256, 8 * np.pi)
     _, spec, state = _prepared(kind, params, grid, eps=0.2)
     h = extract_hydro(spec, state)
-    w0 = l2_norm(observables(spec, h).W.components, grid)
+    w0 = l2_norm(observables(spec, h).W, grid)
     assert w0 <= TOL["w_prepared"]
 
 
@@ -179,9 +185,9 @@ def test_well_prepared_data_starts_near_the_limit_manifold(kind, params):
 def test_zero_state_has_zero_energy():
     grid = Grid(64, 2 * np.pi)
     _, spec = preset("GP_SCALAR")
-    h = HydroState(grid, 0.2, Field(grid, np.zeros((1, 64))), Field(grid, np.zeros((1, 64))), True)
-    H, leading = almost_hamiltonian(spec, h)
-    assert H == 0.0 and leading == 0.0
+    h = HydroState(grid, 0.2, np.zeros((1, 64)), np.zeros((1, 64)), True)
+    H, w = almost_hamiltonian(spec, h)
+    assert H == 0.0 and w == 0.0
 
 
 @pytest.mark.parametrize("kind,params", PRESETS)
@@ -192,21 +198,22 @@ def test_energy_matches_w_norm_to_second_order(kind, params):
     geom, _ = preset(kind, params)
     for eps in (0.2, 0.1):
         _, spec, state = _prepared(kind, params, grid, eps)
-        H, leading = almost_hamiltonian(spec, extract_hydro(spec, state))
+        H, w = almost_hamiltonian(spec, extract_hydro(spec, state))
+        leading = w**2 / (4.0 * geom.lam)
         assert abs(H - leading) / eps**2 <= TOL["h_identity"]
 
 
 @pytest.mark.parametrize("kind,params", PRESETS)
 def test_energy_leading_term_is_the_observables_w_norm(kind, params):
-    # almost_hamiltonian forms W from its own tangent gradient; it must be
-    # the W of observables to the last bit
+    # almost_hamiltonian forms W from its own tangent gradient; its norm must
+    # be that of the W of observables to the last bit
     grid = Grid(128, 2 * np.pi)
     geom, spec = preset(kind, params)
     phi = np.stack([2.0 * np.sin((i + 1) * grid.x + 0.3) for i in range(geom.dim)])
     n = np.stack([0.5 * np.cos((i + 2) * grid.x) for i in range(geom.dim)])
-    h = HydroState(grid, 0.2, Field(grid, phi), Field(grid, n), True)
-    w = observables(spec, h).W.components
-    assert almost_hamiltonian(spec, h)[1] == l2_norm(w, grid) ** 2 / (4.0 * geom.lam)
+    h = HydroState(grid, 0.2, phi, n, True)
+    w = observables(spec, h).W
+    assert almost_hamiltonian(spec, h)[1] == l2_norm(w, grid)
 
 
 @pytest.mark.parametrize("kind", ["LL_EASY_PLANE", "AF_CHAIN"])
@@ -214,9 +221,9 @@ def test_energy_identity_sharpens_without_curvature_terms(kind):
     # when F1 and the shape terms vanish the mismatch is pure eps^4 gradient
     grid = Grid(256, 8 * np.pi)
     for eps in (0.2, 0.1, 0.05):
-        _, spec, state = _prepared(kind, None, grid, eps)
-        H, leading = almost_hamiltonian(spec, extract_hydro(spec, state))
-        assert abs(H - leading) <= TOL["h_zero_tensor"] * eps**4
+        geom, spec, state = _prepared(kind, None, grid, eps)
+        H, w = almost_hamiltonian(spec, extract_hydro(spec, state))
+        assert abs(H - w**2 / (4.0 * geom.lam)) <= TOL["h_zero_tensor"] * eps**4
 
 
 # ---------------------------------------------------------------------------
@@ -384,5 +391,158 @@ def test_limit_error_requires_matching_times():
 def test_proxy_of_flat_state_counts_only_gradients():
     grid = Grid(64, 2 * np.pi)
     _, spec = preset("GP_SCALAR")
-    h = HydroState(grid, 0.2, Field(grid, np.full((1, 64), 0.7)), Field(grid, np.zeros((1, 64))), True)
+    h = HydroState(grid, 0.2, np.full((1, 64), 0.7), np.zeros((1, 64)), True)
     assert energy_proxy(spec, h) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# snapshot blocks
+# ---------------------------------------------------------------------------
+
+
+def _per_snapshot_diagnostics(spec, traj):
+    """The per-snapshot formulas the blocked pass replaced, one snapshot at a
+    time: chart extraction with the previous phi as phase reference, the
+    almost-conserved energy and ||W|| from the tangent gradient, max|eps phi|,
+    the structure deviation and chart membership."""
+    g = spec.geometry
+    grid, eps = traj.states[0].grid, traj.meta["eps"]
+    C = normal_coupling(spec)
+    f1_nu = -np.einsum("ijm,mk->ijk", g.f1, C)
+
+    def mass(vals):
+        return float(np.sum(np.sum(np.abs(vals) ** 2, axis=0)) * grid.spacing)
+
+    m0 = mass(traj.states[0].values) if spec.is_complex else None
+    out = {k: [] for k in ("w_norm", "eps_phi_inf", "energy", "structure_dev", "in_chart")}
+    ref = None
+    for state in traj.states:
+        vals = state.values
+        phi, n, info = chart_extract(spec, vals, eps, phase_ref=ref)
+        ref = phi
+        X = grid.diff(phi)
+        if spec.kind == "AF_CHAIN":
+            X = np.einsum("ijN,jN->iN", dphi_matrix(spec, phi, eps), X)
+        Cn = C.T @ n
+        corr = np.einsum("ijm,iN,mN->jN", g.ii_perp, X, Cn)
+        half = X + 0.5 * eps**2 * corr
+        density = (
+            g.lam * np.sum(n**2, axis=0)
+            + 0.25 * eps**4 * np.sum(grid.diff(n) ** 2, axis=0)
+            + (eps**2 / 3.0) * np.einsum("ijk,iN,jN,kN->N", f1_nu, n, n, n)
+            + 0.25 * np.sum((X + eps**2 * corr) ** 2, axis=0)
+            + np.sum((g.c * half + np.einsum("ij,jN->iN", g.i0b0, half)) * Cn, axis=0)
+        )
+        W = g.c * X + np.einsum("ij,jN->iN", g.i0b0, X) + 2.0 * g.lam * Cn
+        out["energy"].append(float(np.sum(density) * grid.spacing))
+        out["w_norm"].append(float(np.sqrt(np.sum(np.abs(W) ** 2) * grid.spacing)))
+        out["eps_phi_inf"].append(float(np.max(np.abs(eps * phi))))
+        if spec.is_complex:
+            out["structure_dev"].append(abs(mass(vals) - m0) / m0)
+        else:
+            dev = 0.0
+            for start in range(0, vals.shape[0], 3):
+                norms = np.linalg.norm(vals[start:start + 3], axis=0)
+                dev = max(dev, float(np.max(np.abs(norms - 1.0))))
+            out["structure_dev"].append(dev)
+        out["in_chart"].append(bool(info["in_chart"]))
+    return {k: np.array(v) for k, v in out.items()}
+
+
+def _seventy_snapshot_run(kind, params):
+    # 70 snapshots: two full blocks and a partial one
+    grid = Grid(64, 8 * np.pi)
+    eps = 0.2
+    _, spec, state = _prepared(kind, params, grid, eps, amp=0.4)
+    steps = 2 * 69
+    T = steps * 0.25 * dt_max(spec, eps, grid)
+    traj = evolve_micro(spec, state, T=T, dt=T / steps, n_snapshots=70)
+    assert not traj.aborted
+    assert len(traj) == 70 and 2 * SNAPSHOT_BLOCK < 70 < 3 * SNAPSHOT_BLOCK
+    return spec, traj
+
+
+@pytest.mark.parametrize("kind,params", PRESETS)
+def test_blocked_diagnostics_match_the_per_snapshot_formulas(kind, params):
+    spec, traj = _seventy_snapshot_run(kind, params)
+    got = _micro_series(spec, traj)
+    want = _per_snapshot_diagnostics(spec, traj)
+    assert np.array_equal(got["in_chart"], want["in_chart"]) and want["in_chart"].all()
+    for name in ("w_norm", "eps_phi_inf", "energy", "structure_dev"):
+        np.testing.assert_allclose(got[name], want[name], rtol=1e-14, atol=0, err_msg=name)
+    assert np.ptp(want["w_norm"]) > 0  # the run moves: the comparison is not vacuous
+
+
+@pytest.mark.parametrize("kind,params", PRESETS)
+def test_blocked_limit_error_matches_the_per_snapshot_formulas(kind, params):
+    # against a zero reference, err_amplitude is ||A|| and err_gradient ||A + W||
+    spec, traj = _seventy_snapshot_run(kind, params)
+    grid, eps = traj.states[0].grid, traj.meta["eps"]
+    zero = Field(grid, np.zeros((spec.dim, grid.n_points)))
+    err = limit_error(spec, traj, SimpleNamespace(times=traj.times, states=[zero] * len(traj)))
+    ref = None
+    for i, state in enumerate(traj.states):
+        h = extract_hydro(spec, state, phase_ref=ref)
+        ref = h.phi
+        obs = observables(spec, h)
+        want = {
+            "err_amplitude": l2_norm(obs.A, grid),
+            "err_gradient": l2_norm(obs.A + obs.W, grid),
+            "w_norms": l2_norm(obs.W, grid),
+            "eps_phi_inf": float(np.max(np.abs(eps * h.phi))),
+            "energy_proxy": energy_proxy(spec, h),
+        }
+        for name, value in want.items():
+            assert abs(err[name][i] - value) <= 1e-14 * abs(value), (name, i)
+        assert err["in_chart"][i] == h.valid
+
+
+def test_phase_branch_carries_across_block_seams():
+    # the global phase advances 0.9 rad per snapshot, so the principal branch
+    # wraps every few snapshots, across block seams too; the blocked pass must
+    # shift each snapshot like the sequential phase_ref chain
+    eps, grid = 0.2, Grid(32, 2 * np.pi)
+    _, spec = preset("GP_SCALAR")
+    count = 3 * SNAPSHOT_BLOCK + 5
+    vals = np.exp(1j * (0.9 * np.arange(count)[:, None, None] + 0.3 * np.sin(grid.x)))
+    traj = Trajectory()
+    traj.values = vals
+    traj.meta = {"eps": eps}
+    for i, v in enumerate(vals):
+        traj.append(float(i), MicroState(spec, grid, eps, v, validate=False))
+    got = np.concatenate([h.phi for _, h in iter_blocks(spec, traj)])
+
+    period = 2.0 * np.pi
+    shifts, ref_mean = [], None
+    for v in vals:
+        principal = chart_extract(spec, v, eps)[0] * eps
+        mean = float(np.mean(principal))
+        turns = 0.0 if ref_mean is None else np.rint((ref_mean - mean) / period)
+        shifts.append(period * turns)
+        ref_mean = mean + period * turns
+        assert np.max(np.abs(got[len(shifts) - 1] * eps - principal - shifts[-1])) <= 1e-12
+    seams = range(SNAPSHOT_BLOCK, count, SNAPSHOT_BLOCK)
+    assert any(shifts[i] != shifts[i - 1] for i in seams)  # a wrap sits on a seam
+    assert len(set(shifts)) > 10
+    np.testing.assert_allclose(np.diff(np.mean(got * eps, axis=(-2, -1))), 0.9, atol=1e-12)
+
+
+def test_dense_run_diagnostics_stay_within_block_memory():
+    # the benchmark's 2001-snapshot coupled-condensate run: its snapshots live
+    # in one array, and the blocked diagnostics allocate at most 16 MB at peak
+    # (all snapshots in one batch would take about 145 MB)
+    grid = Grid(256, 8 * np.pi)
+    eps, T = 0.2, 0.5
+    _, spec, state = _prepared("GP_COUPLED", None, grid, eps)
+    steps = _micro_steps(spec, eps, grid, T, 2001)
+    traj = evolve_micro(spec, state, T=T, dt=T / steps, n_snapshots=2001)
+    assert len(traj) == 2001 and traj.values.shape == (2001, 2, 256)
+    assert all(np.shares_memory(s.values, traj.values) for s in traj.states)
+    tracemalloc.start()
+    try:
+        series = _micro_series(spec, traj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(series["w_norm"]) == 2001
+    assert peak <= 16 * 2**20
