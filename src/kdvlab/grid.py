@@ -15,7 +15,6 @@ __all__ = [
     "Trajectory",
     "spectral_derivative",
     "hs_seminorms",
-    "advance_linear",
     "rk4_step",
     "ifrk4_step",
     "integrate",
@@ -219,35 +218,26 @@ def _hs_norms(values, grid: Grid, s: int) -> np.ndarray:
     ], axis=-1)
 
 
-def advance_linear(f: Field, symbol, dt: float) -> Field:
-    """Exact integrator of a Fourier-diagonal linear flow.
+def rk4_step(state, rhs, dt: float, stages=None):
+    """One classical RK4 step for d/dt state = rhs(state); returns a new array.
 
-    Each mode is multiplied by exp(symbol*dt).  ``symbol`` holds the per-mode
-    complex multipliers in FFT order, e.g. grid.symbol(3) / (8*c) for the
-    quarter-Airy flow 2c*dA/dt = (1/4)*dxxx A.
+    With a preallocated (5, *state.shape) ``stages`` array, stage i calls
+    ``rhs(y, out=stages[i])`` (its return value is used) and y is formed in
+    ``stages[4]``.  Raises FloatingPointError on a non-finite result.
     """
-    _check_finite(f, "advance_linear")
-    sym = np.asarray(symbol, dtype=np.complex128)
-    with np.errstate(over="ignore"):
-        factor = np.exp(sym * dt)
-    if not np.isfinite(factor).all():
-        raise OverflowError("advance_linear: exp(symbol*dt) overflowed")
-    out = np.fft.ifft(factor * np.fft.fft(f.components, axis=-1), axis=-1)
-    if f.is_real:
-        out = out.real
-    return Field(f.grid, out, validate=False)
-
-
-def rk4_step(state, rhs, dt: float):
-    """One classical RK4 step for d/dt state = rhs(state).
-
-    ``state`` is an ndarray.  Raises if the step produces non-finite values.
-    """
-    k1 = rhs(state)
-    k2 = rhs(state + (0.5 * dt) * k1)
-    k3 = rhs(state + (0.5 * dt) * k2)
-    k4 = rhs(state + dt * k3)
-    out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    y_buf = None if stages is None else stages[4]
+    y, k = state, []
+    for i, h in enumerate((0.5 * dt, 0.5 * dt, dt, None)):
+        k.append(rhs(y) if stages is None else rhs(y, out=stages[i]))
+        if h is not None:
+            y = np.multiply(k[i], h, out=y_buf)
+            y += state
+    out = np.multiply(k[1], 2.0)  # state + dt/6 (k1 + 2 k2 + 2 k3 + k4), in that order
+    out += k[0]
+    out += np.multiply(k[2], 2.0, out=y_buf)
+    out += k[3]
+    out *= dt / 6.0
+    out += state
     if not np.isfinite(out).all():
         raise FloatingPointError("rk4_step: non-finite state produced")
     return out

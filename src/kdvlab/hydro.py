@@ -89,11 +89,11 @@ def reconstruct_micro(spec, h: HydroState) -> MicroState:
     return MicroState(spec, h.grid, h.eps, vals, validate=False)
 
 
-def extract_series(spec, traj: Trajectory, start: int = 0, stop: int | None = None,
+def extract_series(spec, traj: Trajectory, start: int, stop: int,
                    phase_ref=None) -> HydroState:
-    """Chart coordinates of snapshots ``start:stop`` of a run (all of them by
-    default), as one block, phase-continuous along the run; ``phase_ref`` is
-    the phi of snapshot ``start - 1`` when the run is read in blocks."""
+    """Chart coordinates of snapshots ``start:stop`` of a run (required: use
+    ``iter_blocks`` for a whole run), as one block, phase-continuous along the
+    run; ``phase_ref`` is the phi of snapshot ``start - 1``."""
     block = MicroState(spec, traj.states[0].grid, traj.meta["eps"], traj.values[start:stop],
                        validate=False)
     return extract_hydro(spec, block, phase_ref=phase_ref)

@@ -9,7 +9,8 @@ limiting third-order dynamics lives:
   under that subflow) and the stiff transport + dispersion part is solved
   exactly in Fourier space;
 * sphere-valued spin fields (single chain or staggered antiferromagnet pair)
-  use RK4 with pointwise renormalization after each step.
+  use RK4 on preallocated stages and pre-scaled symbols (_SpinWork), with
+  pointwise renormalization after each step.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .models import (
 _GP_KINDS = ("GP_SCALAR", "GP_COUPLED")
 _MODULUS_RANGE = (0.5, 1.5)
 _NORM_TOL = 1e-10
+_ROLL = np.array([0, 1, 2, 0, 1])  # a (B, 5, N) cross-product buffer holds rows [x, y, z, x, y]
 
 
 class MicroState:
@@ -63,9 +65,6 @@ class MicroState:
         self.eps = float(eps)
         self.values = vals
 
-    def copy(self) -> "MicroState":
-        return MicroState(self.spec, self.grid, self.eps, self.values.copy(), validate=False)
-
 
 def _check_pointwise(spec, vals, strict=False):
     """Return None if the pointwise state invariants hold, else a message
@@ -73,26 +72,21 @@ def _check_pointwise(spec, vals, strict=False):
     if spec.kind in _GP_KINDS:
         mod = np.abs(vals)
         lo, hi = float(mod.min()), float(mod.max())
-        if not (_MODULUS_RANGE[0] <= lo and hi <= _MODULUS_RANGE[1]):
-            msg = f"modulus left [{_MODULUS_RANGE[0]}, {_MODULUS_RANGE[1]}]: range ({lo:.3g}, {hi:.3g})"
-            if strict:
-                raise ValueError(msg)
-            return msg
+        ok = _MODULUS_RANGE[0] <= lo and hi <= _MODULUS_RANGE[1]
+        msg = f"modulus left [{_MODULUS_RANGE[0]}, {_MODULUS_RANGE[1]}]: range ({lo:.3g}, {hi:.3g})"
     else:
-        for block in _sphere_blocks(spec):
-            dev = float(np.max(np.abs(np.linalg.norm(vals[..., block, :], axis=-2) - 1.0)))
-            if not dev <= _NORM_TOL:
-                msg = f"unit-norm deviation {dev:.3g} exceeds {_NORM_TOL}"
-                if strict:
-                    raise ValueError(msg)
-                return msg
-    return None
+        dev = float(np.max(_unit_norm_deviation(vals)))
+        ok, msg = dev <= _NORM_TOL, f"unit-norm deviation {dev:.3g} exceeds {_NORM_TOL}"
+    if strict and not ok:
+        raise ValueError(msg)
+    return None if ok else msg
 
 
-def _sphere_blocks(spec):
-    if spec.kind == "AF_CHAIN":
-        return (slice(0, 3), slice(3, 6))
-    return (slice(0, 3),)
+def _unit_norm_deviation(vals):
+    """Worst pointwise deviation from unit length over the spheres of spin
+    values (..., m, N), viewed as (..., B, 3, N): one per snapshot."""
+    spheres = vals.reshape(vals.shape[:-2] + (-1, 3, vals.shape[-1]))
+    return np.max(np.abs(np.linalg.norm(spheres, axis=-2) - 1.0), axis=(-2, -1))
 
 
 def _phase_factors(spec, vals):
@@ -106,21 +100,39 @@ def _phase_factors(spec, vals):
     return np.stack([lam * d1 + 4.0 * gamma * d1 * d2, lam * d2 + 2.0 * gamma * d1 * d1])
 
 
-def _anisotropy_gradient(spec, gam3):
-    """Derivative of the single-spin anisotropy potential in Γ₃, the only
-    nonzero component of its gradient (N,)."""
-    if spec.kind == "LL_EASY_PLANE":
-        return 2.0 * spec.params["k"] * gam3
-    alpha = spec.params["alpha"]  # easy cone
-    beta = spec.params["beta"]
-    dev = gam3 - np.cos(spec.params["theta0"])
-    return 2.0 * alpha * dev - 3.0 * beta * dev * dev
+def _cross_rolled(u5, w5, out, tmp):
+    """u × w along axis -2 in three calls, from copies u5, w5 (B, 5, N) laid
+    out [x, y, z, x, y]: u5[:, 1:4] w5[:, 2:5] - u5[:, 2:5] w5[:, 1:4]."""
+    np.multiply(u5[:, 1:4], w5[:, 2:5], out=out)
+    np.multiply(u5[:, 2:5], w5[:, 1:4], out=tmp)
+    return np.subtract(out, tmp, out=out)
 
 
-def _cross(a, b):
-    """Pointwise cross product of two (3, N) arrays along the leading axis."""
-    return np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+class _SpinWork:
+    """Pre-scaled symbols and buffers of one run's spin right-hand side, on the
+    state as (B, 3, N) (B = 2 spheres u, v for the pair): d/dt Γ = (c/eps²) ∂x Γ
+    + Γ × T, ``sym`` = [(c/eps²) ik, torque].  Chain: T = ∂x² Γ/(2 eps) - e3
+    V'(Γ₃)/eps³, easy-plane V' = 2k Γ₃ in ``sym``, easy-cone V' = 2α d - 3β d²
+    pointwise from d = Γ₃ - cos θ0 (no O(α/eps³) cancellation on the cone).
+    Pair: T_u = -∂x² u/(2 eps) - ∂x v/eps² + 2v/eps³, T_v with +∂x u (``couple``)."""
+
+    def __init__(self, spec, grid, eps, c):
+        self.blocks = b = 2 if spec.kind == "AF_CHAIN" else 1
+        n, ik, ik2 = grid.n_points, grid.rsymbol(1), grid.rsymbol(2)
+        self.sym = np.stack([(c / eps**2) * ik, (-0.5 if b == 2 else 0.5) / eps * ik2])
+        self.sym = np.repeat(self.sym[:, None, None, :], 3, axis=2)
+        self.couple = self.cone = None
+        if b == 2:
+            self.couple = np.stack([-ik / eps**2, ik / eps**2])[:, None, :] + 2.0 / eps**3
+        elif spec.kind == "LL_EASY_PLANE":
+            self.sym[1, 0, 2] -= 2.0 * spec.params["k"] / eps**3
+        else:  # easy cone: T₃ += d (3β d - 2α) / eps³
+            p = spec.params
+            self.cone = (np.cos(p["theta0"]), 3.0 * p["beta"] / eps**3, 2.0 * p["alpha"] / eps**3)
+        self.coef = np.empty((b, 3, n // 2 + 1), complex)
+        self.dcoef = np.empty((2,) + self.coef.shape, complex)
+        self.d = np.empty((2, b, 3, n))
+        self.g5, self.t5 = np.empty((2, b, 5, n))
 
 
 def micro_rhs(spec: MicroModelSpec, s: MicroState) -> np.ndarray:
@@ -131,24 +143,31 @@ def micro_rhs(spec: MicroModelSpec, s: MicroState) -> np.ndarray:
     return _rhs_raw(spec, s.values, s.grid, s.eps, spec.geometry.c)
 
 
-def _rhs_raw(spec, vals, grid, eps, c):
-    """Right-hand side on raw values: d1 and d2 of every row from one transform pair."""
-    d1, d2 = grid.diff(vals, (1, 2))
+def _rhs_raw(spec, vals, grid, eps, c, out=None, work=None):
+    """Right-hand side on raw values (m, N); a spin kind takes its symbols and
+    buffers from ``work`` (built here if None) and fills ``out`` if given."""
     if spec.kind in _GP_KINDS:
+        d1, d2 = grid.diff(vals, (1, 2))
         g = _phase_factors(spec, vals)
         return (c * d1 + 1j * (0.5 * eps * d2 + g * vals / eps)) / eps**2
-    if spec.kind == "AF_CHAIN":
-        u, v = vals[:3], vals[3:]
-        du, dv = d1[:3], d1[3:]
-        wu = -0.5 * eps**2 * d2[:3] - eps * dv + 2.0 * v
-        wv = -0.5 * eps**2 * d2[3:] + eps * du + 2.0 * u
-        ru = (c * eps * du + _cross(u, wu)) / eps**3
-        rv = (c * eps * dv + _cross(v, wv)) / eps**3
-        return np.concatenate([ru, rv], axis=0)
-    # single spin chain
-    torque = 0.5 * eps**2 * d2
-    torque[2] -= _anisotropy_gradient(spec, vals[2])
-    return (c * eps * d1 + _cross(vals, torque)) / eps**3
+    work = work or _SpinWork(spec, grid, eps, c)
+    out = np.empty(vals.shape) if out is None else out
+    gam = vals.reshape(work.blocks, 3, -1)
+    np.fft.rfft(gam, axis=-1, out=work.coef)
+    np.multiply(work.sym, work.coef, out=work.dcoef)
+    if work.couple is not None:
+        work.dcoef[1] += work.couple * work.coef[::-1]
+    transport, torque = np.fft.irfft(work.dcoef, grid.n_points, axis=-1, out=work.d)
+    if work.cone is not None:
+        cos0, quad, lin = work.cone
+        dev = gam[:, 2] - cos0
+        torque[:, 2] += dev * (quad * dev - lin)
+    np.take(gam, _ROLL, axis=1, out=work.g5)
+    np.take(torque, _ROLL, axis=1, out=work.t5)
+    # torque now lives in t5, so its buffer is the cross product's scratch
+    r = _cross_rolled(work.g5, work.t5, out.reshape(work.blocks, 3, -1), torque)
+    r += transport
+    return r.reshape(vals.shape)
 
 
 def dt_max(spec: MicroModelSpec, eps: float, grid: Grid) -> float:
@@ -167,8 +186,9 @@ def dt_max(spec: MicroModelSpec, eps: float, grid: Grid) -> float:
     cap keeps the former at 0.8*pi and the latter at 0.7, margins >= 25%
     against the measured boundary over eps*kmax in [1.6, 12.8].  The RK4 spin
     path must resolve the fastest linear wave, whose frequency is bounded by
-    (c+sqrt(lam))*k/eps^2 + k^2/(2 eps) over grid wavenumbers; the fused
-    right-hand side (one rfft/irfft pair per stage) leaves this bound unchanged.
+    (c+sqrt(lam))*k/eps^2 + k^2/(2 eps) over grid wavenumbers; the workspace
+    right-hand side (pre-scaled symbols, one rfft/irfft pair per stage)
+    leaves this bound unchanged.
     """
     geom = spec.geometry
     kmax = float(np.max(np.abs(grid.wavenumbers)))
@@ -232,11 +252,7 @@ def evolve_micro(spec: MicroModelSpec, s0: MicroState, T: float, dt: float | Non
         if step in row:
             stored[row[step]] = vals
         if step in is_snap:
-            msg = None
-            if not np.isfinite(vals).all():
-                msg = "non-finite state"
-            else:
-                msg = _check_pointwise(spec, vals)
+            msg = "non-finite state" if not np.isfinite(vals).all() else _check_pointwise(spec, vals)
             if msg is not None:
                 aborted_at = (step, msg)
                 break
@@ -300,16 +316,17 @@ def _make_stepper(spec, grid, eps, dt, c):
 
         return stepper
 
-    blocks = _sphere_blocks(spec)
+    work = _SpinWork(spec, grid, eps, c)
 
-    def rhs(v):
-        return _rhs_raw(spec, v, grid, eps, c)
+    def rhs(v, out):
+        return _rhs_raw(spec, v, grid, eps, c, out=out, work=work)
 
     def stepper(vals):
+        stages = np.empty((5,) + vals.shape)
         while True:
-            vals = rk4_step(vals, rhs, dt)
-            for block in blocks:
-                vals[block] /= np.linalg.norm(vals[block], axis=0)
+            vals = rk4_step(vals, rhs, dt, stages)
+            gam = vals.reshape(work.blocks, 3, -1)
+            gam /= np.sqrt(np.einsum("bin,bin->bn", gam, gam))[:, None]
             yield vals
 
     return stepper

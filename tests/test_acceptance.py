@@ -26,7 +26,7 @@ from kdvlab.analysis import (
 )
 from kdvlab.experiments import ExperimentConfig, default_config, run_experiment
 from kdvlab.grid import Field, Grid, l2_norm
-from kdvlab.hydro import almost_hamiltonian, extract_series, hydro_residual, limit_error
+from kdvlab.hydro import almost_hamiltonian, hydro_residual, iter_blocks, limit_error
 from kdvlab.kdv import conserved_quantities, evolve_kdv
 from kdvlab.micro import dt_max, evolve_micro, mass, well_prepared_init
 from kdvlab.models import limit_equation, preset
@@ -91,8 +91,8 @@ def _sweep(kind, reference_traj):
         if np.iscomplexobj(s0.values):
             m0 = mass(spec, traj.states[0])
             err["mass_drift"] = max(abs(mass(spec, s) - m0) / m0 for s in traj.states)
-            series = extract_series(spec, traj)
-            energies = [almost_hamiltonian(spec, h)[0] for h in series]
+            energies = [almost_hamiltonian(spec, h)[0]
+                        for _, block in iter_blocks(spec, traj) for h in block]
             err["h_drift"] = max(abs(e - energies[0]) for e in energies)
         else:
             err["norm_deviation"] = max(_norm_deviation(s) for s in traj.states)

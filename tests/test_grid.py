@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from kdvlab.grid import (
     Field,
     Grid,
-    advance_linear,
     fourier_shift,
     hs_seminorms,
     ifrk4_step,
@@ -20,6 +19,7 @@ from kdvlab.grid import (
     truncate_to,
 )
 from kdvlab.kdv import bilinear_apply
+from linear_flow import advance_linear
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdvlab.grid import Field, Grid, advance_linear, integrate
+from kdvlab.grid import Field, Grid, integrate
 from kdvlab.kdv import (
     LimitModel,
     QTensor,
@@ -20,6 +20,7 @@ from kdvlab.kdv import (
     symmetrize,
 )
 from kdvlab.models import limit_equation, preset
+from linear_flow import advance_linear
 
 
 def canonical_scalar(q=1.0, dispersion=1.0):

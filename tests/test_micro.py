@@ -3,6 +3,8 @@ conservation, chart-consistent initial data, and the frame-scaling check."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdvlab import micro
 from kdvlab.grid import Field, Grid, fourier_shift, integrate
@@ -90,14 +92,14 @@ def _reference_spin_rhs(spec, vals, grid, eps, c):
     return (c * eps * grid.diff(vals, 1) + np.cross(vals, torque, axis=0)) / eps**3
 
 
-@pytest.mark.parametrize(
-    "kind,params",
-    [
-        ("LL_EASY_PLANE", {"k": 2.0}),
-        ("LL_EASY_CONE", {"alpha": 0.8, "theta0": 1.1, "beta": 0.2}),
-        ("AF_CHAIN", None),
-    ],
-)
+SPIN_KINDS = [
+    ("LL_EASY_PLANE", {"k": 2.0}),
+    ("LL_EASY_CONE", {"alpha": 0.8, "theta0": 1.1, "beta": 0.2}),
+    ("AF_CHAIN", None),
+]
+
+
+@pytest.mark.parametrize("kind,params", SPIN_KINDS)
 def test_fused_spin_rhs_matches_reference(kind, params):
     eps = 0.2
     grid = Grid(128, 8 * np.pi)
@@ -108,6 +110,69 @@ def test_fused_spin_rhs_matches_reference(kind, params):
     want = _reference_spin_rhs(spec, vals, grid, eps, geom.c)
     assert got.shape == want.shape == vals.shape
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind,params", SPIN_KINDS)
+def test_workspace_spin_steps_match_allocating_rk4(kind, params):
+    # the stepper reuses its stage buffers and pre-scaled symbols; a plain
+    # RK4 on the allocating _rhs_raw, renormalised per sphere, must give the
+    # same states, and no buffer reuse may reach a yielded or stored state
+    eps, steps = 0.2, 200
+    grid = Grid(128, 8 * np.pi)
+    geom, spec = preset(kind, params)
+    A0 = Field(grid, np.stack([_bump(grid, width=1.0 + 0.5 * j) for j in range(geom.dim)]))
+    s0 = well_prepared_init(spec, geom, A0, eps)
+    dt = dt_max(spec, eps, grid)
+
+    def rhs(v):
+        return micro._rhs_raw(spec, v, grid, eps, geom.c)
+
+    ref = [s0.values]
+    for _ in range(steps):
+        y = ref[-1]
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for start in range(0, y.shape[0], 3):
+            y[start:start + 3] /= np.linalg.norm(y[start:start + 3], axis=0)
+        ref.append(y)
+    ref = np.stack(ref)
+    scale = np.max(np.abs(ref))
+
+    states = micro._make_stepper(spec, grid, eps, dt, geom.c)(s0.values.copy())
+    held = next(states)
+    kept = held.copy()
+    for step in range(2, steps + 1):
+        vals = next(states)
+        assert np.max(np.abs(vals - ref[step])) <= 1e-12 * scale
+    assert np.array_equal(held, kept)
+    assert np.max(np.abs(held - ref[1])) <= 1e-12 * scale
+
+    traj = evolve_micro(spec, s0, T=steps * dt, dt=dt, n_snapshots=steps + 1)
+    assert not traj.aborted and traj.meta["steps"] == steps
+    assert np.max(np.abs(traj.values - ref)) <= 1e-12 * scale
+    for i in (1, steps // 2):
+        prev, nxt = traj.neighbors[i]
+        assert np.array_equal(prev, traj.values[i - 1])
+        assert np.array_equal(nxt, traj.values[i + 1])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    blocks=st.sampled_from([1, 2]),
+    n=st.integers(min_value=1, max_value=16),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_rolled_cross_matches_numpy_cross(blocks, n, seed):
+    rng = np.random.default_rng(seed)
+    u, w = rng.normal(size=(2, blocks, 3, n)) * 10.0 ** rng.integers(-3, 4, size=(2, 1, 1, 1))
+    u5, w5 = np.take(u, micro._ROLL, axis=1), np.take(w, micro._ROLL, axis=1)
+    out, tmp = np.empty((blocks, 3, n)), np.empty((blocks, 3, n))
+    got = micro._cross_rolled(u5, w5, out, tmp)
+    assert got is out
+    np.testing.assert_array_equal(got, np.cross(u, w, axis=-2))
 
 
 def test_gp_rhs_matches_lab_frame_finite_difference_oracle():
@@ -472,9 +537,9 @@ def test_aborted_spin_run_counts_the_stages_it_ran(monkeypatch):
     calls = []
     rhs_raw = micro._rhs_raw
 
-    def poisoned(spec, vals, grid, eps, c):
+    def poisoned(*args, **kwargs):
         calls.append(None)
-        out = rhs_raw(spec, vals, grid, eps, c)
+        out = rhs_raw(*args, **kwargs)
         return out * np.nan if len(calls) == 21 else out
 
     monkeypatch.setattr(micro, "_rhs_raw", poisoned)
