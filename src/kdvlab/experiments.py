@@ -32,7 +32,7 @@ from .analysis import (
 from .grid import Field, Grid, l2_norm
 from .hydro import almost_hamiltonian, iter_blocks, limit_error
 from .kdv import LimitModel, blowup_monitor, conserved_quantities, evolve_kdv
-from .micro import MicroState, _unit_norm_deviation, dt_max, evolve_micro, mass, well_prepared_init
+from .micro import MicroState, dt_max, evolve_micro, mass, well_prepared_init
 from .models import chart_radius, limit_equation, preset
 
 __all__ = [
@@ -430,6 +430,13 @@ def _run_kdv(cfg: ExperimentConfig, outdir: Path):
         assertions.append(_at_most("momentum_drift_abs", max(drifts[2]), 1e-10))
     counters = {"kdv_steps": traj.meta["steps"], "snapshots": len(traj)}
     return assertions, counters
+
+
+def _unit_norm_deviation(values):
+    """Worst pointwise deviation of the spin blocks from unit length, one per
+    snapshot of (..., m, N) values."""
+    return np.max([np.max(np.abs(np.linalg.norm(values[..., i:i + 3, :], axis=-2) - 1.0), axis=-1)
+                   for i in range(0, values.shape[-2], 3)], axis=0)
 
 
 def _micro_series(spec, traj) -> dict:

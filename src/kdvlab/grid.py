@@ -221,20 +221,22 @@ def _hs_norms(values, grid: Grid, s: int) -> np.ndarray:
 def rk4_step(state, rhs, dt: float, stages=None):
     """One classical RK4 step for d/dt state = rhs(state); returns a new array.
 
-    With a preallocated (5, *state.shape) ``stages`` array, stage i calls
-    ``rhs(y, out=stages[i])`` (its return value is used) and y is formed in
-    ``stages[4]``.  Raises FloatingPointError on a non-finite result.
+    Stage i calls ``rhs(y, out=stages[i])`` and uses the array it returns; y
+    is formed in ``stages[4]``.  ``stages`` is a (5, *state.shape) array the
+    caller keeps across steps (allocated here if None).  Raises
+    FloatingPointError on a non-finite result.
     """
-    y_buf = None if stages is None else stages[4]
+    if stages is None:
+        stages = np.empty((5,) + state.shape, state.dtype)
     y, k = state, []
     for i, h in enumerate((0.5 * dt, 0.5 * dt, dt, None)):
-        k.append(rhs(y) if stages is None else rhs(y, out=stages[i]))
+        k.append(rhs(y, out=stages[i]))
         if h is not None:
-            y = np.multiply(k[i], h, out=y_buf)
+            y = np.multiply(k[i], h, out=stages[4])
             y += state
     out = np.multiply(k[1], 2.0)  # state + dt/6 (k1 + 2 k2 + 2 k3 + k4), in that order
     out += k[0]
-    out += np.multiply(k[2], 2.0, out=y_buf)
+    out += np.multiply(k[2], 2.0, out=stages[4])
     out += k[3]
     out *= dt / 6.0
     out += state

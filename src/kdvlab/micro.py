@@ -72,21 +72,26 @@ def _check_pointwise(spec, vals, strict=False):
     if spec.kind in _GP_KINDS:
         mod = np.abs(vals)
         lo, hi = float(mod.min()), float(mod.max())
-        ok = _MODULUS_RANGE[0] <= lo and hi <= _MODULUS_RANGE[1]
-        msg = f"modulus left [{_MODULUS_RANGE[0]}, {_MODULUS_RANGE[1]}]: range ({lo:.3g}, {hi:.3g})"
+        if not (_MODULUS_RANGE[0] <= lo and hi <= _MODULUS_RANGE[1]):
+            msg = f"modulus left [{_MODULUS_RANGE[0]}, {_MODULUS_RANGE[1]}]: range ({lo:.3g}, {hi:.3g})"
+            if strict:
+                raise ValueError(msg)
+            return msg
     else:
-        dev = float(np.max(_unit_norm_deviation(vals)))
-        ok, msg = dev <= _NORM_TOL, f"unit-norm deviation {dev:.3g} exceeds {_NORM_TOL}"
-    if strict and not ok:
-        raise ValueError(msg)
-    return None if ok else msg
+        for block in _sphere_blocks(spec):
+            dev = float(np.max(np.abs(np.linalg.norm(vals[..., block, :], axis=-2) - 1.0)))
+            if not dev <= _NORM_TOL:
+                msg = f"unit-norm deviation {dev:.3g} exceeds {_NORM_TOL}"
+                if strict:
+                    raise ValueError(msg)
+                return msg
+    return None
 
 
-def _unit_norm_deviation(vals):
-    """Worst pointwise deviation from unit length over the spheres of spin
-    values (..., m, N), viewed as (..., B, 3, N): one per snapshot."""
-    spheres = vals.reshape(vals.shape[:-2] + (-1, 3, vals.shape[-1]))
-    return np.max(np.abs(np.linalg.norm(spheres, axis=-2) - 1.0), axis=(-2, -1))
+def _sphere_blocks(spec):
+    if spec.kind == "AF_CHAIN":
+        return (slice(0, 3), slice(3, 6))
+    return (slice(0, 3),)
 
 
 def _phase_factors(spec, vals):
@@ -129,9 +134,7 @@ class _SpinWork:
         else:  # easy cone: T₃ += d (3β d - 2α) / eps³
             p = spec.params
             self.cone = (np.cos(p["theta0"]), 3.0 * p["beta"] / eps**3, 2.0 * p["alpha"] / eps**3)
-        self.coef = np.empty((b, 3, n // 2 + 1), complex)
-        self.dcoef = np.empty((2,) + self.coef.shape, complex)
-        self.d = np.empty((2, b, 3, n))
+        self.dcoef = np.empty((2, b, 3, n // 2 + 1), complex)
         self.g5, self.t5 = np.empty((2, b, 5, n))
 
 
@@ -153,11 +156,11 @@ def _rhs_raw(spec, vals, grid, eps, c, out=None, work=None):
     work = work or _SpinWork(spec, grid, eps, c)
     out = np.empty(vals.shape) if out is None else out
     gam = vals.reshape(work.blocks, 3, -1)
-    np.fft.rfft(gam, axis=-1, out=work.coef)
-    np.multiply(work.sym, work.coef, out=work.dcoef)
+    coef = np.fft.rfft(gam, axis=-1)
+    np.multiply(work.sym, coef, out=work.dcoef)
     if work.couple is not None:
-        work.dcoef[1] += work.couple * work.coef[::-1]
-    transport, torque = np.fft.irfft(work.dcoef, grid.n_points, axis=-1, out=work.d)
+        work.dcoef[1] += work.couple * coef[::-1]
+    transport, torque = np.fft.irfft(work.dcoef, grid.n_points, axis=-1)
     if work.cone is not None:
         cos0, quad, lin = work.cone
         dev = gam[:, 2] - cos0
@@ -252,7 +255,11 @@ def evolve_micro(spec: MicroModelSpec, s0: MicroState, T: float, dt: float | Non
         if step in row:
             stored[row[step]] = vals
         if step in is_snap:
-            msg = "non-finite state" if not np.isfinite(vals).all() else _check_pointwise(spec, vals)
+            msg = None
+            if not np.isfinite(vals).all():
+                msg = "non-finite state"
+            else:
+                msg = _check_pointwise(spec, vals)
             if msg is not None:
                 aborted_at = (step, msg)
                 break
