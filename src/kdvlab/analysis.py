@@ -21,7 +21,6 @@ __all__ = [
     "SolitonSpec",
     "find_fixed_point",
     "build_soliton",
-    "soliton_ode_residual",
     "shift_minimized_error",
     "miura_condition",
     "miura_map",
@@ -44,17 +43,13 @@ class SolitonSpec:
     speed : wave speed c_w > 0.
     direction : d-vector z; when ``q_tensor`` is given, Q(z,z)=z is enforced
         to 1e-10 at construction.
-    x0 : center (default: placed mid-domain at build time).
-    profile : base profile callable (default :func:`solitary_profile`).
     """
 
-    def __init__(self, speed, direction, q_tensor: QTensor | None = None, x0=None, profile=None):
+    def __init__(self, speed, direction, q_tensor: QTensor | None = None):
         self.speed = float(speed)
         if not self.speed > 0:
             raise ValueError(f"speed must be positive, got {speed}")
         self.direction = np.atleast_1d(np.asarray(direction, dtype=float))
-        self.x0 = None if x0 is None else float(x0)
-        self.profile = profile if profile is not None else solitary_profile
         if q_tensor is not None:
             defect = np.linalg.norm(
                 q_tensor.apply_vectors(self.direction, self.direction) - self.direction
@@ -99,15 +94,16 @@ def _newton_root(Q: QTensor, z0: np.ndarray, tol: float, max_iter: int = 80):
     return z, rn
 
 
-def find_fixed_point(Q: QTensor, seed=None, n_random: int = 32, tol: float = 1e-12):
+def find_fixed_point(Q: QTensor, seed=None):
     """All distinct nonzero solutions of Q(z,z) = z found by multi-start Newton.
 
     Seeds: the optional user seed, eigenvector-informed guesses (unit
     eigenvectors r of the flux Jacobian at basis points, scaled by
-    1/(Q(r,r).r)), and ``n_random`` points on the unit sphere from a fixed
-    generator.  Roots are deduplicated at distance 1e-8 and returned sorted
-    (by norm, then lexicographically); each satisfies the residual <= tol.
+    1/(Q(r,r).r)), and 32 points on the unit sphere from a fixed generator.
+    Roots are deduplicated at distance 1e-8 and returned sorted (by norm,
+    then lexicographically); each satisfies |Q(z,z) - z| <= 1e-12.
     """
+    n_random, tol = 32, 1e-12
     if Q.is_zero:
         raise ValueError("Q must be nonzero: every z solves Q(z,z)=z only for z=0")
     d = Q.dim
@@ -143,15 +139,16 @@ def find_fixed_point(Q: QTensor, seed=None, n_random: int = 32, tol: float = 1e-
 
 
 def build_soliton(spec: SolitonSpec, grid: Grid) -> Field:
-    """Sample u(x) = c_w q(sqrt(c_w)(x - x0)) z on the grid.
+    """Sample u(x) = c_w q0(sqrt(c_w)(x - x0)) z on the grid, centred
+    mid-domain (x0 = L/2).
 
     Raises when the profile tails exceed 1e-12 at the point of the periodic
     domain farthest from the center (the domain is then too short for the
     periodic surrogate to represent the decaying wave).
     """
-    x0 = spec.x0 if spec.x0 is not None else 0.5 * grid.length
+    x0 = 0.5 * grid.length
     xi = np.sqrt(spec.speed) * (grid.x - x0)
-    envelope = spec.speed * spec.profile(xi)
+    envelope = spec.speed * solitary_profile(xi)
     comps = np.outer(spec.direction, envelope)
     dist = np.abs((grid.x - x0 + 0.5 * grid.length) % grid.length - 0.5 * grid.length)
     tail = float(np.max(np.abs(comps[:, np.argmax(dist)])))
@@ -160,24 +157,6 @@ def build_soliton(spec: SolitonSpec, grid: Grid) -> Field:
             f"soliton tails {tail:.3g} exceed 1e-12 at the domain boundary; enlarge the grid"
         )
     return Field(grid, comps)
-
-
-def soliton_ode_residual(Q: QTensor, z, grid: Grid, profile=None) -> float:
-    """L2 norm of P' - P''' + Q(P,P)' for P(x) = q(x - L/2) z on the grid.
-
-    ``profile`` defaults to the solitary profile (residual at spectral
-    roundoff); any other profile of the same decay class gives an O(1) value.
-    """
-    q = profile if profile is not None else solitary_profile
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    P = Field(grid, np.outer(z, q(grid.x - 0.5 * grid.length)))
-    flux = Field(grid, bilinear_apply(Q.coeffs, P.components, P.components), validate=False)
-    resid = (
-        spectral_derivative(P, 1).components
-        - spectral_derivative(P, 3).components
-        + spectral_derivative(flux, 1).components
-    )
-    return l2_norm(resid, grid)
 
 
 def shift_minimized_error(u: Field, ref: Field):

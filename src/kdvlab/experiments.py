@@ -131,6 +131,10 @@ def _require(cond: bool, field: str, message: str):
         raise ConfigError(f"{field}: {message}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _positive_number(value, field: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              field, f"must be a number, got {value!r}")
@@ -189,7 +193,7 @@ class ExperimentConfig:
 
         grid = raw.get("grid", {})
         n = grid.get("n")
-        _require(isinstance(n, int) and not isinstance(n, bool), "grid.n",
+        _require(_is_int(n), "grid.n",
                  f"must be an integer, got {n!r}")
         _require(n >= 8 and (n & (n - 1)) == 0, "grid.n",
                  f"must be a power of two >= 8, got {n}")
@@ -199,7 +203,7 @@ class ExperimentConfig:
         t_final = _positive_number(tblock.get("t_final"), "time.t_final")
         dt = _positive_number(tblock.get("dt"), "time.dt")
         snapshots = tblock.get("snapshots")
-        _require(isinstance(snapshots, int) and snapshots >= 2, "time.snapshots",
+        _require(_is_int(snapshots) and snapshots >= 2, "time.snapshots",
                  f"must be an integer >= 2, got {snapshots!r}")
 
         initial = dict(_COMMON["initial"])
@@ -212,7 +216,7 @@ class ExperimentConfig:
                  f"must be one of {_SHAPES}, got {initial['shape']!r}")
         initial["amplitude"] = _positive_number(initial["amplitude"], "initial.amplitude")
         initial["width"] = _positive_number(initial["width"], "initial.width")
-        _require(isinstance(initial["mode"], int) and initial["mode"] >= 1,
+        _require(_is_int(initial["mode"]) and initial["mode"] >= 1,
                  "initial.mode", f"must be an integer >= 1, got {initial['mode']!r}")
 
         eps = raw.get("eps")
@@ -238,15 +242,15 @@ class ExperimentConfig:
         _require(isinstance(output_dir, str) and output_dir, "output_dir",
                  f"must be a non-empty path, got {output_dir!r}")
         seed = raw.get("seed", 0)
-        _require(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
+        _require(_is_int(seed) and seed >= 0,
                  "seed", f"must be a non-negative integer, got {seed!r}")
         workers = raw.get("workers", 1)
-        _require(isinstance(workers, int) and workers >= 1, "workers",
+        _require(_is_int(workers) and workers >= 1, "workers",
                  f"must be an integer >= 1, got {workers!r}")
 
         speed = _positive_number(raw.get("speed", 4.0), "speed")
         delta = raw.get("delta", 0.0)
-        _require(delta in (0, 1, 0.0, 1.0), "delta",
+        _require(not isinstance(delta, bool) and delta in (0, 1), "delta",
                  f"dispersion switch must be 0 or 1, got {delta!r}")
         d2_alpha = _as_complex(raw.get("d2_alpha", 1.0), "d2_alpha")
         d2_beta = _as_complex(raw.get("d2_beta", 1.0), "d2_beta")

@@ -14,7 +14,6 @@ __all__ = [
     "Field",
     "Trajectory",
     "spectral_derivative",
-    "hs_seminorms",
     "rk4_step",
     "ifrk4_step",
     "integrate",
@@ -147,39 +146,27 @@ class Field:
 class Trajectory:
     """Time-ordered snapshots of an evolution, plus abort bookkeeping.
 
-    ``neighbors[i]``, when stored, holds the states one integrator step before
-    and after ``states[i]`` so diagnostics can form centered time differences
-    without re-running the solver.  ``values``, when the producer keeps its
-    snapshots in one array (``evolve_micro`` does), is that (S, m, N) array:
-    ``states[i].values`` is a view of its row i.
+    ``values``, when the producer keeps its snapshots in one array
+    (``evolve_micro`` does), is that (S, m, N) array: ``states[i].values`` is
+    a view of its row i.
     """
 
     def __init__(self):
         self.times: list[float] = []
         self.states: list = []
         self.values: np.ndarray | None = None
-        self.neighbors: list | None = None
         self.dt: float | None = None
         self.aborted = False
         self.abort_reason: str | None = None
         self.abort_time: float | None = None
         self.meta: dict = {}
 
-    def append(self, t: float, state, neighbor_pair=None):
+    def append(self, t: float, state):
         self.times.append(float(t))
         self.states.append(state)
-        if neighbor_pair is not None:
-            if self.neighbors is None:
-                self.neighbors = []
-            self.neighbors.append(neighbor_pair)
 
     def __len__(self):
         return len(self.states)
-
-
-def _check_finite(f: Field, who: str):
-    if not np.isfinite(f.components).all():
-        raise ValueError(f"{who}: non-finite input field")
 
 
 def spectral_derivative(f: Field, order: int) -> Field:
@@ -190,27 +177,17 @@ def spectral_derivative(f: Field, order: int) -> Field:
     """
     if order < 0 or order > 4:
         raise ValueError(f"order must be in 0..4, got {order}")
-    _check_finite(f, "spectral_derivative")
+    if not np.isfinite(f.components).all():
+        raise ValueError("spectral_derivative: non-finite input field")
     if order == 0:
         return f.copy()
     return Field(f.grid, f.grid.diff(f.components, order), validate=False)
 
 
-def hs_seminorms(f: Field, s: int) -> list[float]:
-    """L2 norms of f, f', ..., f^(s) computed via Parseval.
-
-    Returns the list (||f||, ||dx f||, ..., ||dx^s f||); for multi-component
-    fields each entry is the norm of the full vector-valued function.
-    """
-    if s < 0 or s > 4:
-        raise ValueError(f"s must be in 0..4, got {s}")
-    _check_finite(f, "hs_seminorms")
-    return [float(v) for v in _hs_norms(f.components, f.grid, s)]
-
-
 def _hs_norms(values, grid: Grid, s: int) -> np.ndarray:
-    """The hs_seminorms of samples (..., d, N), shape (..., s+1): one row of
-    norms per leading index (per snapshot of a block)."""
+    """L2 norms of dx^j f for j = 0..s via Parseval, of samples (..., d, N)
+    (each norm over the full vector-valued function): shape (..., s+1), one
+    row of norms per leading index (per snapshot of a block)."""
     coeffs = np.fft.fft(values, axis=-1) / grid.n_points
     return np.stack([
         np.sqrt(grid.length * np.sum(np.abs(np.abs(grid.symbol(j)) * coeffs) ** 2, axis=(-2, -1)))

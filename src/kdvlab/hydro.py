@@ -9,8 +9,7 @@ live the limit observables
     U = (c - iB) DPhi dx(phi) + A              (the complementary combination)
 
 expressed throughout in the tangent-frame coordinates of the model chart,
-plus an almost-conserved energy functional, residuals of the truncated
-first-order system satisfied by (phi, n), and the error measures that
+plus an almost-conserved energy functional and the error measures that
 compare a microscopic trajectory against a limit-equation trajectory.
 """
 
@@ -20,15 +19,7 @@ import numpy as np
 
 from .grid import Trajectory, _hs_norms, integrate, l2_norm
 from .micro import MicroState
-from .models import (
-    chart_assemble,
-    chart_extract,
-    chart_radius,
-    dphi_matrix,
-    normal_coupling,
-)
-
-_RESIDUAL_KINDS = ("GP_SCALAR", "LL_EASY_PLANE")
+from .models import chart_extract, chart_radius, dphi_matrix, normal_coupling
 
 # Snapshots per block of the run diagnostics: the numpy call overhead is paid
 # once per block, while the temporaries stay small (on a 2001-snapshot
@@ -80,13 +71,6 @@ def extract_hydro(spec, s: MicroState, phase_ref=None) -> HydroState:
     """
     phi, n, info = chart_extract(spec, s.values, s.eps, phase_ref=phase_ref)
     return HydroState(s.grid, s.eps, phi, n, info["in_chart"])
-
-
-def reconstruct_micro(spec, h: HydroState) -> MicroState:
-    """Microscopic state with the given chart coordinates (inverse of
-    extract_hydro on valid states)."""
-    vals = chart_assemble(spec, h.phi, h.n, h.eps)
-    return MicroState(spec, h.grid, h.eps, vals, validate=False)
 
 
 def extract_series(spec, traj: Trajectory, start: int, stop: int,
@@ -177,90 +161,6 @@ def energy_proxy(spec, h: HydroState, s: int = 2):
     a = _hs_norms(h.grid.diff(h.phi), h.grid, s)
     b = _hs_norms(h.n, h.grid, s)
     return np.sqrt(np.sum(np.square(a), axis=-1)) + np.sqrt(np.sum(np.square(b), axis=-1))
-
-
-def _triplet(spec, traj: Trajectory, idx: int):
-    """(previous, current, next) chart states around snapshot ``idx``, with a
-    common phase branch, or None when a neighbor is missing."""
-    if traj.neighbors is None or traj.neighbors[idx] is None:
-        return None
-    prev_vals, next_vals = traj.neighbors[idx]
-    if prev_vals is None or next_vals is None:
-        return None
-    state = traj.states[idx]
-    cur = extract_hydro(spec, state)
-    ref = cur.phi
-    eps = state.eps
-    phi_p, n_p, info_p = chart_extract(spec, prev_vals, eps, phase_ref=ref)
-    phi_n, n_n, info_n = chart_extract(spec, next_vals, eps, phase_ref=ref)
-    if not (cur.valid and info_p["in_chart"] and info_n["in_chart"]):
-        return None
-    return (phi_p, n_p), cur, (phi_n, n_n)
-
-
-def hydro_residual(spec, traj: Trajectory, ablate_singular: bool = False) -> dict:
-    """L2 residuals of the truncated first-order system along a run.
-
-    Evaluates, at every snapshot with stored step neighbors, both lines of
-    the order-one system satisfied by (phi, n) — time derivatives by centered
-    differencing of the neighbor states — and reports the L2 norm of each
-    line.  On exact solutions the residual is O(eps^2); with
-    ``ablate_singular`` the singular 1/eps^2 transport blocks are dropped,
-    which must inflate the residual by orders of magnitude (wiring check).
-
-    Supported for the scalar condensate and the easy-plane spin chain, whose
-    charts make the truncated system scalar and explicit.
-    """
-    if spec.kind not in _RESIDUAL_KINDS:
-        raise ValueError(
-            f"hydro residual not supported for {spec.kind}; "
-            f"supported kinds: {_RESIDUAL_KINDS}"
-        )
-    g = spec.geometry
-    eps = traj.meta["eps"]
-    dt = traj.dt
-    grid = traj.states[0].grid
-    dx = grid.diff
-    times, r1_norms, r2_norms = [], [], []
-    for idx in range(len(traj.states)):
-        trip = _triplet(spec, traj, idx)
-        if trip is None:
-            continue
-        (phi_p, n_p), cur, (phi_n, n_n) = trip
-        phi = cur.phi[0]
-        n = cur.n[0]
-        phi_t = (phi_n[0] - phi_p[0]) / (2.0 * dt)
-        n_t = (n_n[0] - n_p[0]) / (2.0 * dt)
-        phi_x = dx(phi)
-        n_x = dx(n)
-        sing = 0.0 if ablate_singular else 1.0 / eps**2
-        if spec.kind == "GP_SCALAR":
-            rho = 1.0 + eps**2 * n
-            r1 = (rho * phi_t - sing * (g.c * rho * phi_x - 2.0 * n)
-                  - 0.5 * dx(n_x) + 0.5 * phi_x**2 + 3.0 * n**2)
-            r2 = (n_t - sing * (g.c * n_x - 0.5 * dx(rho * phi_x))
-                  + 0.5 * phi_x * n_x)
-        else:  # LL_EASY_PLANE
-            r1 = (phi_t - sing * (g.c * phi_x + 2.0 * g.lam * n)
-                  + 0.5 * dx(n_x))
-            r2 = n_t - sing * (g.c * n_x + 0.5 * dx(phi_x))
-        times.append(traj.times[idx])
-        r1_norms.append(l2_norm(r1, grid))
-        r2_norms.append(l2_norm(r2, grid))
-    if not times:
-        raise ValueError("no snapshot with both step neighbors is available")
-    r1_norms = np.array(r1_norms)
-    r2_norms = np.array(r2_norms)
-    total = np.sqrt(r1_norms**2 + r2_norms**2)
-    return {
-        "times": np.array(times),
-        "line1": r1_norms,
-        "line2": r2_norms,
-        "total": total,
-        "sup_line1": float(r1_norms.max()),
-        "sup_line2": float(r2_norms.max()),
-        "sup_total": float(total.max()),
-    }
 
 
 def limit_error(spec, micro_traj: Trajectory, kdv_traj: Trajectory) -> dict:

@@ -14,7 +14,6 @@ dynamics can be run and compared.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .grid import (
     Field,
@@ -31,10 +30,8 @@ from .grid import (
 __all__ = [
     "QTensor",
     "LimitModel",
-    "kdv_rhs",
     "evolve_kdv",
     "conserved_quantities",
-    "genuine_nonlinearity",
     "blowup_monitor",
 ]
 
@@ -70,14 +67,6 @@ class QTensor:
         self.coeffs, self.symmetry_defect = symmetrize(c)
         self.dim = c.shape[0]
 
-    @classmethod
-    def zero(cls, dim: int):
-        return cls(np.zeros((dim, dim, dim)))
-
-    @classmethod
-    def scalar(cls, q: float):
-        return cls(np.array([[[float(q)]]]))
-
     @property
     def is_zero(self) -> bool:
         return bool(np.max(np.abs(self.coeffs)) <= 1e-14) if self.coeffs.size else True
@@ -93,10 +82,11 @@ class QTensor:
         return f"QTensor(dim={self.dim}, max|c|={self.norm():.3g})"
 
 
-def bilinear_apply(tensor: np.ndarray, a: np.ndarray, b: np.ndarray, factor: float = 1.5):
-    """Dealiased bilinear map of real samples: out_k(x) = sum_ij T[i,j,k] a_i(x) b_j(x)."""
+def bilinear_apply(tensor: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Dealiased bilinear map of real samples: out_k(x) = sum_ij T[i,j,k] a_i(x) b_j(x)
+    (3/2-rule padding)."""
     n = a.shape[-1]
-    m = _pad_size(n, factor)
+    m = _pad_size(n, 1.5)
     ap = pad_to(np.fft.rfft(a, axis=-1), n, m)
     bp = pad_to(np.fft.rfft(b, axis=-1), n, m)
     prod = np.einsum("ijk,im,jm->km", tensor, ap, bp)
@@ -122,7 +112,7 @@ class LimitModel:
         {"time_factor": 8c, "amplitude": s, "sound_speed": c} with
         u(tau, x) = s * A(8c*tau, x).
     form : "canonical" or "raw"
-        which representation kdv_rhs / evolve_kdv integrate.
+        which representation evolve_kdv integrates.
     """
 
     def __init__(
@@ -188,15 +178,6 @@ class LimitModel:
     def raw_to_canonical_state(self, f: Field) -> Field:
         return Field(f.grid, self.scale["amplitude"] * f.components, validate=False)
 
-    def scale_consistency_defect(self) -> float:
-        """Max deviation between canonical_q and the rescaled raw tensor."""
-        if self.raw_tensor is None or self.canonical_q is None:
-            return 0.0
-        s = self.scale["amplitude"]
-        sym, _ = symmetrize_bilinear(self.raw_tensor)
-        candidate = -(2.0 / s) * sym
-        return float(np.max(np.abs(candidate - self.canonical_q.coeffs)))
-
     def __repr__(self):
         return (
             f"LimitModel(dim={self.dim}, form={self.form!r}, "
@@ -223,23 +204,15 @@ def _check_state(model: LimitModel, u: Field):
         raise ValueError("the KdV state must be real")
 
 
-def kdv_rhs(model: LimitModel, u: Field) -> Field:
-    """Right-hand side of du/dt = ... for the model's active form, split as
-    evolve_kdv integrates it: the Fourier-diagonal linear part plus the
-    nonlinear part, both on rfft coefficients.
-
-    Canonical: delta*dxxx(u) - dx Q(u,u) + a*dx(u).
-    Raw:       [ (1/4)*dxxx(A) + G(dx A, A) ] / (2c) + a*dx(A),
-    written with dispersion = 1/(8c) stored on the model.
-    """
-    _check_state(model, u)
-    grid = u.grid
-    v = np.fft.rfft(u.components, axis=-1)
-    out = _linear_symbol(model, grid) * v + _nonlinear_rhs(model, grid)(v)
-    return Field(grid, np.fft.irfft(out, grid.n_points, axis=-1), validate=False)
-
-
 def _linear_symbol(model: LimitModel, grid: Grid) -> np.ndarray:
+    """The Fourier-diagonal linear part of the right-hand side on the rfft
+    half spectrum.  With :func:`_nonlinear_rhs` it splits the active form's
+
+        canonical: delta*dxxx(u) - dx Q(u,u) + a*dx(u),
+        raw:       [ (1/4)*dxxx(A) + G(dx A, A) ] / (2c) + a*dx(A)
+
+    (raw dispersion = 1/(8c) stored on the model) as evolve_kdv integrates it.
+    """
     return model.dispersion * grid.rsymbol(3) + model.advection * grid.rsymbol(1)
 
 
@@ -283,7 +256,6 @@ def evolve_kdv(
     dt: float,
     n_snapshots: int = 65,
     blowup_multiple: float = 50.0,
-    check_every: int = 1,
 ) -> Trajectory:
     """Integrate the model with integrating-factor RK4 and snapshot the result.
 
@@ -335,16 +307,15 @@ def evolve_kdv(
             traj.abort_reason = "non-finite state"
             traj.abort_time = t
             break
-        if step % check_every == 0 or step == steps:
-            g = max_gradient(v)
-            grad_times.append(t)
-            grad_vals.append(g)
-            if blowup_multiple is not None and g > blowup_multiple * grad_floor:
-                traj.append(t, to_field(v))
-                traj.aborted = True
-                traj.abort_reason = "gradient blow-up"
-                traj.abort_time = t
-                break
+        g = max_gradient(v)
+        grad_times.append(t)
+        grad_vals.append(g)
+        if blowup_multiple is not None and g > blowup_multiple * grad_floor:
+            traj.append(t, to_field(v))
+            traj.aborted = True
+            traj.abort_reason = "gradient blow-up"
+            traj.abort_time = t
+            break
         if step % snap_every == 0 or step == steps:
             traj.append(t, to_field(v))
 
@@ -380,40 +351,6 @@ def conserved_quantities(model: LimitModel, u: Field):
     mass = l2_norm(u.components, grid) ** 2
     momentum = np.sum(u.components, axis=-1) * grid.spacing
     return float(h), float(mass), momentum
-
-
-def genuine_nonlinearity(Q: QTensor, u, cluster_tol: float = 1e-8, degenerate_tol: float = 1e-10):
-    """Eigen-structure of the flux Jacobian 2Q(u, .) with the 2Q(r,r).r report.
-
-    For each unit eigenvector r of the (symmetric) Jacobian the directional
-    derivative of its eigenvalue along r equals 2Q(r,r).r; a value below
-    ``degenerate_tol`` flags the field as linearly degenerate at u.  Clustered
-    (near-repeated) eigenvalues get no verdict: the eigenvector is not
-    well-defined there.
-    """
-    u = np.asarray(u, dtype=float)
-    jac = 2.0 * np.einsum("ijk,i->jk", Q.coeffs, u)
-    vals, vecs = eigh(jac)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    report = []
-    for idx in range(len(vals)):
-        gaps = np.abs(np.delete(vals, idx) - vals[idx])
-        clustered = bool(gaps.size and np.min(gaps) < cluster_tol * scale)
-        r = vecs[:, idx]
-        lead = np.nonzero(np.abs(r) > 1e-12)[0]
-        if lead.size and r[lead[0]] < 0:  # fix the sign convention
-            r = -r
-        value = 2.0 * float(np.einsum("ijk,i,j,k->", Q.coeffs, r, r, r))
-        report.append(
-            {
-                "eigenvalue": float(vals[idx]),
-                "eigenvector": r,
-                "dlambda_dot_r": value,
-                "clustered": clustered,
-                "linearly_degenerate": abs(value) < degenerate_tol,
-            }
-        )
-    return report
 
 
 def blowup_monitor(traj: Trajectory, multiple: float = 50.0) -> dict:

@@ -40,7 +40,7 @@ class MicroState:
     ``values`` is (m, N): complex rows u_k for condensates, three real rows
     for a single spin field, six (two stacked spheres) for the staggered pair.
     A block of S snapshots of a run is one MicroState with values (S, m, N)
-    (``mass`` takes blocks; the steppers and ``micro_rhs`` take one state).
+    (``mass`` takes blocks; the steppers take one state).
     Values of the right dtype are wrapped, not copied.
     """
 
@@ -138,14 +138,6 @@ class _SpinWork:
         self.g5, self.t5 = np.empty((2, b, 5, n))
 
 
-def micro_rhs(spec: MicroModelSpec, s: MicroState) -> np.ndarray:
-    """Time derivative of the rescaled microscopic field (same shape as values)."""
-    msg = _check_pointwise(spec, s.values)
-    if msg is not None:
-        raise ValueError(f"invalid state: {msg}")
-    return _rhs_raw(spec, s.values, s.grid, s.eps, spec.geometry.c)
-
-
 def _rhs_raw(spec, vals, grid, eps, c, out=None, work=None):
     """Right-hand side on raw values (m, N); a spin kind takes its symbols and
     buffers from ``work`` (built here if None) and fills ``out`` if given."""
@@ -206,18 +198,19 @@ def evolve_micro(spec: MicroModelSpec, s0: MicroState, T: float, dt: float | Non
                  n_snapshots: int = 11) -> Trajectory:
     """Run the microscopic model to time T, storing ~n_snapshots states.
 
-    Snapshots carry (previous, next) integrator-step neighbors so diagnostics
-    can take centered time differences without re-running.  The run aborts
-    (trajectory flagged, partial output returned) if the pointwise state
-    invariants fail at a snapshot, or on the exact step where either stepper
-    produces a non-finite state.
+    The step taken is T/steps with steps = round(T/dt); it must not exceed
+    ``dt_max`` (ValueError otherwise, as for dt <= 0).  Without dt the step is
+    min(eps²/10, dt_max), with the smallest step count that keeps T/steps
+    under the cap.  The run aborts (trajectory flagged, partial output
+    returned) if the pointwise state invariants fail at a snapshot, or on the
+    exact step where either stepper produces a non-finite state.
 
     A condensate split step makes 2 transforms and one rotation factor (its
     trailing half rotation is the next step's leading one); a spin step is
     one RK4 step of 4 right-hand-side evaluations.  ``meta["steps"]`` is the
     planned step count, ``meta["steps_taken"]`` the steps run up to the end
     or the abort, and ``meta["rhs_evals"]`` counts the stages actually run.
-    Snapshots and step neighbours are stored once, in one array:
+    Every snapshot is stored once, in one array of one row per snapshot:
     ``traj.values`` holds the snapshots and ``traj.states`` view its rows.
     """
     if T <= 0:
@@ -225,25 +218,26 @@ def evolve_micro(spec: MicroModelSpec, s0: MicroState, T: float, dt: float | Non
     eps = s0.eps
     cap = dt_max(spec, eps, s0.grid)
     if dt is None:
-        dt = min(eps**2 / 10.0, cap)
-    if dt > cap * (1.0 + 1e-12):
-        raise ValueError(f"dt={dt:.3g} exceeds dt_max={cap:.3g}")
-    steps = max(1, int(round(T / dt)))
+        steps = max(1, int(round(T / min(eps**2 / 10.0, cap))))
+        if T / steps > cap:
+            steps = math.ceil(T / cap)
+    elif dt > 0:
+        steps = max(1, int(round(T / dt)))
+    else:
+        raise ValueError(f"dt must be positive, got {dt}")
     dt = T / steps
+    if dt > cap * (1.0 + 1e-12):
+        raise ValueError(f"step T/steps = {dt:.3g} exceeds dt_max={cap:.3g}")
     snap_every = max(1, steps // max(1, n_snapshots - 1))
     snap_steps = [s for s in range(steps + 1) if s % snap_every == 0 or s == steps]
-    is_snap = set(snap_steps)
-    # every stored state lives in one array: the snapshots in rows 0..S-1,
-    # then the step neighbours that are not snapshots themselves
-    extra = {t for s in snap_steps for t in (s - 1, s + 1) if 0 < t < steps} - is_snap
-    row = {s: i for i, s in enumerate(snap_steps + sorted(extra))}
-    stored = np.empty((len(row),) + s0.values.shape, dtype=s0.values.dtype)
+    stored = np.empty((len(snap_steps),) + s0.values.shape, dtype=s0.values.dtype)
 
     stepper = _make_stepper(spec, s0.grid, eps, dt, spec.geometry.c)
 
     traj = Trajectory()
     traj.dt = dt
     stored[0] = s0.values
+    kept = 1
     states = stepper(s0.values)
     aborted_at = None
     for step in range(1, steps + 1):
@@ -252,17 +246,13 @@ def evolve_micro(spec: MicroModelSpec, s0: MicroState, T: float, dt: float | Non
         except FloatingPointError:
             aborted_at = (step, "non-finite state")
             break
-        if step in row:
-            stored[row[step]] = vals
-        if step in is_snap:
-            msg = None
-            if not np.isfinite(vals).all():
-                msg = "non-finite state"
-            else:
-                msg = _check_pointwise(spec, vals)
+        if step == snap_steps[kept]:
+            msg = "non-finite state" if not np.isfinite(vals).all() else _check_pointwise(spec, vals)
             if msg is not None:
                 aborted_at = (step, msg)
                 break
+            stored[kept] = vals
+            kept += 1
     taken = steps if aborted_at is None else aborted_at[0]
     traj.meta = {
         "kind": spec.kind,
@@ -273,14 +263,9 @@ def evolve_micro(spec: MicroModelSpec, s0: MicroState, T: float, dt: float | Non
         "rhs_evals": 0 if spec.kind in _GP_KINDS else 4 * taken,
         "spec": spec,
     }
-    last_ok = steps if aborted_at is None else taken - 1
-    snap_steps = [s for s in snap_steps if s <= last_ok]
-    traj.values = stored[: len(snap_steps)]
+    traj.values = stored[:kept]
     for s, vals in zip(snap_steps, traj.values):
-        prev = stored[row[s - 1]] if s > 0 else None
-        nxt = stored[row[s + 1]] if s + 1 <= last_ok else None
-        traj.append(s * dt, MicroState(spec, s0.grid, eps, vals, validate=False),
-                    neighbor_pair=(prev, nxt))
+        traj.append(s * dt, MicroState(spec, s0.grid, eps, vals, validate=False))
     if aborted_at is not None:
         traj.aborted = True
         traj.abort_time = aborted_at[0] * dt
@@ -337,81 +322,6 @@ def _make_stepper(spec, grid, eps, dt, c):
             yield vals
 
     return stepper
-
-
-# ---------------------------------------------------------------------------
-# invariants
-# ---------------------------------------------------------------------------
-
-
-def _potential_density(spec, vals):
-    if spec.kind == "GP_SCALAR":
-        return 0.25 * (1.0 - np.abs(vals[0]) ** 2) ** 2
-    if spec.kind == "GP_COUPLED":
-        lam = spec.params["lam"]
-        gamma = spec.params["gamma"]
-        d1 = 1.0 - np.abs(vals[0]) ** 2
-        d2 = 1.0 - np.abs(vals[1]) ** 2
-        return 0.25 * lam * (d1**2 + d2**2) + gamma * d1 * d1 * d2
-    if spec.kind == "LL_EASY_PLANE":
-        return spec.params["k"] * vals[2] ** 2
-    if spec.kind == "LL_EASY_CONE":
-        dev = vals[2] - np.cos(spec.params["theta0"])
-        return spec.params["alpha"] * dev**2 - spec.params["beta"] * dev**3
-    raise ValueError(f"no scalar potential for {spec.kind}")
-
-
-def _azimuth_momentum_density(axis, p, q, reference, grid):
-    """(gamma* - axis component) times the pointwise azimuth derivative."""
-    dp = grid.diff(p)
-    dq = grid.diff(q)
-    planar = p * p + q * q
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dazi = np.where(planar > 1e-28, (p * dq - q * dp) / planar, 0.0)
-    return (reference - axis) * dazi
-
-
-def micro_invariants(spec: MicroModelSpec, s: MicroState):
-    """Energy and momentum of the current state, spectrally evaluated.
-
-    Condensates: E = ∫ [ eps²/4 |∂x u|² + V(u) ] dx (exactly conserved by the
-    rescaled flow) and P = -Im ∫ conj(u)·∂x u dx.  Single spin chain: the
-    plain ∫ [ ½|∂x Γ|² + V(Γ) ] dx energy display (the conserved variant
-    weights the gradient by eps²/4 instead) and the magnetic momentum
-    ∫ (γ₀ - Γ₃) ∂x(azimuth) dx.  Staggered pair: the conserved energy
-    ∫ [ eps²/4 (|∂x u|² + |∂x v|²) + |u+v|² - eps u·∂x v ] dx and the two
-    spheres' magnetic momenta about the easy axis, summed.
-    """
-    vals, grid, eps = s.values, s.grid, s.eps
-    if spec.kind in _GP_KINDS:
-        du = grid.diff(vals)
-        energy = integrate(
-            0.25 * eps**2 * np.sum(np.abs(du) ** 2, axis=0) + _potential_density(spec, vals),
-            grid,
-        )
-        momentum = integrate(-np.imag(np.sum(np.conj(vals) * du, axis=0)), grid)
-        return energy, momentum
-    if spec.kind == "AF_CHAIN":
-        u, v = vals[:3], vals[3:]
-        du = grid.diff(u)
-        dv = grid.diff(v)
-        dens = (
-            0.25 * eps**2 * (np.sum(du**2, axis=0) + np.sum(dv**2, axis=0))
-            + np.sum((u + v) ** 2, axis=0)
-            - eps * np.sum(u * dv, axis=0)
-        )
-        momentum = integrate(
-            _azimuth_momentum_density(u[0], u[1], u[2], 1.0, grid)
-            + _azimuth_momentum_density(v[0], v[1], v[2], -1.0, grid),
-            grid,
-        )
-        return integrate(dens, grid), momentum
-    # single spin chain; azimuth measured about the anisotropy axis e3
-    dg = grid.diff(vals)
-    energy = integrate(0.5 * np.sum(dg**2, axis=0) + _potential_density(spec, vals), grid)
-    gamma0 = 0.0 if spec.kind == "LL_EASY_PLANE" else np.cos(spec.params["theta0"])
-    momentum = integrate(_azimuth_momentum_density(vals[2], vals[0], vals[1], gamma0, grid), grid)
-    return energy, momentum
 
 
 def mass(spec: MicroModelSpec, s: MicroState):

@@ -30,7 +30,6 @@ __all__ = [
     "KINDS",
     "preset",
     "limit_equation",
-    "coupled_gp_limit",
     "chart_assemble",
     "chart_extract",
     "chart_radius",
@@ -306,33 +305,6 @@ def limit_equation(geom: GeometryData) -> LimitModel:
     )
     model.symmetry_report = report
     return model
-
-
-def coupled_gp_limit(lam: float, f1=None, dim: int | None = None) -> LimitModel:
-    """Limit model of a d-component condensate from its Hessian constant and
-    cubic tensor: diagonal -(3/2) rho_k dx rho_k part plus the f1 coupling.
-
-    ``f1`` must be symmetric in its first two indices; ``dim`` is inferred
-    from it (or must be given when f1 is omitted).
-    """
-    if f1 is None:
-        if dim is None:
-            raise ValueError("either f1 or dim must be given")
-        f1 = np.zeros((dim, dim, dim))
-    f1 = np.asarray(f1, dtype=float)
-    if f1.ndim != 3 or len(set(f1.shape)) != 1:
-        raise ValueError(f"f1 must be (d,d,d), got {f1.shape}")
-    d = f1.shape[0]
-    if dim is not None and dim != d:
-        raise ValueError(f"dim={dim} inconsistent with f1 shape {f1.shape}")
-    defect = float(np.max(np.abs(f1 - f1.transpose(1, 0, 2)))) if f1.size else 0.0
-    if defect > _SYM_TOL:
-        raise ValueError(f"f1 must be symmetric in its two arguments (defect {defect:.3g})")
-    ii = np.zeros((d, d, d))
-    for k in range(d):
-        ii[k, k, k] = -1.0
-    geom = GeometryData(d, lam=lam, mu=0.0, ii_perp=ii, f1=f1, label="coupled_condensate")
-    return limit_equation(geom)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,224 @@
+"""Independent oracles the program is tested against: the exact flow of a
+Fourier-diagonal linear equation, the microscopic energy and momentum, the
+residuals of the truncated first-order chart system along a run, and the
+solitary-wave ODE residual."""
+
+import numpy as np
+
+from kdvlab import micro
+from kdvlab.analysis import solitary_profile
+from kdvlab.grid import Field, integrate, l2_norm, spectral_derivative
+from kdvlab.hydro import extract_hydro
+from kdvlab.kdv import bilinear_apply
+from kdvlab.models import chart_extract
+
+# ---------------------------------------------------------------------------
+# linear flow
+# ---------------------------------------------------------------------------
+
+
+def advance_linear(f: Field, symbol, dt: float) -> Field:
+    """Multiply each Fourier mode of ``f`` by exp(symbol*dt).
+
+    ``symbol`` holds the per-mode complex multipliers in FFT order, e.g.
+    grid.symbol(3) / (8*c) for the quarter-Airy flow 2c*dA/dt = (1/4)*dxxx A.
+    Real fields stay real; an overflowing factor raises OverflowError.
+    """
+    if not np.isfinite(f.components).all():
+        raise ValueError("advance_linear: non-finite input field")
+    with np.errstate(over="ignore"):
+        factor = np.exp(np.asarray(symbol, dtype=np.complex128) * dt)
+    if not np.isfinite(factor).all():
+        raise OverflowError("advance_linear: exp(symbol*dt) overflowed")
+    out = np.fft.ifft(factor * np.fft.fft(f.components, axis=-1), axis=-1)
+    return Field(f.grid, out.real if f.is_real else out, validate=False)
+
+
+# ---------------------------------------------------------------------------
+# microscopic invariants
+# ---------------------------------------------------------------------------
+
+
+def _potential_density(spec, vals):
+    if spec.kind == "GP_SCALAR":
+        return 0.25 * (1.0 - np.abs(vals[0]) ** 2) ** 2
+    if spec.kind == "GP_COUPLED":
+        lam = spec.params["lam"]
+        gamma = spec.params["gamma"]
+        d1 = 1.0 - np.abs(vals[0]) ** 2
+        d2 = 1.0 - np.abs(vals[1]) ** 2
+        return 0.25 * lam * (d1**2 + d2**2) + gamma * d1 * d1 * d2
+    if spec.kind == "LL_EASY_PLANE":
+        return spec.params["k"] * vals[2] ** 2
+    if spec.kind == "LL_EASY_CONE":
+        dev = vals[2] - np.cos(spec.params["theta0"])
+        return spec.params["alpha"] * dev**2 - spec.params["beta"] * dev**3
+    raise ValueError(f"no scalar potential for {spec.kind}")
+
+
+def _azimuth_momentum_density(axis, p, q, reference, grid):
+    """(gamma* - axis component) times the pointwise azimuth derivative."""
+    dp = grid.diff(p)
+    dq = grid.diff(q)
+    planar = p * p + q * q
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dazi = np.where(planar > 1e-28, (p * dq - q * dp) / planar, 0.0)
+    return (reference - axis) * dazi
+
+
+def micro_invariants(spec, s):
+    """Energy and momentum of a MicroState, spectrally evaluated.
+
+    Condensates: E = ∫ [ eps²/4 |∂x u|² + V(u) ] dx (exactly conserved by the
+    rescaled flow) and P = -Im ∫ conj(u)·∂x u dx.  Single spin chain: the
+    plain ∫ [ ½|∂x Γ|² + V(Γ) ] dx energy display (the conserved variant
+    weights the gradient by eps²/4 instead) and the magnetic momentum
+    ∫ (γ₀ - Γ₃) ∂x(azimuth) dx.  Staggered pair: the conserved energy
+    ∫ [ eps²/4 (|∂x u|² + |∂x v|²) + |u+v|² - eps u·∂x v ] dx and the two
+    spheres' magnetic momenta about the easy axis, summed.
+    """
+    vals, grid, eps = s.values, s.grid, s.eps
+    if spec.is_complex:
+        du = grid.diff(vals)
+        energy = integrate(
+            0.25 * eps**2 * np.sum(np.abs(du) ** 2, axis=0) + _potential_density(spec, vals),
+            grid,
+        )
+        momentum = integrate(-np.imag(np.sum(np.conj(vals) * du, axis=0)), grid)
+        return energy, momentum
+    if spec.kind == "AF_CHAIN":
+        u, v = vals[:3], vals[3:]
+        du = grid.diff(u)
+        dv = grid.diff(v)
+        dens = (
+            0.25 * eps**2 * (np.sum(du**2, axis=0) + np.sum(dv**2, axis=0))
+            + np.sum((u + v) ** 2, axis=0)
+            - eps * np.sum(u * dv, axis=0)
+        )
+        momentum = integrate(
+            _azimuth_momentum_density(u[0], u[1], u[2], 1.0, grid)
+            + _azimuth_momentum_density(v[0], v[1], v[2], -1.0, grid),
+            grid,
+        )
+        return integrate(dens, grid), momentum
+    # single spin chain; azimuth measured about the anisotropy axis e3
+    dg = grid.diff(vals)
+    energy = integrate(0.5 * np.sum(dg**2, axis=0) + _potential_density(spec, vals), grid)
+    gamma0 = 0.0 if spec.kind == "LL_EASY_PLANE" else np.cos(spec.params["theta0"])
+    momentum = integrate(_azimuth_momentum_density(vals[2], vals[0], vals[1], gamma0, grid), grid)
+    return energy, momentum
+
+
+# ---------------------------------------------------------------------------
+# truncated first-order system
+# ---------------------------------------------------------------------------
+
+RESIDUAL_KINDS = ("GP_SCALAR", "LL_EASY_PLANE")
+
+
+def _triplet(spec, traj, idx):
+    """(previous, current, next) chart states around snapshot ``idx``, with a
+    common phase branch, or None when one leaves the chart.  The neighbours
+    are one integrator step of the run's stepper at -dt and at +dt from the
+    snapshot (the symmetric Strang step at -dt is the exact inverse)."""
+    state = traj.states[idx]
+    c = spec.geometry.c
+    prev_vals, next_vals = (
+        next(micro._make_stepper(spec, state.grid, state.eps, h, c)(state.values))
+        for h in (-traj.dt, traj.dt)
+    )
+    cur = extract_hydro(spec, state)
+    ref = cur.phi
+    phi_p, n_p, info_p = chart_extract(spec, prev_vals, state.eps, phase_ref=ref)
+    phi_n, n_n, info_n = chart_extract(spec, next_vals, state.eps, phase_ref=ref)
+    if not (cur.valid and info_p["in_chart"] and info_n["in_chart"]):
+        return None
+    return (phi_p, n_p), cur, (phi_n, n_n)
+
+
+def hydro_residual(spec, traj, ablate_singular=False) -> dict:
+    """L2 residuals of the truncated first-order system along a run.
+
+    Evaluates, at every snapshot but the first and the last, both lines of
+    the order-one system satisfied by (phi, n) — time derivatives by centered
+    differencing over one step either side — and reports the L2 norm of each
+    line.  On exact solutions the residual is O(eps^2); with
+    ``ablate_singular`` the singular 1/eps^2 transport blocks are dropped,
+    which must inflate the residual by orders of magnitude (wiring check).
+
+    Supported for the scalar condensate and the easy-plane spin chain, whose
+    charts make the truncated system scalar and explicit.
+    """
+    if spec.kind not in RESIDUAL_KINDS:
+        raise ValueError(
+            f"hydro residual not supported for {spec.kind}; "
+            f"supported kinds: {RESIDUAL_KINDS}"
+        )
+    g = spec.geometry
+    eps = traj.meta["eps"]
+    dt = traj.dt
+    grid = traj.states[0].grid
+    dx = grid.diff
+    times, r1_norms, r2_norms = [], [], []
+    for idx in range(1, len(traj.states) - 1):
+        trip = _triplet(spec, traj, idx)
+        if trip is None:
+            continue
+        (phi_p, n_p), cur, (phi_n, n_n) = trip
+        phi = cur.phi[0]
+        n = cur.n[0]
+        phi_t = (phi_n[0] - phi_p[0]) / (2.0 * dt)
+        n_t = (n_n[0] - n_p[0]) / (2.0 * dt)
+        phi_x = dx(phi)
+        n_x = dx(n)
+        sing = 0.0 if ablate_singular else 1.0 / eps**2
+        if spec.kind == "GP_SCALAR":
+            rho = 1.0 + eps**2 * n
+            r1 = (rho * phi_t - sing * (g.c * rho * phi_x - 2.0 * n)
+                  - 0.5 * dx(n_x) + 0.5 * phi_x**2 + 3.0 * n**2)
+            r2 = (n_t - sing * (g.c * n_x - 0.5 * dx(rho * phi_x))
+                  + 0.5 * phi_x * n_x)
+        else:  # LL_EASY_PLANE
+            r1 = (phi_t - sing * (g.c * phi_x + 2.0 * g.lam * n)
+                  + 0.5 * dx(n_x))
+            r2 = n_t - sing * (g.c * n_x + 0.5 * dx(phi_x))
+        times.append(traj.times[idx])
+        r1_norms.append(l2_norm(r1, grid))
+        r2_norms.append(l2_norm(r2, grid))
+    if not times:
+        raise ValueError("no interior snapshot inside the chart is available")
+    r1_norms = np.array(r1_norms)
+    r2_norms = np.array(r2_norms)
+    total = np.sqrt(r1_norms**2 + r2_norms**2)
+    return {
+        "times": np.array(times),
+        "line1": r1_norms,
+        "line2": r2_norms,
+        "total": total,
+        "sup_line1": float(r1_norms.max()),
+        "sup_line2": float(r2_norms.max()),
+        "sup_total": float(total.max()),
+    }
+
+
+# ---------------------------------------------------------------------------
+# solitary waves
+# ---------------------------------------------------------------------------
+
+
+def soliton_ode_residual(Q, z, grid, profile=None) -> float:
+    """L2 norm of P' - P''' + Q(P,P)' for P(x) = q(x - L/2) z on the grid.
+
+    ``profile`` defaults to the solitary profile (residual at spectral
+    roundoff); any other profile of the same decay class gives an O(1) value.
+    """
+    q = profile if profile is not None else solitary_profile
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    P = Field(grid, np.outer(z, q(grid.x - 0.5 * grid.length)))
+    flux = Field(grid, bilinear_apply(Q.coeffs, P.components, P.components), validate=False)
+    resid = (
+        spectral_derivative(P, 1).components
+        - spectral_derivative(P, 3).components
+        + spectral_derivative(flux, 1).components
+    )
+    return l2_norm(resid, grid)

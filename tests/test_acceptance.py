@@ -22,14 +22,14 @@ from kdvlab.analysis import (
     miura_crosscheck,
     shift_minimized_error,
     solitary_profile,
-    soliton_ode_residual,
 )
 from kdvlab.experiments import ExperimentConfig, default_config, run_experiment
 from kdvlab.grid import Field, Grid, l2_norm
-from kdvlab.hydro import almost_hamiltonian, hydro_residual, iter_blocks, limit_error
+from kdvlab.hydro import almost_hamiltonian, iter_blocks, limit_error
 from kdvlab.kdv import conserved_quantities, evolve_kdv
 from kdvlab.micro import dt_max, evolve_micro, mass, well_prepared_init
 from kdvlab.models import limit_equation, preset
+from oracles import hydro_residual, soliton_ode_residual
 
 TOL = {
     "coeff": 1e-12,

@@ -56,6 +56,10 @@ def test_unknown_experiment_rejected():
         ({"seed": -1}, "seed"),
         ({"workers": 0}, "workers"),
         ({"frobnicate": 1}, "frobnicate"),
+        # booleans are ints to Python; a config must not smuggle them in
+        ({"workers": True}, "workers"),
+        ({"initial": {"mode": True}}, "initial.mode"),
+        ({"delta": True}, "delta"),
     ],
 )
 def test_validation_names_the_offending_field(patch, field):

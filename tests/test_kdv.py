@@ -11,20 +11,30 @@ from kdvlab.grid import Field, Grid, integrate
 from kdvlab.kdv import (
     LimitModel,
     QTensor,
+    _linear_symbol,
+    _nonlinear_rhs,
     bilinear_apply,
     blowup_monitor,
     conserved_quantities,
     evolve_kdv,
-    genuine_nonlinearity,
-    kdv_rhs,
     symmetrize,
+    symmetrize_bilinear,
 )
 from kdvlab.models import limit_equation, preset
-from linear_flow import advance_linear
+from oracles import advance_linear
 
 
 def canonical_scalar(q=1.0, dispersion=1.0):
-    return LimitModel(1, dispersion, canonical_q=QTensor.scalar(q))
+    return LimitModel(1, dispersion, canonical_q=QTensor([[[q]]]))
+
+
+def kdv_rhs(model, u):
+    """The right-hand side evolve_kdv integrates, in physical space: the
+    Fourier-diagonal linear part plus the nonlinear part, both applied to
+    rfft coefficients."""
+    v = np.fft.rfft(u.components, axis=-1)
+    out = _linear_symbol(model, u.grid) * v + _nonlinear_rhs(model, u.grid)(v)
+    return Field(u.grid, np.fft.irfft(out, u.grid.n_points, axis=-1), validate=False)
 
 
 @pytest.fixture
@@ -64,7 +74,7 @@ def test_qtensor_rejects_bad_shape():
 
 def test_bilinear_apply_scalar_constant(grid):
     two = 2.0 * np.ones((1, grid.n_points))
-    out = bilinear_apply(QTensor.scalar(1.0).coeffs, two, two)
+    out = bilinear_apply(QTensor([[[1.0]]]).coeffs, two, two)
     assert np.max(np.abs(out - 4.0)) < 1e-12
 
 
@@ -132,7 +142,7 @@ def test_bilinear_apply_symmetric_tensor_commutes(coeffs, seed):
     assert np.max(np.abs(a - b)) <= 1e-13 * max(1.0, float(np.max(np.abs(a))))
 
 
-# -- kdv_rhs -----------------------------------------------------------------
+# -- right-hand side -----------------------------------------------------------
 
 
 def test_rhs_airy_only(grid):
@@ -190,7 +200,7 @@ def _full_fft_bilinear(tensor, a, b):
 
 
 def _full_fft_kdv_rhs(model, u):
-    """kdv_rhs written with full complex transforms in physical space."""
+    """The right-hand side written with full complex transforms in physical space."""
     grid = u.grid
     sym = model.dispersion * grid.symbol(3) + model.advection * grid.symbol(1)
     linear = np.fft.ifft(sym * np.fft.fft(u.components, axis=-1), axis=-1).real
@@ -315,11 +325,12 @@ def test_raw_and_canonical_runs_agree():
         1,
         dispersion=1.0 / 8.0,
         raw_nonlinearity=np.array([[[-3.0]]]),
-        canonical_q=QTensor.scalar(-1.0),
+        canonical_q=QTensor([[[-1.0]]]),
         scale=scale,
         form="raw",
     )
-    assert raw.scale_consistency_defect() < 1e-14
+    sym, _ = symmetrize_bilinear(raw.raw_tensor)
+    assert np.max(np.abs(-(2.0 / scale["amplitude"]) * sym - raw.canonical_q.coeffs)) < 1e-14
     canonical = raw.as_canonical()
     assert canonical.dispersion == 1.0
 
@@ -366,37 +377,6 @@ def test_conserved_requires_canonical(grid):
     )
     with pytest.raises(ValueError):
         conserved_quantities(model, Field(grid, np.zeros(grid.n_points)))
-
-
-# -- genuine nonlinearity -------------------------------------------------------
-
-
-def test_genuine_nonlinearity_scalar_burgers():
-    report = genuine_nonlinearity(QTensor.scalar(1.0), [1.0])
-    assert len(report) == 1
-    assert abs(report[0]["eigenvalue"] - 2.0) < 1e-14
-    assert abs(report[0]["dlambda_dot_r"] - 2.0) < 1e-14
-    assert not report[0]["linearly_degenerate"]
-
-
-def test_genuine_nonlinearity_zero_tensor():
-    report = genuine_nonlinearity(QTensor.zero(2), [0.3, -0.7])
-    for entry in report:
-        assert abs(entry["dlambda_dot_r"]) < 1e-14
-        assert entry["linearly_degenerate"]
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.floats(-2, 2), st.floats(-2, 2))
-def test_genuine_nonlinearity_flags_clusters(a, b):
-    # diagonal tensor with two equal diagonal entries -> clustered at u=(t,t)
-    coeffs = np.zeros((2, 2, 2))
-    coeffs[0, 0, 0] = 1.0
-    coeffs[1, 1, 1] = 1.0
-    Q = QTensor(coeffs)
-    report = genuine_nonlinearity(Q, [a, b])
-    if abs(a - b) < 1e-9:
-        assert all(e["clustered"] for e in report)
 
 
 # -- blow-up monitoring ----------------------------------------------------------

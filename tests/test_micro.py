@@ -13,11 +13,10 @@ from kdvlab.micro import (
     dt_max,
     evolve_micro,
     mass,
-    micro_invariants,
-    micro_rhs,
     well_prepared_init,
 )
 from kdvlab.models import chart_extract, normal_coupling, preset
+from oracles import _potential_density, micro_invariants
 
 TOL = {
     "ground": 1e-14,
@@ -68,7 +67,7 @@ def test_ground_states_are_static(kind, params):
     grid = Grid(64, 2 * np.pi)
     geom, spec = preset(kind, params)
     state = well_prepared_init(spec, geom, Field(grid, np.zeros((geom.dim, 64))), 0.2)
-    assert np.max(np.abs(micro_rhs(spec, state))) <= TOL["ground"]
+    assert np.max(np.abs(micro._rhs_raw(spec, state.values, grid, 0.2, geom.c))) <= TOL["ground"]
 
 
 def _reference_spin_rhs(spec, vals, grid, eps, c):
@@ -153,10 +152,6 @@ def test_workspace_spin_steps_match_allocating_rk4(kind, params):
     traj = evolve_micro(spec, s0, T=steps * dt, dt=dt, n_snapshots=steps + 1)
     assert not traj.aborted and traj.meta["steps"] == steps
     assert np.max(np.abs(traj.values - ref)) <= 1e-12 * scale
-    for i in (1, steps // 2):
-        prev, nxt = traj.neighbors[i]
-        assert np.array_equal(prev, traj.values[i - 1])
-        assert np.array_equal(nxt, traj.values[i + 1])
 
 
 @settings(max_examples=50, deadline=None)
@@ -182,7 +177,7 @@ def test_gp_rhs_matches_lab_frame_finite_difference_oracle():
     grid = Grid(n, 2 * np.pi)
     geom, spec = preset("GP_SCALAR")
     u = np.exp(1j * eps * 0.1 * np.sin(grid.x))[None, :]
-    r = micro_rhs(spec, MicroState(spec, grid, eps, u))
+    r = micro._rhs_raw(spec, u, grid, eps, geom.c)
 
     dy = grid.spacing / eps
     U = u[0]
@@ -206,9 +201,9 @@ def test_coupled_rhs_reduces_to_scalar_componentwise():
     _, coupled = preset("GP_COUPLED", {"lam": 1.0, "gamma": 0.0})
     a = np.exp(1j * eps * 0.2 * np.sin(grid.x)) * (1 + eps**2 * 0.1 * np.cos(grid.x))
     b = np.exp(1j * eps * 0.1 * np.cos(2 * grid.x))
-    r2 = micro_rhs(coupled, MicroState(coupled, grid, eps, np.stack([a, b])))
-    ra = micro_rhs(scalar, MicroState(scalar, grid, eps, a[None, :]))
-    rb = micro_rhs(scalar, MicroState(scalar, grid, eps, b[None, :]))
+    r2 = micro._rhs_raw(coupled, np.stack([a, b]), grid, eps, coupled.geometry.c)
+    ra = micro._rhs_raw(scalar, a[None, :], grid, eps, scalar.geometry.c)
+    rb = micro._rhs_raw(scalar, b[None, :], grid, eps, scalar.geometry.c)
     assert np.max(np.abs(r2 - np.concatenate([ra, rb]))) <= 1e-12
 
 
@@ -232,8 +227,9 @@ def test_micro_rhs_rejects_nan_state(kind, rows):
     grid = Grid(8, 2 * np.pi)
     _, spec = preset(kind)
     state = MicroState(spec, grid, 0.2, np.full((rows, 8), np.nan), validate=False)
-    with pytest.raises(ValueError, match="invalid state"):
-        micro_rhs(spec, state)
+    assert micro._check_pointwise(spec, state.values) is not None
+    with pytest.raises(ValueError):
+        micro._check_pointwise(spec, state.values, strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +331,6 @@ def test_spin_chain_momentum_conserved(kind, params):
 
 def test_ll_conserved_energy_variant():
     # the eps-weighted gradient form is the exactly conserved functional
-    from kdvlab.micro import _potential_density
-
     eps = 0.2
     grid = Grid(256, 8 * np.pi)
     geom, spec = preset("LL_EASY_PLANE")
@@ -404,6 +398,45 @@ def test_evolve_rejects_oversized_step():
     state = MicroState(spec, grid, 0.2, np.tile([[1.0], [0.0], [0.0]], 128))
     with pytest.raises(ValueError, match="dt_max"):
         evolve_micro(spec, state, T=0.1, dt=10 * dt_max(spec, 0.2, grid))
+
+
+def _gp_rest_state(n=64, eps=0.5):
+    grid = Grid(n, 2 * np.pi)
+    _, spec = preset("GP_SCALAR")
+    return spec, MicroState(spec, grid, eps, np.ones((1, n), complex)), dt_max(spec, eps, grid)
+
+
+def test_evolve_enforces_dt_max_on_the_step_taken():
+    # a requested step at the cap over T = 1.45 cap rounds to one step of
+    # 1.45 cap: the step actually taken is what must stay under the cap
+    spec, state, cap = _gp_rest_state()
+    with pytest.raises(ValueError, match="dt_max"):
+        evolve_micro(spec, state, T=1.45 * cap, dt=cap)
+
+
+@pytest.mark.parametrize("dt", [-1e-3, 0.0])
+def test_evolve_rejects_non_positive_dt(dt):
+    spec, state, _ = _gp_rest_state()
+    with pytest.raises(ValueError, match="positive"):
+        evolve_micro(spec, state, T=0.1, dt=dt)
+
+
+def test_default_step_stays_under_dt_max():
+    # without dt the step is the cap here (eps²/10 is larger); T = 1.45 cap
+    # needs two steps, not the one that rounding T/cap would give
+    spec, state, cap = _gp_rest_state()
+    assert cap < 0.5**2 / 10.0
+    traj = evolve_micro(spec, state, T=1.45 * cap, n_snapshots=2)
+    assert traj.meta["steps"] == 2 and traj.dt <= cap
+
+
+def test_evolve_stores_one_row_per_snapshot():
+    spec, state, _ = _gp_rest_state()
+    traj = evolve_micro(spec, state, T=0.1, dt=1e-3, n_snapshots=11)
+    assert not traj.aborted and len(traj) == 11
+    stored = traj.values if traj.values.base is None else traj.values.base
+    assert stored.shape == (11, 1, 64)
+    assert all(np.shares_memory(s.values, stored) for s in traj.states)
 
 
 def test_split_step_stays_inside_resonance_threshold():
@@ -551,16 +584,18 @@ def test_aborted_spin_run_counts_the_stages_it_ran(monkeypatch):
 
 
 def test_snapshot_neighbors_give_centered_time_derivative():
+    # one step of the run's stepper either side of a snapshot, the neighbours
+    # the residual oracle differences
     eps = 0.2
     grid = Grid(256, 8 * np.pi)
     geom, spec = preset("GP_SCALAR")
     s0 = well_prepared_init(spec, geom, Field(grid, _bump(grid)[None, :]), eps)
     traj = evolve_micro(spec, s0, T=0.2, n_snapshots=5)
     mid = len(traj.states) // 2
-    prev, nxt = traj.neighbors[mid]
-    assert prev is not None and nxt is not None
+    prev, nxt = (next(micro._make_stepper(spec, grid, eps, h, geom.c)(traj.values[mid]))
+                 for h in (-traj.dt, traj.dt))
     central = (nxt - prev) / (2.0 * traj.dt)
-    r = micro_rhs(spec, traj.states[mid])
+    r = micro._rhs_raw(spec, traj.values[mid], grid, eps, geom.c)
     assert np.linalg.norm(central - r) / np.linalg.norm(r) <= 1e-2
 
 

@@ -13,7 +13,6 @@ from kdvlab.models import (
     chart_assemble,
     chart_extract,
     chart_radius,
-    coupled_gp_limit,
     dphi_matrix,
     limit_equation,
     normal_coupling,
@@ -214,11 +213,19 @@ def test_raw_to_canonical_round_trip_on_tensors():
         sym, _ = symmetrize_bilinear(model.raw_tensor)
         recovered = -(s / 2.0) * model.canonical_q.coeffs
         assert np.max(np.abs(recovered - sym)) <= TOL["roundtrip"]
-        assert model.scale_consistency_defect() <= TOL["roundtrip"]
+
+
+def _coupled_gp_geometry(lam, f1):
+    """A d-component condensate geometry: diagonal shape operator, cubic f1."""
+    d = len(f1)
+    ii = np.zeros((d, d, d))
+    for k in range(d):
+        ii[k, k, k] = -1.0
+    return GeometryData(d, lam=lam, mu=0.0, ii_perp=ii, f1=f1)
 
 
 def test_coupled_gp_limit_zero_f1_decouples():
-    model = coupled_gp_limit(lam=1.0, dim=2)
+    model = limit_equation(_coupled_gp_geometry(1.0, np.zeros((2, 2, 2))))
     G = model.raw_tensor
     for k in range(2):
         assert abs(G[k, k, k] + 1.5) <= TOL["coeff"]
@@ -230,7 +237,7 @@ def test_coupled_gp_limit_zero_f1_decouples():
 
 def test_coupled_gp_limit_matches_scalar_path():
     direct = limit_equation(preset("GP_SCALAR")[0])
-    via_coupled = coupled_gp_limit(lam=1.0, f1=[[[3.0]]])
+    via_coupled = limit_equation(_coupled_gp_geometry(1.0, [[[3.0]]]))
     assert np.array_equal(direct.raw_tensor, via_coupled.raw_tensor)
     assert direct.scale == via_coupled.scale
     assert np.array_equal(direct.canonical_q.coeffs, via_coupled.canonical_q.coeffs)
@@ -243,7 +250,7 @@ def test_coupled_gp_limit_cross_coupling_is_raw_only():
     f1 = np.zeros((2, 2, 2))
     f1[1, 1, 0] = 1.0
     f1[0, 0, 1] = 1.0
-    model = coupled_gp_limit(lam=1.0, f1=f1)
+    model = limit_equation(_coupled_gp_geometry(1.0, f1))
     assert model.symmetry_report["ij_antisymmetry"] <= 1e-15
     assert 0.2 < model.symmetry_report["full_symmetry_defect"] < 0.25
     assert not model.has_canonical
@@ -255,7 +262,7 @@ def test_coupled_gp_limit_rejects_asymmetric_f1():
     f1 = np.zeros((2, 2, 2))
     f1[0, 1, 0] = 1.0
     with pytest.raises(ValueError, match="symmetric"):
-        coupled_gp_limit(lam=1.0, f1=f1)
+        _coupled_gp_geometry(1.0, f1)
 
 
 # ---------------------------------------------------------------------------
