@@ -10,11 +10,9 @@ point of Q(z,z) = z.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.optimize import brentq, minimize_scalar
 
 from .grid import Field, Grid, fourier_shift, l2_norm, pad_to, spectral_derivative, truncate_to
-from .kdv import LimitModel, QTensor, bilinear_apply, evolve_kdv, ifrk4_step
+from .kdv import LimitModel, QTensor, bilinear_apply, evolve_kdv, ifrk4_step, step_plan
 
 __all__ = [
     "solitary_profile",
@@ -112,7 +110,7 @@ def find_fixed_point(Q: QTensor, seed=None):
         seeds.append(np.atleast_1d(np.asarray(seed, dtype=float)))
     anchors = [np.ones(d)] + list(np.eye(d))
     for u in anchors:
-        _, vecs = eigh(_flux_jacobian(Q, u))
+        _, vecs = np.linalg.eigh(_flux_jacobian(Q, u))
         for r in vecs.T:
             scale = float(Q.apply_vectors(r, r) @ r)
             if abs(scale) > 1e-10:
@@ -159,11 +157,30 @@ def build_soliton(spec: SolitonSpec, grid: Grid) -> Field:
     return Field(grid, comps)
 
 
+def _golden_section(f, lo: float, hi: float, xtol: float) -> float:
+    """Golden-section search: a minimizer of f (unimodal) on [lo, hi] to xtol."""
+    g = 0.5 * (np.sqrt(5.0) - 1.0)
+    a, b = hi - g * (hi - lo), lo + g * (hi - lo)
+    fa, fb = f(a), f(b)
+    for _ in range(int(np.ceil(np.log(xtol / (hi - lo)) / np.log(g)))):
+        if fa <= fb:
+            hi, b, fb = b, a, fa
+            a = hi - g * (hi - lo)
+            fa = f(a)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + g * (hi - lo)
+            fb = f(b)
+    return a if fa <= fb else b
+
+
 def shift_minimized_error(u: Field, ref: Field):
     """Relative L2 distance of u to the translates of ref, and the best shift.
 
-    The coarse optimum comes from the FFT cross-correlation over grid shifts;
-    a bounded scalar minimization refines it to sub-grid accuracy.
+    The coarse optimum delta0 comes from the FFT cross-correlation over grid
+    shifts.  Within one spacing of it a bisection on the correlation slope
+    (1e-14), or a golden-section search of the error where the slope keeps
+    its sign (1e-12), refines it; the refinement must be no worse than delta0.
     """
     if u.grid != ref.grid:
         raise ValueError("fields live on different grids")
@@ -185,18 +202,17 @@ def shift_minimized_error(u: Field, ref: Field):
         k = grid.wavenumbers
         return float(np.real(np.sum(1j * k * cross * np.exp(1j * k * delta))))
 
-    best = delta0
     lo, hi = delta0 - grid.spacing, delta0 + grid.spacing
-    if corr_slope(lo) * corr_slope(hi) < 0:
-        refined = brentq(corr_slope, lo, hi, xtol=1e-14)
-        if objective(refined) <= objective(delta0):
-            best = refined
+    slope_lo = corr_slope(lo)
+    if slope_lo * corr_slope(hi) < 0:
+        # bisection keeps lo on the side of slope_lo's sign
+        for _ in range(int(np.ceil(np.log2((hi - lo) / 1e-14)))):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if (corr_slope(mid) < 0) == (slope_lo < 0) else (lo, mid)
+        refined = 0.5 * (lo + hi)
     else:
-        res = minimize_scalar(
-            objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
-        )
-        if res.fun <= objective(delta0):
-            best = res.x
+        refined = _golden_section(objective, lo, hi, 1e-12)
+    best = refined if objective(refined) <= objective(delta0) else delta0
     return objective(best) / ref_norm, float(best)
 
 
@@ -249,8 +265,7 @@ def miura_crosscheck(Q: QTensor, v0: Field, T: float, dt: float, n_snapshots: in
     violation = miura_condition(Q)
     if violation > 1e-10:
         raise ValueError(f"Miura condition violated (defect {violation:.3g}); transform does not apply")
-    steps = max(1, int(round(abs(T / dt))))
-    dt = np.sign(dt) * abs(T) / steps
+    steps, dt = step_plan(T, dt)
     snap_every = max(1, steps // max(1, n_snapshots - 1))
 
     model = LimitModel(Q.dim, dispersion=1.0, canonical_q=Q, form="canonical")

@@ -15,7 +15,6 @@ from __future__ import annotations
 import copy
 import json
 import time
-from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
@@ -135,9 +134,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _positive_number(value, field: str) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             field, f"must be a number, got {value!r}")
+    _require(_is_number(value), field, f"must be a number, got {value!r}")
     _require(value > 0, field, f"must be positive, got {value!r}")
     return float(value)
 
@@ -146,8 +148,7 @@ def _as_complex(value, field: str) -> complex:
     if isinstance(value, (list, tuple)):
         _require(len(value) == 2, field, f"expects a number or [re, im], got {value!r}")
         return complex(float(value[0]), float(value[1]))
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             field, f"must be a number or [re, im], got {value!r}")
+    _require(_is_number(value), field, f"must be a number or [re, im], got {value!r}")
     return complex(float(value))
 
 
@@ -185,6 +186,8 @@ class ExperimentConfig:
                  f"must be one of {sorted(_PRESET_NAMES)}, got {preset_name!r}")
         params = raw.get("params", {})
         _require(isinstance(params, dict), "params", "must be a mapping")
+        for name, value in params.items():
+            _require(_is_number(value), f"params.{name}", f"must be a number, got {value!r}")
         try:
             params = {k: float(v) for k, v in params.items()}
             preset(_PRESET_NAMES[preset_name], params)
@@ -557,6 +560,7 @@ def _run_converge(cfg: ExperimentConfig, outdir: Path):
                           n_snapshots=cfg.snapshots)
     payloads = [(raw, eps, kdv_traj) for eps in cfg.eps_list]
     if cfg.workers > 1:
+        from multiprocessing import Pool  # only parallel runs pay for this import
         with Pool(processes=min(cfg.workers, len(payloads))) as pool:
             results = pool.map(_converge_task, payloads)
     else:

@@ -249,6 +249,14 @@ def _nonlinear_rhs(model: LimitModel, grid: Grid):
     return nonlin_raw
 
 
+def step_plan(T: float, dt: float):
+    """(steps, step) covering a duration |T|; a negative dt runs backward."""
+    if dt == 0:
+        raise ValueError(f"dt must be nonzero, got {dt!r}")
+    steps = max(1, int(round(abs(T / dt))))
+    return steps, np.sign(dt) * abs(T) / steps
+
+
 def evolve_kdv(
     model: LimitModel,
     u0: Field,
@@ -270,9 +278,7 @@ def evolve_kdv(
     the end or the abort.
     """
     _check_state(model, u0)
-    # T is a duration; a negative dt integrates the flow backward
-    steps = max(1, int(round(abs(T / dt))))
-    dt = np.sign(dt) * abs(T) / steps
+    steps, dt = step_plan(T, dt)
     grid = u0.grid
     n = grid.n_points
     e_half = np.exp(_linear_symbol(model, grid) * (dt / 2.0))

@@ -17,7 +17,7 @@ from kdvlab.analysis import (
     shift_minimized_error,
     solitary_profile,
 )
-from kdvlab.grid import Field, Grid, l2_norm, spectral_derivative
+from kdvlab.grid import Field, Grid, fourier_shift, l2_norm, spectral_derivative
 from kdvlab.kdv import LimitModel, QTensor, bilinear_apply, evolve_kdv
 from kdvlab.models import limit_equation, preset
 from oracles import soliton_ode_residual
@@ -70,6 +70,22 @@ def test_fixed_point_rescaled_tensor_moves_root():
     scaled_roots = find_fixed_point(QTensor(s * Q.coeffs))
     for z in roots:
         assert min(np.linalg.norm(w - z / s) for w in scaled_roots) <= 1e-8
+
+
+@pytest.mark.parametrize("alpha, beta, expected", [
+    (1.0, 1.0, [[0.25, 0.0]]),
+    (0.5 + 0.5j, 1.0, [[0.3794124634399706, -0.05553289075657185],
+                       [-0.165903575023827, -0.5390440310305332],
+                       [0.4180700589522774, -0.8791072887392107]]),
+])
+def test_fixed_point_d2_roots_pinned(alpha, beta, expected):
+    # roots pinned from a version that took its eigenvector seeds from a
+    # different LAPACK driver; the seeds r / (Q(r,r).r) do not depend on the
+    # sign of r, and the roots agree to rounding
+    roots = find_fixed_point(complex_q_d2(alpha, beta))
+    assert len(roots) == len(expected)
+    for z, want in zip(roots, expected):
+        assert np.max(np.abs(z - want)) <= 1e-12
 
 
 def test_fixed_point_rejects_zero_tensor():
@@ -155,6 +171,72 @@ def test_shift_minimized_error_recovers_translation():
     assert abs(best - delta) <= 1e-6
 
 
+def _spy_golden_section(monkeypatch):
+    """Record the bracket of every golden-section fallback of the shift search."""
+    import kdvlab.analysis
+
+    brackets = []
+    real = kdvlab.analysis._golden_section
+
+    def spy(f, lo, hi, xtol):
+        brackets.append((lo, hi))
+        return real(f, lo, hi, xtol)
+
+    monkeypatch.setattr(kdvlab.analysis, "_golden_section", spy)
+    return brackets
+
+
+def _grid_shift_error(u, ref):
+    """(delta0, error at delta0): the best whole-grid shift by cross-correlation."""
+    grid = u.grid
+    cross = np.sum(np.fft.fft(u.components, axis=-1)
+                   * np.conj(np.fft.fft(ref.components, axis=-1)), axis=0)
+    delta0 = grid.x[int(np.argmax(np.real(np.fft.ifft(cross))))]
+    err = l2_norm(u.components - fourier_shift(ref.components, grid, delta0), grid)
+    return delta0, err / l2_norm(ref.components, grid)
+
+
+@pytest.mark.parametrize("n, length, delta", [(64, 2 * np.pi, 0.3456), (128, 10.0, 3.21)])
+def test_shift_bisection_recovers_subgrid_translation(monkeypatch, n, length, delta):
+    brackets = _spy_golden_section(monkeypatch)
+    grid = Grid(n, length)
+    wave = 2 * np.pi / length
+    ref = Field(grid, np.exp(np.cos(wave * grid.x))[None, :] - 1.0)
+    shifted = Field(grid, np.exp(np.cos(wave * (grid.x - delta)))[None, :] - 1.0)
+    err, best = shift_minimized_error(shifted, ref)
+    assert brackets == []  # the correlation slope changes sign: bisection
+    assert abs(best - delta) <= 1e-10
+    assert err <= 1e-10
+
+
+@pytest.mark.parametrize("delta", [0.03, 0.07, 0.14])
+def test_shift_golden_section_without_slope_sign_change(monkeypatch, delta):
+    # a near-Nyquist mode dominates the correlation slope, which then keeps
+    # its sign across [delta0 - h, delta0 + h]: the error itself is minimized
+    brackets = _spy_golden_section(monkeypatch)
+    grid = Grid(32, 2 * np.pi)
+    ref = Field(grid, (0.5 * np.cos(15 * grid.x) + np.cos(grid.x))[None, :])
+    shifted = Field(grid, fourier_shift(ref.components, grid, delta))
+    err, best = shift_minimized_error(shifted, ref)
+    delta0, err0 = _grid_shift_error(shifted, ref)
+    assert brackets == [(delta0 - grid.spacing, delta0 + grid.spacing)]
+    assert err <= err0
+    assert abs(best - delta) <= 1e-9
+
+
+def test_shift_refinement_never_worse_than_grid_optimum(monkeypatch):
+    # a fallback that lands on a worse shift (here the bracket end, a grid
+    # neighbour of delta0) is discarded in favour of delta0
+    import kdvlab.analysis
+
+    monkeypatch.setattr(kdvlab.analysis, "_golden_section", lambda f, lo, hi, xtol: hi)
+    grid = Grid(32, 2 * np.pi)
+    ref = Field(grid, (0.5 * np.cos(15 * grid.x) + np.cos(grid.x))[None, :])
+    shifted = Field(grid, fourier_shift(ref.components, grid, 0.07))
+    delta0, err0 = _grid_shift_error(shifted, ref)
+    assert shift_minimized_error(shifted, ref) == (err0, delta0)
+
+
 def test_soliton_transit_preserves_shape():
     # one full domain transit of the canonical scalar-condensate soliton
     model = limit_equation(preset("GP_SCALAR")[0]).as_canonical()
@@ -224,6 +306,16 @@ def test_miura_crosscheck_classical_scalar():
     v0 = Field(grid, np.sin(grid.x)[None, :])
     err = miura_crosscheck(QTensor([[[0.5]]]), v0, T=0.5, dt=1e-3)
     assert err <= TOL["miura_scalar"]
+
+
+def test_miura_crosscheck_dt_sign():
+    # dt = 0 is rejected; a negative dt runs both legs backward in time
+    grid = Grid(64, 2 * np.pi)
+    v0 = Field(grid, 0.3 * np.sin(grid.x)[None, :])
+    Q = QTensor([[[0.5]]])
+    with pytest.raises(ValueError, match="dt"):
+        miura_crosscheck(Q, v0, T=0.1, dt=0.0)
+    assert miura_crosscheck(Q, v0, T=0.1, dt=-1e-3) <= TOL["miura_scalar"]
 
 
 @settings(max_examples=25, deadline=None)

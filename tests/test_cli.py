@@ -2,6 +2,9 @@
 artifact formats, per-experiment summaries, and determinism."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,25 @@ def _write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def test_cli_import_loads_numpy_and_stdlib_only():
+    # every CLI call, benchmark sample and pool worker starts by importing
+    # the package: besides numpy it may load only the standard library, and
+    # not multiprocessing, which only parallel runs need
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(src)!r})",
+        "before = set(sys.modules)",
+        "import kdvlab.cli",
+        "tops = {m.partition('.')[0] for m in set(sys.modules) - before}",
+        "print(sorted(tops - set(sys.stdlib_module_names) - {'numpy', 'kdvlab'}))",
+        "print(sorted(m for m in tops if m == 'multiprocessing'))",
+    ])
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split("\n")[:2] == ["[]", "[]"]
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +355,8 @@ def test_cli_rejects_bad_grid_size(capsys):
 @pytest.mark.parametrize("payload", [
     {"preset": "ll_easy_cone"},  # alpha and theta0 are required
     {"preset": "gp_coupled", "params": {"lam": -1}},
+    {"preset": "ll_easy_plane", "params": {"k": True}},  # not 1.0
+    {"preset": "ll_easy_plane", "params": {"k": "2"}},  # not 2.0
 ])
 def test_cli_rejects_bad_preset_params(tmp_path, capsys, payload):
     rc = main(["micro", "--config", _write_config(tmp_path, "cfg.json", payload)])

@@ -316,6 +316,12 @@ def test_evolve_time_reversal():
     assert err < 1e-8
 
 
+def test_evolve_rejects_zero_dt(grid):
+    u0 = Field(grid, 0.4 * np.sin(grid.x))
+    with pytest.raises(ValueError, match="dt"):
+        evolve_kdv(canonical_scalar(-1.0), u0, 0.5, 0.0)
+
+
 def test_raw_and_canonical_runs_agree():
     # evolve the raw form and the canonically rescaled form of the same
     # dynamics; map states across and compare
