@@ -29,9 +29,9 @@ from .analysis import (
     shift_minimized_error,
 )
 from .grid import Field, Grid, l2_norm
-from .hydro import almost_hamiltonian, iter_blocks, limit_error
-from .kdv import LimitModel, blowup_monitor, conserved_quantities, evolve_kdv
-from .micro import MicroState, dt_max, evolve_micro, mass, well_prepared_init
+from .hydro import almost_hamiltonian, chart_blocks, limit_error
+from .kdv import LimitModel, blowup_monitor, conserved_quantities, evolve_kdv, step_plan
+from .micro import dt_max, evolve_micro, mass, well_prepared_init
 from .models import chart_radius, limit_equation, preset
 
 __all__ = [
@@ -446,26 +446,39 @@ def _unit_norm_deviation(values):
                    for i in range(0, values.shape[-2], 3)], axis=0)
 
 
-def _micro_series(spec, traj) -> dict:
-    """Per-snapshot diagnostics of a microscopic run, SNAPSHOT_BLOCK snapshots
-    at a time (one chart extraction and one tangent gradient per block):
-    ||W||, max|eps phi|, the almost-conserved energy, the structure deviation
-    (relative mass drift for condensates, unit-norm deviation for spins) and
-    chart membership."""
-    grid, eps = traj.states[0].grid, traj.meta["eps"]
-    mass0 = mass(spec, traj.states[0]) if spec.is_complex else None
-    cols = {k: [] for k in ("w_norm", "eps_phi_inf", "energy", "structure_dev", "in_chart")}
-    for rows, h in iter_blocks(spec, traj):
+def _stream_run(spec, s0, T, steps, n_snapshots, block_series):
+    """Run the microscopic model from s0 in ``steps`` steps to T and compute
+    per-snapshot series while it runs: ``block_series(times, block, h)``
+    gets each block of snapshots with its chart coordinates and returns a
+    dict of per-snapshot columns.  Returns the trajectory and the columns."""
+    cols = {}
+
+    def collect(times, block, h):
+        for name, value in block_series(times, block, h).items():
+            cols.setdefault(name, []).append(value)
+
+    traj = evolve_micro(spec, s0, T, dt=T / steps, n_snapshots=n_snapshots,
+                        consume=chart_blocks(spec, collect))
+    return traj, {name: np.concatenate(v) for name, v in cols.items()}
+
+
+def _micro_series(spec, s0):
+    """Per-block diagnostics of a microscopic run from s0, for _stream_run
+    (one tangent gradient per block): ||W||, max|eps phi|, the
+    almost-conserved energy, the structure deviation (relative mass drift for
+    condensates, unit-norm deviation for spins) and chart membership."""
+    mass0 = mass(spec, s0) if spec.is_complex else None
+
+    def block_series(times, block, h):
         energy, w = almost_hamiltonian(spec, h)
-        vals = traj.values[rows]
         if spec.is_complex:
-            dev = np.abs(mass(spec, MicroState(spec, grid, eps, vals, validate=False)) - mass0) / mass0
+            dev = np.abs(mass(spec, block) - mass0) / mass0
         else:
-            dev = _unit_norm_deviation(vals)
-        phi_inf = np.max(np.abs(eps * h.phi), axis=(-2, -1))
-        for name, value in zip(cols, (w, phi_inf, energy, dev, h.valid)):
-            cols[name].append(value)
-    return {k: np.concatenate(v) for k, v in cols.items()}
+            dev = _unit_norm_deviation(block.values)
+        return {"w_norm": w, "eps_phi_inf": np.max(np.abs(h.eps * h.phi), axis=(-2, -1)),
+                "energy": energy, "structure_dev": dev, "in_chart": h.valid}
+
+    return block_series
 
 
 def _run_micro(cfg: ExperimentConfig, outdir: Path):
@@ -474,11 +487,8 @@ def _run_micro(cfg: ExperimentConfig, outdir: Path):
     A0 = _initial_field(cfg, grid, geom.dim)
     s0 = well_prepared_init(spec, geom, A0, cfg.eps)
     steps = _micro_steps(spec, cfg.eps, grid, cfg.t_final, cfg.snapshots)
-    traj = evolve_micro(
-        spec, s0, cfg.t_final, dt=cfg.t_final / steps, n_snapshots=cfg.snapshots
-    )
-
-    series = _micro_series(spec, traj)
+    traj, series = _stream_run(spec, s0, cfg.t_final, steps, cfg.snapshots,
+                               _micro_series(spec, s0))
     columns = ["t", "w_norm", "eps_phi_inf", "energy", "structure_dev"]
     emit_series(outdir / "micro_series.csv", columns,
                 np.column_stack([traj.times] + [series[c] for c in columns[1:]]))
@@ -511,8 +521,8 @@ def _converge_task(payload):
     A0 = _initial_field(cfg, grid, geom.dim)
     s0 = well_prepared_init(spec, geom, A0, eps)
     steps = _micro_steps(spec, eps, grid, cfg.t_final, cfg.snapshots)
-    traj = evolve_micro(spec, s0, cfg.t_final, dt=cfg.t_final / steps,
-                        n_snapshots=cfg.snapshots)
+    traj, err = _stream_run(spec, s0, cfg.t_final, steps, cfg.snapshots,
+                            lambda times, block, h: limit_error(spec, times, h, kdv_traj))
     out = {
         "eps": eps,
         "aborted": traj.aborted,
@@ -524,27 +534,16 @@ def _converge_task(payload):
     path = Path(cfg.output_dir) / f"converge_eps_{eps!r}.csv"
     if traj.aborted:
         # partial artifact: the chart series of whatever was reached
-        series = _micro_series(spec, traj)
-        emit_series(path, ["t", "w_norm"], np.column_stack([traj.times, series["w_norm"]]))
+        emit_series(path, ["t", "w_norm"], np.column_stack([traj.times, err["w_norm"]]))
         return out
-    err = limit_error(spec, traj, kdv_traj)
-    emit_series(
-        path,
-        ["t", "err_amplitude", "err_gradient", "w_norm", "eps_phi_inf", "energy_proxy"],
-        [
-            [t, a, g, w, p, pr]
-            for t, a, g, w, p, pr in zip(
-                err["times"], err["err_amplitude"], err["err_gradient"],
-                err["w_norms"], err["eps_phi_inf"], err["energy_proxy"],
-            )
-        ],
-    )
+    columns = ["t", "err_amplitude", "err_gradient", "w_norm", "eps_phi_inf", "energy_proxy"]
+    emit_series(path, columns, np.column_stack([traj.times] + [err[c] for c in columns[1:]]))
     out.update(
-        sup_err_amplitude=err["sup_err_amplitude"],
-        sup_err_gradient=err["sup_err_gradient"],
-        sup_w=err["sup_w"],
-        max_eps_phi=err["max_eps_phi"],
-        chart_radius=err["chart_radius"],
+        sup_err_amplitude=float(np.max(err["err_amplitude"])),
+        sup_err_gradient=float(np.max(err["err_gradient"])),
+        sup_w=float(np.max(err["w_norm"])),
+        max_eps_phi=float(np.max(err["eps_phi_inf"])),
+        chart_radius=chart_radius(spec),
         in_chart=bool(err["in_chart"].all()),
     )
     return out
@@ -665,7 +664,7 @@ def _run_miura(cfg: ExperimentConfig, outdir: Path):
         _at_most("scalar_crosscheck", discrepancy, 1e-6),
         _at_most("d2_condition", defect, 1e-12),
     ]
-    steps = int(round(cfg.t_final / cfg.dt))
+    steps, _ = step_plan(cfg.t_final, cfg.dt)
     counters = {"kdv_steps": steps, "mkdv_steps": steps}
     return assertions, counters
 

@@ -146,15 +146,14 @@ class Field:
 class Trajectory:
     """Time-ordered snapshots of an evolution, plus abort bookkeeping.
 
-    ``values``, when the producer keeps its snapshots in one array
-    (``evolve_micro`` does), is that (S, m, N) array: ``states[i].values`` is
-    a view of its row i.
+    ``evolve_kdv`` keeps a state per time; ``evolve_micro`` streams its
+    snapshots to a consumer block by block and keeps only their times, so its
+    ``states`` stay empty.  The length is the number of snapshot times.
     """
 
     def __init__(self):
         self.times: list[float] = []
         self.states: list = []
-        self.values: np.ndarray | None = None
         self.dt: float | None = None
         self.aborted = False
         self.abort_reason: str | None = None
@@ -166,7 +165,7 @@ class Trajectory:
         self.states.append(state)
 
     def __len__(self):
-        return len(self.states)
+        return len(self.times)
 
 
 def spectral_derivative(f: Field, order: int) -> Field:

@@ -10,7 +10,8 @@ live the limit observables
 
 expressed throughout in the tangent-frame coordinates of the model chart,
 plus an almost-conserved energy functional and the error measures that
-compare a microscopic trajectory against a limit-equation trajectory.
+compare a microscopic run, block by block as it streams its snapshots,
+against a limit-equation trajectory.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ import numpy as np
 
 from .grid import Trajectory, _hs_norms, integrate, l2_norm
 from .micro import MicroState
-from .models import chart_extract, chart_radius, dphi_matrix, normal_coupling
-
-# Snapshots per block of the run diagnostics: the numpy call overhead is paid
-# once per block, while the temporaries stay small (on a 2001-snapshot
-# coupled-condensate run, a 1.7 MB allocation peak against 98 MB for the
-# whole run in one batch).
-SNAPSHOT_BLOCK = 32
+from .models import chart_extract, dphi_matrix, normal_coupling
 
 
 class HydroState:
@@ -62,37 +57,31 @@ class Observables:
         self.A = A
 
 
-def extract_hydro(spec, s: MicroState, phase_ref=None) -> HydroState:
-    """Chart coordinates of a microscopic state, or of a block of snapshots
-    (``s.values`` of shape (S, m, N)) with the phase branch continued along it.
+def extract_series(spec, block: MicroState, phase_ref=None) -> HydroState:
+    """Chart coordinates of a microscopic state, or of a block of consecutive
+    snapshots of a run (``block.values`` of shape (S, m, N)) with the phase
+    branch continued along it.
 
-    ``phase_ref`` (a previous phi array) selects the phase branch of the
-    first state closest to it, for continuity across snapshots of a run.
+    ``phase_ref`` (a previous phi array, for a block the phi of the snapshot
+    before it) selects the phase branch of the first state closest to it.
     """
-    phi, n, info = chart_extract(spec, s.values, s.eps, phase_ref=phase_ref)
-    return HydroState(s.grid, s.eps, phi, n, info["in_chart"])
+    phi, n, info = chart_extract(spec, block.values, block.eps, phase_ref=phase_ref)
+    return HydroState(block.grid, block.eps, phi, n, info["in_chart"])
 
 
-def extract_series(spec, traj: Trajectory, start: int, stop: int,
-                   phase_ref=None) -> HydroState:
-    """Chart coordinates of snapshots ``start:stop`` of a run (required: use
-    ``iter_blocks`` for a whole run), as one block, phase-continuous along the
-    run; ``phase_ref`` is the phi of snapshot ``start - 1``."""
-    block = MicroState(spec, traj.states[0].grid, traj.meta["eps"], traj.values[start:stop],
-                       validate=False)
-    return extract_hydro(spec, block, phase_ref=phase_ref)
-
-
-def iter_blocks(spec, traj: Trajectory):
-    """Yield ``(rows, block)`` for consecutive blocks of SNAPSHOT_BLOCK
-    snapshots of a run: ``rows`` is the slice of snapshots and ``block`` their
-    HydroState, the phase branch carried across block seams."""
+def chart_blocks(spec, consume):
+    """Consumer for ``evolve_micro`` that extracts the chart coordinates of
+    each block of snapshots, carrying the phase branch across block seams, and
+    passes ``(times, block, hydro_block)`` on to ``consume``."""
     ref = None
-    for start in range(0, len(traj), SNAPSHOT_BLOCK):
-        rows = slice(start, start + SNAPSHOT_BLOCK)
-        block = extract_series(spec, traj, rows.start, rows.stop, phase_ref=ref)
-        ref = block.phi[-1]
-        yield rows, block
+
+    def extract(times, block):
+        nonlocal ref
+        h = extract_series(spec, block, phase_ref=ref)
+        ref = h.phi[-1]
+        consume(times, block, h)
+
+    return extract
 
 
 def _tangent_gradient(spec, h: HydroState) -> np.ndarray:
@@ -163,17 +152,18 @@ def energy_proxy(spec, h: HydroState, s: int = 2):
     return np.sqrt(np.sum(np.square(a), axis=-1)) + np.sqrt(np.sum(np.square(b), axis=-1))
 
 
-def limit_error(spec, micro_traj: Trajectory, kdv_traj: Trajectory) -> dict:
-    """Per-time and sup-in-time L2 errors of a microscopic run against a
-    limit-equation run with matched snapshot times.
+def limit_error(spec, times, h: HydroState, kdv_traj: Trajectory) -> dict:
+    """Per-snapshot L2 errors of a block of a microscopic run (snapshot
+    times ``times``, chart coordinates ``h``) against the snapshots of a
+    limit-equation run at the same times.
 
     Compares the two candidate profiles — the amplitude observable 2 i lam n
     and the gradient observable (c+iB) DPhi dx(phi) — against the limit
     profile A(t), and also reports the ||W||_{L2} and ||eps phi||_{L_inf}
-    time series that the convergence argument drives to zero.
+    values that the convergence argument drives to zero, the energy proxy
+    and chart membership.
     """
-    eps = micro_traj.meta["eps"]
-    t_micro = np.asarray(micro_traj.times)
+    t_micro = np.asarray(times)
     t_kdv = np.asarray(kdv_traj.times)
     tol = 1e-9 * max(1.0, float(np.max(np.abs(t_micro), initial=0.0)))
     gaps = np.abs(t_kdv[None, :] - t_micro[:, None])
@@ -186,24 +176,14 @@ def limit_error(spec, micro_traj: Trajectory, kdv_traj: Trajectory) -> dict:
             f"limit-run counterpart (nearest {t_kdv[picks[i]]})"
         )
 
-    grid = micro_traj.states[0].grid
-    cols = {k: [] for k in ("err_amplitude", "err_gradient", "w_norms", "eps_phi_inf",
-                            "energy_proxy", "in_chart")}
-    for rows, h in iter_blocks(spec, micro_traj):
-        obs = observables(spec, h)
-        a_limit = np.stack([kdv_traj.states[j].components for j in picks[rows]])
-        cols["err_amplitude"].append(l2_norm(obs.A - a_limit, grid))
-        cols["err_gradient"].append(l2_norm(obs.A + obs.W - a_limit, grid))
-        cols["w_norms"].append(l2_norm(obs.W, grid))
-        cols["eps_phi_inf"].append(np.max(np.abs(eps * h.phi), axis=(-2, -1)))
-        cols["energy_proxy"].append(energy_proxy(spec, h))
-        cols["in_chart"].append(h.valid)
-    out = {"times": t_micro, **{k: np.concatenate(v) for k, v in cols.items()}}
-    out.update(
-        sup_err_amplitude=float(np.max(out["err_amplitude"])),
-        sup_err_gradient=float(np.max(out["err_gradient"])),
-        sup_w=float(np.max(out["w_norms"])),
-        max_eps_phi=float(np.max(out["eps_phi_inf"])),
-        chart_radius=chart_radius(spec),
-    )
-    return out
+    grid = h.grid
+    obs = observables(spec, h)
+    a_limit = np.stack([kdv_traj.states[j].components for j in picks])
+    return {
+        "err_amplitude": l2_norm(obs.A - a_limit, grid),
+        "err_gradient": l2_norm(obs.A + obs.W - a_limit, grid),
+        "w_norm": l2_norm(obs.W, grid),
+        "eps_phi_inf": np.max(np.abs(h.eps * h.phi), axis=(-2, -1)),
+        "energy_proxy": energy_proxy(spec, h),
+        "in_chart": h.valid,
+    }

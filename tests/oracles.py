@@ -1,16 +1,71 @@
 """Independent oracles the program is tested against: the exact flow of a
 Fourier-diagonal linear equation, the microscopic energy and momentum, the
 residuals of the truncated first-order chart system along a run, and the
-solitary-wave ODE residual."""
+solitary-wave ODE residual; plus ``record_micro``, which keeps every
+snapshot of a microscopic run for the tests that need a whole run, and
+``replay_blocks``/``limit_errors``, which hand such a run to the per-block
+diagnostics."""
 
 import numpy as np
 
 from kdvlab import micro
 from kdvlab.analysis import solitary_profile
 from kdvlab.grid import Field, integrate, l2_norm, spectral_derivative
-from kdvlab.hydro import extract_hydro
+from kdvlab.hydro import chart_blocks, extract_series, limit_error
 from kdvlab.kdv import bilinear_apply
-from kdvlab.models import chart_extract
+from kdvlab.models import chart_extract, chart_radius
+
+# ---------------------------------------------------------------------------
+# whole microscopic runs
+# ---------------------------------------------------------------------------
+
+
+def record_micro(spec, s0, T, dt=None, n_snapshots=11):
+    """``micro.evolve_micro`` with a consumer that copies every block it is
+    handed: the trajectory gains ``values`` (S, m, N), all snapshots, and
+    ``states``, one MicroState per snapshot viewing its row of ``values``."""
+    blocks = []
+    traj = micro.evolve_micro(spec, s0, T, dt=dt, n_snapshots=n_snapshots,
+                              consume=lambda times, block: blocks.append(block.values.copy()))
+    traj.values = np.concatenate(blocks)
+    traj.states = [micro.MicroState(spec, s0.grid, s0.eps, v, validate=False)
+                   for v in traj.values]
+    return traj
+
+
+def replay_blocks(spec, traj, block_series):
+    """Per-snapshot columns of ``block_series(times, block, h)`` along a
+    recorded run, handed the snapshots in the blocks ``evolve_micro`` hands
+    over (SNAPSHOT_BLOCK at a time, phase branch carried by
+    ``hydro.chart_blocks``)."""
+    cols = {}
+
+    def collect(times, block, h):
+        for name, value in block_series(times, block, h).items():
+            cols.setdefault(name, []).append(value)
+
+    consume = chart_blocks(spec, collect)
+    grid, eps = traj.states[0].grid, traj.meta["eps"]
+    for start in range(0, len(traj), micro.SNAPSHOT_BLOCK):
+        rows = slice(start, start + micro.SNAPSHOT_BLOCK)
+        consume(traj.times[rows], micro.MicroState(spec, grid, eps, traj.values[rows],
+                                                   validate=False))
+    return {name: np.concatenate(v) for name, v in cols.items()}
+
+
+def limit_errors(spec, traj, kdv_traj) -> dict:
+    """``hydro.limit_error`` along a recorded run against a limit run, with
+    the sup in time of each error, of ||W|| and of |eps phi|."""
+    out = replay_blocks(spec, traj, lambda t, block, h: limit_error(spec, t, h, kdv_traj))
+    out.update(
+        sup_err_amplitude=float(np.max(out["err_amplitude"])),
+        sup_err_gradient=float(np.max(out["err_gradient"])),
+        sup_w=float(np.max(out["w_norm"])),
+        max_eps_phi=float(np.max(out["eps_phi_inf"])),
+        chart_radius=chart_radius(spec),
+    )
+    return out
+
 
 # ---------------------------------------------------------------------------
 # linear flow
@@ -127,7 +182,7 @@ def _triplet(spec, traj, idx):
         next(micro._make_stepper(spec, state.grid, state.eps, h, c)(state.values))
         for h in (-traj.dt, traj.dt)
     )
-    cur = extract_hydro(spec, state)
+    cur = extract_series(spec, state)
     ref = cur.phi
     phi_p, n_p, info_p = chart_extract(spec, prev_vals, state.eps, phase_ref=ref)
     phi_n, n_n, info_n = chart_extract(spec, next_vals, state.eps, phase_ref=ref)

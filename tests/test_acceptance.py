@@ -25,11 +25,11 @@ from kdvlab.analysis import (
 )
 from kdvlab.experiments import ExperimentConfig, default_config, run_experiment
 from kdvlab.grid import Field, Grid, l2_norm
-from kdvlab.hydro import almost_hamiltonian, iter_blocks, limit_error
+from kdvlab.hydro import almost_hamiltonian
 from kdvlab.kdv import conserved_quantities, evolve_kdv
-from kdvlab.micro import dt_max, evolve_micro, mass, well_prepared_init
+from kdvlab.micro import dt_max, mass, well_prepared_init
 from kdvlab.models import limit_equation, preset
-from oracles import hydro_residual, soliton_ode_residual
+from oracles import hydro_residual, limit_errors, record_micro, replay_blocks, soliton_ode_residual
 
 TOL = {
     "coeff": 1e-12,
@@ -85,14 +85,14 @@ def _sweep(kind, reference_traj):
         cap = dt_max(spec, eps, grid)
         steps = int(np.ceil(T / (cap / 4.0) / 10.0)) * 10
         s0 = well_prepared_init(spec, geom, A0, eps)
-        traj = evolve_micro(spec, s0, T=T, dt=T / steps, n_snapshots=11)
+        traj = record_micro(spec, s0, T=T, dt=T / steps, n_snapshots=11)
         assert not traj.aborted
-        err = limit_error(spec, traj, reference_traj)
+        err = limit_errors(spec, traj, reference_traj)
         if np.iscomplexobj(s0.values):
             m0 = mass(spec, traj.states[0])
             err["mass_drift"] = max(abs(mass(spec, s) - m0) / m0 for s in traj.states)
-            energies = [almost_hamiltonian(spec, h)[0]
-                        for _, block in iter_blocks(spec, traj) for h in block]
+            energies = replay_blocks(spec, traj,
+                                     lambda t, b, h: {"H": almost_hamiltonian(spec, h)[0]})["H"]
             err["h_drift"] = max(abs(e - energies[0]) for e in energies)
         else:
             err["norm_deviation"] = max(_norm_deviation(s) for s in traj.states)
@@ -142,7 +142,7 @@ def condensate_residuals():
         cap = dt_max(spec, eps, grid)
         steps = int(np.ceil(T / (cap / 8.0) / 10.0)) * 10
         s0 = well_prepared_init(spec, geom, A0, eps)
-        traj = evolve_micro(spec, s0, T=T, dt=T / steps, n_snapshots=11)
+        traj = record_micro(spec, s0, T=T, dt=T / steps, n_snapshots=11)
         assert not traj.aborted
         out[eps] = {
             "full": hydro_residual(spec, traj)["sup_total"],
@@ -319,7 +319,7 @@ def test_criterion_09_structure_preservation(condensate_sweep, spin_sweep):
         s0 = well_prepared_init(spec, geom, Field(grid, np.stack(comps)), 0.2)
         cap = dt_max(spec, 0.2, grid)
         steps = int(np.ceil(0.2 / (cap / 4.0) / 10.0)) * 10
-        traj = evolve_micro(spec, s0, T=0.2, dt=0.2 / steps, n_snapshots=5)
+        traj = record_micro(spec, s0, T=0.2, dt=0.2 / steps, n_snapshots=5)
         if np.iscomplexobj(s0.values):
             m0 = mass(spec, traj.states[0])
             worst_mass = max(

@@ -279,6 +279,52 @@ def test_converge_summary_reports_each_abort(tmp_path, monkeypatch):
     assert partial[0] == "t,w_norm" and len(partial) == 2  # only t = 0 was reached
 
 
+def test_converge_abort_inside_second_block_writes_the_partial_series(tmp_path, monkeypatch):
+    # the eps = 0.1 run fails its pointwise check at snapshot 40, inside its
+    # second block of snapshots: its artifact holds t and w_norm of
+    # snapshots 0-39, the rows a healthy run writes for them
+    import kdvlab.experiments
+    import kdvlab.micro
+
+    real_evolve = kdvlab.experiments.evolve_micro
+    real_check = kdvlab.micro._check_pointwise
+
+    def evolve(spec, s0, *args, **kwargs):
+        calls = []
+
+        def poisoned(spec, vals):
+            calls.append(None)
+            return "poisoned" if len(calls) == 40 else real_check(spec, vals)
+
+        check = poisoned if s0.eps == 0.1 else real_check
+        monkeypatch.setattr(kdvlab.micro, "_check_pointwise", check)
+        return real_evolve(spec, s0, *args, **kwargs)
+
+    base = {
+        "grid": {"n": 64, "length": 8 * np.pi},
+        "time": {"t_final": 0.12, "dt": 1e-3, "snapshots": 61},
+        "eps_list": [0.2, 0.1],
+        "workers": 1,
+    }
+    healthy = dict(base, output_dir=str(tmp_path / "healthy"))
+    assert main(["converge", "--config", _write_config(tmp_path, "h.json", healthy)]) == 0
+    monkeypatch.setattr(kdvlab.experiments, "evolve_micro", evolve)
+    poisoned = dict(base, output_dir=str(tmp_path / "poisoned"))
+    assert main(["converge", "--config", _write_config(tmp_path, "p.json", poisoned)]) == 1
+
+    summary = _summary(tmp_path / "poisoned")
+    micro_steps = summary["timings"]["micro_steps"]["0.1"]
+    assert summary["timings"]["aborts"] == {
+        "0.1": {"abort_reason": "poisoned", "steps_taken": 40 * micro_steps // 60}
+    }
+    partial = (tmp_path / "poisoned" / "converge_eps_0.1.csv").read_text().splitlines()
+    full = (tmp_path / "healthy" / "converge_eps_0.1.csv").read_text().splitlines()
+    assert partial[0] == "t,w_norm" and len(partial) == 1 + 40
+    w_col = full[0].split(",").index("w_norm")
+    rows = [row.split(",") for row in full[1:41]]
+    assert partial[1:] == [f"{row[0]},{row[w_col]}" for row in rows]
+
+
 def test_miura_unequal_moduli_fails_by_design(tmp_path):
     cfg = _write_config(
         tmp_path, "cfg.json",
@@ -290,6 +336,18 @@ def test_miura_unequal_moduli_fails_by_design(tmp_path):
     assert checks["scalar_crosscheck"]["pass"]
     assert not checks["d2_condition"]["pass"]
     assert checks["d2_condition"]["value"] > 1e-3
+
+
+def test_miura_reports_the_steps_it_takes(tmp_path):
+    # t_final below dt: each leg takes one step, not round(0.2) = 0
+    cfg = _write_config(
+        tmp_path, "cfg.json",
+        {"output_dir": str(tmp_path / "out"),
+         "time": {"t_final": 0.01, "dt": 0.05, "snapshots": 2}},
+    )
+    assert main(["miura", "--config", cfg]) == 0
+    timings = _summary(tmp_path / "out")["timings"]
+    assert timings == {"kdv_steps": 1, "mkdv_steps": 1}
 
 
 def test_hyperbolic_breakdown_matches_characteristics(tmp_path):

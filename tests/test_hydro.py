@@ -8,20 +8,20 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from kdvlab.experiments import _micro_series, _micro_steps
-from kdvlab.grid import Field, Grid, Trajectory, l2_norm
+from kdvlab import experiments
+from kdvlab.experiments import _micro_series, _stream_run
+from kdvlab.grid import Field, Grid, l2_norm
 from kdvlab.hydro import (
-    SNAPSHOT_BLOCK,
     HydroState,
     almost_hamiltonian,
+    chart_blocks,
     energy_proxy,
-    extract_hydro,
-    iter_blocks,
+    extract_series,
     limit_error,
     observables,
 )
 from kdvlab.kdv import evolve_kdv
-from kdvlab.micro import MicroState, dt_max, evolve_micro, well_prepared_init
+from kdvlab.micro import SNAPSHOT_BLOCK, MicroState, dt_max, well_prepared_init
 from kdvlab.models import (
     chart_assemble,
     chart_extract,
@@ -30,7 +30,7 @@ from kdvlab.models import (
     normal_coupling,
     preset,
 )
-from oracles import hydro_residual
+from oracles import hydro_residual, limit_errors, record_micro, replay_blocks
 
 TOL = {
     "roundtrip": 1e-12,
@@ -77,7 +77,7 @@ def _prepared(kind, params, grid, eps, amp=0.2):
 def test_extract_reconstruct_roundtrip(kind, params):
     grid = Grid(256, 8 * np.pi)
     _, spec, state = _prepared(kind, params, grid, eps=0.2)
-    h = extract_hydro(spec, state)
+    h = extract_series(spec, state)
     assert h.valid
     back = chart_assemble(spec, h.phi, h.n, h.eps)
     assert np.max(np.abs(back - state.values)) <= TOL["roundtrip"]
@@ -86,7 +86,7 @@ def test_extract_reconstruct_roundtrip(kind, params):
 def test_condensate_ground_state_has_zero_coordinates():
     grid = Grid(64, 2 * np.pi)
     _, spec = preset("GP_SCALAR")
-    h = extract_hydro(spec, MicroState(spec, grid, 0.2, np.ones((1, 64), complex)))
+    h = extract_series(spec, MicroState(spec, grid, 0.2, np.ones((1, 64), complex)))
     assert h.valid
     assert np.max(np.abs(h.phi)) == 0.0
     assert np.max(np.abs(h.n)) == 0.0
@@ -97,7 +97,7 @@ def test_modulated_condensate_coordinates():
     eps, grid = 0.1, Grid(64, 2 * np.pi)
     _, spec = preset("GP_SCALAR")
     u = (1.0 + eps**2 * 0.2) * np.exp(1j * eps * 0.5) * np.ones((1, 64), complex)
-    h = extract_hydro(spec, MicroState(spec, grid, eps, u))
+    h = extract_series(spec, MicroState(spec, grid, eps, u))
     assert np.max(np.abs(h.phi - 0.5)) <= TOL["exact_chart"]
     assert np.max(np.abs(h.n - 0.2)) <= TOL["exact_chart"]
 
@@ -107,7 +107,7 @@ def test_tilted_spin_coordinates():
     grid = Grid(64, 2 * np.pi)
     _, spec = preset("LL_EASY_PLANE")
     gam = np.tile(np.array([[np.cos(0.3)], [np.sin(0.3)], [0.0]]), 64)
-    h = extract_hydro(spec, MicroState(spec, grid, 0.1, gam))
+    h = extract_series(spec, MicroState(spec, grid, 0.1, gam))
     assert np.max(np.abs(h.phi - 3.0)) <= TOL["exact_chart"]
     assert np.max(np.abs(h.n)) <= TOL["exact_chart"]
 
@@ -118,10 +118,10 @@ def test_phase_reference_selects_branch():
     _, spec = preset("GP_SCALAR")
     u = np.exp(1j * eps * 0.5) * np.ones((1, 64), complex)
     s = MicroState(spec, grid, eps, u)
-    principal = extract_hydro(spec, s)
+    principal = extract_series(spec, s)
     assert np.max(np.abs(principal.phi - 0.5)) <= TOL["exact_chart"]
     ref = (0.5 + 2.0 * np.pi / eps) * np.ones((1, 64))
-    shifted = extract_hydro(spec, s, phase_ref=ref)
+    shifted = extract_series(spec, s, phase_ref=ref)
     assert np.max(np.abs(shifted.phi - ref)) <= TOL["exact_chart"]
 
 
@@ -177,7 +177,7 @@ def test_pure_phase_state_observables(kind):
 def test_well_prepared_data_starts_near_the_limit_manifold(kind, params):
     grid = Grid(256, 8 * np.pi)
     _, spec, state = _prepared(kind, params, grid, eps=0.2)
-    h = extract_hydro(spec, state)
+    h = extract_series(spec, state)
     w0 = l2_norm(observables(spec, h).W, grid)
     assert w0 <= TOL["w_prepared"]
 
@@ -203,7 +203,7 @@ def test_energy_matches_w_norm_to_second_order(kind, params):
     geom, _ = preset(kind, params)
     for eps in (0.2, 0.1):
         _, spec, state = _prepared(kind, params, grid, eps)
-        H, w = almost_hamiltonian(spec, extract_hydro(spec, state))
+        H, w = almost_hamiltonian(spec, extract_series(spec, state))
         leading = w**2 / (4.0 * geom.lam)
         assert abs(H - leading) / eps**2 <= TOL["h_identity"]
 
@@ -227,7 +227,7 @@ def test_energy_identity_sharpens_without_curvature_terms(kind):
     grid = Grid(256, 8 * np.pi)
     for eps in (0.2, 0.1, 0.05):
         geom, spec, state = _prepared(kind, None, grid, eps)
-        H, w = almost_hamiltonian(spec, extract_hydro(spec, state))
+        H, w = almost_hamiltonian(spec, extract_series(spec, state))
         assert abs(H - w**2 / (4.0 * geom.lam)) <= TOL["h_zero_tensor"] * eps**4
 
 
@@ -243,7 +243,7 @@ def _residual_run(kind, grid, eps, T, n_snapshots):
     # near the step ceiling the centered time difference cannot resolve the
     # fast oscillation; an eighth of it keeps differencing noise subdominant
     steps = int(np.ceil(T / (cap / 8.0) / 10.0)) * 10
-    traj = evolve_micro(spec, s0, T=T, dt=T / steps, n_snapshots=n_snapshots)
+    traj = record_micro(spec, s0, T=T, dt=T / steps, n_snapshots=n_snapshots)
     assert not traj.aborted
     return spec, traj
 
@@ -278,7 +278,7 @@ def test_ground_state_residual_vanishes():
     grid = Grid(64, 2 * np.pi)
     _, spec = preset("GP_SCALAR")
     s0 = MicroState(spec, grid, 0.2, np.ones((1, 64), complex))
-    traj = evolve_micro(spec, s0, T=0.01, dt=1e-4, n_snapshots=3)
+    traj = record_micro(spec, s0, T=0.01, dt=1e-4, n_snapshots=3)
     res = hydro_residual(spec, traj)
     assert res["sup_total"] <= 1e-14
 
@@ -294,7 +294,7 @@ def test_ground_state_residual_vanishes():
 def test_residual_rejects_unsupported_models(kind, params):
     grid = Grid(64, 2 * np.pi)
     _, spec, state = _prepared(kind, params, grid, eps=0.2)
-    traj = evolve_micro(spec, state, T=0.01, n_snapshots=2)
+    traj = record_micro(spec, state, T=0.01, n_snapshots=2)
     with pytest.raises(ValueError, match="not supported"):
         hydro_residual(spec, traj)
 
@@ -318,11 +318,11 @@ def condensate_sweep():
         cap = dt_max(spec, eps, grid)
         steps = int(np.ceil(T / (cap / 4.0) / 10.0)) * 10
         s0 = well_prepared_init(spec, geom, A0, eps)
-        traj = evolve_micro(spec, s0, T=T, dt=T / steps, n_snapshots=11)
+        traj = record_micro(spec, s0, T=T, dt=T / steps, n_snapshots=11)
         assert not traj.aborted
-        err = limit_error(spec, traj, kdv_traj)
-        energies = [almost_hamiltonian(spec, h)[0]
-                    for _, block in iter_blocks(spec, traj) for h in block]
+        err = limit_errors(spec, traj, kdv_traj)
+        energies = replay_blocks(spec, traj,
+                                 lambda t, b, h: {"H": almost_hamiltonian(spec, h)[0]})["H"]
         err["h_drift"] = max(abs(e - energies[0]) for e in energies)
         out[eps] = err
     return out
@@ -343,7 +343,7 @@ def test_sweep_stays_inside_the_chart(condensate_sweep):
 def test_w_norm_excess_scales_like_eps_fifth(condensate_sweep):
     # sup_t ||W||^2 <= ||W(0)||^2 + C eps^5: the excess ratio under eps -> eps/2
     excess = {
-        eps: float(np.max(err["w_norms"] ** 2) - err["w_norms"][0] ** 2)
+        eps: float(np.max(err["w_norm"] ** 2) - err["w_norm"][0] ** 2)
         for eps, err in condensate_sweep.items()
     }
     assert excess[0.1] <= 0.25 * excess[0.2]
@@ -364,9 +364,9 @@ def test_zero_data_gives_zero_limit_error():
     geom, spec = preset("GP_SCALAR")
     zero = Field(grid, np.zeros((1, 128)))
     s0 = well_prepared_init(spec, geom, zero, 0.2)
-    traj = evolve_micro(spec, s0, T=0.1, dt=1e-4, n_snapshots=3)
+    traj = record_micro(spec, s0, T=0.1, dt=1e-4, n_snapshots=3)
     kdv_traj = evolve_kdv(limit_equation(geom), zero, 0.1, 1e-3, n_snapshots=3)
-    err = limit_error(spec, traj, kdv_traj)
+    err = limit_errors(spec, traj, kdv_traj)
     assert err["sup_err_amplitude"] <= TOL["zero_data"]
     assert err["sup_err_gradient"] <= TOL["zero_data"]
     assert err["sup_w"] <= TOL["zero_data"]
@@ -377,10 +377,10 @@ def test_limit_error_requires_matching_times():
     geom, spec = preset("GP_SCALAR")
     zero = Field(grid, np.zeros((1, 128)))
     s0 = well_prepared_init(spec, geom, zero, 0.2)
-    traj = evolve_micro(spec, s0, T=0.1, dt=1e-4, n_snapshots=3)
+    traj = record_micro(spec, s0, T=0.1, dt=1e-4, n_snapshots=3)
     kdv_traj = evolve_kdv(limit_equation(geom), zero, 0.07, 1e-3, n_snapshots=3)
     with pytest.raises(ValueError, match="time grids"):
-        limit_error(spec, traj, kdv_traj)
+        limit_errors(spec, traj, kdv_traj)
 
 
 def test_proxy_of_flat_state_counts_only_gradients():
@@ -444,23 +444,25 @@ def _per_snapshot_diagnostics(spec, traj):
     return {k: np.array(v) for k, v in out.items()}
 
 
-def _seventy_snapshot_run(kind, params):
-    # 70 snapshots: two full blocks and a partial one
+def _seventy_snapshot_run(kind, params, block_series):
+    # 70 snapshots: two full blocks and a partial one; the run streamed
+    # through block_series, and the same run recorded whole
     grid = Grid(64, 8 * np.pi)
     eps = 0.2
     _, spec, state = _prepared(kind, params, grid, eps, amp=0.4)
     steps = 2 * 69
     T = steps * 0.25 * dt_max(spec, eps, grid)
-    traj = evolve_micro(spec, state, T=T, dt=T / steps, n_snapshots=70)
+    traj, got = _stream_run(spec, state, T, steps, 70, block_series(spec, state))
+    record = record_micro(spec, state, T=T, dt=T / steps, n_snapshots=70)
     assert not traj.aborted
     assert len(traj) == 70 and 2 * SNAPSHOT_BLOCK < 70 < 3 * SNAPSHOT_BLOCK
-    return spec, traj
+    assert traj.times == record.times
+    return spec, got, record
 
 
 @pytest.mark.parametrize("kind,params", PRESETS)
 def test_blocked_diagnostics_match_the_per_snapshot_formulas(kind, params):
-    spec, traj = _seventy_snapshot_run(kind, params)
-    got = _micro_series(spec, traj)
+    spec, got, traj = _seventy_snapshot_run(kind, params, _micro_series)
     want = _per_snapshot_diagnostics(spec, traj)
     assert np.array_equal(got["in_chart"], want["in_chart"]) and want["in_chart"].all()
     for name in ("w_norm", "eps_phi_inf", "energy", "structure_dev"):
@@ -471,19 +473,22 @@ def test_blocked_diagnostics_match_the_per_snapshot_formulas(kind, params):
 @pytest.mark.parametrize("kind,params", PRESETS)
 def test_blocked_limit_error_matches_the_per_snapshot_formulas(kind, params):
     # against a zero reference, err_amplitude is ||A|| and err_gradient ||A + W||
-    spec, traj = _seventy_snapshot_run(kind, params)
+    def against_zero(spec, state):
+        zero = Field(state.grid, np.zeros((spec.dim, state.grid.n_points)))
+        return lambda times, block, h: limit_error(
+            spec, times, h, SimpleNamespace(times=times, states=[zero] * len(times)))
+
+    spec, err, traj = _seventy_snapshot_run(kind, params, against_zero)
     grid, eps = traj.states[0].grid, traj.meta["eps"]
-    zero = Field(grid, np.zeros((spec.dim, grid.n_points)))
-    err = limit_error(spec, traj, SimpleNamespace(times=traj.times, states=[zero] * len(traj)))
     ref = None
     for i, state in enumerate(traj.states):
-        h = extract_hydro(spec, state, phase_ref=ref)
+        h = extract_series(spec, state, phase_ref=ref)
         ref = h.phi
         obs = observables(spec, h)
         want = {
             "err_amplitude": l2_norm(obs.A, grid),
             "err_gradient": l2_norm(obs.A + obs.W, grid),
-            "w_norms": l2_norm(obs.W, grid),
+            "w_norm": l2_norm(obs.W, grid),
             "eps_phi_inf": float(np.max(np.abs(eps * h.phi))),
             "energy_proxy": energy_proxy(spec, h),
         }
@@ -500,12 +505,12 @@ def test_phase_branch_carries_across_block_seams():
     _, spec = preset("GP_SCALAR")
     count = 3 * SNAPSHOT_BLOCK + 5
     vals = np.exp(1j * (0.9 * np.arange(count)[:, None, None] + 0.3 * np.sin(grid.x)))
-    traj = Trajectory()
-    traj.values = vals
-    traj.meta = {"eps": eps}
-    for i, v in enumerate(vals):
-        traj.append(float(i), MicroState(spec, grid, eps, v, validate=False))
-    got = np.concatenate([h.phi for _, h in iter_blocks(spec, traj)])
+    blocks = []
+    consume = chart_blocks(spec, lambda times, block, h: blocks.append(h.phi))
+    for start in range(0, count, SNAPSHOT_BLOCK):
+        rows = slice(start, start + SNAPSHOT_BLOCK)
+        consume(list(range(count))[rows], MicroState(spec, grid, eps, vals[rows], validate=False))
+    got = np.concatenate(blocks)
 
     period = 2.0 * np.pi
     shifts, ref_mean = [], None
@@ -522,22 +527,32 @@ def test_phase_branch_carries_across_block_seams():
     np.testing.assert_allclose(np.diff(np.mean(got * eps, axis=(-2, -1))), 0.9, atol=1e-12)
 
 
-def test_dense_run_diagnostics_stay_within_block_memory():
-    # the benchmark's 2001-snapshot coupled-condensate run: its snapshots live
-    # in one array, and the blocked diagnostics allocate at most 16 MB at peak
-    # (all snapshots in one batch would take about 145 MB)
-    grid = Grid(256, 8 * np.pi)
-    eps, T = 0.2, 0.5
-    _, spec, state = _prepared("GP_COUPLED", None, grid, eps)
-    steps = _micro_steps(spec, eps, grid, T, 2001)
-    traj = evolve_micro(spec, state, T=T, dt=T / steps, n_snapshots=2001)
-    assert len(traj) == 2001 and traj.values.shape == (2001, 2, 256)
-    assert all(np.shares_memory(s.values, traj.values) for s in traj.states)
+def test_dense_micro_experiment_holds_one_block_of_snapshots(tmp_path, monkeypatch):
+    # the benchmark's 2001-snapshot coupled-condensate micro experiment,
+    # stepping and diagnostics: the consumer is never handed more than one
+    # block, and the whole experiment allocates at most 4 MB at peak (keeping
+    # every snapshot took 18 MB)
+    sizes = []
+    real_evolve = experiments.evolve_micro
+
+    def evolve(*args, consume, **kwargs):
+        def counted(times, block):
+            sizes.append(len(block.values))
+            consume(times, block)
+        return real_evolve(*args, consume=counted, **kwargs)
+
+    monkeypatch.setattr(experiments, "evolve_micro", evolve)
+    raw = experiments.default_config("micro")
+    raw.update(preset="gp_coupled", output_dir=str(tmp_path))
+    raw["time"]["snapshots"] = 2001
+    cfg = experiments.ExperimentConfig.from_dict(raw)
     tracemalloc.start()
     try:
-        series = _micro_series(spec, traj)
+        status = experiments.run_experiment(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(series["w_norm"]) == 2001
-    assert peak <= 16 * 2**20
+    assert status == 0
+    assert sum(sizes) == 2001 and max(sizes) == SNAPSHOT_BLOCK
+    assert len((tmp_path / "micro_series.csv").read_text().splitlines()) == 2002
+    assert peak <= 4 * 2**20

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from kdvlab import micro
 from kdvlab.grid import Field, Grid, fourier_shift, integrate
 from kdvlab.micro import (
+    SNAPSHOT_BLOCK,
     MicroState,
     dt_max,
     evolve_micro,
@@ -16,7 +17,7 @@ from kdvlab.micro import (
     well_prepared_init,
 )
 from kdvlab.models import chart_extract, normal_coupling, preset
-from oracles import _potential_density, micro_invariants
+from oracles import _potential_density, micro_invariants, record_micro
 
 TOL = {
     "ground": 1e-14,
@@ -149,7 +150,7 @@ def test_workspace_spin_steps_match_allocating_rk4(kind, params):
     assert np.array_equal(held, kept)
     assert np.max(np.abs(held - ref[1])) <= 1e-12 * scale
 
-    traj = evolve_micro(spec, s0, T=steps * dt, dt=dt, n_snapshots=steps + 1)
+    traj = record_micro(spec, s0, T=steps * dt, dt=dt, n_snapshots=steps + 1)
     assert not traj.aborted and traj.meta["steps"] == steps
     assert np.max(np.abs(traj.values - ref)) <= 1e-12 * scale
 
@@ -250,7 +251,7 @@ def test_gp_linear_mode_frequencies():
     cols0, colst = [], []
     for w0 in (np.cos(grid.x), 1j * np.cos(grid.x)):
         s0 = MicroState(spec, grid, eps, (1.0 + delta * w0)[None, :])
-        traj = evolve_micro(spec, s0, T=t_obs, dt=dt, n_snapshots=2)
+        traj = record_micro(spec, s0, T=t_obs, dt=dt, n_snapshots=2)
         cols0.append(mode_vector(s0.values))
         colst.append(mode_vector(traj.states[-1].values))
     prop = np.column_stack(colst) @ np.linalg.inv(np.column_stack(cols0))
@@ -284,7 +285,7 @@ def test_gp_conservation_over_run():
     s0 = well_prepared_init(spec, geom, Field(grid, _bump(grid)[None, :]), eps)
     m0 = mass(spec, s0)
     e0, p0 = micro_invariants(spec, s0)
-    traj = evolve_micro(spec, s0, T=0.5, n_snapshots=6)
+    traj = record_micro(spec, s0, T=0.5, n_snapshots=6)
     assert not traj.aborted
     for state in traj.states:
         e, p = micro_invariants(spec, state)
@@ -322,7 +323,7 @@ def test_spin_chain_momentum_conserved(kind, params):
     geom, spec = preset(kind, params)
     s0 = well_prepared_init(spec, geom, Field(grid, 0.25 * _bump(grid)[None, :] / 0.3), eps)
     _, p0 = micro_invariants(spec, s0)
-    traj = evolve_micro(spec, s0, T=0.3, n_snapshots=4)
+    traj = record_micro(spec, s0, T=0.3, n_snapshots=4)
     assert not traj.aborted
     for state in traj.states:
         _, p = micro_invariants(spec, state)
@@ -345,7 +346,7 @@ def test_ll_conserved_energy_variant():
         )
 
     e0 = conserved(s0)
-    traj = evolve_micro(spec, s0, T=0.3, n_snapshots=4)
+    traj = record_micro(spec, s0, T=0.3, n_snapshots=4)
     for state in traj.states:
         assert abs(conserved(state) - e0) / abs(e0) <= 1e-10
 
@@ -358,7 +359,7 @@ def test_ll_unit_norm_over_ten_thousand_steps():
     g0 /= np.linalg.norm(g0, axis=0)
     state = MicroState(spec, grid, 0.5, g0)
     dt = 0.999 * dt_max(spec, 0.5, grid)
-    traj = evolve_micro(spec, state, T=10_000 * dt, dt=dt, n_snapshots=3)
+    traj = record_micro(spec, state, T=10_000 * dt, dt=dt, n_snapshots=3)
     assert not traj.aborted
     assert traj.meta["steps"] == 10_000
     for st in traj.states:
@@ -373,7 +374,7 @@ def test_af_conservation_and_stability():
     s0 = well_prepared_init(spec, geom, A0, eps)
     e0, p0 = micro_invariants(spec, s0)
     size0 = np.linalg.norm(s0.values[1:3])
-    traj = evolve_micro(spec, s0, T=0.5, n_snapshots=6)
+    traj = record_micro(spec, s0, T=0.5, n_snapshots=6)
     assert not traj.aborted
     for state in traj.states:
         e, p = micro_invariants(spec, state)
@@ -397,7 +398,7 @@ def test_evolve_rejects_oversized_step():
     _, spec = preset("LL_EASY_PLANE")
     state = MicroState(spec, grid, 0.2, np.tile([[1.0], [0.0], [0.0]], 128))
     with pytest.raises(ValueError, match="dt_max"):
-        evolve_micro(spec, state, T=0.1, dt=10 * dt_max(spec, 0.2, grid))
+        record_micro(spec, state, T=0.1, dt=10 * dt_max(spec, 0.2, grid))
 
 
 def _gp_rest_state(n=64, eps=0.5):
@@ -411,14 +412,14 @@ def test_evolve_enforces_dt_max_on_the_step_taken():
     # 1.45 cap: the step actually taken is what must stay under the cap
     spec, state, cap = _gp_rest_state()
     with pytest.raises(ValueError, match="dt_max"):
-        evolve_micro(spec, state, T=1.45 * cap, dt=cap)
+        record_micro(spec, state, T=1.45 * cap, dt=cap)
 
 
 @pytest.mark.parametrize("dt", [-1e-3, 0.0])
 def test_evolve_rejects_non_positive_dt(dt):
     spec, state, _ = _gp_rest_state()
     with pytest.raises(ValueError, match="positive"):
-        evolve_micro(spec, state, T=0.1, dt=dt)
+        record_micro(spec, state, T=0.1, dt=dt)
 
 
 def test_default_step_stays_under_dt_max():
@@ -426,17 +427,26 @@ def test_default_step_stays_under_dt_max():
     # needs two steps, not the one that rounding T/cap would give
     spec, state, cap = _gp_rest_state()
     assert cap < 0.5**2 / 10.0
-    traj = evolve_micro(spec, state, T=1.45 * cap, n_snapshots=2)
+    traj = record_micro(spec, state, T=1.45 * cap, n_snapshots=2)
     assert traj.meta["steps"] == 2 and traj.dt <= cap
 
 
-def test_evolve_stores_one_row_per_snapshot():
+def test_evolve_streams_blocks_through_one_buffer():
+    # 70 snapshots reach the consumer as blocks of 32, 32 and 6, in order,
+    # each a view of the same block buffer, with the times the run returns
     spec, state, _ = _gp_rest_state()
-    traj = evolve_micro(spec, state, T=0.1, dt=1e-3, n_snapshots=11)
-    assert not traj.aborted and len(traj) == 11
-    stored = traj.values if traj.values.base is None else traj.values.base
-    assert stored.shape == (11, 1, 64)
-    assert all(np.shares_memory(s.values, stored) for s in traj.states)
+    seen = []
+
+    def consume(times, block):
+        seen.append((list(times), block.values, block.values.copy()))
+
+    traj = evolve_micro(spec, state, T=0.069, dt=1e-3, n_snapshots=70, consume=consume)
+    assert not traj.aborted and len(traj) == 70 and traj.states == []
+    assert [len(v) for _, v, _ in seen] == [SNAPSHOT_BLOCK, SNAPSHOT_BLOCK, 6]
+    assert all(np.shares_memory(v, seen[0][1]) for _, v, _ in seen)
+    assert sum((t for t, _, _ in seen), []) == traj.times
+    assert np.array_equal(np.concatenate([c for _, _, c in seen]),
+                          record_micro(spec, state, T=0.069, dt=1e-3, n_snapshots=70).values)
 
 
 def test_split_step_stays_inside_resonance_threshold():
@@ -447,7 +457,7 @@ def test_split_step_stays_inside_resonance_threshold():
     kmax = np.max(np.abs(grid.wavenumbers))
     assert dt_max(spec, eps, grid) * (geom.c * kmax + 0.5 * eps * kmax**2) / eps**2 <= np.pi
     s0 = well_prepared_init(spec, geom, Field(grid, _bump(grid)[None, :]), eps)
-    traj = evolve_micro(spec, s0, T=0.5, n_snapshots=3)
+    traj = record_micro(spec, s0, T=0.5, n_snapshots=3)
     assert not traj.aborted
     mod = np.abs(traj.states[-1].values)
     assert 0.9 <= mod.min() and mod.max() <= 1.1
@@ -464,7 +474,7 @@ def test_split_step_stable_at_dt_max_over_validated_range(kind, params, eps_kmax
     eps = eps_kmax / np.max(np.abs(grid.wavenumbers))
     spec, s0 = _condensate_init(kind, params, grid, eps)
     dt = dt_max(spec, eps, grid)
-    traj = evolve_micro(spec, s0, T=2000 * dt, dt=dt, n_snapshots=11)
+    traj = record_micro(spec, s0, T=2000 * dt, dt=dt, n_snapshots=11)
     assert not traj.aborted and traj.meta["steps_taken"] == 2000
     e0, _ = micro_invariants(spec, s0)
     lo, hi = micro._MODULUS_RANGE
@@ -479,11 +489,33 @@ def test_abort_on_chart_breakdown_returns_partial_run():
     _, spec = preset("GP_SCALAR")
     u0 = 1.45 * np.exp(0.4j * np.sin(grid.x))
     state = MicroState(spec, grid, 0.5, u0[None, :])
-    traj = evolve_micro(spec, state, T=0.5, n_snapshots=21)
+    traj = record_micro(spec, state, T=0.5, n_snapshots=21)
     assert traj.aborted
     assert "modulus" in traj.abort_reason
     assert 0 < len(traj.states) < 21
     assert traj.abort_time is not None and 0 < traj.abort_time < 0.5
+
+
+def test_abort_inside_second_block_hands_over_the_partial_block():
+    # this state first leaves the modulus range on step 150; snapshots every
+    # third step put that check at snapshot 50, inside the second block, so
+    # the consumer gets one full block and snapshots 32-49, then the run stops
+    grid = Grid(128, 2 * np.pi)
+    _, spec = preset("GP_SCALAR")
+    u0 = 1.45 * np.exp(0.4j * np.sin(grid.x))
+    state = MicroState(spec, grid, 0.5, u0[None, :])
+    every = record_micro(spec, state, T=0.5, n_snapshots=869)
+    assert every.meta["snap_every"] == 1 and every.meta["steps_taken"] == 150
+    blocks = []
+    traj = evolve_micro(spec, state, T=0.5, n_snapshots=290,
+                        consume=lambda times, block: blocks.append((times, block.values.copy())))
+    assert traj.aborted and "modulus" in traj.abort_reason
+    assert traj.meta["snap_every"] == 3 and traj.meta["steps_taken"] == 150
+    assert traj.abort_time == 150 * traj.dt
+    assert [len(v) for _, v in blocks] == [SNAPSHOT_BLOCK, 50 - SNAPSHOT_BLOCK]
+    assert traj.times == [3 * k * traj.dt for k in range(50)]
+    assert sum((t for t, _ in blocks), []) == traj.times
+    assert np.array_equal(np.concatenate([v for _, v in blocks]), every.values[0:150:3])
 
 
 def _strang_two_factor(spec, vals, grid, eps, dt, steps):
@@ -506,7 +538,7 @@ def test_split_step_matches_two_factor_strang_step(kind, params):
     grid = Grid(128, 4 * np.pi)
     spec, s0 = _condensate_init(kind, params, grid, eps)
     dt = dt_max(spec, eps, grid)
-    traj = evolve_micro(spec, s0, T=steps * dt, dt=dt, n_snapshots=2)
+    traj = record_micro(spec, s0, T=steps * dt, dt=dt, n_snapshots=2)
     assert not traj.aborted and traj.meta["steps"] == steps
     ref = _strang_two_factor(spec, s0.values, grid, eps, traj.dt, steps)
     got = traj.states[-1].values
@@ -525,7 +557,7 @@ def test_split_step_computes_one_rotation_factor_per_step(monkeypatch):
         return phase_factors(spec, vals)
 
     monkeypatch.setattr(micro, "_phase_factors", counted)
-    traj = evolve_micro(spec, s0, T=0.05, dt=0.05 / 40, n_snapshots=5)
+    traj = record_micro(spec, s0, T=0.05, dt=0.05 / 40, n_snapshots=5)
     assert not traj.aborted and traj.meta["steps"] == 40
     assert len(calls) <= 40 + 1
 
@@ -550,7 +582,7 @@ def test_split_step_aborts_on_the_exact_non_finite_step(monkeypatch, half):
         return g * np.nan if len(calls) == bad_call else g
 
     monkeypatch.setattr(micro, "_phase_factors", poisoned)
-    traj = evolve_micro(spec, s0, T=0.05, dt=0.05 / steps, n_snapshots=2)
+    traj = record_micro(spec, s0, T=0.05, dt=0.05 / steps, n_snapshots=2)
     assert traj.aborted
     assert traj.abort_reason == "non-finite state"
     assert traj.abort_time == pytest.approx(bad_step * 0.05 / steps, rel=1e-12)
@@ -576,7 +608,7 @@ def test_aborted_spin_run_counts_the_stages_it_ran(monkeypatch):
         return out * np.nan if len(calls) == 21 else out
 
     monkeypatch.setattr(micro, "_rhs_raw", poisoned)
-    traj = evolve_micro(spec, state, T=40 * dt, dt=dt, n_snapshots=2)
+    traj = record_micro(spec, state, T=40 * dt, dt=dt, n_snapshots=2)
     assert traj.aborted and traj.abort_reason == "non-finite state"
     assert traj.meta["steps"] == 40
     assert traj.meta["steps_taken"] == 6
@@ -590,7 +622,7 @@ def test_snapshot_neighbors_give_centered_time_derivative():
     grid = Grid(256, 8 * np.pi)
     geom, spec = preset("GP_SCALAR")
     s0 = well_prepared_init(spec, geom, Field(grid, _bump(grid)[None, :]), eps)
-    traj = evolve_micro(spec, s0, T=0.2, n_snapshots=5)
+    traj = record_micro(spec, s0, T=0.2, n_snapshots=5)
     mid = len(traj.states) // 2
     prev, nxt = (next(micro._make_stepper(spec, grid, eps, h, geom.c)(traj.values[mid]))
                  for h in (-traj.dt, traj.dt))
@@ -603,7 +635,7 @@ def test_trajectory_times_and_endpoints():
     grid = Grid(64, 2 * np.pi)
     _, spec = preset("GP_SCALAR")
     state = MicroState(spec, grid, 0.5, np.ones((1, 64), complex))
-    traj = evolve_micro(spec, state, T=0.1, dt=1e-3, n_snapshots=6)
+    traj = record_micro(spec, state, T=0.1, dt=1e-3, n_snapshots=6)
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(0.1, abs=1e-15)
     assert np.max(np.abs(traj.states[-1].values - 1.0)) <= 1e-12
@@ -686,7 +718,7 @@ def test_rescaled_run_matches_lab_frame_run():
     grid = Grid(n, length)
     geom, spec = preset("GP_SCALAR")
     s0 = well_prepared_init(spec, geom, Field(grid, _bump(grid)[None, :]), eps)
-    traj = evolve_micro(spec, s0, T=T, n_snapshots=2)
+    traj = record_micro(spec, s0, T=T, n_snapshots=2)
     u_rescaled = traj.states[-1].values[0]
 
     lab = Grid(n, length / eps)
