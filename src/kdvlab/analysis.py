@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Field, Grid, fourier_shift, l2_norm, pad_to, spectral_derivative, truncate_to
-from .kdv import LimitModel, QTensor, bilinear_apply, evolve_kdv, ifrk4_step, step_plan
+from .grid import Dealias, Field, Grid, fourier_shift, ifrk4_factors, l2_norm, spectral_derivative
+from .kdv import LimitModel, QTensor, _pairing, bilinear_apply, evolve_kdv, ifrk4_step, step_plan
 
 __all__ = [
     "solitary_profile",
@@ -245,12 +245,15 @@ def _mkdv_nonlinear(Q: QTensor, grid: Grid):
     n = grid.n_points
     d = Q.dim
     ik = grid.rsymbol(1)
+    ws = Dealias(n, 2, 2 * d)
+    pair, q = _pairing(Q.coeffs)
+    rows, dx_rows, scale = ws.low[:d], ws.low[d:], ws.fold(-2.0 / 3.0 * q * q, 3)
 
     def rhs(w):
-        p = pad_to(np.concatenate([w, ik * w]), n, 2 * n)
-        inner = np.einsum("ijk,im,jm->km", Q.coeffs, p[:d], p[d:])
-        outer = np.einsum("ijk,im,jm->km", Q.coeffs, p[:d], inner)
-        return -(2.0 / 3.0) * truncate_to(outer, n)
+        np.multiply(w, ws.split, out=rows)
+        np.multiply(w, ik, out=dx_rows)  # ik is zero at the Nyquist mode
+        p = ws.samples()
+        return scale * ws.coeffs(pair(p[:d], pair(p[:d], p[d:])))
 
     return rhs
 
@@ -283,13 +286,12 @@ def miura_crosscheck(Q: QTensor, v0: Field, T: float, dt: float, n_snapshots: in
 
     # the mKdV leg carries rfft coefficients: 8 transforms per step
     grid = v0.grid
-    e_half = np.exp(grid.rsymbol(3) * (dt / 2.0))
-    e_full = e_half * e_half
+    factors = ifrk4_factors(grid.rsymbol(3), dt)
     nonlin = _mkdv_nonlinear(Q, grid)
     w = np.fft.rfft(v0.components, axis=-1)
     worst = discrepancy(v0, 0.0)
     for step in range(1, steps + 1):
-        w = ifrk4_step(w, e_half, nonlin, dt, e_full)
+        w = ifrk4_step(w, nonlin, factors)
         if step % snap_every == 0 or step == steps:
             v = Field(grid, np.fft.irfft(w, grid.n_points, axis=-1), validate=False)
             worst = max(worst, discrepancy(v, step * dt))

@@ -31,7 +31,7 @@ from .analysis import (
 from .grid import Field, Grid, l2_norm
 from .hydro import almost_hamiltonian, chart_blocks, limit_error
 from .kdv import LimitModel, blowup_monitor, conserved_quantities, evolve_kdv, step_plan
-from .micro import dt_max, evolve_micro, mass, well_prepared_init
+from .micro import SPLIT_STEP_RANGE, dt_max, evolve_micro, mass, well_prepared_init
 from .models import chart_radius, limit_equation, preset
 
 __all__ = [
@@ -190,7 +190,7 @@ class ExperimentConfig:
             _require(_is_number(value), f"params.{name}", f"must be a number, got {value!r}")
         try:
             params = {k: float(v) for k, v in params.items()}
-            preset(_PRESET_NAMES[preset_name], params)
+            _, spec = preset(_PRESET_NAMES[preset_name], params)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"params: {exc}") from None
 
@@ -240,6 +240,11 @@ class ExperimentConfig:
                      f"t_final/dt = {steps} steps must be a multiple of "
                      f"snapshots-1 = {snapshots - 1} so snapshot times match "
                      "between the limit run and the microscopic runs")
+        if spec.is_complex and experiment in ("micro", "converge"):
+            (lo, hi), kmax = SPLIT_STEP_RANGE, np.pi * n / length
+            for e in [eps] if experiment == "micro" else eps_list:
+                _require(lo <= e * kmax <= hi, "eps" if experiment == "micro" else "eps_list",
+                         f"eps*kmax = {e * kmax:.3g} is outside the validated condensate range [{lo}, {hi}]")
 
         output_dir = raw.get("output_dir")
         _require(isinstance(output_dir, str) and output_dir, "output_dir",

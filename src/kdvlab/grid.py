@@ -15,11 +15,11 @@ __all__ = [
     "Trajectory",
     "spectral_derivative",
     "rk4_step",
+    "ifrk4_factors",
     "ifrk4_step",
     "integrate",
     "l2_norm",
-    "pad_to",
-    "truncate_to",
+    "Dealias",
     "fourier_shift",
 ]
 
@@ -221,24 +221,32 @@ def rk4_step(state, rhs, dt: float, stages=None):
     return out
 
 
-def ifrk4_step(v_hat, e_half, nonlinear, dt: float, e_full):
+def ifrk4_factors(symbol, dt: float):
+    """The per-run factors of :func:`ifrk4_step` for the diagonal linear part
+    L = symbol: dt, exp(L dt/2), exp(L dt), and the coefficients (dt/6)
+    exp(L dt), (dt/3), (dt/2) and dt times exp(L dt/2)."""
+    e_half = np.exp(symbol * (dt / 2.0))
+    e_full = e_half * e_half
+    return dt, e_half, e_full, (dt / 6.0) * e_full, (dt / 3.0) * e_half, (dt / 2.0) * e_half, dt * e_half
+
+
+def ifrk4_step(v_hat, nonlinear, factors):
     """Integrating-factor RK4 on Fourier coefficients; returns the new ones.
 
     Integrates d/dt v = L v + N(v) for coefficients v (the rfft half spectrum
-    in this package), where L is diagonal and given through the factors
-    e_half = exp(L*dt/2) and e_full = e_half**2, which the caller builds once
-    per run; ``nonlinear`` maps coefficients to coefficients.  The scheme is
-    classical RK4 applied to w = exp(-L t) v, so the stiff linear part
-    contributes no stability restriction.
+    in this package), where L is diagonal and enters through the ``factors``
+    of :func:`ifrk4_factors`; ``nonlinear`` maps coefficients to
+    coefficients.  The scheme is classical RK4 applied to w = exp(-L t) v, so
+    the stiff linear part contributes no stability restriction.
     """
-    half_dt = 0.5 * dt
+    dt, e_half, e_full, c_n1, c_n23, c_half, c_full = factors
     n1 = nonlinear(v_hat)
-    n2 = nonlinear(e_half * (v_hat + half_dt * n1))
-    n3 = nonlinear(e_half * v_hat + half_dt * n2)
-    n4 = nonlinear(e_full * v_hat + dt * e_half * n3)
-    out = e_full * (v_hat + (dt / 6.0) * n1) + (dt / 6.0) * (
-        2.0 * e_half * (n2 + n3) + n4
-    )
+    ev = e_half * v_hat  # shared by stages 2 and 3
+    n2 = nonlinear(c_half * n1 + ev)
+    n3 = nonlinear((0.5 * dt) * n2 + ev)
+    ev = e_full * v_hat
+    n4 = nonlinear(c_full * n3 + ev)
+    out = c_n1 * n1 + ev + c_n23 * (n2 + n3) + (dt / 6.0) * n4
     if not np.isfinite(out).all():
         raise FloatingPointError("ifrk4_step: non-finite state produced")
     return out
@@ -259,39 +267,35 @@ def l2_norm(values, grid: Grid):
     return np.sqrt(np.sum(np.abs(v) ** 2, axis=axes) * grid.spacing)
 
 
-def pad_to(coeffs, n: int, m: int):
-    """Samples on m >= n points of the trigonometric polynomial whose rfft
-    coefficients on n points are ``coeffs`` (last axis), from one irfft.
+class Dealias:
+    """Workspace of one run's dealiased products of fields with rfft
+    coefficients on n points, multiplied on m >= n*factor points.  Callers
+    write coefficients times ``split`` (halving the Nyquist mode of even n
+    between +k and -k) into ``low``, the head of a zero-tailed padded half
+    spectrum; :meth:`samples` is one irfft of it, :meth:`coeffs` one rfft
+    back.  The m/n scalings and the factor 2 of the recombined Nyquist mode
+    go into the caller's symbol through :meth:`fold`, once per run."""
 
-    Zero-pads the spectrum; exact for band-limited data.  Used for dealiased
-    products (pad, multiply pointwise, truncate back).
-    """
-    half = n // 2
-    spec = np.zeros(coeffs.shape[:-1] + (m // 2 + 1,), dtype=np.complex128)
-    if n % 2 == 0 and m > n:
-        # split the Nyquist coefficient between +k and -k on the finer grid
-        spec[..., :half] = coeffs[..., :half]
-        spec[..., half] = 0.5 * coeffs[..., half]
-    else:
-        spec[..., : half + 1] = coeffs
-    return np.fft.irfft(spec, m, axis=-1) * (m / n)
+    def __init__(self, n: int, factor: float, rows: int):
+        m = int(np.ceil(n * factor))
+        self.n, self.m = n, m + m % 2  # the smallest even size; factor 3/2 is the 2/3 rule
+        self.buffer = np.zeros((rows, self.m // 2 + 1), np.complex128)
+        self.low = self.buffer[:, : n // 2 + 1]
+        self.split = np.where(2 * np.arange(n // 2 + 1) == n, 0.5, 1.0)
 
+    def samples(self) -> np.ndarray:
+        return np.fft.irfft(self.buffer, self.m, axis=-1)
 
-def truncate_to(samples, n: int):
-    """Inverse of pad_to: the rfft coefficients on n points of the n-mode
-    projection of real samples on m >= n points, from one rfft."""
-    m = samples.shape[-1]
-    coeffs = np.fft.rfft(samples, axis=-1)[..., : n // 2 + 1] * (n / m)
-    if n % 2 == 0 and m > n:
-        # recombine the two halves of the split Nyquist mode
-        coeffs[..., n // 2] = 2.0 * coeffs[..., n // 2].real
-    return coeffs
+    def coeffs(self, samples) -> np.ndarray:
+        out = np.fft.rfft(samples, axis=-1)[..., : self.n // 2 + 1]
+        if self.n % 2 == 0:
+            out.imag[..., self.n // 2] = 0.0
+        return out
 
-
-def _pad_size(n: int, factor: float) -> int:
-    """Smallest even grid size >= n*factor (factor 3/2 is the 2/3 rule)."""
-    m = int(np.ceil(n * factor))
-    return m + (m % 2)
+    def fold(self, symbol, factors: int) -> np.ndarray:
+        """``symbol`` times the scale of a product of ``factors`` padded
+        fields, with the Nyquist recombination."""
+        return symbol * ((self.m / self.n) ** (factors - 1) / self.split)
 
 
 def fourier_shift(comps, grid: Grid, delta: float):

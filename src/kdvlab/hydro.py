@@ -125,24 +125,29 @@ def almost_hamiltonian(spec, h: HydroState):
     C = normal_coupling(spec)
     n = h.n
     grid = h.grid
-    dn = grid.diff(n)
+    density = g.lam * np.sum(np.square(n), axis=-2)
+    tmp = grid.diff(n)  # one scratch array and in-place updates keep the block working set small
+    density += 0.25 * eps**4 * np.sum(np.square(tmp, out=tmp), axis=-2)
+    f1_nu = -np.einsum("ijm,mk->ijk", g.f1, C)
+    density += (eps**2 / 3.0) * np.einsum("ijk,...iN,...jN,...kN->...N", f1_nu, n, n, n)
     X = _tangent_gradient(spec, h)
     Cn = C.T @ n
     corr = np.einsum("ijm,...iN,...mN->...jN", g.ii_perp, X, Cn)
-    s0x = X + eps**2 * corr
-    f1_nu = -np.einsum("ijm,mk->ijk", g.f1, C)
-    cubic = np.einsum("ijk,...iN,...jN,...kN->...N", f1_nu, n, n, n)
-    half = X + 0.5 * eps**2 * corr
-    cross_vec = g.c * half + np.einsum("ij,...jN->...iN", g.i0b0, half)
-    density = (
-        g.lam * np.sum(n**2, axis=-2)
-        + 0.25 * eps**4 * np.sum(dn**2, axis=-2)
-        + (eps**2 / 3.0) * cubic
-        + 0.25 * np.sum(s0x**2, axis=-2)
-        + np.sum(cross_vec * Cn, axis=-2)
-    )
-    W = g.c * X + np.einsum("ij,...jN->...iN", g.i0b0, X) + 2.0 * g.lam * Cn
-    return integrate(density, grid), l2_norm(W, grid)
+    corr *= eps**2
+    density += 0.25 * np.sum(np.square(np.add(X, corr, out=tmp), out=tmp), axis=-2)
+    corr *= 0.5
+    corr += X  # X + (eps^2/2) II(X, n)
+    np.einsum("ij,...jN->...iN", g.i0b0, corr, out=tmp)
+    corr *= g.c
+    corr += tmp
+    corr *= Cn
+    density += np.sum(corr, axis=-2)
+    np.einsum("ij,...jN->...iN", g.i0b0, X, out=tmp)
+    X *= g.c  # X becomes W
+    X += tmp
+    Cn *= 2.0 * g.lam
+    X += Cn
+    return integrate(density, grid), l2_norm(X, grid)
 
 
 def energy_proxy(spec, h: HydroState, s: int = 2):

@@ -16,15 +16,14 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import (
+    Dealias,
     Field,
     Grid,
     Trajectory,
-    _pad_size,
+    ifrk4_factors,
     ifrk4_step,
     l2_norm,
-    pad_to,
     spectral_derivative,
-    truncate_to,
 )
 
 __all__ = [
@@ -82,15 +81,24 @@ class QTensor:
         return f"QTensor(dim={self.dim}, max|c|={self.norm():.3g})"
 
 
+def _pairing(tensor: np.ndarray):
+    """(a, b) -> sum_ij T[i,j,k] a_i b_j on samples (d, M), and a scalar for the
+    caller's symbol: a scalar T pairs by one product and is that scalar."""
+    if tensor.shape == (1, 1, 1):
+        return np.multiply, float(tensor[0, 0, 0])
+    return lambda a, b: np.einsum("ijk,im,jm->km", tensor, a, b), 1.0
+
+
 def bilinear_apply(tensor: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Dealiased bilinear map of real samples: out_k(x) = sum_ij T[i,j,k] a_i(x) b_j(x)
     (3/2-rule padding)."""
-    n = a.shape[-1]
-    m = _pad_size(n, 1.5)
-    ap = pad_to(np.fft.rfft(a, axis=-1), n, m)
-    bp = pad_to(np.fft.rfft(b, axis=-1), n, m)
-    prod = np.einsum("ijk,im,jm->km", tensor, ap, bp)
-    return np.fft.irfft(truncate_to(prod, n), n, axis=-1)
+    n, d = a.shape[-1], len(a)
+    ws = Dealias(n, 1.5, d + len(b))
+    np.multiply(np.fft.rfft(a, axis=-1), ws.split, out=ws.low[:d])
+    np.multiply(np.fft.rfft(b, axis=-1), ws.split, out=ws.low[d:])
+    p = ws.samples()
+    pair, scale = _pairing(tensor)
+    return np.fft.irfft(ws.fold(scale, 2) * ws.coeffs(pair(p[:d], p[d:])), n, axis=-1)
 
 
 class LimitModel:
@@ -218,9 +226,9 @@ def _linear_symbol(model: LimitModel, grid: Grid) -> np.ndarray:
 
 def _nonlinear_rhs(model: LimitModel, grid: Grid):
     """The nonlinear part as a map of rfft coefficients to rfft coefficients;
-    each call pads once (one irfft) and truncates once (one rfft)."""
+    each call pads once (one irfft) and truncates once (one rfft) in a
+    :class:`Dealias` workspace kept for the run."""
     n = grid.n_points
-    m = _pad_size(n, 1.5)
     ik = grid.rsymbol(1)
     if model.form == "canonical":
         Q = model.canonical_q
@@ -228,11 +236,14 @@ def _nonlinear_rhs(model: LimitModel, grid: Grid):
             raise ValueError("cannot evolve: model has no canonical form")
         if Q.is_zero:
             return np.zeros_like
-        minus_ik = -ik
+        ws = Dealias(n, 1.5, model.dim)
+        pair, scale = _pairing(Q.coeffs)
+        minus_ik = ws.fold(-scale * ik, 2)
 
         def nonlin(v):
-            up = pad_to(v, n, m)
-            return minus_ik * truncate_to(np.einsum("ijk,im,jm->km", Q.coeffs, up, up), n)
+            np.multiply(v, ws.split, out=ws.low)
+            up = ws.samples()
+            return minus_ik * ws.coeffs(pair(up, up))
 
         return nonlin
 
@@ -241,10 +252,15 @@ def _nonlinear_rhs(model: LimitModel, grid: Grid):
         return np.zeros_like
     c = model.scale.get("sound_speed", model.scale["time_factor"] / 8.0)
     d = model.dim
+    ws = Dealias(n, 1.5, 2 * d)
+    pair, g = _pairing(tensor)
+    dx_rows, rows, scale = ws.low[:d], ws.low[d:], ws.fold(g / (2.0 * c), 2)
 
     def nonlin_raw(v):
-        p = pad_to(np.concatenate([ik * v, v]), n, m)
-        return truncate_to(np.einsum("ijk,im,jm->km", tensor, p[:d], p[d:]), n) / (2.0 * c)
+        np.multiply(v, ik, out=dx_rows)  # ik is zero at the Nyquist mode
+        np.multiply(v, ws.split, out=rows)
+        p = ws.samples()
+        return scale * ws.coeffs(pair(p[:d], p[d:]))
 
     return nonlin_raw
 
@@ -281,8 +297,7 @@ def evolve_kdv(
     steps, dt = step_plan(T, dt)
     grid = u0.grid
     n = grid.n_points
-    e_half = np.exp(_linear_symbol(model, grid) * (dt / 2.0))
-    e_full = e_half * e_half
+    factors = ifrk4_factors(_linear_symbol(model, grid), dt)
     nonlin = _nonlinear_rhs(model, grid)
     ik = grid.rsymbol(1)
 
@@ -307,7 +322,7 @@ def evolve_kdv(
     for step in range(1, steps + 1):
         t = step * dt
         try:
-            v = ifrk4_step(v, e_half, nonlin, dt, e_full)
+            v = ifrk4_step(v, nonlin, factors)
         except FloatingPointError:
             traj.aborted = True
             traj.abort_reason = "non-finite state"
@@ -350,10 +365,11 @@ def conserved_quantities(model: LimitModel, u: Field):
     h = 0.5 * l2_norm(du.components, grid) ** 2
     Q = model.canonical_q
     if not Q.is_zero:
-        m2 = 2 * grid.n_points
-        up = pad_to(np.fft.rfft(u.components, axis=-1), grid.n_points, m2)
+        ws = Dealias(grid.n_points, 2, model.dim)
+        np.multiply(np.fft.rfft(u.components, axis=-1), ws.split, out=ws.low)
+        up = ws.samples()
         cubic = np.einsum("ijk,im,jm,km->m", Q.coeffs, up, up, up)
-        h += float(np.sum(cubic)) * (grid.length / m2) / 3.0
+        h += float(np.sum(cubic)) * 8.0 * (grid.length / ws.m) / 3.0  # 8 = (m/n)**3
     mass = l2_norm(u.components, grid) ** 2
     momentum = np.sum(u.components, axis=-1) * grid.spacing
     return float(h), float(mass), momentum

@@ -32,6 +32,7 @@ _GP_KINDS = ("GP_SCALAR", "GP_COUPLED")
 _MODULUS_RANGE = (0.5, 1.5)
 _NORM_TOL = 1e-10
 _ROLL = np.array([0, 1, 2, 0, 1])  # a (B, 5, N) cross-product buffer holds rows [x, y, z, x, y]
+SPLIT_STEP_RANGE = (0.4, 12.8)  # eps*kmax over which the condensate dt_max was measured
 
 # Snapshots per block that evolve_micro hands to its consumer: the run
 # diagnostics pay the numpy call overhead once per block, and a run holds one
@@ -187,8 +188,9 @@ def dt_max(spec: MicroModelSpec, eps: float, grid: Grid) -> float:
     eps*kmax >~ 4), and the frame transport phase c*kmax*dt/eps^2, whose
     measured threshold is near 1 radian (binding for smaller eps*kmax).  The
     cap keeps the former at 0.8*pi and the latter at 0.7, margins >= 25%
-    against the measured boundary over eps*kmax in [1.6, 12.8].  The RK4 spin
-    path must resolve the fastest linear wave, whose frequency is bounded by
+    against the measured boundary over eps*kmax in SPLIT_STEP_RANGE = [0.4,
+    12.8] (at 0.2 the split step aborts).  The RK4 spin path must resolve
+    the fastest linear wave, whose frequency is bounded by
     (c+sqrt(lam))*k/eps^2 + k^2/(2 eps) over grid wavenumbers; the workspace
     right-hand side (pre-scaled symbols, one rfft/irfft pair per stage)
     leaves this bound unchanged.

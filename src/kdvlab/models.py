@@ -345,7 +345,7 @@ def _unwrap_periodic(raw: np.ndarray):
 
 
 def _apply_phase_ref(eps_phi: np.ndarray, phase_ref, eps: float, period: float):
-    """Shift eps*phi, of one state (d, N) or of a run of snapshots (S, d, N),
+    """Shift eps*phi in place, of one state (d, N) or of snapshots (S, d, N),
     by whole periods so that the phase stays continuous along the run.
 
     Each snapshot's component means are brought closest to those of the
@@ -362,7 +362,8 @@ def _apply_phase_ref(eps_phi: np.ndarray, phase_ref, eps: float, period: float):
         ref = np.asarray(phase_ref, dtype=float) * eps
         turns[0] = np.rint((np.mean(np.atleast_2d(ref), axis=-1) - means[0]) / period)
     shift = period * np.cumsum(turns, axis=0)
-    return eps_phi + shift.reshape(eps_phi.shape[:-1] + (1,))
+    eps_phi += shift.reshape(eps_phi.shape[:-1] + (1,))
+    return eps_phi
 
 
 def chart_assemble(spec: MicroModelSpec, phi: np.ndarray, n: np.ndarray, eps: float) -> np.ndarray:
@@ -406,7 +407,10 @@ def chart_extract(spec: MicroModelSpec, state: np.ndarray, eps: float, phase_ref
         eps_phi, winding = _unwrap_periodic(np.angle(state))
         eps_phi = _apply_phase_ref(eps_phi, phase_ref, eps, 2.0 * np.pi)
         in_chart = np.all((r >= 0.5) & (r <= 1.5), axis=(-2, -1)) & np.all(winding == 0, axis=-1)
-        return eps_phi / eps, (r - 1.0) / eps**2, {"in_chart": in_chart, "winding": winding}
+        r -= 1.0  # in place: r becomes n, eps_phi becomes phi
+        r /= eps**2
+        eps_phi /= eps
+        return eps_phi, r, {"in_chart": in_chart, "winding": winding}
     if kind == "LL_EASY_PLANE":
         tilt = np.arcsin(np.clip(state[..., 2, :], -1.0, 1.0))
         eps_phi, winding = _unwrap_periodic(np.arctan2(state[..., 1, :], state[..., 0, :]))

@@ -1,7 +1,8 @@
 """Independent oracles the program is tested against: the exact flow of a
-Fourier-diagonal linear equation, the microscopic energy and momentum, the
-residuals of the truncated first-order chart system along a run, and the
-solitary-wave ODE residual; plus ``record_micro``, which keeps every
+Fourier-diagonal linear equation, the dealiased products and the IF-RK4
+step written out plainly (pad, multiply, truncate), the microscopic energy
+and momentum, the residuals of the truncated first-order chart system along
+a run, and the solitary-wave ODE residual; plus ``record_micro``, which keeps every
 snapshot of a microscopic run for the tests that need a whole run, and
 ``replay_blocks``/``limit_errors``, which hand such a run to the per-block
 diagnostics."""
@@ -87,6 +88,90 @@ def advance_linear(f: Field, symbol, dt: float) -> Field:
         raise OverflowError("advance_linear: exp(symbol*dt) overflowed")
     out = np.fft.ifft(factor * np.fft.fft(f.components, axis=-1), axis=-1)
     return Field(f.grid, out.real if f.is_real else out, validate=False)
+
+
+# ---------------------------------------------------------------------------
+# dealiased products and the IF-RK4 step, written out plainly
+# ---------------------------------------------------------------------------
+
+
+def pad_to(coeffs, n: int, m: int):
+    """Samples on m >= n points of the trigonometric polynomial whose rfft
+    coefficients on n points are ``coeffs`` (last axis), from one irfft.
+
+    Zero-pads the spectrum; exact for band-limited data.
+    """
+    half = n // 2
+    spec = np.zeros(coeffs.shape[:-1] + (m // 2 + 1,), dtype=np.complex128)
+    if n % 2 == 0 and m > n:
+        # split the Nyquist coefficient between +k and -k on the finer grid
+        spec[..., :half] = coeffs[..., :half]
+        spec[..., half] = 0.5 * coeffs[..., half]
+    else:
+        spec[..., : half + 1] = coeffs
+    return np.fft.irfft(spec, m, axis=-1) * (m / n)
+
+
+def truncate_to(samples, n: int):
+    """Inverse of pad_to: the rfft coefficients on n points of the n-mode
+    projection of real samples on m >= n points, from one rfft."""
+    m = samples.shape[-1]
+    coeffs = np.fft.rfft(samples, axis=-1)[..., : n // 2 + 1] * (n / m)
+    if n % 2 == 0 and m > n:
+        # recombine the two halves of the split Nyquist mode
+        coeffs[..., n // 2] = 2.0 * coeffs[..., n // 2].real
+    return coeffs
+
+
+def pad_size(n: int) -> int:
+    """The 3/2-rule grid: the smallest even size >= 3n/2."""
+    m = -(-3 * n // 2)
+    return m + m % 2
+
+
+def canonical_nonlinear(Q, grid):
+    """-dx Q(u, u) on rfft coefficients, padded by the 3/2 rule."""
+    n, m = grid.n_points, pad_size(grid.n_points)
+
+    def nonlin(v):
+        up = pad_to(v, n, m)
+        return -grid.rsymbol(1) * truncate_to(np.einsum("ijk,im,jm->km", Q.coeffs, up, up), n)
+
+    return nonlin
+
+
+def raw_nonlinear(tensor, c, grid):
+    """G(dx A, A) / (2c) on rfft coefficients, padded by the 3/2 rule."""
+    n, m, d = grid.n_points, pad_size(grid.n_points), len(tensor)
+
+    def nonlin(v):
+        p = pad_to(np.concatenate([grid.rsymbol(1) * v, v]), n, m)
+        return truncate_to(np.einsum("ijk,im,jm->km", tensor, p[:d], p[d:]), n) / (2.0 * c)
+
+    return nonlin
+
+
+def mkdv_nonlinear(Q, grid):
+    """-(2/3) Q(v, Q(v, dx v)) on rfft coefficients, padded to twice the grid."""
+    n, d = grid.n_points, Q.dim
+
+    def nonlin(w):
+        p = pad_to(np.concatenate([w, grid.rsymbol(1) * w]), n, 2 * n)
+        inner = np.einsum("ijk,im,jm->km", Q.coeffs, p[:d], p[d:])
+        return -(2.0 / 3.0) * truncate_to(np.einsum("ijk,im,jm->km", Q.coeffs, p[:d], inner), n)
+
+    return nonlin
+
+
+def ifrk4_step(v_hat, e_half, nonlinear, dt: float, e_full):
+    """Integrating-factor RK4 for d/dt v = L v + N(v), with e_half =
+    exp(L dt/2) and e_full = exp(L dt): classical RK4 on w = exp(-L t) v."""
+    half_dt = 0.5 * dt
+    n1 = nonlinear(v_hat)
+    n2 = nonlinear(e_half * (v_hat + half_dt * n1))
+    n3 = nonlinear(e_half * v_hat + half_dt * n2)
+    n4 = nonlinear(e_full * v_hat + dt * e_half * n3)
+    return e_full * (v_hat + (dt / 6.0) * n1) + (dt / 6.0) * (2.0 * e_half * (n2 + n3) + n4)
 
 
 # ---------------------------------------------------------------------------

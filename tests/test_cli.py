@@ -102,6 +102,25 @@ def test_eps_list_must_strictly_decrease():
         ExperimentConfig.from_dict(cfg)
 
 
+@pytest.mark.parametrize("experiment,eps", [
+    ("micro", 0.2 / 32),  # eps*kmax = 0.2 on the default grid (kmax = 32): the split step aborts
+    ("micro", 0.5),  # eps*kmax = 16
+    ("converge", [0.2, 0.1, 0.2 / 32]),
+])
+def test_condensate_eps_kmax_outside_validated_range_is_rejected(tmp_path, experiment, eps):
+    cfg = default_config(experiment)
+    cfg["eps" if experiment == "micro" else "eps_list"] = eps
+    with pytest.raises(ConfigError, match="eps.*kmax"):
+        ExperimentConfig.from_dict(cfg)
+    cfg["output_dir"] = str(tmp_path / "out")
+    assert main([experiment, "--config", _write_config(tmp_path, "c.json", cfg)]) == 2
+
+
+def test_condensate_eps_kmax_range_is_closed():
+    for eps in (0.4 / 32, 12.8 / 32):
+        ExperimentConfig.from_dict(dict(default_config("micro"), eps=eps))
+
+
 def test_converge_snapshot_cadence_must_divide_steps():
     cfg = default_config("converge")
     cfg["time"] = {"t_final": 0.5, "dt": 1e-3, "snapshots": 8}  # 500 % 7 != 0

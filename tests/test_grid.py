@@ -5,21 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kdvlab.analysis import _mkdv_nonlinear
 from kdvlab.grid import (
+    Dealias,
     Field,
     Grid,
     _hs_norms,
     fourier_shift,
+    ifrk4_factors,
     ifrk4_step,
     integrate,
     l2_norm,
-    pad_to,
     rk4_step,
     spectral_derivative,
+)
+from kdvlab.kdv import LimitModel, QTensor, _linear_symbol, _nonlinear_rhs, _pairing, bilinear_apply
+from oracles import (
+    advance_linear,
+    canonical_nonlinear,
+    mkdv_nonlinear,
+    pad_to,
+    raw_nonlinear,
     truncate_to,
 )
-from kdvlab.kdv import bilinear_apply
-from oracles import advance_linear
+from oracles import ifrk4_step as oracle_ifrk4_step
 
 
 @pytest.fixture
@@ -211,8 +220,8 @@ def test_rk4_rejects_nan(grid):
 
 def test_ifrk4_linear_only_matches_advance(grid):
     f = Field(grid, np.sin(grid.x) + 0.2 * np.cos(3 * grid.x))
-    e_half = np.exp(grid.rsymbol(3) * 0.025)
-    stepped = ifrk4_step(np.fft.rfft(f.components), e_half, np.zeros_like, 0.05, e_half**2)
+    factors = ifrk4_factors(grid.rsymbol(3), 0.05)
+    stepped = ifrk4_step(np.fft.rfft(f.components), np.zeros_like, factors)
     exact = advance_linear(f, grid.symbol(3), 0.05)
     assert np.max(np.abs(np.fft.irfft(stepped, grid.n_points) - exact.components)) < 1e-12
 
@@ -229,10 +238,10 @@ def test_ifrk4_order(grid):
     f = np.fft.rfft(0.5 * np.sin(grid.x))[None]
 
     def solve(dt, steps):
-        e_half = np.exp(grid.rsymbol(3) * (dt / 2.0))
+        factors = ifrk4_factors(grid.rsymbol(3), dt)
         v = f
         for _ in range(steps):
-            v = ifrk4_step(v, e_half, nonlin, dt, e_half**2)
+            v = ifrk4_step(v, nonlin, factors)
         return np.fft.irfft(v, n)
 
     ref = solve(1e-4, 400)
@@ -251,6 +260,68 @@ def test_pad_truncate_roundtrip(grid):
     f = rng.normal(size=(2, grid.n_points))
     back = truncate_to(pad_to(np.fft.rfft(f), grid.n_points, 96), grid.n_points)
     assert np.max(np.abs(np.fft.irfft(back, grid.n_points) - f)) < 1e-12
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), half_n=st.integers(4, 40), dim=st.integers(1, 3))
+def test_dealias_product_matches_pad_truncate_property(parity, seed, half_n, dim):
+    # the workspace's product, with its scalings folded into the output
+    # symbol, against pad -> pointwise product -> truncate; random real
+    # samples populate every mode, the Nyquist mode of even n included
+    n = 2 * half_n + parity
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(2, dim, n))
+    a_hat, b_hat = np.fft.rfft(a), np.fft.rfft(b)
+    if parity == 0:
+        assert np.min(np.abs(a_hat[:, n // 2])) > 0.0
+    tensor = rng.normal(size=(dim, dim, dim))
+    ws = Dealias(n, 1.5, 2 * dim)
+    np.multiply(a_hat, ws.split, out=ws.low[:dim])
+    np.multiply(b_hat, ws.split, out=ws.low[dim:])
+    p = ws.samples()
+    pair, scale = _pairing(tensor)
+    got = ws.fold(scale, 2) * ws.coeffs(pair(p[:dim], p[dim:]))
+    padded = np.einsum("ijk,im,jm->km", tensor, pad_to(a_hat, n, ws.m), pad_to(b_hat, n, ws.m))
+    want = truncate_to(padded, n)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    direct = bilinear_apply(tensor, a, b)
+    assert np.max(np.abs(direct - np.fft.irfft(want, n))) <= 1e-13 * np.max(np.abs(direct))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(16, 64),
+    dim=st.integers(1, 2),
+    form=st.sampled_from(["canonical", "raw", "mkdv"]),
+)
+def test_ifrk4_step_matches_oracle_step_property(seed, n, dim, form):
+    # one step with the per-run factors and the workspace nonlinearities
+    # against the plain IF-RK4 formula with pad/truncate nonlinearities
+    rng = np.random.default_rng(seed)
+    grid = Grid(n, rng.uniform(2.0, 20.0))
+    v = np.fft.rfft(rng.normal(size=(dim, n)) * rng.uniform(0.1, 1.0))
+    tensor = rng.normal(size=(dim, dim, dim))
+    dt = rng.uniform(1e-4, 1e-2)
+    if form == "mkdv":
+        Q = QTensor(tensor)
+        symbol, nonlin, oracle = grid.rsymbol(3), _mkdv_nonlinear(Q, grid), mkdv_nonlinear(Q, grid)
+    elif form == "canonical":
+        model = LimitModel(dim, rng.uniform(-2, 2), rng.uniform(-2, 2), canonical_q=QTensor(tensor))
+        oracle = canonical_nonlinear(model.canonical_q, grid)
+    else:
+        c = rng.uniform(0.3, 2.0)
+        model = LimitModel(dim, 1.0 / (8.0 * c), rng.uniform(-2, 2), raw_nonlinearity=tensor,
+                           scale={"time_factor": 8.0 * c, "amplitude": 1.0, "sound_speed": c},
+                           form="raw")
+        oracle = raw_nonlinear(tensor, c, grid)
+    if form != "mkdv":
+        symbol, nonlin = _linear_symbol(model, grid), _nonlinear_rhs(model, grid)
+    e_half = np.exp(symbol * (dt / 2.0))
+    want = oracle_ifrk4_step(v, e_half, oracle, dt, e_half * e_half)
+    got = ifrk4_step(v, nonlin, ifrk4_factors(symbol, dt))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_symbol_nyquist_rule():

@@ -464,12 +464,15 @@ def test_split_step_stays_inside_resonance_threshold():
 
 
 @pytest.mark.parametrize("kind,params", CONDENSATES)
-@pytest.mark.parametrize("eps_kmax", [1.6, 3.2, 6.4, 12.8])
+@pytest.mark.parametrize("eps_kmax", [0.4, 0.8, 1.6, 3.2, 6.4, 12.8])
 def test_split_step_stable_at_dt_max_over_validated_range(kind, params, eps_kmax):
-    # dt_max was measured over eps*kmax in [1.6, 12.8]: 2000 steps at the cap
-    # complete, stay in the modulus range and keep the energy.  The largest
-    # drift measured here was 3.06e-5 (GP_COUPLED, eps*kmax = 6.4); at 1.6x
-    # the cap seven of these eight runs abort and the eighth drifts 1.1e-4.
+    # dt_max was measured over eps*kmax in micro.SPLIT_STEP_RANGE = [0.4, 12.8]
+    # (configs outside it are rejected): 2000 steps at the cap complete, stay
+    # in the modulus range and keep the energy.  The largest drift measured
+    # here was 3.06e-5 (GP_COUPLED, eps*kmax = 6.4), under 5e-8 at 0.4 and
+    # 0.8; at eps*kmax = 0.2 both condensates abort on step 200.  At 1.6x the
+    # cap seven of the eight runs over [1.6, 12.8] abort and the eighth
+    # drifts 1.1e-4.
     grid = Grid(128, 8 * np.pi)
     eps = eps_kmax / np.max(np.abs(grid.wavenumbers))
     spec, s0 = _condensate_init(kind, params, grid, eps)
