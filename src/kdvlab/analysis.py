@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Dealias, Field, Grid, fourier_shift, ifrk4_factors, l2_norm, spectral_derivative
+from .grid import (Dealias, Field, Grid, _fft, _ifft, _irfft, _rfft, fourier_shift, ifrk4_factors,
+                   l2_norm, spectral_derivative)
 from .kdv import LimitModel, QTensor, _pairing, bilinear_apply, evolve_kdv, ifrk4_step, step_plan
 
 __all__ = [
@@ -185,10 +186,8 @@ def shift_minimized_error(u: Field, ref: Field):
     if u.grid != ref.grid:
         raise ValueError("fields live on different grids")
     grid = u.grid
-    spec_u = np.fft.fft(u.components, axis=-1)
-    spec_r = np.fft.fft(ref.components, axis=-1)
-    cross = np.sum(spec_u * np.conj(spec_r), axis=0)
-    corr = np.real(np.fft.ifft(cross))
+    cross = np.sum(_fft(u.components) * np.conj(_fft(ref.components)), axis=0)
+    corr = np.real(_ifft(cross))
     delta0 = grid.x[int(np.argmax(corr))]
     ref_norm = l2_norm(ref.components, grid)
 
@@ -288,12 +287,12 @@ def miura_crosscheck(Q: QTensor, v0: Field, T: float, dt: float, n_snapshots: in
     grid = v0.grid
     factors = ifrk4_factors(grid.rsymbol(3), dt)
     nonlin = _mkdv_nonlinear(Q, grid)
-    w = np.fft.rfft(v0.components, axis=-1)
+    w = _rfft(v0.components)
     worst = discrepancy(v0, 0.0)
     for step in range(1, steps + 1):
         w = ifrk4_step(w, nonlin, factors)
         if step % snap_every == 0 or step == steps:
-            v = Field(grid, np.fft.irfft(w, grid.n_points, axis=-1), validate=False)
+            v = Field(grid, _irfft(w, grid.n_points), validate=False)
             worst = max(worst, discrepancy(v, step * dt))
     return worst
 

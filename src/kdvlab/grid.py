@@ -24,6 +24,43 @@ __all__ = [
 ]
 
 
+# The one transform layer, along the last axis: on numpy >= 2.0 the gufuncs
+# behind numpy.fft with its scales (1 forward, 1/n inverse), bit-identical
+# without its per-call wrapper, which costs as much as a 256-point transform.
+try:
+    from numpy.fft import _pocketfft_umath as _POCKETFFT
+except ImportError:  # numpy < 2.0: through numpy.fft
+    _POCKETFFT = None
+if not all(hasattr(_POCKETFFT, f) for f in ("rfft_n_even", "rfft_n_odd", "irfft", "fft", "ifft")):
+    _POCKETFFT = None
+
+
+def _rfft(a):
+    if _POCKETFFT is None:
+        return np.fft.rfft(a, axis=-1)
+    n = a.shape[-1]
+    gufunc = _POCKETFFT.rfft_n_even if n % 2 == 0 else _POCKETFFT.rfft_n_odd
+    return gufunc(a, 1, out=np.empty(a.shape[:-1] + (n // 2 + 1,), complex))
+
+
+def _irfft(a, n):
+    if _POCKETFFT is None:
+        return np.fft.irfft(a, n, axis=-1)
+    return _POCKETFFT.irfft(a, 1.0 / n, out=np.empty(a.shape[:-1] + (n,)))
+
+
+def _fft(a):
+    if _POCKETFFT is None:
+        return np.fft.fft(a, axis=-1)
+    return _POCKETFFT.fft(a, 1, out=np.empty(a.shape, complex))
+
+
+def _ifft(a):
+    if _POCKETFFT is None:
+        return np.fft.ifft(a, axis=-1)
+    return _POCKETFFT.ifft(a, 1.0 / a.shape[-1], out=np.empty(a.shape, complex))
+
+
 class Grid:
     """Uniform periodic grid on [0, L).
 
@@ -81,13 +118,13 @@ class Grid:
         """
         values = np.asarray(values)
         real = not np.iscomplexobj(values)
-        spec = np.fft.rfft(values, axis=-1) if real else np.fft.fft(values, axis=-1)
+        spec = _rfft(values) if real else _fft(values)
         sym = self.rsymbol(order) if real else self.symbol(order)
         if isinstance(order, tuple):
             sym = sym.reshape(len(order), *(1,) * (spec.ndim - 1), -1)
         if real:
-            return np.fft.irfft(sym * spec, self.n_points, axis=-1)
-        return np.fft.ifft(sym * spec, axis=-1)
+            return _irfft(sym * spec, self.n_points)
+        return _ifft(sym * spec)
 
     def __eq__(self, other):
         return (
@@ -187,7 +224,7 @@ def _hs_norms(values, grid: Grid, s: int) -> np.ndarray:
     """L2 norms of dx^j f for j = 0..s via Parseval, of samples (..., d, N)
     (each norm over the full vector-valued function): shape (..., s+1), one
     row of norms per leading index (per snapshot of a block)."""
-    coeffs = np.fft.fft(values, axis=-1) / grid.n_points
+    coeffs = _fft(values) / grid.n_points
     return np.stack([
         np.sqrt(grid.length * np.sum(np.abs(np.abs(grid.symbol(j)) * coeffs) ** 2, axis=(-2, -1)))
         for j in range(s + 1)
@@ -284,10 +321,10 @@ class Dealias:
         self.split = np.where(2 * np.arange(n // 2 + 1) == n, 0.5, 1.0)
 
     def samples(self) -> np.ndarray:
-        return np.fft.irfft(self.buffer, self.m, axis=-1)
+        return _irfft(self.buffer, self.m)
 
     def coeffs(self, samples) -> np.ndarray:
-        out = np.fft.rfft(samples, axis=-1)[..., : self.n // 2 + 1]
+        out = _rfft(samples)[..., : self.n // 2 + 1]
         if self.n % 2 == 0:
             out.imag[..., self.n // 2] = 0.0
         return out
@@ -302,7 +339,7 @@ def fourier_shift(comps, grid: Grid, delta: float):
     """Translate samples by delta (f(x) -> f(x - delta)) via a spectral phase."""
     comps = np.atleast_2d(np.asarray(comps))
     phase = np.exp(-1j * grid.wavenumbers * delta)
-    out = np.fft.ifft(phase * np.fft.fft(comps, axis=-1), axis=-1)
+    out = _ifft(phase * _fft(comps))
     if comps.dtype.kind != "c":
         out = out.real
     return out

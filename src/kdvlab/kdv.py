@@ -20,6 +20,8 @@ from .grid import (
     Field,
     Grid,
     Trajectory,
+    _irfft,
+    _rfft,
     ifrk4_factors,
     ifrk4_step,
     l2_norm,
@@ -94,11 +96,11 @@ def bilinear_apply(tensor: np.ndarray, a: np.ndarray, b: np.ndarray):
     (3/2-rule padding)."""
     n, d = a.shape[-1], len(a)
     ws = Dealias(n, 1.5, d + len(b))
-    np.multiply(np.fft.rfft(a, axis=-1), ws.split, out=ws.low[:d])
-    np.multiply(np.fft.rfft(b, axis=-1), ws.split, out=ws.low[d:])
+    np.multiply(_rfft(a), ws.split, out=ws.low[:d])
+    np.multiply(_rfft(b), ws.split, out=ws.low[d:])
     p = ws.samples()
     pair, scale = _pairing(tensor)
-    return np.fft.irfft(ws.fold(scale, 2) * ws.coeffs(pair(p[:d], p[d:])), n, axis=-1)
+    return _irfft(ws.fold(scale, 2) * ws.coeffs(pair(p[:d], p[d:])), n)
 
 
 class LimitModel:
@@ -302,12 +304,12 @@ def evolve_kdv(
     ik = grid.rsymbol(1)
 
     def to_field(v):
-        return Field(grid, np.fft.irfft(v, n, axis=-1), validate=False)
+        return Field(grid, _irfft(v, n), validate=False)
 
     def max_gradient(v) -> float:
-        return float(np.max(np.abs(np.fft.irfft(ik * v, n, axis=-1))))
+        return float(np.max(np.abs(_irfft(ik * v, n))))
 
-    v = np.fft.rfft(u0.components, axis=-1)
+    v = _rfft(u0.components)
     grad0 = max_gradient(v)
     grad_floor = max(grad0, 1e-12)
     snap_every = max(1, steps // max(1, n_snapshots - 1))
@@ -366,7 +368,7 @@ def conserved_quantities(model: LimitModel, u: Field):
     Q = model.canonical_q
     if not Q.is_zero:
         ws = Dealias(grid.n_points, 2, model.dim)
-        np.multiply(np.fft.rfft(u.components, axis=-1), ws.split, out=ws.low)
+        np.multiply(_rfft(u.components), ws.split, out=ws.low)
         up = ws.samples()
         cubic = np.einsum("ijk,im,jm,km->m", Q.coeffs, up, up, up)
         h += float(np.sum(cubic)) * 8.0 * (grid.length / ws.m) / 3.0  # 8 = (m/n)**3

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .grid import Field, Grid, Trajectory, integrate, rk4_step
+from .grid import Field, Grid, Trajectory, _fft, _ifft, _irfft, _rfft, integrate, rk4_step
 from .models import (
     GeometryData,
     MicroModelSpec,
@@ -157,17 +157,17 @@ def _rhs_raw(spec, vals, grid, eps, c, out=None, work=None):
     work = work or _SpinWork(spec, grid, eps, c)
     out = np.empty(vals.shape) if out is None else out
     gam = vals.reshape(work.blocks, 3, -1)
-    coef = np.fft.rfft(gam, axis=-1)
+    coef = _rfft(gam)
     np.multiply(work.sym, coef, out=work.dcoef)
     if work.couple is not None:
         work.dcoef[1] += work.couple * coef[::-1]
-    transport, torque = np.fft.irfft(work.dcoef, grid.n_points, axis=-1)
+    transport, torque = _irfft(work.dcoef, grid.n_points)
     if work.cone is not None:
         cos0, quad, lin = work.cone
         dev = gam[:, 2] - cos0
         torque[:, 2] += dev * (quad * dev - lin)
-    np.take(gam, _ROLL, axis=1, out=work.g5)
-    np.take(torque, _ROLL, axis=1, out=work.t5)
+    gam.take(_ROLL, axis=1, out=work.g5)
+    torque.take(_ROLL, axis=1, out=work.t5)
     # torque now lives in t5, so its buffer is the cross product's scratch
     r = _cross_rolled(work.g5, work.t5, out.reshape(work.blocks, 3, -1), torque)
     r += transport
@@ -317,9 +317,9 @@ def _make_stepper(spec, grid, eps, dt, c):
 
             ahead = vals * rotation(vals)
             while True:
-                u = np.fft.fft(ahead, axis=-1)
+                u = _fft(ahead)
                 u *= lin
-                u = np.fft.ifft(u, axis=-1)
+                u = _ifft(u)
                 u *= rotation(u)
                 if not math.isfinite(np.vdot(u, u).real):  # the mass catches NaN/inf
                     raise FloatingPointError("split step: non-finite state produced")
@@ -376,11 +376,11 @@ def well_prepared_init(spec: MicroModelSpec, g: GeometryData, A0: Field, eps: fl
         raise ValueError("A0 must be zero-mean in every component for a periodic phase")
     wave_matrix = g.c * np.eye(g.dim) + g.i0b0
     dphi0 = np.linalg.solve(wave_matrix, A0.components)
-    spec_hat = np.fft.fft(dphi0, axis=-1)
+    spec_hat = _fft(dphi0)
     k = grid.wavenumbers
     with np.errstate(divide="ignore", invalid="ignore"):
         anti = np.where(k != 0.0, spec_hat / (1j * k), 0.0)
-    phi0 = np.fft.ifft(anti, axis=-1).real
+    phi0 = _ifft(anti).real
     n0 = -(1.0 / (2.0 * g.lam)) * normal_coupling(spec) @ A0.components
     if eps * float(np.max(np.abs(phi0))) >= chart_radius(spec):
         raise ValueError("initial phase leaves the model chart; shrink A0 or eps")

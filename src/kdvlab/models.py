@@ -327,11 +327,12 @@ def normal_coupling(spec: MicroModelSpec) -> np.ndarray:
     tau is the tangent frame underlying the phase coordinates and nu the
     normal frame underlying n; C converts between the two bookkeepings
     (e.g. the profile observable is A = -2 lam C^T n in tangent coordinates).
+    i0 is the factor of the micro equation's dispersive term: i, Gamma x, and
+    -Gamma x per sublattice for the antiferromagnet (opposite exchange sign).
     """
-    d = spec.dim
-    if spec.kind in ("GP_SCALAR", "GP_COUPLED"):
-        return -np.eye(d)
-    return np.eye(d)
+    if spec.kind in ("LL_EASY_PLANE", "LL_EASY_CONE"):
+        return np.eye(spec.dim)
+    return -np.eye(spec.dim)
 
 
 def _unwrap_periodic(raw: np.ndarray):

@@ -240,6 +240,20 @@ def test_converge_errors_strictly_decrease(tmp_path):
         )
 
 
+def test_af_chain_converges(tmp_path):
+    # the antiferromagnet limit from eps 0.2 to 0.1: every error ratio at
+    # most 0.5, first order at least (the O(eps^2) estimate predicts 0.25);
+    # well-prepared data built with the wrong normal-coupling sign put the
+    # ratios at 1.000
+    cfg = dict(default_config("converge"), preset="af_chain", eps_list=[0.2, 0.1],
+               workers=1, output_dir=str(tmp_path / "out"))
+    assert main(["converge", "--config", _write_config(tmp_path, "af.json", cfg)]) == 0
+    checks = _assertion_map(_summary(tmp_path / "out"))
+    for name in ("amplitude_error_strictly_decreasing", "gradient_error_strictly_decreasing",
+                 "w_norm_decreasing"):
+        assert checks[name]["value"] <= 0.5, (name, checks[name]["value"])
+
+
 def test_converge_serial_and_parallel_agree_bytewise(tmp_path):
     base = {
         "grid": {"n": 128, "length": 8 * np.pi},

@@ -1,16 +1,25 @@
-"""Tests for the spectral grid layer: derivatives, norms, steppers, padding."""
+"""Tests for the spectral grid layer: transforms, derivatives, norms,
+steppers, padding."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kdvlab import grid as grid_module
 from kdvlab.analysis import _mkdv_nonlinear
 from kdvlab.grid import (
     Dealias,
     Field,
     Grid,
+    _fft,
     _hs_norms,
+    _ifft,
+    _irfft,
+    _rfft,
     fourier_shift,
     ifrk4_factors,
     ifrk4_step,
@@ -19,7 +28,10 @@ from kdvlab.grid import (
     rk4_step,
     spectral_derivative,
 )
-from kdvlab.kdv import LimitModel, QTensor, _linear_symbol, _nonlinear_rhs, _pairing, bilinear_apply
+from kdvlab.kdv import (LimitModel, QTensor, _linear_symbol, _nonlinear_rhs, _pairing, bilinear_apply,
+                        evolve_kdv)
+from kdvlab.micro import evolve_micro, well_prepared_init
+from kdvlab.models import limit_equation, preset
 from oracles import (
     advance_linear,
     canonical_nonlinear,
@@ -34,6 +46,85 @@ from oracles import ifrk4_step as oracle_ifrk4_step
 @pytest.fixture
 def grid():
     return Grid(64, 2 * np.pi)
+
+
+# ---------------------------------------------------------------------------
+# the transform layer
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(8, 800),
+    lead=st.sampled_from([(), (3,), (2, 1, 3)]),
+    view=st.sampled_from(["contiguous", "strided", "reversed"]),
+)
+def test_transforms_match_numpy_fft_bitwise_property(seed, n, lead, view):
+    # the gufunc path (or the fallback) returns numpy.fft's exact bits, for
+    # contiguous input and strided or negative-stride views
+    rng = np.random.default_rng(seed)
+
+    def sample(m, complex_):
+        base = rng.normal(size=lead + (2 * m,))
+        if complex_:
+            base = base + 1j * rng.normal(size=base.shape)
+        if view == "strided":
+            return base[..., ::2]
+        return base[..., :m].copy() if view == "contiguous" else base[..., :m][::-1]
+
+    real, comp, half = sample(n, False), sample(n, True), sample(n // 2 + 1, True)
+    assert np.array_equal(_rfft(real), np.fft.rfft(real))
+    assert np.array_equal(_irfft(half, n), np.fft.irfft(half, n))
+    assert np.array_equal(_fft(comp), np.fft.fft(comp))
+    assert np.array_equal(_fft(real), np.fft.fft(real))
+    assert np.array_equal(_ifft(comp), np.fft.ifft(comp))
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="the pocketfft gufuncs are public from numpy 2.0")
+def test_gufunc_transforms_are_bound_on_numpy_2():
+    # a numpy release that moves the private gufunc module must fail here
+    # rather than send every transform through the slower numpy.fft wrapper
+    assert grid_module._POCKETFFT is not None
+
+
+def test_numpy_fft_fallback_gives_identical_runs(monkeypatch):
+    grid = Grid(64, 8 * np.pi)
+    A0 = Field(grid, 0.3 * np.stack([np.sin(grid.x / 4), np.cos(grid.x / 2)]))
+
+    def runs():
+        out = []
+        for kind in ("AF_CHAIN", "GP_COUPLED"):
+            geom, spec = preset(kind)
+            s0 = well_prepared_init(spec, geom, A0, 0.2)
+            out.append(s0.values)
+            evolve_micro(spec, s0, 5e-4, 1e-4, n_snapshots=6,
+                         consume=lambda times, block: out.append(block.values.copy()))
+        traj = evolve_kdv(limit_equation(preset("GP_COUPLED")[0]), A0, 5e-3, 1e-3, n_snapshots=6)
+        return out + [state.components for state in traj.states]
+
+    bound = runs()
+    monkeypatch.setattr(grid_module, "_POCKETFFT", None)
+    fallback = runs()
+    assert len(bound) == len(fallback)
+    assert all(np.array_equal(a, b) for a, b in zip(bound, fallback))
+
+
+def test_numpy_fft_is_called_only_by_the_transform_layer():
+    # one transform layer: outside grid's four transforms the only numpy.fft
+    # transform call is the exact Airy reference of the kdv experiment
+    src = Path(grid_module.__file__).parent
+    allowed = {("grid", "_rfft"), ("grid", "_irfft"), ("grid", "_fft"), ("grid", "_ifft"),
+               ("experiments", "_run_kdv")}
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr in ("fft", "ifft", "rfft", "irfft")
+                        and isinstance(node.value, ast.Attribute) and node.value.attr == "fft"):
+                    found.add((path.stem, getattr(top, "name", "<module>")))
+    assert found == allowed
 
 
 def test_grid_validation():

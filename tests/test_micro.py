@@ -16,7 +16,7 @@ from kdvlab.micro import (
     mass,
     well_prepared_init,
 )
-from kdvlab.models import chart_extract, normal_coupling, preset
+from kdvlab.models import chart_assemble, chart_extract, normal_coupling, preset
 from oracles import _potential_density, micro_invariants, record_micro
 
 TOL = {
@@ -97,6 +97,46 @@ SPIN_KINDS = [
     ("LL_EASY_CONE", {"alpha": 0.8, "theta0": 1.1, "beta": 0.2}),
     ("AF_CHAIN", None),
 ]
+
+
+def _real_rows(vals):
+    """Rows of a state as real coordinates: (Re, Im) stacked for a condensate."""
+    return np.concatenate([vals.real, vals.imag]) if np.iscomplexobj(vals) else vals
+
+
+@pytest.mark.parametrize("kind,params", CONDENSATES + SPIN_KINDS)
+def test_normal_coupling_matches_chart_frames(kind, params):
+    # C is defined by i0 tau_a = sum_b C[b,a] nu_b at the chart background,
+    # with tau_a = dU/d(eps phi_a) and nu_b = dU/d(eps^2 n_b) read off
+    # chart_assemble, and i0 the complex structure of the micro equation,
+    # read off its dispersive term i0 (1/(2 eps)) dx^2 from the cos(kappa x)
+    # part of the linearized _rhs_raw at two wavenumbers
+    eps, h = 0.2, 1e-4
+    grid = Grid(32, 2 * np.pi)
+    geom, spec = preset(kind, params)
+    d = spec.dim
+    base = chart_assemble(spec, np.zeros((d, grid.n_points)), np.zeros((d, grid.n_points)), eps)
+
+    def frame(a, coord):
+        """dU/d(eps phi_a) (coord 0) or dU/d(eps^2 n_a) (coord 1), constant in x."""
+        step = np.zeros((2, d, grid.n_points))
+        step[coord, a] = h / eps ** (coord + 1)
+        return (chart_assemble(spec, *step, eps) - chart_assemble(spec, *-step, eps))[:, 0] / (2 * h)
+
+    nu = np.stack([_real_rows(frame(b, 1)) for b in range(d)], axis=-1)
+    coupling = np.empty((d, d))
+    for a in range(d):
+        tau = frame(a, 0)[:, None]
+        cos_parts = []
+        for j in (1, 2):
+            wave = np.cos(j * grid.x)
+            plus = micro._rhs_raw(spec, base + h * tau * wave, grid, eps, geom.c)
+            minus = micro._rhs_raw(spec, base - h * tau * wave, grid, eps, geom.c)
+            cos_parts.append(_real_rows((plus - minus) / (2 * h)) @ wave * (2.0 / grid.n_points))
+        i0_tau = 2.0 * eps * (cos_parts[0] - cos_parts[1]) / (2**2 - 1**2)
+        coupling[:, a] = np.linalg.lstsq(nu, i0_tau, rcond=None)[0]
+        assert np.max(np.abs(nu @ coupling[:, a] - i0_tau)) <= 1e-6  # i0 tau is normal
+    assert np.max(np.abs(coupling - normal_coupling(spec))) <= 1e-6
 
 
 @pytest.mark.parametrize("kind,params", SPIN_KINDS)
@@ -546,6 +586,26 @@ def test_split_step_matches_two_factor_strang_step(kind, params):
     ref = _strang_two_factor(spec, s0.values, grid, eps, traj.dt, steps)
     got = traj.states[-1].values
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("kind,params", CONDENSATES + SPIN_KINDS)
+def test_transforms_per_micro_step(fft_calls, kind, params):
+    # a condensate split step makes one fft and one ifft; a spin step makes
+    # 4 right-hand sides of one rfft and one irfft each, for one sphere and
+    # for the antiferromagnet's two
+    eps, grid = 0.2, Grid(64, 8 * np.pi)
+    geom, spec = preset(kind, params)
+    A0 = Field(grid, np.stack([_bump(grid, width=1.0 + 0.5 * j) for j in range(geom.dim)]))
+    s0 = well_prepared_init(spec, geom, A0, eps)
+    dt = 0.5 * dt_max(spec, eps, grid)
+
+    def transforms(steps):
+        before = fft_calls.copy()
+        evolve_micro(spec, s0, steps * dt, dt, n_snapshots=2, consume=lambda times, block: None)
+        return fft_calls - before
+
+    per_ten = {"fft": 10, "ifft": 10} if spec.is_complex else {"rfft": 40, "irfft": 40}
+    assert transforms(20) - transforms(10) == per_ten
 
 
 def test_split_step_computes_one_rotation_factor_per_step(monkeypatch):

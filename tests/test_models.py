@@ -432,7 +432,7 @@ def test_normal_coupling_signs():
     assert np.array_equal(normal_coupling(preset("GP_COUPLED")[1]), -np.eye(2))
     assert normal_coupling(preset("LL_EASY_PLANE")[1])[0, 0] == 1.0
     assert normal_coupling(preset("LL_EASY_CONE", {"alpha": 1.0, "theta0": 1.0})[1])[0, 0] == 1.0
-    assert np.array_equal(normal_coupling(preset("AF_CHAIN")[1]), np.eye(2))
+    assert np.array_equal(normal_coupling(preset("AF_CHAIN")[1]), -np.eye(2))
 
 
 def test_dphi_matrix_circle_charts_identity():
