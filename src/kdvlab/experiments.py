@@ -31,7 +31,8 @@ from .analysis import (
 from .grid import Field, Grid, l2_norm
 from .hydro import almost_hamiltonian, chart_blocks, limit_error
 from .kdv import LimitModel, blowup_monitor, conserved_quantities, evolve_kdv, step_plan
-from .micro import SPLIT_STEP_RANGE, dt_max, evolve_micro, mass, well_prepared_init
+from .micro import (SPLIT_STEP_RANGE, dt_max, evolve_micro, mass, unit_norm_deviation,
+                    well_prepared_init)
 from .models import chart_radius, limit_equation, preset
 
 __all__ = [
@@ -444,13 +445,6 @@ def _run_kdv(cfg: ExperimentConfig, outdir: Path):
     return assertions, counters
 
 
-def _unit_norm_deviation(values):
-    """Worst pointwise deviation of the spin blocks from unit length, one per
-    snapshot of (..., m, N) values."""
-    return np.max([np.max(np.abs(np.linalg.norm(values[..., i:i + 3, :], axis=-2) - 1.0), axis=-1)
-                   for i in range(0, values.shape[-2], 3)], axis=0)
-
-
 def _stream_run(spec, s0, T, steps, n_snapshots, block_series):
     """Run the microscopic model from s0 in ``steps`` steps to T and compute
     per-snapshot series while it runs: ``block_series(times, block, h)``
@@ -467,11 +461,12 @@ def _stream_run(spec, s0, T, steps, n_snapshots, block_series):
     return traj, {name: np.concatenate(v) for name, v in cols.items()}
 
 
-def _micro_series(spec, s0):
+def _micro_series(spec, s0, kdv_traj=None):
     """Per-block diagnostics of a microscopic run from s0, for _stream_run
     (one tangent gradient per block): ||W||, max|eps phi|, the
     almost-conserved energy, the structure deviation (relative mass drift for
-    condensates, unit-norm deviation for spins) and chart membership."""
+    condensates, unit-norm deviation for spins) and chart membership; with a
+    limit run ``kdv_traj``, also the limit errors against it."""
     mass0 = mass(spec, s0) if spec.is_complex else None
 
     def block_series(times, block, h):
@@ -479,21 +474,32 @@ def _micro_series(spec, s0):
         if spec.is_complex:
             dev = np.abs(mass(spec, block) - mass0) / mass0
         else:
-            dev = _unit_norm_deviation(block.values)
-        return {"w_norm": w, "eps_phi_inf": np.max(np.abs(h.eps * h.phi), axis=(-2, -1)),
+            dev = unit_norm_deviation(spec, block.values)
+        cols = {"w_norm": l2_norm(w, h.grid),
+                "eps_phi_inf": np.max(np.abs(h.eps * h.phi), axis=(-2, -1)),
                 "energy": energy, "structure_dev": dev, "in_chart": h.valid}
+        if kdv_traj is not None:
+            cols.update(limit_error(spec, times, h, w, kdv_traj))
+        return cols
 
     return block_series
 
 
-def _run_micro(cfg: ExperimentConfig, outdir: Path):
+def _micro_task(cfg: ExperimentConfig, eps: float, kdv_traj=None):
+    """One streamed microscopic run at eps from the config's well-prepared
+    data, at a quarter of the step cap: the micro experiment, or one ε-run of
+    converge (with its limit run).  Returns the spec, trajectory and series."""
     geom, spec = preset(cfg.kind, cfg.params or None)
     grid = cfg.make_grid()
-    A0 = _initial_field(cfg, grid, geom.dim)
-    s0 = well_prepared_init(spec, geom, A0, cfg.eps)
-    steps = _micro_steps(spec, cfg.eps, grid, cfg.t_final, cfg.snapshots)
+    s0 = well_prepared_init(spec, geom, _initial_field(cfg, grid, geom.dim), eps)
+    steps = _micro_steps(spec, eps, grid, cfg.t_final, cfg.snapshots)
     traj, series = _stream_run(spec, s0, cfg.t_final, steps, cfg.snapshots,
-                               _micro_series(spec, s0))
+                               _micro_series(spec, s0, kdv_traj))
+    return spec, traj, series
+
+
+def _run_micro(cfg: ExperimentConfig, outdir: Path):
+    spec, traj, series = _micro_task(cfg, cfg.eps)
     columns = ["t", "w_norm", "eps_phi_inf", "energy", "structure_dev"]
     emit_series(outdir / "micro_series.csv", columns,
                 np.column_stack([traj.times] + [series[c] for c in columns[1:]]))
@@ -521,13 +527,7 @@ def _converge_task(payload):
     """
     raw, eps, kdv_traj = payload
     cfg = ExperimentConfig.from_dict(raw)
-    geom, spec = preset(cfg.kind, cfg.params or None)
-    grid = cfg.make_grid()
-    A0 = _initial_field(cfg, grid, geom.dim)
-    s0 = well_prepared_init(spec, geom, A0, eps)
-    steps = _micro_steps(spec, eps, grid, cfg.t_final, cfg.snapshots)
-    traj, err = _stream_run(spec, s0, cfg.t_final, steps, cfg.snapshots,
-                            lambda times, block, h: limit_error(spec, times, h, kdv_traj))
+    spec, traj, series = _micro_task(cfg, eps, kdv_traj)
     out = {
         "eps": eps,
         "aborted": traj.aborted,
@@ -539,17 +539,18 @@ def _converge_task(payload):
     path = Path(cfg.output_dir) / f"converge_eps_{eps!r}.csv"
     if traj.aborted:
         # partial artifact: the chart series of whatever was reached
-        emit_series(path, ["t", "w_norm"], np.column_stack([traj.times, err["w_norm"]]))
+        emit_series(path, ["t", "w_norm"], np.column_stack([traj.times, series["w_norm"]]))
         return out
-    columns = ["t", "err_amplitude", "err_gradient", "w_norm", "eps_phi_inf", "energy_proxy"]
-    emit_series(path, columns, np.column_stack([traj.times] + [err[c] for c in columns[1:]]))
+    columns = ["t", "err_amplitude", "err_gradient", "w_norm", "eps_phi_inf", "energy_proxy",
+               "energy", "structure_dev"]
+    emit_series(path, columns, np.column_stack([traj.times] + [series[c] for c in columns[1:]]))
     out.update(
-        sup_err_amplitude=float(np.max(err["err_amplitude"])),
-        sup_err_gradient=float(np.max(err["err_gradient"])),
-        sup_w=float(np.max(err["w_norm"])),
-        max_eps_phi=float(np.max(err["eps_phi_inf"])),
+        sup_err_amplitude=float(np.max(series["err_amplitude"])),
+        sup_err_gradient=float(np.max(series["err_gradient"])),
+        sup_w=float(np.max(series["w_norm"])),
+        max_eps_phi=float(np.max(series["eps_phi_inf"])),
         chart_radius=chart_radius(spec),
-        in_chart=bool(err["in_chart"].all()),
+        in_chart=bool(series["in_chart"].all()),
     )
     return out
 
@@ -659,18 +660,23 @@ def _run_miura(cfg: ExperimentConfig, outdir: Path):
     Q = model.as_canonical().canonical_q
     grid = cfg.make_grid()
     v0 = _initial_field(cfg, grid, 1)
-    discrepancy = miura_crosscheck(Q, v0, cfg.t_final, cfg.dt,
-                                   n_snapshots=cfg.snapshots)
+    discrepancy, aborted = miura_crosscheck(Q, v0, cfg.t_final, cfg.dt,
+                                            n_snapshots=cfg.snapshots)
     defect = miura_condition(complex_q_d2(cfg.d2_alpha, cfg.d2_beta))
     emit_series(outdir / "miura_series.csv",
                 ["t", "crosscheck_discrepancy", "d2_condition_defect"],
                 [[cfg.t_final, discrepancy, defect]])
     assertions = [
-        _at_most("scalar_crosscheck", discrepancy, 1e-6),
+        _assertion("scalar_crosscheck", discrepancy, 1e-6, not aborted and discrepancy <= 1e-6),
         _at_most("d2_condition", defect, 1e-12),
     ]
     steps, _ = step_plan(cfg.t_final, cfg.dt)
     counters = {"kdv_steps": steps, "mkdv_steps": steps}
+    if aborted:
+        counters["aborts"] = {
+            leg: {"abort_reason": traj.abort_reason, "steps_taken": traj.meta["steps_taken"]}
+            for leg, traj in aborted.items()
+        }
     return assertions, counters
 
 

@@ -47,16 +47,6 @@ class HydroState:
             yield HydroState(self.grid, self.eps, phi, n, valid)
 
 
-class Observables:
-    """The three limit observables of a chart state, as coordinate arrays
-    shaped like its ``phi``."""
-
-    def __init__(self, W, U, A):
-        self.W = W
-        self.U = U
-        self.A = A
-
-
 def extract_series(spec, block: MicroState, phase_ref=None) -> HydroState:
     """Chart coordinates of a microscopic state, or of a block of consecutive
     snapshots of a run (``block.values`` of shape (S, m, N)) with the phase
@@ -93,24 +83,12 @@ def _tangent_gradient(spec, h: HydroState) -> np.ndarray:
     return np.einsum("...ijN,...jN->...iN", J, dphi)
 
 
-def observables(spec, h: HydroState) -> Observables:
-    """Limit observables W, U, A of chart states (one per snapshot of a block).
-
-    The coordinates satisfy DPhi dx(phi) = (U + W)/(2c) and
-    A = ((c+iB)U - (c-iB)W)/(2c) identically.
-    """
-    g = spec.geometry
-    X = _tangent_gradient(spec, h)
-    A = -2.0 * g.lam * (normal_coupling(spec).T @ h.n)
-    BX = np.einsum("ij,...jN->...iN", g.i0b0, X)
-    return Observables(W=(g.c * X + BX) - A, U=(g.c * X - BX) + A, A=A)
-
-
 def almost_hamiltonian(spec, h: HydroState):
-    """Almost-conserved energy of chart states, and their ||W||_{L2}.
+    """Almost-conserved energy of chart states, and their wave observable W.
 
-    Returns ``(H, w_norm)`` (floats for one state, arrays over the snapshots
-    of a block), both from one tangent gradient, where
+    Returns ``(H, W)``, both from one tangent gradient: H a float for one
+    state and one value per snapshot of a block, W the coordinate array
+    (c + i0B0) DPhi dx(phi) + 2 lam C^T n shaped like ``h.phi``.  Here
 
         H = int [ lam |n|^2 + (1/4)|eps^2 dx n|^2 + (eps^2/3) F1(n,n).n
                   + (1/4)|S0 DPhi dx(phi)|^2
@@ -147,7 +125,7 @@ def almost_hamiltonian(spec, h: HydroState):
     X += tmp
     Cn *= 2.0 * g.lam
     X += Cn
-    return integrate(density, grid), l2_norm(X, grid)
+    return integrate(density, grid), X
 
 
 def energy_proxy(spec, h: HydroState, s: int = 2):
@@ -157,16 +135,15 @@ def energy_proxy(spec, h: HydroState, s: int = 2):
     return np.sqrt(np.sum(np.square(a), axis=-1)) + np.sqrt(np.sum(np.square(b), axis=-1))
 
 
-def limit_error(spec, times, h: HydroState, kdv_traj: Trajectory) -> dict:
+def limit_error(spec, times, h: HydroState, w, kdv_traj: Trajectory) -> dict:
     """Per-snapshot L2 errors of a block of a microscopic run (snapshot
-    times ``times``, chart coordinates ``h``) against the snapshots of a
-    limit-equation run at the same times.
+    times ``times``, chart coordinates ``h``, wave observable ``w`` from
+    :func:`almost_hamiltonian`) against the snapshots of a limit-equation run
+    at the same times.
 
-    Compares the two candidate profiles — the amplitude observable 2 i lam n
-    and the gradient observable (c+iB) DPhi dx(phi) — against the limit
-    profile A(t), and also reports the ||W||_{L2} and ||eps phi||_{L_inf}
-    values that the convergence argument drives to zero, the energy proxy
-    and chart membership.
+    Compares the two candidate profiles — the amplitude observable
+    A = 2 i lam n and the gradient observable A + W = (c+iB) DPhi dx(phi) —
+    against the limit profile A(t), and reports the energy proxy.
     """
     t_micro = np.asarray(times)
     t_kdv = np.asarray(kdv_traj.times)
@@ -182,13 +159,10 @@ def limit_error(spec, times, h: HydroState, kdv_traj: Trajectory) -> dict:
         )
 
     grid = h.grid
-    obs = observables(spec, h)
+    A = -2.0 * spec.geometry.lam * (normal_coupling(spec).T @ h.n)
     a_limit = np.stack([kdv_traj.states[j].components for j in picks])
     return {
-        "err_amplitude": l2_norm(obs.A - a_limit, grid),
-        "err_gradient": l2_norm(obs.A + obs.W - a_limit, grid),
-        "w_norm": l2_norm(obs.W, grid),
-        "eps_phi_inf": np.max(np.abs(h.eps * h.phi), axis=(-2, -1)),
+        "err_amplitude": l2_norm(A - a_limit, grid),
+        "err_gradient": l2_norm(A + w - a_limit, grid),
         "energy_proxy": energy_proxy(spec, h),
-        "in_chart": h.valid,
     }

@@ -296,11 +296,19 @@ def evolve_kdv(
     the end or the abort.
     """
     _check_state(model, u0)
+    traj = _evolve_ifrk4(_linear_symbol(model, u0.grid), _nonlinear_rhs(model, u0.grid),
+                         u0, T, dt, n_snapshots, blowup_multiple)
+    traj.meta["model"] = model
+    return traj
+
+
+def _evolve_ifrk4(symbol, nonlin, u0: Field, T, dt, n_snapshots, blowup_multiple=50.0):
+    """The IF-RK4 run of :func:`evolve_kdv` for any Fourier-diagonal linear
+    ``symbol`` (rfft half spectrum) and ``nonlin`` on rfft coefficients."""
     steps, dt = step_plan(T, dt)
     grid = u0.grid
     n = grid.n_points
-    factors = ifrk4_factors(_linear_symbol(model, grid), dt)
-    nonlin = _nonlinear_rhs(model, grid)
+    factors = ifrk4_factors(symbol, dt)
     ik = grid.rsymbol(1)
 
     def to_field(v):
@@ -316,7 +324,6 @@ def evolve_kdv(
 
     traj = Trajectory()
     traj.dt = dt
-    traj.meta["model"] = model
     grad_times = [0.0]
     grad_vals = [grad0]
     traj.append(0.0, u0.copy())

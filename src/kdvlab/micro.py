@@ -87,20 +87,21 @@ def _check_pointwise(spec, vals, strict=False):
                 raise ValueError(msg)
             return msg
     else:
-        for block in _sphere_blocks(spec):
-            dev = float(np.max(np.abs(np.linalg.norm(vals[..., block, :], axis=-2) - 1.0)))
-            if not dev <= _NORM_TOL:
-                msg = f"unit-norm deviation {dev:.3g} exceeds {_NORM_TOL}"
-                if strict:
-                    raise ValueError(msg)
-                return msg
+        dev = float(np.max(unit_norm_deviation(spec, vals)))
+        if not dev <= _NORM_TOL:
+            msg = f"unit-norm deviation {dev:.3g} exceeds {_NORM_TOL}"
+            if strict:
+                raise ValueError(msg)
+            return msg
     return None
 
 
-def _sphere_blocks(spec):
-    if spec.kind == "AF_CHAIN":
-        return (slice(0, 3), slice(3, 6))
-    return (slice(0, 3),)
+def unit_norm_deviation(spec, vals):
+    """Largest pointwise |‖Γ‖ - 1| over the spheres of spin values (..., m, N),
+    one per leading index (per snapshot of a block)."""
+    blocks = (slice(0, 3), slice(3, 6)) if spec.kind == "AF_CHAIN" else (slice(0, 3),)
+    return np.max([np.max(np.abs(np.linalg.norm(vals[..., b, :], axis=-2) - 1.0), axis=-1)
+                   for b in blocks], axis=0)
 
 
 def _phase_factors(spec, vals):

@@ -1,12 +1,15 @@
 """Shared test fixtures."""
 
 import collections
+import functools
+import json
 import types
 
 import numpy as np
 import pytest
 
 from kdvlab import grid
+from kdvlab.experiments import ExperimentConfig, default_config, run_experiment
 
 # the pocketfft gufuncs behind numpy.fft, by the transform each one makes
 _GUFUNCS = {"rfft_n_even": "rfft", "rfft_n_odd": "rfft", "irfft": "irfft", "fft": "fft", "ifft": "ifft"}
@@ -36,3 +39,42 @@ def fft_calls(monkeypatch):
                                          for attr, name in _GUFUNCS.items()})
         monkeypatch.setattr(grid, "_POCKETFFT", proxy)
     return counts
+
+
+# The converge runs the acceptance criteria read: each family at the default
+# converge config; the three families added to the scalar condensate and the
+# easy-plane chain run at eps 0.2 and 0.1 only, to keep the suite short.
+CONVERGE_FAMILIES = {
+    "gp_scalar": {},
+    "ll_easy_plane": {},
+    "gp_coupled": {"eps_list": [0.2, 0.1]},
+    "ll_easy_cone": {"params": {"alpha": 1.0, "theta0": 1.0}, "eps_list": [0.2, 0.1]},
+    "af_chain": {"eps_list": [0.2, 0.1]},
+}
+
+
+@pytest.fixture(scope="session")
+def converge_run(tmp_path_factory):
+    """``converge_run(family)``: the artifacts of one ``converge`` run of a
+    family of CONVERGE_FAMILIES through ``run_experiment`` (two workers),
+    made once per pytest session.  Returns a namespace with the exit ``status``, the
+    ``summary``, its assertions by name (``checks``) and ``series``, the
+    columns of each ``converge_eps_*.csv`` by eps."""
+    root = tmp_path_factory.mktemp("converge")
+
+    @functools.cache
+    def run(family):
+        raw = dict(default_config("converge"), preset=family, workers=2,
+                   output_dir=str(root / family), **CONVERGE_FAMILIES[family])
+        cfg = ExperimentConfig.from_dict(raw)
+        status = run_experiment(cfg)
+        summary = json.loads((root / family / "summary.json").read_text())
+        series = {}
+        for eps in cfg.eps_list:
+            table = np.genfromtxt(root / family / f"converge_eps_{eps!r}.csv", delimiter=",",
+                                  names=True)
+            series[eps] = {name: table[name] for name in table.dtype.names}
+        return types.SimpleNamespace(status=status, summary=summary, series=series,
+                                     checks={a["name"]: a for a in summary["assertions"]})
+
+    return run

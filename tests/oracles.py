@@ -2,19 +2,21 @@
 Fourier-diagonal linear equation, the dealiased products and the IF-RK4
 step written out plainly (pad, multiply, truncate), the microscopic energy
 and momentum, the residuals of the truncated first-order chart system along
-a run, and the solitary-wave ODE residual; plus ``record_micro``, which keeps every
-snapshot of a microscopic run for the tests that need a whole run, and
-``replay_blocks``/``limit_errors``, which hand such a run to the per-block
-diagnostics."""
+a run, the limit observables, and the solitary-wave ODE residual; plus
+``record_micro``, which keeps every snapshot of a microscopic run for the
+tests that need a whole run, and ``replay_blocks``, which hands such a run to
+the per-block diagnostics."""
+
+from types import SimpleNamespace
 
 import numpy as np
 
 from kdvlab import micro
 from kdvlab.analysis import solitary_profile
 from kdvlab.grid import Field, integrate, l2_norm, spectral_derivative
-from kdvlab.hydro import chart_blocks, extract_series, limit_error
+from kdvlab.hydro import chart_blocks, extract_series
 from kdvlab.kdv import bilinear_apply
-from kdvlab.models import chart_extract, chart_radius
+from kdvlab.models import chart_extract, dphi_matrix, normal_coupling
 
 # ---------------------------------------------------------------------------
 # whole microscopic runs
@@ -54,18 +56,22 @@ def replay_blocks(spec, traj, block_series):
     return {name: np.concatenate(v) for name, v in cols.items()}
 
 
-def limit_errors(spec, traj, kdv_traj) -> dict:
-    """``hydro.limit_error`` along a recorded run against a limit run, with
-    the sup in time of each error, of ||W|| and of |eps phi|."""
-    out = replay_blocks(spec, traj, lambda t, block, h: limit_error(spec, t, h, kdv_traj))
-    out.update(
-        sup_err_amplitude=float(np.max(out["err_amplitude"])),
-        sup_err_gradient=float(np.max(out["err_gradient"])),
-        sup_w=float(np.max(out["w_norm"])),
-        max_eps_phi=float(np.max(out["eps_phi_inf"])),
-        chart_radius=chart_radius(spec),
-    )
-    return out
+# ---------------------------------------------------------------------------
+# limit observables
+# ---------------------------------------------------------------------------
+
+
+def observables(spec, h):
+    """The limit observables of chart states from their definitions, as
+    coordinate arrays shaped like ``h.phi``: with X = DPhi dx(phi) and
+    A = -2 lam C^T n, W = (c + i0B0) X - A and U = (c - i0B0) X + A."""
+    g = spec.geometry
+    X = h.grid.diff(h.phi)
+    if spec.kind == "AF_CHAIN":  # DPhi is the identity on the circle charts
+        X = np.einsum("...ijN,...jN->...iN", dphi_matrix(spec, h.phi, h.eps), X)
+    A = -2.0 * g.lam * (normal_coupling(spec).T @ h.n)
+    BX = np.einsum("ij,...jN->...iN", g.i0b0, X)
+    return SimpleNamespace(W=(g.c * X + BX) - A, U=(g.c * X - BX) + A, A=A)
 
 
 # ---------------------------------------------------------------------------

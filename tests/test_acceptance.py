@@ -2,13 +2,13 @@
 
 Each test prints a single ``criterion NN (...): PASS/FAIL`` line (run with
 ``pytest tests/test_acceptance.py -s`` to see the lines on success) and then
-asserts, so a red criterion fails the suite.  The heavy microscopic sweeps are
-shared between criteria through module-scoped fixtures.
+asserts, so a red criterion fails the suite.  Criteria 06, 07 and 09 read
+the artifacts of the ``converge`` runner, one run per family, shared through
+the session fixture ``converge_run`` (``conftest.py``).
 """
 
 import json
 from time import perf_counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,11 +25,11 @@ from kdvlab.analysis import (
 )
 from kdvlab.experiments import ExperimentConfig, default_config, run_experiment
 from kdvlab.grid import Field, Grid, l2_norm
-from kdvlab.hydro import almost_hamiltonian
 from kdvlab.kdv import conserved_quantities, evolve_kdv
-from kdvlab.micro import dt_max, mass, well_prepared_init
+from kdvlab.micro import dt_max, well_prepared_init
 from kdvlab.models import limit_equation, preset
-from oracles import hydro_residual, limit_errors, record_micro, replay_blocks, soliton_ode_residual
+from conftest import CONVERGE_FAMILIES
+from oracles import hydro_residual, record_micro, soliton_ode_residual
 
 TOL = {
     "coeff": 1e-12,
@@ -50,8 +50,6 @@ TOL = {
     "oracle_window": 0.2,
 }
 
-SWEEP_EPS = (0.2, 0.1, 0.05)
-
 
 def _verdict(num: int, label: str, ok: bool, detail: str = ""):
     line = f"criterion {num:2d} ({label}): {'PASS' if ok else 'FAIL'}"
@@ -64,68 +62,6 @@ def _verdict(num: int, label: str, ok: bool, detail: str = ""):
 def _bump(grid, amp=0.3, width=2.0):
     rho = amp / np.cosh((grid.x - 0.5 * grid.length) / width) ** 2
     return rho - rho.mean()
-
-
-def _norm_deviation(state) -> float:
-    dev = 0.0
-    for start in range(0, state.values.shape[0], 3):
-        norms = np.linalg.norm(state.values[start:start + 3], axis=0)
-        dev = max(dev, float(np.max(np.abs(norms - 1.0))))
-    return dev
-
-
-def _sweep(kind, reference_traj):
-    """Microscopic runs at the sweep epsilons against a fixed limit run."""
-    grid = Grid(256, 8 * np.pi)
-    geom, spec = preset(kind)
-    A0 = Field(grid, _bump(grid)[None, :])
-    T = 0.5
-    out = {}
-    for eps in SWEEP_EPS:
-        cap = dt_max(spec, eps, grid)
-        steps = int(np.ceil(T / (cap / 4.0) / 10.0)) * 10
-        s0 = well_prepared_init(spec, geom, A0, eps)
-        traj = record_micro(spec, s0, T=T, dt=T / steps, n_snapshots=11)
-        assert not traj.aborted
-        err = limit_errors(spec, traj, reference_traj)
-        if np.iscomplexobj(s0.values):
-            m0 = mass(spec, traj.states[0])
-            err["mass_drift"] = max(abs(mass(spec, s) - m0) / m0 for s in traj.states)
-            energies = replay_blocks(spec, traj,
-                                     lambda t, b, h: {"H": almost_hamiltonian(spec, h)[0]})["H"]
-            err["h_drift"] = max(abs(e - energies[0]) for e in energies)
-        else:
-            err["norm_deviation"] = max(_norm_deviation(s) for s in traj.states)
-        out[eps] = err
-    return out
-
-
-@pytest.fixture(scope="module")
-def condensate_sweep():
-    """Scalar condensate runs against the shared limit-equation trajectory."""
-    grid = Grid(256, 8 * np.pi)
-    geom, _ = preset("GP_SCALAR")
-    A0 = Field(grid, _bump(grid)[None, :])
-    kdv_traj = evolve_kdv(limit_equation(geom), A0, 0.5, 1e-3, n_snapshots=11)
-    return _sweep("GP_SCALAR", kdv_traj)
-
-
-@pytest.fixture(scope="module")
-def spin_sweep():
-    """Easy-plane runs against the closed-form dispersive (Airy) flow."""
-    grid = Grid(256, 8 * np.pi)
-    geom, _ = preset("LL_EASY_PLANE")
-    A0 = Field(grid, _bump(grid)[None, :])
-    k3 = grid.wavenumbers ** 3
-    k3[grid.n_points // 2] = 0.0
-    hat = np.fft.fft(A0.components, axis=-1)
-    times = np.linspace(0.0, 0.5, 11)
-    states = [
-        Field(grid, np.fft.ifft(np.exp(-1j * k3 * t / (8.0 * geom.c)) * hat, axis=-1).real)
-        for t in times
-    ]
-    airy = SimpleNamespace(times=times, states=states)
-    return _sweep("LL_EASY_PLANE", airy)
 
 
 @pytest.fixture(scope="module")
@@ -251,8 +187,8 @@ def test_criterion_05_miura_transform():
     model = limit_equation(preset("GP_SCALAR")[0]).as_canonical()
     grid = Grid(512, 2 * np.pi)
     v0 = Field(grid, (0.5 * np.sin(grid.x))[None, :])
-    discrepancy = miura_crosscheck(model.canonical_q, v0, 0.5, 1e-3, n_snapshots=11)
-    ok = discrepancy <= TOL["miura_scalar"]
+    discrepancy, aborted = miura_crosscheck(model.canonical_q, v0, 0.5, 1e-3, n_snapshots=11)
+    ok = not aborted and discrepancy <= TOL["miura_scalar"]
     worst_equal, best_unequal = 0.0, np.inf
     for a, b in ((1.0, 1.0), (2.0, -2.0), (1.0 + 0.5j, np.sqrt(1.25))):
         worst_equal = max(worst_equal, miura_condition(complex_q_d2(a, b)))
@@ -264,25 +200,24 @@ def test_criterion_05_miura_transform():
              f"unequal {best_unequal:.2e}")
 
 
-def test_criterion_06_long_wave_convergence(condensate_sweep, spin_sweep):
+def test_criterion_06_long_wave_convergence(converge_run):
     ok = True
     details = []
-    for name, sweep in (("condensate", condensate_sweep), ("spin", spin_sweep)):
-        for key in ("sup_err_amplitude", "sup_err_gradient", "sup_w"):
-            vals = [sweep[eps][key] for eps in SWEEP_EPS]
-            ok = ok and all(b < a for a, b in zip(vals, vals[1:]))
-        ok = ok and all(
-            sweep[eps]["max_eps_phi"] < sweep[eps]["chart_radius"] for eps in SWEEP_EPS
-        )
-        details.append(
-            name + " amp "
-            + " > ".join(f"{sweep[eps]['sup_err_amplitude']:.1e}" for eps in SWEEP_EPS)
-        )
+    for family in CONVERGE_FAMILIES:
+        run = converge_run(family)
+        sups = {key: [float(np.max(cols[key])) for cols in run.series.values()]
+                for key in ("err_amplitude", "err_gradient", "w_norm", "eps_phi_inf")}
+        for key in ("err_amplitude", "err_gradient", "w_norm"):
+            ok = ok and all(b < a for a, b in zip(sups[key], sups[key][1:]))
+        radius = run.checks["phase_within_chart"]["threshold"]
+        ok = ok and run.status == 0 and max(sups["eps_phi_inf"]) < radius
+        details.append(family + " amp " + " > ".join(f"{v:.1e}" for v in sups["err_amplitude"]))
     _verdict(6, "long-wave convergence", ok, "; ".join(details))
 
 
-def test_criterion_07_almost_conservation(condensate_sweep):
-    drifts = [condensate_sweep[eps]["h_drift"] for eps in SWEEP_EPS]
+def test_criterion_07_almost_conservation(converge_run):
+    drifts = [float(np.max(np.abs(cols["energy"] - cols["energy"][0])))
+              for cols in converge_run("gp_scalar").series.values()]
     ratios = [b / a for a, b in zip(drifts, drifts[1:])]
     ok = all(r <= TOL["drift_ratio"] for r in ratios)
     _verdict(7, "almost-conservation", ok,
@@ -301,36 +236,17 @@ def test_criterion_08_hydrodynamic_residual(condensate_residuals):
              f"ratio {ratio:.3f}, ablation x{inflation:.0f}")
 
 
-def test_criterion_09_structure_preservation(condensate_sweep, spin_sweep):
-    worst_mass = max(condensate_sweep[eps]["mass_drift"] for eps in SWEEP_EPS)
-    worst_norm = max(spin_sweep[eps]["norm_deviation"] for eps in SWEEP_EPS)
-
-    grid = Grid(128, 8 * np.pi)
-    specs = [
-        ("LL_EASY_CONE", {"alpha": 1.0, "beta": 0.5, "theta0": 1.0}),
-        ("AF_CHAIN", None),
-        ("GP_COUPLED", None),
-    ]
-    for kind, params in specs:
-        geom, spec = preset(kind, params)
-        comps = [_bump(grid, amp=0.2)]
-        if geom.dim == 2:
-            comps.append(-0.5 * _bump(grid, amp=0.2))
-        s0 = well_prepared_init(spec, geom, Field(grid, np.stack(comps)), 0.2)
-        cap = dt_max(spec, 0.2, grid)
-        steps = int(np.ceil(0.2 / (cap / 4.0) / 10.0)) * 10
-        traj = record_micro(spec, s0, T=0.2, dt=0.2 / steps, n_snapshots=5)
-        if np.iscomplexobj(s0.values):
-            m0 = mass(spec, traj.states[0])
-            worst_mass = max(
-                worst_mass, max(abs(mass(spec, s) - m0) / m0 for s in traj.states)
-            )
-        else:
-            worst_norm = max(worst_norm, max(_norm_deviation(s) for s in traj.states))
-
-    ok = worst_mass <= TOL["structure"] and worst_norm <= TOL["structure"]
+def test_criterion_09_structure_preservation(converge_run):
+    # structure_dev is the relative mass drift of a condensate and the
+    # unit-norm deviation of a spin chain
+    worst = {"mass": 0.0, "norm": 0.0}
+    for family in CONVERGE_FAMILIES:
+        key = "mass" if family.startswith("gp_") else "norm"
+        for cols in converge_run(family).series.values():
+            worst[key] = max(worst[key], float(np.max(cols["structure_dev"])))
+    ok = max(worst.values()) <= TOL["structure"]
     _verdict(9, "structure preservation", ok,
-             f"mass drift {worst_mass:.2e}, unit-norm deviation {worst_norm:.2e}")
+             f"mass drift {worst['mass']:.2e}, unit-norm deviation {worst['norm']:.2e}")
 
 
 def test_criterion_10_hyperbolic_breakdown(tmp_path):

@@ -18,7 +18,7 @@ from kdvlab.analysis import (
     solitary_profile,
 )
 from kdvlab.grid import Field, Grid, fourier_shift, l2_norm, spectral_derivative
-from kdvlab.kdv import LimitModel, QTensor, bilinear_apply, evolve_kdv
+from kdvlab.kdv import QTensor, bilinear_apply, evolve_kdv
 from kdvlab.models import limit_equation, preset
 from oracles import soliton_ode_residual
 
@@ -295,8 +295,8 @@ def test_miura_map_constant():
 def test_miura_crosscheck_constant_static():
     grid = Grid(64, 2 * np.pi)
     v = Field(grid, np.full((1, 64), 0.7))
-    err = miura_crosscheck(QTensor([[[0.5]]]), v, T=0.2, dt=1e-2)
-    assert err <= 1e-13
+    err, aborted = miura_crosscheck(QTensor([[[0.5]]]), v, T=0.2, dt=1e-2)
+    assert not aborted and err <= 1e-13
 
 
 def test_miura_crosscheck_classical_scalar():
@@ -304,8 +304,8 @@ def test_miura_crosscheck_classical_scalar():
     # the measured discrepancy is pure discretization error
     grid = Grid(512, 2 * np.pi)
     v0 = Field(grid, np.sin(grid.x)[None, :])
-    err = miura_crosscheck(QTensor([[[0.5]]]), v0, T=0.5, dt=1e-3)
-    assert err <= TOL["miura_scalar"]
+    err, aborted = miura_crosscheck(QTensor([[[0.5]]]), v0, T=0.5, dt=1e-3)
+    assert not aborted and err <= TOL["miura_scalar"]
 
 
 def test_miura_crosscheck_dt_sign():
@@ -315,7 +315,8 @@ def test_miura_crosscheck_dt_sign():
     Q = QTensor([[[0.5]]])
     with pytest.raises(ValueError, match="dt"):
         miura_crosscheck(Q, v0, T=0.1, dt=0.0)
-    assert miura_crosscheck(Q, v0, T=0.1, dt=-1e-3) <= TOL["miura_scalar"]
+    err, aborted = miura_crosscheck(Q, v0, T=0.1, dt=-1e-3)
+    assert not aborted and err <= TOL["miura_scalar"]
 
 
 @settings(max_examples=25, deadline=None)
@@ -334,8 +335,8 @@ def test_miura_square_commutes_property(seed, amp, q, sign):
     a, b = rng.normal(size=(2, 4))
     v = a @ np.cos(modes * grid.x) + b @ np.sin(modes * grid.x)
     v0 = Field(grid, amp * v / np.max(np.abs(v)))
-    err = miura_crosscheck(QTensor([[[sign * q]]]), v0, T=0.1, dt=1e-3)
-    assert err <= TOL["miura_scalar"]
+    err, aborted = miura_crosscheck(QTensor([[[sign * q]]]), v0, T=0.1, dt=1e-3)
+    assert not aborted and err <= TOL["miura_scalar"]
 
 
 def test_miura_crosscheck_d2_equal_moduli():
@@ -344,7 +345,9 @@ def test_miura_crosscheck_d2_equal_moduli():
     for n in (128, 256):
         grid = Grid(n, 2 * np.pi)
         v0 = Field(grid, 0.5 * np.stack([np.sin(grid.x), np.cos(2 * grid.x)]))
-        errs.append(miura_crosscheck(Q, v0, T=0.5, dt=1e-3))
+        err, aborted = miura_crosscheck(Q, v0, T=0.5, dt=1e-3)
+        assert not aborted
+        errs.append(err)
     # spatially converged at both resolutions; what remains is the
     # wavenumber-weighted time-stepping error, small at either size
     assert max(errs) <= TOL["miura_d2"]
@@ -352,7 +355,8 @@ def test_miura_crosscheck_d2_equal_moduli():
 
 def test_miura_crosscheck_rejects_aborted_kdv_leg(monkeypatch):
     # an aborted KdV leg has no snapshots past its abort time; the crosscheck
-    # must fail loudly there instead of scoring the missing times as agreement
+    # compares only the times both legs reached and names the aborted leg,
+    # so the caller cannot score the missing times as agreement
     import kdvlab.analysis
 
     real_evolve = kdvlab.analysis.evolve_kdv
@@ -368,8 +372,11 @@ def test_miura_crosscheck_rejects_aborted_kdv_leg(monkeypatch):
     monkeypatch.setattr(kdvlab.analysis, "evolve_kdv", aborted)
     grid = Grid(64, 2 * np.pi)
     v0 = Field(grid, 0.1 * np.sin(grid.x))
-    with pytest.raises(ValueError, match=r"t=0\.01.*gradient blow-up"):
-        miura_crosscheck(QTensor([[[0.5]]]), v0, T=0.1, dt=1e-2)
+    Q = QTensor([[[0.5]]])
+    err, legs = miura_crosscheck(Q, v0, T=0.1, dt=1e-2)
+    assert list(legs) == ["kdv"] and legs["kdv"].abort_reason == "gradient blow-up"
+    at_start = l2_norm(miura_map(Q, v0).components - legs["kdv"].states[0].components, grid)
+    assert err == at_start  # t = 0, the one time both legs reached
 
 
 def test_miura_mkdv_leg_transforms_per_step(monkeypatch, fft_calls):
@@ -396,7 +403,8 @@ def test_miura_mkdv_leg_transforms_per_step(monkeypatch, fft_calls):
         miura_crosscheck(Q, v0, T=steps * 1e-3, dt=1e-3, n_snapshots=2)
         return (fft_calls.total() - total) - (in_kdv_leg["total"] - kdv)
 
-    assert (mkdv_transforms(20) - mkdv_transforms(10)) / 10 == 8
+    # the stepper's 8 and the gradient check of the shared IF-RK4 loop
+    assert (mkdv_transforms(20) - mkdv_transforms(10)) / 10 == 9
 
 
 def test_miura_crosscheck_rejects_violating_tensor():

@@ -236,22 +236,20 @@ def test_converge_errors_strictly_decrease(tmp_path):
     for eps in (0.2, 0.1):
         series = (tmp_path / "out" / f"converge_eps_{eps}.csv").read_text()
         assert series.splitlines()[0] == (
-            "t,err_amplitude,err_gradient,w_norm,eps_phi_inf,energy_proxy"
+            "t,err_amplitude,err_gradient,w_norm,eps_phi_inf,energy_proxy,energy,structure_dev"
         )
 
 
-def test_af_chain_converges(tmp_path):
-    # the antiferromagnet limit from eps 0.2 to 0.1: every error ratio at
-    # most 0.5, first order at least (the O(eps^2) estimate predicts 0.25);
-    # well-prepared data built with the wrong normal-coupling sign put the
-    # ratios at 1.000
-    cfg = dict(default_config("converge"), preset="af_chain", eps_list=[0.2, 0.1],
-               workers=1, output_dir=str(tmp_path / "out"))
-    assert main(["converge", "--config", _write_config(tmp_path, "af.json", cfg)]) == 0
-    checks = _assertion_map(_summary(tmp_path / "out"))
+def test_af_chain_converges(converge_run):
+    # the antiferromagnet limit from eps 0.2 to 0.1 (the acceptance suite's
+    # converge run): every error ratio at most 0.5, first order at least (the
+    # O(eps^2) estimate predicts 0.25); well-prepared data built with the
+    # wrong normal-coupling sign put the ratios at 1.000
+    run = converge_run("af_chain")
+    assert run.status == 0
     for name in ("amplitude_error_strictly_decreasing", "gradient_error_strictly_decreasing",
                  "w_norm_decreasing"):
-        assert checks[name]["value"] <= 0.5, (name, checks[name]["value"])
+        assert run.checks[name]["value"] <= 0.5, (name, run.checks[name]["value"])
 
 
 def test_converge_serial_and_parallel_agree_bytewise(tmp_path):
@@ -369,6 +367,28 @@ def test_miura_unequal_moduli_fails_by_design(tmp_path):
     assert checks["scalar_crosscheck"]["pass"]
     assert not checks["d2_condition"]["pass"]
     assert checks["d2_condition"]["value"] > 1e-3
+
+
+@pytest.mark.parametrize("amplitude,dt,legs", [
+    # without a blow-up monitor the mKdV step went non-finite in these two
+    (5.0, 1e-3, ["kdv", "mkdv"]),
+    (8.0, 1e-2, ["kdv", "mkdv"]),
+    (3.0, 1e-3, ["kdv"]),
+])
+def test_miura_leg_abort_fails_with_a_summary(tmp_path, amplitude, dt, legs):
+    # a leg that aborts fails the crosscheck, and the summary names the leg,
+    # its abort reason and the step it stopped on
+    cfg = dict(default_config("miura"), output_dir=str(tmp_path / "out"))
+    cfg["initial"]["amplitude"] = amplitude
+    cfg["time"]["dt"] = dt
+    assert main(["miura", "--config", _write_config(tmp_path, "cfg.json", cfg)]) == 1
+    summary = _summary(tmp_path / "out")
+    assert not _assertion_map(summary)["scalar_crosscheck"]["pass"]
+    aborts = summary["timings"]["aborts"]
+    assert sorted(aborts) == legs
+    for entry in aborts.values():
+        assert entry["abort_reason"] == "gradient blow-up"
+        assert 1 <= entry["steps_taken"] < summary["timings"]["kdv_steps"]
 
 
 def test_miura_reports_the_steps_it_takes(tmp_path):

@@ -18,7 +18,6 @@ from kdvlab.hydro import (
     energy_proxy,
     extract_series,
     limit_error,
-    observables,
 )
 from kdvlab.kdv import evolve_kdv
 from kdvlab.micro import SNAPSHOT_BLOCK, MicroState, dt_max, well_prepared_init
@@ -30,7 +29,7 @@ from kdvlab.models import (
     normal_coupling,
     preset,
 )
-from oracles import hydro_residual, limit_errors, record_micro, replay_blocks
+from oracles import hydro_residual, observables, record_micro, replay_blocks
 
 TOL = {
     "roundtrip": 1e-12,
@@ -192,7 +191,7 @@ def test_zero_state_has_zero_energy():
     _, spec = preset("GP_SCALAR")
     h = HydroState(grid, 0.2, np.zeros((1, 64)), np.zeros((1, 64)), True)
     H, w = almost_hamiltonian(spec, h)
-    assert H == 0.0 and w == 0.0
+    assert H == 0.0 and np.max(np.abs(w)) == 0.0
 
 
 @pytest.mark.parametrize("kind,params", PRESETS)
@@ -204,21 +203,20 @@ def test_energy_matches_w_norm_to_second_order(kind, params):
     for eps in (0.2, 0.1):
         _, spec, state = _prepared(kind, params, grid, eps)
         H, w = almost_hamiltonian(spec, extract_series(spec, state))
-        leading = w**2 / (4.0 * geom.lam)
+        leading = l2_norm(w, grid)**2 / (4.0 * geom.lam)
         assert abs(H - leading) / eps**2 <= TOL["h_identity"]
 
 
 @pytest.mark.parametrize("kind,params", PRESETS)
 def test_energy_leading_term_is_the_observables_w_norm(kind, params):
-    # almost_hamiltonian forms W from its own tangent gradient; its norm must
-    # be that of the W of observables to the last bit
+    # almost_hamiltonian forms W from its own tangent gradient; it must be
+    # the W of the observables' definitions to the last bit
     grid = Grid(128, 2 * np.pi)
     geom, spec = preset(kind, params)
     phi = np.stack([2.0 * np.sin((i + 1) * grid.x + 0.3) for i in range(geom.dim)])
     n = np.stack([0.5 * np.cos((i + 2) * grid.x) for i in range(geom.dim)])
     h = HydroState(grid, 0.2, phi, n, True)
-    w = observables(spec, h).W
-    assert almost_hamiltonian(spec, h)[1] == l2_norm(w, grid)
+    assert np.array_equal(almost_hamiltonian(spec, h)[1], observables(spec, h).W)
 
 
 @pytest.mark.parametrize("kind", ["LL_EASY_PLANE", "AF_CHAIN"])
@@ -228,7 +226,7 @@ def test_energy_identity_sharpens_without_curvature_terms(kind):
     for eps in (0.2, 0.1, 0.05):
         geom, spec, state = _prepared(kind, None, grid, eps)
         H, w = almost_hamiltonian(spec, extract_series(spec, state))
-        assert abs(H - w**2 / (4.0 * geom.lam)) <= TOL["h_zero_tensor"] * eps**4
+        assert abs(H - l2_norm(w, grid)**2 / (4.0 * geom.lam)) <= TOL["h_zero_tensor"] * eps**4
 
 
 # ---------------------------------------------------------------------------
@@ -304,59 +302,41 @@ def test_residual_rejects_unsupported_models(kind, params):
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def condensate_sweep():
-    """GP runs at eps = 0.2 and 0.1 against the shared limit trajectory."""
-    grid = Grid(256, 8 * np.pi)
-    geom, spec = preset("GP_SCALAR")
-    A0 = Field(grid, _bump(grid))
-    model = limit_equation(geom)
-    T = 0.5
-    kdv_traj = evolve_kdv(model, A0, T, 1e-3, n_snapshots=11)
-    out = {}
-    for eps in (0.2, 0.1):
-        cap = dt_max(spec, eps, grid)
-        steps = int(np.ceil(T / (cap / 4.0) / 10.0)) * 10
-        s0 = well_prepared_init(spec, geom, A0, eps)
-        traj = record_micro(spec, s0, T=T, dt=T / steps, n_snapshots=11)
-        assert not traj.aborted
-        err = limit_errors(spec, traj, kdv_traj)
-        energies = replay_blocks(spec, traj,
-                                 lambda t, b, h: {"H": almost_hamiltonian(spec, h)[0]})["H"]
-        err["h_drift"] = max(abs(e - energies[0]) for e in energies)
-        out[eps] = err
-    return out
+def test_limit_errors_decrease_with_eps(converge_run):
+    # the scalar-condensate converge run of the acceptance suite: eps 0.2,
+    # 0.1 and 0.05 against the shared limit run
+    series = converge_run("gp_scalar").series
+    for name in ("err_amplitude", "err_gradient", "w_norm"):
+        sups = [np.max(cols[name]) for cols in series.values()]
+        assert all(b < a for a, b in zip(sups, sups[1:])), name
+    assert np.max(series[0.2]["err_amplitude"]) <= 1.2e-3
 
 
-def test_limit_errors_decrease_with_eps(condensate_sweep):
-    for name in ("sup_err_amplitude", "sup_err_gradient", "sup_w"):
-        assert condensate_sweep[0.1][name] < condensate_sweep[0.2][name]
-    assert condensate_sweep[0.2]["sup_err_amplitude"] <= 1.2e-3
+def test_sweep_stays_inside_the_chart(converge_run):
+    run = converge_run("gp_scalar")
+    check = run.checks["phase_within_chart"]
+    assert check["pass"]  # every snapshot in the chart
+    for cols in run.series.values():
+        assert np.max(cols["eps_phi_inf"]) < check["threshold"]
 
 
-def test_sweep_stays_inside_the_chart(condensate_sweep):
-    for err in condensate_sweep.values():
-        assert err["in_chart"].all()
-        assert err["max_eps_phi"] < err["chart_radius"]
-
-
-def test_w_norm_excess_scales_like_eps_fifth(condensate_sweep):
+def test_w_norm_excess_scales_like_eps_fifth(converge_run):
     # sup_t ||W||^2 <= ||W(0)||^2 + C eps^5: the excess ratio under eps -> eps/2
-    excess = {
-        eps: float(np.max(err["w_norm"] ** 2) - err["w_norm"][0] ** 2)
-        for eps, err in condensate_sweep.items()
-    }
-    assert excess[0.1] <= 0.25 * excess[0.2]
+    excess = [float(np.max(cols["w_norm"] ** 2) - cols["w_norm"][0] ** 2)
+              for cols in converge_run("gp_scalar").series.values()]
+    assert all(b <= 0.25 * a for a, b in zip(excess, excess[1:]))
 
 
-def test_energy_proxy_stays_bounded(condensate_sweep):
-    for err in condensate_sweep.values():
-        proxy = err["energy_proxy"]
+def test_energy_proxy_stays_bounded(converge_run):
+    for cols in converge_run("gp_scalar").series.values():
+        proxy = cols["energy_proxy"]
         assert np.max(proxy) <= 3.0 * proxy[0]
 
 
-def test_energy_drift_shrinks_with_eps(condensate_sweep):
-    assert condensate_sweep[0.1]["h_drift"] <= 0.75 * condensate_sweep[0.2]["h_drift"]
+def test_energy_drift_shrinks_with_eps(converge_run):
+    drifts = [np.max(np.abs(cols["energy"] - cols["energy"][0]))
+              for cols in converge_run("gp_scalar").series.values()]
+    assert all(b <= 0.75 * a for a, b in zip(drifts, drifts[1:]))
 
 
 def test_zero_data_gives_zero_limit_error():
@@ -366,10 +346,9 @@ def test_zero_data_gives_zero_limit_error():
     s0 = well_prepared_init(spec, geom, zero, 0.2)
     traj = record_micro(spec, s0, T=0.1, dt=1e-4, n_snapshots=3)
     kdv_traj = evolve_kdv(limit_equation(geom), zero, 0.1, 1e-3, n_snapshots=3)
-    err = limit_errors(spec, traj, kdv_traj)
-    assert err["sup_err_amplitude"] <= TOL["zero_data"]
-    assert err["sup_err_gradient"] <= TOL["zero_data"]
-    assert err["sup_w"] <= TOL["zero_data"]
+    err = replay_blocks(spec, traj, _micro_series(spec, s0, kdv_traj))
+    for name in ("err_amplitude", "err_gradient", "w_norm"):
+        assert np.max(err[name]) <= TOL["zero_data"]
 
 
 def test_limit_error_requires_matching_times():
@@ -380,7 +359,7 @@ def test_limit_error_requires_matching_times():
     traj = record_micro(spec, s0, T=0.1, dt=1e-4, n_snapshots=3)
     kdv_traj = evolve_kdv(limit_equation(geom), zero, 0.07, 1e-3, n_snapshots=3)
     with pytest.raises(ValueError, match="time grids"):
-        limit_errors(spec, traj, kdv_traj)
+        replay_blocks(spec, traj, _micro_series(spec, s0, kdv_traj))
 
 
 def test_proxy_of_flat_state_counts_only_gradients():
@@ -476,10 +455,11 @@ def test_blocked_limit_error_matches_the_per_snapshot_formulas(kind, params):
     def against_zero(spec, state):
         zero = Field(state.grid, np.zeros((spec.dim, state.grid.n_points)))
         return lambda times, block, h: limit_error(
-            spec, times, h, SimpleNamespace(times=times, states=[zero] * len(times)))
+            spec, times, h, almost_hamiltonian(spec, h)[1],
+            SimpleNamespace(times=times, states=[zero] * len(times)))
 
     spec, err, traj = _seventy_snapshot_run(kind, params, against_zero)
-    grid, eps = traj.states[0].grid, traj.meta["eps"]
+    grid = traj.states[0].grid
     ref = None
     for i, state in enumerate(traj.states):
         h = extract_series(spec, state, phase_ref=ref)
@@ -488,13 +468,10 @@ def test_blocked_limit_error_matches_the_per_snapshot_formulas(kind, params):
         want = {
             "err_amplitude": l2_norm(obs.A, grid),
             "err_gradient": l2_norm(obs.A + obs.W, grid),
-            "w_norm": l2_norm(obs.W, grid),
-            "eps_phi_inf": float(np.max(np.abs(eps * h.phi))),
             "energy_proxy": energy_proxy(spec, h),
         }
         for name, value in want.items():
             assert abs(err[name][i] - value) <= 1e-14 * abs(value), (name, i)
-        assert err["in_chart"][i] == h.valid
 
 
 def test_phase_branch_carries_across_block_seams():
