@@ -92,16 +92,30 @@ def _newton_root(Q: QTensor, z0: np.ndarray, tol: float, max_iter: int = 80):
     return z, rn
 
 
+def _kronecker_sphere(count: int, d: int) -> np.ndarray:
+    """``count`` deterministic low-discrepancy points on the unit sphere of
+    R^d: the Kronecker (R_d) sequence p_i = 2 frac(1/2 + i alpha) - 1,
+    i = 1..count, with alpha_j = phi_d^-j and phi_d the root of
+    x^(d+1) = x + 1, each point normalized."""
+    phi = 2.0
+    for _ in range(64):  # a contraction by at most 1/2 per pass
+        phi = (1.0 + phi) ** (1.0 / (d + 1))
+    alpha = phi ** -np.arange(1.0, d + 1)
+    pts = 2.0 * np.mod(0.5 + np.arange(1, count + 1)[:, None] * alpha, 1.0) - 1.0
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
 def find_fixed_point(Q: QTensor, seed=None):
     """All distinct nonzero solutions of Q(z,z) = z found by multi-start Newton.
 
     Seeds: the optional user seed, eigenvector-informed guesses (unit
     eigenvectors r of the flux Jacobian at basis points, scaled by
-    1/(Q(r,r).r)), and 32 points on the unit sphere from a fixed generator.
-    Roots are deduplicated at distance 1e-8 and returned sorted (by norm,
-    then lexicographically); each satisfies |Q(z,z) - z| <= 1e-12.
+    1/(Q(r,r).r)), and 32 points on the unit sphere from a Kronecker
+    sequence (:func:`_kronecker_sphere`).  Roots are deduplicated at distance
+    1e-8 and returned sorted (by norm, then lexicographically); each
+    satisfies |Q(z,z) - z| <= 1e-12.
     """
-    n_random, tol = 32, 1e-12
+    n_sphere, tol = 32, 1e-12
     if Q.is_zero:
         raise ValueError("Q must be nonzero: every z solves Q(z,z)=z only for z=0")
     d = Q.dim
@@ -115,10 +129,7 @@ def find_fixed_point(Q: QTensor, seed=None):
             scale = float(Q.apply_vectors(r, r) @ r)
             if abs(scale) > 1e-10:
                 seeds.append(r / scale)
-    rng = np.random.default_rng(1234)
-    pts = rng.normal(size=(n_random, d))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    seeds.extend(pts)
+    seeds.extend(_kronecker_sphere(n_sphere, d))
 
     roots = []
     for z0 in seeds:
@@ -237,21 +248,24 @@ def miura_map(Q: QTensor, v: Field) -> Field:
 
 
 def _mkdv_nonlinear(Q: QTensor, grid: Grid):
-    """dv/dt contribution -(2/3) Q(v, Q(v, dx v)) on rfft coefficients; the
-    cubic term is dealiased by padding [v, dx v] to twice the grid (one irfft)
-    before any product is formed, then truncated back (one rfft)."""
+    """dv/dt contribution -(2/3) Q(v, Q(v, dx v)) on rfft coefficients, as
+    ``rhs(w, out)`` writing into ``out``; the cubic term is dealiased by
+    padding [v, dx v] to twice the grid (one irfft) before any product is
+    formed, then truncated back (one rfft)."""
     n = grid.n_points
     d = Q.dim
     ik = grid.rsymbol(1)
     ws = Dealias(n, 2, 2 * d)
     pair, q = _pairing(Q.coeffs)
     rows, dx_rows, scale = ws.low[:d], ws.low[d:], ws.fold(-2.0 / 3.0 * q * q, 3)
+    inner, prod = np.empty((2, d, ws.m))
 
-    def rhs(w):
+    def rhs(w, out):
         np.multiply(w, ws.split, out=rows)
         np.multiply(w, ik, out=dx_rows)  # ik is zero at the Nyquist mode
         p = ws.samples()
-        return scale * ws.coeffs(pair(p[:d], pair(p[:d], p[d:])))
+        pair(p[:d], pair(p[:d], p[d:], out=inner), out=prod)
+        return np.multiply(scale, ws.coeffs(prod), out=out)
 
     return rhs
 

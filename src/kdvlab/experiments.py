@@ -566,8 +566,10 @@ def _run_converge(cfg: ExperimentConfig, outdir: Path):
     payloads = [(raw, eps, kdv_traj) for eps in cfg.eps_list]
     if cfg.workers > 1:
         from multiprocessing import Pool  # only parallel runs pay for this import
+        # eps_list decreases, so reversed it hands out the costliest run (the
+        # smallest eps) first; the results are put back in eps_list order
         with Pool(processes=min(cfg.workers, len(payloads))) as pool:
-            results = pool.map(_converge_task, payloads)
+            results = pool.map(_converge_task, payloads[::-1], chunksize=1)[::-1]
     else:
         results = [_converge_task(p) for p in payloads]
 

@@ -27,6 +27,7 @@ __all__ = [
 # The one transform layer, along the last axis: on numpy >= 2.0 the gufuncs
 # behind numpy.fft with its scales (1 forward, 1/n inverse), bit-identical
 # without its per-call wrapper, which costs as much as a 256-point transform.
+# The real pair writes into a caller's ``out`` if given.
 try:
     from numpy.fft import _pocketfft_umath as _POCKETFFT
 except ImportError:  # numpy < 2.0: through numpy.fft
@@ -35,18 +36,31 @@ if not all(hasattr(_POCKETFFT, f) for f in ("rfft_n_even", "rfft_n_odd", "irfft"
     _POCKETFFT = None
 
 
-def _rfft(a):
+def _fallback(result, out):
+    """A numpy.fft result, copied into ``out`` if given: numpy.fft takes no
+    ``out=`` before numpy 2.0."""
+    if out is None:
+        return result
+    out[...] = result
+    return out
+
+
+def _rfft(a, out=None):
     if _POCKETFFT is None:
-        return np.fft.rfft(a, axis=-1)
+        return _fallback(np.fft.rfft(a, axis=-1), out)
     n = a.shape[-1]
+    if out is None:
+        out = np.empty(a.shape[:-1] + (n // 2 + 1,), complex)
     gufunc = _POCKETFFT.rfft_n_even if n % 2 == 0 else _POCKETFFT.rfft_n_odd
-    return gufunc(a, 1, out=np.empty(a.shape[:-1] + (n // 2 + 1,), complex))
+    return gufunc(a, 1, out=out)
 
 
-def _irfft(a, n):
+def _irfft(a, n, out=None):
     if _POCKETFFT is None:
-        return np.fft.irfft(a, n, axis=-1)
-    return _POCKETFFT.irfft(a, 1.0 / n, out=np.empty(a.shape[:-1] + (n,)))
+        return _fallback(np.fft.irfft(a, n, axis=-1), out)
+    if out is None:
+        out = np.empty(a.shape[:-1] + (n,))
+    return _POCKETFFT.irfft(a, 1.0 / n, out=out)
 
 
 def _fft(a):
@@ -267,23 +281,38 @@ def ifrk4_factors(symbol, dt: float):
     return dt, e_half, e_full, (dt / 6.0) * e_full, (dt / 3.0) * e_half, (dt / 2.0) * e_half, dt * e_half
 
 
-def ifrk4_step(v_hat, nonlinear, factors):
+def ifrk4_step(v_hat, nonlinear, factors, stages):
     """Integrating-factor RK4 on Fourier coefficients; returns the new ones.
 
     Integrates d/dt v = L v + N(v) for coefficients v (the rfft half spectrum
     in this package), where L is diagonal and enters through the ``factors``
-    of :func:`ifrk4_factors`; ``nonlinear`` maps coefficients to
-    coefficients.  The scheme is classical RK4 applied to w = exp(-L t) v, so
-    the stiff linear part contributes no stability restriction.
+    of :func:`ifrk4_factors`.  Stage i calls ``nonlinear(y, out=stages[i])``
+    and uses the array it returns; e^(L dt/2) v (then e^(L dt) v) is kept in
+    ``stages[4]`` and the stage states are formed in ``stages[5]``.
+    ``stages`` is a (6, *v_hat.shape) complex array the caller keeps across
+    steps; only the result is allocated.  The scheme is classical RK4
+    applied to w = exp(-L t) v, so the stiff linear part contributes no
+    stability restriction.  Raises FloatingPointError on a non-finite result.
     """
     dt, e_half, e_full, c_n1, c_n23, c_half, c_full = factors
-    n1 = nonlinear(v_hat)
-    ev = e_half * v_hat  # shared by stages 2 and 3
-    n2 = nonlinear(c_half * n1 + ev)
-    n3 = nonlinear((0.5 * dt) * n2 + ev)
-    ev = e_full * v_hat
-    n4 = nonlinear(c_full * n3 + ev)
-    out = c_n1 * n1 + ev + c_n23 * (n2 + n3) + (dt / 6.0) * n4
+    ev, y = stages[4], stages[5]
+    n1 = nonlinear(v_hat, out=stages[0])
+    np.multiply(e_half, v_hat, out=ev)  # shared by stages 2 and 3
+    np.multiply(c_half, n1, out=y)
+    y += ev
+    n2 = nonlinear(y, out=stages[1])
+    np.multiply(0.5 * dt, n2, out=y)
+    y += ev
+    n3 = nonlinear(y, out=stages[2])
+    np.multiply(e_full, v_hat, out=ev)
+    np.multiply(c_full, n3, out=y)
+    y += ev
+    n4 = nonlinear(y, out=stages[3])
+    out = np.multiply(c_n1, n1)  # c_n1 n1 + ev + c_n23 (n2 + n3) + (dt/6) n4, in that order
+    out += ev
+    np.add(n2, n3, out=y)
+    out += np.multiply(c_n23, y, out=y)
+    out += np.multiply(dt / 6.0, n4, out=y)
     if not np.isfinite(out).all():
         raise FloatingPointError("ifrk4_step: non-finite state produced")
     return out
@@ -310,8 +339,9 @@ class Dealias:
     write coefficients times ``split`` (halving the Nyquist mode of even n
     between +k and -k) into ``low``, the head of a zero-tailed padded half
     spectrum; :meth:`samples` is one irfft of it, :meth:`coeffs` one rfft
-    back.  The m/n scalings and the factor 2 of the recombined Nyquist mode
-    go into the caller's symbol through :meth:`fold`, once per run."""
+    back, each into a buffer the workspace owns (valid until its next call).
+    The m/n scalings and the factor 2 of the recombined Nyquist mode go into
+    the caller's symbol through :meth:`fold`, once per run."""
 
     def __init__(self, n: int, factor: float, rows: int):
         m = int(np.ceil(n * factor))
@@ -319,12 +349,14 @@ class Dealias:
         self.buffer = np.zeros((rows, self.m // 2 + 1), np.complex128)
         self.low = self.buffer[:, : n // 2 + 1]
         self.split = np.where(2 * np.arange(n // 2 + 1) == n, 0.5, 1.0)
+        self.padded = np.empty((rows, self.m))
+        self.spectrum = np.empty_like(self.buffer)  # a product has at most ``rows`` rows
 
     def samples(self) -> np.ndarray:
-        return _irfft(self.buffer, self.m)
+        return _irfft(self.buffer, self.m, out=self.padded)
 
     def coeffs(self, samples) -> np.ndarray:
-        out = _rfft(samples)[..., : self.n // 2 + 1]
+        out = _rfft(samples, out=self.spectrum[: len(samples)])[..., : self.n // 2 + 1]
         if self.n % 2 == 0:
             out.imag[..., self.n // 2] = 0.0
         return out

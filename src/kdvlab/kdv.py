@@ -84,11 +84,12 @@ class QTensor:
 
 
 def _pairing(tensor: np.ndarray):
-    """(a, b) -> sum_ij T[i,j,k] a_i b_j on samples (d, M), and a scalar for the
-    caller's symbol: a scalar T pairs by one product and is that scalar."""
+    """(a, b, out=None) -> sum_ij T[i,j,k] a_i b_j on samples (d, M), and a
+    scalar for the caller's symbol: a scalar T pairs by one product and is
+    that scalar."""
     if tensor.shape == (1, 1, 1):
         return np.multiply, float(tensor[0, 0, 0])
-    return lambda a, b: np.einsum("ijk,im,jm->km", tensor, a, b), 1.0
+    return lambda a, b, out=None: np.einsum("ijk,im,jm->km", tensor, a, b, out=out), 1.0
 
 
 def bilinear_apply(tensor: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -226,10 +227,16 @@ def _linear_symbol(model: LimitModel, grid: Grid) -> np.ndarray:
     return model.dispersion * grid.rsymbol(3) + model.advection * grid.rsymbol(1)
 
 
+def _zero_rhs(v, out):
+    out.fill(0.0)
+    return out
+
+
 def _nonlinear_rhs(model: LimitModel, grid: Grid):
-    """The nonlinear part as a map of rfft coefficients to rfft coefficients;
-    each call pads once (one irfft) and truncates once (one rfft) in a
-    :class:`Dealias` workspace kept for the run."""
+    """The nonlinear part as a map ``(v, out)`` of rfft coefficients to rfft
+    coefficients written into ``out`` (and returned); each call pads once
+    (one irfft) and truncates once (one rfft) in a :class:`Dealias`
+    workspace kept for the run, with the product in one held buffer."""
     n = grid.n_points
     ik = grid.rsymbol(1)
     if model.form == "canonical":
@@ -237,32 +244,34 @@ def _nonlinear_rhs(model: LimitModel, grid: Grid):
         if Q is None:
             raise ValueError("cannot evolve: model has no canonical form")
         if Q.is_zero:
-            return np.zeros_like
+            return _zero_rhs
         ws = Dealias(n, 1.5, model.dim)
         pair, scale = _pairing(Q.coeffs)
         minus_ik = ws.fold(-scale * ik, 2)
+        prod = np.empty((model.dim, ws.m))
 
-        def nonlin(v):
+        def nonlin(v, out):
             np.multiply(v, ws.split, out=ws.low)
             up = ws.samples()
-            return minus_ik * ws.coeffs(pair(up, up))
+            return np.multiply(minus_ik, ws.coeffs(pair(up, up, out=prod)), out=out)
 
         return nonlin
 
     tensor = model.raw_tensor
     if tensor is None or np.max(np.abs(tensor)) == 0:
-        return np.zeros_like
+        return _zero_rhs
     c = model.scale.get("sound_speed", model.scale["time_factor"] / 8.0)
     d = model.dim
     ws = Dealias(n, 1.5, 2 * d)
     pair, g = _pairing(tensor)
     dx_rows, rows, scale = ws.low[:d], ws.low[d:], ws.fold(g / (2.0 * c), 2)
+    prod = np.empty((d, ws.m))
 
-    def nonlin_raw(v):
+    def nonlin_raw(v, out):
         np.multiply(v, ik, out=dx_rows)  # ik is zero at the Nyquist mode
         np.multiply(v, ws.split, out=rows)
         p = ws.samples()
-        return scale * ws.coeffs(pair(p[:d], p[d:]))
+        return np.multiply(scale, ws.coeffs(pair(p[:d], p[d:], out=prod)), out=out)
 
     return nonlin_raw
 
@@ -304,7 +313,9 @@ def evolve_kdv(
 
 def _evolve_ifrk4(symbol, nonlin, u0: Field, T, dt, n_snapshots, blowup_multiple=50.0):
     """The IF-RK4 run of :func:`evolve_kdv` for any Fourier-diagonal linear
-    ``symbol`` (rfft half spectrum) and ``nonlin`` on rfft coefficients."""
+    ``symbol`` (rfft half spectrum) and ``nonlin(v, out)`` on rfft
+    coefficients; the stages and the gradient monitor's two buffers are
+    allocated once per run."""
     steps, dt = step_plan(T, dt)
     grid = u0.grid
     n = grid.n_points
@@ -314,10 +325,14 @@ def _evolve_ifrk4(symbol, nonlin, u0: Field, T, dt, n_snapshots, blowup_multiple
     def to_field(v):
         return Field(grid, _irfft(v, n), validate=False)
 
-    def max_gradient(v) -> float:
-        return float(np.max(np.abs(_irfft(ik * v, n))))
-
     v = _rfft(u0.components)
+    stages = np.empty((6,) + v.shape, complex)
+    dcoef, grad = np.empty_like(v), np.empty(u0.components.shape)
+
+    def max_gradient(v) -> float:
+        np.multiply(ik, v, out=dcoef)
+        return float(np.max(np.abs(_irfft(dcoef, n, out=grad), out=grad)))
+
     grad0 = max_gradient(v)
     grad_floor = max(grad0, 1e-12)
     snap_every = max(1, steps // max(1, n_snapshots - 1))
@@ -331,7 +346,7 @@ def _evolve_ifrk4(symbol, nonlin, u0: Field, T, dt, n_snapshots, blowup_multiple
     for step in range(1, steps + 1):
         t = step * dt
         try:
-            v = ifrk4_step(v, nonlin, factors)
+            v = ifrk4_step(v, nonlin, factors, stages)
         except FloatingPointError:
             traj.aborted = True
             traj.abort_reason = "non-finite state"

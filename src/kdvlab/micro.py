@@ -129,7 +129,9 @@ class _SpinWork:
     + Γ × T, ``sym`` = [(c/eps²) ik, torque].  Chain: T = ∂x² Γ/(2 eps) - e3
     V'(Γ₃)/eps³, easy-plane V' = 2k Γ₃ in ``sym``, easy-cone V' = 2α d - 3β d²
     pointwise from d = Γ₃ - cos θ0 (no O(α/eps³) cancellation on the cone).
-    Pair: T_u = -∂x² u/(2 eps) - ∂x v/eps² + 2v/eps³, T_v with +∂x u (``couple``)."""
+    Pair: T_u = -∂x² u/(2 eps) - ∂x v/eps² + 2v/eps³, T_v with +∂x u (``couple``).
+    The transforms and pointwise terms write into the buffers held here, so a
+    stage allocates nothing."""
 
     def __init__(self, spec, grid, eps, c):
         self.blocks = b = 2 if spec.kind == "AF_CHAIN" else 1
@@ -144,7 +146,10 @@ class _SpinWork:
         else:  # easy cone: T₃ += d (3β d - 2α) / eps³
             p = spec.params
             self.cone = (np.cos(p["theta0"]), 3.0 * p["beta"] / eps**3, 2.0 * p["alpha"] / eps**3)
+        self.coef, self.mixed = np.empty((2, b, 3, n // 2 + 1), complex)
         self.dcoef = np.empty((2, b, 3, n // 2 + 1), complex)
+        self.derivs = np.empty((2, b, 3, n))
+        self.dev = np.empty((2, b, n))
         self.g5, self.t5 = np.empty((2, b, 5, n))
 
 
@@ -158,15 +163,18 @@ def _rhs_raw(spec, vals, grid, eps, c, out=None, work=None):
     work = work or _SpinWork(spec, grid, eps, c)
     out = np.empty(vals.shape) if out is None else out
     gam = vals.reshape(work.blocks, 3, -1)
-    coef = _rfft(gam)
+    coef = _rfft(gam, out=work.coef)
     np.multiply(work.sym, coef, out=work.dcoef)
     if work.couple is not None:
-        work.dcoef[1] += work.couple * coef[::-1]
-    transport, torque = _irfft(work.dcoef, grid.n_points)
+        work.dcoef[1] += np.multiply(work.couple, coef[::-1], out=work.mixed)
+    transport, torque = _irfft(work.dcoef, grid.n_points, out=work.derivs)
     if work.cone is not None:
         cos0, quad, lin = work.cone
-        dev = gam[:, 2] - cos0
-        torque[:, 2] += dev * (quad * dev - lin)
+        dev, term = work.dev
+        np.subtract(gam[:, 2], cos0, out=dev)
+        np.multiply(quad, dev, out=term)
+        term -= lin
+        torque[:, 2] += np.multiply(dev, term, out=term)  # dev (quad dev - lin)
     gam.take(_ROLL, axis=1, out=work.g5)
     torque.take(_ROLL, axis=1, out=work.t5)
     # torque now lives in t5, so its buffer is the cross product's scratch

@@ -2,16 +2,18 @@
 Fourier-diagonal linear equation, the dealiased products and the IF-RK4
 step written out plainly (pad, multiply, truncate), the microscopic energy
 and momentum, the residuals of the truncated first-order chart system along
-a run, the limit observables, and the solitary-wave ODE residual; plus
+a run, the limit observables, the solitary-wave ODE residual and the
+fixed-point multistart from random start points; plus
 ``record_micro``, which keeps every snapshot of a microscopic run for the
 tests that need a whole run, and ``replay_blocks``, which hands such a run to
 the per-block diagnostics."""
 
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 
-from kdvlab import micro
+from kdvlab import analysis, micro
 from kdvlab.analysis import solitary_profile
 from kdvlab.grid import Field, integrate, l2_norm, spectral_derivative
 from kdvlab.hydro import chart_blocks, extract_series
@@ -368,3 +370,15 @@ def soliton_ode_residual(Q, z, grid, profile=None) -> float:
         + spectral_derivative(flux, 1).components
     )
     return l2_norm(resid, grid)
+
+
+def rng_fixed_points(Q):
+    """``analysis.find_fixed_point`` with the random start set it used before
+    the Kronecker sequence: 32 normal draws of ``default_rng(1234)``,
+    normalized (the eigenvector seeds before them are unchanged)."""
+    def draws(count, d):
+        pts = np.random.default_rng(1234).normal(size=(count, d))
+        return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+    with mock.patch.object(analysis, "_kronecker_sphere", draws):
+        return analysis.find_fixed_point(Q)

@@ -1,11 +1,14 @@
 """Tests for solitary waves, fixed points, Miura machinery, and the d=2
 complex nonlinearity family."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kdvlab.analysis
 from kdvlab.analysis import (
     SolitonSpec,
     build_soliton,
@@ -20,7 +23,7 @@ from kdvlab.analysis import (
 from kdvlab.grid import Field, Grid, fourier_shift, l2_norm, spectral_derivative
 from kdvlab.kdv import QTensor, bilinear_apply, evolve_kdv
 from kdvlab.models import limit_equation, preset
-from oracles import soliton_ode_residual
+from oracles import rng_fixed_points, soliton_ode_residual
 
 TOL = {
     "root_residual": 1e-12,
@@ -86,6 +89,50 @@ def test_fixed_point_d2_roots_pinned(alpha, beta, expected):
     assert len(roots) == len(expected)
     for z, want in zip(roots, expected):
         assert np.max(np.abs(z - want)) <= 1e-12
+
+
+def _same_roots(got, want):
+    return len(got) == len(want) and all(np.max(np.abs(z - w)) <= 1e-12 for z, w in zip(got, want))
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("GP_SCALAR", None), ("GP_COUPLED", None), ("GP_COUPLED", {"lam": 2.0, "gamma": 0.5}),
+    ("LL_EASY_CONE", {"alpha": 1.0, "theta0": 1.0}),
+    ("LL_EASY_CONE", {"alpha": 2.0, "theta0": 0.5, "beta": 1.0}),
+])
+def test_fixed_point_start_set_keeps_preset_roots(kind, params):
+    # the Kronecker start set finds the roots the random one found, for the
+    # preset limits with a nonzero canonical nonlinearity (the easy-plane and
+    # antiferromagnet limits have Q = 0)
+    Q = limit_equation(preset(kind, params)[0]).as_canonical().canonical_q
+    assert _same_roots(find_fixed_point(Q), rng_fixed_points(Q))
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.5 + 0.5j, 1.0), (1.0, 0.0), (0.3j, 1.0)])
+def test_fixed_point_start_set_keeps_complex_q_d2_roots(alpha, beta):
+    Q = complex_q_d2(alpha, beta)
+    assert _same_roots(find_fixed_point(Q), rng_fixed_points(Q))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3))
+def test_fixed_point_start_set_property(seed, d):
+    # on a random tensor either start set may miss a root the other finds
+    # (Newton from 32 sphere points does not reach every basin), so the
+    # lists are compared where they must agree: every root solves
+    # Q(z,z) = z, and the roots reached from the eigenvector seeds, which
+    # come first, are in both lists with the same bits
+    Q = QTensor(np.random.default_rng(seed).normal(size=(d, d, d)))
+    got, old = find_fixed_point(Q), rng_fixed_points(Q)
+    for z in got + old:
+        assert np.linalg.norm(Q.apply_vectors(z, z) - z) <= TOL["root_residual"]
+    with patch.object(kdvlab.analysis, "_kronecker_sphere", lambda count, d: np.empty((0, d))):
+        try:
+            anchored = find_fixed_point(Q)
+        except RuntimeError:  # no eigenvector seed converged
+            anchored = []
+    for z in anchored:
+        assert any(np.array_equal(z, w) for w in got) and any(np.array_equal(z, w) for w in old)
 
 
 def test_fixed_point_rejects_zero_tensor():

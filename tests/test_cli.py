@@ -49,6 +49,25 @@ def test_cli_import_loads_numpy_and_stdlib_only():
     assert out.split("\n")[:2] == ["[]", "[]"]
 
 
+def test_soliton_run_loads_no_numpy_random(tmp_path):
+    # the fixed-point multistart takes its start points from a Kronecker
+    # sequence: a limit run must not load numpy.random, which brings in
+    # hashlib, secrets and OpenSSL and sets the run's peak memory
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(src)!r})",
+        "from kdvlab.experiments import ExperimentConfig, default_config, run_experiment",
+        "raw = default_config('soliton')",
+        f"raw['output_dir'] = {str(tmp_path)!r}",
+        "print(run_experiment(ExperimentConfig.from_dict(raw)))",
+        "print(sorted(m for m in ('numpy.random', 'secrets') if m in sys.modules))",
+    ])
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split("\n")[:2] == ["0", "[]"]
+
+
 # ---------------------------------------------------------------------------
 # configuration validation
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ def kdv_rhs(model, u):
     Fourier-diagonal linear part plus the nonlinear part, both applied to
     rfft coefficients."""
     v = np.fft.rfft(u.components, axis=-1)
-    out = _linear_symbol(model, u.grid) * v + _nonlinear_rhs(model, u.grid)(v)
+    out = _linear_symbol(model, u.grid) * v + _nonlinear_rhs(model, u.grid)(v, np.empty_like(v))
     return Field(u.grid, np.fft.irfft(out, u.grid.n_points, axis=-1), validate=False)
 
 
