@@ -65,12 +65,13 @@ def _flux_jacobian(Q: QTensor, u: np.ndarray) -> np.ndarray:
     return 2.0 * np.einsum("ijk,i->jk", Q.coeffs, u)
 
 
-def _newton_root(Q: QTensor, z0: np.ndarray, tol: float, max_iter: int = 80):
+def _newton_root(Q: QTensor, z0: np.ndarray, tol: float):
+    """Damped Newton for Q(z,z) = z from z0, at most 80 steps: (z, |residual|)."""
     z = np.array(z0, dtype=float)
     res = Q.apply_vectors(z, z) - z
     rn = np.linalg.norm(res)
     eye = np.eye(Q.dim)
-    for _ in range(max_iter):
+    for _ in range(80):
         if rn <= tol:
             return z, rn
         J = _flux_jacobian(Q, z) - eye

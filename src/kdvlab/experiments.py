@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .analysis import (
 )
 from .grid import Field, Grid, l2_norm
 from .hydro import almost_hamiltonian, chart_blocks, limit_error
-from .kdv import LimitModel, blowup_monitor, conserved_quantities, evolve_kdv, step_plan
+from .kdv import LimitModel, conserved_quantities, evolve_kdv, step_plan
 from .micro import (SPLIT_STEP_RANGE, dt_max, evolve_micro, mass, unit_norm_deviation,
                     well_prepared_init)
 from .models import chart_radius, limit_equation, preset
@@ -131,25 +132,35 @@ def _require(cond: bool, field: str, message: str):
         raise ConfigError(f"{field}: {message}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or float in float range: not a bool, and not the inf that JSON
+    reads 1e400 as, nor NaN."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and _is_number(value)
+
+
+def _mapping(raw: dict, field: str) -> dict:
+    value = raw.get(field, {})
+    _require(isinstance(value, dict), field, f"must be a mapping, got {value!r}")
+    return value
 
 
 def _positive_number(value, field: str) -> float:
-    _require(_is_number(value), field, f"must be a number, got {value!r}")
+    _require(_is_number(value), field, f"must be a finite number, got {value!r}")
     _require(value > 0, field, f"must be positive, got {value!r}")
     return float(value)
 
 
 def _as_complex(value, field: str) -> complex:
     if isinstance(value, (list, tuple)):
-        _require(len(value) == 2, field, f"expects a number or [re, im], got {value!r}")
+        _require(len(value) == 2 and all(_is_number(v) for v in value), field,
+                 f"expects a finite number or [re, im], got {value!r}")
         return complex(float(value[0]), float(value[1]))
-    _require(_is_number(value), field, f"must be a number or [re, im], got {value!r}")
+    _require(_is_number(value), field, f"must be a finite number or [re, im], got {value!r}")
     return complex(float(value))
 
 
@@ -157,9 +168,10 @@ class ExperimentConfig:
     """Validated parameters of one experiment run.
 
     Build with :meth:`from_dict`; the accepted schema is the one produced by
-    :func:`default_config` (unknown keys are rejected, every numeric field
-    must be positive, ``eps_list`` strictly decreasing, grid size a power of
-    two).
+    :func:`default_config` (unknown keys are rejected, ``grid``, ``time``,
+    ``initial`` and ``params`` are mappings, every number is finite and every
+    numeric field positive, ``eps_list`` strictly decreasing, grid size a
+    power of two).
     """
 
     _KNOWN_KEYS = {
@@ -185,17 +197,16 @@ class ExperimentConfig:
         preset_name = raw.get("preset")
         _require(preset_name in _PRESET_NAMES, "preset",
                  f"must be one of {sorted(_PRESET_NAMES)}, got {preset_name!r}")
-        params = raw.get("params", {})
-        _require(isinstance(params, dict), "params", "must be a mapping")
+        params = _mapping(raw, "params")
         for name, value in params.items():
-            _require(_is_number(value), f"params.{name}", f"must be a number, got {value!r}")
+            _require(_is_number(value), f"params.{name}", f"must be a finite number, got {value!r}")
         try:
             params = {k: float(v) for k, v in params.items()}
             _, spec = preset(_PRESET_NAMES[preset_name], params)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"params: {exc}") from None
 
-        grid = raw.get("grid", {})
+        grid = _mapping(raw, "grid")
         n = grid.get("n")
         _require(_is_int(n), "grid.n",
                  f"must be an integer, got {n!r}")
@@ -203,7 +214,7 @@ class ExperimentConfig:
                  f"must be a power of two >= 8, got {n}")
         length = _positive_number(grid.get("length"), "grid.length")
 
-        tblock = raw.get("time", {})
+        tblock = _mapping(raw, "time")
         t_final = _positive_number(tblock.get("t_final"), "time.t_final")
         dt = _positive_number(tblock.get("dt"), "time.dt")
         snapshots = tblock.get("snapshots")
@@ -211,7 +222,7 @@ class ExperimentConfig:
                  f"must be an integer >= 2, got {snapshots!r}")
 
         initial = dict(_COMMON["initial"])
-        given = raw.get("initial", {})
+        given = _mapping(raw, "initial")
         bad = set(given) - set(initial)
         _require(not bad, f"initial.{sorted(bad)[0] if bad else ''}",
                  "unknown initial-data field")
@@ -393,54 +404,75 @@ def _micro_steps(spec, eps: float, grid: Grid, t_final: float, snapshots: int) -
 # ---------------------------------------------------------------------------
 
 
+def _limit_model(cfg: ExperimentConfig) -> LimitModel:
+    """The raw-form limit model of the config's preset."""
+    return limit_equation(preset(cfg.kind, cfg.params or None)[0])
+
+
+def _scalar_q(cfg: ExperimentConfig):
+    """The canonical Q of the config's preset, which must have one component
+    and a conservative nonlinearity (the miura and hyperbolic runs)."""
+    model = _limit_model(cfg)
+    if not model.has_canonical or model.dim != 1:
+        raise ConfigError(
+            f"preset: the {cfg.experiment} experiment needs a one-component preset "
+            "with a conservative nonlinearity"
+        )
+    return model.as_canonical().canonical_q
+
+
+def _soliton(cfg: ExperimentConfig, Q, grid: Grid) -> Field:
+    """The solitary wave of speed ``cfg.speed`` along the smallest fixed
+    point z of Q(z,z) = z."""
+    z = find_fixed_point(Q, seed=cfg.seed)[0]
+    return build_soliton(SolitonSpec(speed=cfg.speed, direction=z, q_tensor=Q), grid)
+
+
+def _drift(canonical: LimitModel, u0: Field, states):
+    """Drift of the conserved (H, M, P) of canonical-form ``states`` from
+    those of u0: one row [|H - H0|/|H0|, |M - M0|/M0, max|P - P0|] per state,
+    and the three drift assertions on the column maxima (NaN if any is)."""
+    h0, m0, p0 = conserved_quantities(canonical, u0)
+    rows = []
+    for state in states:
+        h, m, p = conserved_quantities(canonical, state)
+        rows.append([abs(h - h0) / max(abs(h0), 1e-300), abs(m - m0) / max(m0, 1e-300),
+                     float(np.max(np.abs(p - p0)))])
+    dh, dm, dp = np.max(rows, axis=0)
+    return rows, [_at_most("hamiltonian_drift_rel", dh, 1e-8),
+                  _at_most("mass_drift_rel", dm, 1e-8),
+                  _at_most("momentum_drift_abs", dp, 1e-10)]
+
+
 def _run_kdv(cfg: ExperimentConfig, outdir: Path):
-    geom, _ = preset(cfg.kind, cfg.params or None)
-    model = limit_equation(geom)
+    model = _limit_model(cfg)
     grid = cfg.make_grid()
-    u0 = _initial_field(cfg, grid, geom.dim)
+    u0 = _initial_field(cfg, grid, model.dim)
     traj = evolve_kdv(model, u0, cfg.t_final, cfg.dt, n_snapshots=cfg.snapshots)
 
-    columns = ["t"]
-    linear = model.has_canonical and model.canonical_q.is_zero
-    if linear:
-        columns.append("dispersion_error")
-        u0_hat = np.fft.fft(u0.components, axis=-1)
-    if model.has_canonical:
-        columns += ["h_drift_rel", "m_drift_rel", "p_drift_abs"]
-        canonical = model.as_canonical()
-        h0, m0, p0 = conserved_quantities(canonical, model.raw_to_canonical_state(u0))
-
-    rows, disp_errors, drifts = [], [0.0], ([0.0], [0.0], [0.0])
-    for t, state in zip(traj.times, traj.states):
-        row = [t]
-        if linear:
-            exact = np.fft.ifft(
-                np.exp(model.dispersion * grid.symbol(3) * t) * u0_hat, axis=-1
-            ).real
-            err = l2_norm(state.components - exact, grid)
-            disp_errors.append(err)
-            row.append(err)
-        if model.has_canonical:
-            h, m, p = conserved_quantities(canonical, model.raw_to_canonical_state(state))
-            dh = abs(h - h0) / max(abs(h0), 1e-300)
-            dm = abs(m - m0) / max(m0, 1e-300)
-            dp = float(np.max(np.abs(p - p0)))
-            drifts[0].append(dh)
-            drifts[1].append(dm)
-            drifts[2].append(dp)
-            row += [dh, dm, dp]
-        rows.append(row)
-    emit_series(outdir / "kdv_series.csv", columns, rows)
-
+    columns, rows = ["t"], [[t] for t in traj.times]
     assertions = [
         _assertion("run_completed", traj.times[-1] / cfg.t_final, 1.0, not traj.aborted)
     ]
-    if linear:
-        assertions.append(_at_most("dispersion_phase_error", max(disp_errors), 1e-10))
+    if model.has_canonical and model.canonical_q.is_zero:  # linear: against the exact flow
+        u0_hat = np.fft.fft(u0.components, axis=-1)
+        errors = []
+        for row, state in zip(rows, traj.states):
+            exact = np.fft.ifft(
+                np.exp(model.dispersion * grid.symbol(3) * row[0]) * u0_hat, axis=-1
+            ).real
+            errors.append(l2_norm(state.components - exact, grid))
+            row.append(errors[-1])
+        columns.append("dispersion_error")
+        assertions.append(_at_most("dispersion_phase_error", np.max(errors), 1e-10))
     if model.has_canonical:
-        assertions.append(_at_most("hamiltonian_drift_rel", max(drifts[0]), 1e-8))
-        assertions.append(_at_most("mass_drift_rel", max(drifts[1]), 1e-8))
-        assertions.append(_at_most("momentum_drift_abs", max(drifts[2]), 1e-10))
+        drifts, checks = _drift(model.as_canonical(), model.raw_to_canonical_state(u0),
+                                map(model.raw_to_canonical_state, traj.states))
+        for row, drift in zip(rows, drifts):
+            row += drift
+        columns += ["h_drift_rel", "m_drift_rel", "p_drift_abs"]
+        assertions += checks
+    emit_series(outdir / "kdv_series.csv", columns, rows)
     counters = {"kdv_steps": traj.meta["steps"], "snapshots": len(traj)}
     return assertions, counters
 
@@ -491,7 +523,11 @@ def _micro_task(cfg: ExperimentConfig, eps: float, kdv_traj=None):
     converge (with its limit run).  Returns the spec, trajectory and series."""
     geom, spec = preset(cfg.kind, cfg.params or None)
     grid = cfg.make_grid()
-    s0 = well_prepared_init(spec, geom, _initial_field(cfg, grid, geom.dim), eps)
+    A0 = _initial_field(cfg, grid, geom.dim)
+    try:
+        s0 = well_prepared_init(spec, geom, A0, eps)
+    except ValueError as exc:  # the data leave the model chart (or its modulus range)
+        raise ConfigError(f"initial.amplitude: {exc} (eps = {eps!r})") from None
     steps = _micro_steps(spec, eps, grid, cfg.t_final, cfg.snapshots)
     traj, series = _stream_run(spec, s0, cfg.t_final, steps, cfg.snapshots,
                                _micro_series(spec, s0, kdv_traj))
@@ -559,10 +595,9 @@ def _run_converge(cfg: ExperimentConfig, outdir: Path):
     raw = dict(cfg.echo())
     raw["output_dir"] = str(outdir)
     raw["workers"] = cfg.workers
-    geom, _ = preset(cfg.kind, cfg.params or None)
-    A0 = _initial_field(cfg, cfg.make_grid(), geom.dim)
-    kdv_traj = evolve_kdv(limit_equation(geom), A0, cfg.t_final, cfg.dt,
-                          n_snapshots=cfg.snapshots)
+    model = _limit_model(cfg)
+    A0 = _initial_field(cfg, cfg.make_grid(), model.dim)
+    kdv_traj = evolve_kdv(model, A0, cfg.t_final, cfg.dt, n_snapshots=cfg.snapshots)
     payloads = [(raw, eps, kdv_traj) for eps in cfg.eps_list]
     if cfg.workers > 1:
         from multiprocessing import Pool  # only parallel runs pay for this import
@@ -613,55 +648,34 @@ def _run_converge(cfg: ExperimentConfig, outdir: Path):
 
 
 def _run_soliton(cfg: ExperimentConfig, outdir: Path):
-    geom, _ = preset(cfg.kind, cfg.params or None)
-    model = limit_equation(geom)
+    model = _limit_model(cfg)
     if not model.has_canonical or model.canonical_q.is_zero:
         raise ConfigError(
             "preset: the soliton experiment needs a preset with a nonzero "
             f"conservative nonlinearity; {cfg.preset_name!r} has none"
         )
     canonical = model.as_canonical()
-    Q = canonical.canonical_q
-    z = find_fixed_point(Q, seed=cfg.seed)[0]
-    grid = cfg.make_grid()
-    u0 = build_soliton(SolitonSpec(speed=cfg.speed, direction=z, q_tensor=Q), grid)
+    u0 = _soliton(cfg, canonical.canonical_q, cfg.make_grid())
     traj = evolve_kdv(canonical, u0, cfg.t_final, cfg.dt, n_snapshots=cfg.snapshots)
 
-    h0, m0, p0 = conserved_quantities(canonical, u0)
-    rows, dh, dm, dp, shapes = [], [0.0], [0.0], [0.0], [0.0]
-    for t, state in zip(traj.times, traj.states):
-        h, m, p = conserved_quantities(canonical, state)
-        shape, _ = shift_minimized_error(state, u0)
-        dh.append(abs(h - h0) / abs(h0))
-        dm.append(abs(m - m0) / m0)
-        dp.append(float(np.max(np.abs(p - p0))))
-        shapes.append(shape)
-        rows.append([t, dh[-1], dm[-1], dp[-1], shape])
+    drifts, checks = _drift(canonical, u0, traj.states)
+    shapes = [shift_minimized_error(state, u0)[0] for state in traj.states]
     emit_series(outdir / "soliton_series.csv",
-                ["t", "h_drift_rel", "m_drift_rel", "p_drift_abs", "shape_error"], rows)
+                ["t", "h_drift_rel", "m_drift_rel", "p_drift_abs", "shape_error"],
+                [[t, *drift, shape] for t, drift, shape in zip(traj.times, drifts, shapes)])
 
     assertions = [
         _assertion("run_completed", traj.times[-1] / cfg.t_final, 1.0, not traj.aborted),
-        _at_most("hamiltonian_drift_rel", max(dh), 1e-8),
-        _at_most("mass_drift_rel", max(dm), 1e-8),
-        _at_most("momentum_drift_abs", max(dp), 1e-10),
-        _at_most("shape_error", max(shapes), 1e-4),
+        *checks,
+        _at_most("shape_error", np.max(shapes), 1e-4),
     ]
     counters = {"kdv_steps": traj.meta["steps"], "snapshots": len(traj)}
     return assertions, counters
 
 
 def _run_miura(cfg: ExperimentConfig, outdir: Path):
-    geom, _ = preset(cfg.kind, cfg.params or None)
-    model = limit_equation(geom)
-    if not model.has_canonical or model.dim != 1:
-        raise ConfigError(
-            "preset: the scalar Miura crosscheck needs a one-component preset "
-            "with a conservative nonlinearity"
-        )
-    Q = model.as_canonical().canonical_q
-    grid = cfg.make_grid()
-    v0 = _initial_field(cfg, grid, 1)
+    Q = _scalar_q(cfg)
+    v0 = _initial_field(cfg, cfg.make_grid(), 1)
     discrepancy, aborted = miura_crosscheck(Q, v0, cfg.t_final, cfg.dt,
                                             n_snapshots=cfg.snapshots)
     defect = miura_condition(complex_q_d2(cfg.d2_alpha, cfg.d2_beta))
@@ -683,23 +697,14 @@ def _run_miura(cfg: ExperimentConfig, outdir: Path):
 
 
 def _run_hyperbolic(cfg: ExperimentConfig, outdir: Path):
-    geom, _ = preset(cfg.kind, cfg.params or None)
-    model = limit_equation(geom)
-    if not model.has_canonical or model.dim != 1:
-        raise ConfigError(
-            "preset: the hyperbolic diagnostics need a one-component preset "
-            "with a conservative nonlinearity"
-        )
-    Q = model.as_canonical().canonical_q
+    Q = _scalar_q(cfg)
     grid = cfg.make_grid()
     run_model = LimitModel(1, dispersion=cfg.delta, canonical_q=Q, form="canonical")
     if cfg.initial["shape"] == "soliton":
-        z = find_fixed_point(Q, seed=cfg.seed)[0]
-        u0 = build_soliton(SolitonSpec(speed=cfg.speed, direction=z, q_tensor=Q), grid)
+        u0 = _soliton(cfg, Q, grid)
     else:
         u0 = _initial_field(cfg, grid, 1)
     traj = evolve_kdv(run_model, u0, cfg.t_final, cfg.dt, n_snapshots=cfg.snapshots)
-    report = blowup_monitor(traj)
 
     grad_t, grad_v = traj.meta["grad_history"]
     emit_series(outdir / "hyperbolic_series.csv", ["t", "max_gradient"],
@@ -712,19 +717,20 @@ def _run_hyperbolic(cfg: ExperimentConfig, outdir: Path):
     steepening = float(np.max(-slope))
     oracle = 1.0 / steepening if steepening > 0 else None
 
+    # the breakdown is the run's abort: a gradient blow-up (or a non-finite
+    # step) at abort_time
+    broke = traj.aborted
     if cfg.delta == 0.0 and oracle is not None:
-        detected = bool(report["breakdown"])
-        rel_gap = (abs(report["time"] - oracle) / oracle) if detected else np.inf
+        rel_gap = (abs(traj.abort_time - oracle) / oracle) if broke else np.inf
         assertions = [
-            _assertion("breakdown_detected", 1.0 if detected else 0.0, 1.0, detected),
+            _assertion("breakdown_detected", 1.0 if broke else 0.0, 1.0, broke),
             _assertion("breakdown_time_near_characteristics",
                        rel_gap if np.isfinite(rel_gap) else 1e30, 0.2,
-                       detected and rel_gap <= 0.2),
+                       broke and rel_gap <= 0.2),
         ]
     else:
         assertions = [
-            _assertion("no_breakdown", 1.0 if report["breakdown"] else 0.0, 0.0,
-                       not report["breakdown"]),
+            _assertion("no_breakdown", 1.0 if broke else 0.0, 0.0, not broke),
         ]
     counters = {"kdv_steps": traj.meta["steps"], "kdv_steps_taken": traj.meta["steps_taken"],
                 "gradient_checks": len(grad_t)}

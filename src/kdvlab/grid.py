@@ -17,6 +17,7 @@ __all__ = [
     "rk4_step",
     "ifrk4_factors",
     "ifrk4_step",
+    "snapshot_steps",
     "integrate",
     "l2_norm",
     "Dealias",
@@ -316,6 +317,18 @@ def ifrk4_step(v_hat, nonlinear, factors, stages):
     if not np.isfinite(out).all():
         raise FloatingPointError("ifrk4_step: non-finite state produced")
     return out
+
+
+def snapshot_steps(steps: int, n_snapshots: int):
+    """The snapshot schedule of a run of ``steps`` steps asking for about
+    ``n_snapshots`` snapshots: (every, snaps), with snaps the steps 0, every,
+    2 every, ... and the last step, so that a limit run and a microscopic run
+    of the same step count snapshot at the same times."""
+    every = max(1, steps // max(1, n_snapshots - 1))
+    snaps = list(range(0, steps + 1, every))
+    if snaps[-1] != steps:
+        snaps.append(steps)
+    return every, snaps
 
 
 def integrate(values, grid: Grid):

@@ -128,10 +128,10 @@ def almost_hamiltonian(spec, h: HydroState):
     return integrate(density, grid), X
 
 
-def energy_proxy(spec, h: HydroState, s: int = 2):
-    """Heuristic energy monitor ||dx phi||_{H^s} + ||n||_{H^s}, per state."""
-    a = _hs_norms(h.grid.diff(h.phi), h.grid, s)
-    b = _hs_norms(h.n, h.grid, s)
+def energy_proxy(h: HydroState):
+    """Heuristic energy monitor ||dx phi||_{H^2} + ||n||_{H^2}, per state."""
+    a = _hs_norms(h.grid.diff(h.phi), h.grid, 2)
+    b = _hs_norms(h.n, h.grid, 2)
     return np.sqrt(np.sum(np.square(a), axis=-1)) + np.sqrt(np.sum(np.square(b), axis=-1))
 
 
@@ -164,5 +164,5 @@ def limit_error(spec, times, h: HydroState, w, kdv_traj: Trajectory) -> dict:
     return {
         "err_amplitude": l2_norm(A - a_limit, grid),
         "err_gradient": l2_norm(A + w - a_limit, grid),
-        "energy_proxy": energy_proxy(spec, h),
+        "energy_proxy": energy_proxy(h),
     }

@@ -1,7 +1,7 @@
 """The vector KdV system: nonlinearity tensor algebra, evolution, conserved
 quantities, and hyperbolic (zero-dispersion) diagnostics.
 
-Canonical form:   du/dt = delta*dxxx(u) - dx Q(u,u) + a*dx(u)
+Canonical form:   du/dt = delta*dxxx(u) - dx Q(u,u)
 with Q a fully symmetric bilinear map encoded by a (d,d,d) coefficient tensor.
 
 Raw form:         2c*dA/dt = (1/4)*dxxx(A) + G(dx A, A)
@@ -25,6 +25,7 @@ from .grid import (
     ifrk4_factors,
     ifrk4_step,
     l2_norm,
+    snapshot_steps,
     spectral_derivative,
 )
 
@@ -33,8 +34,11 @@ __all__ = [
     "LimitModel",
     "evolve_kdv",
     "conserved_quantities",
-    "blowup_monitor",
 ]
+
+# A run aborts as a gradient blow-up once max|dx u| exceeds this multiple of
+# its initial value: the breakdown time of the dispersionless flow.
+BLOWUP_MULTIPLE = 50.0
 
 
 def symmetrize(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -114,14 +118,11 @@ class LimitModel:
         coefficient of dxxx in the du/dt equation for this form
         (canonical models from the limit construction have dispersion 1;
         hyperbolic runs use 0; raw models carry 1/(8c)).
-    advection : float
-        moving-frame constant multiplying dx(u), default 0.
-    raw_nonlinearity : (d,d,d) array or (tensor, matrix) pair, optional
-        G acting as G(dx A, A); an optional (d,d) matrix prefactor is folded in.
+    raw_nonlinearity : (d,d,d) array, optional
+        G acting as G(dx A, A); a raw model without one is linear.
     canonical_q : QTensor, optional
     scale : dict, optional
-        {"time_factor": 8c, "amplitude": s, "sound_speed": c} with
-        u(tau, x) = s * A(8c*tau, x).
+        {"time_factor": 8c, "amplitude": s} with u(tau, x) = s * A(8c*tau, x).
     form : "canonical" or "raw"
         which representation evolve_kdv integrates.
     """
@@ -130,7 +131,6 @@ class LimitModel:
         self,
         dim: int,
         dispersion: float,
-        advection: float = 0.0,
         raw_nonlinearity=None,
         canonical_q: QTensor | None = None,
         scale: dict | None = None,
@@ -140,25 +140,14 @@ class LimitModel:
             raise ValueError(f"form must be 'canonical' or 'raw', got {form!r}")
         self.dim = int(dim)
         self.dispersion = float(dispersion)
-        self.advection = float(advection)
         self.form = form
         self.canonical_q = canonical_q
         self.scale = dict(scale) if scale else {"time_factor": 1.0, "amplitude": 1.0}
-        if raw_nonlinearity is None:
-            self.raw_tensor = None
-        else:
-            if isinstance(raw_nonlinearity, tuple):
-                tensor, prefactor = raw_nonlinearity
-                tensor = np.asarray(tensor, dtype=float)
-                if prefactor is not None:
-                    tensor = np.einsum("km,ijm->ijk", np.asarray(prefactor, float), tensor)
-            else:
-                tensor = np.asarray(raw_nonlinearity, dtype=float)
-            if tensor.shape != (self.dim,) * 3:
-                raise ValueError(f"raw nonlinearity must be {(self.dim,)*3}, got {tensor.shape}")
-            self.raw_tensor = tensor
-        if form == "raw" and self.raw_tensor is None:
-            self.raw_tensor = np.zeros((self.dim,) * 3)
+        self.raw_tensor = None
+        if raw_nonlinearity is not None:
+            self.raw_tensor = np.asarray(raw_nonlinearity, dtype=float)
+            if self.raw_tensor.shape != (self.dim,) * 3:
+                raise ValueError(f"raw nonlinearity must be {(self.dim,)*3}, got {self.raw_tensor.shape}")
 
     # -- representation switching ------------------------------------------
 
@@ -179,7 +168,6 @@ class LimitModel:
         out = LimitModel.__new__(LimitModel)
         out.dim = self.dim
         out.dispersion = self.dispersion * factor
-        out.advection = self.advection * factor
         out.form = "canonical"
         out.canonical_q = self.canonical_q
         out.scale = self.scale
@@ -190,10 +178,7 @@ class LimitModel:
         return Field(f.grid, self.scale["amplitude"] * f.components, validate=False)
 
     def __repr__(self):
-        return (
-            f"LimitModel(dim={self.dim}, form={self.form!r}, "
-            f"dispersion={self.dispersion!r}, advection={self.advection!r})"
-        )
+        return f"LimitModel(dim={self.dim}, form={self.form!r}, dispersion={self.dispersion!r})"
 
 
 def symmetrize_bilinear(tensor: np.ndarray) -> tuple[np.ndarray, float]:
@@ -219,12 +204,12 @@ def _linear_symbol(model: LimitModel, grid: Grid) -> np.ndarray:
     """The Fourier-diagonal linear part of the right-hand side on the rfft
     half spectrum.  With :func:`_nonlinear_rhs` it splits the active form's
 
-        canonical: delta*dxxx(u) - dx Q(u,u) + a*dx(u),
-        raw:       [ (1/4)*dxxx(A) + G(dx A, A) ] / (2c) + a*dx(A)
+        canonical: delta*dxxx(u) - dx Q(u,u),
+        raw:       [ (1/4)*dxxx(A) + G(dx A, A) ] / (2c)
 
     (raw dispersion = 1/(8c) stored on the model) as evolve_kdv integrates it.
     """
-    return model.dispersion * grid.rsymbol(3) + model.advection * grid.rsymbol(1)
+    return model.dispersion * grid.rsymbol(3)
 
 
 def _zero_rhs(v, out):
@@ -260,7 +245,7 @@ def _nonlinear_rhs(model: LimitModel, grid: Grid):
     tensor = model.raw_tensor
     if tensor is None or np.max(np.abs(tensor)) == 0:
         return _zero_rhs
-    c = model.scale.get("sound_speed", model.scale["time_factor"] / 8.0)
+    c = model.scale["time_factor"] / 8.0
     d = model.dim
     ws = Dealias(n, 1.5, 2 * d)
     pair, g = _pairing(tensor)
@@ -290,7 +275,6 @@ def evolve_kdv(
     T: float,
     dt: float,
     n_snapshots: int = 65,
-    blowup_multiple: float = 50.0,
 ) -> Trajectory:
     """Integrate the model with integrating-factor RK4 and snapshot the result.
 
@@ -299,19 +283,18 @@ def evolve_kdv(
     snapshot makes 9 transforms (8 in the stepper, 1 for max|dx u|).
     The stiff dispersion is handled exactly by the integrating factor; dt is
     limited only by the nonlinearity.  The run aborts (partial trajectory,
-    ``aborted`` flag) when max|dx u| exceeds ``blowup_multiple`` times its
-    initial value or a step produces non-finite values.  ``meta["steps"]`` is
+    ``aborted`` flag) when max|dx u| exceeds BLOWUP_MULTIPLE times its
+    initial value ("gradient blow-up": the breakdown, at ``abort_time``) or a
+    step produces non-finite values.  ``meta["steps"]`` is
     the planned step count and ``meta["steps_taken"]`` the steps run up to
     the end or the abort.
     """
     _check_state(model, u0)
-    traj = _evolve_ifrk4(_linear_symbol(model, u0.grid), _nonlinear_rhs(model, u0.grid),
-                         u0, T, dt, n_snapshots, blowup_multiple)
-    traj.meta["model"] = model
-    return traj
+    return _evolve_ifrk4(_linear_symbol(model, u0.grid), _nonlinear_rhs(model, u0.grid),
+                         u0, T, dt, n_snapshots)
 
 
-def _evolve_ifrk4(symbol, nonlin, u0: Field, T, dt, n_snapshots, blowup_multiple=50.0):
+def _evolve_ifrk4(symbol, nonlin, u0: Field, T, dt, n_snapshots):
     """The IF-RK4 run of :func:`evolve_kdv` for any Fourier-diagonal linear
     ``symbol`` (rfft half spectrum) and ``nonlin(v, out)`` on rfft
     coefficients; the stages and the gradient monitor's two buffers are
@@ -334,8 +317,8 @@ def _evolve_ifrk4(symbol, nonlin, u0: Field, T, dt, n_snapshots, blowup_multiple
         return float(np.max(np.abs(_irfft(dcoef, n, out=grad), out=grad)))
 
     grad0 = max_gradient(v)
-    grad_floor = max(grad0, 1e-12)
-    snap_every = max(1, steps // max(1, n_snapshots - 1))
+    grad_limit = BLOWUP_MULTIPLE * max(grad0, 1e-12)
+    snap_every, snaps = snapshot_steps(steps, n_snapshots)
 
     traj = Trajectory()
     traj.dt = dt
@@ -355,17 +338,16 @@ def _evolve_ifrk4(symbol, nonlin, u0: Field, T, dt, n_snapshots, blowup_multiple
         g = max_gradient(v)
         grad_times.append(t)
         grad_vals.append(g)
-        if blowup_multiple is not None and g > blowup_multiple * grad_floor:
+        if g > grad_limit:
             traj.append(t, to_field(v))
             traj.aborted = True
             traj.abort_reason = "gradient blow-up"
             traj.abort_time = t
             break
-        if step % snap_every == 0 or step == steps:
+        if step == snaps[len(traj.times)]:
             traj.append(t, to_field(v))
 
     traj.meta["grad_history"] = (np.array(grad_times), np.array(grad_vals))
-    traj.meta["grad_initial"] = grad_floor
     traj.meta["steps"] = steps
     traj.meta["steps_taken"] = step  # steps >= 1, so the loop ran
     return traj
@@ -398,28 +380,3 @@ def conserved_quantities(model: LimitModel, u: Field):
     momentum = np.sum(u.components, axis=-1) * grid.spacing
     return float(h), float(mass), momentum
 
-
-def blowup_monitor(traj: Trajectory, multiple: float = 50.0) -> dict:
-    """Breakdown report from a trajectory's max|dx u| history.
-
-    Declares breakdown at the first time the gradient exceeds ``multiple``
-    times its initial value (or the run aborted on non-finite values), and
-    reports that detection time.
-    """
-    times, vals = traj.meta.get("grad_history", (np.array([]), np.array([])))
-    g0 = traj.meta.get("grad_initial", 1.0)
-    detection = None
-    if len(vals):
-        crossed = np.nonzero(vals > multiple * g0)[0]
-        if crossed.size:
-            detection = float(times[crossed[0]])
-    if detection is None and traj.aborted:
-        detection = traj.abort_time
-    return {
-        "breakdown": detection is not None,
-        "time": detection,
-        "max_gradient": float(np.max(vals)) if len(vals) else 0.0,
-        "initial_gradient": float(g0),
-        "aborted": traj.aborted,
-        "abort_reason": traj.abort_reason,
-    }

@@ -19,7 +19,8 @@ import math
 
 import numpy as np
 
-from .grid import Field, Grid, Trajectory, _fft, _ifft, _irfft, _rfft, integrate, rk4_step
+from .grid import (Field, Grid, Trajectory, _fft, _ifft, _irfft, _rfft, integrate, rk4_step,
+                   snapshot_steps)
 from .models import (
     GeometryData,
     MicroModelSpec,
@@ -28,7 +29,6 @@ from .models import (
     normal_coupling,
 )
 
-_GP_KINDS = ("GP_SCALAR", "GP_COUPLED")
 _MODULUS_RANGE = (0.5, 1.5)
 _NORM_TOL = 1e-10
 _ROLL = np.array([0, 1, 2, 0, 1])  # a (B, 5, N) cross-product buffer holds rows [x, y, z, x, y]
@@ -78,7 +78,7 @@ class MicroState:
 def _check_pointwise(spec, vals, strict=False):
     """Return None if the pointwise state invariants hold, else a message
     (the comparisons are written so that a NaN sample violates them)."""
-    if spec.kind in _GP_KINDS:
+    if spec.is_complex:
         mod = np.abs(vals)
         lo, hi = float(mod.min()), float(mod.max())
         if not (_MODULUS_RANGE[0] <= lo and hi <= _MODULUS_RANGE[1]):
@@ -156,7 +156,7 @@ class _SpinWork:
 def _rhs_raw(spec, vals, grid, eps, c, out=None, work=None):
     """Right-hand side on raw values (m, N); a spin kind takes its symbols and
     buffers from ``work`` (built here if None) and fills ``out`` if given."""
-    if spec.kind in _GP_KINDS:
+    if spec.is_complex:
         d1, d2 = grid.diff(vals, (1, 2))
         g = _phase_factors(spec, vals)
         return (c * d1 + 1j * (0.5 * eps * d2 + g * vals / eps)) / eps**2
@@ -206,23 +206,23 @@ def dt_max(spec: MicroModelSpec, eps: float, grid: Grid) -> float:
     """
     geom = spec.geometry
     kmax = float(np.max(np.abs(grid.wavenumbers)))
-    if spec.kind in _GP_KINDS:
+    if spec.is_complex:
         sound = kmax * (geom.c + np.sqrt(geom.c**2 + eps**2 * kmax**2 / 4.0)) / eps**2
         return min(eps**2 / 4.0, 0.8 * np.pi / sound, 0.7 * eps**2 / (geom.c * kmax))
     omega = (geom.c + np.sqrt(geom.lam)) * kmax / eps**2 + kmax**2 / (2.0 * eps)
     return 2.0 / omega
 
 
-def evolve_micro(spec: MicroModelSpec, s0: MicroState, T: float, dt: float | None = None,
+def evolve_micro(spec: MicroModelSpec, s0: MicroState, T: float, dt: float,
                  n_snapshots: int = 11, *, consume) -> Trajectory:
     """Run the microscopic model to time T, streaming ~n_snapshots states.
 
     The step taken is T/steps with steps = round(T/dt); it must not exceed
-    ``dt_max`` (ValueError otherwise, as for dt <= 0).  Without dt the step is
-    min(eps²/10, dt_max), with the smallest step count that keeps T/steps
-    under the cap.  The run aborts (trajectory flagged, partial output
-    handed over) if the pointwise state invariants fail at a snapshot, or on
-    the exact step where either stepper produces a non-finite state.
+    ``dt_max`` (ValueError otherwise, as for dt <= 0), and the snapshots are
+    taken on the steps of :func:`~kdvlab.grid.snapshot_steps`.  The run
+    aborts (trajectory flagged, partial output handed over) if the pointwise
+    state invariants fail at a snapshot, or on the exact step where either
+    stepper produces a non-finite state.
 
     A condensate split step makes 2 transforms and one rotation factor (its
     trailing half rotation is the next step's leading one); a spin step is
@@ -237,21 +237,15 @@ def evolve_micro(spec: MicroModelSpec, s0: MicroState, T: float, dt: float | Non
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    eps = s0.eps
-    cap = dt_max(spec, eps, s0.grid)
-    if dt is None:
-        steps = max(1, int(round(T / min(eps**2 / 10.0, cap))))
-        if T / steps > cap:
-            steps = math.ceil(T / cap)
-    elif dt > 0:
-        steps = max(1, int(round(T / dt)))
-    else:
+    if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    eps = s0.eps
+    steps = max(1, int(round(T / dt)))
     dt = T / steps
+    cap = dt_max(spec, eps, s0.grid)
     if dt > cap * (1.0 + 1e-12):
         raise ValueError(f"step T/steps = {dt:.3g} exceeds dt_max={cap:.3g}")
-    snap_every = max(1, steps // max(1, n_snapshots - 1))
-    snap_steps = [s for s in range(steps + 1) if s % snap_every == 0 or s == steps]
+    snap_every, snap_steps = snapshot_steps(steps, n_snapshots)
     buf = np.empty((min(SNAPSHOT_BLOCK, len(snap_steps)),) + s0.values.shape, s0.values.dtype)
 
     stepper = _make_stepper(spec, s0.grid, eps, dt, spec.geometry.c)
@@ -287,13 +281,11 @@ def evolve_micro(spec: MicroModelSpec, s0: MicroState, T: float, dt: float | Non
     hand_over(kept)
     taken = steps if aborted_at is None else aborted_at[0]
     traj.meta = {
-        "kind": spec.kind,
         "eps": eps,
         "steps": steps,
         "steps_taken": taken,
         "snap_every": snap_every,
-        "rhs_evals": 0 if spec.kind in _GP_KINDS else 4 * taken,
-        "spec": spec,
+        "rhs_evals": 0 if spec.is_complex else 4 * taken,
     }
     if aborted_at is not None:
         traj.aborted = True
@@ -305,7 +297,7 @@ def evolve_micro(spec: MicroModelSpec, s0: MicroState, T: float, dt: float | Non
 def _make_stepper(spec, grid, eps, dt, c):
     """Generator function: ``stepper(vals)`` yields the state after each step,
     raising FloatingPointError on the step that produces a non-finite state."""
-    if spec.kind in _GP_KINDS:
+    if spec.is_complex:
         k = grid.wavenumbers
         lin = np.exp(dt * (1j * c * k - 0.5j * eps * k**2) / eps**2)
         scale = 0.5 * dt / eps**3
@@ -356,7 +348,7 @@ def _make_stepper(spec, grid, eps, dt, c):
 def mass(spec: MicroModelSpec, s: MicroState):
     """Total ∫ |u|² dx of a condensate state (conserved by the split step),
     one per snapshot of a block."""
-    if spec.kind not in _GP_KINDS:
+    if not spec.is_complex:
         raise ValueError(f"mass is a condensate invariant; got {spec.kind}")
     return integrate(np.sum(np.abs(s.values) ** 2, axis=-2), s.grid)
 

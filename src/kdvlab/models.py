@@ -234,7 +234,6 @@ def preset(kind: str, params: dict | None = None):
             f1=[[[-3.0 * b]]],
             label="ll_easy_cone",
         )
-        geom.cone_b = b
     elif kind == "AF_CHAIN":
         _reject_unknown(p, ())
         geom = GeometryData(
@@ -265,8 +264,7 @@ def limit_equation(geom: GeometryData) -> LimitModel:
     when G is symmetric enough for the conservative rewrite: the part of G
     antisymmetric in (i,j) must vanish (else G(dxA,A) is not a total
     x-derivative) and the resulting Q must be fully symmetric (else the
-    Hamiltonian tooling does not apply).  Otherwise the model is raw-only and
-    ``symmetry_report`` explains why.
+    Hamiltonian tooling does not apply).  Otherwise the model is raw-only.
     """
     lam, mu, c, d = geom.lam, geom.mu, geom.c, geom.dim
     M = (1.5 - 2.0 * mu / lam) * np.eye(d) - (2.0 * c / lam) * geom.i0b0
@@ -275,36 +273,19 @@ def limit_equation(geom: GeometryData) -> LimitModel:
     sym_ij, anti_defect = symmetrize_bilinear(G)
     smax = float(np.max(np.abs(sym_ij)))
     s = -2.0 * smax if smax > 0 else 1.0
-    report = {"ij_antisymmetry": anti_defect, "canonical": False, "reason": ""}
     canonical_q = None
-    if anti_defect > _SYM_TOL:
-        report["reason"] = (
-            f"nonlinearity has an antisymmetric part (defect {anti_defect:.3g}); "
-            "it cannot be written as dx Q(A,A)"
-        )
-    else:
+    if anti_defect <= _SYM_TOL:
         candidate = QTensor(-(2.0 / s) * sym_ij)
-        report["full_symmetry_defect"] = candidate.symmetry_defect
-        if candidate.symmetry_defect > _SYM_TOL:
-            report["reason"] = (
-                f"rescaled tensor is not fully symmetric (defect {candidate.symmetry_defect:.3g}); "
-                "Hamiltonian/Miura tooling disabled, raw form kept"
-            )
-        else:
+        if candidate.symmetry_defect <= _SYM_TOL:
             canonical_q = candidate
-            report["canonical"] = True
-
-    model = LimitModel(
+    return LimitModel(
         dim=d,
         dispersion=1.0 / (8.0 * c),
-        advection=0.0,
         raw_nonlinearity=G,
         canonical_q=canonical_q,
-        scale={"time_factor": 8.0 * c, "amplitude": s, "sound_speed": c},
+        scale={"time_factor": 8.0 * c, "amplitude": s},
         form="raw",
     )
-    model.symmetry_report = report
-    return model
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +356,7 @@ def chart_assemble(spec: MicroModelSpec, phi: np.ndarray, n: np.ndarray, eps: fl
     if phi.shape != n.shape or phi.shape[0] != d:
         raise ValueError(f"phi and n must both have shape ({d}, N), got {phi.shape}, {n.shape}")
     kind = spec.kind
-    if kind in ("GP_SCALAR", "GP_COUPLED"):
+    if spec.is_complex:
         return (1.0 + eps**2 * n) * np.exp(1j * eps * phi)
     if kind == "LL_EASY_PLANE":
         az = eps * phi[0]
@@ -403,7 +384,7 @@ def chart_extract(spec: MicroModelSpec, state: np.ndarray, eps: float, phase_ref
     """
     state = np.asarray(state)
     kind = spec.kind
-    if kind in ("GP_SCALAR", "GP_COUPLED"):
+    if spec.is_complex:
         r = np.abs(state)
         eps_phi, winding = _unwrap_periodic(np.angle(state))
         eps_phi = _apply_phase_ref(eps_phi, phase_ref, eps, 2.0 * np.pi)

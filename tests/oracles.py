@@ -25,7 +25,7 @@ from kdvlab.models import chart_extract, dphi_matrix, normal_coupling
 # ---------------------------------------------------------------------------
 
 
-def record_micro(spec, s0, T, dt=None, n_snapshots=11):
+def record_micro(spec, s0, T, dt, n_snapshots=11):
     """``micro.evolve_micro`` with a consumer that copies every block it is
     handed: the trajectory gains ``values`` (S, m, N), all snapshots, and
     ``states``, one MicroState per snapshot viewing its row of ``values``."""

@@ -2,7 +2,9 @@
 module-level function, class or constant, or a public method of a
 module-level class, must be referenced somewhere in ``src/kdvlab`` outside
 its own definition (``__all__`` entries are strings and do not count).  Code
-that only the tests call belongs in the tests (``tests/oracles.py``)."""
+that only the tests call belongs in the tests (``tests/oracles.py``).  The
+same holds for parameters: every defaulted parameter of a module-level
+function is passed by some call in ``src/kdvlab``."""
 
 import ast
 from pathlib import Path
@@ -49,3 +51,55 @@ def test_every_public_name_has_a_caller_in_src():
                        for other, found in refs.items() for ident, line in found):
                 unused.append(f"{mod}.{name}")
     assert not unused, f"public names with no caller in src/kdvlab: {unused}"
+
+
+# Parameters a caller outside src/kdvlab is meant to set: the command line's
+# argument list is the seam through which the tests drive it.
+_TEST_SEAMS = {("cli", "main", "argv")}
+
+
+def _calls(tree):
+    """(name, call) of every call of a plain or dotted name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                yield func.id, node
+            elif isinstance(func, ast.Attribute):
+                yield func.attr, node
+
+
+def _passes(call, position, name):
+    """Whether ``call`` passes the parameter at ``position`` (None for a
+    keyword-only one) called ``name``, by position, keyword or unpacking."""
+    if any(k.arg == name or k.arg is None for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return (len(call.args) > position
+            or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_defaulted_parameter_is_passed_in_src():
+    # a default that no caller in the package overrides is a constant with
+    # extra steps, or a knob only the tests turn
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    calls = [c for tree in trees.values() for c in _calls(tree)]
+    unpassed = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            for position, name in defaulted:
+                if (mod, node.name, name) in _TEST_SEAMS:
+                    continue
+                if not any(fn == node.name and _passes(call, position, name)
+                           for fn, call in calls):
+                    unpassed.append(f"{mod}.{node.name}({name})")
+    assert not unpassed, f"defaulted parameters no call in src/kdvlab passes: {unpassed}"

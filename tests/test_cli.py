@@ -2,6 +2,7 @@
 artifact formats, per-experiment summaries, and determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -101,6 +102,18 @@ def test_unknown_experiment_rejected():
         ({"workers": True}, "workers"),
         ({"initial": {"mode": True}}, "initial.mode"),
         ({"delta": True}, "delta"),
+        # the blocks are mappings, and d2_* a number or two
+        ({"grid": 5}, "grid"),
+        ({"time": []}, "time"),
+        ({"initial": "bump"}, "initial"),
+        ({"d2_alpha": ["a", 1]}, "d2_alpha"),
+        # every number is finite: JSON reads 1e400 as inf (and NaN as nan)
+        ({"speed": float("inf")}, "speed"),
+        ({"time": {"t_final": float("inf")}}, "time.t_final"),
+        ({"initial": {"width": float("inf")}}, "initial.width"),
+        ({"params": {"k": float("nan")}}, "params.k"),
+        ({"d2_beta": [1.0, float("inf")]}, "d2_beta"),
+        ({"initial": {"mode": 10**400}}, "initial.mode"),
     ],
 )
 def test_validation_names_the_offending_field(patch, field):
@@ -112,6 +125,21 @@ def test_validation_names_the_offending_field(patch, field):
             cfg[key] = value
     with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
         ExperimentConfig.from_dict(cfg)
+
+
+@pytest.mark.parametrize("experiment,workers", [("micro", 1), ("converge", 2)])
+def test_data_outside_the_chart_exit_2_without_traceback(tmp_path, experiment, workers):
+    # well-prepared data of amplitude 80 leave the model chart: a config
+    # error naming the field, also when a pool worker meets it
+    cfg = {"output_dir": str(tmp_path / "out"), "workers": workers,
+           "initial": {"amplitude": 80.0}}
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "kdvlab.cli", experiment,
+         "--config", _write_config(tmp_path, "cfg.json", cfg)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 2
+    assert "initial.amplitude" in out.stderr and "Traceback" not in out.stderr
 
 
 def test_eps_list_must_strictly_decrease():
@@ -452,6 +480,17 @@ def test_hyperbolic_soliton_control_reports_no_breakdown(tmp_path):
     assert rc == 0
     checks = _assertion_map(_summary(tmp_path / "out"))
     assert checks["no_breakdown"]["pass"]
+
+
+def test_soliton_nan_shape_error_fails(tmp_path):
+    # at speed 1e-300 the sampled wave underflows: its L2 norm is 0 and the
+    # shape error 0/0 = NaN, which must fail its assertion, not drop out of a max
+    cfg = dict(default_config("soliton"), output_dir=str(tmp_path / "out"), speed=1e-300)
+    cfg["time"] = {"t_final": 0.01, "dt": 1e-3, "snapshots": 2}
+    with np.errstate(invalid="ignore"):
+        assert run_experiment(ExperimentConfig.from_dict(cfg)) == 1
+    shape = _assertion_map(_summary(tmp_path / "out"))["shape_error"]
+    assert np.isnan(shape["value"]) and not shape["pass"]
 
 
 def test_summary_schema(tmp_path):

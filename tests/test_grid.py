@@ -404,12 +404,12 @@ def test_ifrk4_step_matches_oracle_step_property(seed, n, dim, form):
         Q = QTensor(tensor)
         symbol, nonlin, oracle = grid.rsymbol(3), _mkdv_nonlinear(Q, grid), mkdv_nonlinear(Q, grid)
     elif form == "canonical":
-        model = LimitModel(dim, rng.uniform(-2, 2), rng.uniform(-2, 2), canonical_q=QTensor(tensor))
+        model = LimitModel(dim, rng.uniform(-2, 2), canonical_q=QTensor(tensor))
         oracle = canonical_nonlinear(model.canonical_q, grid)
     else:
         c = rng.uniform(0.3, 2.0)
-        model = LimitModel(dim, 1.0 / (8.0 * c), rng.uniform(-2, 2), raw_nonlinearity=tensor,
-                           scale={"time_factor": 8.0 * c, "amplitude": 1.0, "sound_speed": c},
+        model = LimitModel(dim, 1.0 / (8.0 * c), raw_nonlinearity=tensor,
+                           scale={"time_factor": 8.0 * c, "amplitude": 1.0},
                            form="raw")
         oracle = raw_nonlinear(tensor, c, grid)
     if form != "mkdv":

@@ -13,8 +13,8 @@ from kdvlab.kdv import (
     QTensor,
     _linear_symbol,
     _nonlinear_rhs,
+    BLOWUP_MULTIPLE,
     bilinear_apply,
-    blowup_monitor,
     conserved_quantities,
     evolve_kdv,
     symmetrize,
@@ -167,7 +167,7 @@ def test_rhs_raw_scalar_matches_quadrature(grid):
         1,
         dispersion=1.0 / 8.0,
         raw_nonlinearity=np.array([[[-3.0]]]),
-        scale={"time_factor": 8.0, "amplitude": -6.0, "sound_speed": 1.0},
+        scale={"time_factor": 8.0, "amplitude": -6.0},
         form="raw",
     )
     u = Field(grid, np.sin(grid.x))
@@ -202,12 +202,12 @@ def _full_fft_bilinear(tensor, a, b):
 def _full_fft_kdv_rhs(model, u):
     """The right-hand side written with full complex transforms in physical space."""
     grid = u.grid
-    sym = model.dispersion * grid.symbol(3) + model.advection * grid.symbol(1)
+    sym = model.dispersion * grid.symbol(3)
     linear = np.fft.ifft(sym * np.fft.fft(u.components, axis=-1), axis=-1).real
     if model.form == "canonical":
         Q = model.canonical_q.coeffs
         return linear - grid.diff(_full_fft_bilinear(Q, u.components, u.components))
-    c = model.scale["sound_speed"]
+    c = model.scale["time_factor"] / 8.0
     flux = _full_fft_bilinear(model.raw_tensor, grid.diff(u.components), u.components)
     return linear + flux / (2.0 * c)
 
@@ -231,11 +231,11 @@ def test_kdv_rhs_matches_full_fft_formula_property(seed, log_n, dim, form):
     u = Field(grid, np.fft.irfft(spec, n) * rng.uniform(0.5, 4.0))
     tensor = rng.normal(size=(dim, dim, dim))
     if form == "canonical":
-        model = LimitModel(dim, rng.uniform(-2, 2), rng.uniform(-2, 2), canonical_q=QTensor(tensor))
+        model = LimitModel(dim, rng.uniform(-2, 2), canonical_q=QTensor(tensor))
     else:
         c = rng.uniform(0.3, 2.0)
-        model = LimitModel(dim, 1.0 / (8.0 * c), rng.uniform(-2, 2), raw_nonlinearity=tensor,
-                           scale={"time_factor": 8.0 * c, "amplitude": 1.0, "sound_speed": c},
+        model = LimitModel(dim, 1.0 / (8.0 * c), raw_nonlinearity=tensor,
+                           scale={"time_factor": 8.0 * c, "amplitude": 1.0},
                            form="raw")
     got = kdv_rhs(model, u).components
     want = _full_fft_kdv_rhs(model, u)
@@ -327,7 +327,7 @@ def test_raw_and_canonical_runs_agree():
     # evolve the raw form and the canonically rescaled form of the same
     # dynamics; map states across and compare
     grid = Grid(128, 2 * np.pi)
-    scale = {"time_factor": 8.0, "amplitude": -6.0, "sound_speed": 1.0}
+    scale = {"time_factor": 8.0, "amplitude": -6.0}
     raw = LimitModel(
         1,
         dispersion=1.0 / 8.0,
@@ -379,7 +379,7 @@ def test_conserved_requires_canonical(grid):
         1,
         dispersion=1.0 / 8.0,
         raw_nonlinearity=np.array([[[-3.0]]]),
-        scale={"time_factor": 8.0, "amplitude": -6.0, "sound_speed": 1.0},
+        scale={"time_factor": 8.0, "amplitude": -6.0},
         form="raw",
     )
     with pytest.raises(ValueError):
@@ -392,22 +392,26 @@ def test_conserved_requires_canonical(grid):
 def test_no_breakdown_linear(grid):
     model = canonical_scalar(0.0)
     traj = evolve_kdv(model, Field(grid, np.sin(grid.x)), 1.0, 1e-2)
-    report = blowup_monitor(traj)
-    assert not report["breakdown"]
+    assert not traj.aborted and traj.abort_time is None
 
 
 def test_aborted_run_reports_the_steps_taken():
     # the gradient guard stops the run near t = 0.5: the planned count stays
-    # in meta["steps"], the steps actually run go to meta["steps_taken"]
+    # in meta["steps"], the steps actually run go to meta["steps_taken"], and
+    # the abort step's gradient is the first above BLOWUP_MULTIPLE times the
+    # initial one
     grid = Grid(128, 2 * np.pi)
     model = canonical_scalar(1.0, dispersion=0.0)
-    traj = evolve_kdv(model, Field(grid, np.sin(grid.x)), 1.0, 2e-3, blowup_multiple=5.0)
+    traj = evolve_kdv(model, Field(grid, np.sin(grid.x)), 1.0, 2e-3)
     assert traj.aborted and traj.abort_reason == "gradient blow-up"
     assert traj.meta["steps"] == 500
     taken = traj.meta["steps_taken"]
     assert taken < 500
     assert taken == round(traj.abort_time / traj.dt)
-    assert traj.meta["grad_history"][0][-1] == pytest.approx(traj.abort_time)
+    times, grads = traj.meta["grad_history"]
+    assert times[-1] == traj.abort_time
+    crossed = np.flatnonzero(grads > BLOWUP_MULTIPLE * grads[0])
+    assert crossed.tolist() == [taken]
 
 
 def test_burgers_breakdown_near_oracle_time():
@@ -417,7 +421,6 @@ def test_burgers_breakdown_near_oracle_time():
     model = canonical_scalar(1.0, dispersion=0.0)
     u0 = Field(grid, np.sin(grid.x))
     traj = evolve_kdv(model, u0, 1.0, 2e-4)
-    report = blowup_monitor(traj)
-    assert report["breakdown"]
+    assert traj.aborted and traj.abort_reason == "gradient blow-up"
     t_star = 0.5
-    assert abs(report["time"] - t_star) <= 0.2 * t_star
+    assert abs(traj.abort_time - t_star) <= 0.2 * t_star

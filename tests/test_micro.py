@@ -325,7 +325,7 @@ def test_gp_conservation_over_run():
     s0 = well_prepared_init(spec, geom, Field(grid, _bump(grid)[None, :]), eps)
     m0 = mass(spec, s0)
     e0, p0 = micro_invariants(spec, s0)
-    traj = record_micro(spec, s0, T=0.5, n_snapshots=6)
+    traj = record_micro(spec, s0, T=0.5, dt=0.5 / 693, n_snapshots=6)
     assert not traj.aborted
     for state in traj.states:
         e, p = micro_invariants(spec, state)
@@ -363,7 +363,8 @@ def test_spin_chain_momentum_conserved(kind, params):
     geom, spec = preset(kind, params)
     s0 = well_prepared_init(spec, geom, Field(grid, 0.25 * _bump(grid)[None, :] / 0.3), eps)
     _, p0 = micro_invariants(spec, s0)
-    traj = record_micro(spec, s0, T=0.3, n_snapshots=4)
+    steps = {"LL_EASY_PLANE": 624, "LL_EASY_CONE": 576}[kind]  # a step just under dt_max
+    traj = record_micro(spec, s0, T=0.3, dt=0.3 / steps, n_snapshots=4)
     assert not traj.aborted
     for state in traj.states:
         _, p = micro_invariants(spec, state)
@@ -386,7 +387,7 @@ def test_ll_conserved_energy_variant():
         )
 
     e0 = conserved(s0)
-    traj = record_micro(spec, s0, T=0.3, n_snapshots=4)
+    traj = record_micro(spec, s0, T=0.3, dt=0.3 / 624, n_snapshots=4)
     for state in traj.states:
         assert abs(conserved(state) - e0) / abs(e0) <= 1e-10
 
@@ -414,7 +415,7 @@ def test_af_conservation_and_stability():
     s0 = well_prepared_init(spec, geom, A0, eps)
     e0, p0 = micro_invariants(spec, s0)
     size0 = np.linalg.norm(s0.values[1:3])
-    traj = record_micro(spec, s0, T=0.5, n_snapshots=6)
+    traj = record_micro(spec, s0, T=0.5, dt=0.5 / 642, n_snapshots=6)
     assert not traj.aborted
     for state in traj.states:
         e, p = micro_invariants(spec, state)
@@ -462,15 +463,6 @@ def test_evolve_rejects_non_positive_dt(dt):
         record_micro(spec, state, T=0.1, dt=dt)
 
 
-def test_default_step_stays_under_dt_max():
-    # without dt the step is the cap here (eps²/10 is larger); T = 1.45 cap
-    # needs two steps, not the one that rounding T/cap would give
-    spec, state, cap = _gp_rest_state()
-    assert cap < 0.5**2 / 10.0
-    traj = record_micro(spec, state, T=1.45 * cap, n_snapshots=2)
-    assert traj.meta["steps"] == 2 and traj.dt <= cap
-
-
 def test_evolve_streams_blocks_through_one_buffer():
     # 70 snapshots reach the consumer as blocks of 32, 32 and 6, in order,
     # each a view of the same block buffer, with the times the run returns
@@ -490,14 +482,15 @@ def test_evolve_streams_blocks_through_one_buffer():
 
 
 def test_split_step_stays_inside_resonance_threshold():
-    # default step must sit below the high-k phase-resonance instability
+    # a step just under dt_max (693 steps to T = 0.5) must sit below the
+    # high-k phase-resonance instability
     eps = 0.2
     grid = Grid(256, 8 * np.pi)
     geom, spec = preset("GP_SCALAR")
     kmax = np.max(np.abs(grid.wavenumbers))
     assert dt_max(spec, eps, grid) * (geom.c * kmax + 0.5 * eps * kmax**2) / eps**2 <= np.pi
     s0 = well_prepared_init(spec, geom, Field(grid, _bump(grid)[None, :]), eps)
-    traj = record_micro(spec, s0, T=0.5, n_snapshots=3)
+    traj = record_micro(spec, s0, T=0.5, dt=0.5 / 693, n_snapshots=3)
     assert not traj.aborted
     mod = np.abs(traj.states[-1].values)
     assert 0.9 <= mod.min() and mod.max() <= 1.1
@@ -532,7 +525,7 @@ def test_abort_on_chart_breakdown_returns_partial_run():
     _, spec = preset("GP_SCALAR")
     u0 = 1.45 * np.exp(0.4j * np.sin(grid.x))
     state = MicroState(spec, grid, 0.5, u0[None, :])
-    traj = record_micro(spec, state, T=0.5, n_snapshots=21)
+    traj = record_micro(spec, state, T=0.5, dt=0.5 / 868, n_snapshots=21)
     assert traj.aborted
     assert "modulus" in traj.abort_reason
     assert 0 < len(traj.states) < 21
@@ -547,10 +540,10 @@ def test_abort_inside_second_block_hands_over_the_partial_block():
     _, spec = preset("GP_SCALAR")
     u0 = 1.45 * np.exp(0.4j * np.sin(grid.x))
     state = MicroState(spec, grid, 0.5, u0[None, :])
-    every = record_micro(spec, state, T=0.5, n_snapshots=869)
+    every = record_micro(spec, state, T=0.5, dt=0.5 / 868, n_snapshots=869)
     assert every.meta["snap_every"] == 1 and every.meta["steps_taken"] == 150
     blocks = []
-    traj = evolve_micro(spec, state, T=0.5, n_snapshots=290,
+    traj = evolve_micro(spec, state, T=0.5, dt=0.5 / 868, n_snapshots=290,
                         consume=lambda times, block: blocks.append((times, block.values.copy())))
     assert traj.aborted and "modulus" in traj.abort_reason
     assert traj.meta["snap_every"] == 3 and traj.meta["steps_taken"] == 150
@@ -685,7 +678,7 @@ def test_snapshot_neighbors_give_centered_time_derivative():
     grid = Grid(256, 8 * np.pi)
     geom, spec = preset("GP_SCALAR")
     s0 = well_prepared_init(spec, geom, Field(grid, _bump(grid)[None, :]), eps)
-    traj = record_micro(spec, s0, T=0.2, n_snapshots=5)
+    traj = record_micro(spec, s0, T=0.2, dt=0.2 / 278, n_snapshots=5)
     mid = len(traj.states) // 2
     prev, nxt = (next(micro._make_stepper(spec, grid, eps, h, geom.c)(traj.values[mid]))
                  for h in (-traj.dt, traj.dt))
@@ -781,7 +774,7 @@ def test_rescaled_run_matches_lab_frame_run():
     grid = Grid(n, length)
     geom, spec = preset("GP_SCALAR")
     s0 = well_prepared_init(spec, geom, Field(grid, _bump(grid)[None, :]), eps)
-    traj = record_micro(spec, s0, T=T, n_snapshots=2)
+    traj = record_micro(spec, s0, T=T, dt=T / 70, n_snapshots=2)
     u_rescaled = traj.states[-1].values[0]
 
     lab = Grid(n, length / eps)

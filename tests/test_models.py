@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvlab.grid import Grid
-from kdvlab.kdv import symmetrize_bilinear
+from kdvlab.kdv import QTensor, symmetrize_bilinear
 from kdvlab.models import (
     GeometryData,
     MicroModelSpec,
@@ -62,8 +62,7 @@ def test_preset_easy_cone_constants():
     geom, spec = preset("LL_EASY_CONE", {"alpha": alpha, "beta": beta, "theta0": theta0})
     s, co = np.sin(theta0), np.cos(theta0)
     assert abs(geom.lam - alpha * s * s) <= 1e-15
-    b = alpha * s * co + beta * s**3
-    assert abs(geom.cone_b - b) <= 1e-15
+    b = alpha * s * co + beta * s**3  # the cone constant
     assert abs(geom.ii_perp[0, 0, 0] - co / s) <= 1e-15
     assert abs(geom.f1[0, 0, 0] + 3.0 * b) <= 1e-14
     assert abs(geom.c**2 - (geom.lam - geom.mu)) <= 4e-16
@@ -251,8 +250,10 @@ def test_coupled_gp_limit_cross_coupling_is_raw_only():
     f1[1, 1, 0] = 1.0
     f1[0, 0, 1] = 1.0
     model = limit_equation(_coupled_gp_geometry(1.0, f1))
-    assert model.symmetry_report["ij_antisymmetry"] <= 1e-15
-    assert 0.2 < model.symmetry_report["full_symmetry_defect"] < 0.25
+    sym, anti_defect = symmetrize_bilinear(model.raw_tensor)
+    assert anti_defect <= 1e-15
+    # the canonical candidate -(2/s) sym(G), s = -2 max|sym(G)|
+    assert 0.2 < QTensor(sym / np.max(np.abs(sym))).symmetry_defect < 0.25
     assert not model.has_canonical
     with pytest.raises(ValueError, match="no canonical form"):
         model.as_canonical()
