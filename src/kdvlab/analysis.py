@@ -289,9 +289,12 @@ def miura_crosscheck(Q: QTensor, v0: Field, T: float, dt: float, n_snapshots: in
         "mkdv": _evolve_ifrk4(v0.grid.rsymbol(3), _mkdv_nonlinear(Q, v0.grid), v0, T, dt,
                               n_snapshots),
     }
-    kdv_at = {round(t, 10): u for t, u in zip(legs["kdv"].times, legs["kdv"].states)}
-    worst = max(l2_norm(miura_map(Q, v).components - kdv_at[round(t, 10)].components, v0.grid)
-                for t, v in zip(legs["mkdv"].times, legs["mkdv"].states) if round(t, 10) in kdv_at)
+    grid = v0.grid
+    kdv_at = {round(t, 10): u for t, u in zip(legs["kdv"].times, legs["kdv"].meta["snapshots"])}
+    worst = max(l2_norm(miura_map(Q, Field(grid, v, validate=False)).components
+                        - kdv_at[round(t, 10)], grid)
+                for t, v in zip(legs["mkdv"].times, legs["mkdv"].meta["snapshots"])
+                if round(t, 10) in kdv_at)
     return worst, {name: traj for name, traj in legs.items() if traj.aborted}
 
 

@@ -29,9 +29,9 @@ from .analysis import (
     miura_crosscheck,
     shift_minimized_error,
 )
-from .grid import Field, Grid, l2_norm
+from .grid import Field, Grid, l2_norm, step_plan
 from .hydro import almost_hamiltonian, chart_blocks, limit_error
-from .kdv import LimitModel, conserved_quantities, evolve_kdv, step_plan
+from .kdv import LimitModel, conserved_quantities, evolve_kdv
 from .micro import (SPLIT_STEP_RANGE, dt_max, evolve_micro, mass, unit_norm_deviation,
                     well_prepared_init)
 from .models import chart_radius, limit_equation, preset
@@ -428,6 +428,11 @@ def _soliton(cfg: ExperimentConfig, Q, grid: Grid) -> Field:
     return build_soliton(SolitonSpec(speed=cfg.speed, direction=z, q_tensor=Q), grid)
 
 
+def _states(traj, grid: Grid) -> list:
+    """The snapshots of a limit run, as Fields."""
+    return [Field(grid, u, validate=False) for u in traj.meta["snapshots"]]
+
+
 def _drift(canonical: LimitModel, u0: Field, states):
     """Drift of the conserved (H, M, P) of canonical-form ``states`` from
     those of u0: one row [|H - H0|/|H0|, |M - M0|/M0, max|P - P0|] per state,
@@ -457,17 +462,17 @@ def _run_kdv(cfg: ExperimentConfig, outdir: Path):
     if model.has_canonical and model.canonical_q.is_zero:  # linear: against the exact flow
         u0_hat = np.fft.fft(u0.components, axis=-1)
         errors = []
-        for row, state in zip(rows, traj.states):
+        for row, u in zip(rows, traj.meta["snapshots"]):
             exact = np.fft.ifft(
                 np.exp(model.dispersion * grid.symbol(3) * row[0]) * u0_hat, axis=-1
             ).real
-            errors.append(l2_norm(state.components - exact, grid))
+            errors.append(l2_norm(u - exact, grid))
             row.append(errors[-1])
         columns.append("dispersion_error")
         assertions.append(_at_most("dispersion_phase_error", np.max(errors), 1e-10))
     if model.has_canonical:
         drifts, checks = _drift(model.as_canonical(), model.raw_to_canonical_state(u0),
-                                map(model.raw_to_canonical_state, traj.states))
+                                map(model.raw_to_canonical_state, _states(traj, grid)))
         for row, drift in zip(rows, drifts):
             row += drift
         columns += ["h_drift_rel", "m_drift_rel", "p_drift_abs"]
@@ -658,8 +663,9 @@ def _run_soliton(cfg: ExperimentConfig, outdir: Path):
     u0 = _soliton(cfg, canonical.canonical_q, cfg.make_grid())
     traj = evolve_kdv(canonical, u0, cfg.t_final, cfg.dt, n_snapshots=cfg.snapshots)
 
-    drifts, checks = _drift(canonical, u0, traj.states)
-    shapes = [shift_minimized_error(state, u0)[0] for state in traj.states]
+    states = _states(traj, u0.grid)
+    drifts, checks = _drift(canonical, u0, states)
+    shapes = [shift_minimized_error(state, u0)[0] for state in states]
     emit_series(outdir / "soliton_series.csv",
                 ["t", "h_drift_rel", "m_drift_rel", "p_drift_abs", "shape_error"],
                 [[t, *drift, shape] for t, drift, shape in zip(traj.times, drifts, shapes)])

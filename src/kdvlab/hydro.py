@@ -139,7 +139,7 @@ def limit_error(spec, times, h: HydroState, w, kdv_traj: Trajectory) -> dict:
     """Per-snapshot L2 errors of a block of a microscopic run (snapshot
     times ``times``, chart coordinates ``h``, wave observable ``w`` from
     :func:`almost_hamiltonian`) against the snapshots of a limit-equation run
-    at the same times.
+    (its ``meta["snapshots"]``) at the same times.
 
     Compares the two candidate profiles — the amplitude observable
     A = 2 i lam n and the gradient observable A + W = (c+iB) DPhi dx(phi) —
@@ -160,7 +160,7 @@ def limit_error(spec, times, h: HydroState, w, kdv_traj: Trajectory) -> dict:
 
     grid = h.grid
     A = -2.0 * spec.geometry.lam * (normal_coupling(spec).T @ h.n)
-    a_limit = np.stack([kdv_traj.states[j].components for j in picks])
+    a_limit = kdv_traj.meta["snapshots"][picks]
     return {
         "err_amplitude": l2_norm(A - a_limit, grid),
         "err_gradient": l2_norm(A + w - a_limit, grid),

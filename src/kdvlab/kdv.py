@@ -22,11 +22,12 @@ from .grid import (
     Trajectory,
     _irfft,
     _rfft,
+    _run,
     ifrk4_factors,
     ifrk4_step,
     l2_norm,
-    snapshot_steps,
     spectral_derivative,
+    step_plan,
 )
 
 __all__ = [
@@ -261,14 +262,6 @@ def _nonlinear_rhs(model: LimitModel, grid: Grid):
     return nonlin_raw
 
 
-def step_plan(T: float, dt: float):
-    """(steps, step) covering a duration |T|; a negative dt runs backward."""
-    if dt == 0:
-        raise ValueError(f"dt must be nonzero, got {dt!r}")
-    steps = max(1, int(round(abs(T / dt))))
-    return steps, np.sign(dt) * abs(T) / steps
-
-
 def evolve_kdv(
     model: LimitModel,
     u0: Field,
@@ -278,16 +271,13 @@ def evolve_kdv(
 ) -> Trajectory:
     """Integrate the model with integrating-factor RK4 and snapshot the result.
 
-    The state is carried as rfft coefficients and goes to physical space only
-    at gradient checks, snapshots and the abort step: a step without a
-    snapshot makes 9 transforms (8 in the stepper, 1 for max|dx u|).
     The stiff dispersion is handled exactly by the integrating factor; dt is
-    limited only by the nonlinearity.  The run aborts (partial trajectory,
-    ``aborted`` flag) when max|dx u| exceeds BLOWUP_MULTIPLE times its
-    initial value ("gradient blow-up": the breakdown, at ``abort_time``) or a
-    step produces non-finite values.  ``meta["steps"]`` is
-    the planned step count and ``meta["steps_taken"]`` the steps run up to
-    the end or the abort.
+    limited only by the nonlinearity.  The run is one :func:`~kdvlab.grid._run`
+    (step plan, snapshot schedule, abort bookkeeping), whose per-step monitor
+    aborts it as a gradient blow-up (the breakdown, at ``abort_time``) once
+    max|dx u| exceeds BLOWUP_MULTIPLE times its initial value.
+    ``meta["snapshots"]`` holds the snapshots as one (S, d, N) array and
+    ``meta["grad_history"]`` the (times, max|dx u|) of every step run.
     """
     _check_state(model, u0)
     return _evolve_ifrk4(_linear_symbol(model, u0.grid), _nonlinear_rhs(model, u0.grid),
@@ -297,59 +287,38 @@ def evolve_kdv(
 def _evolve_ifrk4(symbol, nonlin, u0: Field, T, dt, n_snapshots):
     """The IF-RK4 run of :func:`evolve_kdv` for any Fourier-diagonal linear
     ``symbol`` (rfft half spectrum) and ``nonlin(v, out)`` on rfft
-    coefficients; the stages and the gradient monitor's two buffers are
-    allocated once per run."""
+    coefficients.  The state is carried as coefficients and goes to physical
+    space only for the gradient guard and the snapshots, a block at a time: a
+    step makes 9 transforms (8 in the stepper, 1 for max|dx u|)."""
     steps, dt = step_plan(T, dt)
     grid = u0.grid
     n = grid.n_points
     factors = ifrk4_factors(symbol, dt)
     ik = grid.rsymbol(1)
+    v0 = _rfft(u0.components)
+    dcoef, grad = np.empty_like(v0), np.empty(u0.components.shape)
+    grad_times, grad_vals = [0.0], [float(np.max(np.abs(grid.diff(u0.components))))]
+    grad_limit = BLOWUP_MULTIPLE * max(grad_vals[0], 1e-12)
 
-    def to_field(v):
-        return Field(grid, _irfft(v, n), validate=False)
-
-    v = _rfft(u0.components)
-    stages = np.empty((6,) + v.shape, complex)
-    dcoef, grad = np.empty_like(v), np.empty(u0.components.shape)
-
-    def max_gradient(v) -> float:
-        np.multiply(ik, v, out=dcoef)
-        return float(np.max(np.abs(_irfft(dcoef, n, out=grad), out=grad)))
-
-    grad0 = max_gradient(v)
-    grad_limit = BLOWUP_MULTIPLE * max(grad0, 1e-12)
-    snap_every, snaps = snapshot_steps(steps, n_snapshots)
-
-    traj = Trajectory()
-    traj.dt = dt
-    grad_times = [0.0]
-    grad_vals = [grad0]
-    traj.append(0.0, u0.copy())
-
-    for step in range(1, steps + 1):
-        t = step * dt
-        try:
+    def stepper(v):
+        stages = np.empty((6,) + v.shape, complex)
+        while True:
             v = ifrk4_step(v, nonlin, factors, stages)
-        except FloatingPointError:
-            traj.aborted = True
-            traj.abort_reason = "non-finite state"
-            traj.abort_time = t
-            break
-        g = max_gradient(v)
-        grad_times.append(t)
-        grad_vals.append(g)
-        if g > grad_limit:
-            traj.append(t, to_field(v))
-            traj.aborted = True
-            traj.abort_reason = "gradient blow-up"
-            traj.abort_time = t
-            break
-        if step == snaps[len(traj.times)]:
-            traj.append(t, to_field(v))
+            yield v
 
+    def gradient_guard(step, v):
+        np.multiply(ik, v, out=dcoef)
+        grad_vals.append(float(np.max(np.abs(_irfft(dcoef, n, out=grad), out=grad))))
+        grad_times.append(step * dt)
+        return "gradient blow-up" if grad_vals[-1] > grad_limit else None
+
+    blocks = []
+    traj = _run(steps, dt, n_snapshots, v0, stepper(v0),
+                lambda times, block: blocks.append(_irfft(block, n)), monitor=gradient_guard)
+    snapshots = np.concatenate(blocks)
+    snapshots[0] = u0.components  # the initial data, not their transform round trip
+    traj.meta["snapshots"] = snapshots
     traj.meta["grad_history"] = (np.array(grad_times), np.array(grad_vals))
-    traj.meta["steps"] = steps
-    traj.meta["steps_taken"] = step  # steps >= 1, so the loop ran
     return traj
 
 

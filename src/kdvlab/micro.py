@@ -19,8 +19,8 @@ import math
 
 import numpy as np
 
-from .grid import (Field, Grid, Trajectory, _fft, _ifft, _irfft, _rfft, integrate, rk4_step,
-                   snapshot_steps)
+from .grid import (Field, Grid, Trajectory, _fft, _ifft, _irfft, _rfft, _run, integrate, rk4_step,
+                   step_plan)
 from .models import (
     GeometryData,
     MicroModelSpec,
@@ -33,14 +33,6 @@ _MODULUS_RANGE = (0.5, 1.5)
 _NORM_TOL = 1e-10
 _ROLL = np.array([0, 1, 2, 0, 1])  # a (B, 5, N) cross-product buffer holds rows [x, y, z, x, y]
 SPLIT_STEP_RANGE = (0.4, 12.8)  # eps*kmax over which the condensate dt_max was measured
-
-# Snapshots per block that evolve_micro hands to its consumer: the run
-# diagnostics pay the numpy call overhead once per block, and a run holds one
-# block of snapshots, never the whole run (the 2001-snapshot
-# coupled-condensate micro experiment, stepping plus diagnostics, peaks at
-# 2.3 MB of allocations under tracemalloc, against 18.0 MB with every
-# snapshot kept).
-SNAPSHOT_BLOCK = 32
 
 
 class MicroState:
@@ -200,9 +192,7 @@ def dt_max(spec: MicroModelSpec, eps: float, grid: Grid) -> float:
     against the measured boundary over eps*kmax in SPLIT_STEP_RANGE = [0.4,
     12.8] (at 0.2 the split step aborts).  The RK4 spin path must resolve
     the fastest linear wave, whose frequency is bounded by
-    (c+sqrt(lam))*k/eps^2 + k^2/(2 eps) over grid wavenumbers; the workspace
-    right-hand side (pre-scaled symbols, one rfft/irfft pair per stage)
-    leaves this bound unchanged.
+    (c+sqrt(lam))*k/eps^2 + k^2/(2 eps) over grid wavenumbers.
     """
     geom = spec.geometry
     kmax = float(np.max(np.abs(grid.wavenumbers)))
@@ -217,80 +207,34 @@ def evolve_micro(spec: MicroModelSpec, s0: MicroState, T: float, dt: float,
                  n_snapshots: int = 11, *, consume) -> Trajectory:
     """Run the microscopic model to time T, streaming ~n_snapshots states.
 
-    The step taken is T/steps with steps = round(T/dt); it must not exceed
-    ``dt_max`` (ValueError otherwise, as for dt <= 0), and the snapshots are
-    taken on the steps of :func:`~kdvlab.grid.snapshot_steps`.  The run
-    aborts (trajectory flagged, partial output handed over) if the pointwise
-    state invariants fail at a snapshot, or on the exact step where either
-    stepper produces a non-finite state.
-
-    A condensate split step makes 2 transforms and one rotation factor (its
+    The run is one :func:`~kdvlab.grid._run` (step plan, snapshot schedule,
+    blocks to ``consume(times, block)``, abort bookkeeping), with ``block`` a
+    MicroState of values (S, m, N) and a snapshot check that aborts the run
+    if the pointwise state invariants fail.  The step T/steps must not
+    exceed ``dt_max`` (ValueError otherwise, as for T or dt <= 0).  A
+    condensate split step makes 2 transforms and one rotation factor (its
     trailing half rotation is the next step's leading one); a spin step is
-    one RK4 step of 4 right-hand-side evaluations.  ``meta["steps"]`` is the
-    planned step count, ``meta["steps_taken"]`` the steps run up to the end
-    or the abort, and ``meta["rhs_evals"]`` counts the stages actually run.
-    Snapshots go to ``consume(times, block)`` in consecutive blocks of at
-    most SNAPSHOT_BLOCK, as they are taken (an abort first hands over the
-    partial block): ``block`` is a MicroState of values (S, m, N) viewing one
-    buffer that the next block overwrites.  The returned trajectory keeps the
-    snapshot times, no states.
+    one RK4 step of 4 right-hand-side evaluations, and ``meta["rhs_evals"]``
+    counts the stages actually run.
     """
     if T <= 0:
         raise ValueError("T must be positive")
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    eps = s0.eps
-    steps = max(1, int(round(T / dt)))
-    dt = T / steps
-    cap = dt_max(spec, eps, s0.grid)
+    steps, dt = step_plan(T, dt)
+    cap = dt_max(spec, s0.eps, s0.grid)
     if dt > cap * (1.0 + 1e-12):
         raise ValueError(f"step T/steps = {dt:.3g} exceeds dt_max={cap:.3g}")
-    snap_every, snap_steps = snapshot_steps(steps, n_snapshots)
-    buf = np.empty((min(SNAPSHOT_BLOCK, len(snap_steps)),) + s0.values.shape, s0.values.dtype)
 
-    stepper = _make_stepper(spec, s0.grid, eps, dt, spec.geometry.c)
+    def check(vals):
+        return "non-finite state" if not np.isfinite(vals).all() else _check_pointwise(spec, vals)
 
-    traj = Trajectory()
-    traj.dt = dt
-
-    def hand_over(count):
-        first = len(traj.times)
-        traj.times += [s * dt for s in snap_steps[first:first + count]]
-        consume(traj.times[first:], MicroState(spec, s0.grid, eps, buf[:count], validate=False))
-
-    buf[0] = s0.values
-    kept = 1
-    states = stepper(s0.values)
-    aborted_at = None
-    for step in range(1, steps + 1):
-        try:
-            vals = next(states)
-        except FloatingPointError:
-            aborted_at = (step, "non-finite state")
-            break
-        if step == snap_steps[len(traj.times) + kept]:
-            msg = "non-finite state" if not np.isfinite(vals).all() else _check_pointwise(spec, vals)
-            if msg is not None:
-                aborted_at = (step, msg)
-                break
-            if kept == len(buf):
-                hand_over(kept)
-                kept = 0
-            buf[kept] = vals
-            kept += 1
-    hand_over(kept)
-    taken = steps if aborted_at is None else aborted_at[0]
-    traj.meta = {
-        "eps": eps,
-        "steps": steps,
-        "steps_taken": taken,
-        "snap_every": snap_every,
-        "rhs_evals": 0 if spec.is_complex else 4 * taken,
-    }
-    if aborted_at is not None:
-        traj.aborted = True
-        traj.abort_time = aborted_at[0] * dt
-        traj.abort_reason = aborted_at[1]
+    stepper = _make_stepper(spec, s0.grid, s0.eps, dt, spec.geometry.c)
+    traj = _run(steps, dt, n_snapshots, s0.values, stepper(s0.values),
+                lambda times, block: consume(times, MicroState(spec, s0.grid, s0.eps, block,
+                                                               validate=False)),
+                check=check)
+    traj.meta["rhs_evals"] = 0 if spec.is_complex else 4 * traj.meta["steps_taken"]
     return traj
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from kdvlab import analysis, micro
 from kdvlab.analysis import solitary_profile
-from kdvlab.grid import Field, integrate, l2_norm, spectral_derivative
+from kdvlab.grid import SNAPSHOT_BLOCK, Field, integrate, l2_norm, spectral_derivative
 from kdvlab.hydro import chart_blocks, extract_series
 from kdvlab.kdv import bilinear_apply
 from kdvlab.models import chart_extract, dphi_matrix, normal_coupling
@@ -27,14 +27,17 @@ from kdvlab.models import chart_extract, dphi_matrix, normal_coupling
 
 def record_micro(spec, s0, T, dt, n_snapshots=11):
     """``micro.evolve_micro`` with a consumer that copies every block it is
-    handed: the trajectory gains ``values`` (S, m, N), all snapshots, and
-    ``states``, one MicroState per snapshot viewing its row of ``values``."""
+    handed: the trajectory gains ``values`` (S, m, N), all snapshots,
+    ``states``, one MicroState per snapshot viewing its row of ``values``,
+    the step ``dt`` taken and the run's ``eps``."""
     blocks = []
     traj = micro.evolve_micro(spec, s0, T, dt=dt, n_snapshots=n_snapshots,
                               consume=lambda times, block: blocks.append(block.values.copy()))
     traj.values = np.concatenate(blocks)
     traj.states = [micro.MicroState(spec, s0.grid, s0.eps, v, validate=False)
                    for v in traj.values]
+    traj.dt = T / traj.meta["steps"]
+    traj.eps = s0.eps
     return traj
 
 
@@ -50,9 +53,9 @@ def replay_blocks(spec, traj, block_series):
             cols.setdefault(name, []).append(value)
 
     consume = chart_blocks(spec, collect)
-    grid, eps = traj.states[0].grid, traj.meta["eps"]
-    for start in range(0, len(traj), micro.SNAPSHOT_BLOCK):
-        rows = slice(start, start + micro.SNAPSHOT_BLOCK)
+    grid, eps = traj.states[0].grid, traj.eps
+    for start in range(0, len(traj), SNAPSHOT_BLOCK):
+        rows = slice(start, start + SNAPSHOT_BLOCK)
         consume(traj.times[rows], micro.MicroState(spec, grid, eps, traj.values[rows],
                                                    validate=False))
     return {name: np.concatenate(v) for name, v in cols.items()}
@@ -303,8 +306,7 @@ def hydro_residual(spec, traj, ablate_singular=False) -> dict:
             f"supported kinds: {RESIDUAL_KINDS}"
         )
     g = spec.geometry
-    eps = traj.meta["eps"]
-    dt = traj.dt
+    eps, dt = traj.eps, traj.dt
     grid = traj.states[0].grid
     dx = grid.diff
     times, r1_norms, r2_norms = [], [], []

@@ -4,10 +4,15 @@ module-level class, must be referenced somewhere in ``src/kdvlab`` outside
 its own definition (``__all__`` entries are strings and do not count).  Code
 that only the tests call belongs in the tests (``tests/oracles.py``).  The
 same holds for parameters: every defaulted parameter of a module-level
-function is passed by some call in ``src/kdvlab``."""
+function, method or constructor is passed by some call in ``src/kdvlab``;
+and for run output: every ``Trajectory`` attribute and ``meta`` key a run
+writes is read by the code the run returns to."""
 
 import ast
+import sys
 from pathlib import Path
+
+from kdvlab import experiments, grid
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kdvlab"
 
@@ -80,6 +85,32 @@ def _passes(call, position, name):
             or any(isinstance(a, ast.Starred) for a in call.args))
 
 
+def _defaulted(args, skip):
+    """(position, name) of the defaulted parameters of ``args``, with the
+    positions a call sees once the first ``skip`` (self) are bound."""
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(i - skip, a.arg) for i, a in enumerate(positional) if i >= first]
+    return out + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+
+
+def _callables(tree):
+    """(call name, defaulted parameters) of the module-level functions, and
+    of the methods and constructors of module-level classes (a constructor
+    is called by its class name; ``self`` is not passed)."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, _defaulted(node.args, 0)
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    skip = 0 if any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                    for d in sub.decorator_list) else 1
+                    name = node.name if sub.name == "__init__" else sub.name
+                    yield name, _defaulted(sub.args, skip)
+
+
 def test_every_defaulted_parameter_is_passed_in_src():
     # a default that no caller in the package overrides is a constant with
     # extra steps, or a knob only the tests turn
@@ -87,19 +118,92 @@ def test_every_defaulted_parameter_is_passed_in_src():
     calls = [c for tree in trees.values() for c in _calls(tree)]
     unpassed = []
     for mod, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, ast.FunctionDef):
-                continue
-            args = node.args
-            positional = args.posonlyargs + args.args
-            first = len(positional) - len(args.defaults)
-            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
-            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
-                          if d is not None]
+        for fn_name, defaulted in _callables(tree):
             for position, name in defaulted:
-                if (mod, node.name, name) in _TEST_SEAMS:
+                if (mod, fn_name, name) in _TEST_SEAMS:
                     continue
-                if not any(fn == node.name and _passes(call, position, name)
+                if not any(fn == fn_name and _passes(call, position, name)
                            for fn, call in calls):
-                    unpassed.append(f"{mod}.{node.name}({name})")
+                    unpassed.append(f"{mod}.{fn_name}({name})")
     assert not unpassed, f"defaulted parameters no call in src/kdvlab passes: {unpassed}"
+
+
+# The functions that build a trajectory: their own bookkeeping reads do not
+# count as reading it.
+_PRODUCERS = {"_run", "_evolve_ifrk4", "evolve_kdv", "evolve_micro"}
+
+
+def _read_in_src():
+    frame = sys._getframe(2)
+    return frame.f_code.co_filename.startswith(str(SRC)) and frame.f_code.co_name not in _PRODUCERS
+
+
+class _Meta(dict):
+    """``meta`` that logs the keys written and the keys read in src/kdvlab."""
+
+    def __init__(self, log, items=()):
+        super().__init__()
+        self.log = log
+        self.update(items)
+
+    def __setitem__(self, key, value):
+        self.log["written"].add(f"meta[{key!r}]")
+        super().__setitem__(key, value)
+
+    def update(self, *args, **kwargs):
+        for key, value in dict(*args, **kwargs).items():
+            self[key] = value
+
+    def __getitem__(self, key):
+        if _read_in_src():
+            self.log["read"].add(f"meta[{key!r}]")
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        if _read_in_src():
+            self.log["read"].add(f"meta[{key!r}]")
+        return super().get(key, default)
+
+
+def _small(kind, **overlay):
+    raw = experiments.default_config(kind)
+    for key, value in overlay.items():
+        raw[key] = {**raw[key], **value} if isinstance(value, dict) else value
+    return raw
+
+
+def test_every_trajectory_field_a_run_writes_is_read_in_src(tmp_path, monkeypatch):
+    # each experiment once, small; the hyperbolic run aborts (its verdict
+    # reads the abort time), the converge ε-runs report their abort fields
+    log = {"written": set(), "read": set()}
+
+    class Logged(grid.Trajectory):
+        def __setattr__(self, name, value):
+            log["written"].add(name)
+            if name == "meta":
+                value = _Meta(log, value)
+            object.__setattr__(self, name, value)
+
+        def __getattribute__(self, name):
+            if _read_in_src():
+                log["read"].add(name)
+            return object.__getattribute__(self, name)
+
+    original = grid.Trajectory
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kdvlab.") and getattr(module, "Trajectory", None) is original:
+            monkeypatch.setattr(module, "Trajectory", Logged)
+    runs = [
+        _small("kdv", time={"t_final": 0.1}),
+        _small("micro", time={"t_final": 0.05}),
+        _small("converge", eps_list=[0.2, 0.1], time={"t_final": 0.05}),
+        _small("soliton", time={"t_final": 0.1}),
+        _small("miura", time={"t_final": 0.1}),
+        _small("hyperbolic", grid={"n": 128}),
+    ]
+    for i, raw in enumerate(runs):
+        raw["output_dir"] = str(tmp_path / str(i))
+        experiments.run_experiment(experiments.ExperimentConfig.from_dict(raw))
+    assert {"times", "aborted", "abort_time", "meta['snapshots']"} <= log["written"]
+    unread = sorted(log["written"] - log["read"])
+    assert not unread, f"trajectory fields no reader in src/kdvlab uses: {unread}"

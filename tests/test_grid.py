@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from kdvlab import grid as grid_module
 from kdvlab.analysis import _mkdv_nonlinear
 from kdvlab.grid import (
+    SNAPSHOT_BLOCK,
     Dealias,
     Field,
     Grid,
@@ -20,6 +21,7 @@ from kdvlab.grid import (
     _ifft,
     _irfft,
     _rfft,
+    _run,
     fourier_shift,
     ifrk4_factors,
     ifrk4_step,
@@ -102,7 +104,7 @@ def test_numpy_fft_fallback_gives_identical_runs(monkeypatch):
             evolve_micro(spec, s0, 5e-4, 1e-4, n_snapshots=6,
                          consume=lambda times, block: out.append(block.values.copy()))
         traj = evolve_kdv(limit_equation(preset("GP_COUPLED")[0]), A0, 5e-3, 1e-3, n_snapshots=6)
-        return out + [state.components for state in traj.states]
+        return out + list(traj.meta["snapshots"])
 
     bound = runs()
     monkeypatch.setattr(grid_module, "_POCKETFFT", None)
@@ -342,6 +344,42 @@ def test_ifrk4_order(grid):
     e1 = np.max(np.abs(solve(4e-3, 10) - ref))
     e2 = np.max(np.abs(solve(2e-3, 20) - ref))
     assert e1 / e2 > 10
+
+
+# -- the run loop ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("hook,kept", [
+    ("stepper", 45),  # FloatingPointError on step 45: snapshots of steps 0..44
+    ("check", 45),  # the snapshot check of step 45 fails: the same
+    ("monitor", 46),  # the monitor stops step 45 and keeps its state: steps 0..45
+])
+def test_run_aborts_on_the_exact_step(hook, kept):
+    # a toy stepper whose state after step s is (s, s), snapshotted on every
+    # step, aborted on step k = 45 inside the second block
+    k, dt, reason = 45, 0.01, "stopped"
+
+    def states():
+        step = 0
+        while True:
+            step += 1
+            if hook == "stepper" and step == k:
+                raise FloatingPointError("toy step: non-finite state")
+            yield np.full(2, float(step))
+
+    hooks = {"monitor": lambda step, state: reason if step == k else None,
+             "check": lambda state: reason if state[0] == k else None}
+    blocks = []
+    traj = _run(100, dt, 101, np.zeros(2), states(),
+                lambda times, block: blocks.append((times, block.copy())),
+                **{name: fn for name, fn in hooks.items() if name == hook})
+    assert traj.aborted
+    assert traj.abort_reason == ("non-finite state" if hook == "stepper" else reason)
+    assert traj.meta == {"steps": 100, "steps_taken": k}
+    assert traj.abort_time == k * dt
+    assert [len(block) for _, block in blocks] == [SNAPSHOT_BLOCK, kept - SNAPSHOT_BLOCK]
+    assert np.concatenate([block for _, block in blocks])[:, 0].tolist() == list(range(kept))
+    assert traj.times == sum((times for times, _ in blocks), []) == [s * dt for s in range(kept)]
 
 
 def test_integrate_trapezoid(grid):

@@ -10,7 +10,7 @@ import pytest
 
 from kdvlab import experiments
 from kdvlab.experiments import _micro_series, _stream_run
-from kdvlab.grid import Field, Grid, l2_norm
+from kdvlab.grid import SNAPSHOT_BLOCK, Field, Grid, l2_norm
 from kdvlab.hydro import (
     HydroState,
     almost_hamiltonian,
@@ -20,7 +20,7 @@ from kdvlab.hydro import (
     limit_error,
 )
 from kdvlab.kdv import evolve_kdv
-from kdvlab.micro import SNAPSHOT_BLOCK, MicroState, dt_max, well_prepared_init
+from kdvlab.micro import MicroState, dt_max, well_prepared_init
 from kdvlab.models import (
     chart_assemble,
     chart_extract,
@@ -381,7 +381,7 @@ def _per_snapshot_diagnostics(spec, traj):
     almost-conserved energy and ||W|| from the tangent gradient, max|eps phi|,
     the structure deviation and chart membership."""
     g = spec.geometry
-    grid, eps = traj.states[0].grid, traj.meta["eps"]
+    grid, eps = traj.states[0].grid, traj.states[0].eps
     C = normal_coupling(spec)
     f1_nu = -np.einsum("ijm,mk->ijk", g.f1, C)
 
@@ -454,10 +454,10 @@ def test_blocked_diagnostics_match_the_per_snapshot_formulas(kind, params):
 def test_blocked_limit_error_matches_the_per_snapshot_formulas(kind, params):
     # against a zero reference, err_amplitude is ||A|| and err_gradient ||A + W||
     def against_zero(spec, state):
-        zero = Field(state.grid, np.zeros((spec.dim, state.grid.n_points)))
+        zero = np.zeros((spec.dim, state.grid.n_points))
         return lambda times, block, h: limit_error(
             spec, times, h, almost_hamiltonian(spec, h)[1],
-            SimpleNamespace(times=times, states=[zero] * len(times)))
+            SimpleNamespace(times=times, meta={"snapshots": np.array([zero] * len(times))}))
 
     spec, err, traj = _seventy_snapshot_run(kind, params, against_zero)
     grid = traj.states[0].grid

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvlab import micro
-from kdvlab.grid import Field, Grid, fourier_shift, integrate
+from kdvlab.grid import SNAPSHOT_BLOCK, Field, Grid, fourier_shift, integrate, snapshot_steps
 from kdvlab.micro import (
-    SNAPSHOT_BLOCK,
     MicroState,
     dt_max,
     evolve_micro,
@@ -473,7 +472,7 @@ def test_evolve_streams_blocks_through_one_buffer():
         seen.append((list(times), block.values, block.values.copy()))
 
     traj = evolve_micro(spec, state, T=0.069, dt=1e-3, n_snapshots=70, consume=consume)
-    assert not traj.aborted and len(traj) == 70 and traj.states == []
+    assert not traj.aborted and len(traj) == 70
     assert [len(v) for _, v, _ in seen] == [SNAPSHOT_BLOCK, SNAPSHOT_BLOCK, 6]
     assert all(np.shares_memory(v, seen[0][1]) for _, v, _ in seen)
     assert sum((t for t, _, _ in seen), []) == traj.times
@@ -540,16 +539,18 @@ def test_abort_inside_second_block_hands_over_the_partial_block():
     _, spec = preset("GP_SCALAR")
     u0 = 1.45 * np.exp(0.4j * np.sin(grid.x))
     state = MicroState(spec, grid, 0.5, u0[None, :])
-    every = record_micro(spec, state, T=0.5, dt=0.5 / 868, n_snapshots=869)
-    assert every.meta["snap_every"] == 1 and every.meta["steps_taken"] == 150
+    dt = 0.5 / 868
+    assert snapshot_steps(868, 869)[0] == 1 and snapshot_steps(868, 290)[0] == 3
+    every = record_micro(spec, state, T=0.5, dt=dt, n_snapshots=869)
+    assert every.meta["steps_taken"] == 150
     blocks = []
-    traj = evolve_micro(spec, state, T=0.5, dt=0.5 / 868, n_snapshots=290,
+    traj = evolve_micro(spec, state, T=0.5, dt=dt, n_snapshots=290,
                         consume=lambda times, block: blocks.append((times, block.values.copy())))
     assert traj.aborted and "modulus" in traj.abort_reason
-    assert traj.meta["snap_every"] == 3 and traj.meta["steps_taken"] == 150
-    assert traj.abort_time == 150 * traj.dt
+    assert traj.meta["steps_taken"] == 150
+    assert traj.abort_time == 150 * dt
     assert [len(v) for _, v in blocks] == [SNAPSHOT_BLOCK, 50 - SNAPSHOT_BLOCK]
-    assert traj.times == [3 * k * traj.dt for k in range(50)]
+    assert traj.times == [3 * k * dt for k in range(50)]
     assert sum((t for t, _ in blocks), []) == traj.times
     assert np.array_equal(np.concatenate([v for _, v in blocks]), every.values[0:150:3])
 

@@ -7,6 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from kdvlab import experiments, kdv, micro
+from kdvlab.grid import Field, Grid
+from kdvlab.models import preset
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -22,3 +28,40 @@ def test_perfbench_selftest_passes(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_traced_steps_and_trajectory_counters_resolve(monkeypatch):
+    # perfbench/layers.py reads steps, RHS evaluations and the abort flag off
+    # what evolve_kdv and evolve_micro return (a renamed key would read 0),
+    # and the tracer wraps the steppers at the module names they are called by
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from layers import _trajectory_counts
+
+    calls = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    assert experiments.evolve_micro is micro.evolve_micro
+    for module, name in ((kdv, "ifrk4_step"), (micro, "rk4_step"), (micro, "_rhs_raw")):
+        counted(module, name)
+
+    grid = Grid(32, 2 * np.pi)
+    model = kdv.LimitModel(1, 1.0, canonical_q=kdv.QTensor([[[1.0]]]))
+    traj = kdv.evolve_kdv(model, Field(grid, 0.1 * np.sin(grid.x)), 0.01, 1e-3, n_snapshots=3)
+    assert _trajectory_counts(traj) == {"steps": 10, "rhs_evals": 0, "aborts": 0}
+    assert traj.meta["steps"] == calls["ifrk4_step"] == 10
+
+    _, spec = preset("LL_EASY_PLANE")
+    g0 = np.stack([np.cos(0.1 * np.sin(grid.x)), np.sin(0.1 * np.sin(grid.x)), np.zeros(32)])
+    s0 = micro.MicroState(spec, grid, 0.5, g0)
+    dt = micro.dt_max(spec, 0.5, grid)
+    traj = micro.evolve_micro(spec, s0, 6 * dt, dt, n_snapshots=3, consume=lambda t, b: None)
+    assert _trajectory_counts(traj) == {"steps": 6, "rhs_evals": 24, "aborts": 0}
+    assert calls["rk4_step"] == 6 and traj.meta["rhs_evals"] == calls["_rhs_raw"] == 24
