@@ -7,6 +7,8 @@ so this module is the single home for that plumbing.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 __all__ = [
@@ -30,7 +32,7 @@ __all__ = [
 # The one transform layer, along the last axis: on numpy >= 2.0 the gufuncs
 # behind numpy.fft with its scales (1 forward, 1/n inverse), bit-identical
 # without its per-call wrapper, which costs as much as a 256-point transform.
-# The real pair writes into a caller's ``out`` if given.
+# Each writes into a caller's ``out`` if given.
 try:
     from numpy.fft import _pocketfft_umath as _POCKETFFT
 except ImportError:  # numpy < 2.0: through numpy.fft
@@ -66,16 +68,20 @@ def _irfft(a, n, out=None):
     return _POCKETFFT.irfft(a, 1.0 / n, out=out)
 
 
-def _fft(a):
+def _fft(a, out=None):
     if _POCKETFFT is None:
-        return np.fft.fft(a, axis=-1)
-    return _POCKETFFT.fft(a, 1, out=np.empty(a.shape, complex))
+        return _fallback(np.fft.fft(a, axis=-1), out)
+    if out is None:
+        out = np.empty(a.shape, complex)
+    return _POCKETFFT.fft(a, 1, out=out)
 
 
-def _ifft(a):
+def _ifft(a, out=None):
     if _POCKETFFT is None:
-        return np.fft.ifft(a, axis=-1)
-    return _POCKETFFT.ifft(a, 1.0 / a.shape[-1], out=np.empty(a.shape, complex))
+        return _fallback(np.fft.ifft(a, axis=-1), out)
+    if out is None:
+        out = np.empty(a.shape, complex)
+    return _POCKETFFT.ifft(a, 1.0 / a.shape[-1], out=out)
 
 
 # Snapshots per block that a run hands to its consumer: the run diagnostics
@@ -252,26 +258,34 @@ def _hs_norms(values, grid: Grid, s: int) -> np.ndarray:
 def rk4_step(state, rhs, dt: float, stages=None):
     """One classical RK4 step for d/dt state = rhs(state); returns a new array.
 
-    Stage i calls ``rhs(y, out=stages[i])`` and uses the array it returns; y
-    is formed in ``stages[4]``.  ``stages`` is a (5, *state.shape) array the
-    caller keeps across steps (allocated here if None).  Raises
-    FloatingPointError on a non-finite result.
+    Stage i calls ``rhs(y, out=k_i)`` and uses the array it returns; y is
+    formed in the fifth stage buffer.  ``stages`` holds the five buffers
+    k_1..k_4, y of state's shape (a (5, *state.shape) array or a tuple of
+    arrays) that the caller keeps across steps (allocated here if None);
+    only the result is allocated.  Raises FloatingPointError when the
+    result's sum is not finite (a NaN or infinite sample).
     """
     if stages is None:
         stages = np.empty((5,) + state.shape, state.dtype)
-    y, k = state, []
-    for i, h in enumerate((0.5 * dt, 0.5 * dt, dt, None)):
-        k.append(rhs(y, out=stages[i]))
-        if h is not None:
-            y = np.multiply(k[i], h, out=stages[4])
-            y += state
-    out = np.multiply(k[1], 2.0)  # state + dt/6 (k1 + 2 k2 + 2 k3 + k4), in that order
-    out += k[0]
-    out += np.multiply(k[2], 2.0, out=stages[4])
-    out += k[3]
+    k1, k2, k3, k4, y = stages
+    half = 0.5 * dt
+    k1 = rhs(state, out=k1)
+    np.multiply(k1, half, out=y)
+    y += state
+    k2 = rhs(y, out=k2)
+    np.multiply(k2, half, out=y)
+    y += state
+    k3 = rhs(y, out=k3)
+    np.multiply(k3, dt, out=y)
+    y += state
+    k4 = rhs(y, out=k4)
+    out = np.multiply(k2, 2.0)  # state + dt/6 (k1 + 2 k2 + 2 k3 + k4), in that order
+    out += k1
+    out += np.multiply(k3, 2.0, out=y)
+    out += k4
     out *= dt / 6.0
     out += state
-    if not np.isfinite(out).all():
+    if not cmath.isfinite(out.sum()):  # real or complex, with no temporary
         raise FloatingPointError("rk4_step: non-finite state produced")
     return out
 

@@ -9,8 +9,14 @@ limiting third-order dynamics lives:
   under that subflow) and the stiff transport + dispersion part is solved
   exactly in Fourier space;
 * sphere-valued spin fields (single chain or staggered antiferromagnet pair)
-  use RK4 on preallocated stages and pre-scaled symbols (_SpinWork), with
-  pointwise renormalization after each step.
+  use RK4 with pointwise renormalization after each step.
+
+Both steps run on buffers made once per run: the split step holds its
+spectrum, the linear flow's output, the phase factors and rotation factor,
+and the leading-rotated state; the spin step holds the RK4 stages, the
+norms, and the symbols, transforms, shifted cross-product copies and their
+views of the right-hand side (_SpinWork).  A step allocates only the state
+it yields.
 """
 
 from __future__ import annotations
@@ -96,83 +102,108 @@ def unit_norm_deviation(spec, vals):
                    for b in blocks], axis=0)
 
 
-def _phase_factors(spec, vals):
-    """Local self-interaction factors g_k with force +i g_k u_k / eps."""
+def _phase_factors(spec, vals, out=None):
+    """Local self-interaction factors g_k with force +i g_k u_k / eps, written
+    into out[0] of a real (2, *vals.shape) buffer (allocated if None) whose
+    row 1 is scratch."""
+    if out is None:
+        out = np.empty((2,) + vals.shape)
+    g = np.abs(vals, out=out[0])
+    np.square(g, out=g)
+    np.subtract(1.0, g, out=g)  # d_k = 1 - |u_k|^2, the scalar factor
     if spec.kind == "GP_SCALAR":
-        return 1.0 - np.abs(vals) ** 2
+        return g
     lam = spec.params["lam"]
     gamma = spec.params["gamma"]
-    d1 = 1.0 - np.abs(vals[0]) ** 2
-    d2 = 1.0 - np.abs(vals[1]) ** 2
-    return np.stack([lam * d1 + 4.0 * gamma * d1 * d2, lam * d2 + 2.0 * gamma * d1 * d1])
-
-
-def _cross_rolled(u5, w5, out, tmp):
-    """u × w along axis -2 in three calls, from copies u5, w5 (B, 5, N) laid
-    out [x, y, z, x, y]: u5[:, 1:4] w5[:, 2:5] - u5[:, 2:5] w5[:, 1:4]."""
-    np.multiply(u5[:, 1:4], w5[:, 2:5], out=out)
-    np.multiply(u5[:, 2:5], w5[:, 1:4], out=tmp)
-    return np.subtract(out, tmp, out=out)
+    d1, d2 = g
+    t1, t2 = out[1]
+    np.multiply(4.0 * gamma, d1, out=t1)
+    t1 *= d2
+    np.multiply(2.0 * gamma, d1, out=t2)
+    t2 *= d1
+    g *= lam
+    g += out[1]  # [lam d1 + 4 gamma d1 d2, lam d2 + 2 gamma d1 d1]
+    return g
 
 
 class _SpinWork:
-    """Pre-scaled symbols and buffers of one run's spin right-hand side, on the
-    state as (B, 3, N) (B = 2 spheres u, v for the pair): d/dt Γ = (c/eps²) ∂x Γ
-    + Γ × T, ``sym`` = [(c/eps²) ik, torque].  Chain: T = ∂x² Γ/(2 eps) - e3
-    V'(Γ₃)/eps³, easy-plane V' = 2k Γ₃ in ``sym``, easy-cone V' = 2α d - 3β d²
-    pointwise from d = Γ₃ - cos θ0 (no O(α/eps³) cancellation on the cone).
-    Pair: T_u = -∂x² u/(2 eps) - ∂x v/eps² + 2v/eps³, T_v with +∂x u (``couple``).
-    The transforms and pointwise terms write into the buffers held here, so a
-    stage allocates nothing."""
+    """Pre-scaled symbols, buffers and views of one run's spin right-hand side,
+    on the state as (B, 3, N) (B = 2 spheres u, v for the pair): d/dt Γ =
+    (c/eps²) ∂x Γ + Γ × T, with the symbols of the transport and the torque.
+    Chain: T = ∂x² Γ/(2 eps) - e3 V'(Γ₃)/eps³, easy-plane V' = 2k Γ₃ in the
+    torque symbol, easy-cone V' = 2α d - 3β d² pointwise from d = Γ₃ - cos θ0
+    (no O(α/eps³) cancellation on the cone).  Pair: T_u = -∂x² u/(2 eps) - ∂x
+    v/eps² + 2v/eps³, T_v with +∂x u (``couple``).  Γ and T are copied into
+    (B, 5, N) buffers laid out [x, y, z, x, y], whose rows 1:4 and 2:5 give
+    Γ × T = g_lo t_hi - g_hi t_lo.  Every transform and pointwise term writes
+    into a buffer held here, through views made once, so a stage allocates
+    nothing; symbols and couplings have the full shape of their products,
+    since a broadcast operand sends a ufunc through a buffered loop that
+    allocates."""
 
     def __init__(self, spec, grid, eps, c):
         self.blocks = b = 2 if spec.kind == "AF_CHAIN" else 1
         n, ik, ik2 = grid.n_points, grid.rsymbol(1), grid.rsymbol(2)
-        self.sym = np.stack([(c / eps**2) * ik, (-0.5 if b == 2 else 0.5) / eps * ik2])
-        self.sym = np.repeat(self.sym[:, None, None, :], 3, axis=2)
+        self.shape = (b, 3, n)
+        sym = np.stack([(c / eps**2) * ik, (-0.5 if b == 2 else 0.5) / eps * ik2])
+        self.sym_transport, self.sym_torque = np.tile(sym[:, None, None, :], (1, b, 3, 1))
+        self.coef, self.mixed = np.empty((2, b, 3, n // 2 + 1), complex)
+        self.dcoef = np.empty((2, b, 3, n // 2 + 1), complex)
+        self.dtransport, self.dtorque = self.dcoef
         self.couple = self.cone = None
-        if b == 2:
-            self.couple = np.stack([-ik / eps**2, ik / eps**2])[:, None, :] + 2.0 / eps**3
+        if b == 2:  # each sphere's torque takes the other's coefficients
+            couple = np.stack([-ik / eps**2, ik / eps**2])[:, None, :] + 2.0 / eps**3
+            couple = np.repeat(couple, 3, axis=1)
+            self.couple = (couple[0], self.coef[1], self.mixed[0], couple[1], self.coef[0], self.mixed[1])
         elif spec.kind == "LL_EASY_PLANE":
-            self.sym[1, 0, 2] -= 2.0 * spec.params["k"] / eps**3
+            self.sym_torque[0, 2] -= 2.0 * spec.params["k"] / eps**3
         else:  # easy cone: T₃ += d (3β d - 2α) / eps³
             p = spec.params
             self.cone = (np.cos(p["theta0"]), 3.0 * p["beta"] / eps**3, 2.0 * p["alpha"] / eps**3)
-        self.coef, self.mixed = np.empty((2, b, 3, n // 2 + 1), complex)
-        self.dcoef = np.empty((2, b, 3, n // 2 + 1), complex)
         self.derivs = np.empty((2, b, 3, n))
-        self.dev = np.empty((2, b, n))
+        self.transport, self.torque = self.derivs
+        self.torque_z = self.torque[:, 2]
+        self.dev, self.term = np.empty((2, b, n))
         self.g5, self.t5 = np.empty((2, b, 5, n))
+        self.g_z = self.g5[:, 2]
+        self.g_lo, self.g_hi = self.g5[:, 1:4], self.g5[:, 2:5]
+        self.t_lo, self.t_hi = self.t5[:, 1:4], self.t5[:, 2:5]
 
 
 def _rhs_raw(spec, vals, grid, eps, c, out=None, work=None):
-    """Right-hand side on raw values (m, N); a spin kind takes its symbols and
-    buffers from ``work`` (built here if None) and fills ``out`` if given."""
+    """Right-hand side on raw values (m, N).  A spin kind with ``work`` (a
+    :class:`_SpinWork`) takes vals and ``out`` as (B, 3, N) and fills ``out``;
+    without, it builds the workspace and allocates the result."""
     if spec.is_complex:
         d1, d2 = grid.diff(vals, (1, 2))
         g = _phase_factors(spec, vals)
         return (c * d1 + 1j * (0.5 * eps * d2 + g * vals / eps)) / eps**2
-    work = work or _SpinWork(spec, grid, eps, c)
-    out = np.empty(vals.shape) if out is None else out
-    gam = vals.reshape(work.blocks, 3, -1)
-    coef = _rfft(gam, out=work.coef)
-    np.multiply(work.sym, coef, out=work.dcoef)
+    if work is None:
+        work = _SpinWork(spec, grid, eps, c)
+        r = _rhs_raw(spec, vals.reshape(work.shape), grid, eps, c, np.empty(work.shape), work)
+        return r.reshape(vals.shape)
+    _rfft(vals, out=work.coef)
+    np.multiply(work.sym_transport, work.coef, out=work.dtransport)
+    np.multiply(work.sym_torque, work.coef, out=work.dtorque)
     if work.couple is not None:
-        work.dcoef[1] += np.multiply(work.couple, coef[::-1], out=work.mixed)
-    transport, torque = _irfft(work.dcoef, grid.n_points, out=work.derivs)
+        couple_u, coef_v, mixed_u, couple_v, coef_u, mixed_v = work.couple
+        np.multiply(couple_u, coef_v, out=mixed_u)
+        np.multiply(couple_v, coef_u, out=mixed_v)
+        work.dtorque += work.mixed
+    _irfft(work.dcoef, grid.n_points, out=work.derivs)
+    vals.take(_ROLL, axis=1, out=work.g5, mode="clip")  # "raise" would copy g5 first
     if work.cone is not None:
         cos0, quad, lin = work.cone
-        dev, term = work.dev
-        np.subtract(gam[:, 2], cos0, out=dev)
-        np.multiply(quad, dev, out=term)
-        term -= lin
-        torque[:, 2] += np.multiply(dev, term, out=term)  # dev (quad dev - lin)
-    gam.take(_ROLL, axis=1, out=work.g5)
-    torque.take(_ROLL, axis=1, out=work.t5)
+        np.subtract(work.g_z, cos0, out=work.dev)
+        np.multiply(quad, work.dev, out=work.term)
+        work.term -= lin
+        work.torque_z += np.multiply(work.dev, work.term, out=work.term)  # dev (quad dev - lin)
+    work.torque.take(_ROLL, axis=1, out=work.t5, mode="clip")
     # torque now lives in t5, so its buffer is the cross product's scratch
-    r = _cross_rolled(work.g5, work.t5, out.reshape(work.blocks, 3, -1), torque)
-    r += transport
-    return r.reshape(vals.shape)
+    np.multiply(work.g_lo, work.t_hi, out=out)
+    np.subtract(out, np.multiply(work.g_hi, work.t_lo, out=work.torque), out=out)
+    out += work.transport
+    return out
 
 
 def dt_max(spec: MicroModelSpec, eps: float, grid: Grid) -> float:
@@ -240,7 +271,9 @@ def evolve_micro(spec: MicroModelSpec, s0: MicroState, T: float, dt: float,
 
 def _make_stepper(spec, grid, eps, dt, c):
     """Generator function: ``stepper(vals)`` yields the state after each step,
-    raising FloatingPointError on the step that produces a non-finite state."""
+    raising FloatingPointError on the step that produces a non-finite state.
+    A run's buffers are made once; each step allocates only the state it
+    yields."""
     if spec.is_complex:
         k = grid.wavenumbers
         lin = np.exp(dt * (1j * c * k - 0.5j * eps * k**2) / eps**2)
@@ -251,40 +284,49 @@ def _make_stepper(spec, grid, eps, dt, c):
             # with g a function of |u| alone, and keeps |u|: a step's trailing
             # half-rotation factor is the next step's leading one, so each
             # step computes one factor.
-            rot = np.empty(vals.shape, complex)
+            spectrum, field, rot, ahead = np.empty((4,) + vals.shape, complex)
+            factors = np.empty((2,) + vals.shape)
+            cos, sin = rot.real, rot.imag
 
             def rotation(z):
-                theta = _phase_factors(spec, z)
+                theta = _phase_factors(spec, z, out=factors)
                 theta *= scale
-                np.cos(theta, out=rot.real)
-                np.sin(theta, out=rot.imag)
+                np.cos(theta, out=cos)
+                np.sin(theta, out=sin)
                 return rot
 
-            ahead = vals * rotation(vals)
+            np.multiply(vals, rotation(vals), out=ahead)
             while True:
-                u = _fft(ahead)
-                u *= lin
-                u = _ifft(u)
-                u *= rotation(u)
+                _fft(ahead, out=spectrum)
+                spectrum *= lin
+                _ifft(spectrum, out=field)
+                u = np.multiply(field, rotation(field))  # the step's one allocation
                 if not math.isfinite(np.vdot(u, u).real):  # the mass catches NaN/inf
                     raise FloatingPointError("split step: non-finite state produced")
                 yield u
-                ahead = u * rot
+                np.multiply(u, rot, out=ahead)
 
         return stepper
 
     work = _SpinWork(spec, grid, eps, c)
 
     def rhs(v, out):
-        return _rhs_raw(spec, v, grid, eps, c, out=out, work=work)
+        return _rhs_raw(spec, v, grid, eps, c, out, work)
 
     def stepper(vals):
-        stages = np.empty((5,) + vals.shape)
+        shape = vals.shape
+        stages = tuple(np.empty((5,) + work.shape))
+        norms, spread = np.empty((work.blocks, grid.n_points)), np.empty(work.shape)
+        rows = norms[:, None]
+        gam = vals.reshape(work.shape)
         while True:
-            vals = rk4_step(vals, rhs, dt, stages)
-            gam = vals.reshape(work.blocks, 3, -1)
-            gam /= np.sqrt(np.einsum("bin,bin->bn", gam, gam))[:, None]
-            yield vals
+            gam = rk4_step(gam, rhs, dt, stages)
+            np.sqrt(np.einsum("bin,bin->bn", gam, gam, out=norms), out=norms)
+            np.copyto(spread, rows)  # a broadcast divisor would allocate a buffer
+            gam /= spread
+            if not math.isfinite(np.vdot(gam, gam)):  # a zero-norm point gives 0/0
+                raise FloatingPointError("spin step: non-finite state produced")
+            yield gam.reshape(shape)
 
     return stepper
 

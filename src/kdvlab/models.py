@@ -441,20 +441,23 @@ def _sph_exp(base: np.ndarray, tan: np.ndarray) -> np.ndarray:
 
 def _sph_log(base: np.ndarray, point: np.ndarray) -> np.ndarray:
     ct = np.clip(np.sum(base * point, axis=-2, keepdims=True), -1.0, 1.0)
-    perp = point - ct * base
+    perp = ct * base
+    np.subtract(point, perp, out=perp)
     s = np.sqrt(np.sum(perp**2, axis=-2, keepdims=True))
     # atan2 keeps the geodesic distance at full precision near zero
     # separation, where arccos(ct) would lose half the digits
     theta = np.arctan2(s, ct)
-    scale = np.where(s > 1e-14, theta / np.where(s > 1e-14, s, 1.0), 1.0)
-    return scale * perp
+    perp *= np.where(s > 1e-14, theta / np.where(s > 1e-14, s, 1.0), 1.0)
+    return perp
 
 
 def _sph_transport(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Parallel transport of tangent vector w from a to b along the geodesic."""
     denom = 1.0 + np.sum(a * b, axis=-2, keepdims=True)
     coef = np.sum(w * b, axis=-2, keepdims=True) / denom
-    return w - coef * (a + b)
+    out = a + b
+    out *= coef
+    return np.subtract(w, out, out=out)
 
 
 _AF_BASE = np.array([1.0, 0.0, 0.0])[:, None]
@@ -474,16 +477,24 @@ def _af_assemble(phi: np.ndarray, n: np.ndarray, eps: float) -> np.ndarray:
 
 
 def _af_extract(state: np.ndarray, eps: float):
+    # the (S, 3, N) arrays of a block are made in place, few at a time: the
+    # midpoint direction omega, Z until eps_phi and the chart distance are
+    # read off it, then Y and each transported frame vector in turn
     u, v = state[..., :3, :], state[..., 3:, :]
-    mid = u - v
-    mid_norm = np.sqrt(np.sum(mid**2, axis=-2, keepdims=True))
-    omega = mid / np.where(mid_norm > 1e-14, mid_norm, 1.0)
+    omega = u - v
+    mid_norm = np.sqrt(np.sum(omega**2, axis=-2, keepdims=True))
+    omega /= np.where(mid_norm > 1e-14, mid_norm, 1.0)
     Z = _sph_log(_AF_BASE, omega)
     eps_phi = np.sqrt(2.0) * np.stack([np.sum(Z * _AF_E2, axis=-2), np.sum(Z * _AF_E3, axis=-2)], axis=-2)
-    f2 = _sph_transport(_AF_BASE, omega, _AF_E2)
-    f3 = _sph_transport(_AF_BASE, omega, _AF_E3)
-    Y = _sph_log(omega, u)
-    n = (np.sqrt(2.0) / eps**2) * np.stack([np.sum(Y * f3, axis=-2), -np.sum(Y * f2, axis=-2)], axis=-2)
+    eps_phi /= eps
     dist = np.sqrt(np.sum(Z**2, axis=-2))
+    del Z
+    Y = _sph_log(omega, u)
+    f3 = _sph_transport(_AF_BASE, omega, _AF_E3)
+    n3 = np.sum(np.multiply(Y, f3, out=f3), axis=-2)
+    del f3
+    f2 = _sph_transport(_AF_BASE, omega, _AF_E2)
+    n = np.stack([n3, -np.sum(np.multiply(Y, f2, out=f2), axis=-2)], axis=-2)
+    n *= np.sqrt(2.0) / eps**2
     in_chart = (np.min(mid_norm, axis=(-2, -1)) > 1e-6) & (np.max(dist, axis=-1) < np.pi * (1.0 - 1e-9))
-    return eps_phi / eps, n, {"in_chart": in_chart}
+    return eps_phi, n, {"in_chart": in_chart}

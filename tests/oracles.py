@@ -3,7 +3,8 @@ Fourier-diagonal linear equation, the dealiased products and the IF-RK4
 step written out plainly (pad, multiply, truncate), the microscopic energy
 and momentum, the residuals of the truncated first-order chart system along
 a run, the limit observables, the solitary-wave ODE residual and the
-fixed-point multistart from random start points; plus
+fixed-point multistart from random start points, the microscopic steps
+from fresh arrays; plus
 ``record_micro``, which keeps every snapshot of a microscopic run for the
 tests that need a whole run, and ``replay_blocks``, which hands such a run to
 the per-block diagnostics."""
@@ -59,6 +60,79 @@ def replay_blocks(spec, traj, block_series):
         consume(traj.times[rows], micro.MicroState(spec, grid, eps, traj.values[rows],
                                                    validate=False))
     return {name: np.concatenate(v) for name, v in cols.items()}
+
+
+# ---------------------------------------------------------------------------
+# microscopic steps, allocating
+# ---------------------------------------------------------------------------
+
+
+def _phase_factors(spec, vals):
+    """Condensate phase factors g_k = d_k (scalar) or lam d_k + coupling
+    terms, d_k = 1 - |u_k|^2, from fresh arrays."""
+    if spec.kind == "GP_SCALAR":
+        return 1.0 - np.abs(vals) ** 2
+    lam, gamma = spec.params["lam"], spec.params["gamma"]
+    d1 = 1.0 - np.abs(vals[0]) ** 2
+    d2 = 1.0 - np.abs(vals[1]) ** 2
+    return np.stack([lam * d1 + 4.0 * gamma * d1 * d2, lam * d2 + 2.0 * gamma * d1 * d1])
+
+
+def spin_rhs(spec, vals, grid, eps):
+    """The spin right-hand side (m, N) from fresh arrays, numpy.fft and
+    np.cross, with the symbols and operations of ``micro._rhs_raw`` in the
+    same order, so with the same bits."""
+    c, b = spec.geometry.c, 2 if spec.kind == "AF_CHAIN" else 1
+    ik, ik2 = grid.rsymbol(1), grid.rsymbol(2)
+    sym = np.stack([(c / eps**2) * ik, (-0.5 if b == 2 else 0.5) / eps * ik2])
+    sym = np.repeat(sym[:, None, None, :], 3, axis=2)
+    if spec.kind == "LL_EASY_PLANE":
+        sym[1, 0, 2] -= 2.0 * spec.params["k"] / eps**3
+    gam = vals.reshape(b, 3, -1)
+    coef = np.fft.rfft(gam, axis=-1)
+    dcoef = sym * coef
+    if b == 2:
+        couple = np.stack([-ik / eps**2, ik / eps**2])[:, None, :] + 2.0 / eps**3
+        dcoef[1] += couple * coef[::-1]
+    transport, torque = np.fft.irfft(dcoef, grid.n_points, axis=-1)
+    if spec.kind == "LL_EASY_CONE":
+        p = spec.params
+        dev = gam[:, 2] - np.cos(p["theta0"])
+        torque[:, 2] += dev * (3.0 * p["beta"] / eps**3 * dev - 2.0 * p["alpha"] / eps**3)
+    return (np.cross(gam, torque, axis=1) + transport).reshape(vals.shape)
+
+
+def micro_steps(spec, vals, grid, eps, dt):
+    """The states after each step of ``micro._make_stepper`` from fresh arrays
+    and numpy.fft, operation for operation: the Strang split step with the
+    trailing half-rotation factor reused, or RK4 on :func:`spin_rhs` with the
+    per-sphere renormalization."""
+    if spec.is_complex:
+        k = grid.wavenumbers
+        lin = np.exp(dt * (1j * spec.geometry.c * k - 0.5j * eps * k**2) / eps**2)
+
+        def rotation(z):
+            theta = _phase_factors(spec, z) * (0.5 * dt / eps**3)
+            rot = np.empty(z.shape, complex)
+            rot.real, rot.imag = np.cos(theta), np.sin(theta)
+            return rot
+
+        ahead = vals * rotation(vals)
+        while True:
+            u = np.fft.ifft(np.fft.fft(ahead, axis=-1) * lin, axis=-1)
+            rot = rotation(u)
+            u = u * rot
+            yield u
+            ahead = u * rot
+    b = 2 if spec.kind == "AF_CHAIN" else 1
+    while True:
+        k1 = spin_rhs(spec, vals, grid, eps)
+        k2 = spin_rhs(spec, k1 * (0.5 * dt) + vals, grid, eps)
+        k3 = spin_rhs(spec, k2 * (0.5 * dt) + vals, grid, eps)
+        k4 = spin_rhs(spec, k3 * dt + vals, grid, eps)
+        gam = ((k2 * 2.0 + k1 + k3 * 2.0 + k4) * (dt / 6.0) + vals).reshape(b, 3, -1)
+        vals = (gam / np.sqrt(np.einsum("bin,bin->bn", gam, gam))[:, None]).reshape(vals.shape)
+        yield vals
 
 
 # ---------------------------------------------------------------------------

@@ -326,10 +326,10 @@ def test_converge_summary_reports_each_abort(tmp_path, monkeypatch):
     def evolve(spec, s0, *args, **kwargs):
         calls = []
 
-        def poisoned(spec, vals):
+        def poisoned(spec, vals, out=None):
             calls.append(None)
-            out = real_factors(spec, vals)
-            return out * np.nan if len(calls) == 8 else out
+            g = real_factors(spec, vals, out)
+            return g * np.nan if len(calls) == 8 else g
 
         factors = poisoned if s0.eps == 0.1 else real_factors
         monkeypatch.setattr(kdvlab.micro, "_phase_factors", factors)

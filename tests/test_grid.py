@@ -96,10 +96,13 @@ def test_numpy_fft_fallback_gives_identical_runs(monkeypatch):
     A0 = Field(grid, 0.3 * np.stack([np.sin(grid.x / 4), np.cos(grid.x / 2)]))
 
     def runs():
+        # every micro family, so every spin right-hand side and both split
+        # steps run on both layers, with the out= path of all four transforms
         out = []
-        for kind in ("AF_CHAIN", "GP_COUPLED"):
-            geom, spec = preset(kind)
-            s0 = well_prepared_init(spec, geom, A0, 0.2)
+        for kind, params in (("GP_SCALAR", None), ("GP_COUPLED", None), ("LL_EASY_PLANE", None),
+                             ("LL_EASY_CONE", {"alpha": 1.0, "theta0": 1.0}), ("AF_CHAIN", None)):
+            geom, spec = preset(kind, params)
+            s0 = well_prepared_init(spec, geom, Field(grid, A0.components[:geom.dim]), 0.2)
             out.append(s0.values)
             evolve_micro(spec, s0, 5e-4, 1e-4, n_snapshots=6,
                          consume=lambda times, block: out.append(block.values.copy()))
