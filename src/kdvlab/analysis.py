@@ -152,9 +152,10 @@ def build_soliton(spec: SolitonSpec, grid: Grid) -> Field:
     """Sample u(x) = c_w q0(sqrt(c_w)(x - x0)) z on the grid, centred
     mid-domain (x0 = L/2).
 
-    Raises when the profile tails exceed 1e-12 at the point of the periodic
-    domain farthest from the center (the domain is then too short for the
-    periodic surrogate to represent the decaying wave).
+    Raises when the profile tails exceed 1e-12 min(1, peak) at the point of
+    the periodic domain farthest from the center (the domain is then too
+    short for the periodic surrogate to represent the decaying wave), and
+    when the sampled wave underflows to zero.
     """
     x0 = 0.5 * grid.length
     xi = np.sqrt(spec.speed) * (grid.x - x0)
@@ -162,9 +163,11 @@ def build_soliton(spec: SolitonSpec, grid: Grid) -> Field:
     comps = np.outer(spec.direction, envelope)
     dist = np.abs((grid.x - x0 + 0.5 * grid.length) % grid.length - 0.5 * grid.length)
     tail = float(np.max(np.abs(comps[:, np.argmax(dist)])))
-    if tail > 1e-12:
+    peak = float(np.max(np.abs(comps)))
+    if peak == 0 or tail > 1e-12 * min(1.0, peak):
         raise ValueError(
-            f"soliton tails {tail:.3g} exceed 1e-12 at the domain boundary; enlarge the grid"
+            f"soliton tails {tail:.3g} exceed 1e-12 min(1, peak {peak:.3g}) at the domain "
+            "boundary; enlarge the grid"
         )
     return Field(grid, comps)
 
@@ -249,23 +252,26 @@ def miura_map(Q: QTensor, v: Field) -> Field:
 
 
 def _mkdv_nonlinear(Q: QTensor, grid: Grid):
-    """dv/dt contribution -(2/3) Q(v, Q(v, dx v)) on rfft coefficients, as
-    ``rhs(w, out)`` writing into ``out``; the cubic term is dealiased by
-    padding [v, dx v] to twice the grid (one irfft) before any product is
-    formed, then truncated back (one rfft)."""
+    """dv/dt contribution -(2/3) Q(v, Q(v, dx v)) on (d, n//2+1) rfft
+    coefficients, as ``rhs(w, out)`` writing into ``out``; the cubic term is
+    dealiased by padding [v, dx v] to twice the grid (one irfft) before any
+    product is formed, then truncated back (one rfft).  Its symbols and views
+    are made once, at the shape of the coefficients."""
     n = grid.n_points
     d = Q.dim
-    ik = grid.rsymbol(1)
+    ik = np.tile(grid.rsymbol(1), (d, 1))
     ws = Dealias(n, 2, 2 * d)
     pair, q = _pairing(Q.coeffs)
-    rows, dx_rows, scale = ws.low[:d], ws.low[d:], ws.fold(-2.0 / 3.0 * q * q, 3)
+    split, scale = ws.split[:d], ws.fold(-2.0 / 3.0 * q * q, 3)[:d]
+    rows, dx_rows = ws.low[:d], ws.low[d:]
+    p, p_dx = ws.padded[:d], ws.padded[d:]  # what samples() writes
     inner, prod = np.empty((2, d, ws.m))
 
     def rhs(w, out):
-        np.multiply(w, ws.split, out=rows)
+        np.multiply(w, split, out=rows)
         np.multiply(w, ik, out=dx_rows)  # ik is zero at the Nyquist mode
-        p = ws.samples()
-        pair(p[:d], pair(p[:d], p[d:], out=inner), out=prod)
+        ws.samples()
+        pair(p, pair(p, p_dx, out=inner), out=prod)
         return np.multiply(scale, ws.coeffs(prod), out=out)
 
     return rhs

@@ -423,9 +423,13 @@ def _scalar_q(cfg: ExperimentConfig):
 
 def _soliton(cfg: ExperimentConfig, Q, grid: Grid) -> Field:
     """The solitary wave of speed ``cfg.speed`` along the smallest fixed
-    point z of Q(z,z) = z."""
+    point z of Q(z,z) = z; a speed whose wave the grid cannot hold (too
+    slow, so too wide, or underflowing) is a config error."""
     z = find_fixed_point(Q, seed=cfg.seed)[0]
-    return build_soliton(SolitonSpec(speed=cfg.speed, direction=z, q_tensor=Q), grid)
+    try:
+        return build_soliton(SolitonSpec(speed=cfg.speed, direction=z, q_tensor=Q), grid)
+    except ValueError as exc:
+        raise ConfigError(f"speed: {cfg.speed!r} gives no soliton on this grid: {exc}") from None
 
 
 def _states(traj, grid: Grid) -> list:

@@ -293,7 +293,8 @@ def rk4_step(state, rhs, dt: float, stages=None):
 def ifrk4_factors(symbol, dt: float):
     """The per-run factors of :func:`ifrk4_step` for the diagonal linear part
     L = symbol: dt, exp(L dt/2), exp(L dt), and the coefficients (dt/6)
-    exp(L dt), (dt/3), (dt/2) and dt times exp(L dt/2)."""
+    exp(L dt), (dt/3), (dt/2) and dt times exp(L dt/2), each at the shape of
+    ``symbol`` (give it the coefficients' shape)."""
     e_half = np.exp(symbol * (dt / 2.0))
     e_full = e_half * e_half
     return dt, e_half, e_full, (dt / 6.0) * e_full, (dt / 3.0) * e_half, (dt / 2.0) * e_half, dt * e_half
@@ -308,9 +309,12 @@ def ifrk4_step(v_hat, nonlinear, factors, stages):
     and uses the array it returns; e^(L dt/2) v (then e^(L dt) v) is kept in
     ``stages[4]`` and the stage states are formed in ``stages[5]``.
     ``stages`` is a (6, *v_hat.shape) complex array the caller keeps across
-    steps; only the result is allocated.  The scheme is classical RK4
-    applied to w = exp(-L t) v, so the stiff linear part contributes no
-    stability restriction.  Raises FloatingPointError on a non-finite result.
+    steps; only the result is allocated, provided the factors have v_hat's
+    shape (a broadcast factor sends its multiply through numpy's buffered
+    loop, which allocates).  The scheme is classical RK4 applied to
+    w = exp(-L t) v, so the stiff linear part contributes no stability
+    restriction.  Raises FloatingPointError when the result's sum is not
+    finite (a NaN or infinite coefficient).
     """
     dt, e_half, e_full, c_n1, c_n23, c_half, c_full = factors
     ev, y = stages[4], stages[5]
@@ -331,7 +335,7 @@ def ifrk4_step(v_hat, nonlinear, factors, stages):
     np.add(n2, n3, out=y)
     out += np.multiply(c_n23, y, out=y)
     out += np.multiply(dt / 6.0, n4, out=y)
-    if not np.isfinite(out).all():
+    if not cmath.isfinite(out.sum()):  # with no boolean temporary
         raise FloatingPointError("ifrk4_step: non-finite state produced")
     return out
 
@@ -434,33 +438,52 @@ class Dealias:
     """Workspace of one run's dealiased products of fields with rfft
     coefficients on n points, multiplied on m >= n*factor points.  Callers
     write coefficients times ``split`` (halving the Nyquist mode of even n
-    between +k and -k) into ``low``, the head of a zero-tailed padded half
-    spectrum; :meth:`samples` is one irfft of it, :meth:`coeffs` one rfft
-    back, each into a buffer the workspace owns (valid until its next call).
-    The m/n scalings and the factor 2 of the recombined Nyquist mode go into
-    the caller's symbol through :meth:`fold`, once per run."""
+    between +k and -k) into ``low``, a contiguous (rows, n//2+1) array;
+    :meth:`samples` is one irfft of it to m points (the transform zero-pads
+    its short input), :meth:`coeffs` one rfft back, truncated to n//2+1
+    modes, each into a buffer the workspace owns (valid until its next
+    call).  The m/n scalings and the factor 2 of the recombined Nyquist mode
+    go into the caller's symbol through :meth:`fold`, once per run.
+    ``split`` and the folded symbols have the (rows, n//2+1) shape of
+    ``low``, and the leading rows of each are contiguous: a ufunc with a
+    broadcast or strided operand runs numpy's buffered loop, which allocates
+    and is 2-3x slower."""
 
     def __init__(self, n: int, factor: float, rows: int):
         m = int(np.ceil(n * factor))
         self.n, self.m = n, m + m % 2  # the smallest even size; factor 3/2 is the 2/3 rule
-        self.buffer = np.zeros((rows, self.m // 2 + 1), np.complex128)
-        self.low = self.buffer[:, : n // 2 + 1]
-        self.split = np.where(2 * np.arange(n // 2 + 1) == n, 0.5, 1.0)
+        k = n // 2 + 1
+        self.low = np.zeros((rows, k), np.complex128)
+        self.split = np.tile(np.where(2 * np.arange(k) == n, 0.5, 1.0), (rows, 1))
         self.padded = np.empty((rows, self.m))
-        self.spectrum = np.empty_like(self.buffer)  # a product has at most ``rows`` rows
+        # a product has at most ``rows`` rows.  The views of an r-row product
+        # are made once: its spectrum, the truncation to n//2+1 modes, the
+        # contiguous array handed out (the truncation itself for one row, a
+        # copy of it for more) and, for even n, the imaginary part of its
+        # Nyquist mode, which is zeroed
+        spectrum = np.empty((rows, self.m // 2 + 1), np.complex128)
+        truncated = np.empty_like(self.low)
+        self._views = [None]
+        for r in range(1, rows + 1):
+            head = spectrum[:r, :k]
+            out = head if r == 1 else truncated[:r]
+            self._views.append((spectrum[:r], head, out, None if n % 2 else out.imag[:, n // 2]))
 
     def samples(self) -> np.ndarray:
-        return _irfft(self.buffer, self.m, out=self.padded)
+        return _irfft(self.low, self.m, out=self.padded)
 
     def coeffs(self, samples) -> np.ndarray:
-        out = _rfft(samples, out=self.spectrum[: len(samples)])[..., : self.n // 2 + 1]
-        if self.n % 2 == 0:
-            out.imag[..., self.n // 2] = 0.0
+        spectrum, head, out, nyquist = self._views[len(samples)]
+        _rfft(samples, out=spectrum)
+        if out is not head:
+            np.copyto(out, head)
+        if nyquist is not None:
+            nyquist.fill(0.0)
         return out
 
     def fold(self, symbol, factors: int) -> np.ndarray:
         """``symbol`` times the scale of a product of ``factors`` padded
-        fields, with the Nyquist recombination."""
+        fields, with the Nyquist recombination, at the shape of ``low``."""
         return symbol * ((self.m / self.n) ** (factors - 1) / self.split)
 
 

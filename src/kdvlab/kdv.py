@@ -102,11 +102,12 @@ def bilinear_apply(tensor: np.ndarray, a: np.ndarray, b: np.ndarray):
     (3/2-rule padding)."""
     n, d = a.shape[-1], len(a)
     ws = Dealias(n, 1.5, d + len(b))
-    np.multiply(_rfft(a), ws.split, out=ws.low[:d])
-    np.multiply(_rfft(b), ws.split, out=ws.low[d:])
+    np.multiply(_rfft(a), ws.split[:d], out=ws.low[:d])
+    np.multiply(_rfft(b), ws.split[d:], out=ws.low[d:])
     p = ws.samples()
     pair, scale = _pairing(tensor)
-    return _irfft(ws.fold(scale, 2) * ws.coeffs(pair(p[:d], p[d:])), n)
+    prod = pair(p[:d], p[d:])
+    return _irfft(ws.fold(scale, 2)[:len(prod)] * ws.coeffs(prod), n)
 
 
 class LimitModel:
@@ -219,10 +220,12 @@ def _zero_rhs(v, out):
 
 
 def _nonlinear_rhs(model: LimitModel, grid: Grid):
-    """The nonlinear part as a map ``(v, out)`` of rfft coefficients to rfft
-    coefficients written into ``out`` (and returned); each call pads once
-    (one irfft) and truncates once (one rfft) in a :class:`Dealias`
-    workspace kept for the run, with the product in one held buffer."""
+    """The nonlinear part as a map ``(v, out)`` of (d, n//2+1) rfft
+    coefficients to rfft coefficients written into ``out`` (and returned);
+    each call pads once (one irfft) and truncates once (one rfft) in a
+    :class:`Dealias` workspace kept for the run, with the product in one held
+    buffer.  Its symbols and views are made once, at the (d, n//2+1) shape of
+    the coefficients."""
     n = grid.n_points
     ik = grid.rsymbol(1)
     if model.form == "canonical":
@@ -250,14 +253,16 @@ def _nonlinear_rhs(model: LimitModel, grid: Grid):
     d = model.dim
     ws = Dealias(n, 1.5, 2 * d)
     pair, g = _pairing(tensor)
-    dx_rows, rows, scale = ws.low[:d], ws.low[d:], ws.fold(g / (2.0 * c), 2)
+    ik, split, scale = np.tile(ik, (d, 1)), ws.split[:d], ws.fold(g / (2.0 * c), 2)[:d]
+    dx_rows, rows = ws.low[:d], ws.low[d:]
+    p_dx, p = ws.padded[:d], ws.padded[d:]  # what samples() writes
     prod = np.empty((d, ws.m))
 
     def nonlin_raw(v, out):
         np.multiply(v, ik, out=dx_rows)  # ik is zero at the Nyquist mode
-        np.multiply(v, ws.split, out=rows)
-        p = ws.samples()
-        return np.multiply(scale, ws.coeffs(pair(p[:d], p[d:], out=prod)), out=out)
+        np.multiply(v, split, out=rows)
+        ws.samples()
+        return np.multiply(scale, ws.coeffs(pair(p_dx, p, out=prod)), out=out)
 
     return nonlin_raw
 
@@ -293,9 +298,11 @@ def _evolve_ifrk4(symbol, nonlin, u0: Field, T, dt, n_snapshots):
     steps, dt = step_plan(T, dt)
     grid = u0.grid
     n = grid.n_points
-    factors = ifrk4_factors(symbol, dt)
-    ik = grid.rsymbol(1)
     v0 = _rfft(u0.components)
+    # the factors and ik at the coefficients' (d, n//2+1) shape: a broadcast
+    # (n//2+1,) operand would send every multiply through a buffered loop
+    factors = ifrk4_factors(np.tile(symbol, (len(v0), 1)), dt)
+    ik = np.tile(grid.rsymbol(1), (len(v0), 1))
     dcoef, grad = np.empty_like(v0), np.empty(u0.components.shape)
     grad_times, grad_vals = [0.0], [float(np.max(np.abs(grid.diff(u0.components))))]
     grad_limit = BLOWUP_MULTIPLE * max(grad_vals[0], 1e-12)
@@ -308,7 +315,7 @@ def _evolve_ifrk4(symbol, nonlin, u0: Field, T, dt, n_snapshots):
 
     def gradient_guard(step, v):
         np.multiply(ik, v, out=dcoef)
-        grad_vals.append(float(np.max(np.abs(_irfft(dcoef, n, out=grad), out=grad))))
+        grad_vals.append(float(np.abs(_irfft(dcoef, n, out=grad), out=grad).max()))
         grad_times.append(step * dt)
         return "gradient blow-up" if grad_vals[-1] > grad_limit else None
 

@@ -12,11 +12,11 @@ limiting third-order dynamics lives:
   use RK4 with pointwise renormalization after each step.
 
 Both steps run on buffers made once per run: the split step holds its
-spectrum, the linear flow's output, the phase factors and rotation factor,
-and the leading-rotated state; the spin step holds the RK4 stages, the
-norms, and the symbols, transforms, shifted cross-product copies and their
-views of the right-hand side (_SpinWork).  A step allocates only the state
-it yields.
+spectrum, the linear flow's factor (at the state's shape) and output, the
+phase factors and rotation factor, and the leading-rotated state; the spin
+step holds the RK4 stages, the norms, and the symbols, transforms, shifted
+cross-product copies and their views of the right-hand side (_SpinWork).  A
+step allocates only the state it yields.
 """
 
 from __future__ import annotations
@@ -286,6 +286,7 @@ def _make_stepper(spec, grid, eps, dt, c):
             # step computes one factor.
             spectrum, field, rot, ahead = np.empty((4,) + vals.shape, complex)
             factors = np.empty((2,) + vals.shape)
+            flow = np.tile(lin, (len(vals), 1))  # a broadcast (N,) factor would allocate
             cos, sin = rot.real, rot.imag
 
             def rotation(z):
@@ -298,7 +299,7 @@ def _make_stepper(spec, grid, eps, dt, c):
             np.multiply(vals, rotation(vals), out=ahead)
             while True:
                 _fft(ahead, out=spectrum)
-                spectrum *= lin
+                spectrum *= flow
                 _ifft(spectrum, out=field)
                 u = np.multiply(field, rotation(field))  # the step's one allocation
                 if not math.isfinite(np.vdot(u, u).real):  # the mass catches NaN/inf

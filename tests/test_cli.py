@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kdvlab import experiments
 from kdvlab.cli import build_parser, main
 from kdvlab.experiments import (
     ConfigError,
@@ -482,15 +483,30 @@ def test_hyperbolic_soliton_control_reports_no_breakdown(tmp_path):
     assert checks["no_breakdown"]["pass"]
 
 
-def test_soliton_nan_shape_error_fails(tmp_path):
-    # at speed 1e-300 the sampled wave underflows: its L2 norm is 0 and the
-    # shape error 0/0 = NaN, which must fail its assertion, not drop out of a max
-    cfg = dict(default_config("soliton"), output_dir=str(tmp_path / "out"), speed=1e-300)
+def test_soliton_nan_shape_error_fails(tmp_path, monkeypatch):
+    # a NaN shape error (say 0/0 from a wave whose norm underflows) must fail
+    # its assertion, not drop out of a max
+    monkeypatch.setattr(experiments, "shift_minimized_error", lambda u, ref: (np.nan, 0.0))
+    cfg = dict(default_config("soliton"), output_dir=str(tmp_path / "out"))
     cfg["time"] = {"t_final": 0.01, "dt": 1e-3, "snapshots": 2}
-    with np.errstate(invalid="ignore"):
-        assert run_experiment(ExperimentConfig.from_dict(cfg)) == 1
+    assert run_experiment(ExperimentConfig.from_dict(cfg)) == 1
     shape = _assertion_map(_summary(tmp_path / "out"))["shape_error"]
     assert np.isnan(shape["value"]) and not shape["pass"]
+
+
+@pytest.mark.parametrize("speed", [0.05, 1e-300])
+def test_soliton_speed_the_grid_cannot_hold_exits_2_without_traceback(tmp_path, speed):
+    # at speed 0.05 the wave is too wide for the default domain; at 1e-300 it
+    # underflows to zero: a config error naming the field, not a traceback
+    # (0.05) or a NaN shape error (1e-300)
+    cfg = {"output_dir": str(tmp_path / "out"), "speed": speed}
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "kdvlab.cli", "soliton",
+         "--config", _write_config(tmp_path, "cfg.json", cfg)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 2
+    assert "speed" in out.stderr and "Traceback" not in out.stderr
 
 
 def test_summary_schema(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvlab import grid as grid_module
-from kdvlab.analysis import _mkdv_nonlinear
+from kdvlab.analysis import _mkdv_nonlinear, miura_crosscheck
 from kdvlab.grid import (
     SNAPSHOT_BLOCK,
     Dealias,
@@ -106,8 +106,16 @@ def test_numpy_fft_fallback_gives_identical_runs(monkeypatch):
             out.append(s0.values)
             evolve_micro(spec, s0, 5e-4, 1e-4, n_snapshots=6,
                          consume=lambda times, block: out.append(block.values.copy()))
+        # the short-input irfft of all three nonlinear forms: raw (d = 2),
+        # canonical (d = 1) and, through the Miura square, the mKdV one
         traj = evolve_kdv(limit_equation(preset("GP_COUPLED")[0]), A0, 5e-3, 1e-3, n_snapshots=6)
-        return out + list(traj.meta["snapshots"])
+        out += list(traj.meta["snapshots"])
+        v0 = Field(grid, A0.components[:1])
+        traj = evolve_kdv(LimitModel(1, 1.0, canonical_q=QTensor([[[0.7]]])), v0, 5e-3, 1e-3,
+                          n_snapshots=6)
+        discrepancy, aborted = miura_crosscheck(QTensor([[[0.7]]]), v0, 5e-3, 1e-3, n_snapshots=6)
+        assert not aborted
+        return out + list(traj.meta["snapshots"]) + [discrepancy]
 
     bound = runs()
     monkeypatch.setattr(grid_module, "_POCKETFFT", None)
@@ -412,16 +420,32 @@ def test_dealias_product_matches_pad_truncate_property(parity, seed, half_n, dim
         assert np.min(np.abs(a_hat[:, n // 2])) > 0.0
     tensor = rng.normal(size=(dim, dim, dim))
     ws = Dealias(n, 1.5, 2 * dim)
-    np.multiply(a_hat, ws.split, out=ws.low[:dim])
-    np.multiply(b_hat, ws.split, out=ws.low[dim:])
+    np.multiply(a_hat, ws.split[:dim], out=ws.low[:dim])
+    np.multiply(b_hat, ws.split[dim:], out=ws.low[dim:])
     p = ws.samples()
     pair, scale = _pairing(tensor)
-    got = ws.fold(scale, 2) * ws.coeffs(pair(p[:dim], p[dim:]))
+    got = ws.fold(scale, 2)[:dim] * ws.coeffs(pair(p[:dim], p[dim:]))
     padded = np.einsum("ijk,im,jm->km", tensor, pad_to(a_hat, n, ws.m), pad_to(b_hat, n, ws.m))
     want = truncate_to(padded, n)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     direct = bilinear_apply(tensor, a, b)
     assert np.max(np.abs(direct - np.fft.irfft(want, n))) <= 1e-13 * np.max(np.abs(direct))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 96), rows=st.integers(1, 4),
+       factor=st.sampled_from([1.5, 2.0]))
+def test_dealias_samples_zero_pad_bitwise_property(seed, n, rows, factor):
+    # the irfft of the short (rows, n//2+1) input equals numpy.fft.irfft of
+    # the zero-tailed padded half spectrum bit for bit, for even and odd n
+    rng = np.random.default_rng(seed)
+    ws = Dealias(n, factor, rows)
+    ws.low[...] = rng.normal(size=ws.low.shape) + 1j * rng.normal(size=ws.low.shape)
+    padded = np.zeros((rows, ws.m // 2 + 1), complex)
+    padded[:, : n // 2 + 1] = ws.low
+    got = ws.samples()
+    assert got is ws.padded and got.shape == (rows, ws.m)
+    assert np.array_equal(got, np.fft.irfft(padded, ws.m))
 
 
 @settings(max_examples=25, deadline=None)
@@ -457,7 +481,8 @@ def test_ifrk4_step_matches_oracle_step_property(seed, n, dim, form):
         symbol, nonlin = _linear_symbol(model, grid), _nonlinear_rhs(model, grid)
     e_half = np.exp(symbol * (dt / 2.0))
     want = oracle_ifrk4_step(v, e_half, oracle, dt, e_half * e_half)
-    v_before, factors = v.copy(), ifrk4_factors(symbol, dt)
+    # the factors at the coefficients' shape, as the run builds them
+    v_before, factors = v.copy(), ifrk4_factors(np.tile(symbol, (dim, 1)), dt)
     stages = np.empty((6,) + v.shape, complex)
     got = ifrk4_step(v, nonlin, factors, stages)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
