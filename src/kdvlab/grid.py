@@ -32,13 +32,30 @@ __all__ = [
 # The one transform layer, along the last axis: on numpy >= 2.0 the gufuncs
 # behind numpy.fft with its scales (1 forward, 1/n inverse), bit-identical
 # without its per-call wrapper, which costs as much as a 256-point transform.
-# Each writes into a caller's ``out`` if given.
+# Each writes into a caller's ``out`` if given.  ``_POCKETFFT`` is read at
+# call time, so it can be swapped (to count calls, or for the fallback).
 try:
     from numpy.fft import _pocketfft_umath as _POCKETFFT
 except ImportError:  # numpy < 2.0: through numpy.fft
     _POCKETFFT = None
 if not all(hasattr(_POCKETFFT, f) for f in ("rfft_n_even", "rfft_n_odd", "irfft", "fft", "ifft")):
     _POCKETFFT = None
+
+# The scales as 0-d float64 arrays, made once (a Python scale is converted
+# to an array on every gufunc call): 1 forward, and 1/n inverse, one array
+# per length n, made on its first use.
+_FORWARD_SCALE = np.array(1.0)
+_FORWARD_SCALE.flags.writeable = False
+
+
+class _InverseScales(dict):
+    def __missing__(self, n):
+        scale = self[n] = np.array(1.0 / n)
+        scale.flags.writeable = False
+        return scale
+
+
+_INVERSE_SCALE = _InverseScales()
 
 
 def _fallback(result, out):
@@ -57,7 +74,7 @@ def _rfft(a, out=None):
     if out is None:
         out = np.empty(a.shape[:-1] + (n // 2 + 1,), complex)
     gufunc = _POCKETFFT.rfft_n_even if n % 2 == 0 else _POCKETFFT.rfft_n_odd
-    return gufunc(a, 1, out=out)
+    return gufunc(a, _FORWARD_SCALE, out)
 
 
 def _irfft(a, n, out=None):
@@ -65,7 +82,7 @@ def _irfft(a, n, out=None):
         return _fallback(np.fft.irfft(a, n, axis=-1), out)
     if out is None:
         out = np.empty(a.shape[:-1] + (n,))
-    return _POCKETFFT.irfft(a, 1.0 / n, out=out)
+    return _POCKETFFT.irfft(a, _INVERSE_SCALE[n], out)
 
 
 def _fft(a, out=None):
@@ -73,7 +90,7 @@ def _fft(a, out=None):
         return _fallback(np.fft.fft(a, axis=-1), out)
     if out is None:
         out = np.empty(a.shape, complex)
-    return _POCKETFFT.fft(a, 1, out=out)
+    return _POCKETFFT.fft(a, _FORWARD_SCALE, out)
 
 
 def _ifft(a, out=None):
@@ -81,7 +98,7 @@ def _ifft(a, out=None):
         return _fallback(np.fft.ifft(a, axis=-1), out)
     if out is None:
         out = np.empty(a.shape, complex)
-    return _POCKETFFT.ifft(a, 1.0 / a.shape[-1], out=out)
+    return _POCKETFFT.ifft(a, _INVERSE_SCALE[a.shape[-1]], out)
 
 
 # Snapshots per block that a run hands to its consumer: the run diagnostics

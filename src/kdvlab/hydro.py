@@ -83,6 +83,24 @@ def _tangent_gradient(spec, h: HydroState) -> np.ndarray:
     return np.einsum("...ijN,...jN->...iN", J, dphi)
 
 
+def _contract(tensor, rows, out, term):
+    """``np.einsum`` of a small constant tensor with coordinate rows, over the
+    tensor's nonzero entries only, with einsum's products and summation
+    order: ``out`` is zeroed, then for each nonzero entry t = tensor[idx], in
+    lexicographic order of idx, ``rows(*idx)`` gives the target row and the
+    factor rows (f1, f2, ...), and the target gets (t * f1) * f2 ... added,
+    formed in ``term``.  The skipped zero entries would add signed zeros,
+    which change no sum of finite values."""
+    out.fill(0.0)
+    for idx in zip(*np.nonzero(tensor)):
+        target, factors = rows(*idx)
+        np.multiply(tensor[idx], factors[0], out=term)
+        for f in factors[1:]:
+            term *= f
+        target += term
+    return out
+
+
 def almost_hamiltonian(spec, h: HydroState):
     """Almost-conserved energy of chart states, and their wave observable W.
 
@@ -96,7 +114,9 @@ def almost_hamiltonian(spec, h: HydroState):
 
     with S0 = Id + eps^2 II(., n) and II(., n) the shape-operator correction.
     H matches the leading term ||W||^2/(4 lam) up to O(eps^2); along a
-    microscopic run it drifts by O(eps).
+    microscopic run it drifts by O(eps).  The contractions with the geometry
+    tensors run over their nonzero entries (:func:`_contract`); for the
+    condensates those are diagonal and i0B0 is zero.
     """
     g = spec.geometry
     eps = h.eps
@@ -107,20 +127,24 @@ def almost_hamiltonian(spec, h: HydroState):
     tmp = grid.diff(n)  # one scratch array and in-place updates keep the block working set small
     density += 0.25 * eps**4 * np.sum(np.square(tmp, out=tmp), axis=-2)
     f1_nu = -np.einsum("ijm,mk->ijk", g.f1, C)
-    density += (eps**2 / 3.0) * np.einsum("ijk,...iN,...jN,...kN->...N", f1_nu, n, n, n)
+    cubic, term = np.empty((2,) + density.shape)
+    _contract(f1_nu, lambda i, j, k: (cubic, (n[..., i, :], n[..., j, :], n[..., k, :])), cubic, term)
+    cubic *= eps**2 / 3.0
+    density += cubic
     X = _tangent_gradient(spec, h)
     Cn = C.T @ n
-    corr = np.einsum("ijm,...iN,...mN->...jN", g.ii_perp, X, Cn)
+    corr = np.empty(X.shape)
+    _contract(g.ii_perp, lambda i, j, m: (corr[..., j, :], (X[..., i, :], Cn[..., m, :])), corr, term)
     corr *= eps**2
     density += 0.25 * np.sum(np.square(np.add(X, corr, out=tmp), out=tmp), axis=-2)
     corr *= 0.5
     corr += X  # X + (eps^2/2) II(X, n)
-    np.einsum("ij,...jN->...iN", g.i0b0, corr, out=tmp)
+    _contract(g.i0b0, lambda i, j: (tmp[..., i, :], (corr[..., j, :],)), tmp, term)
     corr *= g.c
     corr += tmp
     corr *= Cn
     density += np.sum(corr, axis=-2)
-    np.einsum("ij,...jN->...iN", g.i0b0, X, out=tmp)
+    _contract(g.i0b0, lambda i, j: (tmp[..., i, :], (X[..., j, :],)), tmp, term)
     X *= g.c  # X becomes W
     X += tmp
     Cn *= 2.0 * g.lam

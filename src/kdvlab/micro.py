@@ -102,27 +102,36 @@ def unit_norm_deviation(spec, vals):
                    for b in blocks], axis=0)
 
 
+def _phase_buffers(spec, shape):
+    """The buffers of :func:`_phase_factors` for states of ``shape``, with the
+    views and constants it reads, made once per run: ``(g, None)`` for the
+    scalar condensate; ``(g, (scratch, d1, d2, t1, t2, lam, 4 gamma, 2
+    gamma))`` for the coupled one, with (d1, d2) the rows of g and (t1, t2)
+    those of scratch."""
+    g, scratch = np.empty((2,) + shape)
+    if spec.kind == "GP_SCALAR":
+        return g, None
+    lam, gamma = spec.params["lam"], spec.params["gamma"]
+    return g, (scratch, *g, *scratch, lam, 4.0 * gamma, 2.0 * gamma)
+
+
 def _phase_factors(spec, vals, out=None):
     """Local self-interaction factors g_k with force +i g_k u_k / eps, written
-    into out[0] of a real (2, *vals.shape) buffer (allocated if None) whose
-    row 1 is scratch."""
-    if out is None:
-        out = np.empty((2,) + vals.shape)
-    g = np.abs(vals, out=out[0])
-    np.square(g, out=g)
-    np.subtract(1.0, g, out=g)  # d_k = 1 - |u_k|^2, the scalar factor
-    if spec.kind == "GP_SCALAR":
+    into g of ``out``, the buffers of :func:`_phase_buffers` (made here if
+    None).  Outputs are passed positionally, which numpy parses faster."""
+    g, coupled = _phase_buffers(spec, vals.shape) if out is None else out
+    np.abs(vals, g)
+    np.square(g, g)
+    np.subtract(1.0, g, g)  # d_k = 1 - |u_k|^2, the scalar factor
+    if coupled is None:
         return g
-    lam = spec.params["lam"]
-    gamma = spec.params["gamma"]
-    d1, d2 = g
-    t1, t2 = out[1]
-    np.multiply(4.0 * gamma, d1, out=t1)
+    scratch, d1, d2, t1, t2, lam, gamma4, gamma2 = coupled
+    np.multiply(gamma4, d1, t1)
     t1 *= d2
-    np.multiply(2.0 * gamma, d1, out=t2)
+    np.multiply(gamma2, d1, t2)
     t2 *= d1
     g *= lam
-    g += out[1]  # [lam d1 + 4 gamma d1 d2, lam d2 + 2 gamma d1 d1]
+    g += scratch  # [lam d1 + 4 gamma d1 d2, lam d2 + 2 gamma d1 d1]
     return g
 
 
@@ -241,12 +250,15 @@ def evolve_micro(spec: MicroModelSpec, s0: MicroState, T: float, dt: float,
     The run is one :func:`~kdvlab.grid._run` (step plan, snapshot schedule,
     blocks to ``consume(times, block)``, abort bookkeeping), with ``block`` a
     MicroState of values (S, m, N) and a snapshot check that aborts the run
-    if the pointwise state invariants fail.  The step T/steps must not
-    exceed ``dt_max`` (ValueError otherwise, as for T or dt <= 0).  A
-    condensate split step makes 2 transforms and one rotation factor (its
-    trailing half rotation is the next step's leading one); a spin step is
-    one RK4 step of 4 right-hand-side evaluations, and ``meta["rhs_evals"]``
-    counts the stages actually run.
+    if the pointwise state invariants fail (modulus range or unit norm).  A
+    non-finite state never reaches that check: both steppers raise
+    FloatingPointError, through the vdot of the state they make, on the step
+    that makes it, and the run aborts there with reason "non-finite state".
+    The step T/steps must not exceed ``dt_max`` (ValueError otherwise, as
+    for T or dt <= 0).  A condensate split step makes 2 transforms and one
+    rotation factor (its trailing half rotation is the next step's leading
+    one); a spin step is one RK4 step of 4 right-hand-side evaluations, and
+    ``meta["rhs_evals"]`` counts the stages actually run.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -257,14 +269,11 @@ def evolve_micro(spec: MicroModelSpec, s0: MicroState, T: float, dt: float,
     if dt > cap * (1.0 + 1e-12):
         raise ValueError(f"step T/steps = {dt:.3g} exceeds dt_max={cap:.3g}")
 
-    def check(vals):
-        return "non-finite state" if not np.isfinite(vals).all() else _check_pointwise(spec, vals)
-
     stepper = _make_stepper(spec, s0.grid, s0.eps, dt, spec.geometry.c)
     traj = _run(steps, dt, n_snapshots, s0.values, stepper(s0.values),
                 lambda times, block: consume(times, MicroState(spec, s0.grid, s0.eps, block,
                                                                validate=False)),
-                check=check)
+                check=lambda vals: _check_pointwise(spec, vals))
     traj.meta["rhs_evals"] = 0 if spec.is_complex else 4 * traj.meta["steps_taken"]
     return traj
 
@@ -283,29 +292,30 @@ def _make_stepper(spec, grid, eps, dt, c):
             # Strang step R(dt/2) L(dt) R(dt/2).  R multiplies by exp(i*scale*g)
             # with g a function of |u| alone, and keeps |u|: a step's trailing
             # half-rotation factor is the next step's leading one, so each
-            # step computes one factor.
+            # step computes one factor.  Outputs are passed positionally,
+            # which numpy parses faster.
             spectrum, field, rot, ahead = np.empty((4,) + vals.shape, complex)
-            factors = np.empty((2,) + vals.shape)
+            phase = _phase_buffers(spec, vals.shape)
             flow = np.tile(lin, (len(vals), 1))  # a broadcast (N,) factor would allocate
             cos, sin = rot.real, rot.imag
 
             def rotation(z):
-                theta = _phase_factors(spec, z, out=factors)
+                theta = _phase_factors(spec, z, phase)
                 theta *= scale
-                np.cos(theta, out=cos)
-                np.sin(theta, out=sin)
+                np.cos(theta, cos)
+                np.sin(theta, sin)
                 return rot
 
-            np.multiply(vals, rotation(vals), out=ahead)
+            np.multiply(vals, rotation(vals), ahead)
             while True:
-                _fft(ahead, out=spectrum)
+                _fft(ahead, spectrum)
                 spectrum *= flow
-                _ifft(spectrum, out=field)
+                _ifft(spectrum, field)
                 u = np.multiply(field, rotation(field))  # the step's one allocation
                 if not math.isfinite(np.vdot(u, u).real):  # the mass catches NaN/inf
                     raise FloatingPointError("split step: non-finite state produced")
                 yield u
-                np.multiply(u, rot, out=ahead)
+                np.multiply(u, rot, ahead)
 
         return stepper
 

@@ -318,8 +318,37 @@ def normal_coupling(spec: MicroModelSpec) -> np.ndarray:
 
 def _unwrap_periodic(raw: np.ndarray):
     """Unwrap angles along the last axis and report the winding number of the
-    periodic closure (nonzero winding means the state is not chart-valued)."""
-    unwrapped = np.unwrap(raw, axis=-1)
+    periodic closure (nonzero winding means the state is not chart-valued).
+
+    The unwrapped angles are those of ``np.unwrap(raw, axis=-1)``, bit for
+    bit: each sample after the first gets the cumulative sum of the
+    corrections of the jumps up to it (differences d with |d| >= pi, or
+    NaN), where the correction of a jump d is its remainder in [-pi, pi)
+    minus d (the remainder is +pi where a d > 0 maps onto -pi, d = pi among
+    them).  Over the whole
+    array only the differences and the jump test are made; the corrections
+    and their cumulative sum are made for the rows that have a jump.  A row
+    without one, the usual case for a state in its chart, gets raw + 0.0
+    (-0.0 becomes +0.0), and the first sample is kept as it is.
+    """
+    dd = raw[..., 1:] - raw[..., :-1]
+    smooth = np.abs(dd) < np.pi
+    unwrapped = raw + 0.0
+    unwrapped[..., 0] = raw[..., 0]
+    if not smooth.all():
+        n = raw.shape[-1]
+        jumps = ~smooth.reshape(-1, n - 1)
+        rows = np.flatnonzero(jumps.any(axis=-1))
+        at = jumps[rows]
+        d = dd.reshape(-1, n - 1)[rows][at]
+        low = -np.pi
+        wrapped = np.mod(d - low, 2.0 * np.pi) + low
+        wrapped[(wrapped == low) & (d > 0)] = np.pi
+        correction = np.zeros(at.shape)
+        correction[at] = wrapped - d
+        np.cumsum(correction, axis=-1, out=correction)
+        out = unwrapped.reshape(-1, n)
+        out[rows, 1:] = np.reshape(raw, (-1, n))[rows, 1:] + correction
     closure = unwrapped[..., -1] - unwrapped[..., 0]
     seam = np.angle(np.exp(1j * (raw[..., 0] - raw[..., -1])))
     winding = np.rint((closure + seam) / (2.0 * np.pi)).astype(int)

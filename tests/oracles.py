@@ -2,9 +2,10 @@
 Fourier-diagonal linear equation, the dealiased products and the IF-RK4
 step written out plainly (pad, multiply, truncate), the microscopic energy
 and momentum, the residuals of the truncated first-order chart system along
-a run, the limit observables, the solitary-wave ODE residual and the
-fixed-point multistart from random start points, the microscopic steps
-from fresh arrays; plus
+a run, the limit observables, the almost-conserved functional with
+``np.einsum`` contractions, the phase unwrap by ``np.unwrap``, the
+solitary-wave ODE residual and the fixed-point multistart from random start
+points, the microscopic steps from fresh arrays; plus
 ``record_micro``, which keeps every snapshot of a microscopic run for the
 tests that need a whole run, and ``replay_blocks``, which hands such a run to
 the per-block diagnostics."""
@@ -140,17 +141,69 @@ def micro_steps(spec, vals, grid, eps, dt):
 # ---------------------------------------------------------------------------
 
 
+def tangent_gradient(spec, h):
+    """X = DPhi dx(phi) of chart states, as a coordinate array shaped like
+    ``h.phi``."""
+    X = h.grid.diff(h.phi)
+    if spec.kind == "AF_CHAIN":  # DPhi is the identity on the circle charts
+        X = np.einsum("...ijN,...jN->...iN", dphi_matrix(spec, h.phi, h.eps), X)
+    return X
+
+
 def observables(spec, h):
     """The limit observables of chart states from their definitions, as
     coordinate arrays shaped like ``h.phi``: with X = DPhi dx(phi) and
     A = -2 lam C^T n, W = (c + i0B0) X - A and U = (c - i0B0) X + A."""
     g = spec.geometry
-    X = h.grid.diff(h.phi)
-    if spec.kind == "AF_CHAIN":  # DPhi is the identity on the circle charts
-        X = np.einsum("...ijN,...jN->...iN", dphi_matrix(spec, h.phi, h.eps), X)
+    X = tangent_gradient(spec, h)
     A = -2.0 * g.lam * (normal_coupling(spec).T @ h.n)
     BX = np.einsum("ij,...jN->...iN", g.i0b0, X)
     return SimpleNamespace(W=(g.c * X + BX) - A, U=(g.c * X - BX) + A, A=A)
+
+
+def almost_hamiltonian(spec, h):
+    """(H, W) of ``hydro.almost_hamiltonian``, operation for operation, with
+    each contraction with a geometry tensor one ``np.einsum`` over all its
+    entries."""
+    g, eps, n, grid = spec.geometry, h.eps, h.n, h.grid
+    C = normal_coupling(spec)
+    density = g.lam * np.sum(np.square(n), axis=-2)
+    tmp = grid.diff(n)
+    density += 0.25 * eps**4 * np.sum(np.square(tmp, out=tmp), axis=-2)
+    f1_nu = -np.einsum("ijm,mk->ijk", g.f1, C)
+    density += (eps**2 / 3.0) * np.einsum("ijk,...iN,...jN,...kN->...N", f1_nu, n, n, n)
+    X = tangent_gradient(spec, h)
+    Cn = C.T @ n
+    corr = np.einsum("ijm,...iN,...mN->...jN", g.ii_perp, X, Cn)
+    corr *= eps**2
+    density += 0.25 * np.sum(np.square(np.add(X, corr, out=tmp), out=tmp), axis=-2)
+    corr *= 0.5
+    corr += X
+    np.einsum("ij,...jN->...iN", g.i0b0, corr, out=tmp)
+    corr *= g.c
+    corr += tmp
+    corr *= Cn
+    density += np.sum(corr, axis=-2)
+    np.einsum("ij,...jN->...iN", g.i0b0, X, out=tmp)
+    X *= g.c
+    X += tmp
+    Cn *= 2.0 * g.lam
+    X += Cn
+    return integrate(density, grid), X
+
+
+# ---------------------------------------------------------------------------
+# phase unwrap
+# ---------------------------------------------------------------------------
+
+
+def unwrap_periodic(raw):
+    """``models._unwrap_periodic`` with ``np.unwrap``: the angles unwrapped
+    along the last axis and the winding numbers of the periodic closure."""
+    unwrapped = np.unwrap(raw, axis=-1)
+    closure = unwrapped[..., -1] - unwrapped[..., 0]
+    seam = np.angle(np.exp(1j * (raw[..., 0] - raw[..., -1])))
+    return unwrapped, np.rint((closure + seam) / (2.0 * np.pi)).astype(int)
 
 
 # ---------------------------------------------------------------------------

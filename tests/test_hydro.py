@@ -20,7 +20,7 @@ from kdvlab.hydro import (
     limit_error,
 )
 from kdvlab.kdv import evolve_kdv
-from kdvlab.micro import MicroState, dt_max, well_prepared_init
+from kdvlab.micro import MicroState, dt_max, evolve_micro, well_prepared_init
 from kdvlab.models import (
     chart_assemble,
     chart_extract,
@@ -29,6 +29,7 @@ from kdvlab.models import (
     normal_coupling,
     preset,
 )
+import oracles
 from oracles import hydro_residual, observables, record_micro, replay_blocks
 
 TOL = {
@@ -534,3 +535,55 @@ def test_dense_micro_experiment_holds_one_block_of_snapshots(tmp_path, monkeypat
     assert sum(sizes) == 2001 and max(sizes) == SNAPSHOT_BLOCK
     assert len((tmp_path / "micro_series.csv").read_text().splitlines()) == 2002
     assert peak <= 4 * 2**20
+
+
+def _first_block(kind, params):
+    # the first block of a streamed micro run on the micro experiment's grid
+    # at its eps (N = 256, L = 8 pi, eps = 0.2): SNAPSHOT_BLOCK snapshots,
+    # one every 2 steps at a quarter of the step cap
+    grid, eps = Grid(256, 8 * np.pi), 0.2
+    _, spec, state = _prepared(kind, params, grid, eps, amp=0.3)
+    dt = 0.25 * dt_max(spec, eps, grid)
+    blocks = []
+    evolve_micro(spec, state, 2 * SNAPSHOT_BLOCK * dt, dt, n_snapshots=SNAPSHOT_BLOCK + 1,
+                 consume=lambda times, block: blocks.append(block.values.copy()))
+    assert len(blocks[0]) == SNAPSHOT_BLOCK
+    return spec, MicroState(spec, grid, eps, blocks[0], validate=False)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind,params", PRESETS + [("GP_COUPLED", None), ("GP_COUPLED", {"gamma": 0.7})])
+def test_almost_hamiltonian_matches_the_einsum_oracle_bitwise(kind, params):
+    # the contractions over the geometry tensors' nonzero entries keep
+    # einsum's products and summation order: H and W have the same bits, on
+    # a real block and on one state (gp_coupled with gamma != 0 has five
+    # nonzero F1 entries, the other families at most one per row)
+    spec, block = _first_block(kind, params)
+    h = extract_series(spec, block)
+    for states in (h, list(h)[-1]):
+        energy, w = almost_hamiltonian(spec, states)
+        want_energy, want_w = oracles.almost_hamiltonian(spec, states)
+        assert _same_bits(energy, want_energy) and _same_bits(w, want_w)
+    assert np.ptp(h.n) > 0 and np.ptp(w) > 0  # the data are not trivial
+
+
+@pytest.mark.parametrize("kind", ["GP_SCALAR", "GP_COUPLED"])
+def test_chart_extract_of_a_condensate_block_allocates_under_three_blocks(kind):
+    # the moduli, the angles, their differences with the jump test and the
+    # unwrapped angles: the traced peak stays under three times the block's
+    # bytes (measured 2.5x for one component and 2.1x for two; with
+    # np.unwrap's full-array correction and cumulative sum it was 4.5x and
+    # 4.3x)
+    spec, block = _first_block(kind, None)
+    chart_extract(spec, block.values, block.eps)
+    tracemalloc.start()
+    try:
+        chart_extract(spec, block.values, block.eps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * block.values.nbytes

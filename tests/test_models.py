@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kdvlab.grid import Grid
 from kdvlab.kdv import QTensor, symmetrize_bilinear
@@ -18,6 +19,8 @@ from kdvlab.models import (
     normal_coupling,
     preset,
 )
+from kdvlab.models import _unwrap_periodic
+from oracles import unwrap_periodic
 
 TOL = {
     "coeff": 1e-12,
@@ -399,6 +402,39 @@ def test_chart_winding_detected():
     _, _, info = chart_extract(spec, state, 0.1)
     assert not info["in_chart"]
     assert np.any(info["winding"] != 0)
+
+
+# samples whose differences are exactly +-pi (np.unwrap's boundary rule),
+# just above pi, 3 pi, or -0.0 (np.unwrap adds +0.0 to every later sample)
+_ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.pi, -np.pi, np.nextafter(np.pi, 4.0), 3.0 * np.pi, -3.0 * np.pi]),
+    st.floats(-10.0, 10.0),
+)
+_BOUNDARY_ROW = np.array([-0.0, np.pi, 0.0, -np.pi, -0.0, np.nextafter(np.pi, 4.0), 0.0, 3.0 * np.pi, -0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    raw=st.sampled_from([(), (2,), (3, 2)]).flatmap(lambda lead: st.integers(0, 8).flatmap(
+        lambda half: arrays(np.float64, lead + (2 * half + 1,), elements=_ANGLES))),
+    nans=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 16), st.booleans()), max_size=2),
+)
+@example(raw=_BOUNDARY_ROW, nans=[])
+@example(raw=np.stack([_BOUNDARY_ROW, -_BOUNDARY_ROW]), nans=[(1, 4, False)])
+@example(raw=np.stack([[_BOUNDARY_ROW, -_BOUNDARY_ROW]] * 3), nans=[(2, 0, True), (5, 8, False)])
+def test_unwrap_periodic_matches_numpy_unwrap_bitwise(raw, nans):
+    # shapes (N,), (d, N) and (S, d, N) with odd N; ``nans`` puts a NaN into
+    # one sample of a row, or fills the row with NaN
+    raw = raw.copy()
+    rows = raw.reshape(-1, raw.shape[-1])
+    for row, sample, whole in nans:
+        rows[row % len(rows), slice(None) if whole else sample % rows.shape[1]] = np.nan
+    with np.errstate(invalid="ignore"):  # the winding of a NaN row is cast to int
+        got, got_winding = _unwrap_periodic(raw)
+        want, want_winding = unwrap_periodic(raw)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got_winding, want_winding)
 
 
 def test_chart_out_of_tube_flagged():
