@@ -102,36 +102,27 @@ def unit_norm_deviation(spec, vals):
                    for b in blocks], axis=0)
 
 
-def _phase_buffers(spec, shape):
-    """The buffers of :func:`_phase_factors` for states of ``shape``, with the
-    views and constants it reads, made once per run: ``(g, None)`` for the
-    scalar condensate; ``(g, (scratch, d1, d2, t1, t2, lam, 4 gamma, 2
-    gamma))`` for the coupled one, with (d1, d2) the rows of g and (t1, t2)
-    those of scratch."""
-    g, scratch = np.empty((2,) + shape)
-    if spec.kind == "GP_SCALAR":
-        return g, None
-    lam, gamma = spec.params["lam"], spec.params["gamma"]
-    return g, (scratch, *g, *scratch, lam, 4.0 * gamma, 2.0 * gamma)
-
-
 def _phase_factors(spec, vals, out=None):
     """Local self-interaction factors g_k with force +i g_k u_k / eps, written
-    into g of ``out``, the buffers of :func:`_phase_buffers` (made here if
-    None).  Outputs are passed positionally, which numpy parses faster."""
-    g, coupled = _phase_buffers(spec, vals.shape) if out is None else out
-    np.abs(vals, g)
-    np.square(g, g)
-    np.subtract(1.0, g, g)  # d_k = 1 - |u_k|^2, the scalar factor
-    if coupled is None:
+    into out[0] of a real (2, *vals.shape) buffer (allocated if None) whose
+    row 1 is scratch."""
+    if out is None:
+        out = np.empty((2,) + vals.shape)
+    g = np.abs(vals, out=out[0])
+    np.square(g, out=g)
+    np.subtract(1.0, g, out=g)  # d_k = 1 - |u_k|^2, the scalar factor
+    if spec.kind == "GP_SCALAR":
         return g
-    scratch, d1, d2, t1, t2, lam, gamma4, gamma2 = coupled
-    np.multiply(gamma4, d1, t1)
+    lam = spec.params["lam"]
+    gamma = spec.params["gamma"]
+    d1, d2 = g
+    t1, t2 = out[1]
+    np.multiply(4.0 * gamma, d1, out=t1)
     t1 *= d2
-    np.multiply(gamma2, d1, t2)
+    np.multiply(2.0 * gamma, d1, out=t2)
     t2 *= d1
     g *= lam
-    g += scratch  # [lam d1 + 4 gamma d1 d2, lam d2 + 2 gamma d1 d1]
+    g += out[1]  # [lam d1 + 4 gamma d1 d2, lam d2 + 2 gamma d1 d1]
     return g
 
 
@@ -292,30 +283,29 @@ def _make_stepper(spec, grid, eps, dt, c):
             # Strang step R(dt/2) L(dt) R(dt/2).  R multiplies by exp(i*scale*g)
             # with g a function of |u| alone, and keeps |u|: a step's trailing
             # half-rotation factor is the next step's leading one, so each
-            # step computes one factor.  Outputs are passed positionally,
-            # which numpy parses faster.
+            # step computes one factor.
             spectrum, field, rot, ahead = np.empty((4,) + vals.shape, complex)
-            phase = _phase_buffers(spec, vals.shape)
+            factors = np.empty((2,) + vals.shape)
             flow = np.tile(lin, (len(vals), 1))  # a broadcast (N,) factor would allocate
             cos, sin = rot.real, rot.imag
 
             def rotation(z):
-                theta = _phase_factors(spec, z, phase)
+                theta = _phase_factors(spec, z, out=factors)
                 theta *= scale
-                np.cos(theta, cos)
-                np.sin(theta, sin)
+                np.cos(theta, out=cos)
+                np.sin(theta, out=sin)
                 return rot
 
-            np.multiply(vals, rotation(vals), ahead)
+            np.multiply(vals, rotation(vals), out=ahead)
             while True:
-                _fft(ahead, spectrum)
+                _fft(ahead, out=spectrum)
                 spectrum *= flow
-                _ifft(spectrum, field)
+                _ifft(spectrum, out=field)
                 u = np.multiply(field, rotation(field))  # the step's one allocation
                 if not math.isfinite(np.vdot(u, u).real):  # the mass catches NaN/inf
                     raise FloatingPointError("split step: non-finite state produced")
                 yield u
-                np.multiply(u, rot, ahead)
+                np.multiply(u, rot, out=ahead)
 
         return stepper
 

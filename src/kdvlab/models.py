@@ -329,11 +329,13 @@ def _unwrap_periodic(raw: np.ndarray):
     array only the differences and the jump test are made; the corrections
     and their cumulative sum are made for the rows that have a jump.  A row
     without one, the usual case for a state in its chart, gets raw + 0.0
-    (-0.0 becomes +0.0), and the first sample is kept as it is.
+    (-0.0 becomes +0.0), and the first sample is kept as it is.  The result
+    is C-contiguous whatever the layout of ``raw``, so the rows with a jump
+    are written through a view of it.
     """
     dd = raw[..., 1:] - raw[..., :-1]
     smooth = np.abs(dd) < np.pi
-    unwrapped = raw + 0.0
+    unwrapped = np.add(raw, 0.0, order="C")
     unwrapped[..., 0] = raw[..., 0]
     if not smooth.all():
         n = raw.shape[-1]

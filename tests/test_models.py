@@ -418,17 +418,26 @@ _BOUNDARY_ROW = np.array([-0.0, np.pi, 0.0, -np.pi, -0.0, np.nextafter(np.pi, 4.
     raw=st.sampled_from([(), (2,), (3, 2)]).flatmap(lambda lead: st.integers(0, 8).flatmap(
         lambda half: arrays(np.float64, lead + (2 * half + 1,), elements=_ANGLES))),
     nans=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 16), st.booleans()), max_size=2),
+    layout=st.sampled_from(["C", "F", "strided"]),
 )
-@example(raw=_BOUNDARY_ROW, nans=[])
-@example(raw=np.stack([_BOUNDARY_ROW, -_BOUNDARY_ROW]), nans=[(1, 4, False)])
-@example(raw=np.stack([[_BOUNDARY_ROW, -_BOUNDARY_ROW]] * 3), nans=[(2, 0, True), (5, 8, False)])
-def test_unwrap_periodic_matches_numpy_unwrap_bitwise(raw, nans):
+@example(raw=_BOUNDARY_ROW, nans=[], layout="C")
+@example(raw=np.stack([_BOUNDARY_ROW, -_BOUNDARY_ROW]), nans=[(1, 4, False)], layout="C")
+@example(raw=np.stack([[_BOUNDARY_ROW, -_BOUNDARY_ROW]] * 3), nans=[(2, 0, True), (5, 8, False)],
+         layout="C")
+@example(raw=np.stack([[_BOUNDARY_ROW, -_BOUNDARY_ROW]] * 3), nans=[], layout="F")
+def test_unwrap_periodic_matches_numpy_unwrap_bitwise(raw, nans, layout):
     # shapes (N,), (d, N) and (S, d, N) with odd N; ``nans`` puts a NaN into
-    # one sample of a row, or fills the row with NaN
+    # one sample of a row, or fills the row with NaN; ``layout`` passes the
+    # array C-contiguous, Fortran-ordered (a transposed view, for S, d, N) or
+    # as every other sample of a longer array
     raw = raw.copy()
     rows = raw.reshape(-1, raw.shape[-1])
     for row, sample, whole in nans:
         rows[row % len(rows), slice(None) if whole else sample % rows.shape[1]] = np.nan
+    if layout == "F":
+        raw = np.asfortranarray(raw)
+    elif layout == "strided":
+        raw = np.repeat(raw, 2, axis=-1)[..., ::2]
     with np.errstate(invalid="ignore"):  # the winding of a NaN row is cast to int
         got, got_winding = _unwrap_periodic(raw)
         want, want_winding = unwrap_periodic(raw)
