@@ -55,95 +55,57 @@ class SolitonSpec:
             if defect > 1e-10:
                 raise ValueError(f"direction is not a fixed point of Q: |Q(z,z)-z| = {defect:.3g}")
 
-    @property
-    def dim(self) -> int:
-        return self.direction.shape[0]
-
 
 def _flux_jacobian(Q: QTensor, u: np.ndarray) -> np.ndarray:
     """Matrix of h -> 2 Q(u, h), the flux Jacobian (symmetric)."""
     return 2.0 * np.einsum("ijk,i->jk", Q.coeffs, u)
 
 
-def _newton_root(Q: QTensor, z0: np.ndarray, tol: float):
-    """Damped Newton for Q(z,z) = z from z0, at most 80 steps: (z, |residual|)."""
-    z = np.array(z0, dtype=float)
-    res = Q.apply_vectors(z, z) - z
-    rn = np.linalg.norm(res)
-    eye = np.eye(Q.dim)
-    for _ in range(80):
-        if rn <= tol:
-            return z, rn
-        J = _flux_jacobian(Q, z) - eye
-        try:
-            step = np.linalg.solve(J, -res)
-        except np.linalg.LinAlgError:
-            return z, rn
-        t = 1.0
-        while t > 1e-6:
-            cand = z + t * step
-            cres = Q.apply_vectors(cand, cand) - cand
-            crn = np.linalg.norm(cres)
-            if crn < rn * (1.0 - 1e-4 * t) or crn <= tol:
-                z, res, rn = cand, cres, crn
-                break
-            t *= 0.5
-        else:
-            return z, rn
-    return z, rn
+def find_fixed_point(Q: QTensor):
+    """All distinct nonzero solutions of Q(z,z) = z, in closed form for d <= 2.
 
-
-def _kronecker_sphere(count: int, d: int) -> np.ndarray:
-    """``count`` deterministic low-discrepancy points on the unit sphere of
-    R^d: the Kronecker (R_d) sequence p_i = 2 frac(1/2 + i alpha) - 1,
-    i = 1..count, with alpha_j = phi_d^-j and phi_d the root of
-    x^(d+1) = x + 1, each point normalized."""
-    phi = 2.0
-    for _ in range(64):  # a contraction by at most 1/2 per pass
-        phi = (1.0 + phi) ** (1.0 / (d + 1))
-    alpha = phi ** -np.arange(1.0, d + 1)
-    pts = 2.0 * np.mod(0.5 + np.arange(1, count + 1)[:, None] * alpha, 1.0) - 1.0
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
-
-
-def find_fixed_point(Q: QTensor, seed=None):
-    """All distinct nonzero solutions of Q(z,z) = z found by multi-start Newton.
-
-    Seeds: the optional user seed, eigenvector-informed guesses (unit
-    eigenvectors r of the flux Jacobian at basis points, scaled by
-    1/(Q(r,r).r)), and 32 points on the unit sphere from a Kronecker
-    sequence (:func:`_kronecker_sphere`).  Roots are deduplicated at distance
-    1e-8 and returned sorted (by norm, then lexicographically); each
-    satisfies |Q(z,z) - z| <= 1e-12.
+    d = 1: z = 1/q.  d = 2: a fixed point lies along a direction r with
+    Q(r,r) parallel to r, a real root of the binary cubic
+    r1 Q2(r,r) - r2 Q1(r,r) (r = (1, t) from ``np.roots``, and r = (0, 1) when
+    the t^3 coefficient vanishes); then z = r/(Q(r,r).r) for unit r, polished
+    by at most 3 Newton steps.  There are at most 2^d - 1 such roots
+    (Cartwright & Sturmfels 2013).  Roots are deduplicated at distance 1e-8
+    and returned sorted (by norm, then lexicographically); each satisfies
+    |Q(z,z) - z| <= 1e-12 max(1, |z|^2), since the rounding of Q(z,z) grows
+    as |z|^2.  d >= 3 raises ``ValueError``.
     """
-    n_sphere, tol = 32, 1e-12
+    tol = 1e-12
     if Q.is_zero:
         raise ValueError("Q must be nonzero: every z solves Q(z,z)=z only for z=0")
-    d = Q.dim
-    seeds = []
-    if seed is not None:
-        seeds.append(np.atleast_1d(np.asarray(seed, dtype=float)))
-    anchors = [np.ones(d)] + list(np.eye(d))
-    for u in anchors:
-        _, vecs = np.linalg.eigh(_flux_jacobian(Q, u))
-        for r in vecs.T:
-            scale = float(Q.apply_vectors(r, r) @ r)
-            if abs(scale) > 1e-10:
-                seeds.append(r / scale)
-    seeds.extend(_kronecker_sphere(n_sphere, d))
-
-    roots = []
-    for z0 in seeds:
-        z, rn = _newton_root(Q, z0, tol)
-        if rn > tol or np.linalg.norm(z) <= 1e-8:
+    if Q.dim == 1:
+        return [np.array([1.0 / Q.coeffs[0, 0, 0]])]
+    if Q.dim != 2:
+        raise ValueError(f"fixed points are computed for d <= 2 only, got d = {Q.dim}")
+    q = Q.coeffs  # r1 Q2(r,r) - r2 Q1(r,r) at r = (1, t), highest power first
+    cubic = np.array([-q[0, 1, 1], q[1, 1, 1] - 2.0 * q[0, 0, 1], 2.0 * q[0, 1, 1] - q[0, 0, 0],
+                      q[0, 0, 1]])
+    directions = [np.array([1.0, t.real]) for t in np.roots(cubic)
+                  if abs(t.imag) <= 1e-8 * (1.0 + abs(t))]
+    if abs(cubic[0]) <= 1e-14 * Q.norm():
+        directions.append(np.array([0.0, 1.0]))
+    roots, eye = [], np.eye(2)
+    for r in directions:
+        r = r / np.linalg.norm(r)
+        scale = float(Q.apply_vectors(r, r) @ r)
+        if abs(scale) <= 1e-10:  # Q(r,r) = 0: no fixed point along r
             continue
-        if all(np.linalg.norm(z - r) > 1e-8 for r in roots):
+        z = r / scale
+        res = Q.apply_vectors(z, z) - z
+        for _ in range(3):
+            if np.linalg.norm(res) <= tol * max(1.0, z @ z):
+                break
+            z = z - np.linalg.solve(_flux_jacobian(Q, z) - eye, res)
+            res = Q.apply_vectors(z, z) - z
+        if (np.linalg.norm(res) <= tol * max(1.0, z @ z)
+                and all(np.linalg.norm(z - w) > 1e-8 for w in roots)):
             roots.append(z)
     if not roots:
-        raise RuntimeError(
-            f"no nonzero fixed point of Q(z,z)=z found from {len(seeds)} seeds; "
-            "the nonlinearity may be degenerate"
-        )
+        raise RuntimeError("no nonzero fixed point of Q(z,z)=z; the nonlinearity may be degenerate")
     roots.sort(key=lambda z: (round(float(np.linalg.norm(z)), 12), tuple(np.round(z, 12))))
     return roots
 

@@ -5,7 +5,7 @@ Every experiment writes, into its output directory, one or more time-series
 CSV files (gnuplot-friendly, ``t`` first), a ``summary.json`` holding the
 echoed configuration and a list of named pass/fail assertions, and a
 ``timings.json`` with wall-clock measurements.  The summary is byte-stable:
-identical configuration and seed produce identical bytes, so wall-clock times
+identical configurations produce identical bytes, so wall-clock times
 live in the separate file and the summary's ``timings`` block holds
 deterministic work counters instead.
 """
@@ -65,7 +65,6 @@ class ConfigError(ValueError):
 _COMMON = {
     "params": {},
     "output_dir": "results",
-    "seed": 0,
     "workers": 1,
     "initial": {"shape": "bump", "amplitude": 0.3, "width": 2.0, "mode": 1},
 }
@@ -176,7 +175,7 @@ class ExperimentConfig:
 
     _KNOWN_KEYS = {
         "experiment", "preset", "params", "grid", "time", "initial",
-        "eps", "eps_list", "output_dir", "seed", "workers",
+        "eps", "eps_list", "output_dir", "workers",
         "speed", "delta", "d2_alpha", "d2_beta",
     }
 
@@ -261,9 +260,6 @@ class ExperimentConfig:
         output_dir = raw.get("output_dir")
         _require(isinstance(output_dir, str) and output_dir, "output_dir",
                  f"must be a non-empty path, got {output_dir!r}")
-        seed = raw.get("seed", 0)
-        _require(_is_int(seed) and seed >= 0,
-                 "seed", f"must be a non-negative integer, got {seed!r}")
         workers = raw.get("workers", 1)
         _require(_is_int(workers) and workers >= 1, "workers",
                  f"must be an integer >= 1, got {workers!r}")
@@ -289,7 +285,6 @@ class ExperimentConfig:
             eps=eps,
             eps_list=list(eps_list) if eps_list else None,
             output_dir=output_dir,
-            seed=seed,
             workers=workers,
             speed=speed,
             delta=float(delta),
@@ -311,7 +306,6 @@ class ExperimentConfig:
             "grid": {"n": self.n, "length": self.length},
             "time": {"t_final": self.t_final, "dt": self.dt, "snapshots": self.snapshots},
             "initial": self.initial,
-            "seed": self.seed,
         }
         if self.experiment == "micro":
             out["eps"] = self.eps
@@ -425,7 +419,7 @@ def _soliton(cfg: ExperimentConfig, Q, grid: Grid) -> Field:
     """The solitary wave of speed ``cfg.speed`` along the smallest fixed
     point z of Q(z,z) = z; a speed whose wave the grid cannot hold (too
     slow, so too wide, or underflowing) is a config error."""
-    z = find_fixed_point(Q, seed=cfg.seed)[0]
+    z = find_fixed_point(Q)[0]
     try:
         return build_soliton(SolitonSpec(speed=cfg.speed, direction=z, q_tensor=Q), grid)
     except ValueError as exc:

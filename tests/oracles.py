@@ -4,18 +4,17 @@ step written out plainly (pad, multiply, truncate), the microscopic energy
 and momentum, the residuals of the truncated first-order chart system along
 a run, the limit observables, the almost-conserved functional with
 ``np.einsum`` contractions, the phase unwrap by ``np.unwrap``, the
-solitary-wave ODE residual and the fixed-point multistart from random start
-points, the microscopic steps from fresh arrays; plus
+solitary-wave ODE residual and the fixed points of Q(z,z) = z by a direction
+scan, the microscopic steps from fresh arrays; plus
 ``record_micro``, which keeps every snapshot of a microscopic run for the
 tests that need a whole run, and ``replay_blocks``, which hands such a run to
 the per-block diagnostics."""
 
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 
-from kdvlab import analysis, micro
+from kdvlab import micro
 from kdvlab.analysis import solitary_profile
 from kdvlab.grid import SNAPSHOT_BLOCK, Field, integrate, l2_norm, spectral_derivative
 from kdvlab.hydro import chart_blocks, extract_series
@@ -501,13 +500,45 @@ def soliton_ode_residual(Q, z, grid, profile=None) -> float:
     return l2_norm(resid, grid)
 
 
-def rng_fixed_points(Q):
-    """``analysis.find_fixed_point`` with the random start set it used before
-    the Kronecker sequence: 32 normal draws of ``default_rng(1234)``,
-    normalized (the eigenvector seeds before them are unchanged)."""
-    def draws(count, d):
-        pts = np.random.default_rng(1234).normal(size=(count, d))
-        return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+def scan_fixed_points(Q, samples=2**16):
+    """The nonzero solutions of Q(z,z) = z for d <= 2 by brute force.
 
-    with mock.patch.object(analysis, "_kronecker_sphere", draws):
-        return analysis.find_fixed_point(Q)
+    d = 1: z = 1/q.  d = 2: the directions r = (cos th, sin th) along which
+    Q(r,r) is parallel to r are the zeros of f = r1 Q2(r,r) - r2 Q1(r,r);
+    ``samples`` points of th in [0, pi) locate its sign changes (f(th + pi) =
+    -f(th) closes the last interval), 200 bisection passes refine each, and
+    r = (0, 1) is checked on its own.  Each direction with Q(r,r).r != 0
+    gives z = r / (Q(r,r).r).  Returns the roots sorted by norm."""
+    c = Q.coeffs
+    if Q.dim == 1:
+        return [np.array([1.0 / c[0, 0, 0]])]
+
+    def f(th):
+        r = np.array([np.cos(th), np.sin(th)])
+        q = np.einsum("ijk,i...,j...->k...", c, r, r)
+        return r[0] * q[1] - r[1] * q[0]
+
+    th = np.pi * np.arange(samples + 1) / samples
+    vals = f(th)
+    vals[-1] = -vals[0]
+    found = list(th[:-1][vals[:-1] == 0.0])
+    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+        lo, hi = th[i], th[i + 1]
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if np.sign(f(mid)) == np.sign(vals[i]):
+                lo = mid
+            else:
+                hi = mid
+        found.append(lo)
+    directions = [np.array([np.cos(t), np.sin(t)]) for t in found]
+    if c[1, 1, 0] == 0.0:
+        directions.append(np.array([0.0, 1.0]))
+    roots = []
+    for r in directions:
+        scale = float(np.einsum("ijk,i,j,k->", c, r, r, r))
+        if scale != 0.0:
+            roots.append(r / scale)
+    return sorted(roots, key=np.linalg.norm)

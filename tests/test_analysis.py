@@ -1,8 +1,6 @@
 """Tests for solitary waves, fixed points, Miura machinery, and the d=2
 complex nonlinearity family."""
 
-from unittest.mock import patch
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +21,7 @@ from kdvlab.analysis import (
 from kdvlab.grid import Field, Grid, fourier_shift, l2_norm, spectral_derivative
 from kdvlab.kdv import QTensor, bilinear_apply, evolve_kdv
 from kdvlab.models import limit_equation, preset
-from oracles import rng_fixed_points, soliton_ode_residual
+from oracles import scan_fixed_points, soliton_ode_residual
 
 TOL = {
     "root_residual": 1e-12,
@@ -82,9 +80,7 @@ def test_fixed_point_rescaled_tensor_moves_root():
                        [0.4180700589522774, -0.8791072887392107]]),
 ])
 def test_fixed_point_d2_roots_pinned(alpha, beta, expected):
-    # roots pinned from a version that took its eigenvector seeds from a
-    # different LAPACK driver; the seeds r / (Q(r,r).r) do not depend on the
-    # sign of r, and the roots agree to rounding
+    # one root per real direction of the binary cubic with Q(r,r) != 0
     roots = find_fixed_point(complex_q_d2(alpha, beta))
     assert len(roots) == len(expected)
     for z, want in zip(roots, expected):
@@ -95,49 +91,67 @@ def _same_roots(got, want):
     return len(got) == len(want) and all(np.max(np.abs(z - w)) <= 1e-12 for z, w in zip(got, want))
 
 
+# root lists pinned from the multistart Newton the closed form replaced, by
+# (kind, *params) and ("d2", alpha, beta); the closed form adds the third root
+# of complex_q_d2(0.3j, 1), of norm 4.29, which no unit-norm start reached
+_PINNED_ROOTS = {
+    ("GP_SCALAR",): [[-1.0]],
+    ("GP_COUPLED",): [[-1.0, 0.0], [0.0, -1.0], [-1.0000000000000075, -1.0000000000000002]],
+    ("GP_COUPLED", 2.0, 0.5): [[-0.8628045903733246, 0.20579311443983592], [0.0, -1.0],
+                               [-2.267630192234939, -1.901445288352409]],
+    ("LL_EASY_CONE", 1.0, 1.0): [[1.0]],
+    ("LL_EASY_CONE", 2.0, 0.5, 1.0): [[1.0000000000000002]],
+    ("d2", 1.0, 1.0): [[0.25, 0.0]],
+    ("d2", 0.5 + 0.5j, 1.0): [[0.3794124634399706, -0.05553289075657185],
+                              [-0.165903575023827, -0.5390440310305332],
+                              [0.41807005895232424, -0.8791072887398949]],
+    ("d2", 1.0, 0.0): [[0.3333333333333333, 1.051636878270389e-17]],
+    ("d2", 0.3j, 1.0): [[-0.2567666548320562, -0.49623206423356536],
+                        [0.951884074390914, -0.09649721104885463],
+                        [-2.34763061671262, 3.594794916778814]],
+}
+
+
 @pytest.mark.parametrize("kind, params", [
     ("GP_SCALAR", None), ("GP_COUPLED", None), ("GP_COUPLED", {"lam": 2.0, "gamma": 0.5}),
     ("LL_EASY_CONE", {"alpha": 1.0, "theta0": 1.0}),
     ("LL_EASY_CONE", {"alpha": 2.0, "theta0": 0.5, "beta": 1.0}),
 ])
 def test_fixed_point_start_set_keeps_preset_roots(kind, params):
-    # the Kronecker start set finds the roots the random one found, for the
-    # preset limits with a nonzero canonical nonlinearity (the easy-plane and
-    # antiferromagnet limits have Q = 0)
+    # the preset limits with a nonzero canonical nonlinearity (the
+    # easy-plane and antiferromagnet limits have Q = 0)
     Q = limit_equation(preset(kind, params)[0]).as_canonical().canonical_q
-    assert _same_roots(find_fixed_point(Q), rng_fixed_points(Q))
+    assert _same_roots(find_fixed_point(Q), _PINNED_ROOTS[(kind, *(params or {}).values())])
 
 
 @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.5 + 0.5j, 1.0), (1.0, 0.0), (0.3j, 1.0)])
 def test_fixed_point_start_set_keeps_complex_q_d2_roots(alpha, beta):
-    Q = complex_q_d2(alpha, beta)
-    assert _same_roots(find_fixed_point(Q), rng_fixed_points(Q))
+    assert _same_roots(find_fixed_point(complex_q_d2(alpha, beta)), _PINNED_ROOTS["d2", alpha, beta])
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3))
-def test_fixed_point_start_set_property(seed, d):
-    # on a random tensor either start set may miss a root the other finds
-    # (Newton from 32 sphere points does not reach every basin), so the
-    # lists are compared where they must agree: every root solves
-    # Q(z,z) = z, and the roots reached from the eigenvector seeds, which
-    # come first, are in both lists with the same bits
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 2))
+def test_fixed_point_complete_property(seed, d):
+    # the closed form returns every root the direction scan finds; a root's
+    # residual is bounded relative to |z|^2, the size of the terms of Q(z,z)
+    # whose rounding it cannot go below
     Q = QTensor(np.random.default_rng(seed).normal(size=(d, d, d)))
-    got, old = find_fixed_point(Q), rng_fixed_points(Q)
-    for z in got + old:
-        assert np.linalg.norm(Q.apply_vectors(z, z) - z) <= TOL["root_residual"]
-    with patch.object(kdvlab.analysis, "_kronecker_sphere", lambda count, d: np.empty((0, d))):
-        try:
-            anchored = find_fixed_point(Q)
-        except RuntimeError:  # no eigenvector seed converged
-            anchored = []
-    for z in anchored:
-        assert any(np.array_equal(z, w) for w in got) and any(np.array_equal(z, w) for w in old)
+    got, want = find_fixed_point(Q), scan_fixed_points(Q)
+    assert len(got) == len(want)
+    for w in want:
+        assert min(np.linalg.norm(z - w) for z in got) <= 1e-9 * max(1.0, np.linalg.norm(w))
+    for z in got:
+        assert np.linalg.norm(Q.apply_vectors(z, z) - z) <= TOL["root_residual"] * max(1.0, z @ z)
 
 
 def test_fixed_point_rejects_zero_tensor():
     with pytest.raises(ValueError):
         find_fixed_point(QTensor(np.zeros((2, 2, 2))))
+
+
+def test_fixed_point_rejects_d3():
+    with pytest.raises(ValueError, match="d = 3"):
+        find_fixed_point(QTensor(np.random.default_rng(0).normal(size=(3, 3, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +234,7 @@ def test_shift_minimized_error_recovers_translation():
 
 def _spy_golden_section(monkeypatch):
     """Record the bracket of every golden-section fallback of the shift search."""
-    import kdvlab.analysis
-
+    
     brackets = []
     real = kdvlab.analysis._golden_section
 
@@ -274,8 +287,7 @@ def test_shift_golden_section_without_slope_sign_change(monkeypatch, delta):
 def test_shift_refinement_never_worse_than_grid_optimum(monkeypatch):
     # a fallback that lands on a worse shift (here the bracket end, a grid
     # neighbour of delta0) is discarded in favour of delta0
-    import kdvlab.analysis
-
+    
     monkeypatch.setattr(kdvlab.analysis, "_golden_section", lambda f, lo, hi, xtol: hi)
     grid = Grid(32, 2 * np.pi)
     ref = Field(grid, (0.5 * np.cos(15 * grid.x) + np.cos(grid.x))[None, :])
@@ -404,8 +416,7 @@ def test_miura_crosscheck_rejects_aborted_kdv_leg(monkeypatch):
     # an aborted KdV leg has no snapshots past its abort time; the crosscheck
     # compares only the times both legs reached and names the aborted leg,
     # so the caller cannot score the missing times as agreement
-    import kdvlab.analysis
-
+    
     real_evolve = kdvlab.analysis.evolve_kdv
 
     def aborted(*args, **kwargs):
@@ -429,8 +440,7 @@ def test_miura_crosscheck_rejects_aborted_kdv_leg(monkeypatch):
 
 def test_miura_mkdv_leg_transforms_per_step(monkeypatch, fft_calls):
     # transforms made outside the KdV leg, per step: the mKdV stepper alone
-    import kdvlab.analysis
-
+    
     real_evolve = kdvlab.analysis.evolve_kdv
     in_kdv_leg = {"total": 0}
 

@@ -207,3 +207,20 @@ def test_every_trajectory_field_a_run_writes_is_read_in_src(tmp_path, monkeypatc
     assert {"times", "aborted", "abort_time", "meta['snapshots']"} <= log["written"]
     unread = sorted(log["written"] - log["read"])
     assert not unread, f"trajectory fields no reader in src/kdvlab uses: {unread}"
+
+
+def test_every_config_field_is_read_in_a_run():
+    # a field that only echo() reads reaches no computation: it is an option
+    # that changes nothing but the summary
+    tree = ast.parse((SRC / "experiments.py").read_text())
+    config = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ExperimentConfig")
+    methods = {n.name: n for n in config.body if isinstance(n, ast.FunctionDef)}
+    build = next(n for n in ast.walk(methods["from_dict"])
+                 if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "cls")
+    fields = {k.arg for k in build.keywords}
+    echo = range(methods["echo"].lineno, methods["echo"].end_lineno + 1)
+    read = {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+            and n.value.id in ("cfg", "self") and n.lineno not in echo}
+    assert fields, "ExperimentConfig.from_dict builds no config"
+    assert not fields - read, f"config fields read only by echo(): {sorted(fields - read)}"
