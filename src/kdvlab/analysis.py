@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Dealias, Field, Grid, _fft, _ifft, fourier_shift, l2_norm, spectral_derivative
+from .grid import Dealias, Grid, _fft, _ifft, fourier_shift, l2_norm
 from .kdv import LimitModel, QTensor, _evolve_ifrk4, _pairing, bilinear_apply, evolve_kdv
 
 __all__ = [
@@ -40,7 +40,8 @@ class SolitonSpec:
 
     speed : wave speed c_w > 0.
     direction : d-vector z; when ``q_tensor`` is given, Q(z,z)=z is enforced
-        to 1e-10 at construction.
+        to 1e-10 max(1, |z|^2) at construction (the bound of
+        :func:`find_fixed_point`, scaled as the rounding of Q(z,z)).
     """
 
     def __init__(self, speed, direction, q_tensor: QTensor | None = None):
@@ -49,10 +50,9 @@ class SolitonSpec:
             raise ValueError(f"speed must be positive, got {speed}")
         self.direction = np.atleast_1d(np.asarray(direction, dtype=float))
         if q_tensor is not None:
-            defect = np.linalg.norm(
-                q_tensor.apply_vectors(self.direction, self.direction) - self.direction
-            )
-            if defect > 1e-10:
+            z = self.direction
+            defect = np.linalg.norm(q_tensor.apply_vectors(z, z) - z)
+            if defect > 1e-10 * max(1.0, z @ z):
                 raise ValueError(f"direction is not a fixed point of Q: |Q(z,z)-z| = {defect:.3g}")
 
 
@@ -110,19 +110,22 @@ def find_fixed_point(Q: QTensor):
     return roots
 
 
-def build_soliton(spec: SolitonSpec, grid: Grid) -> Field:
+def build_soliton(spec: SolitonSpec, grid: Grid) -> np.ndarray:
     """Sample u(x) = c_w q0(sqrt(c_w)(x - x0)) z on the grid, centred
-    mid-domain (x0 = L/2).
+    mid-domain (x0 = L/2), as a (d, N) array.
 
-    Raises when the profile tails exceed 1e-12 min(1, peak) at the point of
-    the periodic domain farthest from the center (the domain is then too
-    short for the periodic surrogate to represent the decaying wave), and
-    when the sampled wave underflows to zero.
+    Raises when a sample is not finite (the wave overflows), when the profile
+    tails exceed 1e-12 min(1, peak) at the point of the periodic domain
+    farthest from the center (the domain is then too short for the periodic
+    surrogate to represent the decaying wave), and when the sampled wave
+    underflows to zero.
     """
     x0 = 0.5 * grid.length
     xi = np.sqrt(spec.speed) * (grid.x - x0)
-    envelope = spec.speed * solitary_profile(xi)
-    comps = np.outer(spec.direction, envelope)
+    with np.errstate(over="ignore", invalid="ignore"):
+        comps = np.outer(spec.direction, spec.speed * solitary_profile(xi))
+    if not np.isfinite(comps).all():
+        raise ValueError("the soliton samples are not finite")
     dist = np.abs((grid.x - x0 + 0.5 * grid.length) % grid.length - 0.5 * grid.length)
     tail = float(np.max(np.abs(comps[:, np.argmax(dist)])))
     peak = float(np.max(np.abs(comps)))
@@ -131,7 +134,7 @@ def build_soliton(spec: SolitonSpec, grid: Grid) -> Field:
             f"soliton tails {tail:.3g} exceed 1e-12 min(1, peak {peak:.3g}) at the domain "
             "boundary; enlarge the grid"
         )
-    return Field(grid, comps)
+    return comps
 
 
 def _golden_section(f, lo: float, hi: float, xtol: float) -> float:
@@ -151,25 +154,22 @@ def _golden_section(f, lo: float, hi: float, xtol: float) -> float:
     return a if fa <= fb else b
 
 
-def shift_minimized_error(u: Field, ref: Field):
-    """Relative L2 distance of u to the translates of ref, and the best shift.
+def shift_minimized_error(u: np.ndarray, ref: np.ndarray, grid: Grid):
+    """Relative L2 distance of u to the translates of ref, (d, N) samples on
+    ``grid``, and the best shift.
 
     The coarse optimum delta0 comes from the FFT cross-correlation over grid
     shifts.  Within one spacing of it a bisection on the correlation slope
     (1e-14), or a golden-section search of the error where the slope keeps
     its sign (1e-12), refines it; the refinement must be no worse than delta0.
     """
-    if u.grid != ref.grid:
-        raise ValueError("fields live on different grids")
-    grid = u.grid
-    cross = np.sum(_fft(u.components) * np.conj(_fft(ref.components)), axis=0)
+    cross = np.sum(_fft(u) * np.conj(_fft(ref)), axis=0)
     corr = np.real(_ifft(cross))
     delta0 = grid.x[int(np.argmax(corr))]
-    ref_norm = l2_norm(ref.components, grid)
+    ref_norm = l2_norm(ref, grid)
 
     def objective(delta):
-        shifted = fourier_shift(ref.components, grid, delta)
-        return l2_norm(u.components - shifted, grid)
+        return l2_norm(u - fourier_shift(ref, grid, delta), grid)
 
     # the squared error is smooth in the shift, so refine by locating the
     # stationary point of the correlation C(d) = Re sum_k S_k exp(i k d)
@@ -207,10 +207,9 @@ def miura_condition(Q: QTensor) -> float:
     return float(np.max(np.abs(inner - inner.transpose(1, 0, 2, 3))))
 
 
-def miura_map(Q: QTensor, v: Field) -> Field:
-    """u = dx v + (1/3) Q(v,v)."""
-    quad = bilinear_apply(Q.coeffs, v.components, v.components)
-    return Field(v.grid, spectral_derivative(v, 1).components + quad / 3.0, validate=False)
+def miura_map(Q: QTensor, v: np.ndarray, grid: Grid) -> np.ndarray:
+    """u = dx v + (1/3) Q(v,v) of the (d, N) samples v on ``grid``."""
+    return grid.diff(v) + bilinear_apply(Q.coeffs, v, v) / 3.0
 
 
 def _mkdv_nonlinear(Q: QTensor, grid: Grid):
@@ -239,7 +238,8 @@ def _mkdv_nonlinear(Q: QTensor, grid: Grid):
     return rhs
 
 
-def miura_crosscheck(Q: QTensor, v0: Field, T: float, dt: float, n_snapshots: int = 11):
+def miura_crosscheck(Q: QTensor, v0: np.ndarray, grid: Grid, T: float, dt: float,
+                     n_snapshots: int = 11):
     """Sup-in-time L2 discrepancy between the two routes around the square:
     evolve v under the modified flow then map, versus map v0 then evolve
     under the KdV flow.  Both legs run the IF-RK4 loop of ``evolve_kdv``,
@@ -253,14 +253,12 @@ def miura_crosscheck(Q: QTensor, v0: Field, T: float, dt: float, n_snapshots: in
         raise ValueError(f"Miura condition violated (defect {violation:.3g}); transform does not apply")
     model = LimitModel(Q.dim, dispersion=1.0, canonical_q=Q, form="canonical")
     legs = {
-        "kdv": evolve_kdv(model, miura_map(Q, v0), T, dt, n_snapshots=n_snapshots),
-        "mkdv": _evolve_ifrk4(v0.grid.rsymbol(3), _mkdv_nonlinear(Q, v0.grid), v0, T, dt,
+        "kdv": evolve_kdv(model, miura_map(Q, v0, grid), grid, T, dt, n_snapshots=n_snapshots),
+        "mkdv": _evolve_ifrk4(grid.rsymbol(3), _mkdv_nonlinear(Q, grid), v0, grid, T, dt,
                               n_snapshots),
     }
-    grid = v0.grid
     kdv_at = {round(t, 10): u for t, u in zip(legs["kdv"].times, legs["kdv"].meta["snapshots"])}
-    worst = max(l2_norm(miura_map(Q, Field(grid, v, validate=False)).components
-                        - kdv_at[round(t, 10)], grid)
+    worst = max(l2_norm(miura_map(Q, v, grid) - kdv_at[round(t, 10)], grid)
                 for t, v in zip(legs["mkdv"].times, legs["mkdv"].meta["snapshots"])
                 if round(t, 10) in kdv_at)
     return worst, {name: traj for name, traj in legs.items() if traj.aborted}

@@ -29,7 +29,7 @@ from .analysis import (
     miura_crosscheck,
     shift_minimized_error,
 )
-from .grid import Field, Grid, l2_norm, step_plan
+from .grid import Grid, l2_norm, step_plan
 from .hydro import almost_hamiltonian, chart_blocks, limit_error
 from .kdv import LimitModel, conserved_quantities, evolve_kdv
 from .micro import (SPLIT_STEP_RANGE, dt_max, evolve_micro, mass, unit_norm_deviation,
@@ -363,9 +363,11 @@ def _at_most(name: str, value: float, threshold: float) -> dict:
     return _assertion(name, value, threshold, value <= threshold)
 
 
-def _initial_field(cfg: ExperimentConfig, grid: Grid, dim: int) -> Field:
-    """Initial profile per the config's ``initial`` block, one weighted copy
-    per component (weights 1, -1/2, 1/4, ... keep the components distinct)."""
+def _initial_field(cfg: ExperimentConfig, grid: Grid, dim: int) -> np.ndarray:
+    """Initial (dim, N) profile per the config's ``initial`` block, one
+    weighted copy per component (weights 1, -1/2, 1/4, ... keep the
+    components distinct); an amplitude whose samples overflow is a config
+    error."""
     shape = cfg.initial["shape"]
     amp = cfg.initial["amplitude"]
     if shape == "bump":
@@ -381,7 +383,10 @@ def _initial_field(cfg: ExperimentConfig, grid: Grid, dim: int) -> Field:
             "soliton control run"
         )
     weights = [(-0.5) ** i for i in range(dim)]
-    return Field(grid, np.stack([w * base for w in weights]))
+    u0 = np.stack([w * base for w in weights])
+    if not np.isfinite(u0).all():
+        raise ConfigError(f"initial.amplitude: {amp!r} gives non-finite initial samples")
+    return u0
 
 
 def _micro_steps(spec, eps: float, grid: Grid, t_final: float, snapshots: int) -> int:
@@ -415,7 +420,7 @@ def _scalar_q(cfg: ExperimentConfig):
     return model.as_canonical().canonical_q
 
 
-def _soliton(cfg: ExperimentConfig, Q, grid: Grid) -> Field:
+def _soliton(cfg: ExperimentConfig, Q, grid: Grid) -> np.ndarray:
     """The solitary wave of speed ``cfg.speed`` along the smallest fixed
     point z of Q(z,z) = z; a speed whose wave the grid cannot hold (too
     slow, so too wide, or underflowing) is a config error."""
@@ -426,19 +431,15 @@ def _soliton(cfg: ExperimentConfig, Q, grid: Grid) -> Field:
         raise ConfigError(f"speed: {cfg.speed!r} gives no soliton on this grid: {exc}") from None
 
 
-def _states(traj, grid: Grid) -> list:
-    """The snapshots of a limit run, as Fields."""
-    return [Field(grid, u, validate=False) for u in traj.meta["snapshots"]]
-
-
-def _drift(canonical: LimitModel, u0: Field, states):
-    """Drift of the conserved (H, M, P) of canonical-form ``states`` from
-    those of u0: one row [|H - H0|/|H0|, |M - M0|/M0, max|P - P0|] per state,
-    and the three drift assertions on the column maxima (NaN if any is)."""
-    h0, m0, p0 = conserved_quantities(canonical, u0)
+def _drift(canonical: LimitModel, u0: np.ndarray, snapshots, grid: Grid):
+    """Drift of the conserved (H, M, P) of the canonical-form (S, d, N)
+    ``snapshots`` from those of u0: one row [|H - H0|/|H0|, |M - M0|/M0,
+    max|P - P0|] per snapshot, and the three drift assertions on the column
+    maxima (NaN if any is)."""
+    h0, m0, p0 = conserved_quantities(canonical, u0, grid)
     rows = []
-    for state in states:
-        h, m, p = conserved_quantities(canonical, state)
+    for u in snapshots:
+        h, m, p = conserved_quantities(canonical, u, grid)
         rows.append([abs(h - h0) / max(abs(h0), 1e-300), abs(m - m0) / max(m0, 1e-300),
                      float(np.max(np.abs(p - p0)))])
     dh, dm, dp = np.max(rows, axis=0)
@@ -451,14 +452,14 @@ def _run_kdv(cfg: ExperimentConfig, outdir: Path):
     model = _limit_model(cfg)
     grid = cfg.make_grid()
     u0 = _initial_field(cfg, grid, model.dim)
-    traj = evolve_kdv(model, u0, cfg.t_final, cfg.dt, n_snapshots=cfg.snapshots)
+    traj = evolve_kdv(model, u0, grid, cfg.t_final, cfg.dt, n_snapshots=cfg.snapshots)
 
     columns, rows = ["t"], [[t] for t in traj.times]
     assertions = [
         _assertion("run_completed", traj.times[-1] / cfg.t_final, 1.0, not traj.aborted)
     ]
     if model.has_canonical and model.canonical_q.is_zero:  # linear: against the exact flow
-        u0_hat = np.fft.fft(u0.components, axis=-1)
+        u0_hat = np.fft.fft(u0, axis=-1)
         errors = []
         for row, u in zip(rows, traj.meta["snapshots"]):
             exact = np.fft.ifft(
@@ -469,8 +470,9 @@ def _run_kdv(cfg: ExperimentConfig, outdir: Path):
         columns.append("dispersion_error")
         assertions.append(_at_most("dispersion_phase_error", np.max(errors), 1e-10))
     if model.has_canonical:
-        drifts, checks = _drift(model.as_canonical(), model.raw_to_canonical_state(u0),
-                                map(model.raw_to_canonical_state, _states(traj, grid)))
+        amplitude = model.scale["amplitude"]
+        drifts, checks = _drift(model.as_canonical(), amplitude * u0,
+                                amplitude * traj.meta["snapshots"], grid)
         for row, drift in zip(rows, drifts):
             row += drift
         columns += ["h_drift_rel", "m_drift_rel", "p_drift_abs"]
@@ -520,17 +522,24 @@ def _micro_series(spec, s0, kdv_traj=None):
     return block_series
 
 
-def _micro_task(cfg: ExperimentConfig, eps: float, kdv_traj=None):
-    """One streamed microscopic run at eps from the config's well-prepared
-    data, at a quarter of the step cap: the micro experiment, or one ε-run of
-    converge (with its limit run).  Returns the spec, trajectory and series."""
+def _well_prepared(cfg: ExperimentConfig, eps: float):
+    """The spec, grid and well-prepared initial state of the config at eps;
+    data that leave the model chart (or its modulus range) are a config
+    error."""
     geom, spec = preset(cfg.kind, cfg.params or None)
     grid = cfg.make_grid()
     A0 = _initial_field(cfg, grid, geom.dim)
     try:
-        s0 = well_prepared_init(spec, geom, A0, eps)
-    except ValueError as exc:  # the data leave the model chart (or its modulus range)
+        return spec, grid, well_prepared_init(spec, geom, A0, grid, eps)
+    except ValueError as exc:
         raise ConfigError(f"initial.amplitude: {exc} (eps = {eps!r})") from None
+
+
+def _micro_task(cfg: ExperimentConfig, eps: float, kdv_traj=None):
+    """One streamed microscopic run at eps from the config's well-prepared
+    data, at a quarter of the step cap: the micro experiment, or one ε-run of
+    converge (with its limit run).  Returns the spec, trajectory and series."""
+    spec, grid, s0 = _well_prepared(cfg, eps)
     steps = _micro_steps(spec, eps, grid, cfg.t_final, cfg.snapshots)
     traj, series = _stream_run(spec, s0, cfg.t_final, steps, cfg.snapshots,
                                _micro_series(spec, s0, kdv_traj))
@@ -599,8 +608,19 @@ def _run_converge(cfg: ExperimentConfig, outdir: Path):
     raw["output_dir"] = str(outdir)
     raw["workers"] = cfg.workers
     model = _limit_model(cfg)
-    A0 = _initial_field(cfg, cfg.make_grid(), model.dim)
-    kdv_traj = evolve_kdv(model, A0, cfg.t_final, cfg.dt, n_snapshots=cfg.snapshots)
+    grid = cfg.make_grid()
+    A0 = _initial_field(cfg, grid, model.dim)
+    kdv_traj = evolve_kdv(model, A0, grid, cfg.t_final, cfg.dt, n_snapshots=cfg.snapshots)
+    if kdv_traj.aborted:  # no limit reference to score the ε-runs against
+        for eps in cfg.eps_list:  # data outside the chart stay a config error
+            _well_prepared(cfg, eps)
+        assertions = [_assertion("limit_run_completed", kdv_traj.times[-1] / cfg.t_final, 1.0,
+                                 False)]
+        return assertions, {
+            "kdv_steps": kdv_traj.meta["steps"],
+            "aborts": {"kdv": {"abort_reason": kdv_traj.abort_reason,
+                               "steps_taken": kdv_traj.meta["steps_taken"]}},
+        }
     payloads = [(raw, eps, kdv_traj) for eps in cfg.eps_list]
     if cfg.workers > 1:
         from multiprocessing import Pool  # only parallel runs pay for this import
@@ -658,12 +678,13 @@ def _run_soliton(cfg: ExperimentConfig, outdir: Path):
             f"conservative nonlinearity; {cfg.preset_name!r} has none"
         )
     canonical = model.as_canonical()
-    u0 = _soliton(cfg, canonical.canonical_q, cfg.make_grid())
-    traj = evolve_kdv(canonical, u0, cfg.t_final, cfg.dt, n_snapshots=cfg.snapshots)
+    grid = cfg.make_grid()
+    u0 = _soliton(cfg, canonical.canonical_q, grid)
+    traj = evolve_kdv(canonical, u0, grid, cfg.t_final, cfg.dt, n_snapshots=cfg.snapshots)
 
-    states = _states(traj, u0.grid)
-    drifts, checks = _drift(canonical, u0, states)
-    shapes = [shift_minimized_error(state, u0)[0] for state in states]
+    snapshots = traj.meta["snapshots"]
+    drifts, checks = _drift(canonical, u0, snapshots, grid)
+    shapes = [shift_minimized_error(u, u0, grid)[0] for u in snapshots]
     emit_series(outdir / "soliton_series.csv",
                 ["t", "h_drift_rel", "m_drift_rel", "p_drift_abs", "shape_error"],
                 [[t, *drift, shape] for t, drift, shape in zip(traj.times, drifts, shapes)])
@@ -679,8 +700,9 @@ def _run_soliton(cfg: ExperimentConfig, outdir: Path):
 
 def _run_miura(cfg: ExperimentConfig, outdir: Path):
     Q = _scalar_q(cfg)
-    v0 = _initial_field(cfg, cfg.make_grid(), 1)
-    discrepancy, aborted = miura_crosscheck(Q, v0, cfg.t_final, cfg.dt,
+    grid = cfg.make_grid()
+    v0 = _initial_field(cfg, grid, 1)
+    discrepancy, aborted = miura_crosscheck(Q, v0, grid, cfg.t_final, cfg.dt,
                                             n_snapshots=cfg.snapshots)
     defect = miura_condition(complex_q_d2(cfg.d2_alpha, cfg.d2_beta))
     emit_series(outdir / "miura_series.csv",
@@ -708,7 +730,7 @@ def _run_hyperbolic(cfg: ExperimentConfig, outdir: Path):
         u0 = _soliton(cfg, Q, grid)
     else:
         u0 = _initial_field(cfg, grid, 1)
-    traj = evolve_kdv(run_model, u0, cfg.t_final, cfg.dt, n_snapshots=cfg.snapshots)
+    traj = evolve_kdv(run_model, u0, grid, cfg.t_final, cfg.dt, n_snapshots=cfg.snapshots)
 
     grad_t, grad_v = traj.meta["grad_history"]
     emit_series(outdir / "hyperbolic_series.csv", ["t", "max_gradient"],
@@ -717,7 +739,7 @@ def _run_hyperbolic(cfg: ExperimentConfig, outdir: Path):
     # characteristics: the scalar flux speed is 2 q u, so the first crossing
     # time from smooth data u0 is 1 / max(-d/dx (2 q u0))
     q = float(Q.coeffs[0, 0, 0])
-    slope = grid.diff(2.0 * q * u0.components[0])
+    slope = grid.diff(2.0 * q * u0[0])
     steepening = float(np.max(-slope))
     oracle = 1.0 / steepening if steepening > 0 else None
 

@@ -13,9 +13,7 @@ import numpy as np
 
 __all__ = [
     "Grid",
-    "Field",
     "Trajectory",
-    "spectral_derivative",
     "rk4_step",
     "ifrk4_factors",
     "ifrk4_step",
@@ -175,58 +173,8 @@ class Grid:
             return _irfft(sym * spec, self.n_points)
         return _ifft(sym * spec)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Grid)
-            and self.n_points == other.n_points
-            and self.length == other.length
-        )
-
-    def __hash__(self):
-        return hash((self.n_points, self.length))
-
     def __repr__(self):
         return f"Grid(n_points={self.n_points}, length={self.length!r})"
-
-
-class Field:
-    """A sampled R^d- or C^d-valued function on a Grid.
-
-    ``components`` is stored as a (d, N) array; real/complex flavor follows the
-    dtype.
-    """
-
-    def __init__(self, grid: Grid, components, validate: bool = True):
-        comps = np.asarray(components)
-        if comps.ndim == 1:
-            comps = comps[None, :]
-        if comps.ndim != 2 or comps.shape[1] != grid.n_points:
-            raise ValueError(
-                f"components must be (d, {grid.n_points}), got {comps.shape}"
-            )
-        if comps.dtype.kind == "c":
-            comps = comps.astype(np.complex128, copy=False)
-        else:
-            comps = comps.astype(np.float64, copy=False)
-        if validate and not np.isfinite(comps).all():
-            raise ValueError("field contains non-finite samples")
-        self.grid = grid
-        self.components = comps
-
-    @property
-    def dim(self) -> int:
-        return self.components.shape[0]
-
-    @property
-    def is_real(self) -> bool:
-        return self.components.dtype.kind != "c"
-
-    def copy(self):
-        return Field(self.grid, self.components.copy(), validate=False)
-
-    def __repr__(self):
-        flavor = "real" if self.is_real else "complex"
-        return f"Field(dim={self.dim}, {flavor}, grid={self.grid!r})"
 
 
 class Trajectory:
@@ -244,21 +192,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.times)
-
-
-def spectral_derivative(f: Field, order: int) -> Field:
-    """Fourier-collocation derivative d^order/dx^order of a Field.
-
-    Exact for band-limited input; the derivative of a constant is identically
-    zero.  The Nyquist rule is the one of :meth:`Grid.symbol`.
-    """
-    if order < 0 or order > 4:
-        raise ValueError(f"order must be in 0..4, got {order}")
-    if not np.isfinite(f.components).all():
-        raise ValueError("spectral_derivative: non-finite input field")
-    if order == 0:
-        return f.copy()
-    return Field(f.grid, f.grid.diff(f.components, order), validate=False)
 
 
 def _hs_norms(values, grid: Grid, s: int) -> np.ndarray:

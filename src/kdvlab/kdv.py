@@ -17,7 +17,6 @@ import numpy as np
 
 from .grid import (
     Dealias,
-    Field,
     Grid,
     Trajectory,
     _irfft,
@@ -26,7 +25,6 @@ from .grid import (
     ifrk4_factors,
     ifrk4_step,
     l2_norm,
-    spectral_derivative,
     step_plan,
 )
 
@@ -176,9 +174,6 @@ class LimitModel:
         out.raw_tensor = self.raw_tensor
         return out
 
-    def raw_to_canonical_state(self, f: Field) -> Field:
-        return Field(f.grid, self.scale["amplitude"] * f.components, validate=False)
-
     def __repr__(self):
         return f"LimitModel(dim={self.dim}, form={self.form!r}, dispersion={self.dispersion!r})"
 
@@ -195,10 +190,10 @@ def symmetrize_bilinear(tensor: np.ndarray) -> tuple[np.ndarray, float]:
     return sym, defect
 
 
-def _check_state(model: LimitModel, u: Field):
-    if u.dim != model.dim:
-        raise ValueError(f"field dim {u.dim} != model dim {model.dim}")
-    if not u.is_real:
+def _check_state(model: LimitModel, u: np.ndarray, grid: Grid):
+    if u.shape != (model.dim, grid.n_points):
+        raise ValueError(f"the KdV state must be {(model.dim, grid.n_points)}, got {u.shape}")
+    if np.iscomplexobj(u):
         raise ValueError("the KdV state must be real")
 
 
@@ -269,12 +264,14 @@ def _nonlinear_rhs(model: LimitModel, grid: Grid):
 
 def evolve_kdv(
     model: LimitModel,
-    u0: Field,
+    u0: np.ndarray,
+    grid: Grid,
     T: float,
     dt: float,
     n_snapshots: int = 65,
 ) -> Trajectory:
-    """Integrate the model with integrating-factor RK4 and snapshot the result.
+    """Integrate the model from the real (d, N) samples u0 on ``grid`` with
+    integrating-factor RK4 and snapshot the result.
 
     The stiff dispersion is handled exactly by the integrating factor; dt is
     limited only by the nonlinearity.  The run is one :func:`~kdvlab.grid._run`
@@ -284,27 +281,26 @@ def evolve_kdv(
     ``meta["snapshots"]`` holds the snapshots as one (S, d, N) array and
     ``meta["grad_history"]`` the (times, max|dx u|) of every step run.
     """
-    _check_state(model, u0)
-    return _evolve_ifrk4(_linear_symbol(model, u0.grid), _nonlinear_rhs(model, u0.grid),
-                         u0, T, dt, n_snapshots)
+    _check_state(model, u0, grid)
+    return _evolve_ifrk4(_linear_symbol(model, grid), _nonlinear_rhs(model, grid),
+                         u0, grid, T, dt, n_snapshots)
 
 
-def _evolve_ifrk4(symbol, nonlin, u0: Field, T, dt, n_snapshots):
+def _evolve_ifrk4(symbol, nonlin, u0: np.ndarray, grid: Grid, T, dt, n_snapshots):
     """The IF-RK4 run of :func:`evolve_kdv` for any Fourier-diagonal linear
     ``symbol`` (rfft half spectrum) and ``nonlin(v, out)`` on rfft
     coefficients.  The state is carried as coefficients and goes to physical
     space only for the gradient guard and the snapshots, a block at a time: a
     step makes 9 transforms (8 in the stepper, 1 for max|dx u|)."""
     steps, dt = step_plan(T, dt)
-    grid = u0.grid
     n = grid.n_points
-    v0 = _rfft(u0.components)
+    v0 = _rfft(u0)
     # the factors and ik at the coefficients' (d, n//2+1) shape: a broadcast
     # (n//2+1,) operand would send every multiply through a buffered loop
     factors = ifrk4_factors(np.tile(symbol, (len(v0), 1)), dt)
     ik = np.tile(grid.rsymbol(1), (len(v0), 1))
-    dcoef, grad = np.empty_like(v0), np.empty(u0.components.shape)
-    grad_times, grad_vals = [0.0], [float(np.max(np.abs(grid.diff(u0.components))))]
+    dcoef, grad = np.empty_like(v0), np.empty(u0.shape)
+    grad_times, grad_vals = [0.0], [float(np.max(np.abs(grid.diff(u0))))]
     grad_limit = BLOWUP_MULTIPLE * max(grad_vals[0], 1e-12)
 
     def stepper(v):
@@ -323,14 +319,15 @@ def _evolve_ifrk4(symbol, nonlin, u0: Field, T, dt, n_snapshots):
     traj = _run(steps, dt, n_snapshots, v0, stepper(v0),
                 lambda times, block: blocks.append(_irfft(block, n)), monitor=gradient_guard)
     snapshots = np.concatenate(blocks)
-    snapshots[0] = u0.components  # the initial data, not their transform round trip
+    snapshots[0] = u0  # the initial data, not their transform round trip
     traj.meta["snapshots"] = snapshots
     traj.meta["grad_history"] = (np.array(grad_times), np.array(grad_vals))
     return traj
 
 
-def conserved_quantities(model: LimitModel, u: Field):
-    """(H, M, P) for a canonical-form model.
+def conserved_quantities(model: LimitModel, u: np.ndarray, grid: Grid):
+    """(H, M, P) of the real (d, N) samples u on ``grid`` for a canonical-form
+    model.
 
     H = int [ (1/2)|dx u|^2 + (1/3) Q(u,u).u ] dx, M = int |u|^2 dx,
     P = int u dx (one entry per component).  Quadratic integrals are evaluated
@@ -341,18 +338,16 @@ def conserved_quantities(model: LimitModel, u: Field):
             "conserved quantities are defined for the canonical form; "
             "use model.as_canonical()"
         )
-    _check_state(model, u)
-    grid = u.grid
-    du = spectral_derivative(u, 1)
-    h = 0.5 * l2_norm(du.components, grid) ** 2
+    _check_state(model, u, grid)
+    h = 0.5 * l2_norm(grid.diff(u), grid) ** 2
     Q = model.canonical_q
     if not Q.is_zero:
         ws = Dealias(grid.n_points, 2, model.dim)
-        np.multiply(_rfft(u.components), ws.split, out=ws.low)
+        np.multiply(_rfft(u), ws.split, out=ws.low)
         up = ws.samples()
         cubic = np.einsum("ijk,im,jm,km->m", Q.coeffs, up, up, up)
         h += float(np.sum(cubic)) * 8.0 * (grid.length / ws.m) / 3.0  # 8 = (m/n)**3
-    mass = l2_norm(u.components, grid) ** 2
-    momentum = np.sum(u.components, axis=-1) * grid.spacing
+    mass = l2_norm(u, grid) ** 2
+    momentum = np.sum(u, axis=-1) * grid.spacing
     return float(h), float(mass), momentum
 

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .grid import (Field, Grid, Trajectory, _fft, _ifft, _irfft, _rfft, _run, integrate, rk4_step,
+from .grid import (Grid, Trajectory, _fft, _ifft, _irfft, _rfft, _run, integrate, rk4_step,
                    step_plan)
 from .models import (
     GeometryData,
@@ -67,7 +67,6 @@ class MicroState:
             if not np.isfinite(vals).all():
                 raise ValueError("state contains non-finite samples")
             _check_pointwise(spec, vals, strict=True)
-        self.spec = spec
         self.grid = grid
         self.eps = float(eps)
         self.values = vals
@@ -345,31 +344,31 @@ def mass(spec: MicroModelSpec, s: MicroState):
 # ---------------------------------------------------------------------------
 
 
-def well_prepared_init(spec: MicroModelSpec, g: GeometryData, A0: Field, eps: float) -> MicroState:
+def well_prepared_init(spec: MicroModelSpec, g: GeometryData, A0: np.ndarray, grid: Grid,
+                       eps: float) -> MicroState:
     """Microscopic initial state whose wave observable vanishes at the grid level.
 
     Solves (c + i0B0) DΦ(0) ∂x φ₀ = A₀ with a spectral antiderivative and
     matches the amplitude coordinate so 2iλ n₀ equals A₀; the state is then
-    assembled through the model chart.  A₀ must be real, d-component and
-    componentwise zero-mean (φ₀ could not be periodic otherwise).
+    assembled through the model chart.  A₀ must be real (d, N) samples on
+    ``grid``, componentwise zero-mean (φ₀ could not be periodic otherwise).
     """
-    if A0.dim != g.dim:
-        raise ValueError(f"A0 must have {g.dim} components, got {A0.dim}")
-    if not A0.is_real:
+    if A0.shape != (g.dim, grid.n_points):
+        raise ValueError(f"A0 must be {(g.dim, grid.n_points)}, got {A0.shape}")
+    if np.iscomplexobj(A0):
         raise ValueError("A0 must be real-valued (frame coordinates)")
-    grid = A0.grid
-    scale = 1.0 + float(np.max(np.abs(A0.components)))
-    means = np.abs(A0.components.mean(axis=1))
+    scale = 1.0 + float(np.max(np.abs(A0)))
+    means = np.abs(A0.mean(axis=1))
     if np.any(means > 1e-12 * scale):
         raise ValueError("A0 must be zero-mean in every component for a periodic phase")
     wave_matrix = g.c * np.eye(g.dim) + g.i0b0
-    dphi0 = np.linalg.solve(wave_matrix, A0.components)
+    dphi0 = np.linalg.solve(wave_matrix, A0)
     spec_hat = _fft(dphi0)
     k = grid.wavenumbers
     with np.errstate(divide="ignore", invalid="ignore"):
         anti = np.where(k != 0.0, spec_hat / (1j * k), 0.0)
     phi0 = _ifft(anti).real
-    n0 = -(1.0 / (2.0 * g.lam)) * normal_coupling(spec) @ A0.components
+    n0 = -(1.0 / (2.0 * g.lam)) * normal_coupling(spec) @ A0
     if eps * float(np.max(np.abs(phi0))) >= chart_radius(spec):
         raise ValueError("initial phase leaves the model chart; shrink A0 or eps")
     return MicroState(spec, grid, eps, chart_assemble(spec, phi0, n0, eps))

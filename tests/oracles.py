@@ -16,7 +16,7 @@ import numpy as np
 
 from kdvlab import micro
 from kdvlab.analysis import solitary_profile
-from kdvlab.grid import SNAPSHOT_BLOCK, Field, integrate, l2_norm, spectral_derivative
+from kdvlab.grid import SNAPSHOT_BLOCK, integrate, l2_norm
 from kdvlab.hydro import chart_blocks, extract_series
 from kdvlab.kdv import bilinear_apply
 from kdvlab.models import chart_extract, dphi_matrix, normal_coupling
@@ -210,21 +210,23 @@ def unwrap_periodic(raw):
 # ---------------------------------------------------------------------------
 
 
-def advance_linear(f: Field, symbol, dt: float) -> Field:
-    """Multiply each Fourier mode of ``f`` by exp(symbol*dt).
+def advance_linear(f, symbol, dt: float):
+    """Multiply each Fourier mode of the samples ``f`` (along the last axis)
+    by exp(symbol*dt).
 
     ``symbol`` holds the per-mode complex multipliers in FFT order, e.g.
     grid.symbol(3) / (8*c) for the quarter-Airy flow 2c*dA/dt = (1/4)*dxxx A.
-    Real fields stay real; an overflowing factor raises OverflowError.
+    Real samples stay real; an overflowing factor raises OverflowError.
     """
-    if not np.isfinite(f.components).all():
+    f = np.asarray(f)
+    if not np.isfinite(f).all():
         raise ValueError("advance_linear: non-finite input field")
     with np.errstate(over="ignore"):
         factor = np.exp(np.asarray(symbol, dtype=np.complex128) * dt)
     if not np.isfinite(factor).all():
         raise OverflowError("advance_linear: exp(symbol*dt) overflowed")
-    out = np.fft.ifft(factor * np.fft.fft(f.components, axis=-1), axis=-1)
-    return Field(f.grid, out.real if f.is_real else out, validate=False)
+    out = np.fft.ifft(factor * np.fft.fft(f, axis=-1), axis=-1)
+    return out if np.iscomplexobj(f) else out.real
 
 
 # ---------------------------------------------------------------------------
@@ -490,13 +492,9 @@ def soliton_ode_residual(Q, z, grid, profile=None) -> float:
     """
     q = profile if profile is not None else solitary_profile
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    P = Field(grid, np.outer(z, q(grid.x - 0.5 * grid.length)))
-    flux = Field(grid, bilinear_apply(Q.coeffs, P.components, P.components), validate=False)
-    resid = (
-        spectral_derivative(P, 1).components
-        - spectral_derivative(P, 3).components
-        + spectral_derivative(flux, 1).components
-    )
+    P = np.outer(z, q(grid.x - 0.5 * grid.length))
+    flux = bilinear_apply(Q.coeffs, P, P)
+    resid = grid.diff(P, 1) - grid.diff(P, 3) + grid.diff(flux, 1)
     return l2_norm(resid, grid)
 
 

@@ -24,7 +24,7 @@ from kdvlab.analysis import (
     solitary_profile,
 )
 from kdvlab.experiments import ExperimentConfig, default_config, run_experiment
-from kdvlab.grid import Field, Grid, l2_norm
+from kdvlab.grid import Grid, l2_norm
 from kdvlab.kdv import conserved_quantities, evolve_kdv
 from kdvlab.micro import dt_max, well_prepared_init
 from kdvlab.models import limit_equation, preset
@@ -71,13 +71,13 @@ def condensate_residuals():
     so the centered time differencing resolves the fast phase)."""
     grid = Grid(256, 8 * np.pi)
     geom, spec = preset("GP_SCALAR")
-    A0 = Field(grid, _bump(grid)[None, :])
+    A0 = _bump(grid)[None, :]
     T = 0.5
     out = {}
     for eps in (0.2, 0.1):
         cap = dt_max(spec, eps, grid)
         steps = int(np.ceil(T / (cap / 8.0) / 10.0)) * 10
-        s0 = well_prepared_init(spec, geom, A0, eps)
+        s0 = well_prepared_init(spec, geom, A0, grid, eps)
         traj = record_micro(spec, s0, T=T, dt=T / steps, n_snapshots=11)
         assert not traj.aborted
         out[eps] = {
@@ -136,11 +136,11 @@ def test_criterion_02_dispersion_exactness():
         model = limit_equation(geom)
         grid = Grid(128, 2 * np.pi)
         base = np.cos(2.0 * np.pi * grid.x / grid.length)
-        A0 = Field(grid, np.stack([(-0.5) ** i * base for i in range(geom.dim)]))
-        traj = evolve_kdv(model, A0, 1.0, 1e-3, n_snapshots=5)
+        A0 = np.stack([(-0.5) ** i * base for i in range(geom.dim)])
+        traj = evolve_kdv(model, A0, grid, 1.0, 1e-3, n_snapshots=5)
         k3 = grid.wavenumbers ** 3
         k3[grid.n_points // 2] = 0.0
-        hat = np.fft.fft(A0.components, axis=-1)
+        hat = np.fft.fft(A0, axis=-1)
         for t, u in zip(traj.times, traj.meta["snapshots"]):
             ref = np.fft.ifft(np.exp(-1j * k3 * t / (8.0 * geom.c)) * hat, axis=-1).real
             worst = max(worst, l2_norm(u - ref, grid))
@@ -154,16 +154,15 @@ def test_criterion_03_soliton_conservation():
     z = find_fixed_point(Q)[0]
     grid = Grid(512, 16 * np.pi)
     u0 = build_soliton(SolitonSpec(speed=4.0, direction=z, q_tensor=Q), grid)
-    traj = evolve_kdv(model, u0, 2.0, 1e-3, n_snapshots=5)
-    h0, m0, p0 = conserved_quantities(model, u0)
+    traj = evolve_kdv(model, u0, grid, 2.0, 1e-3, n_snapshots=5)
+    h0, m0, p0 = conserved_quantities(model, u0, grid)
     dh = dm = dp = shape = 0.0
     for u in traj.meta["snapshots"]:
-        state = Field(grid, u)
-        h, m, p = conserved_quantities(model, state)
+        h, m, p = conserved_quantities(model, u, grid)
         dh = max(dh, abs(h - h0) / abs(h0))
         dm = max(dm, abs(m - m0) / m0)
         dp = max(dp, float(np.max(np.abs(p - p0))))
-        shape = max(shape, shift_minimized_error(state, u0)[0])
+        shape = max(shape, shift_minimized_error(u, u0, grid)[0])
     ok = (not traj.aborted and dh <= TOL["h_drift"] and dm <= TOL["m_drift"]
           and dp <= TOL["p_drift"] and shape <= TOL["shape"])
     _verdict(3, "soliton conservation", ok,
@@ -187,8 +186,8 @@ def test_criterion_04_soliton_ode_residual():
 def test_criterion_05_miura_transform():
     model = limit_equation(preset("GP_SCALAR")[0]).as_canonical()
     grid = Grid(512, 2 * np.pi)
-    v0 = Field(grid, (0.5 * np.sin(grid.x))[None, :])
-    discrepancy, aborted = miura_crosscheck(model.canonical_q, v0, 0.5, 1e-3, n_snapshots=11)
+    v0 = (0.5 * np.sin(grid.x))[None, :]
+    discrepancy, aborted = miura_crosscheck(model.canonical_q, v0, grid, 0.5, 1e-3, n_snapshots=11)
     ok = not aborted and discrepancy <= TOL["miura_scalar"]
     worst_equal, best_unequal = 0.0, np.inf
     for a, b in ((1.0, 1.0), (2.0, -2.0), (1.0 + 0.5j, np.sqrt(1.25))):

@@ -18,7 +18,7 @@ from kdvlab.analysis import (
     shift_minimized_error,
     solitary_profile,
 )
-from kdvlab.grid import Field, Grid, fourier_shift, l2_norm, spectral_derivative
+from kdvlab.grid import Grid, fourier_shift, l2_norm
 from kdvlab.kdv import QTensor, bilinear_apply, evolve_kdv
 from kdvlab.models import limit_equation, preset
 from oracles import scan_fixed_points, soliton_ode_residual
@@ -167,13 +167,32 @@ def test_soliton_spec_validation():
     SolitonSpec(speed=1.0, direction=[1.0], q_tensor=QTensor([[[1.0]]]))
 
 
+@pytest.mark.parametrize("seed", [434, 974, 1017, 1611, 1632])
+def test_soliton_spec_accepts_every_returned_root(seed):
+    # each of these Gaussian tensors has a root of norm 1e3-4e4 whose
+    # Q(z,z) rounds to a defect above 1e-10; the bound scales with |z|^2,
+    # as find_fixed_point's does, so every root it returns is a direction
+    Q = QTensor(np.random.default_rng(seed).standard_normal((2, 2, 2)))
+    roots = find_fixed_point(Q)
+    assert max(np.linalg.norm(Q.apply_vectors(z, z) - z) for z in roots) > 1e-10
+    for z in roots:
+        SolitonSpec(speed=1.0, direction=z, q_tensor=Q)
+
+
+def test_build_soliton_rejects_overflowing_wave():
+    # c_w q0(0) = -1.5 c_w overflows at c_w = 1.7e308
+    grid = Grid(64, 8.0)
+    with pytest.raises(ValueError, match="not finite"):
+        build_soliton(SolitonSpec(speed=1.7e308, direction=[1.0]), grid)
+
+
 def test_build_soliton_samples_formula():
     grid = Grid(512, 64 * np.pi)
     spec = SolitonSpec(speed=2.0, direction=[-1.0])
     u = build_soliton(spec, grid)
     x0 = 32 * np.pi
     expected = 2.0 * solitary_profile(np.sqrt(2.0) * (grid.x - x0)) * (-1.0)
-    assert np.max(np.abs(u.components[0] - expected)) <= 1e-15
+    assert np.max(np.abs(u[0] - expected)) <= 1e-15
 
 
 def test_build_soliton_rejects_short_domain():
@@ -206,13 +225,9 @@ def test_soliton_residual_scaling_invariance():
     def speed_c_residual(c):
         grid = Grid(1024, 64 * np.pi / np.sqrt(c))
         x0 = 0.5 * grid.length
-        P = Field(grid, c * detuned(np.sqrt(c) * (grid.x - x0))[None, :])
-        flux = Field(grid, bilinear_apply(Q.coeffs, P.components, P.components), validate=False)
-        resid = (
-            c * spectral_derivative(P, 1).components
-            - spectral_derivative(P, 3).components
-            + spectral_derivative(flux, 1).components
-        )
+        P = c * detuned(np.sqrt(c) * (grid.x - x0))[None, :]
+        flux = bilinear_apply(Q.coeffs, P, P)
+        resid = c * grid.diff(P, 1) - grid.diff(P, 3) + grid.diff(flux, 1)
         return l2_norm(resid, grid)
 
     base = speed_c_residual(1.0)
@@ -224,10 +239,10 @@ def test_soliton_residual_scaling_invariance():
 
 def test_shift_minimized_error_recovers_translation():
     grid = Grid(256, 2 * np.pi)
-    ref = Field(grid, np.exp(np.cos(grid.x))[None, :] - 1.0)
+    ref = np.exp(np.cos(grid.x))[None, :] - 1.0
     delta = 0.3456
-    shifted = Field(grid, np.exp(np.cos(grid.x - delta))[None, :] - 1.0)
-    err, best = shift_minimized_error(shifted, ref)
+    shifted = np.exp(np.cos(grid.x - delta))[None, :] - 1.0
+    err, best = shift_minimized_error(shifted, ref, grid)
     assert err <= 1e-10
     assert abs(best - delta) <= 1e-6
 
@@ -246,14 +261,12 @@ def _spy_golden_section(monkeypatch):
     return brackets
 
 
-def _grid_shift_error(u, ref):
+def _grid_shift_error(u, ref, grid):
     """(delta0, error at delta0): the best whole-grid shift by cross-correlation."""
-    grid = u.grid
-    cross = np.sum(np.fft.fft(u.components, axis=-1)
-                   * np.conj(np.fft.fft(ref.components, axis=-1)), axis=0)
+    cross = np.sum(np.fft.fft(u, axis=-1) * np.conj(np.fft.fft(ref, axis=-1)), axis=0)
     delta0 = grid.x[int(np.argmax(np.real(np.fft.ifft(cross))))]
-    err = l2_norm(u.components - fourier_shift(ref.components, grid, delta0), grid)
-    return delta0, err / l2_norm(ref.components, grid)
+    err = l2_norm(u - fourier_shift(ref, grid, delta0), grid)
+    return delta0, err / l2_norm(ref, grid)
 
 
 @pytest.mark.parametrize("n, length, delta", [(64, 2 * np.pi, 0.3456), (128, 10.0, 3.21)])
@@ -261,9 +274,9 @@ def test_shift_bisection_recovers_subgrid_translation(monkeypatch, n, length, de
     brackets = _spy_golden_section(monkeypatch)
     grid = Grid(n, length)
     wave = 2 * np.pi / length
-    ref = Field(grid, np.exp(np.cos(wave * grid.x))[None, :] - 1.0)
-    shifted = Field(grid, np.exp(np.cos(wave * (grid.x - delta)))[None, :] - 1.0)
-    err, best = shift_minimized_error(shifted, ref)
+    ref = np.exp(np.cos(wave * grid.x))[None, :] - 1.0
+    shifted = np.exp(np.cos(wave * (grid.x - delta)))[None, :] - 1.0
+    err, best = shift_minimized_error(shifted, ref, grid)
     assert brackets == []  # the correlation slope changes sign: bisection
     assert abs(best - delta) <= 1e-10
     assert err <= 1e-10
@@ -275,10 +288,10 @@ def test_shift_golden_section_without_slope_sign_change(monkeypatch, delta):
     # its sign across [delta0 - h, delta0 + h]: the error itself is minimized
     brackets = _spy_golden_section(monkeypatch)
     grid = Grid(32, 2 * np.pi)
-    ref = Field(grid, (0.5 * np.cos(15 * grid.x) + np.cos(grid.x))[None, :])
-    shifted = Field(grid, fourier_shift(ref.components, grid, delta))
-    err, best = shift_minimized_error(shifted, ref)
-    delta0, err0 = _grid_shift_error(shifted, ref)
+    ref = (0.5 * np.cos(15 * grid.x) + np.cos(grid.x))[None, :]
+    shifted = fourier_shift(ref, grid, delta)
+    err, best = shift_minimized_error(shifted, ref, grid)
+    delta0, err0 = _grid_shift_error(shifted, ref, grid)
     assert brackets == [(delta0 - grid.spacing, delta0 + grid.spacing)]
     assert err <= err0
     assert abs(best - delta) <= 1e-9
@@ -290,10 +303,10 @@ def test_shift_refinement_never_worse_than_grid_optimum(monkeypatch):
     
     monkeypatch.setattr(kdvlab.analysis, "_golden_section", lambda f, lo, hi, xtol: hi)
     grid = Grid(32, 2 * np.pi)
-    ref = Field(grid, (0.5 * np.cos(15 * grid.x) + np.cos(grid.x))[None, :])
-    shifted = Field(grid, fourier_shift(ref.components, grid, 0.07))
-    delta0, err0 = _grid_shift_error(shifted, ref)
-    assert shift_minimized_error(shifted, ref) == (err0, delta0)
+    ref = (0.5 * np.cos(15 * grid.x) + np.cos(grid.x))[None, :]
+    shifted = fourier_shift(ref, grid, 0.07)
+    delta0, err0 = _grid_shift_error(shifted, ref, grid)
+    assert shift_minimized_error(shifted, ref, grid) == (err0, delta0)
 
 
 def test_soliton_transit_preserves_shape():
@@ -305,9 +318,9 @@ def test_soliton_transit_preserves_shape():
     speed = 4.0
     u0 = build_soliton(SolitonSpec(speed=speed, direction=z, q_tensor=Q), grid)
     T = grid.length / speed
-    traj = evolve_kdv(model, u0, T, dt=1e-3, n_snapshots=5)
+    traj = evolve_kdv(model, u0, grid, T, dt=1e-3, n_snapshots=5)
     assert not traj.aborted
-    err, _ = shift_minimized_error(Field(grid, traj.meta["snapshots"][-1]), u0)
+    err, _ = shift_minimized_error(traj.meta["snapshots"][-1], u0, grid)
     assert err <= TOL["transit_shape"]
 
 
@@ -346,15 +359,15 @@ def test_miura_condition_orthogonal_invariance():
 
 def test_miura_map_constant():
     grid = Grid(64, 2 * np.pi)
-    v = Field(grid, np.full((1, 64), 3.0))
-    u = miura_map(QTensor([[[0.5]]]), v)
-    assert np.max(np.abs(u.components - 0.5 * 9.0 / 3.0)) <= 1e-12
+    v = np.full((1, 64), 3.0)
+    u = miura_map(QTensor([[[0.5]]]), v, grid)
+    assert np.max(np.abs(u - 0.5 * 9.0 / 3.0)) <= 1e-12
 
 
 def test_miura_crosscheck_constant_static():
     grid = Grid(64, 2 * np.pi)
-    v = Field(grid, np.full((1, 64), 0.7))
-    err, aborted = miura_crosscheck(QTensor([[[0.5]]]), v, T=0.2, dt=1e-2)
+    v = np.full((1, 64), 0.7)
+    err, aborted = miura_crosscheck(QTensor([[[0.5]]]), v, grid, T=0.2, dt=1e-2)
     assert not aborted and err <= 1e-13
 
 
@@ -362,19 +375,19 @@ def test_miura_crosscheck_classical_scalar():
     # u = dx v + v^2/6 intertwines the modified and plain flows exactly;
     # the measured discrepancy is pure discretization error
     grid = Grid(512, 2 * np.pi)
-    v0 = Field(grid, np.sin(grid.x)[None, :])
-    err, aborted = miura_crosscheck(QTensor([[[0.5]]]), v0, T=0.5, dt=1e-3)
+    v0 = np.sin(grid.x)[None, :]
+    err, aborted = miura_crosscheck(QTensor([[[0.5]]]), v0, grid, T=0.5, dt=1e-3)
     assert not aborted and err <= TOL["miura_scalar"]
 
 
 def test_miura_crosscheck_dt_sign():
     # dt = 0 is rejected; a negative dt runs both legs backward in time
     grid = Grid(64, 2 * np.pi)
-    v0 = Field(grid, 0.3 * np.sin(grid.x)[None, :])
+    v0 = 0.3 * np.sin(grid.x)[None, :]
     Q = QTensor([[[0.5]]])
     with pytest.raises(ValueError, match="dt"):
-        miura_crosscheck(Q, v0, T=0.1, dt=0.0)
-    err, aborted = miura_crosscheck(Q, v0, T=0.1, dt=-1e-3)
+        miura_crosscheck(Q, v0, grid, T=0.1, dt=0.0)
+    err, aborted = miura_crosscheck(Q, v0, grid, T=0.1, dt=-1e-3)
     assert not aborted and err <= TOL["miura_scalar"]
 
 
@@ -393,8 +406,8 @@ def test_miura_square_commutes_property(seed, amp, q, sign):
     modes = np.arange(4)[:, None]
     a, b = rng.normal(size=(2, 4))
     v = a @ np.cos(modes * grid.x) + b @ np.sin(modes * grid.x)
-    v0 = Field(grid, amp * v / np.max(np.abs(v)))
-    err, aborted = miura_crosscheck(QTensor([[[sign * q]]]), v0, T=0.1, dt=1e-3)
+    v0 = (amp * v / np.max(np.abs(v)))[None, :]
+    err, aborted = miura_crosscheck(QTensor([[[sign * q]]]), v0, grid, T=0.1, dt=1e-3)
     assert not aborted and err <= TOL["miura_scalar"]
 
 
@@ -403,8 +416,8 @@ def test_miura_crosscheck_d2_equal_moduli():
     errs = []
     for n in (128, 256):
         grid = Grid(n, 2 * np.pi)
-        v0 = Field(grid, 0.5 * np.stack([np.sin(grid.x), np.cos(2 * grid.x)]))
-        err, aborted = miura_crosscheck(Q, v0, T=0.5, dt=1e-3)
+        v0 = 0.5 * np.stack([np.sin(grid.x), np.cos(2 * grid.x)])
+        err, aborted = miura_crosscheck(Q, v0, grid, T=0.5, dt=1e-3)
         assert not aborted
         errs.append(err)
     # spatially converged at both resolutions; what remains is the
@@ -430,11 +443,11 @@ def test_miura_crosscheck_rejects_aborted_kdv_leg(monkeypatch):
 
     monkeypatch.setattr(kdvlab.analysis, "evolve_kdv", aborted)
     grid = Grid(64, 2 * np.pi)
-    v0 = Field(grid, 0.1 * np.sin(grid.x))
+    v0 = 0.1 * np.sin(grid.x)[None, :]
     Q = QTensor([[[0.5]]])
-    err, legs = miura_crosscheck(Q, v0, T=0.1, dt=1e-2)
+    err, legs = miura_crosscheck(Q, v0, grid, T=0.1, dt=1e-2)
     assert list(legs) == ["kdv"] and legs["kdv"].abort_reason == "gradient blow-up"
-    at_start = l2_norm(miura_map(Q, v0).components - legs["kdv"].meta["snapshots"][0], grid)
+    at_start = l2_norm(miura_map(Q, v0, grid) - legs["kdv"].meta["snapshots"][0], grid)
     assert err == at_start  # t = 0, the one time both legs reached
 
 
@@ -453,12 +466,12 @@ def test_miura_mkdv_leg_transforms_per_step(monkeypatch, fft_calls):
 
     monkeypatch.setattr(kdvlab.analysis, "evolve_kdv", counted_evolve)
     grid = Grid(64, 2 * np.pi)
-    v0 = Field(grid, 0.3 * np.stack([np.sin(grid.x), np.cos(2 * grid.x)]))
+    v0 = 0.3 * np.stack([np.sin(grid.x), np.cos(2 * grid.x)])
     Q = complex_q_d2(1.0, 1.0)
 
     def mkdv_transforms(steps):
         total, kdv = fft_calls.total(), in_kdv_leg["total"]
-        miura_crosscheck(Q, v0, T=steps * 1e-3, dt=1e-3, n_snapshots=2)
+        miura_crosscheck(Q, v0, grid, T=steps * 1e-3, dt=1e-3, n_snapshots=2)
         return (fft_calls.total() - total) - (in_kdv_leg["total"] - kdv)
 
     # the stepper's 8 and the gradient check of the shared IF-RK4 loop
@@ -467,9 +480,9 @@ def test_miura_mkdv_leg_transforms_per_step(monkeypatch, fft_calls):
 
 def test_miura_crosscheck_rejects_violating_tensor():
     grid = Grid(64, 2 * np.pi)
-    v0 = Field(grid, np.zeros((2, 64)))
+    v0 = np.zeros((2, 64))
     with pytest.raises(ValueError, match="Miura condition"):
-        miura_crosscheck(complex_q_d2(1.0, 2.0), v0, T=0.1, dt=1e-2)
+        miura_crosscheck(complex_q_d2(1.0, 2.0), v0, grid, T=0.1, dt=1e-2)
 
 
 # ---------------------------------------------------------------------------

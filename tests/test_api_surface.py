@@ -224,3 +224,43 @@ def test_every_config_field_is_read_in_a_run():
             and n.value.id in ("cfg", "self") and n.lineno not in echo}
     assert fields, "ExperimentConfig.from_dict builds no config"
     assert not fields - read, f"config fields read only by echo(): {sorted(fields - read)}"
+
+
+def _init_attributes(tree):
+    """(Class.attr) of every attribute a class sets on ``self`` in its
+    ``__init__``."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for init in cls.body:
+            if not (isinstance(init, ast.FunctionDef) and init.name == "__init__"):
+                continue
+            for node in ast.walk(init):
+                if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    for target in targets:
+                        for sub in ast.walk(target):
+                            if (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                                    and sub.value.id == "self"):
+                                yield f"{cls.name}.{sub.attr}"
+
+
+def _attribute_reads(tree):
+    """The attribute names read anywhere: loads, and the targets of an
+    augmented assignment (``work.torque_z += ...`` reads before it writes)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+            yield node.target.attr
+
+
+def test_every_instance_attribute_set_in_init_is_read_in_src():
+    # an attribute stored by a constructor and never read is state that
+    # changes nothing; a constructor argument kept only for validation stays
+    # an argument
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    reads = {attr for tree in trees for attr in _attribute_reads(tree)}
+    unread = sorted({name for tree in trees for name in _init_attributes(tree)
+                     if name.rsplit(".", 1)[-1] not in reads})
+    assert not unread, f"instance attributes set in __init__ and never read in src/kdvlab: {unread}"

@@ -143,6 +143,21 @@ def test_data_outside_the_chart_exit_2_without_traceback(tmp_path, experiment, w
     assert "initial.amplitude" in out.stderr and "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("experiment", ["kdv", "micro", "converge"])
+def test_non_finite_initial_data_exit_2_without_traceback(tmp_path, experiment):
+    # a bump of amplitude 1.7e308 overflows in its mean: a config error
+    # naming the field, not a traceback and no summary
+    cfg = {"output_dir": str(tmp_path / "out"), "initial": {"shape": "bump", "amplitude": 1.7e308}}
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "kdvlab.cli", experiment,
+         "--config", _write_config(tmp_path, "cfg.json", cfg)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 2
+    assert "initial.amplitude" in out.stderr and "Traceback" not in out.stderr
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 def test_eps_list_must_strictly_decrease():
     cfg = default_config("converge")
     cfg["eps_list"] = [0.1, 0.2]
@@ -358,6 +373,31 @@ def test_converge_summary_reports_each_abort(tmp_path, monkeypatch):
     assert partial[0] == "t,w_norm" and len(partial) == 2  # only t = 0 was reached
 
 
+def test_converge_with_an_aborted_limit_run_fails_with_a_summary(tmp_path):
+    # the limit reference of this config blows up at t = 0.0175: no ε-run is
+    # scored against it, and the summary names the limit run's abort
+    cfg = {
+        "output_dir": str(tmp_path / "out"),
+        "preset": "ll_easy_cone", "params": {"alpha": 0.5, "theta0": 0.3},
+        "grid": {"n": 32, "length": 1.0},
+        "time": {"t_final": 0.05, "dt": 0.0025, "snapshots": 3},
+        "initial": {"shape": "mode", "amplitude": 1.0, "width": 0.3},
+        "eps_list": [0.9, 0.5],
+    }
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "kdvlab.cli", "converge",
+         "--config", _write_config(tmp_path, "cfg.json", cfg)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 1 and "Traceback" not in out.stderr
+    summary = _summary(tmp_path / "out")
+    assert [(a["name"], a["pass"]) for a in summary["assertions"]] == [
+        ("limit_run_completed", False)]
+    assert summary["timings"]["aborts"] == {
+        "kdv": {"abort_reason": "gradient blow-up", "steps_taken": 7}}
+    assert not list((tmp_path / "out").glob("converge_eps_*.csv"))
+
+
 def test_converge_abort_inside_second_block_writes_the_partial_series(tmp_path, monkeypatch):
     # the eps = 0.1 run fails its pointwise check at snapshot 40, inside its
     # second block of snapshots: its artifact holds t and w_norm of
@@ -486,7 +526,7 @@ def test_hyperbolic_soliton_control_reports_no_breakdown(tmp_path):
 def test_soliton_nan_shape_error_fails(tmp_path, monkeypatch):
     # a NaN shape error (say 0/0 from a wave whose norm underflows) must fail
     # its assertion, not drop out of a max
-    monkeypatch.setattr(experiments, "shift_minimized_error", lambda u, ref: (np.nan, 0.0))
+    monkeypatch.setattr(experiments, "shift_minimized_error", lambda u, ref, grid: (np.nan, 0.0))
     cfg = dict(default_config("soliton"), output_dir=str(tmp_path / "out"))
     cfg["time"] = {"t_final": 0.01, "dt": 1e-3, "snapshots": 2}
     assert run_experiment(ExperimentConfig.from_dict(cfg)) == 1
@@ -494,11 +534,12 @@ def test_soliton_nan_shape_error_fails(tmp_path, monkeypatch):
     assert np.isnan(shape["value"]) and not shape["pass"]
 
 
-@pytest.mark.parametrize("speed", [0.05, 1e-300])
+@pytest.mark.parametrize("speed", [0.05, 1e-300, 1.7e308])
 def test_soliton_speed_the_grid_cannot_hold_exits_2_without_traceback(tmp_path, speed):
     # at speed 0.05 the wave is too wide for the default domain; at 1e-300 it
-    # underflows to zero: a config error naming the field, not a traceback
-    # (0.05) or a NaN shape error (1e-300)
+    # underflows to zero; at 1.7e308 its samples overflow: a config error
+    # naming the field, not a traceback (0.05, 1.7e308) or a NaN shape error
+    # (1e-300)
     cfg = {"output_dir": str(tmp_path / "out"), "speed": speed}
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(

@@ -14,7 +14,6 @@ from kdvlab.analysis import _mkdv_nonlinear, miura_crosscheck
 from kdvlab.grid import (
     SNAPSHOT_BLOCK,
     Dealias,
-    Field,
     Grid,
     _fft,
     _hs_norms,
@@ -28,7 +27,6 @@ from kdvlab.grid import (
     integrate,
     l2_norm,
     rk4_step,
-    spectral_derivative,
 )
 from kdvlab.kdv import (LimitModel, QTensor, _linear_symbol, _nonlinear_rhs, _pairing, bilinear_apply,
                         evolve_kdv)
@@ -93,7 +91,7 @@ def test_gufunc_transforms_are_bound_on_numpy_2():
 
 def test_numpy_fft_fallback_gives_identical_runs(monkeypatch):
     grid = Grid(64, 8 * np.pi)
-    A0 = Field(grid, 0.3 * np.stack([np.sin(grid.x / 4), np.cos(grid.x / 2)]))
+    A0 = 0.3 * np.stack([np.sin(grid.x / 4), np.cos(grid.x / 2)])
 
     def runs():
         # every micro family, so every spin right-hand side and both split
@@ -102,18 +100,20 @@ def test_numpy_fft_fallback_gives_identical_runs(monkeypatch):
         for kind, params in (("GP_SCALAR", None), ("GP_COUPLED", None), ("LL_EASY_PLANE", None),
                              ("LL_EASY_CONE", {"alpha": 1.0, "theta0": 1.0}), ("AF_CHAIN", None)):
             geom, spec = preset(kind, params)
-            s0 = well_prepared_init(spec, geom, Field(grid, A0.components[:geom.dim]), 0.2)
+            s0 = well_prepared_init(spec, geom, A0[:geom.dim], grid, 0.2)
             out.append(s0.values)
             evolve_micro(spec, s0, 5e-4, 1e-4, n_snapshots=6,
                          consume=lambda times, block: out.append(block.values.copy()))
         # the short-input irfft of all three nonlinear forms: raw (d = 2),
         # canonical (d = 1) and, through the Miura square, the mKdV one
-        traj = evolve_kdv(limit_equation(preset("GP_COUPLED")[0]), A0, 5e-3, 1e-3, n_snapshots=6)
-        out += list(traj.meta["snapshots"])
-        v0 = Field(grid, A0.components[:1])
-        traj = evolve_kdv(LimitModel(1, 1.0, canonical_q=QTensor([[[0.7]]])), v0, 5e-3, 1e-3,
+        traj = evolve_kdv(limit_equation(preset("GP_COUPLED")[0]), A0, grid, 5e-3, 1e-3,
                           n_snapshots=6)
-        discrepancy, aborted = miura_crosscheck(QTensor([[[0.7]]]), v0, 5e-3, 1e-3, n_snapshots=6)
+        out += list(traj.meta["snapshots"])
+        v0 = A0[:1]
+        traj = evolve_kdv(LimitModel(1, 1.0, canonical_q=QTensor([[[0.7]]])), v0, grid, 5e-3,
+                          1e-3, n_snapshots=6)
+        discrepancy, aborted = miura_crosscheck(QTensor([[[0.7]]]), v0, grid, 5e-3, 1e-3,
+                                                n_snapshots=6)
         assert not aborted
         return out + list(traj.meta["snapshots"]) + [discrepancy]
 
@@ -152,52 +152,33 @@ def test_grid_validation():
     assert abs(k[1] - 1.0) < 1e-15
 
 
-def test_field_validation(grid):
-    with pytest.raises(ValueError):
-        Field(grid, np.ones(grid.n_points + 1))
-    bad = np.ones(grid.n_points)
-    bad[3] = np.nan
-    with pytest.raises(ValueError):
-        Field(grid, bad)
-
-
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_third_derivative_of_sine(grid, k):
     # dx^3 sin(kx) = -k^3 cos(kx)
-    f = Field(grid, np.sin(k * grid.x))
-    out = spectral_derivative(f, 3)
+    out = grid.diff(np.sin(k * grid.x)[None, :], 3)
     expected = -(k**3) * np.cos(k * grid.x)
-    assert np.max(np.abs(out.components[0] - expected)) < 1e-10 * max(1, k**3)
+    assert np.max(np.abs(out[0] - expected)) < 1e-10 * max(1, k**3)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_derivative_of_constant_is_zero(grid, order):
-    f = Field(grid, 2.5 * np.ones(grid.n_points))
-    out = spectral_derivative(f, order)
-    assert np.max(np.abs(out.components)) < 1e-13
+    out = grid.diff(2.5 * np.ones((1, grid.n_points)), order)
+    assert np.max(np.abs(out)) < 1e-13
 
 
 def test_complex_first_derivative(grid):
-    f = Field(grid, np.exp(2j * grid.x))
-    out = spectral_derivative(f, 1)
+    out = grid.diff(np.exp(2j * grid.x)[None, :], 1)
     expected = 2j * np.exp(2j * grid.x)
-    assert np.max(np.abs(out.components[0] - expected)) < 1e-12
-
-
-def test_derivative_rejects_bad_order(grid):
-    f = Field(grid, np.sin(grid.x))
-    with pytest.raises(ValueError):
-        spectral_derivative(f, 5)
+    assert np.max(np.abs(out[0] - expected)) < 1e-12
 
 
 def test_hs_seminorms_zero(grid):
-    f = Field(grid, np.zeros(grid.n_points))
-    assert _hs_norms(f.components, grid, 3).tolist() == [0.0, 0.0, 0.0, 0.0]
+    f = np.zeros((1, grid.n_points))
+    assert _hs_norms(f, grid, 3).tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
 def test_hs_seminorms_sine(grid):
-    f = Field(grid, np.sin(grid.x))
-    norms = _hs_norms(f.components, grid, 1)
+    norms = _hs_norms(np.sin(grid.x)[None, :], grid, 1)
     root_pi = np.sqrt(np.pi)
     assert abs(norms[0] - root_pi) < 1e-12
     assert abs(norms[1] - root_pi) < 1e-12
@@ -205,8 +186,7 @@ def test_hs_seminorms_sine(grid):
 
 def test_hs_seminorms_sine_2x(grid):
     # ||sin 2x|| = sqrt(pi), each derivative multiplies by 2
-    f = Field(grid, np.sin(2 * grid.x))
-    norms = _hs_norms(f.components, grid, 2)
+    norms = _hs_norms(np.sin(2 * grid.x)[None, :], grid, 2)
     root_pi = np.sqrt(np.pi)
     for j, val in enumerate(norms):
         assert abs(val - 2**j * root_pi) < 1e-12
@@ -220,48 +200,44 @@ def test_parseval_matches_physical_quadrature(grid):
         amp = rng.normal() + 1j * rng.normal()
         spec[m] = amp
         spec[-m] = np.conj(amp)
-    f = Field(grid, np.fft.ifft(spec).real * grid.n_points)
-    phys = l2_norm(f.components, grid)
-    spectral = _hs_norms(f.components, grid, 0)[0]
+    f = np.fft.ifft(spec).real[None, :] * grid.n_points
+    phys = l2_norm(f, grid)
+    spectral = _hs_norms(f, grid, 0)[0]
     assert abs(phys - spectral) < 1e-12 * max(1.0, phys)
 
 
 def test_advance_linear_airy_phase(grid):
     c = 1.0
     k0 = 3
-    f = Field(grid, np.exp(1j * k0 * grid.x))
+    f = np.exp(1j * k0 * grid.x)
     dt = 0.37
     out = advance_linear(f, -1j * grid.wavenumbers**3 / (8 * c), dt)
     expected = np.exp(1j * k0 * grid.x) * np.exp(-1j * k0**3 * dt / (8 * c))
-    assert np.max(np.abs(out.components[0] - expected)) < 1e-12
+    assert np.max(np.abs(out - expected)) < 1e-12
 
 
 def test_advance_linear_identity(grid):
-    f = Field(grid, np.sin(grid.x) + 0.3 * np.cos(5 * grid.x))
+    f = np.sin(grid.x) + 0.3 * np.cos(5 * grid.x)
     out = advance_linear(f, np.zeros(grid.n_points), 0.7)
-    assert np.max(np.abs(out.components - f.components)) < 1e-14
+    assert np.max(np.abs(out - f)) < 1e-14
 
 
 def test_advance_linear_heat_kernel(grid):
-    f = Field(grid, np.sin(grid.x))
-    out = advance_linear(f, grid.symbol(2), 0.1)
+    out = advance_linear(np.sin(grid.x), grid.symbol(2), 0.1)
     expected = np.exp(-0.1) * np.sin(grid.x)
-    assert np.max(np.abs(out.components[0] - expected)) < 1e-12
+    assert np.max(np.abs(out - expected)) < 1e-12
 
 
 def test_advance_linear_overflow_rejected(grid):
-    f = Field(grid, np.sin(grid.x))
     with pytest.raises(OverflowError):
-        advance_linear(f, -grid.symbol(2), 10.0)
+        advance_linear(np.sin(grid.x), -grid.symbol(2), 10.0)
 
 
 def test_real_fields_stay_real(grid):
     rng = np.random.default_rng(11)
-    f = Field(grid, rng.normal(size=grid.n_points))
-    d = spectral_derivative(f, 3)
-    assert d.is_real
-    a = advance_linear(f, grid.symbol(3), 0.1)
-    assert a.is_real
+    f = rng.normal(size=grid.n_points)
+    assert not np.iscomplexobj(grid.diff(f, 3))
+    assert not np.iscomplexobj(advance_linear(f, grid.symbol(3), 0.1))
 
 
 def test_derivative_commutes_with_advance(grid):
@@ -271,11 +247,11 @@ def test_derivative_commutes_with_advance(grid):
         amp = rng.normal() + 1j * rng.normal()
         spec[m] = amp
         spec[-m] = np.conj(amp)
-    f = Field(grid, np.fft.ifft(spec).real * grid.n_points)
+    f = np.fft.ifft(spec).real * grid.n_points
     sym = grid.symbol(3) / 8
-    a = spectral_derivative(advance_linear(f, sym, 0.2), 1)
-    b = advance_linear(spectral_derivative(f, 1), sym, 0.2)
-    assert np.max(np.abs(a.components - b.components)) < 1e-12
+    a = grid.diff(advance_linear(f, sym, 0.2), 1)
+    b = advance_linear(grid.diff(f, 1), sym, 0.2)
+    assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_rk4_zero_rhs(grid):
@@ -323,13 +299,13 @@ def test_rk4_rejects_nan(grid):
 
 
 def test_ifrk4_linear_only_matches_advance(grid):
-    f = Field(grid, np.sin(grid.x) + 0.2 * np.cos(3 * grid.x))
+    f = np.sin(grid.x) + 0.2 * np.cos(3 * grid.x)
     factors = ifrk4_factors(grid.rsymbol(3), 0.05)
-    v = np.fft.rfft(f.components)
+    v = np.fft.rfft(f)
     stepped = ifrk4_step(v, lambda v, out: np.multiply(v, 0.0, out=out), factors,
                          np.empty((6,) + v.shape, complex))
     exact = advance_linear(f, grid.symbol(3), 0.05)
-    assert np.max(np.abs(np.fft.irfft(stepped, grid.n_points) - exact.components)) < 1e-12
+    assert np.max(np.abs(np.fft.irfft(stepped, grid.n_points) - exact)) < 1e-12
 
 
 def test_ifrk4_order(grid):

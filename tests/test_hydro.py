@@ -10,7 +10,7 @@ import pytest
 
 from kdvlab import experiments
 from kdvlab.experiments import _micro_series, _stream_run
-from kdvlab.grid import SNAPSHOT_BLOCK, Field, Grid, l2_norm
+from kdvlab.grid import SNAPSHOT_BLOCK, Grid, l2_norm
 from kdvlab.hydro import (
     HydroState,
     almost_hamiltonian,
@@ -64,7 +64,7 @@ def _prepared(kind, params, grid, eps, amp=0.2):
     comps = [_bump(grid, amp=amp)]
     if geom.dim == 2:
         comps.append(-0.5 * _bump(grid, amp=amp))
-    state = well_prepared_init(spec, geom, Field(grid, np.stack(comps)), eps)
+    state = well_prepared_init(spec, geom, np.stack(comps), grid, eps)
     return geom, spec, state
 
 
@@ -237,7 +237,7 @@ def test_energy_identity_sharpens_without_curvature_terms(kind):
 
 def _residual_run(kind, grid, eps, T, n_snapshots):
     geom, spec = preset(kind)
-    s0 = well_prepared_init(spec, geom, Field(grid, _bump(grid)[None, :]), eps)
+    s0 = well_prepared_init(spec, geom, _bump(grid)[None, :], grid, eps)
     cap = dt_max(spec, eps, grid)
     # near the step ceiling the centered time difference cannot resolve the
     # fast oscillation; an eighth of it keeps differencing noise subdominant
@@ -344,10 +344,10 @@ def test_energy_drift_shrinks_with_eps(converge_run):
 def test_zero_data_gives_zero_limit_error():
     grid = Grid(128, 2 * np.pi)
     geom, spec = preset("GP_SCALAR")
-    zero = Field(grid, np.zeros((1, 128)))
-    s0 = well_prepared_init(spec, geom, zero, 0.2)
+    zero = np.zeros((1, 128))
+    s0 = well_prepared_init(spec, geom, zero, grid, 0.2)
     traj = record_micro(spec, s0, T=0.1, dt=1e-4, n_snapshots=3)
-    kdv_traj = evolve_kdv(limit_equation(geom), zero, 0.1, 1e-3, n_snapshots=3)
+    kdv_traj = evolve_kdv(limit_equation(geom), zero, grid, 0.1, 1e-3, n_snapshots=3)
     err = replay_blocks(spec, traj, _micro_series(spec, s0, kdv_traj))
     for name in ("err_amplitude", "err_gradient", "w_norm"):
         assert np.max(err[name]) <= TOL["zero_data"]
@@ -356,10 +356,10 @@ def test_zero_data_gives_zero_limit_error():
 def test_limit_error_requires_matching_times():
     grid = Grid(128, 2 * np.pi)
     geom, spec = preset("GP_SCALAR")
-    zero = Field(grid, np.zeros((1, 128)))
-    s0 = well_prepared_init(spec, geom, zero, 0.2)
+    zero = np.zeros((1, 128))
+    s0 = well_prepared_init(spec, geom, zero, grid, 0.2)
     traj = record_micro(spec, s0, T=0.1, dt=1e-4, n_snapshots=3)
-    kdv_traj = evolve_kdv(limit_equation(geom), zero, 0.07, 1e-3, n_snapshots=3)
+    kdv_traj = evolve_kdv(limit_equation(geom), zero, grid, 0.07, 1e-3, n_snapshots=3)
     with pytest.raises(ValueError, match="time grids"):
         replay_blocks(spec, traj, _micro_series(spec, s0, kdv_traj))
 

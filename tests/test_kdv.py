@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from kdvlab import kdv
 from kdvlab.analysis import _mkdv_nonlinear
-from kdvlab.grid import Field, Grid, integrate
+from kdvlab.grid import Grid, integrate
 from kdvlab.kdv import (
     LimitModel,
     QTensor,
@@ -31,13 +31,13 @@ def canonical_scalar(q=1.0, dispersion=1.0):
     return LimitModel(1, dispersion, canonical_q=QTensor([[[q]]]))
 
 
-def kdv_rhs(model, u):
+def kdv_rhs(model, u, grid):
     """The right-hand side evolve_kdv integrates, in physical space: the
     Fourier-diagonal linear part plus the nonlinear part, both applied to
     rfft coefficients."""
-    v = np.fft.rfft(u.components, axis=-1)
-    out = _linear_symbol(model, u.grid) * v + _nonlinear_rhs(model, u.grid)(v, np.empty_like(v))
-    return Field(u.grid, np.fft.irfft(out, u.grid.n_points, axis=-1), validate=False)
+    v = np.fft.rfft(u, axis=-1)
+    out = _linear_symbol(model, grid) * v + _nonlinear_rhs(model, grid)(v, np.empty_like(v))
+    return np.fft.irfft(out, grid.n_points, axis=-1)
 
 
 @pytest.fixture
@@ -150,17 +150,15 @@ def test_bilinear_apply_symmetric_tensor_commutes(coeffs, seed):
 
 def test_rhs_airy_only(grid):
     model = canonical_scalar(0.0)
-    u = Field(grid, np.sin(3 * grid.x))
-    out = kdv_rhs(model, u)
+    out = kdv_rhs(model, np.sin(3 * grid.x)[None, :], grid)
     # dxxx sin(3x) = -27 cos(3x)
-    assert np.max(np.abs(out.components[0] + 27 * np.cos(3 * grid.x))) < 1e-9
+    assert np.max(np.abs(out[0] + 27 * np.cos(3 * grid.x))) < 1e-9
 
 
 def test_rhs_constant_state_is_static(grid):
     model = canonical_scalar(-1.0)
-    u = Field(grid, 0.7 * np.ones(grid.n_points))
-    out = kdv_rhs(model, u)
-    assert np.max(np.abs(out.components)) < 1e-12
+    out = kdv_rhs(model, 0.7 * np.ones((1, grid.n_points)), grid)
+    assert np.max(np.abs(out)) < 1e-12
 
 
 def test_rhs_raw_scalar_matches_quadrature(grid):
@@ -173,10 +171,9 @@ def test_rhs_raw_scalar_matches_quadrature(grid):
         scale={"time_factor": 8.0, "amplitude": -6.0},
         form="raw",
     )
-    u = Field(grid, np.sin(grid.x))
-    out = kdv_rhs(model, u)
+    out = kdv_rhs(model, np.sin(grid.x)[None, :], grid)
     expected = (-0.25 * np.cos(grid.x) - 3 * np.sin(grid.x) * np.cos(grid.x)) / 2.0
-    assert np.max(np.abs(out.components[0] - expected)) < 1e-11
+    assert np.max(np.abs(out[0] - expected)) < 1e-11
 
 
 def _full_fft_bilinear(tensor, a, b):
@@ -202,16 +199,15 @@ def _full_fft_bilinear(tensor, a, b):
     return np.fft.ifft(out, axis=-1).real * (n / m)
 
 
-def _full_fft_kdv_rhs(model, u):
+def _full_fft_kdv_rhs(model, u, grid):
     """The right-hand side written with full complex transforms in physical space."""
-    grid = u.grid
     sym = model.dispersion * grid.symbol(3)
-    linear = np.fft.ifft(sym * np.fft.fft(u.components, axis=-1), axis=-1).real
+    linear = np.fft.ifft(sym * np.fft.fft(u, axis=-1), axis=-1).real
     if model.form == "canonical":
         Q = model.canonical_q.coeffs
-        return linear - grid.diff(_full_fft_bilinear(Q, u.components, u.components))
+        return linear - grid.diff(_full_fft_bilinear(Q, u, u))
     c = model.scale["time_factor"] / 8.0
-    flux = _full_fft_bilinear(model.raw_tensor, grid.diff(u.components), u.components)
+    flux = _full_fft_bilinear(model.raw_tensor, grid.diff(u), u)
     return linear + flux / (2.0 * c)
 
 
@@ -231,7 +227,7 @@ def test_kdv_rhs_matches_full_fft_formula_property(seed, log_n, dim, form):
     kmax = n // 3
     spec[:, : kmax + 1] = rng.normal(size=(dim, kmax + 1)) + 1j * rng.normal(size=(dim, kmax + 1))
     spec[:, n // 2] = rng.normal(size=dim)
-    u = Field(grid, np.fft.irfft(spec, n) * rng.uniform(0.5, 4.0))
+    u = np.fft.irfft(spec, n) * rng.uniform(0.5, 4.0)
     tensor = rng.normal(size=(dim, dim, dim))
     if form == "canonical":
         model = LimitModel(dim, rng.uniform(-2, 2), canonical_q=QTensor(tensor))
@@ -240,8 +236,8 @@ def test_kdv_rhs_matches_full_fft_formula_property(seed, log_n, dim, form):
         model = LimitModel(dim, 1.0 / (8.0 * c), raw_nonlinearity=tensor,
                            scale={"time_factor": 8.0 * c, "amplitude": 1.0},
                            form="raw")
-    got = kdv_rhs(model, u).components
-    want = _full_fft_kdv_rhs(model, u)
+    got = kdv_rhs(model, u, grid)
+    want = _full_fft_kdv_rhs(model, u, grid)
     assert np.max(np.abs(got - want)) <= 1e-12 * float(np.max(np.abs(want)))
 
 
@@ -250,18 +246,30 @@ def test_kdv_rhs_matches_full_fft_formula_property(seed, log_n, dim, form):
 
 def test_evolve_zero_stays_zero(grid):
     model = canonical_scalar(-1.0)
-    traj = evolve_kdv(model, Field(grid, np.zeros(grid.n_points)), 0.5, 1e-2)
+    traj = evolve_kdv(model, np.zeros((1, grid.n_points)), grid, 0.5, 1e-2)
     assert not traj.aborted
     assert np.max(np.abs(traj.meta["snapshots"])) < 1e-14
 
 
 def test_evolve_rejects_complex_state(grid):
-    u0 = Field(grid, np.exp(1j * grid.x))
+    u0 = np.exp(1j * grid.x)[None, :]
     with pytest.raises(ValueError, match="real"):
-        evolve_kdv(canonical_scalar(-1.0), u0, 0.1, 1e-2)
+        evolve_kdv(canonical_scalar(-1.0), u0, grid, 0.1, 1e-2)
     for model in (canonical_scalar(-1.0), canonical_scalar(0.0)):
         with pytest.raises(ValueError, match="real"):
-            conserved_quantities(model, u0)
+            conserved_quantities(model, u0, grid)
+
+
+@pytest.mark.parametrize("shape", [(64,), (2, 64), (1, 65)])
+def test_evolve_rejects_state_of_wrong_shape(shape):
+    # the state is (model.dim, N): a bare row, a second component or a
+    # sample count off the grid is refused before any step
+    grid = Grid(64, 2 * np.pi)
+    u0 = np.zeros(shape)
+    with pytest.raises(ValueError, match=r"\(1, 64\)"):
+        evolve_kdv(canonical_scalar(-1.0), u0, grid, 0.1, 1e-2)
+    with pytest.raises(ValueError, match=r"\(1, 64\)"):
+        conserved_quantities(canonical_scalar(-1.0), u0, grid)
 
 
 @pytest.mark.parametrize("form", ["canonical", "raw"])
@@ -275,11 +283,11 @@ def test_evolve_transforms_per_step(fft_calls, form):
     else:
         model = limit_equation(preset("gp_coupled")[0])
     assert model.form == form
-    u0 = Field(grid, 0.1 * np.stack([np.sin(grid.x), np.cos(grid.x)][: model.dim]))
+    u0 = 0.1 * np.stack([np.sin(grid.x), np.cos(grid.x)][: model.dim])
 
     def transforms(steps):
         before = fft_calls.copy()
-        evolve_kdv(model, u0, steps * 1e-3, 1e-3, n_snapshots=2)
+        evolve_kdv(model, u0, grid, steps * 1e-3, 1e-3, n_snapshots=2)
         return fft_calls - before
 
     assert transforms(20) - transforms(10) == {"rfft": 40, "irfft": 50}
@@ -294,7 +302,7 @@ def test_ifrk4_steps_allocate_only_the_new_state(monkeypatch, form, dim):
     # traced memory within a call is measured against what it starts with,
     # since freed Python objects kept on free lists stay traced
     grid = Grid(512, 16 * np.pi)
-    u0 = Field(grid, 0.3 * np.stack([np.sin((j + 1) * grid.x / 8) for j in range(dim)]))
+    u0 = 0.3 * np.stack([np.sin((j + 1) * grid.x / 8) for j in range(dim)])
     tensor = 0.3 * np.random.default_rng(dim).normal(size=(dim,) * 3)
     step_rises, guard_rises = [], []
 
@@ -312,13 +320,15 @@ def test_ifrk4_steps_allocate_only_the_new_state(monkeypatch, form, dim):
     monkeypatch.setattr(kdv, "_run", lambda *args, monitor: run(*args, monitor=traced(monitor, guard_rises)))
     if form == "mkdv":  # the run of the mKdV leg of miura_crosscheck
         Q = QTensor(tensor)
-        start = lambda: kdv._evolve_ifrk4(grid.rsymbol(3), _mkdv_nonlinear(Q, grid), u0, 0.2, 1e-3, 5)
+        start = lambda: kdv._evolve_ifrk4(grid.rsymbol(3), _mkdv_nonlinear(Q, grid), u0, grid, 0.2,
+                                          1e-3, 5)
     elif form == "canonical":
-        start = lambda: evolve_kdv(LimitModel(dim, 1.0, canonical_q=QTensor(tensor)), u0, 0.2, 1e-3, 5)
+        start = lambda: evolve_kdv(LimitModel(dim, 1.0, canonical_q=QTensor(tensor)), u0, grid, 0.2,
+                                   1e-3, 5)
     else:
         model = LimitModel(dim, 0.1, raw_nonlinearity=tensor, form="raw",
                            scale={"time_factor": 1.25, "amplitude": 1.0})
-        start = lambda: evolve_kdv(model, u0, 0.2, 1e-3, 5)
+        start = lambda: evolve_kdv(model, u0, grid, 0.2, 1e-3, 5)
     tracemalloc.start()
     try:
         traj = start()
@@ -335,11 +345,11 @@ def test_ifrk4_steps_allocate_only_the_new_state(monkeypatch, form, dim):
 
 def test_evolve_linear_matches_advance(grid):
     model = canonical_scalar(0.0)
-    u0 = Field(grid, np.cos(2 * grid.x))
+    u0 = np.cos(2 * grid.x)[None, :]
     T = 1.0
-    traj = evolve_kdv(model, u0, T, 1e-2)
+    traj = evolve_kdv(model, u0, grid, T, 1e-2)
     exact = advance_linear(u0, grid.symbol(3), T)
-    err = np.max(np.abs(traj.meta["snapshots"][-1] - exact.components))
+    err = np.max(np.abs(traj.meta["snapshots"][-1] - exact))
     assert err < 1e-10
 
 
@@ -348,11 +358,11 @@ def test_evolve_conservation_smooth():
     # P drift <= 1e-10 absolute
     grid = Grid(256, 2 * np.pi)
     model = canonical_scalar(-1.0)
-    u0 = Field(grid, 0.5 * np.sin(grid.x) + 0.1 * np.cos(2 * grid.x))
-    h0, m0, p0 = conserved_quantities(model, u0)
-    traj = evolve_kdv(model, u0, 1.0, 1e-3)
+    u0 = (0.5 * np.sin(grid.x) + 0.1 * np.cos(2 * grid.x))[None, :]
+    h0, m0, p0 = conserved_quantities(model, u0, grid)
+    traj = evolve_kdv(model, u0, grid, 1.0, 1e-3)
     assert not traj.aborted
-    h1, m1, p1 = conserved_quantities(model, Field(grid, traj.meta["snapshots"][-1]))
+    h1, m1, p1 = conserved_quantities(model, traj.meta["snapshots"][-1], grid)
     assert abs(h1 - h0) / abs(h0) < 1e-8
     assert abs(m1 - m0) / m0 < 1e-8
     assert np.max(np.abs(p1 - p0)) < 1e-10
@@ -361,17 +371,17 @@ def test_evolve_conservation_smooth():
 def test_evolve_time_reversal():
     grid = Grid(128, 2 * np.pi)
     model = canonical_scalar(-1.0)
-    u0 = Field(grid, 0.4 * np.sin(grid.x))
-    fwd = evolve_kdv(model, u0, 0.5, 1e-3)
-    back = evolve_kdv(model, Field(grid, fwd.meta["snapshots"][-1]), 0.5, -1e-3)
-    err = np.max(np.abs(back.meta["snapshots"][-1] - u0.components))
+    u0 = 0.4 * np.sin(grid.x)[None, :]
+    fwd = evolve_kdv(model, u0, grid, 0.5, 1e-3)
+    back = evolve_kdv(model, fwd.meta["snapshots"][-1], grid, 0.5, -1e-3)
+    err = np.max(np.abs(back.meta["snapshots"][-1] - u0))
     assert err < 1e-8
 
 
 def test_evolve_rejects_zero_dt(grid):
-    u0 = Field(grid, 0.4 * np.sin(grid.x))
+    u0 = 0.4 * np.sin(grid.x)[None, :]
     with pytest.raises(ValueError, match="dt"):
-        evolve_kdv(canonical_scalar(-1.0), u0, 0.5, 0.0)
+        evolve_kdv(canonical_scalar(-1.0), u0, grid, 0.5, 0.0)
 
 
 def test_raw_and_canonical_runs_agree():
@@ -392,12 +402,12 @@ def test_raw_and_canonical_runs_agree():
     canonical = raw.as_canonical()
     assert canonical.dispersion == 1.0
 
-    a0 = Field(grid, 0.2 * np.sin(grid.x))
+    a0 = 0.2 * np.sin(grid.x)[None, :]
     T = 0.8
-    raw_traj = evolve_kdv(raw, a0, T, 1e-3)
-    can_traj = evolve_kdv(canonical, raw.raw_to_canonical_state(a0), T / 8.0, 1e-3 / 8.0)
-    mapped = raw.raw_to_canonical_state(Field(grid, raw_traj.meta["snapshots"][-1]))
-    err = np.max(np.abs(mapped.components - can_traj.meta["snapshots"][-1]))
+    raw_traj = evolve_kdv(raw, a0, grid, T, 1e-3)
+    can_traj = evolve_kdv(canonical, scale["amplitude"] * a0, grid, T / 8.0, 1e-3 / 8.0)
+    mapped = scale["amplitude"] * raw_traj.meta["snapshots"][-1]
+    err = np.max(np.abs(mapped - can_traj.meta["snapshots"][-1]))
     assert err < 1e-8
 
 
@@ -406,13 +416,13 @@ def test_raw_and_canonical_runs_agree():
 
 def test_conserved_zero_field(grid):
     model = canonical_scalar(1.0)
-    h, m, p = conserved_quantities(model, Field(grid, np.zeros(grid.n_points)))
+    h, m, p = conserved_quantities(model, np.zeros((1, grid.n_points)), grid)
     assert h == 0.0 and m == 0.0 and np.all(p == 0.0)
 
 
 def test_conserved_sine_linear(grid):
     model = canonical_scalar(0.0)
-    h, m, p = conserved_quantities(model, Field(grid, np.sin(grid.x)))
+    h, m, p = conserved_quantities(model, np.sin(grid.x)[None, :], grid)
     assert abs(h - np.pi / 2) < 1e-12
     assert abs(m - np.pi) < 1e-12
     assert abs(p[0]) < 1e-12
@@ -421,7 +431,7 @@ def test_conserved_sine_linear(grid):
 def test_conserved_sine_cubic_term_vanishes(grid):
     # int sin^3 = 0, so H is the same with Q(u,u)=u^2
     model = canonical_scalar(1.0)
-    h, _, _ = conserved_quantities(model, Field(grid, np.sin(grid.x)))
+    h, _, _ = conserved_quantities(model, np.sin(grid.x)[None, :], grid)
     assert abs(h - np.pi / 2) < 1e-12
 
 
@@ -434,7 +444,7 @@ def test_conserved_requires_canonical(grid):
         form="raw",
     )
     with pytest.raises(ValueError):
-        conserved_quantities(model, Field(grid, np.zeros(grid.n_points)))
+        conserved_quantities(model, np.zeros((1, grid.n_points)), grid)
 
 
 # -- blow-up monitoring ----------------------------------------------------------
@@ -442,7 +452,7 @@ def test_conserved_requires_canonical(grid):
 
 def test_no_breakdown_linear(grid):
     model = canonical_scalar(0.0)
-    traj = evolve_kdv(model, Field(grid, np.sin(grid.x)), 1.0, 1e-2)
+    traj = evolve_kdv(model, np.sin(grid.x)[None, :], grid, 1.0, 1e-2)
     assert not traj.aborted and traj.abort_time is None
 
 
@@ -453,7 +463,7 @@ def test_aborted_run_reports_the_steps_taken():
     # initial one
     grid = Grid(128, 2 * np.pi)
     model = canonical_scalar(1.0, dispersion=0.0)
-    traj = evolve_kdv(model, Field(grid, np.sin(grid.x)), 1.0, 2e-3)
+    traj = evolve_kdv(model, np.sin(grid.x)[None, :], grid, 1.0, 2e-3)
     assert traj.aborted and traj.abort_reason == "gradient blow-up"
     assert traj.meta["steps"] == 500
     taken = traj.meta["steps_taken"]
@@ -470,8 +480,8 @@ def test_burgers_breakdown_near_oracle_time():
     # t* = 1/max(-d/dx f'(u0)) = 1/max(-2 cos x) = 0.5
     grid = Grid(512, 2 * np.pi)
     model = canonical_scalar(1.0, dispersion=0.0)
-    u0 = Field(grid, np.sin(grid.x))
-    traj = evolve_kdv(model, u0, 1.0, 2e-4)
+    u0 = np.sin(grid.x)[None, :]
+    traj = evolve_kdv(model, u0, grid, 1.0, 2e-4)
     assert traj.aborted and traj.abort_reason == "gradient blow-up"
     t_star = 0.5
     assert abs(traj.abort_time - t_star) <= 0.2 * t_star

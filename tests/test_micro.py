@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvlab import micro
-from kdvlab.grid import SNAPSHOT_BLOCK, Field, Grid, fourier_shift, integrate, snapshot_steps
+from kdvlab.grid import SNAPSHOT_BLOCK, Grid, fourier_shift, integrate, snapshot_steps
 from kdvlab.micro import (
     MicroState,
     dt_max,
@@ -47,7 +47,7 @@ def _condensate_init(kind, params, grid, eps):
     """Well-prepared condensate state; the two coupled components differ."""
     geom, spec = preset(kind, params)
     comps = [_bump(grid), -0.5 * _bump(grid, amp=0.2, width=1.0)][: geom.dim]
-    return spec, well_prepared_init(spec, geom, Field(grid, np.stack(comps)), eps)
+    return spec, well_prepared_init(spec, geom, np.stack(comps), grid, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +68,7 @@ def _condensate_init(kind, params, grid, eps):
 def test_ground_states_are_static(kind, params):
     grid = Grid(64, 2 * np.pi)
     geom, spec = preset(kind, params)
-    state = well_prepared_init(spec, geom, Field(grid, np.zeros((geom.dim, 64))), 0.2)
+    state = well_prepared_init(spec, geom, np.zeros((geom.dim, 64)), grid, 0.2)
     assert np.max(np.abs(micro._rhs_raw(spec, state.values, grid, 0.2, geom.c))) <= TOL["ground"]
 
 
@@ -145,8 +145,8 @@ def test_fused_spin_rhs_matches_reference(kind, params):
     eps = 0.2
     grid = Grid(128, 8 * np.pi)
     geom, spec = preset(kind, params)
-    A0 = Field(grid, np.stack([_bump(grid, width=1.0 + 0.5 * j) for j in range(geom.dim)]))
-    vals = well_prepared_init(spec, geom, A0, eps).values
+    A0 = np.stack([_bump(grid, width=1.0 + 0.5 * j) for j in range(geom.dim)])
+    vals = well_prepared_init(spec, geom, A0, grid, eps).values
     got = micro._rhs_raw(spec, vals, grid, eps, geom.c)
     want = _reference_spin_rhs(spec, vals, grid, eps, geom.c)
     assert got.shape == want.shape == vals.shape
@@ -161,8 +161,8 @@ def test_workspace_spin_steps_match_allocating_rk4(kind, params):
     eps, steps = 0.2, 200
     grid = Grid(128, 8 * np.pi)
     geom, spec = preset(kind, params)
-    A0 = Field(grid, np.stack([_bump(grid, width=1.0 + 0.5 * j) for j in range(geom.dim)]))
-    s0 = well_prepared_init(spec, geom, A0, eps)
+    A0 = np.stack([_bump(grid, width=1.0 + 0.5 * j) for j in range(geom.dim)])
+    s0 = well_prepared_init(spec, geom, A0, grid, eps)
     dt = dt_max(spec, eps, grid)
 
     def rhs(v):
@@ -199,8 +199,8 @@ def test_workspace_spin_steps_match_allocating_rk4(kind, params):
 def _init(kind, params, grid, eps):
     """Well-prepared state of any family, from one bump per limit component."""
     geom, spec = preset(kind, params)
-    A0 = Field(grid, np.stack([_bump(grid, width=1.0 + 0.5 * j) for j in range(geom.dim)]))
-    return spec, well_prepared_init(spec, geom, A0, eps)
+    A0 = np.stack([_bump(grid, width=1.0 + 0.5 * j) for j in range(geom.dim)])
+    return spec, well_prepared_init(spec, geom, A0, grid, eps)
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.1])
@@ -347,7 +347,7 @@ def test_gp_conservation_over_run():
     eps = 0.2
     grid = Grid(256, 8 * np.pi)
     geom, spec = preset("GP_SCALAR")
-    s0 = well_prepared_init(spec, geom, Field(grid, _bump(grid)[None, :]), eps)
+    s0 = well_prepared_init(spec, geom, _bump(grid)[None, :], grid, eps)
     m0 = mass(spec, s0)
     e0, p0 = micro_invariants(spec, s0)
     traj = record_micro(spec, s0, T=0.5, dt=0.5 / 693, n_snapshots=6)
@@ -386,7 +386,7 @@ def test_spin_chain_momentum_conserved(kind, params):
     eps = 0.2
     grid = Grid(256, 8 * np.pi)
     geom, spec = preset(kind, params)
-    s0 = well_prepared_init(spec, geom, Field(grid, 0.25 * _bump(grid)[None, :] / 0.3), eps)
+    s0 = well_prepared_init(spec, geom, 0.25 * _bump(grid)[None, :] / 0.3, grid, eps)
     _, p0 = micro_invariants(spec, s0)
     steps = {"LL_EASY_PLANE": 624, "LL_EASY_CONE": 576}[kind]  # a step just under dt_max
     traj = record_micro(spec, s0, T=0.3, dt=0.3 / steps, n_snapshots=4)
@@ -401,7 +401,7 @@ def test_ll_conserved_energy_variant():
     eps = 0.2
     grid = Grid(256, 8 * np.pi)
     geom, spec = preset("LL_EASY_PLANE")
-    s0 = well_prepared_init(spec, geom, Field(grid, 0.25 * _bump(grid)[None, :] / 0.3), eps)
+    s0 = well_prepared_init(spec, geom, 0.25 * _bump(grid)[None, :] / 0.3, grid, eps)
 
     def conserved(state):
         dg = state.grid.diff(state.values)
@@ -436,8 +436,8 @@ def test_af_conservation_and_stability():
     eps = 0.3
     grid = Grid(128, 4 * np.pi)
     geom, spec = preset("AF_CHAIN")
-    A0 = Field(grid, np.stack([_bump(grid, amp=0.2), -0.5 * _bump(grid, amp=0.2)]))
-    s0 = well_prepared_init(spec, geom, A0, eps)
+    A0 = np.stack([_bump(grid, amp=0.2), -0.5 * _bump(grid, amp=0.2)])
+    s0 = well_prepared_init(spec, geom, A0, grid, eps)
     e0, p0 = micro_invariants(spec, s0)
     size0 = np.linalg.norm(s0.values[1:3])
     traj = record_micro(spec, s0, T=0.5, dt=0.5 / 642, n_snapshots=6)
@@ -514,7 +514,7 @@ def test_split_step_stays_inside_resonance_threshold():
     geom, spec = preset("GP_SCALAR")
     kmax = np.max(np.abs(grid.wavenumbers))
     assert dt_max(spec, eps, grid) * (geom.c * kmax + 0.5 * eps * kmax**2) / eps**2 <= np.pi
-    s0 = well_prepared_init(spec, geom, Field(grid, _bump(grid)[None, :]), eps)
+    s0 = well_prepared_init(spec, geom, _bump(grid)[None, :], grid, eps)
     traj = record_micro(spec, s0, T=0.5, dt=0.5 / 693, n_snapshots=3)
     assert not traj.aborted
     mod = np.abs(traj.states[-1].values)
@@ -615,8 +615,8 @@ def test_transforms_per_micro_step(fft_calls, kind, params):
     # for the antiferromagnet's two
     eps, grid = 0.2, Grid(64, 8 * np.pi)
     geom, spec = preset(kind, params)
-    A0 = Field(grid, np.stack([_bump(grid, width=1.0 + 0.5 * j) for j in range(geom.dim)]))
-    s0 = well_prepared_init(spec, geom, A0, eps)
+    A0 = np.stack([_bump(grid, width=1.0 + 0.5 * j) for j in range(geom.dim)])
+    s0 = well_prepared_init(spec, geom, A0, grid, eps)
     dt = 0.5 * dt_max(spec, eps, grid)
 
     def transforms(steps):
@@ -631,7 +631,7 @@ def test_transforms_per_micro_step(fft_calls, kind, params):
 def test_split_step_computes_one_rotation_factor_per_step(monkeypatch):
     grid = Grid(64, 2 * np.pi)
     geom, spec = preset("GP_SCALAR")
-    s0 = well_prepared_init(spec, geom, Field(grid, _bump(grid, width=0.5)[None, :]), 0.5)
+    s0 = well_prepared_init(spec, geom, _bump(grid, width=0.5)[None, :], grid, 0.5)
     calls = []
     phase_factors = micro._phase_factors
 
@@ -653,7 +653,7 @@ def test_split_step_aborts_on_the_exact_non_finite_step(monkeypatch, half):
     # snapshot (the last step of the run here).
     grid = Grid(64, 2 * np.pi)
     geom, spec = preset("GP_SCALAR")
-    s0 = well_prepared_init(spec, geom, Field(grid, _bump(grid, width=0.5)[None, :]), 0.5)
+    s0 = well_prepared_init(spec, geom, _bump(grid, width=0.5)[None, :], grid, 0.5)
     steps = 40
     bad_call, bad_step = [(1, 1), (8, 7)][half]
     calls = []
@@ -744,7 +744,7 @@ def test_snapshot_neighbors_give_centered_time_derivative():
     eps = 0.2
     grid = Grid(256, 8 * np.pi)
     geom, spec = preset("GP_SCALAR")
-    s0 = well_prepared_init(spec, geom, Field(grid, _bump(grid)[None, :]), eps)
+    s0 = well_prepared_init(spec, geom, _bump(grid)[None, :], grid, eps)
     traj = record_micro(spec, s0, T=0.2, dt=0.2 / 278, n_snapshots=5)
     mid = len(traj.states) // 2
     prev, nxt = (next(micro._make_stepper(spec, grid, eps, h, geom.c)(traj.values[mid]))
@@ -773,15 +773,29 @@ def test_well_prepared_rejects_nonzero_mean():
     grid = Grid(64, 2 * np.pi)
     geom, spec = preset("GP_SCALAR")
     with pytest.raises(ValueError, match="zero-mean"):
-        well_prepared_init(spec, geom, Field(grid, np.ones((1, 64))), 0.2)
+        well_prepared_init(spec, geom, np.ones((1, 64)), grid, 0.2)
+
+
+@pytest.mark.parametrize("A0,match", [
+    (np.zeros(64), r"\(1, 64\)"),
+    (np.zeros((2, 64)), r"\(1, 64\)"),
+    (np.zeros((1, 32)), r"\(1, 64\)"),
+    (np.zeros((1, 64), complex), "real"),
+])
+def test_well_prepared_rejects_data_of_wrong_shape_or_dtype(A0, match):
+    # A0 is the real (d, N) frame data on the grid
+    grid = Grid(64, 2 * np.pi)
+    geom, spec = preset("GP_SCALAR")
+    with pytest.raises(ValueError, match=match):
+        well_prepared_init(spec, geom, A0, grid, 0.2)
 
 
 def test_well_prepared_rejects_phase_outside_chart():
     grid = Grid(256, 8 * np.pi)
     geom, spec = preset("GP_SCALAR")
-    big = Field(grid, (3.0 * np.sin(grid.x / 4.0))[None, :])
+    big = (3.0 * np.sin(grid.x / 4.0))[None, :]
     with pytest.raises(ValueError, match="chart"):
-        well_prepared_init(spec, geom, big, 0.9)
+        well_prepared_init(spec, geom, big, grid, 0.9)
 
 
 @pytest.mark.parametrize(
@@ -801,15 +815,15 @@ def test_well_prepared_chart_roundtrip(kind, params):
     comps = [_bump(grid, amp=0.2)]
     if geom.dim == 2:
         comps.append(-0.5 * _bump(grid, amp=0.2))
-    A0 = Field(grid, np.stack(comps))
-    state = well_prepared_init(spec, geom, A0, eps)
+    A0 = np.stack(comps)
+    state = well_prepared_init(spec, geom, A0, grid, eps)
     phi, n, info = chart_extract(spec, state.values, eps)
     assert info["in_chart"]
     # n must match the amplitude coordinate -C A0 / (2 lam)
-    n_ref = -(1.0 / (2.0 * geom.lam)) * normal_coupling(spec) @ A0.components
+    n_ref = -(1.0 / (2.0 * geom.lam)) * normal_coupling(spec) @ A0
     assert np.max(np.abs(n - n_ref)) <= TOL["init_roundtrip"]
     # phi must be the zero-mean spectral antiderivative of the solved gradient
-    target = np.linalg.solve(geom.c * np.eye(geom.dim) + geom.i0b0, A0.components)
+    target = np.linalg.solve(geom.c * np.eye(geom.dim) + geom.i0b0, A0)
     k = grid.wavenumbers
     with np.errstate(divide="ignore", invalid="ignore"):
         anti = np.where(k != 0.0, np.fft.fft(target, axis=-1) / (1j * k), 0.0)
@@ -820,10 +834,10 @@ def test_well_prepared_chart_roundtrip(kind, params):
 def test_well_prepared_zero_data_gives_ground_state():
     grid = Grid(64, 2 * np.pi)
     geom, spec = preset("GP_SCALAR")
-    state = well_prepared_init(spec, geom, Field(grid, np.zeros((1, 64))), 0.2)
+    state = well_prepared_init(spec, geom, np.zeros((1, 64)), grid, 0.2)
     assert np.max(np.abs(state.values - 1.0)) == 0.0
     geom, spec = preset("AF_CHAIN")
-    state = well_prepared_init(spec, geom, Field(grid, np.zeros((2, 64))), 0.2)
+    state = well_prepared_init(spec, geom, np.zeros((2, 64)), grid, 0.2)
     staggered = np.tile([[1.0], [0.0], [0.0], [-1.0], [0.0], [0.0]], 64)
     assert np.max(np.abs(state.values - staggered)) <= 1e-15
 
@@ -840,7 +854,7 @@ def test_rescaled_run_matches_lab_frame_run():
     n, length = 256, 8 * np.pi
     grid = Grid(n, length)
     geom, spec = preset("GP_SCALAR")
-    s0 = well_prepared_init(spec, geom, Field(grid, _bump(grid)[None, :]), eps)
+    s0 = well_prepared_init(spec, geom, _bump(grid)[None, :], grid, eps)
     traj = record_micro(spec, s0, T=T, dt=T / 70, n_snapshots=2)
     u_rescaled = traj.states[-1].values[0]
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from kdvlab import experiments, kdv, micro
-from kdvlab.grid import Field, Grid
+from kdvlab.grid import Grid
 from kdvlab.models import preset
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,7 +54,7 @@ def test_traced_steps_and_trajectory_counters_resolve(monkeypatch):
 
     grid = Grid(32, 2 * np.pi)
     model = kdv.LimitModel(1, 1.0, canonical_q=kdv.QTensor([[[1.0]]]))
-    traj = kdv.evolve_kdv(model, Field(grid, 0.1 * np.sin(grid.x)), 0.01, 1e-3, n_snapshots=3)
+    traj = kdv.evolve_kdv(model, 0.1 * np.sin(grid.x)[None, :], grid, 0.01, 1e-3, n_snapshots=3)
     assert _trajectory_counts(traj) == {"steps": 10, "rhs_evals": 0, "aborts": 0}
     assert traj.meta["steps"] == calls["ifrk4_step"] == 10
 
