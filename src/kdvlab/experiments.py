@@ -332,18 +332,22 @@ class ExperimentConfig:
 
 def emit_series(path, columns, rows) -> None:
     """Write a CSV time series: header ``t,name1,...``, 17-significant-digit
-    values, LF line endings.  Empty ``rows`` produces a header-only file."""
+    values, LF line endings.  Empty ``rows`` produces a header-only file.
+    Each row is read as Python floats through ``tolist()`` as it is
+    written, so no numpy scalar is made per value and no converted copy of
+    the table is held, and written with one ``%`` of a row template
+    ("%.17g" gives the bytes of ``format(v, ".17g")``)."""
     columns = list(columns)
-    rows = [list(r) for r in rows]
+    rows = list(rows)
     for i, row in enumerate(rows):
         if len(row) != len(columns):
             raise ValueError(
                 f"row {i} has {len(row)} entries, header has {len(columns)}"
             )
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(format(float(v), ".17g") for v in row) + "\n")
+        fh.writelines(line % tuple(np.asarray(row, dtype=float).tolist()) for row in rows)
 
 
 def _write_json(path, payload) -> None:

@@ -161,17 +161,24 @@ class Grid:
 
         Real input goes through the rfft half spectrum and gives a real
         result, complex input a complex one.  A tuple of orders stacks the
-        derivatives on a new leading axis, from one transform pair.
+        derivatives on a new leading axis, from one transform pair.  A single
+        order multiplies the spectrum in place by the symbol at the
+        spectrum's shape (cached per shape), since a broadcast operand sends
+        the multiply through numpy's buffered loop, which allocates a buffer
+        of the spectrum's size.
         """
         values = np.asarray(values)
         real = not np.iscomplexobj(values)
         spec = _rfft(values) if real else _fft(values)
         sym = self.rsymbol(order) if real else self.symbol(order)
         if isinstance(order, tuple):
-            sym = sym.reshape(len(order), *(1,) * (spec.ndim - 1), -1)
-        if real:
-            return _irfft(sym * spec, self.n_points)
-        return _ifft(sym * spec)
+            spec = sym.reshape(len(order), *(1,) * (spec.ndim - 1), -1) * spec
+        else:
+            key = (order, spec.shape)  # the spectrum's shape says which half it is
+            if key not in self._symbols:
+                self._symbols[key] = np.array(np.broadcast_to(sym, spec.shape))
+            np.multiply(self._symbols[key], spec, out=spec)
+        return _irfft(spec, self.n_points) if real else _ifft(spec)
 
     def __repr__(self):
         return f"Grid(n_points={self.n_points}, length={self.length!r})"

@@ -1,15 +1,19 @@
-"""Microscopic condensate and spin-chain integrators in the long-wave frame.
+"""Microscopic condensate and spin-chain integrators in the long-wave variables.
 
-Each model is evolved directly in the rescaled variables (moving frame at
-speed c/eps^2, long-wave spatial scaling), where the comparison against the
-limiting third-order dynamics lives:
+Each model is evolved in the rescaled variables (long-wave spatial scaling,
+time t), where the comparison against the limiting third-order dynamics
+lives.  The limit is written in the frame moving at speed c/eps^2:
 
-* complex condensates (scalar or two-component) use a Strang split step —
-  the pointwise phase rotation is solved exactly (the moduli are invariant
-  under that subflow) and the stiff transport + dispersion part is solved
-  exactly in Fourier space;
+* complex condensates (scalar or two-component) step in that moving frame,
+  with a Strang split step — the pointwise phase rotation is solved exactly
+  (the moduli are invariant under that subflow) and the stiff transport +
+  dispersion part is solved exactly in Fourier space, where the transport
+  costs nothing;
 * sphere-valued spin fields (single chain or staggered antiferromagnet pair)
-  use RK4 with pointwise renormalization after each step.
+  step d/dt Γ = Γ × T(Γ) in the lab frame, with RK4 and pointwise
+  renormalization after each step.  Γ × T(Γ) commutes with translations, so
+  the moving-frame field at time t is the lab-frame one translated by
+  -(c/eps^2) t; ``hydro.limit_error`` translates the limit instead.
 
 Both steps run on buffers made once per run: the split step holds its
 spectrum, the linear flow's factor (at the state's shape) and output, the
@@ -128,39 +132,35 @@ def _phase_factors(spec, vals, out=None):
 class _SpinWork:
     """Pre-scaled symbols, buffers and views of one run's spin right-hand side,
     on the state as (B, 3, N) (B = 2 spheres u, v for the pair): d/dt Γ =
-    (c/eps²) ∂x Γ + Γ × T, with the symbols of the transport and the torque.
-    Chain: T = ∂x² Γ/(2 eps) - e3 V'(Γ₃)/eps³, easy-plane V' = 2k Γ₃ in the
-    torque symbol, easy-cone V' = 2α d - 3β d² pointwise from d = Γ₃ - cos θ0
-    (no O(α/eps³) cancellation on the cone).  Pair: T_u = -∂x² u/(2 eps) - ∂x
-    v/eps² + 2v/eps³, T_v with +∂x u (``couple``).  Γ and T are copied into
-    (B, 5, N) buffers laid out [x, y, z, x, y], whose rows 1:4 and 2:5 give
-    Γ × T = g_lo t_hi - g_hi t_lo.  Every transform and pointwise term writes
-    into a buffer held here, through views made once, so a stage allocates
-    nothing; symbols and couplings have the full shape of their products,
-    since a broadcast operand sends a ufunc through a buffered loop that
+    Γ × T in the lab frame, with the symbol of the torque.  Chain: T = ∂x² Γ/(2
+    eps) - e3 V'(Γ₃)/eps³, easy-plane V' = 2k Γ₃ in the torque symbol,
+    easy-cone V' = 2α d - 3β d² pointwise from d = Γ₃ - cos θ0 (no O(α/eps³)
+    cancellation on the cone).  Pair: T_u = -∂x² u/(2 eps) - ∂x v/eps² +
+    2v/eps³, T_v with +∂x u (``couple``).  Γ and T are copied into (B, 5, N)
+    buffers laid out [x, y, z, x, y], whose rows 1:4 and 2:5 give Γ × T =
+    g_lo t_hi - g_hi t_lo.  Every transform and pointwise term writes into a
+    buffer held here, through views made once, so a stage allocates nothing;
+    symbols and couplings have the full shape of their products, since a
+    broadcast operand sends a ufunc through a buffered loop that
     allocates."""
 
-    def __init__(self, spec, grid, eps, c):
+    def __init__(self, spec, grid, eps):
         self.blocks = b = 2 if spec.kind == "AF_CHAIN" else 1
         n, ik, ik2 = grid.n_points, grid.rsymbol(1), grid.rsymbol(2)
         self.shape = (b, 3, n)
-        sym = np.stack([(c / eps**2) * ik, (-0.5 if b == 2 else 0.5) / eps * ik2])
-        self.sym_transport, self.sym_torque = np.tile(sym[:, None, None, :], (1, b, 3, 1))
-        self.coef, self.mixed = np.empty((2, b, 3, n // 2 + 1), complex)
-        self.dcoef = np.empty((2, b, 3, n // 2 + 1), complex)
-        self.dtransport, self.dtorque = self.dcoef
+        self.sym = np.tile((-0.5 if b == 2 else 0.5) / eps * ik2, (b, 3, 1))
+        self.coef, self.mixed, self.dcoef = np.empty((3, b, 3, n // 2 + 1), complex)
         self.couple = self.cone = None
         if b == 2:  # each sphere's torque takes the other's coefficients
             couple = np.stack([-ik / eps**2, ik / eps**2])[:, None, :] + 2.0 / eps**3
             couple = np.repeat(couple, 3, axis=1)
             self.couple = (couple[0], self.coef[1], self.mixed[0], couple[1], self.coef[0], self.mixed[1])
         elif spec.kind == "LL_EASY_PLANE":
-            self.sym_torque[0, 2] -= 2.0 * spec.params["k"] / eps**3
+            self.sym[0, 2] -= 2.0 * spec.params["k"] / eps**3
         else:  # easy cone: T₃ += d (3β d - 2α) / eps³
             p = spec.params
             self.cone = (np.cos(p["theta0"]), 3.0 * p["beta"] / eps**3, 2.0 * p["alpha"] / eps**3)
-        self.derivs = np.empty((2, b, 3, n))
-        self.transport, self.torque = self.derivs
+        self.torque = np.empty(self.shape)
         self.torque_z = self.torque[:, 2]
         self.dev, self.term = np.empty((2, b, n))
         self.g5, self.t5 = np.empty((2, b, 5, n))
@@ -170,26 +170,27 @@ class _SpinWork:
 
 
 def _rhs_raw(spec, vals, grid, eps, c, out=None, work=None):
-    """Right-hand side on raw values (m, N).  A spin kind with ``work`` (a
-    :class:`_SpinWork`) takes vals and ``out`` as (B, 3, N) and fills ``out``;
-    without, it builds the workspace and allocates the result."""
+    """Right-hand side on raw values (m, N): a condensate's in the frame
+    moving at c/eps², a spin field's in the lab frame (``c`` unused).  A spin
+    kind with ``work`` (a :class:`_SpinWork`) takes vals and ``out`` as (B,
+    3, N) and fills ``out``; without, it builds the workspace and allocates
+    the result."""
     if spec.is_complex:
         d1, d2 = grid.diff(vals, (1, 2))
         g = _phase_factors(spec, vals)
         return (c * d1 + 1j * (0.5 * eps * d2 + g * vals / eps)) / eps**2
     if work is None:
-        work = _SpinWork(spec, grid, eps, c)
+        work = _SpinWork(spec, grid, eps)
         r = _rhs_raw(spec, vals.reshape(work.shape), grid, eps, c, np.empty(work.shape), work)
         return r.reshape(vals.shape)
     _rfft(vals, out=work.coef)
-    np.multiply(work.sym_transport, work.coef, out=work.dtransport)
-    np.multiply(work.sym_torque, work.coef, out=work.dtorque)
+    np.multiply(work.sym, work.coef, out=work.dcoef)
     if work.couple is not None:
         couple_u, coef_v, mixed_u, couple_v, coef_u, mixed_v = work.couple
         np.multiply(couple_u, coef_v, out=mixed_u)
         np.multiply(couple_v, coef_u, out=mixed_v)
-        work.dtorque += work.mixed
-    _irfft(work.dcoef, grid.n_points, out=work.derivs)
+        work.dcoef += work.mixed
+    _irfft(work.dcoef, grid.n_points, out=work.torque)
     vals.take(_ROLL, axis=1, out=work.g5, mode="clip")  # "raise" would copy g5 first
     if work.cone is not None:
         cos0, quad, lin = work.cone
@@ -200,9 +201,7 @@ def _rhs_raw(spec, vals, grid, eps, c, out=None, work=None):
     work.torque.take(_ROLL, axis=1, out=work.t5, mode="clip")
     # torque now lives in t5, so its buffer is the cross product's scratch
     np.multiply(work.g_lo, work.t_hi, out=out)
-    np.subtract(out, np.multiply(work.g_hi, work.t_lo, out=work.torque), out=out)
-    out += work.transport
-    return out
+    return np.subtract(out, np.multiply(work.g_hi, work.t_lo, out=work.torque), out=out)
 
 
 def dt_max(spec: MicroModelSpec, eps: float, grid: Grid) -> float:
@@ -221,8 +220,12 @@ def dt_max(spec: MicroModelSpec, eps: float, grid: Grid) -> float:
     cap keeps the former at 0.8*pi and the latter at 0.7, margins >= 25%
     against the measured boundary over eps*kmax in SPLIT_STEP_RANGE = [0.4,
     12.8] (at 0.2 the split step aborts).  The RK4 spin path must resolve
-    the fastest linear wave, whose frequency is bounded by
-    (c+sqrt(lam))*k/eps^2 + k^2/(2 eps) over grid wavenumbers.
+    the fastest linear wave, whose frequency in the moving frame is bounded
+    by omega = (c+sqrt(lam))*k/eps^2 + k^2/(2 eps) over grid wavenumbers,
+    and the cap is 2/omega.  The spins step in the lab frame, where the
+    transport part c*k/eps^2 of omega is gone, so the cap is conservative
+    there; it keeps the moving-frame omega so that the step counts of the
+    spin runs stay what they were.
     """
     geom = spec.geometry
     kmax = float(np.max(np.abs(grid.wavenumbers)))
@@ -308,7 +311,7 @@ def _make_stepper(spec, grid, eps, dt, c):
 
         return stepper
 
-    work = _SpinWork(spec, grid, eps, c)
+    work = _SpinWork(spec, grid, eps)
 
     def rhs(v, out):
         return _rhs_raw(spec, v, grid, eps, c, out, work)

@@ -20,13 +20,16 @@ def fft_calls(monkeypatch):
     """Count the transforms of kdvlab's transform layer (``kdvlab.grid``):
     calls through a proxy for the bound gufunc module, or calls of
     numpy.fft.fft/ifft/rfft/irfft when none is bound.  Returns a Counter of
-    calls per transform name ("rfft", "irfft", "fft", "ifft")."""
+    calls per (transform name, rows), the name one of "rfft", "irfft", "fft",
+    "ifft" and rows the number of rows a call transforms (its input's size
+    over the length of its last axis)."""
     counts = collections.Counter()
 
     def counted(name, transform):
-        def call(*args, **kwargs):
-            counts[name] += 1
-            return transform(*args, **kwargs)
+        def call(a, *args, **kwargs):
+            a = np.asarray(a)
+            counts[name, a.size // a.shape[-1]] += 1
+            return transform(a, *args, **kwargs)
 
         return call
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from kdvlab import micro
 from kdvlab.analysis import solitary_profile
-from kdvlab.grid import SNAPSHOT_BLOCK, integrate, l2_norm
+from kdvlab.grid import SNAPSHOT_BLOCK, fourier_shift, integrate, l2_norm
 from kdvlab.hydro import chart_blocks, extract_series
 from kdvlab.kdv import bilinear_apply
 from kdvlab.models import chart_extract, dphi_matrix, normal_coupling
@@ -79,27 +79,26 @@ def _phase_factors(spec, vals):
 
 
 def spin_rhs(spec, vals, grid, eps):
-    """The spin right-hand side (m, N) from fresh arrays, numpy.fft and
-    np.cross, with the symbols and operations of ``micro._rhs_raw`` in the
-    same order, so with the same bits."""
-    c, b = spec.geometry.c, 2 if spec.kind == "AF_CHAIN" else 1
+    """The lab-frame spin right-hand side Γ × T(Γ) (m, N) from fresh arrays,
+    numpy.fft and np.cross, with the symbols and operations of
+    ``micro._rhs_raw`` in the same order, so with the same bits."""
+    b = 2 if spec.kind == "AF_CHAIN" else 1
     ik, ik2 = grid.rsymbol(1), grid.rsymbol(2)
-    sym = np.stack([(c / eps**2) * ik, (-0.5 if b == 2 else 0.5) / eps * ik2])
-    sym = np.repeat(sym[:, None, None, :], 3, axis=2)
+    sym = np.repeat(((-0.5 if b == 2 else 0.5) / eps * ik2)[None, None, :], 3, axis=1)
     if spec.kind == "LL_EASY_PLANE":
-        sym[1, 0, 2] -= 2.0 * spec.params["k"] / eps**3
+        sym[0, 2] -= 2.0 * spec.params["k"] / eps**3
     gam = vals.reshape(b, 3, -1)
     coef = np.fft.rfft(gam, axis=-1)
     dcoef = sym * coef
     if b == 2:
         couple = np.stack([-ik / eps**2, ik / eps**2])[:, None, :] + 2.0 / eps**3
-        dcoef[1] += couple * coef[::-1]
-    transport, torque = np.fft.irfft(dcoef, grid.n_points, axis=-1)
+        dcoef += couple * coef[::-1]
+    torque = np.fft.irfft(dcoef, grid.n_points, axis=-1)
     if spec.kind == "LL_EASY_CONE":
         p = spec.params
         dev = gam[:, 2] - np.cos(p["theta0"])
         torque[:, 2] += dev * (3.0 * p["beta"] / eps**3 * dev - 2.0 * p["alpha"] / eps**3)
-    return (np.cross(gam, torque, axis=1) + transport).reshape(vals.shape)
+    return np.cross(gam, torque, axis=1).reshape(vals.shape)
 
 
 def micro_steps(spec, vals, grid, eps, dt):
@@ -395,17 +394,25 @@ def micro_invariants(spec, s):
 RESIDUAL_KINDS = ("GP_SCALAR", "LL_EASY_PLANE")
 
 
+def _neighbour(spec, state, h):
+    """One step of the run's stepper by h from a snapshot, in the frame moving
+    at c/eps²: a spin step is made in the lab frame, so its result is
+    translated by -(c/eps²) h."""
+    c = spec.geometry.c
+    vals = next(micro._make_stepper(spec, state.grid, state.eps, h, c)(state.values))
+    if spec.is_complex:
+        return vals
+    return fourier_shift(vals, state.grid, -c / state.eps**2 * h)
+
+
 def _triplet(spec, traj, idx):
     """(previous, current, next) chart states around snapshot ``idx``, with a
     common phase branch, or None when one leaves the chart.  The neighbours
-    are one integrator step of the run's stepper at -dt and at +dt from the
-    snapshot (the symmetric Strang step at -dt is the exact inverse)."""
+    are one integrator step at -dt and at +dt from the snapshot, in the
+    moving frame (:func:`_neighbour`; the symmetric Strang step at -dt is the
+    exact inverse)."""
     state = traj.states[idx]
-    c = spec.geometry.c
-    prev_vals, next_vals = (
-        next(micro._make_stepper(spec, state.grid, state.eps, h, c)(state.values))
-        for h in (-traj.dt, traj.dt)
-    )
+    prev_vals, next_vals = (_neighbour(spec, state, h) for h in (-traj.dt, traj.dt))
     cur = extract_series(spec, state)
     ref = cur.phi
     phi_p, n_p, info_p = chart_extract(spec, prev_vals, state.eps, phase_ref=ref)

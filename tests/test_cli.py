@@ -221,6 +221,35 @@ def test_emit_series_rejects_ragged_rows(tmp_path):
         emit_series(tmp_path / "bad.csv", ["t", "x"], [[0.0, 1.0], [1.0]])
 
 
+def _emit_series_per_value(path, columns, rows):
+    """The CSV writer emit_series replaced: one ``format(float(v), ".17g")``
+    per value, read off ``list(row)``."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(format(float(v), ".17g") for v in list(row)) + "\n")
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, bool])
+def test_emit_series_matches_the_per_value_writer_bytewise(tmp_path, dtype):
+    # ndarray rows go through tolist(); the bytes are those of formatting
+    # each numpy scalar, signed zeros, non-finite values and subnormals too
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=(50, 4)) * 10.0 ** rng.integers(-300, 300, size=(50, 4))
+    values[0] = [-0.0, np.nan, np.inf, -np.inf]
+    values[1] = [1e-300, 5e-324, -1.7976931348623157e308, 0.1]
+    values[2] = [np.pi, -np.e, 1.0 / 3.0, 2.0**53 + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = values.astype(dtype)
+    columns = ["t", "a", "b", "c"]
+    for name, rows in (("array", table), ("columns", np.column_stack(list(table.T))),
+                       ("lists", [list(r) for r in table]), ("tuples", [tuple(r) for r in table])):
+        got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}-want.csv"
+        emit_series(got, columns, rows)
+        _emit_series_per_value(want, columns, table)
+        assert got.read_bytes() == want.read_bytes(), name
+
+
 def test_emit_series_rerun_byte_identical(tmp_path):
     rows = [[0.1 * i, np.sin(0.1 * i)] for i in range(20)]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

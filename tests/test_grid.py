@@ -2,6 +2,7 @@
 steppers, padding."""
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -554,6 +555,35 @@ def test_pad_truncate_inverse_property(seed, half_n, extra, rows):
     f = np.random.default_rng(seed).normal(size=(rows, n))
     back = np.fft.irfft(truncate_to(pad_to(np.fft.rfft(f), n, n + extra), n), n)
     assert np.max(np.abs(back - f)) <= 1e-12 * max(1.0, float(np.max(np.abs(f))))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("real", [True, False])
+def test_block_diff_multiplies_in_place_with_the_same_bits(order, real):
+    # a (32, 1, 256) snapshot block: the symbol is made at the spectrum's
+    # shape once, and the multiply writes into the spectrum, so a diff
+    # allocates the spectrum and its result and no third buffer of that
+    # size (a broadcast (N//2+1,) symbol sent it through numpy's buffered
+    # loop, 67 kB more).  The bits are those of the broadcast product
+    g = Grid(256, 8 * np.pi)
+    rng = np.random.default_rng(order)
+    block = rng.normal(size=(32, 1, 256))
+    if not real:
+        block = block + 1j * rng.normal(size=block.shape)
+    if real:
+        want = _irfft(g.rsymbol(order) * _rfft(block), 256)
+    else:
+        want = _ifft(g.symbol(order) * _fft(block))
+    g.diff(block, order)  # makes the block-shaped symbol
+    tracemalloc.start()
+    try:
+        got = g.diff(block, order)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    spectrum = 32 * (129 if real else 256) * 16
+    assert peak <= spectrum + got.nbytes + 4096
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_fourier_shift(grid):
