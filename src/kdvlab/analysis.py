@@ -216,24 +216,26 @@ def _mkdv_nonlinear(Q: QTensor, grid: Grid):
     """dv/dt contribution -(2/3) Q(v, Q(v, dx v)) on (d, n//2+1) rfft
     coefficients, as ``rhs(w, out)`` writing into ``out``; the cubic term is
     dealiased by padding [v, dx v] to twice the grid (one irfft) before any
-    product is formed, then truncated back (one rfft).  Its symbols and views
-    are made once, at the shape of the coefficients."""
+    product is formed, then truncated back (one rfft).  Its symbols are made
+    once, at the shape of the coefficients, and a stage calls the workspace's
+    bound padding transform itself and its truncation for d rows (the
+    function :meth:`Dealias.coeffs` calls)."""
     n = grid.n_points
     d = Q.dim
     ik = np.tile(grid.rsymbol(1), (d, 1))
     ws = Dealias(n, 2, 2 * d)
     pair, q = _pairing(Q.coeffs)
     split, scale = ws.split[:d], ws.fold(-2.0 / 3.0 * q * q, 3)[:d]
-    rows, dx_rows = ws.low[:d], ws.low[d:]
-    p, p_dx = ws.padded[:d], ws.padded[d:]  # what samples() writes
+    low, rows, dx_rows = ws.low, ws.low[:d], ws.low[d:]
+    padded, p, p_dx = ws.padded, ws.padded[:d], ws.padded[d:]
     inner, prod = np.empty((2, d, ws.m))
+    (pad, pad_scale), truncate = ws.pad, ws.truncation[d]
 
     def rhs(w, out):
         np.multiply(w, split, out=rows)
         np.multiply(w, ik, out=dx_rows)  # ik is zero at the Nyquist mode
-        ws.samples()
-        pair(p, pair(p, p_dx, out=inner), out=prod)
-        return np.multiply(scale, ws.coeffs(prod), out=out)
+        pad(low, pad_scale, padded)
+        return np.multiply(scale, truncate(pair(p, pair(p, p_dx, out=inner), out=prod)), out=out)
 
     return rhs
 

@@ -30,7 +30,7 @@ from .analysis import (
     shift_minimized_error,
 )
 from .grid import Grid, l2_norm, step_plan
-from .hydro import almost_hamiltonian, chart_blocks, limit_error
+from .hydro import almost_hamiltonian, chart_blocks, energy_proxy, limit_error
 from .kdv import LimitModel, conserved_quantities, evolve_kdv
 from .micro import (SPLIT_STEP_RANGE, dt_max, evolve_micro, mass, unit_norm_deviation,
                     well_prepared_init)
@@ -504,21 +504,25 @@ def _stream_run(spec, s0, T, steps, n_snapshots, block_series):
 
 def _micro_series(spec, s0, kdv_traj=None):
     """Per-block diagnostics of a microscopic run from s0, for _stream_run
-    (one tangent gradient per block): ||W||, max|eps phi|, the
-    almost-conserved energy, the structure deviation (relative mass drift for
-    condensates, unit-norm deviation for spins) and chart membership; with a
-    limit run ``kdv_traj``, also the limit errors against it."""
+    (one dx(phi) and one tangent gradient per block): ||W||, max|eps phi|,
+    the almost-conserved energy, the structure deviation (relative mass drift
+    for condensates, unit-norm deviation for spins) and chart membership;
+    with a limit run ``kdv_traj``, also the energy proxy and the limit errors
+    against it."""
     mass0 = mass(spec, s0) if spec.is_complex else None
 
     def block_series(times, block, h):
-        energy, w = almost_hamiltonian(spec, h)
+        dphi = h.grid.diff(h.phi)
+        # the proxy reads dphi before almost_hamiltonian turns it into W
+        cols = {} if kdv_traj is None else {"energy_proxy": energy_proxy(h, dphi)}
+        energy, w = almost_hamiltonian(spec, h, dphi)
         if spec.is_complex:
             dev = np.abs(mass(spec, block) - mass0) / mass0
         else:
             dev = unit_norm_deviation(spec, block.values)
-        cols = {"w_norm": l2_norm(w, h.grid),
-                "eps_phi_inf": np.max(np.abs(h.eps * h.phi), axis=(-2, -1)),
-                "energy": energy, "structure_dev": dev, "in_chart": h.valid}
+        cols.update(w_norm=l2_norm(w, h.grid),
+                    eps_phi_inf=np.max(np.abs(h.eps * h.phi), axis=(-2, -1)),
+                    energy=energy, structure_dev=dev, in_chart=h.valid)
         if kdv_traj is not None:
             cols.update(limit_error(spec, times, h, w, kdv_traj))
         return cols

@@ -30,8 +30,12 @@ __all__ = [
 # The one transform layer, along the last axis: on numpy >= 2.0 the gufuncs
 # behind numpy.fft with its scales (1 forward, 1/n inverse), bit-identical
 # without its per-call wrapper, which costs as much as a 256-point transform.
-# Each writes into a caller's ``out`` if given.  ``_POCKETFFT`` is read at
-# call time, so it can be swapped (to count calls, or for the fallback).
+# One-off transforms call _rfft, _irfft, _fft and _ifft, which allocate their
+# result; a step kernel binds its transforms once per run with _transform
+# and calls them into its own buffers.  ``_POCKETFFT`` is read when a
+# transform is called or bound, so it can be swapped (to count calls, or for
+# the fallback) before a run is built; no other module touches it or the
+# scales.
 try:
     from numpy.fft import _pocketfft_umath as _POCKETFFT
 except ImportError:  # numpy < 2.0: through numpy.fft
@@ -56,47 +60,57 @@ class _InverseScales(dict):
 _INVERSE_SCALE = _InverseScales()
 
 
-def _fallback(result, out):
-    """A numpy.fft result, copied into ``out`` if given: numpy.fft takes no
-    ``out=`` before numpy 2.0."""
-    if out is None:
-        return result
-    out[...] = result
-    return out
-
-
-def _rfft(a, out=None):
+def _rfft(a):
     if _POCKETFFT is None:
-        return _fallback(np.fft.rfft(a, axis=-1), out)
+        return np.fft.rfft(a, axis=-1)
     n = a.shape[-1]
-    if out is None:
-        out = np.empty(a.shape[:-1] + (n // 2 + 1,), complex)
     gufunc = _POCKETFFT.rfft_n_even if n % 2 == 0 else _POCKETFFT.rfft_n_odd
-    return gufunc(a, _FORWARD_SCALE, out)
+    return gufunc(a, _FORWARD_SCALE, np.empty(a.shape[:-1] + (n // 2 + 1,), complex))
 
 
-def _irfft(a, n, out=None):
+def _irfft(a, n):
     if _POCKETFFT is None:
-        return _fallback(np.fft.irfft(a, n, axis=-1), out)
-    if out is None:
-        out = np.empty(a.shape[:-1] + (n,))
-    return _POCKETFFT.irfft(a, _INVERSE_SCALE[n], out)
+        return np.fft.irfft(a, n, axis=-1)
+    return _POCKETFFT.irfft(a, _INVERSE_SCALE[n], np.empty(a.shape[:-1] + (n,)))
 
 
-def _fft(a, out=None):
+def _fft(a):
     if _POCKETFFT is None:
-        return _fallback(np.fft.fft(a, axis=-1), out)
-    if out is None:
-        out = np.empty(a.shape, complex)
-    return _POCKETFFT.fft(a, _FORWARD_SCALE, out)
+        return np.fft.fft(a, axis=-1)
+    return _POCKETFFT.fft(a, _FORWARD_SCALE, np.empty(a.shape, complex))
 
 
-def _ifft(a, out=None):
+def _ifft(a):
     if _POCKETFFT is None:
-        return _fallback(np.fft.ifft(a, axis=-1), out)
-    if out is None:
-        out = np.empty(a.shape, complex)
-    return _POCKETFFT.ifft(a, _INVERSE_SCALE[a.shape[-1]], out)
+        return np.fft.ifft(a, axis=-1)
+    return _POCKETFFT.ifft(a, _INVERSE_SCALE[a.shape[-1]], np.empty(a.shape, complex))
+
+
+def _transform(kind: str, n: int):
+    """The transform ``kind`` ("rfft", "irfft", "fft" or "ifft") of length n
+    (the real length: the input's for "rfft", the output's for "irfft") as
+    ``(fn, scale)``, called ``fn(a, scale, out)``: it writes the transform of
+    ``a`` along the last axis into ``out`` and returns ``out``.
+
+    On numpy >= 2.0 ``fn`` is the pocketfft gufunc and ``scale`` its 0-d
+    scale, so a stage pays no wrapper, branch or lookup; an "irfft" of short
+    input zero-pads it to n//2+1 modes.  When ``_POCKETFFT`` is None, ``fn``
+    copies the result of the numpy.fft wrapper above into ``out``.  Bind once
+    per run: ``_POCKETFFT`` is read here, not at each call.
+    """
+    if _POCKETFFT is None:
+        wrapper = {"rfft": _rfft, "irfft": _irfft, "fft": _fft, "ifft": _ifft}[kind]
+
+        def fallback(a, scale, out):
+            np.copyto(out, wrapper(a, scale) if kind == "irfft" else wrapper(a))
+            return out
+
+        return fallback, n
+    if kind == "rfft":
+        return (_POCKETFFT.rfft_n_even if n % 2 == 0 else _POCKETFFT.rfft_n_odd), _FORWARD_SCALE
+    if kind == "fft":
+        return _POCKETFFT.fft, _FORWARD_SCALE
+    return getattr(_POCKETFFT, kind), _INVERSE_SCALE[n]
 
 
 # Snapshots per block that a run hands to its consumer: the run diagnostics
@@ -176,7 +190,7 @@ class Grid:
         else:
             key = (order, spec.shape)  # the spectrum's shape says which half it is
             if key not in self._symbols:
-                self._symbols[key] = np.array(np.broadcast_to(sym, spec.shape))
+                self._symbols[key] = np.broadcast_to(sym, spec.shape).copy()  # C order
             np.multiply(self._symbols[key], spec, out=spec)
         return _irfft(spec, self.n_points) if real else _ifft(spec)
 
@@ -204,12 +218,20 @@ class Trajectory:
 def _hs_norms(values, grid: Grid, s: int) -> np.ndarray:
     """L2 norms of dx^j f for j = 0..s via Parseval, of samples (..., d, N)
     (each norm over the full vector-valued function): shape (..., s+1), one
-    row of norms per leading index (per snapshot of a block)."""
-    coeffs = _fft(values) / grid.n_points
-    return np.stack([
-        np.sqrt(grid.length * np.sum(np.abs(np.abs(grid.symbol(j)) * coeffs) ** 2, axis=(-2, -1)))
-        for j in range(s + 1)
-    ], axis=-1)
+    row of norms per leading index (per snapshot of a block).  One spectrum
+    is made, and one scratch array of its shape into which each |(ik)^j| is
+    copied before it multiplies the spectrum: a broadcast or real operand
+    would send the multiply through numpy's buffered loop, which allocates."""
+    coeffs = _fft(values)
+    coeffs /= grid.n_points
+    scratch, power = np.empty_like(coeffs), np.empty(coeffs.shape)
+    norms = np.empty(coeffs.shape[:-2] + (s + 1,))
+    for j in range(s + 1):
+        np.copyto(scratch, np.abs(grid.symbol(j)))
+        np.multiply(scratch, coeffs, out=scratch)
+        np.square(np.abs(scratch, out=power), out=power)
+        norms[..., j] = np.sqrt(grid.length * np.sum(power, axis=(-2, -1)))
+    return norms
 
 
 def rk4_step(state, rhs, dt: float, stages=None):
@@ -242,7 +264,7 @@ def rk4_step(state, rhs, dt: float, stages=None):
     out += k4
     out *= dt / 6.0
     out += state
-    if not cmath.isfinite(out.sum()):  # real or complex, with no temporary
+    if not cmath.isfinite(np.add.reduce(out, axis=None)):  # real or complex, no temporary
         raise FloatingPointError("rk4_step: non-finite state produced")
     return out
 
@@ -265,10 +287,12 @@ def ifrk4_step(v_hat, nonlinear, factors, stages):
     of :func:`ifrk4_factors`.  Stage i calls ``nonlinear(y, out=stages[i])``
     and uses the array it returns; e^(L dt/2) v (then e^(L dt) v) is kept in
     ``stages[4]`` and the stage states are formed in ``stages[5]``.
-    ``stages`` is a (6, *v_hat.shape) complex array the caller keeps across
-    steps; only the result is allocated, provided the factors have v_hat's
-    shape (a broadcast factor sends its multiply through numpy's buffered
-    loop, which allocates).  The scheme is classical RK4 applied to
+    ``stages`` holds the six complex buffers of v_hat's shape that the
+    caller keeps across steps (a (6, *v_hat.shape) array, or a tuple of its
+    rows, which spares a view per buffer and step); only the result is
+    allocated, provided the factors have v_hat's shape (a broadcast factor
+    sends its multiply through numpy's buffered loop, which allocates).  The
+    scheme is classical RK4 applied to
     w = exp(-L t) v, so the stiff linear part contributes no stability
     restriction.  Raises FloatingPointError when the result's sum is not
     finite (a NaN or infinite coefficient).
@@ -292,7 +316,7 @@ def ifrk4_step(v_hat, nonlinear, factors, stages):
     np.add(n2, n3, out=y)
     out += np.multiply(c_n23, y, out=y)
     out += np.multiply(dt / 6.0, n4, out=y)
-    if not cmath.isfinite(out.sum()):  # with no boolean temporary
+    if not cmath.isfinite(np.add.reduce(out, axis=None)):  # with no boolean temporary
         raise FloatingPointError("ifrk4_step: non-finite state produced")
     return out
 
@@ -391,6 +415,22 @@ def l2_norm(values, grid: Grid):
     return np.sqrt(np.sum(np.abs(v) ** 2, axis=axes) * grid.spacing)
 
 
+def _truncation(rfft, scale, spectrum, head, out, nyquist):
+    """The truncation of :class:`Dealias` for one row count, on its views:
+    one bound rfft into ``spectrum``, ``head`` copied into ``out`` unless it
+    is ``out``, the Nyquist imaginary part zeroed for even n."""
+
+    def truncate(samples):
+        rfft(samples, scale, spectrum)
+        if out is not head:
+            np.copyto(out, head)
+        if nyquist is not None:
+            nyquist.fill(0.0)
+        return out
+
+    return truncate
+
+
 class Dealias:
     """Workspace of one run's dealiased products of fields with rfft
     coefficients on n points, multiplied on m >= n*factor points.  Callers
@@ -399,12 +439,15 @@ class Dealias:
     :meth:`samples` is one irfft of it to m points (the transform zero-pads
     its short input), :meth:`coeffs` one rfft back, truncated to n//2+1
     modes, each into a buffer the workspace owns (valid until its next
-    call).  The m/n scalings and the factor 2 of the recombined Nyquist mode
-    go into the caller's symbol through :meth:`fold`, once per run.
-    ``split`` and the folded symbols have the (rows, n//2+1) shape of
-    ``low``, and the leading rows of each are contiguous: a ufunc with a
-    broadcast or strided operand runs numpy's buffered loop, which allocates
-    and is 2-3x slower."""
+    call).  A step kernel binds both once per run: ``pad``, the irfft of
+    length m as :func:`_transform` returns it, which it calls from ``low``
+    into ``padded``, and ``truncation[rows]``, the function :meth:`coeffs`
+    calls for a product of that many rows.  The m/n scalings and the factor
+    2 of the recombined Nyquist mode go into the caller's symbol through
+    :meth:`fold`, once per run.  ``split`` and the folded symbols have the
+    (rows, n//2+1) shape of ``low``, and the leading rows of each are
+    contiguous: a ufunc with a broadcast or strided operand runs numpy's
+    buffered loop, which allocates and is 2-3x slower."""
 
     def __init__(self, n: int, factor: float, rows: int):
         m = int(np.ceil(n * factor))
@@ -413,30 +456,28 @@ class Dealias:
         self.low = np.zeros((rows, k), np.complex128)
         self.split = np.tile(np.where(2 * np.arange(k) == n, 0.5, 1.0), (rows, 1))
         self.padded = np.empty((rows, self.m))
-        # a product has at most ``rows`` rows.  The views of an r-row product
-        # are made once: its spectrum, the truncation to n//2+1 modes, the
-        # contiguous array handed out (the truncation itself for one row, a
-        # copy of it for more) and, for even n, the imaginary part of its
-        # Nyquist mode, which is zeroed
+        self.pad = _transform("irfft", self.m)
+        rfft, scale = _transform("rfft", self.m)
+        # a product has at most ``rows`` rows; truncation[r] truncates an
+        # r-row product, with its views made once: its spectrum, the
+        # truncation to n//2+1 modes, the contiguous array handed out (the
+        # truncation itself for one row, a copy of it for more) and, for even
+        # n, the imaginary part of its Nyquist mode, which is zeroed
         spectrum = np.empty((rows, self.m // 2 + 1), np.complex128)
         truncated = np.empty_like(self.low)
-        self._views = [None]
+        self.truncation = [None]
         for r in range(1, rows + 1):
             head = spectrum[:r, :k]
             out = head if r == 1 else truncated[:r]
-            self._views.append((spectrum[:r], head, out, None if n % 2 else out.imag[:, n // 2]))
+            self.truncation.append(_truncation(rfft, scale, spectrum[:r], head, out,
+                                               None if n % 2 else out.imag[:, n // 2]))
 
     def samples(self) -> np.ndarray:
-        return _irfft(self.low, self.m, out=self.padded)
+        pad, scale = self.pad
+        return pad(self.low, scale, self.padded)
 
     def coeffs(self, samples) -> np.ndarray:
-        spectrum, head, out, nyquist = self._views[len(samples)]
-        _rfft(samples, out=spectrum)
-        if out is not head:
-            np.copyto(out, head)
-        if nyquist is not None:
-            nyquist.fill(0.0)
-        return out
+        return self.truncation[len(samples)](samples)
 
     def fold(self, symbol, factors: int) -> np.ndarray:
         """``symbol`` times the scale of a product of ``factors`` padded

@@ -76,9 +76,9 @@ def chart_blocks(spec, consume):
     return extract
 
 
-def _tangent_gradient(spec, h: HydroState) -> np.ndarray:
-    """Tangent-frame coordinates DPhi dx(phi) of chart states, (..., d, N)."""
-    dphi = h.grid.diff(h.phi)
+def _tangent_gradient(spec, h: HydroState, dphi) -> np.ndarray:
+    """Tangent-frame coordinates DPhi dx(phi) of chart states, (..., d, N),
+    from ``dphi`` = dx(phi) (returned itself on the circle charts)."""
     if spec.kind != "AF_CHAIN":  # DPhi is the identity on the circle charts
         return dphi
     J = dphi_matrix(spec, h.phi, h.eps)
@@ -103,12 +103,15 @@ def _contract(tensor, rows, out, term):
     return out
 
 
-def almost_hamiltonian(spec, h: HydroState):
+def almost_hamiltonian(spec, h: HydroState, dphi):
     """Almost-conserved energy of chart states, and their wave observable W.
 
-    Returns ``(H, W)``, both from one tangent gradient: H a float for one
-    state and one value per snapshot of a block, W the coordinate array
-    (c + i0B0) DPhi dx(phi) + 2 lam C^T n shaped like ``h.phi``.  Here
+    Returns ``(H, W)``, both from one tangent gradient of ``dphi`` =
+    dx(phi): H a float for one state and one value per snapshot of a block,
+    W the coordinate array (c + i0B0) DPhi dx(phi) + 2 lam C^T n shaped like
+    ``h.phi``.  On the circle charts DPhi is the identity and ``dphi`` itself
+    is overwritten with W, so a caller that needs dx(phi) reads it first.
+    Here
 
         H = int [ lam |n|^2 + (1/4)|eps^2 dx n|^2 + (eps^2/3) F1(n,n).n
                   + (1/4)|S0 DPhi dx(phi)|^2
@@ -133,7 +136,7 @@ def almost_hamiltonian(spec, h: HydroState):
     _contract(f1_nu, lambda i, j, k: (cubic, (n[..., i, :], n[..., j, :], n[..., k, :])), cubic, term)
     cubic *= eps**2 / 3.0
     density += cubic
-    X = _tangent_gradient(spec, h)
+    X = _tangent_gradient(spec, h, dphi)
     Cn = C.T @ n
     corr = np.empty(X.shape)
     _contract(g.ii_perp, lambda i, j, m: (corr[..., j, :], (X[..., i, :], Cn[..., m, :])), corr, term)
@@ -154,9 +157,10 @@ def almost_hamiltonian(spec, h: HydroState):
     return integrate(density, grid), X
 
 
-def energy_proxy(h: HydroState):
-    """Heuristic energy monitor ||dx phi||_{H^2} + ||n||_{H^2}, per state."""
-    a = _hs_norms(h.grid.diff(h.phi), h.grid, 2)
+def energy_proxy(h: HydroState, dphi):
+    """Heuristic energy monitor ||dx phi||_{H^2} + ||n||_{H^2}, per state,
+    from ``dphi`` = dx(phi)."""
+    a = _hs_norms(dphi, h.grid, 2)
     b = _hs_norms(h.n, h.grid, 2)
     return np.sqrt(np.sum(np.square(a), axis=-1)) + np.sqrt(np.sum(np.square(b), axis=-1))
 
@@ -169,11 +173,11 @@ def limit_error(spec, times, h: HydroState, w, kdv_traj: Trajectory) -> dict:
 
     Compares the two candidate profiles — the amplitude observable
     A = 2 i lam n and the gradient observable A + W = (c+iB) DPhi dx(phi) —
-    against the limit profile A(t), and reports the energy proxy.  The limit
-    lives in the frame moving at c/eps^2; a spin run steps in the lab frame,
-    so each limit snapshot is translated by (c/eps^2) t first, reduced mod L
-    (a shift by L changes no grid function).  The other diagnostics are
-    translation-invariant and read the lab-frame block as it is.
+    against the limit profile A(t).  The limit lives in the frame moving at
+    c/eps^2; a spin run steps in the lab frame, so each limit snapshot is
+    translated by (c/eps^2) t first, reduced mod L (a shift by L changes no
+    grid function).  The other diagnostics are translation-invariant and
+    read the lab-frame block as it is.
     """
     t_micro = np.asarray(times)
     t_kdv = np.asarray(kdv_traj.times)
@@ -198,5 +202,4 @@ def limit_error(spec, times, h: HydroState, w, kdv_traj: Trajectory) -> dict:
     return {
         "err_amplitude": l2_norm(A - a_limit, grid),
         "err_gradient": l2_norm(A + w - a_limit, grid),
-        "energy_proxy": energy_proxy(h),
     }

@@ -22,6 +22,7 @@ from .grid import (
     _irfft,
     _rfft,
     _run,
+    _transform,
     ifrk4_factors,
     ifrk4_step,
     l2_norm,
@@ -219,8 +220,10 @@ def _nonlinear_rhs(model: LimitModel, grid: Grid):
     coefficients to rfft coefficients written into ``out`` (and returned);
     each call pads once (one irfft) and truncates once (one rfft) in a
     :class:`Dealias` workspace kept for the run, with the product in one held
-    buffer.  Its symbols and views are made once, at the (d, n//2+1) shape of
-    the coefficients."""
+    buffer.  Its symbols are made once, at the (d, n//2+1) shape of the
+    coefficients, and a stage calls the workspace's bound padding transform
+    itself and its truncation for d rows (the function :meth:`Dealias.coeffs`
+    calls)."""
     n = grid.n_points
     ik = grid.rsymbol(1)
     if model.form == "canonical":
@@ -229,15 +232,18 @@ def _nonlinear_rhs(model: LimitModel, grid: Grid):
             raise ValueError("cannot evolve: model has no canonical form")
         if Q.is_zero:
             return _zero_rhs
-        ws = Dealias(n, 1.5, model.dim)
+        d = model.dim
+        ws = Dealias(n, 1.5, d)
         pair, scale = _pairing(Q.coeffs)
         minus_ik = ws.fold(-scale * ik, 2)
-        prod = np.empty((model.dim, ws.m))
+        prod = np.empty((d, ws.m))
+        (pad, pad_scale), truncate = ws.pad, ws.truncation[d]
+        low, split, up = ws.low, ws.split, ws.padded
 
         def nonlin(v, out):
-            np.multiply(v, ws.split, out=ws.low)
-            up = ws.samples()
-            return np.multiply(minus_ik, ws.coeffs(pair(up, up, out=prod)), out=out)
+            np.multiply(v, split, out=low)
+            pad(low, pad_scale, up)
+            return np.multiply(minus_ik, truncate(pair(up, up, out=prod)), out=out)
 
         return nonlin
 
@@ -249,15 +255,16 @@ def _nonlinear_rhs(model: LimitModel, grid: Grid):
     ws = Dealias(n, 1.5, 2 * d)
     pair, g = _pairing(tensor)
     ik, split, scale = np.tile(ik, (d, 1)), ws.split[:d], ws.fold(g / (2.0 * c), 2)[:d]
-    dx_rows, rows = ws.low[:d], ws.low[d:]
-    p_dx, p = ws.padded[:d], ws.padded[d:]  # what samples() writes
+    low, dx_rows, rows = ws.low, ws.low[:d], ws.low[d:]
+    padded, p_dx, p = ws.padded, ws.padded[:d], ws.padded[d:]
     prod = np.empty((d, ws.m))
+    (pad, pad_scale), truncate = ws.pad, ws.truncation[d]
 
     def nonlin_raw(v, out):
         np.multiply(v, ik, out=dx_rows)  # ik is zero at the Nyquist mode
         np.multiply(v, split, out=rows)
-        ws.samples()
-        return np.multiply(scale, ws.coeffs(pair(p_dx, p, out=prod)), out=out)
+        pad(low, pad_scale, padded)
+        return np.multiply(scale, truncate(pair(p_dx, p, out=prod)), out=out)
 
     return nonlin_raw
 
@@ -300,18 +307,20 @@ def _evolve_ifrk4(symbol, nonlin, u0: np.ndarray, grid: Grid, T, dt, n_snapshots
     factors = ifrk4_factors(np.tile(symbol, (len(v0), 1)), dt)
     ik = np.tile(grid.rsymbol(1), (len(v0), 1))
     dcoef, grad = np.empty_like(v0), np.empty(u0.shape)
+    irfft, irfft_scale = _transform("irfft", n)
     grad_times, grad_vals = [0.0], [float(np.max(np.abs(grid.diff(u0))))]
     grad_limit = BLOWUP_MULTIPLE * max(grad_vals[0], 1e-12)
 
     def stepper(v):
-        stages = np.empty((6,) + v.shape, complex)
+        stages = tuple(np.empty((6,) + v.shape, complex))  # views made once
         while True:
             v = ifrk4_step(v, nonlin, factors, stages)
             yield v
 
     def gradient_guard(step, v):
         np.multiply(ik, v, out=dcoef)
-        grad_vals.append(float(np.abs(_irfft(dcoef, n, out=grad), out=grad).max()))
+        irfft(dcoef, irfft_scale, grad)
+        grad_vals.append(float(np.maximum.reduce(np.abs(grad, out=grad), axis=None)))
         grad_times.append(step * dt)
         return "gradient blow-up" if grad_vals[-1] > grad_limit else None
 

@@ -15,12 +15,14 @@ lives.  The limit is written in the frame moving at speed c/eps^2:
   the moving-frame field at time t is the lab-frame one translated by
   -(c/eps^2) t; ``hydro.limit_error`` translates the limit instead.
 
-Both steps run on buffers made once per run: the split step holds its
-spectrum, the linear flow's factor (at the state's shape) and output, the
-phase factors and rotation factor, and the leading-rotated state; the spin
-step holds the RK4 stages, the norms, and the symbols, transforms, shifted
-cross-product copies and their views of the right-hand side (_SpinWork).  A
-step allocates only the state it yields.
+Both steps run on buffers and transforms bound once per run
+(``grid._transform``), so a step looks nothing up: the split step holds its
+bound fft and ifft, its spectrum, the linear flow's factor (at the state's
+shape) and output, the phase factors and rotation factor, and the
+leading-rotated state; the spin step holds the RK4 stages, the norms, and
+one tuple (``_SpinWork.stage``) of the bound rfft and irfft, symbols,
+shifted cross-product copies and their views that each right-hand side
+unpacks.  A step allocates only the state it yields.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ import math
 
 import numpy as np
 
-from .grid import (Grid, Trajectory, _fft, _ifft, _irfft, _rfft, _run, integrate, rk4_step,
-                   step_plan)
+from .grid import Grid, Trajectory, _fft, _ifft, _run, _transform, integrate, rk4_step, step_plan
 from .models import (
     GeometryData,
     MicroModelSpec,
@@ -141,32 +142,33 @@ class _SpinWork:
     g_lo t_hi - g_hi t_lo.  Every transform and pointwise term writes into a
     buffer held here, through views made once, so a stage allocates nothing;
     symbols and couplings have the full shape of their products, since a
-    broadcast operand sends a ufunc through a buffered loop that
-    allocates."""
+    broadcast operand sends a ufunc through a buffered loop that allocates.
+    ``stage`` holds the bound transforms (:func:`~kdvlab.grid._transform`),
+    symbols, buffers and views that :func:`_rhs_raw` reads, as one tuple."""
 
     def __init__(self, spec, grid, eps):
         self.blocks = b = 2 if spec.kind == "AF_CHAIN" else 1
         n, ik, ik2 = grid.n_points, grid.rsymbol(1), grid.rsymbol(2)
         self.shape = (b, 3, n)
-        self.sym = np.tile((-0.5 if b == 2 else 0.5) / eps * ik2, (b, 3, 1))
-        self.coef, self.mixed, self.dcoef = np.empty((3, b, 3, n // 2 + 1), complex)
-        self.couple = self.cone = None
+        sym = np.tile((-0.5 if b == 2 else 0.5) / eps * ik2, (b, 3, 1))
+        coef, mixed, dcoef = np.empty((3, b, 3, n // 2 + 1), complex)
+        couple = cone = None
         if b == 2:  # each sphere's torque takes the other's coefficients
-            couple = np.stack([-ik / eps**2, ik / eps**2])[:, None, :] + 2.0 / eps**3
-            couple = np.repeat(couple, 3, axis=1)
-            self.couple = (couple[0], self.coef[1], self.mixed[0], couple[1], self.coef[0], self.mixed[1])
+            pair = np.stack([-ik / eps**2, ik / eps**2])[:, None, :] + 2.0 / eps**3
+            pair = np.repeat(pair, 3, axis=1)
+            couple = (pair[0], coef[1], mixed[0], pair[1], coef[0], mixed[1], mixed)
         elif spec.kind == "LL_EASY_PLANE":
-            self.sym[0, 2] -= 2.0 * spec.params["k"] / eps**3
+            sym[0, 2] -= 2.0 * spec.params["k"] / eps**3
         else:  # easy cone: T₃ += d (3β d - 2α) / eps³
             p = spec.params
-            self.cone = (np.cos(p["theta0"]), 3.0 * p["beta"] / eps**3, 2.0 * p["alpha"] / eps**3)
-        self.torque = np.empty(self.shape)
-        self.torque_z = self.torque[:, 2]
-        self.dev, self.term = np.empty((2, b, n))
-        self.g5, self.t5 = np.empty((2, b, 5, n))
-        self.g_z = self.g5[:, 2]
-        self.g_lo, self.g_hi = self.g5[:, 1:4], self.g5[:, 2:5]
-        self.t_lo, self.t_hi = self.t5[:, 1:4], self.t5[:, 2:5]
+            dev, term = np.empty((2, b, n))
+            cone = (np.cos(p["theta0"]), 3.0 * p["beta"] / eps**3, 2.0 * p["alpha"] / eps**3,
+                    dev, term)
+        torque = np.empty(self.shape)
+        g5, t5 = np.empty((2, b, 5, n))
+        self.stage = (*_transform("rfft", n), *_transform("irfft", n), sym, coef, dcoef, couple,
+                      cone, torque, torque[:, 2], g5, g5[:, 2], t5, g5[:, 1:4], g5[:, 2:5],
+                      t5[:, 1:4], t5[:, 2:5])
 
 
 def _rhs_raw(spec, vals, grid, eps, c, out=None, work=None):
@@ -175,33 +177,35 @@ def _rhs_raw(spec, vals, grid, eps, c, out=None, work=None):
     kind with ``work`` (a :class:`_SpinWork`) takes vals and ``out`` as (B,
     3, N) and fills ``out``; without, it builds the workspace and allocates
     the result."""
+    if work is not None:
+        (rfft, rfft_scale, irfft, irfft_scale, sym, coef, dcoef, couple, cone, torque, torque_z,
+         g5, g_z, t5, g_lo, g_hi, t_lo, t_hi) = work.stage
+        rfft(vals, rfft_scale, coef)
+        np.multiply(sym, coef, out=dcoef)
+        if couple is not None:
+            couple_u, coef_v, mixed_u, couple_v, coef_u, mixed_v, mixed = couple
+            np.multiply(couple_u, coef_v, out=mixed_u)
+            np.multiply(couple_v, coef_u, out=mixed_v)
+            dcoef += mixed
+        irfft(dcoef, irfft_scale, torque)
+        vals.take(_ROLL, axis=1, out=g5, mode="clip")  # "raise" would copy g5 first
+        if cone is not None:
+            cos0, quad, lin, dev, term = cone
+            np.subtract(g_z, cos0, out=dev)
+            np.multiply(quad, dev, out=term)
+            term -= lin
+            torque_z += np.multiply(dev, term, out=term)  # dev (quad dev - lin)
+        torque.take(_ROLL, axis=1, out=t5, mode="clip")
+        # torque now lives in t5, so its buffer is the cross product's scratch
+        np.multiply(g_lo, t_hi, out=out)
+        return np.subtract(out, np.multiply(g_hi, t_lo, out=torque), out=out)
     if spec.is_complex:
         d1, d2 = grid.diff(vals, (1, 2))
         g = _phase_factors(spec, vals)
         return (c * d1 + 1j * (0.5 * eps * d2 + g * vals / eps)) / eps**2
-    if work is None:
-        work = _SpinWork(spec, grid, eps)
-        r = _rhs_raw(spec, vals.reshape(work.shape), grid, eps, c, np.empty(work.shape), work)
-        return r.reshape(vals.shape)
-    _rfft(vals, out=work.coef)
-    np.multiply(work.sym, work.coef, out=work.dcoef)
-    if work.couple is not None:
-        couple_u, coef_v, mixed_u, couple_v, coef_u, mixed_v = work.couple
-        np.multiply(couple_u, coef_v, out=mixed_u)
-        np.multiply(couple_v, coef_u, out=mixed_v)
-        work.dcoef += work.mixed
-    _irfft(work.dcoef, grid.n_points, out=work.torque)
-    vals.take(_ROLL, axis=1, out=work.g5, mode="clip")  # "raise" would copy g5 first
-    if work.cone is not None:
-        cos0, quad, lin = work.cone
-        np.subtract(work.g_z, cos0, out=work.dev)
-        np.multiply(quad, work.dev, out=work.term)
-        work.term -= lin
-        work.torque_z += np.multiply(work.dev, work.term, out=work.term)  # dev (quad dev - lin)
-    work.torque.take(_ROLL, axis=1, out=work.t5, mode="clip")
-    # torque now lives in t5, so its buffer is the cross product's scratch
-    np.multiply(work.g_lo, work.t_hi, out=out)
-    return np.subtract(out, np.multiply(work.g_hi, work.t_lo, out=work.torque), out=out)
+    work = _SpinWork(spec, grid, eps)
+    r = _rhs_raw(spec, vals.reshape(work.shape), grid, eps, c, np.empty(work.shape), work)
+    return r.reshape(vals.shape)
 
 
 def dt_max(spec: MicroModelSpec, eps: float, grid: Grid) -> float:
@@ -277,7 +281,7 @@ def _make_stepper(spec, grid, eps, dt, c):
     A run's buffers are made once; each step allocates only the state it
     yields."""
     if spec.is_complex:
-        k = grid.wavenumbers
+        n, k = grid.n_points, grid.wavenumbers
         lin = np.exp(dt * (1j * c * k - 0.5j * eps * k**2) / eps**2)
         scale = 0.5 * dt / eps**3
 
@@ -287,6 +291,7 @@ def _make_stepper(spec, grid, eps, dt, c):
             # half-rotation factor is the next step's leading one, so each
             # step computes one factor.
             spectrum, field, rot, ahead = np.empty((4,) + vals.shape, complex)
+            (fft, fft_scale), (ifft, ifft_scale) = _transform("fft", n), _transform("ifft", n)
             factors = np.empty((2,) + vals.shape)
             flow = np.tile(lin, (len(vals), 1))  # a broadcast (N,) factor would allocate
             cos, sin = rot.real, rot.imag
@@ -300,9 +305,9 @@ def _make_stepper(spec, grid, eps, dt, c):
 
             np.multiply(vals, rotation(vals), out=ahead)
             while True:
-                _fft(ahead, out=spectrum)
+                fft(ahead, fft_scale, spectrum)
                 spectrum *= flow
-                _ifft(spectrum, out=field)
+                ifft(spectrum, ifft_scale, field)
                 u = np.multiply(field, rotation(field))  # the step's one allocation
                 if not math.isfinite(np.vdot(u, u).real):  # the mass catches NaN/inf
                     raise FloatingPointError("split step: non-finite state produced")

@@ -19,7 +19,7 @@ from kdvlab.analysis import solitary_profile
 from kdvlab.grid import SNAPSHOT_BLOCK, fourier_shift, integrate, l2_norm
 from kdvlab.hydro import chart_blocks, extract_series
 from kdvlab.kdv import bilinear_apply
-from kdvlab.models import chart_extract, dphi_matrix, normal_coupling
+from kdvlab.models import chart_assemble, chart_extract, dphi_matrix, normal_coupling
 
 # ---------------------------------------------------------------------------
 # whole microscopic runs
@@ -132,6 +132,42 @@ def micro_steps(spec, vals, grid, eps, dt):
         gam = ((k2 * 2.0 + k1 + k3 * 2.0 + k4) * (dt / 6.0) + vals).reshape(b, 3, -1)
         vals = (gam / np.sqrt(np.einsum("bin,bin->bn", gam, gam))[:, None]).reshape(vals.shape)
         yield vals
+
+
+def linearize_rhs(spec, grid, eps, h=1e-4):
+    """Per-mode matrices S(κ) of ``micro._rhs_raw`` linearized at the chart
+    background (phi = n = 0): an array (N//2+1, m, m), S[j] acting on the
+    real state coordinates at κ = grid.wavenumbers[j], so that a perturbation
+    v e^{iκx} grows as e^{λt} for each eigenpair (λ, v) of S[j].  The real
+    coordinates are the m rows of a spin state and (Re, Im) of a condensate's
+    rows, since a condensate's right-hand side is not complex-linear.  A
+    condensate's S is in the frame moving at c/eps², a spin field's in the
+    lab frame, as ``_rhs_raw`` steps them.
+
+    Column r comes from 4 evaluations: the right-hand side at the background
+    plus s δ_r, for s = ±h, ±2h and δ_r coordinate r at the grid point x = 0
+    (its spectrum is 1 at every wavenumber, so the spectrum of the response
+    is column r of every S(κ) at once), combined by the fourth-order central
+    difference, which is exact for the right-hand sides (polynomials of
+    degree at most 5 in the state, 4 with gamma = 0) up to rounding."""
+    d, n = spec.dim, grid.n_points
+    background = chart_assemble(spec, np.zeros((d, n)), np.zeros((d, n)), eps)
+    base = np.concatenate([background.real, background.imag]) if spec.is_complex else background
+    m = len(base)
+
+    def rhs(real):
+        vals = real[: m // 2] + 1j * real[m // 2:] if spec.is_complex else real
+        out = micro._rhs_raw(spec, vals, grid, eps, spec.geometry.c)
+        return np.concatenate([out.real, out.imag]) if spec.is_complex else out
+
+    S = np.empty((n // 2 + 1, m, m), complex)
+    for r in range(m):
+        delta = np.zeros((m, n))
+        delta[r, 0] = 1.0
+        step = {s: rhs(base + s * h * delta) for s in (-2, -1, 1, 2)}
+        response = (8.0 * (step[1] - step[-1]) - (step[2] - step[-2])) / (12.0 * h)
+        S[:, :, r] = np.fft.rfft(response, axis=-1).T
+    return S
 
 
 # ---------------------------------------------------------------------------

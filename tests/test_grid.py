@@ -22,6 +22,7 @@ from kdvlab.grid import (
     _irfft,
     _rfft,
     _run,
+    _transform,
     fourier_shift,
     ifrk4_factors,
     ifrk4_step,
@@ -141,6 +142,63 @@ def test_numpy_fft_is_called_only_by_the_transform_layer():
     assert found == allowed
 
 
+# the transform layer's state: the gufunc module and the scales it is called with
+_LAYER_STATE = frozenset({"_POCKETFFT", "_FORWARD_SCALE", "_INVERSE_SCALE"})
+
+
+def _layer_state_references(tree):
+    """Line numbers of every name, attribute or import of _LAYER_STATE."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in _LAYER_STATE:
+            yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr in _LAYER_STATE:
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and any(a.name in _LAYER_STATE for a in node.names):
+            yield node.lineno
+
+
+def test_the_checker_flags_a_module_binding_the_gufuncs_itself():
+    # as a step kernel that bound _POCKETFFT.fft itself would, by import or
+    # through the module
+    code = ("from .grid import _POCKETFFT, _transform\n"
+            "fft = _POCKETFFT.fft\n"
+            "scale = grid._INVERSE_SCALE[n]\n"
+            "fn, scale = _transform('fft', n)\n")
+    assert list(_layer_state_references(ast.parse(code))) == [1, 2, 3]
+
+
+def test_only_the_transform_layer_touches_its_gufuncs_and_scales():
+    # one way into the transforms: every other module goes through _rfft,
+    # _irfft, _fft, _ifft or _transform, so swapping grid._POCKETFFT (the
+    # numpy.fft fallback, the fft_calls fixture) reaches every transform
+    src = Path(grid_module.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(src.glob("*.py")) if path.stem != "grid"
+             for line in _layer_state_references(ast.parse(path.read_text()))]
+    assert not found, f"transform-layer state referenced outside grid: {found}"
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+@pytest.mark.parametrize("n", [12, 15])
+def test_bound_transforms_write_the_wrappers_bits_into_out(monkeypatch, fallback, n):
+    # _transform(kind, n) gives the bits of _rfft/_irfft/_fft/_ifft, written
+    # into the caller's buffer and returned, on the gufuncs and on the
+    # numpy.fft fallback; the irfft zero-pads a short input
+    if fallback:
+        monkeypatch.setattr(grid_module, "_POCKETFFT", None)
+    rng = np.random.default_rng(n)
+    real = rng.normal(size=(2, 3, n))
+    comp = real + 1j * rng.normal(size=real.shape)
+    half, short = comp[..., : n // 2 + 1], comp[..., :4]
+    cases = [("rfft", real, _rfft(real)), ("irfft", half, _irfft(half, n)),
+             ("irfft", short, _irfft(short, n)), ("fft", comp, _fft(comp)),
+             ("ifft", comp, _ifft(comp))]
+    for kind, a, want in cases:
+        fn, scale = _transform(kind, n)
+        out = np.empty_like(want)
+        assert fn(a, scale, out) is out
+        assert out.tobytes() == want.tobytes(), kind
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(4, 2 * np.pi)
@@ -191,6 +249,27 @@ def test_hs_seminorms_sine_2x(grid):
     root_pi = np.sqrt(np.pi)
     for j, val in enumerate(norms):
         assert abs(val - 2**j * root_pi) < 1e-12
+
+
+def test_hs_norms_make_one_spectrum_with_the_broadcast_bits():
+    # a real (32, 1, 256) snapshot block, as the energy proxy of a converge
+    # block sees it: the spectrum, one scratch of its shape and the real
+    # power array stay under three spectra (the broadcast form peaked at
+    # 402 kB), with the bits of the broadcast form
+    g = Grid(256, 8 * np.pi)
+    block = np.random.default_rng(3).normal(size=(32, 1, 256))
+    coeffs = _fft(block) / g.n_points
+    want = np.stack([np.sqrt(g.length * np.sum(np.abs(np.abs(g.symbol(j)) * coeffs) ** 2,
+                                                axis=(-2, -1))) for j in range(3)], axis=-1)
+    _hs_norms(block, g, 2)
+    tracemalloc.start()
+    try:
+        got = _hs_norms(block, g, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * coeffs.nbytes
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_parseval_matches_physical_quadrature(grid):
@@ -583,6 +662,10 @@ def test_block_diff_multiplies_in_place_with_the_same_bits(order, real):
         tracemalloc.stop()
     spectrum = 32 * (129 if real else 256) * 16
     assert peak <= spectrum + got.nbytes + 4096
+    # in C order: numpy's buffered loop would copy a symbol of another
+    # layout through a buffer (freed before the result is made, so the
+    # peak above cannot see it)
+    assert all(sym.flags.c_contiguous for sym in g._symbols.values())
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 

@@ -17,7 +17,6 @@ from kdvlab.hydro import (
     chart_blocks,
     energy_proxy,
     extract_series,
-    limit_error,
 )
 from kdvlab.kdv import evolve_kdv
 from kdvlab.micro import MicroState, dt_max, evolve_micro, well_prepared_init
@@ -191,7 +190,7 @@ def test_zero_state_has_zero_energy():
     grid = Grid(64, 2 * np.pi)
     _, spec = preset("GP_SCALAR")
     h = HydroState(grid, 0.2, np.zeros((1, 64)), np.zeros((1, 64)), True)
-    H, w = almost_hamiltonian(spec, h)
+    H, w = almost_hamiltonian(spec, h, grid.diff(h.phi))
     assert H == 0.0 and np.max(np.abs(w)) == 0.0
 
 
@@ -203,7 +202,8 @@ def test_energy_matches_w_norm_to_second_order(kind, params):
     geom, _ = preset(kind, params)
     for eps in (0.2, 0.1):
         _, spec, state = _prepared(kind, params, grid, eps)
-        H, w = almost_hamiltonian(spec, extract_series(spec, state))
+        h = extract_series(spec, state)
+        H, w = almost_hamiltonian(spec, h, grid.diff(h.phi))
         leading = l2_norm(w, grid)**2 / (4.0 * geom.lam)
         assert abs(H - leading) / eps**2 <= TOL["h_identity"]
 
@@ -217,7 +217,7 @@ def test_energy_leading_term_is_the_observables_w_norm(kind, params):
     phi = np.stack([2.0 * np.sin((i + 1) * grid.x + 0.3) for i in range(geom.dim)])
     n = np.stack([0.5 * np.cos((i + 2) * grid.x) for i in range(geom.dim)])
     h = HydroState(grid, 0.2, phi, n, True)
-    assert np.array_equal(almost_hamiltonian(spec, h)[1], observables(spec, h).W)
+    assert np.array_equal(almost_hamiltonian(spec, h, grid.diff(h.phi))[1], observables(spec, h).W)
 
 
 @pytest.mark.parametrize("kind", ["LL_EASY_PLANE", "AF_CHAIN"])
@@ -226,7 +226,8 @@ def test_energy_identity_sharpens_without_curvature_terms(kind):
     grid = Grid(256, 8 * np.pi)
     for eps in (0.2, 0.1, 0.05):
         geom, spec, state = _prepared(kind, None, grid, eps)
-        H, w = almost_hamiltonian(spec, extract_series(spec, state))
+        h = extract_series(spec, state)
+        H, w = almost_hamiltonian(spec, h, grid.diff(h.phi))
         assert abs(H - l2_norm(w, grid)**2 / (4.0 * geom.lam)) <= TOL["h_zero_tensor"] * eps**4
 
 
@@ -368,7 +369,7 @@ def test_proxy_of_flat_state_counts_only_gradients():
     grid = Grid(64, 2 * np.pi)
     _, spec = preset("GP_SCALAR")
     h = HydroState(grid, 0.2, np.full((1, 64), 0.7), np.zeros((1, 64)), True)
-    assert energy_proxy(h) == 0.0
+    assert energy_proxy(h, grid.diff(h.phi)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +454,18 @@ def test_blocked_diagnostics_match_the_per_snapshot_formulas(kind, params):
 
 @pytest.mark.parametrize("kind,params", PRESETS)
 def test_blocked_limit_error_matches_the_per_snapshot_formulas(kind, params):
-    # against a zero reference, err_amplitude is ||A|| and err_gradient ||A + W||
+    # the converge columns of a block, from one dx(phi): against a zero
+    # reference, err_amplitude is ||A|| and err_gradient ||A + W||
     def against_zero(spec, state):
         zero = np.zeros((spec.dim, state.grid.n_points))
-        return lambda times, block, h: limit_error(
-            spec, times, h, almost_hamiltonian(spec, h)[1],
-            SimpleNamespace(times=times, meta={"snapshots": np.array([zero] * len(times))}))
+        ref = SimpleNamespace(times=[], meta={})
+        series = _micro_series(spec, state, ref)
+
+        def block_series(times, block, h):
+            ref.times, ref.meta["snapshots"] = times, np.array([zero] * len(times))
+            return series(times, block, h)
+
+        return block_series
 
     spec, err, traj = _seventy_snapshot_run(kind, params, against_zero)
     grid = traj.states[0].grid
@@ -470,7 +477,7 @@ def test_blocked_limit_error_matches_the_per_snapshot_formulas(kind, params):
         want = {
             "err_amplitude": l2_norm(obs.A, grid),
             "err_gradient": l2_norm(obs.A + obs.W, grid),
-            "energy_proxy": energy_proxy(h),
+            "energy_proxy": energy_proxy(h, grid.diff(h.phi)),
         }
         for name, value in want.items():
             assert abs(err[name][i] - value) <= 1e-14 * abs(value), (name, i)
@@ -565,7 +572,7 @@ def test_almost_hamiltonian_matches_the_einsum_oracle_bitwise(kind, params):
     spec, block = _first_block(kind, params)
     h = extract_series(spec, block)
     for states in (h, list(h)[-1]):
-        energy, w = almost_hamiltonian(spec, states)
+        energy, w = almost_hamiltonian(spec, states, states.grid.diff(states.phi))
         want_energy, want_w = oracles.almost_hamiltonian(spec, states)
         assert _same_bits(energy, want_energy) and _same_bits(w, want_w)
     assert np.ptp(h.n) > 0 and np.ptp(w) > 0  # the data are not trivial

@@ -19,7 +19,7 @@ from kdvlab.micro import (
     well_prepared_init,
 )
 from kdvlab.models import chart_assemble, chart_extract, normal_coupling, preset
-from oracles import _potential_density, micro_invariants, micro_steps, record_micro
+from oracles import _potential_density, linearize_rhs, micro_invariants, micro_steps, record_micro
 
 TOL = {
     "ground": 1e-14,
@@ -140,6 +140,84 @@ def test_normal_coupling_matches_chart_frames(kind, params):
         coupling[:, a] = np.linalg.lstsq(nu, i0_tau, rcond=None)[0]
         assert np.max(np.abs(nu @ coupling[:, a] - i0_tau)) <= 1e-6  # i0 tau is normal
     assert np.max(np.abs(coupling - normal_coupling(spec))) <= 1e-6
+
+
+def _slow_branch(spec, eps, grid, modes):
+    """Per wavenumber index j of ``modes``: kappa, the eigenvalues and
+    eigenvectors of the linearized right-hand side (oracles.linearize_rhs) in
+    the frame moving at c/eps² (a spin field's lab-frame S(kappa) plus the
+    transport i kappa c/eps²), the limit's Airy symbol -i kappa³/(8c) of
+    2c dA/dt = (1/4) dxxx A, and the indices of the d eigenvalues closest to
+    it (the slow branch)."""
+    c = spec.geometry.c
+    S = linearize_rhs(spec, grid, eps)
+    for j in modes:
+        kappa = grid.wavenumbers[j]
+        lam, vec = np.linalg.eig(S[j])
+        if not spec.is_complex:
+            lam = lam + 1j * kappa * c / eps**2
+        limit = -1j * kappa**3 / (8.0 * c)
+        yield kappa, lam, vec, limit, np.argsort(np.abs(lam - limit))[: spec.dim]
+
+
+@pytest.mark.parametrize("kind,params", CONDENSATES + SPIN_KINDS)
+def test_slow_eigenvalues_are_the_limit_airy_symbol(kind, params):
+    # the d slow eigenvalues at the chart background sit at the limit's
+    # symbol, off by the next term of the dispersion relation: a relative
+    # gap (eps kappa/c)²/16, so second order in eps (measured: the gap over
+    # (eps kappa/c)² is 0.0620-0.0625 at eps 0.2, 0.1, 0.05 and kappa 0.5, 1)
+    grid = Grid(32, 8 * np.pi)  # kappa_j = j/4
+    geom, spec = preset(kind, params)
+    gaps = {}
+    for eps in (0.2, 0.1, 0.05):
+        for kappa, lam, _, limit, slow in _slow_branch(spec, eps, grid, (2, 4)):
+            gap = np.max(np.abs(lam[slow] - limit)) / abs(limit)
+            assert abs(gap / (eps * kappa / geom.c) ** 2 - 1.0 / 16.0) <= 1e-3, (eps, kappa)
+            gaps[eps, kappa] = gap
+    for kappa in (0.5, 1.0):
+        for big, small in ((0.2, 0.1), (0.1, 0.05)):
+            assert abs(np.log2(gaps[big, kappa] / gaps[small, kappa]) - 2.0) <= 0.02
+
+
+def _chart_frames(spec, eps, h=1e-3):
+    """The chart's linearization at its background as a real (m, 2d) matrix:
+    columns dU/dphi_a, then dU/dn_a (chart_assemble is pointwise, so constant
+    fields give it; fourth-order central differences)."""
+    d, frames = spec.dim, []
+    for coord in range(2):
+        for a in range(d):
+            step = np.zeros((2, d, 4))
+            step[coord, a] = h
+
+            def diff(s):
+                return _real_rows(chart_assemble(spec, *(s * step), eps)
+                                  - chart_assemble(spec, *(-s * step), eps))[:, 0]
+
+            frames.append((8.0 * diff(1.0) - diff(2.0)) / (12.0 * h))
+    return np.stack(frames, axis=1)
+
+
+@pytest.mark.parametrize("kind,params", CONDENSATES + SPIN_KINDS)
+def test_slow_eigenvectors_carry_no_wave_observable(kind, params):
+    # in chart coordinates (phi, n), a slow eigenvector has the hydro wave
+    # observable W = (c + i0B0) dx(phi) + 2 lam C^T n at O(eps²) of the
+    # amplitude A = -2 lam C^T n, with C = normal_coupling: the slow branch
+    # is the W = 0 manifold the limit lives on (measured: |W|/|A| over
+    # (eps kappa/c)² is 0.088-0.125)
+    grid = Grid(32, 8 * np.pi)
+    geom, spec = preset(kind, params)
+    C, d = normal_coupling(spec), spec.dim
+    for eps in (0.2, 0.1, 0.05):
+        frames = _chart_frames(spec, eps)
+        for kappa, _, vec, _, slow in _slow_branch(spec, eps, grid, (2, 4)):
+            for v in vec[:, slow].T:
+                coords, residual = np.linalg.lstsq(frames.astype(complex), v, rcond=None)[:2]
+                assert residual.size == 0 or residual[0] <= 1e-20  # v is tangent to the chart
+                phi, n = coords[:d], coords[d:]
+                amplitude = -2.0 * geom.lam * C.T @ n
+                wave = (geom.c * np.eye(d) + geom.i0b0) @ (1j * kappa * phi) - amplitude
+                ratio = np.linalg.norm(wave) / np.linalg.norm(amplitude)
+                assert ratio <= 0.13 * (eps * kappa / geom.c) ** 2, (eps, kappa)
 
 
 @pytest.mark.parametrize("kind,params", SPIN_KINDS)
@@ -264,13 +342,12 @@ def test_rolled_cross_matches_numpy_cross(blocks, n, seed):
     # the spin rhs forms u × w from the shifted views of its workspace's
     # [x, y, z, x, y] buffers: g_lo t_hi - g_hi t_lo
     _, spec = preset("AF_CHAIN" if blocks == 2 else "LL_EASY_PLANE")
-    work = micro._SpinWork(spec, Grid(n, 2 * np.pi), 0.2)
+    g5, _, t5, g_lo, g_hi, t_lo, t_hi = micro._SpinWork(spec, Grid(n, 2 * np.pi), 0.2).stage[-7:]
     rng = np.random.default_rng(seed)
     u, w = rng.normal(size=(2, blocks, 3, n)) * 10.0 ** rng.integers(-3, 4, size=(2, 1, 1, 1))
-    u.take(micro._ROLL, axis=1, out=work.g5)
-    w.take(micro._ROLL, axis=1, out=work.t5)
-    np.testing.assert_array_equal(work.g_lo * work.t_hi - work.g_hi * work.t_lo,
-                                  np.cross(u, w, axis=-2))
+    u.take(micro._ROLL, axis=1, out=g5)
+    w.take(micro._ROLL, axis=1, out=t5)
+    np.testing.assert_array_equal(g_lo * t_hi - g_hi * t_lo, np.cross(u, w, axis=-2))
 
 
 def test_gp_rhs_matches_lab_frame_finite_difference_oracle():
