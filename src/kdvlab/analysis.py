@@ -217,25 +217,23 @@ def _mkdv_nonlinear(Q: QTensor, grid: Grid):
     coefficients, as ``rhs(w, out)`` writing into ``out``; the cubic term is
     dealiased by padding [v, dx v] to twice the grid (one irfft) before any
     product is formed, then truncated back (one rfft).  Its symbols are made
-    once, at the shape of the coefficients, and a stage calls the workspace's
-    bound padding transform itself and its truncation for d rows (the
-    function :meth:`Dealias.coeffs` calls)."""
+    once, at the shape of the coefficients, and the workspace's ``samples``
+    and ``coeffs`` are bound once."""
     n = grid.n_points
     d = Q.dim
     ik = np.tile(grid.rsymbol(1), (d, 1))
-    ws = Dealias(n, 2, 2 * d)
+    ws = Dealias(n, 2, d, 2)
     pair, q = _pairing(Q.coeffs)
     split, scale = ws.split[:d], ws.fold(-2.0 / 3.0 * q * q, 3)[:d]
-    low, rows, dx_rows = ws.low, ws.low[:d], ws.low[d:]
-    padded, p, p_dx = ws.padded, ws.padded[:d], ws.padded[d:]
+    rows, dx_rows, p, p_dx = ws.low[:d], ws.low[d:], ws.padded[:d], ws.padded[d:]
     inner, prod = np.empty((2, d, ws.m))
-    (pad, pad_scale), truncate = ws.pad, ws.truncation[d]
+    samples, coeffs = ws.samples, ws.coeffs
 
     def rhs(w, out):
         np.multiply(w, split, out=rows)
         np.multiply(w, ik, out=dx_rows)  # ik is zero at the Nyquist mode
-        pad(low, pad_scale, padded)
-        return np.multiply(scale, truncate(pair(p, pair(p, p_dx, out=inner), out=prod)), out=out)
+        samples()
+        return np.multiply(scale, coeffs(pair(p, pair(p, p_dx, out=inner), out=prod)), out=out)
 
     return rhs
 

@@ -246,11 +246,11 @@ class ExperimentConfig:
             _require(all(e < 1.0 for e in eps_list), "eps_list", "entries must be below 1")
             _require(all(b < a for a, b in zip(eps_list, eps_list[1:])),
                      "eps_list", f"must be strictly decreasing, got {eps_list}")
-            steps = int(round(t_final / dt))
+            steps, _ = step_plan(t_final, dt)
             _require(steps % (snapshots - 1) == 0, "time.dt",
-                     f"t_final/dt = {steps} steps must be a multiple of "
-                     f"snapshots-1 = {snapshots - 1} so snapshot times match "
-                     "between the limit run and the microscopic runs")
+                     f"the limit run's {steps} steps (t_final/dt rounded, at least 1) "
+                     f"must be a multiple of snapshots-1 = {snapshots - 1} so snapshot "
+                     "times match between the limit run and the microscopic runs")
         if spec.is_complex and experiment in ("micro", "converge"):
             (lo, hi), kmax = SPLIT_STEP_RANGE, np.pi * n / length
             for e in [eps] if experiment == "micro" else eps_list:

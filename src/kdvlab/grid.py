@@ -30,12 +30,11 @@ __all__ = [
 # The one transform layer, along the last axis: on numpy >= 2.0 the gufuncs
 # behind numpy.fft with its scales (1 forward, 1/n inverse), bit-identical
 # without its per-call wrapper, which costs as much as a 256-point transform.
-# One-off transforms call _rfft, _irfft, _fft and _ifft, which allocate their
-# result; a step kernel binds its transforms once per run with _transform
-# and calls them into its own buffers.  ``_POCKETFFT`` is read when a
-# transform is called or bound, so it can be swapped (to count calls, or for
-# the fallback) before a run is built; no other module touches it or the
-# scales.
+# A step kernel binds its transforms once per run with _transform and calls
+# them into its own buffers; one-off transforms call _rfft, _irfft, _fft and
+# _ifft, which bind one and call it into a new array.  ``_POCKETFFT`` is read
+# only by _transform, so it can be swapped (to count calls, or for the
+# fallback) before a run is built; no other module touches it or the scales.
 try:
     from numpy.fft import _pocketfft_umath as _POCKETFFT
 except ImportError:  # numpy < 2.0: through numpy.fft
@@ -60,57 +59,52 @@ class _InverseScales(dict):
 _INVERSE_SCALE = _InverseScales()
 
 
-def _rfft(a):
-    if _POCKETFFT is None:
-        return np.fft.rfft(a, axis=-1)
-    n = a.shape[-1]
-    gufunc = _POCKETFFT.rfft_n_even if n % 2 == 0 else _POCKETFFT.rfft_n_odd
-    return gufunc(a, _FORWARD_SCALE, np.empty(a.shape[:-1] + (n // 2 + 1,), complex))
-
-
-def _irfft(a, n):
-    if _POCKETFFT is None:
-        return np.fft.irfft(a, n, axis=-1)
-    return _POCKETFFT.irfft(a, _INVERSE_SCALE[n], np.empty(a.shape[:-1] + (n,)))
-
-
-def _fft(a):
-    if _POCKETFFT is None:
-        return np.fft.fft(a, axis=-1)
-    return _POCKETFFT.fft(a, _FORWARD_SCALE, np.empty(a.shape, complex))
-
-
-def _ifft(a):
-    if _POCKETFFT is None:
-        return np.fft.ifft(a, axis=-1)
-    return _POCKETFFT.ifft(a, _INVERSE_SCALE[a.shape[-1]], np.empty(a.shape, complex))
-
-
 def _transform(kind: str, n: int):
     """The transform ``kind`` ("rfft", "irfft", "fft" or "ifft") of length n
     (the real length: the input's for "rfft", the output's for "irfft") as
     ``(fn, scale)``, called ``fn(a, scale, out)``: it writes the transform of
-    ``a`` along the last axis into ``out`` and returns ``out``.
+    ``a`` along the last axis into ``out`` and returns ``out``.  An "irfft"
+    of short input zero-pads it to n//2+1 modes.
 
     On numpy >= 2.0 ``fn`` is the pocketfft gufunc and ``scale`` its 0-d
-    scale, so a stage pays no wrapper, branch or lookup; an "irfft" of short
-    input zero-pads it to n//2+1 modes.  When ``_POCKETFFT`` is None, ``fn``
-    copies the result of the numpy.fft wrapper above into ``out``.  Bind once
-    per run: ``_POCKETFFT`` is read here, not at each call.
+    scale, so a stage pays no wrapper, branch or lookup.  When ``_POCKETFFT``
+    is None, ``fn`` copies the result of the numpy.fft function into ``out``.
+    Bind once per run: ``_POCKETFFT`` is read here, not at each call.
     """
     if _POCKETFFT is None:
-        wrapper = {"rfft": _rfft, "irfft": _irfft, "fft": _fft, "ifft": _ifft}[kind]
+        numpy_fn = {"rfft": np.fft.rfft, "irfft": np.fft.irfft, "fft": np.fft.fft,
+                    "ifft": np.fft.ifft}[kind]
 
         def fallback(a, scale, out):
-            np.copyto(out, wrapper(a, scale) if kind == "irfft" else wrapper(a))
+            np.copyto(out, numpy_fn(a, n, axis=-1))
             return out
 
-        return fallback, n
+        return fallback, None
     if kind == "rfft":
         return (_POCKETFFT.rfft_n_even if n % 2 == 0 else _POCKETFFT.rfft_n_odd), _FORWARD_SCALE
     if kind == "fft":
         return _POCKETFFT.fft, _FORWARD_SCALE
     return getattr(_POCKETFFT, kind), _INVERSE_SCALE[n]
+
+
+def _rfft(a):
+    fn, scale = _transform("rfft", a.shape[-1])
+    return fn(a, scale, np.empty(a.shape[:-1] + (a.shape[-1] // 2 + 1,), complex))
+
+
+def _irfft(a, n):
+    fn, scale = _transform("irfft", n)
+    return fn(a, scale, np.empty(a.shape[:-1] + (n,)))
+
+
+def _fft(a):
+    fn, scale = _transform("fft", a.shape[-1])
+    return fn(a, scale, np.empty(a.shape, complex))
+
+
+def _ifft(a):
+    fn, scale = _transform("ifft", a.shape[-1])
+    return fn(a, scale, np.empty(a.shape, complex))
 
 
 # Snapshots per block that a run hands to its consumer: the run diagnostics
@@ -144,54 +138,46 @@ class Grid:
         self.x = np.arange(n_points) * self.spacing
         # 2*pi*fftfreq(N, d=L/N) gives integer multiples of 2*pi/L
         self.wavenumbers = 2.0 * np.pi * np.fft.fftfreq(n_points, d=self.spacing)
-        self._symbols: dict[int | tuple, np.ndarray] = {}
+        self._symbols: dict[int | tuple, np.ndarray] = {}  # by order, and by (order, shape)
 
-    def symbol(self, order) -> np.ndarray:
+    def symbol(self, order: int) -> np.ndarray:
         """Fourier multiplier (i k)**order of d^order/dx^order (cached, read-only).
 
         For even N the Nyquist mode is zeroed for odd orders (the sign of its
         wavenumber is ambiguous, and zeroing it keeps real fields real) and
-        kept for even orders.  A tuple of orders stacks their multipliers.
+        kept for even orders.
         """
         sym = self._symbols.get(order)
         if sym is None:
-            if isinstance(order, tuple):
-                sym = np.stack([self.symbol(o) for o in order])
-            else:
-                sym = (1j * self.wavenumbers) ** order
-                if order % 2 == 1 and self.n_points % 2 == 0:
-                    sym[self.n_points // 2] = 0.0
+            sym = (1j * self.wavenumbers) ** order
+            if order % 2 == 1 and self.n_points % 2 == 0:
+                sym[self.n_points // 2] = 0.0
             sym.flags.writeable = False
             self._symbols[order] = sym
         return sym
 
-    def rsymbol(self, order) -> np.ndarray:
+    def rsymbol(self, order: int) -> np.ndarray:
         """:meth:`symbol` on the rfft half spectrum, modes 0..N//2 (a view); the
         Nyquist rule carries over, since (-ik)**even = (ik)**even."""
-        return self.symbol(order)[..., : self.n_points // 2 + 1]
+        return self.symbol(order)[: self.n_points // 2 + 1]
 
-    def diff(self, values, order=1) -> np.ndarray:
+    def diff(self, values, order: int = 1) -> np.ndarray:
         """d^order/dx^order of samples along the last axis (any leading shape).
 
         Real input goes through the rfft half spectrum and gives a real
-        result, complex input a complex one.  A tuple of orders stacks the
-        derivatives on a new leading axis, from one transform pair.  A single
-        order multiplies the spectrum in place by the symbol at the
-        spectrum's shape (cached per shape), since a broadcast operand sends
-        the multiply through numpy's buffered loop, which allocates a buffer
-        of the spectrum's size.
+        result, complex input a complex one.  The spectrum is multiplied in
+        place by the symbol at the spectrum's shape (cached per shape), since
+        a broadcast operand sends the multiply through numpy's buffered
+        loop, which allocates a buffer of the spectrum's size.
         """
         values = np.asarray(values)
         real = not np.iscomplexobj(values)
         spec = _rfft(values) if real else _fft(values)
-        sym = self.rsymbol(order) if real else self.symbol(order)
-        if isinstance(order, tuple):
-            spec = sym.reshape(len(order), *(1,) * (spec.ndim - 1), -1) * spec
-        else:
-            key = (order, spec.shape)  # the spectrum's shape says which half it is
-            if key not in self._symbols:
-                self._symbols[key] = np.broadcast_to(sym, spec.shape).copy()  # C order
-            np.multiply(self._symbols[key], spec, out=spec)
+        key = (order, spec.shape)  # the spectrum's shape says which half it is
+        if key not in self._symbols:
+            sym = self.rsymbol(order) if real else self.symbol(order)
+            self._symbols[key] = np.broadcast_to(sym, spec.shape).copy()  # C order
+        np.multiply(self._symbols[key], spec, out=spec)
         return _irfft(spec, self.n_points) if real else _ifft(spec)
 
     def __repr__(self):
@@ -415,69 +401,54 @@ def l2_norm(values, grid: Grid):
     return np.sqrt(np.sum(np.abs(v) ** 2, axis=axes) * grid.spacing)
 
 
-def _truncation(rfft, scale, spectrum, head, out, nyquist):
-    """The truncation of :class:`Dealias` for one row count, on its views:
-    one bound rfft into ``spectrum``, ``head`` copied into ``out`` unless it
-    is ``out``, the Nyquist imaginary part zeroed for even n."""
-
-    def truncate(samples):
-        rfft(samples, scale, spectrum)
-        if out is not head:
-            np.copyto(out, head)
-        if nyquist is not None:
-            nyquist.fill(0.0)
-        return out
-
-    return truncate
-
-
 class Dealias:
-    """Workspace of one run's dealiased products of fields with rfft
-    coefficients on n points, multiplied on m >= n*factor points.  Callers
-    write coefficients times ``split`` (halving the Nyquist mode of even n
-    between +k and -k) into ``low``, a contiguous (rows, n//2+1) array;
-    :meth:`samples` is one irfft of it to m points (the transform zero-pads
-    its short input), :meth:`coeffs` one rfft back, truncated to n//2+1
-    modes, each into a buffer the workspace owns (valid until its next
-    call).  A step kernel binds both once per run: ``pad``, the irfft of
-    length m as :func:`_transform` returns it, which it calls from ``low``
-    into ``padded``, and ``truncation[rows]``, the function :meth:`coeffs`
-    calls for a product of that many rows.  The m/n scalings and the factor
-    2 of the recombined Nyquist mode go into the caller's symbol through
+    """Workspace of one run's dealiased products of d-component fields with
+    rfft coefficients on n points, multiplied on m >= n*factor points.
+    Callers write the coefficients of ``fields`` fields times ``split``
+    (halving the Nyquist mode of even n between +k and -k) into ``low``, a
+    contiguous (fields*d, n//2+1) array.  ``samples()`` is one irfft of it
+    to m points into ``padded`` (the transform zero-pads its short input);
+    ``coeffs(product)`` is one rfft of a (d, m) product back, truncated to
+    n//2+1 modes with the Nyquist imaginary part of even n zeroed.  Each
+    returns a buffer the workspace owns (valid until its next call), and
+    both are closures made once, on transforms bound once, so a step kernel
+    binds them once per run.  The m/n scalings and the factor 2 of the
+    recombined Nyquist mode go into the caller's symbol through
     :meth:`fold`, once per run.  ``split`` and the folded symbols have the
-    (rows, n//2+1) shape of ``low``, and the leading rows of each are
-    contiguous: a ufunc with a broadcast or strided operand runs numpy's
-    buffered loop, which allocates and is 2-3x slower."""
+    shape of ``low``, and the leading rows of each are contiguous: a ufunc
+    with a broadcast or strided operand runs numpy's buffered loop, which
+    allocates and is 2-3x slower."""
 
-    def __init__(self, n: int, factor: float, rows: int):
+    def __init__(self, n: int, factor: float, d: int, fields: int = 1):
         m = int(np.ceil(n * factor))
         self.n, self.m = n, m + m % 2  # the smallest even size; factor 3/2 is the 2/3 rule
         k = n // 2 + 1
-        self.low = np.zeros((rows, k), np.complex128)
-        self.split = np.tile(np.where(2 * np.arange(k) == n, 0.5, 1.0), (rows, 1))
-        self.padded = np.empty((rows, self.m))
-        self.pad = _transform("irfft", self.m)
-        rfft, scale = _transform("rfft", self.m)
-        # a product has at most ``rows`` rows; truncation[r] truncates an
-        # r-row product, with its views made once: its spectrum, the
-        # truncation to n//2+1 modes, the contiguous array handed out (the
-        # truncation itself for one row, a copy of it for more) and, for even
-        # n, the imaginary part of its Nyquist mode, which is zeroed
-        spectrum = np.empty((rows, self.m // 2 + 1), np.complex128)
-        truncated = np.empty_like(self.low)
-        self.truncation = [None]
-        for r in range(1, rows + 1):
-            head = spectrum[:r, :k]
-            out = head if r == 1 else truncated[:r]
-            self.truncation.append(_truncation(rfft, scale, spectrum[:r], head, out,
-                                               None if n % 2 else out.imag[:, n // 2]))
+        self.low = low = np.zeros((fields * d, k), np.complex128)
+        self.split = np.tile(np.where(2 * np.arange(k) == n, 0.5, 1.0), (fields * d, 1))
+        self.padded = padded = np.empty((fields * d, self.m))
+        pad, pad_scale = _transform("irfft", self.m)
+        rfft, rfft_scale = _transform("rfft", self.m)
+        # the product's spectrum, its truncation to n//2+1 modes, the
+        # contiguous array handed out (the truncation itself for one row, a
+        # copy of it for more) and, for even n, the imaginary part of that
+        # array's Nyquist mode
+        spectrum = np.empty((d, self.m // 2 + 1), np.complex128)
+        head = spectrum[:, :k]
+        out = head if d == 1 else np.empty((d, k), np.complex128)
+        nyquist = None if n % 2 else out.imag[:, n // 2]
 
-    def samples(self) -> np.ndarray:
-        pad, scale = self.pad
-        return pad(self.low, scale, self.padded)
+        def samples():
+            return pad(low, pad_scale, padded)
 
-    def coeffs(self, samples) -> np.ndarray:
-        return self.truncation[len(samples)](samples)
+        def coeffs(product):
+            rfft(product, rfft_scale, spectrum)
+            if out is not head:
+                np.copyto(out, head)
+            if nyquist is not None:
+                nyquist.fill(0.0)
+            return out
+
+        self.samples, self.coeffs = samples, coeffs
 
     def fold(self, symbol, factors: int) -> np.ndarray:
         """``symbol`` times the scale of a product of ``factors`` padded

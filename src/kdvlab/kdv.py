@@ -100,13 +100,13 @@ def bilinear_apply(tensor: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Dealiased bilinear map of real samples: out_k(x) = sum_ij T[i,j,k] a_i(x) b_j(x)
     (3/2-rule padding)."""
     n, d = a.shape[-1], len(a)
-    ws = Dealias(n, 1.5, d + len(b))
+    ws = Dealias(n, 1.5, d, 2)
     np.multiply(_rfft(a), ws.split[:d], out=ws.low[:d])
     np.multiply(_rfft(b), ws.split[d:], out=ws.low[d:])
     p = ws.samples()
     pair, scale = _pairing(tensor)
     prod = pair(p[:d], p[d:])
-    return _irfft(ws.fold(scale, 2)[:len(prod)] * ws.coeffs(prod), n)
+    return _irfft(ws.fold(scale, 2)[:d] * ws.coeffs(prod), n)
 
 
 class LimitModel:
@@ -221,9 +221,8 @@ def _nonlinear_rhs(model: LimitModel, grid: Grid):
     each call pads once (one irfft) and truncates once (one rfft) in a
     :class:`Dealias` workspace kept for the run, with the product in one held
     buffer.  Its symbols are made once, at the (d, n//2+1) shape of the
-    coefficients, and a stage calls the workspace's bound padding transform
-    itself and its truncation for d rows (the function :meth:`Dealias.coeffs`
-    calls)."""
+    coefficients, and the workspace's ``samples`` and ``coeffs`` are bound
+    once."""
     n = grid.n_points
     ik = grid.rsymbol(1)
     if model.form == "canonical":
@@ -237,13 +236,12 @@ def _nonlinear_rhs(model: LimitModel, grid: Grid):
         pair, scale = _pairing(Q.coeffs)
         minus_ik = ws.fold(-scale * ik, 2)
         prod = np.empty((d, ws.m))
-        (pad, pad_scale), truncate = ws.pad, ws.truncation[d]
-        low, split, up = ws.low, ws.split, ws.padded
+        low, split, samples, coeffs = ws.low, ws.split, ws.samples, ws.coeffs
 
         def nonlin(v, out):
             np.multiply(v, split, out=low)
-            pad(low, pad_scale, up)
-            return np.multiply(minus_ik, truncate(pair(up, up, out=prod)), out=out)
+            up = samples()
+            return np.multiply(minus_ik, coeffs(pair(up, up, out=prod)), out=out)
 
         return nonlin
 
@@ -252,19 +250,18 @@ def _nonlinear_rhs(model: LimitModel, grid: Grid):
         return _zero_rhs
     c = model.scale["time_factor"] / 8.0
     d = model.dim
-    ws = Dealias(n, 1.5, 2 * d)
+    ws = Dealias(n, 1.5, d, 2)
     pair, g = _pairing(tensor)
     ik, split, scale = np.tile(ik, (d, 1)), ws.split[:d], ws.fold(g / (2.0 * c), 2)[:d]
-    low, dx_rows, rows = ws.low, ws.low[:d], ws.low[d:]
-    padded, p_dx, p = ws.padded, ws.padded[:d], ws.padded[d:]
+    dx_rows, rows, p_dx, p = ws.low[:d], ws.low[d:], ws.padded[:d], ws.padded[d:]
     prod = np.empty((d, ws.m))
-    (pad, pad_scale), truncate = ws.pad, ws.truncation[d]
+    samples, coeffs = ws.samples, ws.coeffs
 
     def nonlin_raw(v, out):
         np.multiply(v, ik, out=dx_rows)  # ik is zero at the Nyquist mode
         np.multiply(v, split, out=rows)
-        pad(low, pad_scale, padded)
-        return np.multiply(scale, truncate(pair(p_dx, p, out=prod)), out=out)
+        samples()
+        return np.multiply(scale, coeffs(pair(p_dx, p, out=prod)), out=out)
 
     return nonlin_raw
 

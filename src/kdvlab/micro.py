@@ -200,7 +200,7 @@ def _rhs_raw(spec, vals, grid, eps, c, out=None, work=None):
         np.multiply(g_lo, t_hi, out=out)
         return np.subtract(out, np.multiply(g_hi, t_lo, out=torque), out=out)
     if spec.is_complex:
-        d1, d2 = grid.diff(vals, (1, 2))
+        d1, d2 = grid.diff(vals, 1), grid.diff(vals, 2)
         g = _phase_factors(spec, vals)
         return (c * d1 + 1j * (0.5 * eps * d2 + g * vals / eps)) / eps**2
     work = _SpinWork(spec, grid, eps)

@@ -41,6 +41,12 @@ ABORTED_LIMIT_RUN = {
     "initial": {"shape": "mode", "amplitude": 1.0, "width": 0.3},
     "eps_list": [0.9, 0.5],
 }
+# the default converge config (the rest comes from the defaults the command
+# line overlays) with t_final/dt = 0.4: the limit run takes one step, which
+# 11 snapshots cannot divide; it once passed validation and crashed in
+# hydro.limit_error with a traceback and no summary
+SUB_STEP_RUN = {"experiment": "converge", "preset": "gp_scalar",
+                "time": {"t_final": 0.0004, "dt": 0.001, "snapshots": 11}}
 
 
 def draw_config(rng, experiment, preset, length=None):
@@ -78,14 +84,15 @@ def draw_config(rng, experiment, preset, length=None):
 
 def corpus(seed=SEED, extra=EXTRA):
     """Every experiment with every preset, spin micro and converge runs on
-    each domain length, the aborted-limit-run converge config, then
-    ``extra`` configurations of random experiment and preset."""
+    each domain length, the aborted-limit-run and sub-step converge
+    configs, then ``extra`` configurations of random experiment and
+    preset."""
     rng = random.Random(seed)
     configs = [draw_config(rng, experiment, preset)
                for experiment in EXPERIMENT_KINDS for preset in PARAMS]
     configs += [draw_config(rng, experiment, rng.choice(SPINS), length)
                 for experiment in ("micro", "converge") for length in LENGTHS]
-    configs.append(ABORTED_LIMIT_RUN)
+    configs += [ABORTED_LIMIT_RUN, SUB_STEP_RUN]
     configs += [draw_config(rng, rng.choice(EXPERIMENT_KINDS), rng.choice(list(PARAMS)))
                 for _ in range(extra)]
     return configs
@@ -127,3 +134,15 @@ def test_every_config_ends_in_a_summary_or_a_named_config_error(tmp_path, capsys
         assert "aborts" not in parsed["timings"], raw
     again = _run(raw, tmp_path / "again", capsys)
     assert again == (status, err, summary), raw
+
+
+def test_the_limit_run_step_count_must_divide_into_the_snapshots(tmp_path, capsys):
+    # the check counts the steps the limit run takes (at least one), so the
+    # sub-step config is a time.dt error, and with two snapshots it runs
+    status, err, summary = _run(SUB_STEP_RUN, tmp_path / "eleven", capsys)
+    assert (status, summary) == (2, None)
+    assert err.startswith("kdvlab: invalid configuration: time.dt: the limit run's 1 steps")
+    two = dict(SUB_STEP_RUN, time=dict(SUB_STEP_RUN["time"], snapshots=2))
+    status, err, summary = _run(two, tmp_path / "two", capsys)
+    assert status in (0, 1) and "Traceback" not in err
+    assert json.loads(summary)["assertions"]

@@ -127,11 +127,11 @@ def test_numpy_fft_fallback_gives_identical_runs(monkeypatch):
 
 
 def test_numpy_fft_is_called_only_by_the_transform_layer():
-    # one transform layer: outside grid's four transforms the only numpy.fft
-    # transform call is the exact Airy reference of the kdv experiment
+    # one transform layer: outside grid's _transform (the fallback) the only
+    # numpy.fft transform call is the exact Airy reference of the kdv
+    # experiment
     src = Path(grid_module.__file__).parent
-    allowed = {("grid", "_rfft"), ("grid", "_irfft"), ("grid", "_fft"), ("grid", "_ifft"),
-               ("experiments", "_run_kdv")}
+    allowed = {("grid", "_transform"), ("experiments", "_run_kdv")}
     found = set()
     for path in sorted(src.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -140,6 +140,36 @@ def test_numpy_fft_is_called_only_by_the_transform_layer():
                         and isinstance(node.value, ast.Attribute) and node.value.attr == "fft"):
                     found.add((path.stem, getattr(top, "name", "<module>")))
     assert found == allowed
+
+
+def _pocketfft_none_tests(tree):
+    """The top-level scope ("<module>" or a function or class name) of
+    every comparison of ``_POCKETFFT`` with None, in source order."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if (any(isinstance(o, ast.Name) and o.id == "_POCKETFFT" for o in operands)
+                        and any(isinstance(o, ast.Constant) and o.value is None for o in operands)):
+                    found.append(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_the_numpy_fft_fallback_is_chosen_in_one_function():
+    # the numpy.fft fork is written once: _transform is the one function
+    # that tests _POCKETFFT against None (the import guard may), and every
+    # transform, the allocating wrappers included, is one of its bindings
+    scopes = _pocketfft_none_tests(ast.parse(Path(grid_module.__file__).read_text()))
+    assert [s for s in scopes if s != "<module>"] == ["_transform"]
+
+
+def test_the_fork_checker_flags_a_second_comparison():
+    code = ("if _POCKETFFT is None:\n    pass\n"
+            "def _transform(kind, n):\n    if _POCKETFFT is None:\n        pass\n"
+            "def _rfft(a):\n    if None is not _POCKETFFT:\n        pass\n"
+            "def _fft(a):\n    return _POCKETFFT.fft\n")
+    assert _pocketfft_none_tests(ast.parse(code)) == ["<module>", "_transform", "_rfft"]
 
 
 # the transform layer's state: the gufunc module and the scales it is called with
@@ -180,18 +210,21 @@ def test_only_the_transform_layer_touches_its_gufuncs_and_scales():
 @pytest.mark.parametrize("fallback", [False, True])
 @pytest.mark.parametrize("n", [12, 15])
 def test_bound_transforms_write_the_wrappers_bits_into_out(monkeypatch, fallback, n):
-    # _transform(kind, n) gives the bits of _rfft/_irfft/_fft/_ifft, written
-    # into the caller's buffer and returned, on the gufuncs and on the
-    # numpy.fft fallback; the irfft zero-pads a short input
+    # _transform(kind, n), which the wrappers call, gives numpy.fft's bits,
+    # written into the caller's buffer and returned, on the gufuncs and on
+    # the numpy.fft fallback; the irfft zero-pads a short input, with the
+    # bits of the zero-tailed half spectrum
     if fallback:
         monkeypatch.setattr(grid_module, "_POCKETFFT", None)
     rng = np.random.default_rng(n)
     real = rng.normal(size=(2, 3, n))
     comp = real + 1j * rng.normal(size=real.shape)
     half, short = comp[..., : n // 2 + 1], comp[..., :4]
-    cases = [("rfft", real, _rfft(real)), ("irfft", half, _irfft(half, n)),
-             ("irfft", short, _irfft(short, n)), ("fft", comp, _fft(comp)),
-             ("ifft", comp, _ifft(comp))]
+    tailed = np.zeros_like(half)
+    tailed[..., :4] = short
+    cases = [("rfft", real, np.fft.rfft(real)), ("irfft", half, np.fft.irfft(half, n)),
+             ("irfft", short, np.fft.irfft(tailed, n)), ("fft", comp, np.fft.fft(comp)),
+             ("ifft", comp, np.fft.ifft(comp))]
     for kind, a, want in cases:
         fn, scale = _transform(kind, n)
         out = np.empty_like(want)
@@ -475,7 +508,7 @@ def test_dealias_product_matches_pad_truncate_property(parity, seed, half_n, dim
     if parity == 0:
         assert np.min(np.abs(a_hat[:, n // 2])) > 0.0
     tensor = rng.normal(size=(dim, dim, dim))
-    ws = Dealias(n, 1.5, 2 * dim)
+    ws = Dealias(n, 1.5, dim, 2)
     np.multiply(a_hat, ws.split[:dim], out=ws.low[:dim])
     np.multiply(b_hat, ws.split[dim:], out=ws.low[dim:])
     p = ws.samples()
@@ -502,6 +535,28 @@ def test_dealias_samples_zero_pad_bitwise_property(seed, n, rows, factor):
     got = ws.samples()
     assert got is ws.padded and got.shape == (rows, ws.m)
     assert np.array_equal(got, np.fft.irfft(padded, ws.m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 96), d=st.integers(1, 3),
+       fields=st.integers(1, 2), factor=st.sampled_from([1.5, 2.0]))
+def test_dealias_coeffs_truncate_bitwise_property(seed, n, d, fields, factor):
+    # the one truncation: the rfft of a (d, m) product cut to n//2+1 modes,
+    # with the Nyquist imaginary part of even n zeroed, bit for bit, for
+    # even and odd n, always into the same contiguous buffer
+    rng = np.random.default_rng(seed)
+    ws = Dealias(n, factor, d, fields)
+    outs = []
+    for _ in range(2):
+        product = rng.normal(size=(d, ws.m))
+        want = np.fft.rfft(product)[:, : n // 2 + 1]
+        if n % 2 == 0:
+            want.imag[:, n // 2] = 0.0
+        got = ws.coeffs(product)
+        assert got.flags.c_contiguous and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        outs.append(got)
+    assert outs[0] is outs[1]
 
 
 @settings(max_examples=25, deadline=None)
@@ -597,29 +652,6 @@ def test_diff_real_band_limited_property(seed, log_n, rows, order):
     nyquist = np.fft.fft(real, axis=-1)[:, g.n_points // 2]
     if order % 2 == 1:
         assert np.max(np.abs(nyquist)) <= 1e-10 * scale * g.n_points
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    log_n=st.integers(3, 7),
-    rows=st.integers(1, 3),
-    orders=st.lists(st.integers(0, 4), min_size=1, max_size=3).map(tuple),
-    complex_input=st.booleans(),
-)
-def test_diff_order_tuple_stacks_single_orders_property(seed, log_n, rows, orders,
-                                                        complex_input):
-    g = Grid(2**log_n, 2 * np.pi)
-    f = _band_limited(seed, g.n_points, rows)
-    if complex_input:
-        f = f + 1j * _band_limited(seed + 1, g.n_points, rows)
-    if rows == 1:
-        f = f[0]
-    stacked = g.diff(f, orders)
-    assert stacked.shape == (len(orders),) + f.shape
-    assert stacked.dtype == (np.complex128 if complex_input else np.float64)
-    # one transform pair gives each order exactly as its own call does
-    assert np.array_equal(stacked, np.stack([g.diff(f, order) for order in orders]))
 
 
 @settings(max_examples=25, deadline=None)
