@@ -62,20 +62,33 @@ def _merge(base: dict, overlay: dict) -> dict:
     return base
 
 
+def _section(cfg: dict, name: str) -> dict:
+    """The section ``name`` of ``cfg``, which a flag is about to override."""
+    if not isinstance(cfg.get(name), dict):
+        raise ConfigError(f"{name}: must be a mapping, got {cfg.get(name)!r}")
+    return cfg[name]
+
+
 def load_config(args) -> ExperimentConfig:
     cfg = default_config(args.experiment)
     if args.config:
-        with open(args.config) as fh:
-            cfg = _merge(cfg, json.load(fh))
+        with open(args.config, encoding="utf-8") as fh:
+            try:
+                document = json.load(fh)
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{args.config}: not UTF-8 text ({exc.reason})") from None
+        if not isinstance(document, dict):
+            raise ConfigError(f"{args.config}: must be a JSON object, got {type(document).__name__}")
+        cfg = _merge(cfg, document)
     if args.eps is not None:
         if args.experiment == "converge":
             cfg["eps_list"] = [args.eps, 0.5 * args.eps]
         else:
             cfg["eps"] = args.eps
     if args.n is not None:
-        cfg["grid"]["n"] = args.n
+        _section(cfg, "grid")["n"] = args.n
     if args.t_final is not None:
-        cfg["time"]["t_final"] = args.t_final
+        _section(cfg, "time")["t_final"] = args.t_final
     return ExperimentConfig.from_dict(cfg)
 
 

@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "Grid",
     "Trajectory",
+    "rk4_factors",
     "rk4_step",
     "ifrk4_factors",
     "ifrk4_step",
@@ -220,20 +221,26 @@ def _hs_norms(values, grid: Grid, s: int) -> np.ndarray:
     return norms
 
 
-def rk4_step(state, rhs, dt: float, stages=None):
+def rk4_factors(dt: float):
+    """The per-run factors of :func:`rk4_step`: dt/2, dt, 2 and dt/6 as 0-d
+    float64 arrays (numpy converts a Python float operand to an array on
+    every ufunc call)."""
+    return tuple(np.array(f) for f in (0.5 * dt, dt, 2.0, dt / 6.0))
+
+
+def rk4_step(state, rhs, factors, stages):
     """One classical RK4 step for d/dt state = rhs(state); returns a new array.
 
     Stage i calls ``rhs(y, out=k_i)`` and uses the array it returns; y is
-    formed in the fifth stage buffer.  ``stages`` holds the five buffers
-    k_1..k_4, y of state's shape (a (5, *state.shape) array or a tuple of
-    arrays) that the caller keeps across steps (allocated here if None);
-    only the result is allocated.  Raises FloatingPointError when the
-    result's sum is not finite (a NaN or infinite sample).
+    formed in the fifth stage buffer.  ``factors`` are those of
+    :func:`rk4_factors`, and ``stages`` holds the five buffers k_1..k_4, y of
+    state's shape (a (5, *state.shape) array or a tuple of arrays) that the
+    caller keeps across steps; only the result is allocated.  The result is
+    not checked: a non-finite stage gives a non-finite result, which the
+    caller's own check of the state it keeps catches.
     """
-    if stages is None:
-        stages = np.empty((5,) + state.shape, state.dtype)
+    half, full, two, sixth = factors
     k1, k2, k3, k4, y = stages
-    half = 0.5 * dt
     k1 = rhs(state, out=k1)
     np.multiply(k1, half, out=y)
     y += state
@@ -241,28 +248,28 @@ def rk4_step(state, rhs, dt: float, stages=None):
     np.multiply(k2, half, out=y)
     y += state
     k3 = rhs(y, out=k3)
-    np.multiply(k3, dt, out=y)
+    np.multiply(k3, full, out=y)
     y += state
     k4 = rhs(y, out=k4)
-    out = np.multiply(k2, 2.0)  # state + dt/6 (k1 + 2 k2 + 2 k3 + k4), in that order
+    out = np.multiply(k2, two)  # state + dt/6 (k1 + 2 k2 + 2 k3 + k4), in that order
     out += k1
-    out += np.multiply(k3, 2.0, out=y)
+    out += np.multiply(k3, two, out=y)
     out += k4
-    out *= dt / 6.0
+    out *= sixth
     out += state
-    if not cmath.isfinite(np.add.reduce(out, axis=None)):  # real or complex, no temporary
-        raise FloatingPointError("rk4_step: non-finite state produced")
     return out
 
 
 def ifrk4_factors(symbol, dt: float):
     """The per-run factors of :func:`ifrk4_step` for the diagonal linear part
-    L = symbol: dt, exp(L dt/2), exp(L dt), and the coefficients (dt/6)
-    exp(L dt), (dt/3), (dt/2) and dt times exp(L dt/2), each at the shape of
-    ``symbol`` (give it the coefficients' shape)."""
+    L = symbol: dt/2 and dt/6 as 0-d float64 arrays, then exp(L dt/2),
+    exp(L dt), and the coefficients (dt/6) exp(L dt), (dt/3), (dt/2) and dt
+    times exp(L dt/2), each at the shape of ``symbol`` (give it the
+    coefficients' shape)."""
     e_half = np.exp(symbol * (dt / 2.0))
     e_full = e_half * e_half
-    return dt, e_half, e_full, (dt / 6.0) * e_full, (dt / 3.0) * e_half, (dt / 2.0) * e_half, dt * e_half
+    return (np.array(0.5 * dt), np.array(dt / 6.0), e_half, e_full, (dt / 6.0) * e_full,
+            (dt / 3.0) * e_half, (dt / 2.0) * e_half, dt * e_half)
 
 
 def ifrk4_step(v_hat, nonlinear, factors, stages):
@@ -283,14 +290,14 @@ def ifrk4_step(v_hat, nonlinear, factors, stages):
     restriction.  Raises FloatingPointError when the result's sum is not
     finite (a NaN or infinite coefficient).
     """
-    dt, e_half, e_full, c_n1, c_n23, c_half, c_full = factors
+    half, sixth, e_half, e_full, c_n1, c_n23, c_half, c_full = factors
     ev, y = stages[4], stages[5]
     n1 = nonlinear(v_hat, out=stages[0])
     np.multiply(e_half, v_hat, out=ev)  # shared by stages 2 and 3
     np.multiply(c_half, n1, out=y)
     y += ev
     n2 = nonlinear(y, out=stages[1])
-    np.multiply(0.5 * dt, n2, out=y)
+    np.multiply(half, n2, out=y)
     y += ev
     n3 = nonlinear(y, out=stages[2])
     np.multiply(e_full, v_hat, out=ev)
@@ -301,7 +308,7 @@ def ifrk4_step(v_hat, nonlinear, factors, stages):
     out += ev
     np.add(n2, n3, out=y)
     out += np.multiply(c_n23, y, out=y)
-    out += np.multiply(dt / 6.0, n4, out=y)
+    out += np.multiply(sixth, n4, out=y)
     if not cmath.isfinite(np.add.reduce(out, axis=None)):  # with no boolean temporary
         raise FloatingPointError("ifrk4_step: non-finite state produced")
     return out

@@ -22,16 +22,26 @@ shape) and output, the phase factors and rotation factor, and the
 leading-rotated state; the spin step holds the RK4 stages, the norms, and
 one tuple (``_SpinWork.stage``) of the bound rfft and irfft, symbols,
 shifted cross-product copies and their views that each right-hand side
-unpacks.  A step allocates only the state it yields.
+unpacks.  A step allocates only the state it yields.  Every scalar that a
+step hands to a ufunc is a 0-d array made once (the RK4 factors of
+``grid.rk4_factors``, the rotation scale, the easy-cone constants, the
+coupled condensate's lam and gamma terms, the 1 of 1 - |u|²), since numpy
+converts a Python scalar operand on every call.  A spin step is one RK4 step
+on the right-hand side bound once per run, then the renormalization: the
+squared norms by one multiply and one ``add.reduce`` over each sphere's
+rows (no einsum), one divide, and one ``vdot``, the step's one finiteness
+check (a zero-norm point gives 0/0, a non-finite stage a non-finite sum).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .grid import Grid, Trajectory, _fft, _ifft, _run, _transform, integrate, rk4_step, step_plan
+from .grid import (Grid, Trajectory, _fft, _ifft, _run, _transform, integrate, rk4_factors,
+                   rk4_step, step_plan)
 from .models import (
     GeometryData,
     MicroModelSpec,
@@ -43,6 +53,8 @@ from .models import (
 _MODULUS_RANGE = (0.5, 1.5)
 _NORM_TOL = 1e-10
 _ROLL = np.array([0, 1, 2, 0, 1])  # a (B, 5, N) cross-product buffer holds rows [x, y, z, x, y]
+_ONE = np.array(1.0)  # a 0-d operand: numpy converts a Python float on every ufunc call
+_ONE.flags.writeable = False
 SPLIT_STEP_RANGE = (0.4, 12.8)  # eps*kmax over which the condensate dt_max was measured
 
 
@@ -106,6 +118,13 @@ def unit_norm_deviation(spec, vals):
                    for b in blocks], axis=0)
 
 
+@functools.lru_cache(maxsize=None)
+def _coupled_constants(lam: float, gamma: float):
+    """lam, 4 gamma and 2 gamma of the coupled condensate as 0-d arrays, made
+    once per parameter pair."""
+    return np.array(lam), np.array(4.0 * gamma), np.array(2.0 * gamma)
+
+
 def _phase_factors(spec, vals, out=None):
     """Local self-interaction factors g_k with force +i g_k u_k / eps, written
     into out[0] of a real (2, *vals.shape) buffer (allocated if None) whose
@@ -114,16 +133,15 @@ def _phase_factors(spec, vals, out=None):
         out = np.empty((2,) + vals.shape)
     g = np.abs(vals, out=out[0])
     np.square(g, out=g)
-    np.subtract(1.0, g, out=g)  # d_k = 1 - |u_k|^2, the scalar factor
+    np.subtract(_ONE, g, out=g)  # d_k = 1 - |u_k|^2, the scalar factor
     if spec.kind == "GP_SCALAR":
         return g
-    lam = spec.params["lam"]
-    gamma = spec.params["gamma"]
+    lam, gamma4, gamma2 = _coupled_constants(spec.params["lam"], spec.params["gamma"])
     d1, d2 = g
     t1, t2 = out[1]
-    np.multiply(4.0 * gamma, d1, out=t1)
+    np.multiply(gamma4, d1, out=t1)
     t1 *= d2
-    np.multiply(2.0 * gamma, d1, out=t2)
+    np.multiply(gamma2, d1, out=t2)
     t2 *= d1
     g *= lam
     g += out[1]  # [lam d1 + 4 gamma d1 d2, lam d2 + 2 gamma d1 d1]
@@ -137,12 +155,16 @@ class _SpinWork:
     eps) - e3 V'(Γ₃)/eps³, easy-plane V' = 2k Γ₃ in the torque symbol,
     easy-cone V' = 2α d - 3β d² pointwise from d = Γ₃ - cos θ0 (no O(α/eps³)
     cancellation on the cone).  Pair: T_u = -∂x² u/(2 eps) - ∂x v/eps² +
-    2v/eps³, T_v with +∂x u (``couple``).  Γ and T are copied into (B, 5, N)
-    buffers laid out [x, y, z, x, y], whose rows 1:4 and 2:5 give Γ × T =
-    g_lo t_hi - g_hi t_lo.  Every transform and pointwise term writes into a
-    buffer held here, through views made once, so a stage allocates nothing;
-    symbols and couplings have the full shape of their products, since a
-    broadcast operand sends a ufunc through a buffered loop that allocates.
+    2v/eps³, T_v with +∂x u (``couple``: one product per sphere, since one
+    product with the coefficients in reversed sphere order, a negative-stride
+    operand, costs more than the call it saves).  Γ and T are copied into
+    (B, 5, N) buffers laid out [x, y, z, x, y], whose rows 1:4 and 2:5 give
+    Γ × T = g_lo t_hi - g_hi t_lo.  Every transform and pointwise term
+    writes into a buffer held here, through views made once, so a stage
+    allocates nothing; symbols and couplings have the full shape of their
+    products, since a broadcast operand sends a ufunc through a buffered loop
+    that allocates, and the cone's constants cos θ0, 3β/eps³ and 2α/eps³ are
+    0-d arrays, since numpy converts a Python scalar on every call.
     ``stage`` holds the bound transforms (:func:`~kdvlab.grid._transform`),
     symbols, buffers and views that :func:`_rhs_raw` reads, as one tuple."""
 
@@ -162,8 +184,8 @@ class _SpinWork:
         else:  # easy cone: T₃ += d (3β d - 2α) / eps³
             p = spec.params
             dev, term = np.empty((2, b, n))
-            cone = (np.cos(p["theta0"]), 3.0 * p["beta"] / eps**3, 2.0 * p["alpha"] / eps**3,
-                    dev, term)
+            cone = (np.array(np.cos(p["theta0"])), np.array(3.0 * p["beta"] / eps**3),
+                    np.array(2.0 * p["alpha"] / eps**3), dev, term)
         torque = np.empty(self.shape)
         g5, t5 = np.empty((2, b, 5, n))
         self.stage = (*_transform("rfft", n), *_transform("irfft", n), sym, coef, dcoef, couple,
@@ -283,7 +305,7 @@ def _make_stepper(spec, grid, eps, dt, c):
     if spec.is_complex:
         n, k = grid.n_points, grid.wavenumbers
         lin = np.exp(dt * (1j * c * k - 0.5j * eps * k**2) / eps**2)
-        scale = 0.5 * dt / eps**3
+        scale = np.array(0.5 * dt / eps**3)
 
         def stepper(vals):
             # Strang step R(dt/2) L(dt) R(dt/2).  R multiplies by exp(i*scale*g)
@@ -317,9 +339,8 @@ def _make_stepper(spec, grid, eps, dt, c):
         return stepper
 
     work = _SpinWork(spec, grid, eps)
-
-    def rhs(v, out):
-        return _rhs_raw(spec, v, grid, eps, c, out, work)
+    rhs = functools.partial(_rhs_raw, spec, grid=grid, eps=eps, c=c, work=work)
+    factors = rk4_factors(dt)
 
     def stepper(vals):
         shape = vals.shape
@@ -328,8 +349,10 @@ def _make_stepper(spec, grid, eps, dt, c):
         rows = norms[:, None]
         gam = vals.reshape(work.shape)
         while True:
-            gam = rk4_step(gam, rhs, dt, stages)
-            np.sqrt(np.einsum("bin,bin->bn", gam, gam, out=norms), out=norms)
+            gam = rk4_step(gam, rhs, factors, stages)
+            # the squared norms summed over each sphere's 3 rows, in row order
+            np.add.reduce(np.multiply(gam, gam, out=spread), axis=1, out=norms)
+            np.sqrt(norms, out=norms)
             np.copyto(spread, rows)  # a broadcast divisor would allocate a buffer
             gam /= spread
             if not math.isfinite(np.vdot(gam, gam)):  # a zero-norm point gives 0/0

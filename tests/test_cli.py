@@ -158,6 +158,29 @@ def test_non_finite_initial_data_exit_2_without_traceback(tmp_path, experiment):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("document,flags,message", [
+    (b"[1, 2]", [], "JSON object"),
+    (b'"x"', [], "JSON object"),
+    (b'{"grid": 5}', ["--n", "64"], "grid: must be a mapping"),
+    (b'{"time": [1]}', ["--t-final", "0.5"], "time: must be a mapping"),
+    (b"\xff\xfe", [], "not UTF-8"),
+])
+def test_malformed_config_document_exit_2_without_traceback(tmp_path, document, flags, message):
+    # a document that is not an object, a flag-overridden section that is
+    # not a mapping, or a file that does not decode is an invalid
+    # configuration: exit 2, no traceback and no summary (in the default
+    # output directory, relative to the working directory)
+    path = tmp_path / "cfg.json"
+    path.write_bytes(document)
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "kdvlab.cli", "kdv", "--config", str(path), *flags],
+        capture_output=True, text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 2
+    assert message in out.stderr and "Traceback" not in out.stderr
+    assert not list(tmp_path.rglob("summary.json"))
+
+
 def test_eps_list_must_strictly_decrease():
     cfg = default_config("converge")
     cfg["eps_list"] = [0.1, 0.2]

@@ -220,6 +220,72 @@ def test_slow_eigenvectors_carry_no_wave_observable(kind, params):
                 assert ratio <= 0.13 * (eps * kappa / geom.c) ** 2, (eps, kappa)
 
 
+def _orders(values, kappas):
+    """log2 of the ratio of ``values[eps, kappa]`` between eps 0.2 and 0.1,
+    and 0.1 and 0.05: the order in eps, per kappa."""
+    return [np.log2(values[big, kappa] / values[small, kappa])
+            for kappa in kappas for big, small in ((0.2, 0.1), (0.1, 0.05))]
+
+
+@pytest.mark.parametrize("kind,params", CONDENSATES + SPIN_KINDS)
+def test_fast_eigenvalues_are_the_sound_branch(kind, params):
+    # in the frame moving at c/eps², no mode of the linearized right-hand
+    # side grows, and its d fast eigenvalues are i omega(kappa), the sound
+    # frequency (c kappa + kappa sqrt(c² + eps² kappa²/4))/eps² of dt_max's
+    # docstring: near 2c kappa/eps², with a relative gap (eps kappa/c)²/16.
+    # A spin field's d remaining eigenvalues (its normal directions) sit at
+    # the transport c kappa/eps².  Measured: |lam - i omega|/omega <= 8.4e-13,
+    # |Re lam| <= 1.7e-14 c kappa/eps², the gap over (eps kappa/c)²
+    # 0.06226-0.06250 with order 1.9958-1.9999 in eps, the normal branch
+    # within 1e-17 c kappa/eps²
+    grid = Grid(32, 8 * np.pi)
+    geom, spec = preset(kind, params)
+    c, d = geom.c, spec.dim
+    gaps = {}
+    for eps in (0.2, 0.1, 0.05):
+        for kappa, lam, _, _, slow in _slow_branch(spec, eps, grid, (2, 4)):
+            transport = c * kappa / eps**2
+            sound = (c * kappa + kappa * np.sqrt(c**2 + eps**2 * kappa**2 / 4.0)) / eps**2
+            assert np.max(np.abs(lam.real)) <= 1e-13 * transport, (eps, kappa)
+            fast = np.argsort(np.abs(lam - 2j * transport))[:d]
+            assert np.max(np.abs(lam[fast] - 1j * sound)) <= 1e-11 * sound, (eps, kappa)
+            gaps[eps, kappa] = np.max(np.abs(lam[fast] - 2j * transport)) / (2.0 * transport)
+            assert abs(gaps[eps, kappa] / (eps * kappa / c) ** 2 - 1.0 / 16.0) <= 1e-3
+            normal = np.delete(lam, np.concatenate([slow, fast]))
+            assert len(normal) == (0 if spec.is_complex else d)
+            assert np.all(np.abs(normal - 1j * transport) <= 1e-12 * transport), (eps, kappa)
+    assert all(abs(order - 2.0) <= 0.01 for order in _orders(gaps, (0.5, 1.0)))
+
+
+@pytest.mark.parametrize("kind,params", CONDENSATES + SPIN_KINDS)
+def test_well_prepared_data_lie_on_the_slow_eigenspace(kind, params):
+    # well_prepared_init linearized in the amplitude of A0 (a central
+    # difference, which cancels the even orders of the chart) puts each
+    # Fourier mode of the state on the slow eigenspace of the linearized
+    # right-hand side, but for a share (eps kappa/c)²/16 of it along the
+    # other eigenvectors: second order in eps.  Measured over kappa = 1/4 ..
+    # 1: the share over (eps kappa/c)² is 0.06219-0.06253, and its order in
+    # eps 1.9946-2.0000
+    grid = Grid(32, 8 * np.pi)
+    geom, spec = preset(kind, params)
+    c, d, modes = geom.c, spec.dim, (1, 2, 3, 4)
+    A0 = 1e-4 * np.stack([sum(np.cos(grid.wavenumbers[j] * grid.x + 0.7 * j + 1.3 * a)
+                              for j in modes) for a in range(d)])
+    shares = {}
+    for eps in (0.2, 0.1, 0.05):
+        tangent = (well_prepared_init(spec, geom, A0, grid, eps).values
+                   - well_prepared_init(spec, geom, -A0, grid, eps).values) / 2.0
+        coeffs = np.fft.rfft(_real_rows(tangent), axis=-1)
+        for j, (kappa, _, vec, _, slow) in zip(modes, _slow_branch(spec, eps, grid, modes)):
+            parts = np.linalg.solve(vec, coeffs[:, j])
+            rest = np.delete(np.arange(len(parts)), slow)
+            shares[eps, kappa] = (np.linalg.norm(vec[:, rest] @ parts[rest])
+                                  / np.linalg.norm(coeffs[:, j]))
+            assert abs(shares[eps, kappa] / (eps * kappa / c) ** 2 - 1.0 / 16.0) <= 1e-3, (eps, kappa)
+    assert all(abs(order - 2.0) <= 0.01
+               for order in _orders(shares, grid.wavenumbers[list(modes)]))
+
+
 @pytest.mark.parametrize("kind,params", SPIN_KINDS)
 def test_fused_spin_rhs_matches_reference(kind, params):
     eps = 0.2

@@ -58,10 +58,18 @@ def test_traced_steps_and_trajectory_counters_resolve(monkeypatch):
     assert _trajectory_counts(traj) == {"steps": 10, "rhs_evals": 0, "aborts": 0}
     assert traj.meta["steps"] == calls["ifrk4_step"] == 10
 
-    _, spec = preset("LL_EASY_PLANE")
-    g0 = np.stack([np.cos(0.1 * np.sin(grid.x)), np.sin(0.1 * np.sin(grid.x)), np.zeros(32)])
-    s0 = micro.MicroState(spec, grid, 0.5, g0)
-    dt = micro.dt_max(spec, 0.5, grid)
-    traj = micro.evolve_micro(spec, s0, 6 * dt, dt, n_snapshots=3, consume=lambda t, b: None)
-    assert _trajectory_counts(traj) == {"steps": 6, "rhs_evals": 24, "aborts": 0}
-    assert calls["rk4_step"] == 6 and traj.meta["rhs_evals"] == calls["_rhs_raw"] == 24
+    # every spin family: the pair's coupling and the cone's anisotropy are
+    # inside the traced right-hand side
+    sphere = np.stack([np.cos(0.1 * np.sin(grid.x)), np.sin(0.1 * np.sin(grid.x)), np.zeros(32)])
+    for kind, params, g0 in (("LL_EASY_PLANE", None, sphere),
+                             ("AF_CHAIN", None, np.concatenate([sphere, -sphere])),
+                             ("LL_EASY_CONE", {"alpha": 1.0, "theta0": 1.0},
+                              np.stack([np.sin(1.0) * sphere[0], np.sin(1.0) * sphere[1],
+                                        np.full(32, np.cos(1.0))]))):
+        _, spec = preset(kind, params)
+        s0 = micro.MicroState(spec, grid, 0.5, g0)
+        dt = micro.dt_max(spec, 0.5, grid)
+        calls.clear()
+        traj = micro.evolve_micro(spec, s0, 6 * dt, dt, n_snapshots=3, consume=lambda t, b: None)
+        assert _trajectory_counts(traj) == {"steps": 6, "rhs_evals": 24, "aborts": 0}, kind
+        assert calls["rk4_step"] == 6 and traj.meta["rhs_evals"] == calls["_rhs_raw"] == 24, kind
