@@ -32,8 +32,8 @@ from .analysis import (
 from .grid import Grid, l2_norm, step_plan
 from .hydro import almost_hamiltonian, chart_blocks, energy_proxy, limit_error
 from .kdv import LimitModel, conserved_quantities, evolve_kdv
-from .micro import (SPLIT_STEP_RANGE, dt_max, evolve_micro, mass, unit_norm_deviation,
-                    well_prepared_init)
+from .micro import (SPLIT_STEP_RANGE, dt_max, evolve_group, evolve_micro, mass,
+                    unit_norm_deviation, well_prepared_init)
 from .models import chart_radius, limit_equation, preset
 
 __all__ = [
@@ -486,24 +486,25 @@ def _run_kdv(cfg: ExperimentConfig, outdir: Path):
     return assertions, counters
 
 
-def _stream_run(spec, s0, T, steps, n_snapshots, block_series):
-    """Run the microscopic model from s0 in ``steps`` steps to T and compute
-    per-snapshot series while it runs: ``block_series(times, block, h)``
-    gets each block of snapshots with its chart coordinates and returns a
-    dict of per-snapshot columns.  Returns the trajectory and the columns."""
+def _streamed(spec, block_series):
+    """A consumer that computes per-snapshot series of one microscopic run
+    while it runs, and a function that returns them: ``block_series(times,
+    block, h)`` gets each block of snapshots with its chart coordinates and
+    returns a dict of per-snapshot columns, concatenated on return."""
     cols = {}
 
     def collect(times, block, h):
         for name, value in block_series(times, block, h).items():
             cols.setdefault(name, []).append(value)
 
-    traj = evolve_micro(spec, s0, T, dt=T / steps, n_snapshots=n_snapshots,
-                        consume=chart_blocks(spec, collect))
-    return traj, {name: np.concatenate(v) for name, v in cols.items()}
+    def collected():
+        return {name: np.concatenate(v) for name, v in cols.items()}
+
+    return chart_blocks(spec, collect), collected
 
 
 def _micro_series(spec, s0, kdv_traj=None):
-    """Per-block diagnostics of a microscopic run from s0, for _stream_run
+    """Per-block diagnostics of a microscopic run from s0, for _streamed
     (one dx(phi) and one tangent gradient per block): ||W||, max|eps phi|,
     the almost-conserved energy, the structure deviation (relative mass drift
     for condensates, unit-norm deviation for spins) and chart membership;
@@ -543,19 +544,20 @@ def _well_prepared(cfg: ExperimentConfig, eps: float):
         raise ConfigError(f"initial.amplitude: {exc} (eps = {eps!r})") from None
 
 
-def _micro_task(cfg: ExperimentConfig, eps: float, kdv_traj=None):
-    """One streamed microscopic run at eps from the config's well-prepared
-    data, at a quarter of the step cap: the micro experiment, or one ε-run of
-    converge (with its limit run).  Returns the spec, trajectory and series."""
+def _prepare_micro(cfg: ExperimentConfig, eps: float, kdv_traj=None):
+    """The spec, well-prepared initial state and step of one streamed
+    microscopic run at eps, at a quarter of the step cap, and its series
+    consumer and collected columns (:func:`_streamed`): the micro
+    experiment, or one ε-run of converge (with its limit run)."""
     spec, grid, s0 = _well_prepared(cfg, eps)
-    steps = _micro_steps(spec, eps, grid, cfg.t_final, cfg.snapshots)
-    traj, series = _stream_run(spec, s0, cfg.t_final, steps, cfg.snapshots,
-                               _micro_series(spec, s0, kdv_traj))
-    return spec, traj, series
+    dt = cfg.t_final / _micro_steps(spec, eps, grid, cfg.t_final, cfg.snapshots)
+    return (spec, s0, dt) + _streamed(spec, _micro_series(spec, s0, kdv_traj))
 
 
 def _run_micro(cfg: ExperimentConfig, outdir: Path):
-    spec, traj, series = _micro_task(cfg, cfg.eps)
+    spec, s0, dt, consume, collected = _prepare_micro(cfg, cfg.eps)
+    traj = evolve_micro(spec, s0, cfg.t_final, dt, cfg.snapshots, consume=consume)
+    series = collected()
     columns = ["t", "w_norm", "eps_phi_inf", "energy", "structure_dev"]
     emit_series(outdir / "micro_series.csv", columns,
                 np.column_stack([traj.times] + [series[c] for c in columns[1:]]))
@@ -576,14 +578,25 @@ def _run_micro(cfg: ExperimentConfig, outdir: Path):
 
 
 def _converge_task(payload):
-    """One ε-run of the convergence experiment (worker-pool entry point).
-
-    Receives the shared limit reference with its payload and writes only its
-    own CSV file, so no state crosses between ε-runs.
+    """The ε-runs of the convergence experiment at the ε of one group, stepped
+    in lockstep (:func:`~kdvlab.micro.evolve_group`): the serial path runs
+    every ε as one group, a worker pool one ε per task, through this
+    function.  Every ε-run is prepared before any steps, so data outside the
+    chart are a config error before a run starts.  Each ε-run is scored
+    against the shared limit reference of the payload and writes its own
+    CSV file; returns one result per ε, in group order.
     """
-    raw, eps, kdv_traj = payload
+    raw, group, kdv_traj = payload
     cfg = ExperimentConfig.from_dict(raw)
-    spec, traj, series = _micro_task(cfg, eps, kdv_traj)
+    specs, states, dts, consumers, collected = zip(*[_prepare_micro(cfg, eps, kdv_traj)
+                                                     for eps in group])
+    trajs = evolve_group(specs[0], states, cfg.t_final, dts, cfg.snapshots, consumers=consumers)
+    return [_converge_result(cfg, specs[0], eps, traj, series(), kdv_traj)
+            for eps, traj, series in zip(group, trajs, collected)]
+
+
+def _converge_result(cfg, spec, eps, traj, series, kdv_traj):
+    """The result of one ε-run of converge, its CSV file written."""
     out = {
         "eps": eps,
         "aborted": traj.aborted,
@@ -629,15 +642,16 @@ def _run_converge(cfg: ExperimentConfig, outdir: Path):
             "aborts": {"kdv": {"abort_reason": kdv_traj.abort_reason,
                                "steps_taken": kdv_traj.meta["steps_taken"]}},
         }
-    payloads = [(raw, eps, kdv_traj) for eps in cfg.eps_list]
     if cfg.workers > 1:
         from multiprocessing import Pool  # only parallel runs pay for this import
         # eps_list decreases, so reversed it hands out the costliest run (the
         # smallest eps) first; the results are put back in eps_list order
+        payloads = [(raw, [eps], kdv_traj) for eps in cfg.eps_list[::-1]]
         with Pool(processes=min(cfg.workers, len(payloads))) as pool:
-            results = pool.map(_converge_task, payloads[::-1], chunksize=1)[::-1]
+            results = [r for rs in pool.map(_converge_task, payloads, chunksize=1)[::-1]
+                       for r in rs]
     else:
-        results = [_converge_task(p) for p in payloads]
+        results = _converge_task((raw, cfg.eps_list, kdv_traj))
 
     completed = [r for r in results if not r["aborted"]]
     all_done = len(completed) == len(results)

@@ -8,6 +8,7 @@ so this module is the single home for that plumbing.
 from __future__ import annotations
 
 import cmath
+import itertools
 
 import numpy as np
 
@@ -233,7 +234,8 @@ def rk4_step(state, rhs, factors, stages):
 
     Stage i calls ``rhs(y, out=k_i)`` and uses the array it returns; y is
     formed in the fifth stage buffer.  ``factors`` are those of
-    :func:`rk4_factors`, and ``stages`` holds the five buffers k_1..k_4, y of
+    :func:`rk4_factors` (or, for a batch of runs, each run's stacked at the
+    state's shape), and ``stages`` holds the five buffers k_1..k_4, y of
     state's shape (a (5, *state.shape) array or a tuple of arrays) that the
     caller keeps across steps; only the result is allocated.  The result is
     not checked: a non-finite stage gives a non-finite result, which the
@@ -334,63 +336,115 @@ def step_plan(T: float, dt: float):
     return steps, float(np.sign(dt) * abs(T) / steps)
 
 
-def _run(steps, dt, n_snapshots, state, states, consume, monitor=None, check=None) -> Trajectory:
-    """The step loop of every run: ``steps`` steps of ``dt`` from ``state``,
-    each one ``next(states)``, snapshotted on the steps of
-    :func:`snapshot_steps` (step 0 is ``state``).
+class _NonFinite(FloatingPointError):
+    """What a batch's ``advance`` raises on a step that leaves some of its
+    runs non-finite: ``rows``, their rows in the batch, and ``state``, the
+    batch state of that step, whose other rows are sound."""
 
-    Snapshots go to ``consume(times, block)`` in consecutive blocks of at
-    most SNAPSHOT_BLOCK, as they are taken: ``block`` is an (S, *state.shape)
-    view of one buffer that the next block overwrites.  The run aborts on the
-    exact step where ``next(states)`` raises FloatingPointError ("non-finite
-    state", nothing kept), where ``monitor(step, state)``, called after every
-    step, returns a reason (the state is kept as the last snapshot), or at a
-    snapshot where ``check(state)`` returns one (nothing kept); an abort
-    hands over the partial block first.  ``meta["steps"]`` is the planned
-    step count and ``meta["steps_taken"]`` the steps run up to the end or
-    the abort.
+    def __init__(self, rows, state):
+        super().__init__(f"non-finite state in batch rows {rows}")
+        self.rows, self.state = rows, state
+
+
+def _run(runs, state, advance, keep=None, monitor=None, check=None) -> list[Trajectory]:
+    """The step loop of every run: a batch of runs stepped in lockstep, each
+    step one ``advance()``, which steps every run still in the batch and
+    returns the batch state, whose row r is the state of the run at row r
+    (an array with the runs along its leading axis, or a sequence of their
+    states).  ``runs`` holds each run's (steps, dt, n_snapshots, consume), in
+    the order of the rows of ``state``, the initial batch state (an array).
+
+    A run is snapshotted on the steps of :func:`snapshot_steps` (step 0 is
+    its initial row), and its snapshots go to its ``consume(times, block)``
+    in consecutive blocks of at most SNAPSHOT_BLOCK, as they are taken:
+    ``block`` is an (S, *row shape) view of the run's one buffer, which the
+    next block overwrites.  A run aborts on the exact step where
+    ``advance()`` raises FloatingPointError for it ("non-finite state",
+    nothing kept; a :class:`_NonFinite` names the rows it concerns, any
+    other concerns every row), at a snapshot where ``check(row)`` returns a
+    reason (nothing kept), or where ``monitor(step, state)``, called after
+    every step, returns one: that stops every run, each keeping its state as
+    its last snapshot.  An abort hands over the partial block first.
+
+    A run leaves the batch after its last step or its abort, and then
+    ``advance, keep = keep(rows)`` shrinks the batch to the rows that stay.
+    So the runs' bookkeeping is done on the steps where some run snapshots,
+    ends or aborts, and a step in between costs ``advance()`` and one
+    comparison, however many runs the batch holds.  Returns one Trajectory
+    per run, in ``runs`` order: ``meta["steps"]`` is its planned step count
+    and ``meta["steps_taken"]`` the steps run up to its end or abort.
     """
-    _, snaps = snapshot_steps(steps, n_snapshots)
-    upcoming = iter(snaps[1:])
-    snap = next(upcoming)
-    buf = np.empty((min(SNAPSHOT_BLOCK, len(snaps)),) + state.shape, state.dtype)
-    buf[0] = state
-    traj, block = Trajectory(), [0.0]
+    planned, dts, _, consumers = zip(*runs)
+    trajs = [Trajectory() for _ in runs]
+    bufs, blocks, upcoming, due = [], [], [], []
+    for row, (steps, _, n_snapshots, _) in enumerate(runs):
+        _, snaps = snapshot_steps(steps, n_snapshots)
+        buf = np.empty((min(SNAPSHOT_BLOCK, len(snaps)),) + state.shape[1:], state.dtype)
+        buf[0] = state[row]
+        bufs.append(buf)
+        blocks.append([0.0])
+        upcoming.append(iter(snaps[2:]))
+        due.append(snaps[1])
 
-    def keep(step, state):
-        nonlocal block
-        if len(block) == len(buf):
-            traj.times += block
-            consume(block, buf)
-            block = []
-        buf[len(block)] = state
-        block.append(step * dt)
+    def snapshot(i, step, row):
+        if len(blocks[i]) == len(bufs[i]):
+            trajs[i].times += blocks[i]
+            consumers[i](blocks[i], bufs[i])
+            blocks[i] = []
+        bufs[i][len(blocks[i])] = row
+        blocks[i].append(step * dts[i])
 
-    for step in range(1, steps + 1):
+    def finish(i, step, reason):
+        traj, block = trajs[i], blocks[i]
+        traj.times += block
+        consumers[i](block, bufs[i][:len(block)])
+        traj.abort_reason, traj.aborted = reason, reason is not None
+        if traj.aborted:
+            traj.abort_time = step * dts[i]
+        traj.meta.update(steps=planned[i], steps_taken=step)
+
+    batch = list(range(len(runs)))  # the run at each row of the batch state
+    event, failed = min(due), ()
+    for step in itertools.count(1):
         try:
-            state = next(states)
-        except FloatingPointError:
-            traj.abort_reason = "non-finite state"
-            break
-        if monitor is not None:
-            traj.abort_reason = monitor(step, state)
-            if traj.abort_reason is not None:
-                keep(step, state)
+            state = advance()
+        except FloatingPointError as exc:
+            failed = exc.rows if isinstance(exc, _NonFinite) else range(len(batch))
+            for r in failed:
+                finish(batch[r], step, "non-finite state")
+            if len(failed) == len(batch):
                 break
-        if step == snap:
-            if check is not None:
-                traj.abort_reason = check(state)
-                if traj.abort_reason is not None:
+            state, event = exc.state, step
+        if monitor is not None:
+            reason = monitor(step, state)
+            if reason is not None:
+                for r, i in enumerate(batch):
+                    snapshot(i, step, state[r])
+                    finish(i, step, reason)
+                break
+        if step == event:
+            stay = []
+            for r, i in enumerate(batch):
+                if r in failed:
+                    continue
+                if due[i] == step:
+                    reason = None if check is None else check(state[r])
+                    if reason is not None:
+                        finish(i, step, reason)
+                        continue
+                    snapshot(i, step, state[r])
+                    if step == planned[i]:
+                        finish(i, step, None)
+                        continue
+                    due[i] = next(upcoming[i])
+                stay.append(r)
+            if len(stay) < len(batch):
+                if not stay:
                     break
-            keep(step, state)
-            snap = next(upcoming, None)
-    traj.times += block
-    consume(block, buf[:len(block)])
-    traj.aborted = traj.abort_reason is not None
-    if traj.aborted:
-        traj.abort_time = step * dt
-    traj.meta.update(steps=steps, steps_taken=step)  # steps >= 1, so the loop ran
-    return traj
+                batch = [batch[r] for r in stay]
+                advance, keep = keep(stay)
+            event, failed = min(due[i] for i in batch), ()
+    return trajs
 
 
 def integrate(values, grid: Grid):

@@ -62,9 +62,10 @@ def extract_series(spec, block: MicroState, phase_ref=None) -> HydroState:
 
 
 def chart_blocks(spec, consume):
-    """Consumer for ``evolve_micro`` that extracts the chart coordinates of
-    each block of snapshots, carrying the phase branch across block seams, and
-    passes ``(times, block, hydro_block)`` on to ``consume``."""
+    """Consumer for one micro run (of ``evolve_micro`` or ``evolve_group``)
+    that extracts the chart coordinates of each block of snapshots, carrying
+    the phase branch across block seams, and passes ``(times, block,
+    hydro_block)`` on to ``consume``."""
     ref = None
 
     def extract(times, block):

@@ -307,23 +307,24 @@ def _evolve_ifrk4(symbol, nonlin, u0: np.ndarray, grid: Grid, T, dt, n_snapshots
     irfft, irfft_scale = _transform("irfft", n)
     grad_times, grad_vals = [0.0], [float(np.max(np.abs(grid.diff(u0))))]
     grad_limit = BLOWUP_MULTIPLE * max(grad_vals[0], 1e-12)
+    stages = tuple(np.empty((6,) + v0.shape, complex))  # views made once
+    v = v0
 
-    def stepper(v):
-        stages = tuple(np.empty((6,) + v.shape, complex))  # views made once
-        while True:
-            v = ifrk4_step(v, nonlin, factors, stages)
-            yield v
+    def advance():  # the batch of one run, as the 1-tuple of its state
+        nonlocal v
+        v = ifrk4_step(v, nonlin, factors, stages)
+        return (v,)
 
-    def gradient_guard(step, v):
-        np.multiply(ik, v, out=dcoef)
+    def gradient_guard(step, state):
+        np.multiply(ik, state[0], out=dcoef)
         irfft(dcoef, irfft_scale, grad)
         grad_vals.append(float(np.maximum.reduce(np.abs(grad, out=grad), axis=None)))
         grad_times.append(step * dt)
         return "gradient blow-up" if grad_vals[-1] > grad_limit else None
 
     blocks = []
-    traj = _run(steps, dt, n_snapshots, v0, stepper(v0),
-                lambda times, block: blocks.append(_irfft(block, n)), monitor=gradient_guard)
+    [traj] = _run([(steps, dt, n_snapshots, lambda times, block: blocks.append(_irfft(block, n)))],
+                  v0[None], advance, monitor=gradient_guard)
     snapshots = np.concatenate(blocks)
     snapshots[0] = u0  # the initial data, not their transform round trip
     traj.meta["snapshots"] = snapshots

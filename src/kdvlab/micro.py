@@ -15,22 +15,33 @@ lives.  The limit is written in the frame moving at speed c/eps^2:
   the moving-frame field at time t is the lab-frame one translated by
   -(c/eps^2) t; ``hydro.limit_error`` translates the limit instead.
 
-Both steps run on buffers and transforms bound once per run
+Runs of one family on one grid step in lockstep, as one batch (a
+``converge`` steps its eps-runs so): every array of a step carries the runs
+along one axis, so one transform and one ufunc call serve all of them.  At
+N = 256 a call costs mostly its fixed overhead (a 256-point rfft took 2.3 µs
+on one row and 4.8 µs on six), so a batch steps for little more than its
+costliest run alone, where runs stepped one after another would each pay
+every call.  Every operation acts run by run, and each run's factors are
+stacked at the full shape of their operands, so a run in a batch has the
+bits of the same run stepped alone; a run leaves the batch when it ends or
+aborts, and the others carry their state on.
+
+Both steps run on buffers and transforms bound once per batch
 (``grid._transform``), so a step looks nothing up: the split step holds its
-bound fft and ifft, its spectrum, the linear flow's factor (at the state's
-shape) and output, the phase factors and rotation factor, and the
-leading-rotated state; the spin step holds the RK4 stages, the norms, and
-one tuple (``_SpinWork.stage``) of the bound rfft and irfft, symbols,
-shifted cross-product copies and their views that each right-hand side
-unpacks.  A step allocates only the state it yields.  Every scalar that a
-step hands to a ufunc is a 0-d array made once (the RK4 factors of
-``grid.rk4_factors``, the rotation scale, the easy-cone constants, the
-coupled condensate's lam and gamma terms, the 1 of 1 - |u|²), since numpy
-converts a Python scalar operand on every call.  A spin step is one RK4 step
-on the right-hand side bound once per run, then the renormalization: the
-squared norms by one multiply and one ``add.reduce`` over each sphere's
-rows (no einsum), one divide, and one ``vdot``, the step's one finiteness
-check (a zero-norm point gives 0/0, a non-finite stage a non-finite sum).
+bound fft and ifft, its spectrum, the linear flow's factor and the rotation
+scale (each run's, at the state's shape), the phase factors and rotation
+factor, and the leading-rotated state; the spin step holds the RK4 stages
+and factors, the norms, and one tuple (``_SpinWork.stage``) of the bound
+rfft and irfft, symbols, shifted cross-product copies and their views that
+each right-hand side unpacks.  A step allocates only the state it yields.
+Every constant a step hands to a ufunc is an array made once: numpy converts
+a Python scalar operand on every call, and a broadcast one sends the call
+through a buffered loop that allocates.  A spin step is one RK4 step on the
+right-hand side bound once per batch, then the renormalization: the squared
+norms by one multiply and one ``add.reduce`` over each sphere's rows (no
+einsum), one divide, and one ``vdot``, the step's one finiteness check (a
+zero-norm point gives 0/0, a non-finite stage a non-finite sum); only when
+it fails is each run checked on its own.
 """
 
 from __future__ import annotations
@@ -40,8 +51,8 @@ import math
 
 import numpy as np
 
-from .grid import (Grid, Trajectory, _fft, _ifft, _run, _transform, integrate, rk4_factors,
-                   rk4_step, step_plan)
+from .grid import (Grid, Trajectory, _fft, _ifft, _NonFinite, _run, _transform, integrate,
+                   rk4_factors, rk4_step, step_plan)
 from .models import (
     GeometryData,
     MicroModelSpec,
@@ -137,8 +148,8 @@ def _phase_factors(spec, vals, out=None):
     if spec.kind == "GP_SCALAR":
         return g
     lam, gamma4, gamma2 = _coupled_constants(spec.params["lam"], spec.params["gamma"])
-    d1, d2 = g
-    t1, t2 = out[1]
+    d1, d2 = g[..., 0, :], g[..., 1, :]
+    t1, t2 = out[1][..., 0, :], out[1][..., 1, :]
     np.multiply(gamma4, d1, out=t1)
     t1 *= d2
     np.multiply(gamma2, d1, out=t2)
@@ -149,8 +160,10 @@ def _phase_factors(spec, vals, out=None):
 
 
 class _SpinWork:
-    """Pre-scaled symbols, buffers and views of one run's spin right-hand side,
-    on the state as (B, 3, N) (B = 2 spheres u, v for the pair): d/dt Γ =
+    """Pre-scaled symbols, buffers and views of the spin right-hand side of a
+    batch of M runs at eps[0..M-1], on the state as (3, M, N), or (2, 3, M,
+    N) for the pair's spheres u, v: the runs sit next to the samples, so the
+    rows of each component (and sphere) are one contiguous block.  d/dt Γ =
     Γ × T in the lab frame, with the symbol of the torque.  Chain: T = ∂x² Γ/(2
     eps) - e3 V'(Γ₃)/eps³, easy-plane V' = 2k Γ₃ in the torque symbol,
     easy-cone V' = 2α d - 3β d² pointwise from d = Γ₃ - cos θ0 (no O(α/eps³)
@@ -158,47 +171,59 @@ class _SpinWork:
     2v/eps³, T_v with +∂x u (``couple``: one product per sphere, since one
     product with the coefficients in reversed sphere order, a negative-stride
     operand, costs more than the call it saves).  Γ and T are copied into
-    (B, 5, N) buffers laid out [x, y, z, x, y], whose rows 1:4 and 2:5 give
-    Γ × T = g_lo t_hi - g_hi t_lo.  Every transform and pointwise term
-    writes into a buffer held here, through views made once, so a stage
-    allocates nothing; symbols and couplings have the full shape of their
-    products, since a broadcast operand sends a ufunc through a buffered loop
-    that allocates, and the cone's constants cos θ0, 3β/eps³ and 2α/eps³ are
-    0-d arrays, since numpy converts a Python scalar on every call.
-    ``stage`` holds the bound transforms (:func:`~kdvlab.grid._transform`),
-    symbols, buffers and views that :func:`_rhs_raw` reads, as one tuple."""
+    buffers with the component rows laid out [x, y, z, x, y], whose rows 1:4
+    and 2:5 give Γ × T = g_lo t_hi - g_hi t_lo.  Every transform and
+    pointwise term writes into a buffer held here, through views made once,
+    so a stage allocates nothing.  Each run's symbols, couplings and cone
+    constants 3β/eps³ and 2α/eps³ are stacked at the full shape of their
+    products, never broadcast: a broadcast operand, or views of the [x, y, z,
+    x, y] rows with the runs outside the components, send a ufunc through
+    numpy's buffered loop, which allocates.  The cone's cos θ0, the same for
+    every run, is a 0-d array, since numpy converts a Python scalar on every
+    call.  ``stage`` holds the bound transforms
+    (:func:`~kdvlab.grid._transform`), symbols, buffers and views that
+    :func:`_rhs_raw` reads, as one tuple."""
 
     def __init__(self, spec, grid, eps):
-        self.blocks = b = 2 if spec.kind == "AF_CHAIN" else 1
+        self.blocks = 2 if spec.kind == "AF_CHAIN" else 1
+        spheres = (2,) if self.blocks == 2 else ()
         n, ik, ik2 = grid.n_points, grid.rsymbol(1), grid.rsymbol(2)
-        self.shape = (b, 3, n)
-        sym = np.tile((-0.5 if b == 2 else 0.5) / eps * ik2, (b, 3, 1))
-        coef, mixed, dcoef = np.empty((3, b, 3, n // 2 + 1), complex)
+        self.shape = spheres + (3, len(eps), n)
+        syms, pairs = [], []
+        for e in eps:
+            sym = np.tile((-0.5 if spheres else 0.5) / e * ik2, spheres + (3, 1))
+            if spec.kind == "LL_EASY_PLANE":
+                sym[2] -= 2.0 * spec.params["k"] / e**3
+            syms.append(sym)
+            if spheres:  # each sphere's torque takes the other's coefficients
+                pair = np.stack([-ik / e**2, ik / e**2])[:, None, :] + 2.0 / e**3
+                pairs.append(np.repeat(pair, 3, axis=1))
+        sym = np.stack(syms, axis=-2)
+        coef, mixed, dcoef = np.empty((3,) + sym.shape, complex)
         couple = cone = None
-        if b == 2:  # each sphere's torque takes the other's coefficients
-            pair = np.stack([-ik / eps**2, ik / eps**2])[:, None, :] + 2.0 / eps**3
-            pair = np.repeat(pair, 3, axis=1)
+        if spheres:
+            pair = np.stack(pairs, axis=-2)
             couple = (pair[0], coef[1], mixed[0], pair[1], coef[0], mixed[1], mixed)
-        elif spec.kind == "LL_EASY_PLANE":
-            sym[0, 2] -= 2.0 * spec.params["k"] / eps**3
-        else:  # easy cone: T₃ += d (3β d - 2α) / eps³
+        elif spec.kind == "LL_EASY_CONE":  # T₃ += d (3β d - 2α) / eps³
             p = spec.params
-            dev, term = np.empty((2, b, n))
-            cone = (np.array(np.cos(p["theta0"])), np.array(3.0 * p["beta"] / eps**3),
-                    np.array(2.0 * p["alpha"] / eps**3), dev, term)
+            dev, term = np.empty((2, len(eps), n))
+            cone = (np.array(np.cos(p["theta0"])),
+                    np.stack([np.full(n, 3.0 * p["beta"] / e**3) for e in eps]),
+                    np.stack([np.full(n, 2.0 * p["alpha"] / e**3) for e in eps]), dev, term)
         torque = np.empty(self.shape)
-        g5, t5 = np.empty((2, b, 5, n))
+        g5, t5 = np.empty((2,) + spheres + (5, len(eps), n))
+        lo, hi = np.s_[..., 1:4, :, :], np.s_[..., 2:5, :, :]
         self.stage = (*_transform("rfft", n), *_transform("irfft", n), sym, coef, dcoef, couple,
-                      cone, torque, torque[:, 2], g5, g5[:, 2], t5, g5[:, 1:4], g5[:, 2:5],
-                      t5[:, 1:4], t5[:, 2:5])
+                      cone, torque, torque[..., 2, :, :], g5, g5[..., 2, :, :], t5, g5[lo], g5[hi],
+                      t5[lo], t5[hi])
 
 
 def _rhs_raw(spec, vals, grid, eps, c, out=None, work=None):
     """Right-hand side on raw values (m, N): a condensate's in the frame
     moving at c/eps², a spin field's in the lab frame (``c`` unused).  A spin
-    kind with ``work`` (a :class:`_SpinWork`) takes vals and ``out`` as (B,
-    3, N) and fills ``out``; without, it builds the workspace and allocates
-    the result."""
+    kind with ``work`` (a :class:`_SpinWork`, which holds the batch's eps)
+    takes vals and ``out`` at the workspace's shape and fills ``out``;
+    without, it builds the workspace of one run and allocates the result."""
     if work is not None:
         (rfft, rfft_scale, irfft, irfft_scale, sym, coef, dcoef, couple, cone, torque, torque_z,
          g5, g_z, t5, g_lo, g_hi, t_lo, t_hi) = work.stage
@@ -210,14 +235,14 @@ def _rhs_raw(spec, vals, grid, eps, c, out=None, work=None):
             np.multiply(couple_v, coef_u, out=mixed_v)
             dcoef += mixed
         irfft(dcoef, irfft_scale, torque)
-        vals.take(_ROLL, axis=1, out=g5, mode="clip")  # "raise" would copy g5 first
+        vals.take(_ROLL, axis=-3, out=g5, mode="clip")  # "raise" would copy g5 first
         if cone is not None:
             cos0, quad, lin, dev, term = cone
             np.subtract(g_z, cos0, out=dev)
             np.multiply(quad, dev, out=term)
             term -= lin
             torque_z += np.multiply(dev, term, out=term)  # dev (quad dev - lin)
-        torque.take(_ROLL, axis=1, out=t5, mode="clip")
+        torque.take(_ROLL, axis=-3, out=t5, mode="clip")
         # torque now lives in t5, so its buffer is the cross product's scratch
         np.multiply(g_lo, t_hi, out=out)
         return np.subtract(out, np.multiply(g_hi, t_lo, out=torque), out=out)
@@ -225,7 +250,7 @@ def _rhs_raw(spec, vals, grid, eps, c, out=None, work=None):
         d1, d2 = grid.diff(vals, 1), grid.diff(vals, 2)
         g = _phase_factors(spec, vals)
         return (c * d1 + 1j * (0.5 * eps * d2 + g * vals / eps)) / eps**2
-    work = _SpinWork(spec, grid, eps)
+    work = _SpinWork(spec, grid, [eps])  # its shape, with one run, is a view of (m, N)
     r = _rhs_raw(spec, vals.reshape(work.shape), grid, eps, c, np.empty(work.shape), work)
     return r.reshape(vals.shape)
 
@@ -264,102 +289,155 @@ def dt_max(spec: MicroModelSpec, eps: float, grid: Grid) -> float:
 
 def evolve_micro(spec: MicroModelSpec, s0: MicroState, T: float, dt: float,
                  n_snapshots: int = 11, *, consume) -> Trajectory:
-    """Run the microscopic model to time T, streaming ~n_snapshots states.
+    """Run the microscopic model from s0 to time T in steps of about dt,
+    streaming ~n_snapshots states to ``consume(times, block)``: the
+    :func:`evolve_group` of one run."""
+    return evolve_group(spec, [s0], T, [dt], n_snapshots, consumers=[consume])[0]
 
-    The run is one :func:`~kdvlab.grid._run` (step plan, snapshot schedule,
-    blocks to ``consume(times, block)``, abort bookkeeping), with ``block`` a
-    MicroState of values (S, m, N) and a snapshot check that aborts the run
-    if the pointwise state invariants fail (modulus range or unit norm).  A
-    non-finite state never reaches that check: both steppers raise
-    FloatingPointError, through the vdot of the state they make, on the step
-    that makes it, and the run aborts there with reason "non-finite state".
-    The step T/steps must not exceed ``dt_max`` (ValueError otherwise, as
-    for T or dt <= 0).  A condensate split step makes 2 transforms and one
-    rotation factor (its trailing half rotation is the next step's leading
-    one); a spin step is one RK4 step of 4 right-hand-side evaluations, and
-    ``meta["rhs_evals"]`` counts the stages actually run.
+
+def evolve_group(spec: MicroModelSpec, states, T: float, dts, n_snapshots: int = 11, *,
+                 consumers) -> list[Trajectory]:
+    """Run the microscopic model from each of ``states`` (one family, grids of
+    one size, any eps) to time T, run i in steps of about ``dts[i]``,
+    streaming its ~n_snapshots states to ``consumers[i]``, with the runs
+    stepped in lockstep as one batch; returns their Trajectories.
+
+    The batch is one :func:`~kdvlab.grid._run` (each run's step plan,
+    snapshot schedule, blocks to its ``consume(times, block)``, abort
+    bookkeeping), with ``block`` a MicroState of values (S, m, N) and a
+    snapshot check that aborts a run if its pointwise state invariants fail
+    (modulus range or unit norm).  A non-finite state never reaches that
+    check: both steppers find it by the vdot of the batch state they make,
+    on the step that makes it, and the runs it concerns abort there with
+    reason "non-finite state".  Every run's step T/steps must not exceed its
+    ``dt_max`` (ValueError otherwise, as for T or dt <= 0, or grids of
+    different sizes); all are checked before any run steps.  A condensate
+    split step makes 2 transforms and one rotation factor (its trailing
+    half rotation is the next step's leading one); a spin step is one RK4
+    step of 4 right-hand-side evaluations, and ``meta["rhs_evals"]`` counts
+    the stages actually run.
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    steps, dt = step_plan(T, dt)
-    cap = dt_max(spec, s0.eps, s0.grid)
-    if dt > cap * (1.0 + 1e-12):
-        raise ValueError(f"step T/steps = {dt:.3g} exceeds dt_max={cap:.3g}")
+    grid, plans = states[0].grid, []
+    for s0, dt in zip(states, dts):
+        if not dt > 0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        if (s0.grid.n_points, s0.grid.length) != (grid.n_points, grid.length):
+            raise ValueError(f"the runs of a group share one grid size, got {s0.grid} and {grid}")
+        steps, dt = step_plan(T, dt)
+        cap = dt_max(spec, s0.eps, s0.grid)
+        if dt > cap * (1.0 + 1e-12):
+            raise ValueError(f"step T/steps = {dt:.3g} exceeds dt_max={cap:.3g}")
+        plans.append((steps, dt))
 
-    stepper = _make_stepper(spec, s0.grid, s0.eps, dt, spec.geometry.c)
-    traj = _run(steps, dt, n_snapshots, s0.values, stepper(s0.values),
-                lambda times, block: consume(times, MicroState(spec, s0.grid, s0.eps, block,
-                                                               validate=False)),
-                check=lambda vals: _check_pointwise(spec, vals))
-    traj.meta["rhs_evals"] = 0 if spec.is_complex else 4 * traj.meta["steps_taken"]
-    return traj
+    def blocks_of(s0, consume):
+        return lambda times, block: consume(times, MicroState(spec, s0.grid, s0.eps, block,
+                                                              validate=False))
+
+    vals = np.stack([s0.values for s0 in states])
+    stepper = _make_stepper(spec, grid, [s0.eps for s0 in states], [dt for _, dt in plans],
+                            spec.geometry.c)
+    trajs = _run([(steps, dt, n_snapshots, blocks_of(s0, consume))
+                  for (steps, dt), s0, consume in zip(plans, states, consumers)],
+                 vals, *stepper(vals), check=lambda row: _check_pointwise(spec, row))
+    for traj in trajs:
+        traj.meta["rhs_evals"] = 0 if spec.is_complex else 4 * traj.meta["steps_taken"]
+    return trajs
+
+
+def _nonfinite(state):
+    """The :class:`~kdvlab.grid._NonFinite` of a batch state whose vdot is not
+    finite: the rows whose own vdot is not, found one row at a time."""
+    rows = [r for r, row in enumerate(state) if not math.isfinite(np.vdot(row, row).real)]
+    return _NonFinite(rows, state)
 
 
 def _make_stepper(spec, grid, eps, dt, c):
-    """Generator function: ``stepper(vals)`` yields the state after each step,
-    raising FloatingPointError on the step that produces a non-finite state.
-    A run's buffers are made once; each step allocates only the state it
-    yields."""
+    """The stepper of a batch of runs of one family on one grid, run i at
+    ``eps[i]`` with step ``dt[i]``: ``stepper(vals)``, from their stacked
+    states (M, m, N), returns ``(advance, keep)``.  ``advance()`` steps every
+    run of the batch and returns their states (M, m, N), raising a
+    :class:`~kdvlab.grid._NonFinite` on a step that makes a non-finite
+    state; ``keep(rows)`` returns the ``(advance, keep)`` of the runs at
+    those rows, which carry their state on (the split step's is the
+    leading-rotated state: a state rebuilt from the one it returned would
+    differ in its last bits).  A batch's buffers are made when it is built;
+    each step allocates only the state it returns."""
     if spec.is_complex:
         n, k = grid.n_points, grid.wavenumbers
-        lin = np.exp(dt * (1j * c * k - 0.5j * eps * k**2) / eps**2)
-        scale = np.array(0.5 * dt / eps**3)
+        lin = [np.exp(h * (1j * c * k - 0.5j * e * k**2) / e**2) for e, h in zip(eps, dt)]
+        scale = [0.5 * h / e**3 for e, h in zip(eps, dt)]
+        (fft, fft_scale), (ifft, ifft_scale) = _transform("fft", n), _transform("ifft", n)
 
-        def stepper(vals):
+        def batch(runs, state, rotated):
             # Strang step R(dt/2) L(dt) R(dt/2).  R multiplies by exp(i*scale*g)
             # with g a function of |u| alone, and keeps |u|: a step's trailing
             # half-rotation factor is the next step's leading one, so each
-            # step computes one factor.
-            spectrum, field, rot, ahead = np.empty((4,) + vals.shape, complex)
-            (fft, fft_scale), (ifft, ifft_scale) = _transform("fft", n), _transform("ifft", n)
-            factors = np.empty((2,) + vals.shape)
-            flow = np.tile(lin, (len(vals), 1))  # a broadcast (N,) factor would allocate
+            # step computes one factor, and a run carries its state as
+            # ``ahead``, the state with its leading half rotation applied.
+            spectrum, field, rot = np.empty((3,) + state.shape, complex)
+            factors = np.empty((2,) + state.shape)
+            flow = np.stack([np.tile(lin[i], (state.shape[1], 1)) for i in runs])
+            theta_scale = np.stack([np.full(state.shape[1:], scale[i]) for i in runs])
             cos, sin = rot.real, rot.imag
 
             def rotation(z):
                 theta = _phase_factors(spec, z, out=factors)
-                theta *= scale
+                theta *= theta_scale
                 np.cos(theta, out=cos)
                 np.sin(theta, out=sin)
                 return rot
 
-            np.multiply(vals, rotation(vals), out=ahead)
-            while True:
+            ahead = state if rotated else np.multiply(state, rotation(state))
+
+            def advance():
                 fft(ahead, fft_scale, spectrum)
-                spectrum *= flow
+                np.multiply(spectrum, flow, out=spectrum)
                 ifft(spectrum, ifft_scale, field)
                 u = np.multiply(field, rotation(field))  # the step's one allocation
-                if not math.isfinite(np.vdot(u, u).real):  # the mass catches NaN/inf
-                    raise FloatingPointError("split step: non-finite state produced")
-                yield u
                 np.multiply(u, rot, out=ahead)
+                if not math.isfinite(np.vdot(u, u).real):  # the mass catches NaN/inf
+                    raise _nonfinite(u)
+                return u
 
-        return stepper
+            return advance, lambda rows: batch([runs[r] for r in rows], ahead[rows], True)
 
-    work = _SpinWork(spec, grid, eps)
-    rhs = functools.partial(_rhs_raw, spec, grid=grid, eps=eps, c=c, work=work)
-    factors = rk4_factors(dt)
+        return lambda vals: batch(range(len(vals)), vals, False)
 
-    def stepper(vals):
-        shape = vals.shape
+    per_run = [rk4_factors(h) for h in dt]
+
+    def batch(runs, gam):
+        work = _SpinWork(spec, grid, [eps[i] for i in runs])
+        gam = gam.reshape(work.shape)
+        rhs = functools.partial(_rhs_raw, spec, grid=grid, eps=None, c=c, work=work)
+        m, n = work.shape[-2:]
+
+        def stacked(j):  # each run's factor j at the shape of its rows
+            return np.stack([np.broadcast_to(per_run[i][j], work.shape[:-2] + (n,)) for i in runs],
+                            axis=-2)
+
+        factors = (stacked(0), stacked(1), per_run[0][2], stacked(3))  # 2 is every run's: 0-d
         stages = tuple(np.empty((5,) + work.shape))
-        norms, spread = np.empty((work.blocks, grid.n_points)), np.empty(work.shape)
-        rows = norms[:, None]
-        gam = vals.reshape(work.shape)
-        while True:
+        norms, spread = np.empty(work.shape[:-3] + (m, n)), np.empty(work.shape)
+        columns, flat = norms[..., None, :, :], (3 * work.blocks, m, n)
+
+        def advance():
+            nonlocal gam
             gam = rk4_step(gam, rhs, factors, stages)
             # the squared norms summed over each sphere's 3 rows, in row order
-            np.add.reduce(np.multiply(gam, gam, out=spread), axis=1, out=norms)
+            np.add.reduce(np.multiply(gam, gam, out=spread), axis=-3, out=norms)
             np.sqrt(norms, out=norms)
-            np.copyto(spread, rows)  # a broadcast divisor would allocate a buffer
+            np.copyto(spread, columns)  # a broadcast divisor would allocate a buffer
             gam /= spread
+            state = gam.reshape(flat).transpose(1, 0, 2)  # run r's (m, N) rows: state[r]
             if not math.isfinite(np.vdot(gam, gam)):  # a zero-norm point gives 0/0
-                raise FloatingPointError("spin step: non-finite state produced")
-            yield gam.reshape(shape)
+                raise _nonfinite(state)
+            return state
 
-    return stepper
+        return advance, lambda rows: batch([runs[r] for r in rows], gam[..., rows, :])
+
+    return lambda vals: batch(range(len(vals)), np.ascontiguousarray(vals.transpose(1, 0, 2)))
 
 
 def mass(spec: MicroModelSpec, s: MicroState):

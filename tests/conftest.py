@@ -46,11 +46,13 @@ def fft_calls(monkeypatch):
 
 # The converge runs the acceptance criteria read: each family at the default
 # converge config; the three families added to the scalar condensate and the
-# easy-plane chain run at eps 0.2 and 0.1 only, to keep the suite short.
+# easy-plane chain run at eps 0.2 and 0.1 only, to keep the suite short.  The
+# coupled condensate runs at gamma = 0.7, so that its limit has a coupled
+# nonlinearity (at gamma = 0 it is two copies of the scalar one).
 CONVERGE_FAMILIES = {
     "gp_scalar": {},
     "ll_easy_plane": {},
-    "gp_coupled": {"eps_list": [0.2, 0.1]},
+    "gp_coupled": {"params": {"gamma": 0.7}, "eps_list": [0.2, 0.1]},
     "ll_easy_cone": {"params": {"alpha": 1.0, "theta0": 1.0}, "eps_list": [0.2, 0.1]},
     "af_chain": {"eps_list": [0.2, 0.1]},
 }

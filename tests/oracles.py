@@ -134,6 +134,14 @@ def micro_steps(spec, vals, grid, eps, dt):
         yield vals
 
 
+def stepper_states(spec, grid, eps, dt, vals):
+    """The states (m, N) after each step of one run from ``vals``, stepped
+    alone by ``micro._make_stepper`` (a batch of one run)."""
+    advance, _ = micro._make_stepper(spec, grid, [eps], [dt], spec.geometry.c)(vals[None])
+    while True:
+        yield advance()[0]
+
+
 def linearize_rhs(spec, grid, eps, h=1e-4):
     """Per-mode matrices S(κ) of ``micro._rhs_raw`` linearized at the chart
     background (phi = n = 0): an array (N//2+1, m, m), S[j] acting on the
@@ -435,7 +443,7 @@ def _neighbour(spec, state, h):
     at c/eps²: a spin step is made in the lab frame, so its result is
     translated by -(c/eps²) h."""
     c = spec.geometry.c
-    vals = next(micro._make_stepper(spec, state.grid, state.eps, h, c)(state.values))
+    vals = next(stepper_states(spec, state.grid, state.eps, h, state.values))
     if spec.is_complex:
         return vals
     return fourier_shift(vals, state.grid, -c / state.eps**2 * h)

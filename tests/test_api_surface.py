@@ -130,7 +130,7 @@ def test_every_defaulted_parameter_is_passed_in_src():
 
 # The functions that build a trajectory: their own bookkeeping reads do not
 # count as reading it.
-_PRODUCERS = {"_run", "_evolve_ifrk4", "evolve_kdv", "evolve_micro"}
+_PRODUCERS = {"_run", "_evolve_ifrk4", "evolve_kdv", "evolve_micro", "evolve_group"}
 
 
 def _read_in_src():

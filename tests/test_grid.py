@@ -462,20 +462,21 @@ def test_run_aborts_on_the_exact_step(hook, kept):
     # step, aborted on step k = 45 inside the second block
     k, dt, reason = 45, 0.01, "stopped"
 
-    def states():
-        step = 0
-        while True:
-            step += 1
-            if hook == "stepper" and step == k:
-                raise FloatingPointError("toy step: non-finite state")
-            yield np.full(2, float(step))
+    step = 0
+
+    def advance():  # a batch of one run
+        nonlocal step
+        step += 1
+        if hook == "stepper" and step == k:
+            raise FloatingPointError("toy step: non-finite state")
+        return np.full((1, 2), float(step))
 
     hooks = {"monitor": lambda step, state: reason if step == k else None,
              "check": lambda state: reason if state[0] == k else None}
     blocks = []
-    traj = _run(100, dt, 101, np.zeros(2), states(),
-                lambda times, block: blocks.append((times, block.copy())),
-                **{name: fn for name, fn in hooks.items() if name == hook})
+    [traj] = _run([(100, dt, 101, lambda times, block: blocks.append((times, block.copy())))],
+                  np.zeros((1, 2)), advance,
+                  **{name: fn for name, fn in hooks.items() if name == hook})
     assert traj.aborted
     assert traj.abort_reason == ("non-finite state" if hook == "stepper" else reason)
     assert traj.meta == {"steps": 100, "steps_taken": k}

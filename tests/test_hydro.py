@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from kdvlab import experiments
-from kdvlab.experiments import _micro_series, _stream_run
+from kdvlab.experiments import _micro_series, _streamed
 from kdvlab.grid import SNAPSHOT_BLOCK, Grid, l2_norm
 from kdvlab.hydro import (
     HydroState,
@@ -434,7 +434,9 @@ def _seventy_snapshot_run(kind, params, block_series):
     _, spec, state = _prepared(kind, params, grid, eps, amp=0.4)
     steps = 2 * 69
     T = steps * 0.25 * dt_max(spec, eps, grid)
-    traj, got = _stream_run(spec, state, T, steps, 70, block_series(spec, state))
+    consume, columns = _streamed(spec, block_series(spec, state))
+    traj = evolve_micro(spec, state, T, T / steps, 70, consume=consume)
+    got = columns()
     record = record_micro(spec, state, T=T, dt=T / steps, n_snapshots=70)
     assert not traj.aborted
     assert len(traj) == 70 and 2 * SNAPSHOT_BLOCK < 70 < 3 * SNAPSHOT_BLOCK

@@ -2,6 +2,7 @@
 among them), so renaming or inlining a traced entry point must fail here
 rather than silently break the benchmark."""
 
+import json
 import shutil
 import subprocess
 import sys
@@ -73,3 +74,41 @@ def test_traced_steps_and_trajectory_counters_resolve(monkeypatch):
         traj = micro.evolve_micro(spec, s0, 6 * dt, dt, n_snapshots=3, consume=lambda t, b: None)
         assert _trajectory_counts(traj) == {"steps": 6, "rhs_evals": 24, "aborts": 0}, kind
         assert calls["rk4_step"] == 6 and traj.meta["rhs_evals"] == calls["_rhs_raw"] == 24, kind
+
+
+def test_a_traced_pass_of_a_serial_converge_and_a_micro_run_resolves_its_counters(tmp_path,
+                                                                                 monkeypatch):
+    # perfbench's run_pass with a tracer installed: a serial converge (its
+    # two eps-runs stepped as one group) and a micro run both exit 0, every
+    # span that layers.COUNTERS reads with _trajectory_counts reports the
+    # step and evaluation counts of the run's summary, and the wrappers come
+    # off when the pass is over
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import sample
+    import tracer as tracing
+    from layers import COUNTERS, _trajectory_counts
+
+    small = {"grid": {"n": 64, "length": 8 * np.pi},
+             "time": {"t_final": 0.05, "dt": 1e-3, "snapshots": 3}}
+    raws = [dict(experiments.default_config("converge"), eps_list=[0.2, 0.1], **small),
+            dict(experiments.default_config("micro"), preset="ll_easy_plane", **small)]
+    for i, raw in enumerate(raws):
+        raw["output_dir"] = str(tmp_path / str(i))
+    configs = [experiments.ExperimentConfig.from_dict(raw) for raw in raws]
+    tracer = tracing.Tracer()
+    statuses, _ = sample.run_pass(experiments, configs, tracer)
+    assert statuses == [0, 0]
+    assert tracing.installed_wrappers() == []
+
+    counts = {}
+    for sid, found in tracer.counts.items():
+        if COUNTERS[tracer.names[sid]] is _trajectory_counts:
+            counts.setdefault(tracer.names[sid], []).append(found)
+    converge, micro_run = (json.loads((tmp_path / str(i) / "summary.json").read_text())["timings"]
+                           for i in range(2))
+    assert counts == {
+        "kdv.evolve_kdv": [{"steps": converge["kdv_steps"], "rhs_evals": 0, "aborts": 0}],
+        "micro.evolve_micro": [{"steps": micro_run["micro_steps"],
+                                "rhs_evals": micro_run["rhs_evaluations"], "aborts": 0}],
+    }
+    assert micro_run["rhs_evaluations"] == 4 * micro_run["micro_steps"] > 0
