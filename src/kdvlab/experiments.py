@@ -513,7 +513,7 @@ def _micro_series(spec, s0, kdv_traj=None):
     mass0 = mass(spec, s0) if spec.is_complex else None
 
     def block_series(times, block, h):
-        dphi = h.grid.diff(h.phi)
+        dphi = h.grid.diff(h.phi, 1)
         # the proxy reads dphi before almost_hamiltonian turns it into W
         cols = {} if kdv_traj is None else {"energy_proxy": energy_proxy(h, dphi)}
         energy, w = almost_hamiltonian(spec, h, dphi)
@@ -761,7 +761,7 @@ def _run_hyperbolic(cfg: ExperimentConfig, outdir: Path):
     # characteristics: the scalar flux speed is 2 q u, so the first crossing
     # time from smooth data u0 is 1 / max(-d/dx (2 q u0))
     q = float(Q.coeffs[0, 0, 0])
-    slope = grid.diff(2.0 * q * u0[0])
+    slope = grid.diff(2.0 * q * u0[0], 1)
     steepening = float(np.max(-slope))
     oracle = 1.0 / steepening if steepening > 0 else None
 

@@ -163,7 +163,7 @@ class Grid:
         Nyquist rule carries over, since (-ik)**even = (ik)**even."""
         return self.symbol(order)[: self.n_points // 2 + 1]
 
-    def diff(self, values, order: int = 1) -> np.ndarray:
+    def diff(self, values, order: int) -> np.ndarray:
         """d^order/dx^order of samples along the last axis (any leading shape).
 
         Real input goes through the rfft half spectrum and gives a real

@@ -130,7 +130,7 @@ def almost_hamiltonian(spec, h: HydroState, dphi):
     n = h.n
     grid = h.grid
     density = g.lam * np.sum(np.square(n), axis=-2)
-    tmp = grid.diff(n)  # one scratch array and in-place updates keep the block working set small
+    tmp = grid.diff(n, 1)  # one scratch array and in-place updates keep the block working set small
     density += 0.25 * eps**4 * np.sum(np.square(tmp, out=tmp), axis=-2)
     f1_nu = -np.einsum("ijm,mk->ijk", g.f1, C)
     cubic, term = np.empty((2,) + density.shape)
@@ -175,7 +175,7 @@ def limit_error(spec, times, h: HydroState, w, kdv_traj: Trajectory) -> dict:
     Compares the two candidate profiles — the amplitude observable
     A = 2 i lam n and the gradient observable A + W = (c+iB) DPhi dx(phi) —
     against the limit profile A(t).  The limit lives in the frame moving at
-    c/eps^2; a spin run steps in the lab frame, so each limit snapshot is
+    c/eps^2 and the micro run in the lab frame, so each limit snapshot is
     translated by (c/eps^2) t first, reduced mod L (a shift by L changes no
     grid function).  The other diagnostics are translation-invariant and
     read the lab-frame block as it is.
@@ -195,11 +195,10 @@ def limit_error(spec, times, h: HydroState, w, kdv_traj: Trajectory) -> dict:
 
     grid = h.grid
     A = -2.0 * spec.geometry.lam * (normal_coupling(spec).T @ h.n)
-    a_limit = kdv_traj.meta["snapshots"][picks]  # a copy: the rows may be shifted in place
-    if not spec.is_complex:  # a spin run is in the lab frame: move the limit there
-        speed = spec.geometry.c / h.eps**2
-        for row, t in zip(a_limit, t_micro):
-            row[...] = fourier_shift(row, grid, math.fmod(speed * t, grid.length))
+    a_limit = kdv_traj.meta["snapshots"][picks]  # a copy: the rows are shifted in place
+    speed = spec.geometry.c / h.eps**2
+    for row, t in zip(a_limit, t_micro):
+        row[...] = fourier_shift(row, grid, math.fmod(speed * t, grid.length))
     return {
         "err_amplitude": l2_norm(A - a_limit, grid),
         "err_gradient": l2_norm(A + w - a_limit, grid),

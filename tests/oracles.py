@@ -5,7 +5,9 @@ and momentum, the residuals of the truncated first-order chart system along
 a run, the limit observables, the almost-conserved functional with
 ``np.einsum`` contractions, the phase unwrap by ``np.unwrap``, the
 solitary-wave ODE residual and the fixed points of Q(z,z) = z by a direction
-scan, the microscopic steps from fresh arrays; plus
+scan, the microscopic right-hand sides and steps from fresh arrays (in
+the lab frame, with a condensate step in the frame moving at c/eps² as the
+frame reference); plus
 ``record_micro``, which keeps every snapshot of a microscopic run for the
 tests that need a whole run, and ``replay_blocks``, which hands such a run to
 the per-block diagnostics."""
@@ -78,6 +80,18 @@ def _phase_factors(spec, vals):
     return np.stack([lam * d1 + 4.0 * gamma * d1 * d2, lam * d2 + 2.0 * gamma * d1 * d1])
 
 
+def micro_rhs(spec, vals, grid, eps):
+    """The right-hand side (m, N) of one run at ``eps`` in the lab frame: a
+    condensate's from fresh arrays, a spin field's by ``micro._rhs_raw`` on
+    the workspace of a batch of one run."""
+    if spec.is_complex:
+        g = _phase_factors(spec, vals)
+        return 1j * (0.5 * eps * grid.diff(vals, 2) + g * vals / eps) / eps**2
+    work = micro._SpinWork(spec, grid, [eps])  # its shape, with one run, is a view of (m, N)
+    out = micro._rhs_raw(vals.reshape(work.shape), np.empty(work.shape), work)
+    return out.reshape(vals.shape)
+
+
 def spin_rhs(spec, vals, grid, eps):
     """The lab-frame spin right-hand side Γ × T(Γ) (m, N) from fresh arrays,
     numpy.fft and np.cross, with the symbols and operations of
@@ -101,28 +115,42 @@ def spin_rhs(spec, vals, grid, eps):
     return np.cross(gam, torque, axis=1).reshape(vals.shape)
 
 
+def _strang_steps(spec, vals, eps, dt, lin):
+    """The states after each Strang step R(dt/2) L(dt) R(dt/2) with the
+    linear factor ``lin`` per Fourier mode and the trailing half-rotation
+    factor reused as the next step's leading one."""
+
+    def rotation(z):
+        theta = _phase_factors(spec, z) * (0.5 * dt / eps**3)
+        rot = np.empty(z.shape, complex)
+        rot.real, rot.imag = np.cos(theta), np.sin(theta)
+        return rot
+
+    ahead = vals * rotation(vals)
+    while True:
+        u = np.fft.ifft(np.fft.fft(ahead, axis=-1) * lin, axis=-1)
+        rot = rotation(u)
+        u = u * rot
+        yield u
+        ahead = u * rot
+
+
+def moving_frame_strang_steps(spec, vals, grid, eps, dt):
+    """The condensate Strang steps in the frame moving at c/eps²: the linear
+    flow gains the transport exp(i c k dt/eps²), a sub-grid translation."""
+    k = grid.wavenumbers
+    lin = np.exp(dt * (1j * spec.geometry.c * k - 0.5j * eps * k**2) / eps**2)
+    return _strang_steps(spec, vals, eps, dt, lin)
+
+
 def micro_steps(spec, vals, grid, eps, dt):
     """The states after each step of ``micro._make_stepper`` from fresh arrays
     and numpy.fft, operation for operation: the Strang split step with the
     trailing half-rotation factor reused, or RK4 on :func:`spin_rhs` with the
     per-sphere renormalization."""
     if spec.is_complex:
-        k = grid.wavenumbers
-        lin = np.exp(dt * (1j * spec.geometry.c * k - 0.5j * eps * k**2) / eps**2)
-
-        def rotation(z):
-            theta = _phase_factors(spec, z) * (0.5 * dt / eps**3)
-            rot = np.empty(z.shape, complex)
-            rot.real, rot.imag = np.cos(theta), np.sin(theta)
-            return rot
-
-        ahead = vals * rotation(vals)
-        while True:
-            u = np.fft.ifft(np.fft.fft(ahead, axis=-1) * lin, axis=-1)
-            rot = rotation(u)
-            u = u * rot
-            yield u
-            ahead = u * rot
+        lin = np.exp(dt * (-0.5j * eps * grid.wavenumbers**2) / eps**2)
+        yield from _strang_steps(spec, vals, eps, dt, lin)
     b = 2 if spec.kind == "AF_CHAIN" else 1
     while True:
         k1 = spin_rhs(spec, vals, grid, eps)
@@ -137,20 +165,19 @@ def micro_steps(spec, vals, grid, eps, dt):
 def stepper_states(spec, grid, eps, dt, vals):
     """The states (m, N) after each step of one run from ``vals``, stepped
     alone by ``micro._make_stepper`` (a batch of one run)."""
-    advance, _ = micro._make_stepper(spec, grid, [eps], [dt], spec.geometry.c)(vals[None])
+    advance, _ = micro._make_stepper(spec, grid, [eps], [dt])(vals[None])
     while True:
         yield advance()[0]
 
 
 def linearize_rhs(spec, grid, eps, h=1e-4):
-    """Per-mode matrices S(κ) of ``micro._rhs_raw`` linearized at the chart
+    """Per-mode matrices S(κ) of :func:`micro_rhs` linearized at the chart
     background (phi = n = 0): an array (N//2+1, m, m), S[j] acting on the
     real state coordinates at κ = grid.wavenumbers[j], so that a perturbation
     v e^{iκx} grows as e^{λt} for each eigenpair (λ, v) of S[j].  The real
     coordinates are the m rows of a spin state and (Re, Im) of a condensate's
-    rows, since a condensate's right-hand side is not complex-linear.  A
-    condensate's S is in the frame moving at c/eps², a spin field's in the
-    lab frame, as ``_rhs_raw`` steps them.
+    rows, since a condensate's right-hand side is not complex-linear.  S is
+    in the lab frame, where every family steps.
 
     Column r comes from 4 evaluations: the right-hand side at the background
     plus s δ_r, for s = ±h, ±2h and δ_r coordinate r at the grid point x = 0
@@ -165,7 +192,7 @@ def linearize_rhs(spec, grid, eps, h=1e-4):
 
     def rhs(real):
         vals = real[: m // 2] + 1j * real[m // 2:] if spec.is_complex else real
-        out = micro._rhs_raw(spec, vals, grid, eps, spec.geometry.c)
+        out = micro_rhs(spec, vals, grid, eps)
         return np.concatenate([out.real, out.imag]) if spec.is_complex else out
 
     S = np.empty((n // 2 + 1, m, m), complex)
@@ -186,7 +213,7 @@ def linearize_rhs(spec, grid, eps, h=1e-4):
 def tangent_gradient(spec, h):
     """X = DPhi dx(phi) of chart states, as a coordinate array shaped like
     ``h.phi``."""
-    X = h.grid.diff(h.phi)
+    X = h.grid.diff(h.phi, 1)
     if spec.kind == "AF_CHAIN":  # DPhi is the identity on the circle charts
         X = np.einsum("...ijN,...jN->...iN", dphi_matrix(spec, h.phi, h.eps), X)
     return X
@@ -210,7 +237,7 @@ def almost_hamiltonian(spec, h):
     g, eps, n, grid = spec.geometry, h.eps, h.n, h.grid
     C = normal_coupling(spec)
     density = g.lam * np.sum(np.square(n), axis=-2)
-    tmp = grid.diff(n)
+    tmp = grid.diff(n, 1)
     density += 0.25 * eps**4 * np.sum(np.square(tmp, out=tmp), axis=-2)
     f1_nu = -np.einsum("ijm,mk->ijk", g.f1, C)
     density += (eps**2 / 3.0) * np.einsum("ijk,...iN,...jN,...kN->...N", f1_nu, n, n, n)
@@ -380,8 +407,8 @@ def _potential_density(spec, vals):
 
 def _azimuth_momentum_density(axis, p, q, reference, grid):
     """(gamma* - axis component) times the pointwise azimuth derivative."""
-    dp = grid.diff(p)
-    dq = grid.diff(q)
+    dp = grid.diff(p, 1)
+    dq = grid.diff(q, 1)
     planar = p * p + q * q
     with np.errstate(invalid="ignore", divide="ignore"):
         dazi = np.where(planar > 1e-28, (p * dq - q * dp) / planar, 0.0)
@@ -401,7 +428,7 @@ def micro_invariants(spec, s):
     """
     vals, grid, eps = s.values, s.grid, s.eps
     if spec.is_complex:
-        du = grid.diff(vals)
+        du = grid.diff(vals, 1)
         energy = integrate(
             0.25 * eps**2 * np.sum(np.abs(du) ** 2, axis=0) + _potential_density(spec, vals),
             grid,
@@ -410,8 +437,8 @@ def micro_invariants(spec, s):
         return energy, momentum
     if spec.kind == "AF_CHAIN":
         u, v = vals[:3], vals[3:]
-        du = grid.diff(u)
-        dv = grid.diff(v)
+        du = grid.diff(u, 1)
+        dv = grid.diff(v, 1)
         dens = (
             0.25 * eps**2 * (np.sum(du**2, axis=0) + np.sum(dv**2, axis=0))
             + np.sum((u + v) ** 2, axis=0)
@@ -424,7 +451,7 @@ def micro_invariants(spec, s):
         )
         return integrate(dens, grid), momentum
     # single spin chain; azimuth measured about the anisotropy axis e3
-    dg = grid.diff(vals)
+    dg = grid.diff(vals, 1)
     energy = integrate(0.5 * np.sum(dg**2, axis=0) + _potential_density(spec, vals), grid)
     gamma0 = 0.0 if spec.kind == "LL_EASY_PLANE" else np.cos(spec.params["theta0"])
     momentum = integrate(_azimuth_momentum_density(vals[2], vals[0], vals[1], gamma0, grid), grid)
@@ -440,13 +467,10 @@ RESIDUAL_KINDS = ("GP_SCALAR", "LL_EASY_PLANE")
 
 def _neighbour(spec, state, h):
     """One step of the run's stepper by h from a snapshot, in the frame moving
-    at c/eps²: a spin step is made in the lab frame, so its result is
+    at c/eps²: the step is made in the lab frame, so its result is
     translated by -(c/eps²) h."""
-    c = spec.geometry.c
     vals = next(stepper_states(spec, state.grid, state.eps, h, state.values))
-    if spec.is_complex:
-        return vals
-    return fourier_shift(vals, state.grid, -c / state.eps**2 * h)
+    return fourier_shift(vals, state.grid, -spec.geometry.c / state.eps**2 * h)
 
 
 def _triplet(spec, traj, idx):
@@ -487,7 +511,10 @@ def hydro_residual(spec, traj, ablate_singular=False) -> dict:
     g = spec.geometry
     eps, dt = traj.eps, traj.dt
     grid = traj.states[0].grid
-    dx = grid.diff
+
+    def dx(f):
+        return grid.diff(f, 1)
+
     times, r1_norms, r2_norms = [], [], []
     for idx in range(1, len(traj.states) - 1):
         trip = _triplet(spec, traj, idx)

@@ -6,9 +6,12 @@ that only the tests call belongs in the tests (``tests/oracles.py``).  The
 same holds for parameters: every defaulted parameter of a module-level
 function, method or constructor is passed by some call in ``src/kdvlab``;
 and for run output: every ``Trajectory`` attribute and ``meta`` key a run
-writes is read by the code the run returns to."""
+writes is read by the code the run returns to.  README.md names only what
+exists: every backticked ``kdvlab.…``, ``module.name`` or ``Class.name`` in it
+is defined in ``src/kdvlab``."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -264,3 +267,55 @@ def test_every_instance_attribute_set_in_init_is_read_in_src():
     unread = sorted({name for tree in trees for name in _init_attributes(tree)
                      if name.rsplit(".", 1)[-1] not in reads})
     assert not unread, f"instance attributes set in __init__ and never read in src/kdvlab: {unread}"
+
+
+def _defined_paths(trees):
+    """Dotted paths of what src/kdvlab defines: each module, its module-level
+    names, and each module-level class's methods, class attributes and the
+    attributes its methods set on ``self`` (as ``module.Class.attr`` and
+    ``Class.attr``)."""
+    paths = set(trees)
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            paths.update(f"{mod}.{name}" for name in names)
+            if isinstance(node, ast.ClassDef):
+                members = {sub.name for sub in node.body if isinstance(sub, ast.FunctionDef)}
+                members.update(t.id for sub in node.body if isinstance(sub, ast.Assign)
+                               for t in sub.targets if isinstance(t, ast.Name))
+                members.update(a.attr for a in ast.walk(node)
+                               if isinstance(a, ast.Attribute) and isinstance(a.ctx, ast.Store)
+                               and isinstance(a.value, ast.Name) and a.value.id == "self")
+                paths.update(f"{prefix}{node.name}.{m}" for m in members
+                             for prefix in (f"{mod}.", ""))
+    return paths
+
+
+def _readme_references(text, heads):
+    """The dotted names of the backticked spans of README text whose head is
+    ``kdvlab`` or one of ``heads`` (a call's arguments dropped), with the
+    ``kdvlab.`` prefix stripped."""
+    for span in re.findall(r"`([^`\n]+)`", text):
+        match = re.match(r"[A-Za-z_]\w*(?:\.\w+)+", span)
+        if match:
+            path = match.group(0).removeprefix("kdvlab.")
+            if path.split(".")[0] in heads:
+                yield path
+
+
+def test_every_readme_reference_resolves_in_src():
+    # a renamed or removed function must not live on in the docs
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    defined = _defined_paths(trees)
+    classes = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    text = (SRC.parent.parent / "README.md").read_text()
+    refs = set(_readme_references(text, set(trees) | classes))
+    assert len(refs) >= 40  # the check is not vacuous
+    stale = sorted(refs - defined)
+    assert not stale, f"README names that src/kdvlab does not define: {stale}"

@@ -192,9 +192,9 @@ def test_eps_list_must_strictly_decrease():
 
 
 @pytest.mark.parametrize("experiment,eps", [
-    ("micro", 0.2 / 32),  # eps*kmax = 0.2 on the default grid (kmax = 32): the split step aborts
+    ("micro", 0.05 / 32),  # eps*kmax = 0.05 on the default grid (kmax = 32): below the range
     ("micro", 0.5),  # eps*kmax = 16
-    ("converge", [0.2, 0.1, 0.2 / 32]),
+    ("converge", [0.2, 0.1, 0.05 / 32]),
 ])
 def test_condensate_eps_kmax_outside_validated_range_is_rejected(tmp_path, experiment, eps):
     cfg = default_config(experiment)
@@ -206,7 +206,7 @@ def test_condensate_eps_kmax_outside_validated_range_is_rejected(tmp_path, exper
 
 
 def test_condensate_eps_kmax_range_is_closed():
-    for eps in (0.4 / 32, 12.8 / 32):
+    for eps in (0.1 / 32, 12.8 / 32):
         ExperimentConfig.from_dict(dict(default_config("micro"), eps=eps))
 
 

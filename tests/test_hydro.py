@@ -153,7 +153,7 @@ def test_observables_carry_the_chart_jacobian(kind, params):
     phi = np.stack([3.0 * np.sin((i + 1) * grid.x + 0.3) for i in range(geom.dim)])
     n = np.stack([0.5 * np.cos((i + 2) * grid.x) for i in range(geom.dim)])
     obs = observables(spec, HydroState(grid, eps, phi, n, True))
-    ref = np.einsum("ijN,jN->iN", dphi_matrix(spec, phi, eps), grid.diff(phi))
+    ref = np.einsum("ijN,jN->iN", dphi_matrix(spec, phi, eps), grid.diff(phi, 1))
     got = (obs.U + obs.W) / (2.0 * geom.c)
     assert np.max(np.abs(got - ref)) <= TOL["observables"] * np.max(np.abs(ref))
 
@@ -190,7 +190,7 @@ def test_zero_state_has_zero_energy():
     grid = Grid(64, 2 * np.pi)
     _, spec = preset("GP_SCALAR")
     h = HydroState(grid, 0.2, np.zeros((1, 64)), np.zeros((1, 64)), True)
-    H, w = almost_hamiltonian(spec, h, grid.diff(h.phi))
+    H, w = almost_hamiltonian(spec, h, grid.diff(h.phi, 1))
     assert H == 0.0 and np.max(np.abs(w)) == 0.0
 
 
@@ -203,7 +203,7 @@ def test_energy_matches_w_norm_to_second_order(kind, params):
     for eps in (0.2, 0.1):
         _, spec, state = _prepared(kind, params, grid, eps)
         h = extract_series(spec, state)
-        H, w = almost_hamiltonian(spec, h, grid.diff(h.phi))
+        H, w = almost_hamiltonian(spec, h, grid.diff(h.phi, 1))
         leading = l2_norm(w, grid)**2 / (4.0 * geom.lam)
         assert abs(H - leading) / eps**2 <= TOL["h_identity"]
 
@@ -217,7 +217,7 @@ def test_energy_leading_term_is_the_observables_w_norm(kind, params):
     phi = np.stack([2.0 * np.sin((i + 1) * grid.x + 0.3) for i in range(geom.dim)])
     n = np.stack([0.5 * np.cos((i + 2) * grid.x) for i in range(geom.dim)])
     h = HydroState(grid, 0.2, phi, n, True)
-    assert np.array_equal(almost_hamiltonian(spec, h, grid.diff(h.phi))[1], observables(spec, h).W)
+    assert np.array_equal(almost_hamiltonian(spec, h, grid.diff(h.phi, 1))[1], observables(spec, h).W)
 
 
 @pytest.mark.parametrize("kind", ["LL_EASY_PLANE", "AF_CHAIN"])
@@ -227,7 +227,7 @@ def test_energy_identity_sharpens_without_curvature_terms(kind):
     for eps in (0.2, 0.1, 0.05):
         geom, spec, state = _prepared(kind, None, grid, eps)
         h = extract_series(spec, state)
-        H, w = almost_hamiltonian(spec, h, grid.diff(h.phi))
+        H, w = almost_hamiltonian(spec, h, grid.diff(h.phi, 1))
         assert abs(H - l2_norm(w, grid)**2 / (4.0 * geom.lam)) <= TOL["h_zero_tensor"] * eps**4
 
 
@@ -369,7 +369,7 @@ def test_proxy_of_flat_state_counts_only_gradients():
     grid = Grid(64, 2 * np.pi)
     _, spec = preset("GP_SCALAR")
     h = HydroState(grid, 0.2, np.full((1, 64), 0.7), np.zeros((1, 64)), True)
-    assert energy_proxy(h, grid.diff(h.phi)) == 0.0
+    assert energy_proxy(h, grid.diff(h.phi, 1)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +397,7 @@ def _per_snapshot_diagnostics(spec, traj):
         vals = state.values
         phi, n, info = chart_extract(spec, vals, eps, phase_ref=ref)
         ref = phi
-        X = grid.diff(phi)
+        X = grid.diff(phi, 1)
         if spec.kind == "AF_CHAIN":
             X = np.einsum("ijN,jN->iN", dphi_matrix(spec, phi, eps), X)
         Cn = C.T @ n
@@ -405,7 +405,7 @@ def _per_snapshot_diagnostics(spec, traj):
         half = X + 0.5 * eps**2 * corr
         density = (
             g.lam * np.sum(n**2, axis=0)
-            + 0.25 * eps**4 * np.sum(grid.diff(n) ** 2, axis=0)
+            + 0.25 * eps**4 * np.sum(grid.diff(n, 1) ** 2, axis=0)
             + (eps**2 / 3.0) * np.einsum("ijk,iN,jN,kN->N", f1_nu, n, n, n)
             + 0.25 * np.sum((X + eps**2 * corr) ** 2, axis=0)
             + np.sum((g.c * half + np.einsum("ij,jN->iN", g.i0b0, half)) * Cn, axis=0)
@@ -479,7 +479,7 @@ def test_blocked_limit_error_matches_the_per_snapshot_formulas(kind, params):
         want = {
             "err_amplitude": l2_norm(obs.A, grid),
             "err_gradient": l2_norm(obs.A + obs.W, grid),
-            "energy_proxy": energy_proxy(h, grid.diff(h.phi)),
+            "energy_proxy": energy_proxy(h, grid.diff(h.phi, 1)),
         }
         for name, value in want.items():
             assert abs(err[name][i] - value) <= 1e-14 * abs(value), (name, i)
@@ -574,7 +574,7 @@ def test_almost_hamiltonian_matches_the_einsum_oracle_bitwise(kind, params):
     spec, block = _first_block(kind, params)
     h = extract_series(spec, block)
     for states in (h, list(h)[-1]):
-        energy, w = almost_hamiltonian(spec, states, states.grid.diff(states.phi))
+        energy, w = almost_hamiltonian(spec, states, states.grid.diff(states.phi, 1))
         want_energy, want_w = oracles.almost_hamiltonian(spec, states)
         assert _same_bits(energy, want_energy) and _same_bits(w, want_w)
     assert np.ptp(h.n) > 0 and np.ptp(w) > 0  # the data are not trivial

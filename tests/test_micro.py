@@ -19,8 +19,8 @@ from kdvlab.micro import (
     well_prepared_init,
 )
 from kdvlab.models import chart_assemble, chart_extract, normal_coupling, preset
-from oracles import (_potential_density, linearize_rhs, micro_invariants, micro_steps, record_micro,
-                     stepper_states)
+from oracles import (_phase_factors, _potential_density, linearize_rhs, micro_invariants, micro_rhs,
+                     micro_steps, moving_frame_strang_steps, record_micro, stepper_states)
 
 TOL = {
     "ground": 1e-14,
@@ -71,7 +71,7 @@ def test_ground_states_are_static(kind, params):
     grid = Grid(64, 2 * np.pi)
     geom, spec = preset(kind, params)
     state = well_prepared_init(spec, geom, np.zeros((geom.dim, 64)), grid, 0.2)
-    assert np.max(np.abs(micro._rhs_raw(spec, state.values, grid, 0.2, geom.c))) <= TOL["ground"]
+    assert np.max(np.abs(micro_rhs(spec, state.values, grid, 0.2))) <= TOL["ground"]
 
 
 def _reference_spin_rhs(spec, vals, grid, eps, c):
@@ -114,10 +114,10 @@ def test_normal_coupling_matches_chart_frames(kind, params):
     # with tau_a = dU/d(eps phi_a) and nu_b = dU/d(eps^2 n_b) read off
     # chart_assemble, and i0 the complex structure of the micro equation,
     # read off its dispersive term i0 (1/(2 eps)) dx^2 from the cos(kappa x)
-    # part of the linearized _rhs_raw at two wavenumbers
+    # part of the linearized right-hand side at two wavenumbers
     eps, h = 0.2, 1e-4
     grid = Grid(32, 2 * np.pi)
-    geom, spec = preset(kind, params)
+    _, spec = preset(kind, params)
     d = spec.dim
     base = chart_assemble(spec, np.zeros((d, grid.n_points)), np.zeros((d, grid.n_points)), eps)
 
@@ -134,8 +134,8 @@ def test_normal_coupling_matches_chart_frames(kind, params):
         cos_parts = []
         for j in (1, 2):
             wave = np.cos(j * grid.x)
-            plus = micro._rhs_raw(spec, base + h * tau * wave, grid, eps, geom.c)
-            minus = micro._rhs_raw(spec, base - h * tau * wave, grid, eps, geom.c)
+            plus = micro_rhs(spec, base + h * tau * wave, grid, eps)
+            minus = micro_rhs(spec, base - h * tau * wave, grid, eps)
             cos_parts.append(_real_rows((plus - minus) / (2 * h)) @ wave * (2.0 / grid.n_points))
         i0_tau = 2.0 * eps * (cos_parts[0] - cos_parts[1]) / (2**2 - 1**2)
         coupling[:, a] = np.linalg.lstsq(nu, i0_tau, rcond=None)[0]
@@ -146,8 +146,8 @@ def test_normal_coupling_matches_chart_frames(kind, params):
 def _slow_branch(spec, eps, grid, modes):
     """Per wavenumber index j of ``modes``: kappa, the eigenvalues and
     eigenvectors of the linearized right-hand side (oracles.linearize_rhs) in
-    the frame moving at c/eps² (a spin field's lab-frame S(kappa) plus the
-    transport i kappa c/eps²), the limit's Airy symbol -i kappa³/(8c) of
+    the frame moving at c/eps² (the lab-frame S(kappa) plus the transport
+    i kappa c/eps²), the limit's Airy symbol -i kappa³/(8c) of
     2c dA/dt = (1/4) dxxx A, and the indices of the d eigenvalues closest to
     it (the slow branch)."""
     c = spec.geometry.c
@@ -155,8 +155,7 @@ def _slow_branch(spec, eps, grid, modes):
     for j in modes:
         kappa = grid.wavenumbers[j]
         lam, vec = np.linalg.eig(S[j])
-        if not spec.is_complex:
-            lam = lam + 1j * kappa * c / eps**2
+        lam = lam + 1j * kappa * c / eps**2
         limit = -1j * kappa**3 / (8.0 * c)
         yield kappa, lam, vec, limit, np.argsort(np.abs(lam - limit))[: spec.dim]
 
@@ -294,7 +293,7 @@ def test_fused_spin_rhs_matches_reference(kind, params):
     geom, spec = preset(kind, params)
     A0 = np.stack([_bump(grid, width=1.0 + 0.5 * j) for j in range(geom.dim)])
     vals = well_prepared_init(spec, geom, A0, grid, eps).values
-    got = micro._rhs_raw(spec, vals, grid, eps, geom.c)  # spins: the lab frame
+    got = micro_rhs(spec, vals, grid, eps)
     want = _reference_spin_rhs(spec, vals, grid, eps, 0.0)
     assert got.shape == want.shape == vals.shape
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
@@ -303,7 +302,7 @@ def test_fused_spin_rhs_matches_reference(kind, params):
 @pytest.mark.parametrize("kind,params", SPIN_KINDS)
 def test_workspace_spin_steps_match_allocating_rk4(kind, params):
     # the stepper reuses its stage buffers and pre-scaled symbols; a plain
-    # RK4 on the allocating _rhs_raw, renormalised per sphere, must give the
+    # RK4 on the allocating micro_rhs, renormalised per sphere, must give the
     # same states, and no buffer reuse may reach a yielded or stored state
     eps, steps = 0.2, 200
     grid = Grid(128, 8 * np.pi)
@@ -313,7 +312,7 @@ def test_workspace_spin_steps_match_allocating_rk4(kind, params):
     dt = dt_max(spec, eps, grid)
 
     def rhs(v):
-        return micro._rhs_raw(spec, v, grid, eps, geom.c)
+        return micro_rhs(spec, v, grid, eps)
 
     ref = [s0.values]
     for _ in range(steps):
@@ -378,6 +377,30 @@ def test_lab_frame_run_translated_matches_moving_frame_rk4(kind, params):
     assert np.max(np.abs(vals - y)) >= 1e-3  # and the frames differ
 
 
+@pytest.mark.parametrize("kind,params", CONDENSATES)
+def test_lab_frame_condensate_run_translated_matches_moving_frame_strang_step(kind, params):
+    # the condensates step in the lab frame; the Strang step of the frame
+    # moving at c/eps² differs only by the transport exp(i c k dt/eps²) in its
+    # linear factor, a translation, which commutes with the pointwise rotation
+    # up to the aliasing of the sub-grid shift.  At a quarter of dt_max over
+    # 200 steps the lab-frame states translated by -(c/eps²) t agree with
+    # it: measured 2.1e-12 (scalar) and 1.6e-12 (coupled), while the states
+    # move by 1e-3 to 2e-3 and the translation by 2.2
+    eps, steps = 0.2, 200
+    grid = Grid(128, 8 * np.pi)
+    spec, s0 = _init(kind, params, grid, eps)
+    c = spec.geometry.c
+    dt = 0.25 * dt_max(spec, eps, grid)
+    lab = stepper_states(spec, grid, eps, dt, s0.values.copy())
+    moving = moving_frame_strang_steps(spec, s0.values, grid, eps, dt)
+    for step in range(1, steps + 1):
+        vals, y = next(lab), next(moving)
+        moved = fourier_shift(vals, grid, -math.fmod(c / eps**2 * step * dt, grid.length))
+        assert np.max(np.abs(moved - y)) <= 1e-11, step
+    assert np.max(np.abs(y - s0.values)) >= 1e-3  # the run moves
+    assert np.max(np.abs(vals - y)) >= 1e-2  # and the frames differ
+
+
 def _init(kind, params, grid, eps):
     """Well-prepared state of any family, from one bump per limit component."""
     geom, spec = preset(kind, params)
@@ -424,22 +447,19 @@ def test_gp_rhs_matches_lab_frame_finite_difference_oracle():
     # fourth-order stencils, then chain-ruled into the long-wave variables
     eps, n = 0.1, 512
     grid = Grid(n, 2 * np.pi)
-    geom, spec = preset("GP_SCALAR")
+    _, spec = preset("GP_SCALAR")
     u = np.exp(1j * eps * 0.1 * np.sin(grid.x))[None, :]
-    r = micro._rhs_raw(spec, u, grid, eps, geom.c)
+    r = micro_rhs(spec, u, grid, eps)
 
     dy = grid.spacing / eps
     U = u[0]
-
-    def d1(f):
-        return (-np.roll(f, -2) + 8 * np.roll(f, -1) - 8 * np.roll(f, 1) + np.roll(f, 2)) / (12 * dy)
 
     def d2(f):
         return (-np.roll(f, -2) + 16 * np.roll(f, -1) - 30 * f + 16 * np.roll(f, 1) - np.roll(f, 2)) / (
             12 * dy**2
         )
 
-    oracle = (1j * (0.5 * d2(U) + U * (1 - np.abs(U) ** 2)) + geom.c * d1(U)) / eps**3
+    oracle = 1j * (0.5 * d2(U) + U * (1 - np.abs(U) ** 2)) / eps**3
     assert np.linalg.norm(r[0] - oracle) / np.linalg.norm(oracle) <= TOL["fd_oracle"]
 
 
@@ -450,9 +470,9 @@ def test_coupled_rhs_reduces_to_scalar_componentwise():
     _, coupled = preset("GP_COUPLED", {"lam": 1.0, "gamma": 0.0})
     a = np.exp(1j * eps * 0.2 * np.sin(grid.x)) * (1 + eps**2 * 0.1 * np.cos(grid.x))
     b = np.exp(1j * eps * 0.1 * np.cos(2 * grid.x))
-    r2 = micro._rhs_raw(coupled, np.stack([a, b]), grid, eps, coupled.geometry.c)
-    ra = micro._rhs_raw(scalar, a[None, :], grid, eps, scalar.geometry.c)
-    rb = micro._rhs_raw(scalar, b[None, :], grid, eps, scalar.geometry.c)
+    r2 = micro_rhs(coupled, np.stack([a, b]), grid, eps)
+    ra = micro_rhs(scalar, a[None, :], grid, eps)
+    rb = micro_rhs(scalar, b[None, :], grid, eps)
     assert np.max(np.abs(r2 - np.concatenate([ra, rb]))) <= 1e-12
 
 
@@ -490,7 +510,7 @@ def test_gp_linear_mode_frequencies():
     # empirical 2x2 propagator of the (k, -k) mode pair on the unit background
     eps, k_mode, delta, t_obs, dt = 0.5, 1.0, 1e-6, 0.1, 1e-3
     grid = Grid(64, 2 * np.pi)
-    geom, spec = preset("GP_SCALAR")
+    _, spec = preset("GP_SCALAR")
 
     def mode_vector(u):
         h = np.fft.fft(u[0] - 1.0)
@@ -505,14 +525,14 @@ def test_gp_linear_mode_frequencies():
     prop = np.column_stack(colst) @ np.linalg.inv(np.column_stack(cols0))
     measured = sorted(np.angle(np.linalg.eigvals(prop)) / (-t_obs))
 
-    # oracle A: sound-wave dispersion of the linearization, closed form
+    # oracle A: sound-wave dispersion of the lab-frame linearization, closed form
     root = k_mode * np.sqrt(1.0 + eps**2 * k_mode**2 / 4.0)
-    closed = sorted([-(geom.c * k_mode + root) / eps**2, -(geom.c * k_mode - root) / eps**2])
+    closed = sorted([-root / eps**2, root / eps**2])
     # oracle B: eigenvalues of the mode-pair coefficient matrix
     pair = (1.0 / eps**2) * np.array(
         [
-            [1j * geom.c * k_mode - 0.5j * eps * k_mode**2 - 1j / eps, -1j / eps],
-            [1j / eps, 1j * geom.c * k_mode + 0.5j * eps * k_mode**2 + 1j / eps],
+            [-0.5j * eps * k_mode**2 - 1j / eps, -1j / eps],
+            [1j / eps, 0.5j * eps * k_mode**2 + 1j / eps],
         ]
     )
     matrix = sorted(-np.imag(np.linalg.eigvals(pair)))
@@ -587,7 +607,7 @@ def test_ll_conserved_energy_variant():
     s0 = well_prepared_init(spec, geom, 0.25 * _bump(grid)[None, :] / 0.3, grid, eps)
 
     def conserved(state):
-        dg = state.grid.diff(state.values)
+        dg = state.grid.diff(state.values, 1)
         return integrate(
             0.25 * state.eps**2 * np.sum(dg**2, axis=0)
             + _potential_density(spec, state.values),
@@ -705,15 +725,15 @@ def test_split_step_stays_inside_resonance_threshold():
 
 
 @pytest.mark.parametrize("kind,params", CONDENSATES)
-@pytest.mark.parametrize("eps_kmax", [0.4, 0.8, 1.6, 3.2, 6.4, 12.8])
+@pytest.mark.parametrize("eps_kmax", [0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8])
 def test_split_step_stable_at_dt_max_over_validated_range(kind, params, eps_kmax):
-    # dt_max was measured over eps*kmax in micro.SPLIT_STEP_RANGE = [0.4, 12.8]
+    # dt_max was measured over eps*kmax in micro.SPLIT_STEP_RANGE = [0.1, 12.8]
     # (configs outside it are rejected): 2000 steps at the cap complete, stay
     # in the modulus range and keep the energy.  The largest drift measured
-    # here was 3.06e-5 (GP_COUPLED, eps*kmax = 6.4), under 5e-8 at 0.4 and
-    # 0.8; at eps*kmax = 0.2 both condensates abort on step 200.  At 1.6x the
-    # cap seven of the eight runs over [1.6, 12.8] abort and the eighth
-    # drifts 1.1e-4.
+    # here was 3.06e-5 (GP_COUPLED, eps*kmax = 6.4), at most 2.4e-8 at 0.1,
+    # 0.2 and 0.4.  At 1.6x the cap the step aborts at 6.4 and 12.8 (three
+    # of the four runs; the fourth drifts 5.6e3), where the sound phase
+    # binds, and drifts at most 4.6e-5 at 0.1, 0.4 and 3.2.
     grid = Grid(128, 8 * np.pi)
     eps = eps_kmax / np.max(np.abs(grid.wavenumbers))
     spec, s0 = _condensate_init(kind, params, grid, eps)
@@ -767,12 +787,11 @@ def test_abort_inside_second_block_hands_over_the_partial_block():
 def _strang_two_factor(spec, vals, grid, eps, dt, steps):
     """Textbook Strang step R(dt/2) L(dt) R(dt/2): a fresh rotation factor for
     each half rotation."""
-    k = grid.wavenumbers
-    lin = np.exp(dt * (1j * spec.geometry.c * k - 0.5j * eps * k**2) / eps**2)
+    lin = np.exp(-0.5j * dt * grid.wavenumbers**2 / eps)
     for _ in range(steps):
-        vals = vals * np.exp(0.5j * dt * micro._phase_factors(spec, vals) / eps**3)
+        vals = vals * np.exp(0.5j * dt * _phase_factors(spec, vals) / eps**3)
         vals = np.fft.ifft(lin * np.fft.fft(vals, axis=-1), axis=-1)
-        vals = vals * np.exp(0.5j * dt * micro._phase_factors(spec, vals) / eps**3)
+        vals = vals * np.exp(0.5j * dt * _phase_factors(spec, vals) / eps**3)
     return vals
 
 
@@ -823,7 +842,7 @@ def test_split_step_computes_one_rotation_factor_per_step(monkeypatch):
     calls = []
     phase_factors = micro._phase_factors
 
-    def counted(spec, vals, out=None):
+    def counted(spec, vals, out):
         calls.append(None)
         return phase_factors(spec, vals, out)
 
@@ -847,7 +866,7 @@ def test_split_step_aborts_on_the_exact_non_finite_step(monkeypatch, half):
     calls = []
     phase_factors = micro._phase_factors
 
-    def poisoned(spec, vals, out=None):
+    def poisoned(spec, vals, out):
         calls.append(None)
         g = phase_factors(spec, vals, out)
         return g * np.nan if len(calls) == bad_call else g
@@ -893,7 +912,7 @@ def test_spin_step_aborts_on_a_zero_norm_point(monkeypatch):
     _, spec = preset("LL_EASY_PLANE")
     vals = np.tile([[1.0], [0.0], [0.0]], 64)
     vals[:, 5] = 0.0
-    monkeypatch.setattr(micro, "_rhs_raw", lambda spec, v, *args, **kwargs: np.zeros_like(v))
+    monkeypatch.setattr(micro, "_rhs_raw", lambda vals, out, work: np.zeros_like(vals))
     states = stepper_states(spec, grid, 0.5, 1e-3, vals)
     with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
         next(states)
@@ -908,8 +927,7 @@ def test_micro_steps_allocate_only_the_yielded_state(kind, params):
     # with, since freed Python objects kept on free lists stay traced
     grid, eps = Grid(256, 8 * np.pi), 0.2
     spec, s0 = _init(kind, params, grid, eps)
-    advance, _ = micro._make_stepper(spec, grid, [eps], [dt_max(spec, eps, grid)],
-                                     spec.geometry.c)(s0.values[None])
+    advance, _ = micro._make_stepper(spec, grid, [eps], [dt_max(spec, eps, grid)])(s0.values[None])
     vals = advance()
     rises = []
     tracemalloc.start()
@@ -937,8 +955,8 @@ def test_group_steps_allocate_only_the_yielded_state(kind, params):
     runs = [_init(kind, params, grid, eps) for eps in (0.2, 0.1, 0.05)]
     spec = runs[0][0]
     advance, _ = micro._make_stepper(spec, grid, [s0.eps for _, s0 in runs],
-                                     [dt_max(spec, s0.eps, grid) for _, s0 in runs],
-                                     spec.geometry.c)(np.stack([s0.values for _, s0 in runs]))
+                                     [dt_max(spec, s0.eps, grid) for _, s0 in runs])(
+        np.stack([s0.values for _, s0 in runs]))
     vals = advance()
     rises = []
     tracemalloc.start()
@@ -1084,7 +1102,7 @@ def test_snapshot_neighbors_give_centered_time_derivative():
     prev, nxt = (next(stepper_states(spec, grid, eps, h, traj.values[mid]))
                  for h in (-traj.dt, traj.dt))
     central = (nxt - prev) / (2.0 * traj.dt)
-    r = micro._rhs_raw(spec, traj.values[mid], grid, eps, geom.c)
+    r = micro_rhs(spec, traj.values[mid], grid, eps)
     assert np.linalg.norm(central - r) / np.linalg.norm(r) <= 1e-2
 
 
@@ -1183,7 +1201,8 @@ def test_well_prepared_zero_data_gives_ground_state():
 
 def test_rescaled_run_matches_lab_frame_run():
     # evolve the unscaled equation on the stretched domain, then read it back
-    # through the long-wave change of variables
+    # through the long-wave change of variables; both runs are in the lab
+    # frame, so the samples compare as they are
     eps, T = 0.2, 0.05
     n, length = 256, 8 * np.pi
     grid = Grid(n, length)
@@ -1202,6 +1221,5 @@ def test_rescaled_run_matches_lab_frame_run():
         v = v * np.exp(0.5j * dts * (1 - np.abs(v) ** 2))
         v = np.fft.ifft(lin * np.fft.fft(v))
         v = v * np.exp(0.5j * dts * (1 - np.abs(v) ** 2))
-    shifted = fourier_shift(v[None, :], lab, -geom.c * s_star)[0]
-    err = np.linalg.norm(shifted - u_rescaled) / np.linalg.norm(u_rescaled)
+    err = np.linalg.norm(v - u_rescaled) / np.linalg.norm(u_rescaled)
     assert err <= TOL["frame_consistency"]
