@@ -209,7 +209,7 @@ def miura_condition(Q: QTensor) -> float:
 
 def miura_map(Q: QTensor, v: np.ndarray, grid: Grid) -> np.ndarray:
     """u = dx v + (1/3) Q(v,v) of the (d, N) samples v on ``grid``."""
-    return grid.diff(v, 1) + bilinear_apply(Q.coeffs, v, v) / 3.0
+    return grid.diff(v) + bilinear_apply(Q.coeffs, v, v) / 3.0
 
 
 def _mkdv_nonlinear(Q: QTensor, grid: Grid):

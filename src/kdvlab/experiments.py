@@ -30,7 +30,7 @@ from .analysis import (
     shift_minimized_error,
 )
 from .grid import Grid, l2_norm, step_plan
-from .hydro import almost_hamiltonian, chart_blocks, energy_proxy, limit_error
+from .hydro import almost_hamiltonian, energy_proxy, extract_series, limit_error
 from .kdv import LimitModel, conserved_quantities, evolve_kdv
 from .micro import (SPLIT_STEP_RANGE, dt_max, evolve_group, evolve_micro, mass,
                     unit_norm_deviation, well_prepared_init)
@@ -486,49 +486,42 @@ def _run_kdv(cfg: ExperimentConfig, outdir: Path):
     return assertions, counters
 
 
-def _streamed(spec, block_series):
-    """A consumer that computes per-snapshot series of one microscopic run
-    while it runs, and a function that returns them: ``block_series(times,
-    block, h)`` gets each block of snapshots with its chart coordinates and
-    returns a dict of per-snapshot columns, concatenated on return."""
-    cols = {}
+def _micro_series(spec, s0, kdv_traj):
+    """The consumer of a microscopic run from s0, and a function that returns
+    the per-snapshot columns it collected.  Each block of snapshots is taken
+    to chart coordinates, with the phase branch carried across block seams,
+    and gives (from one dx(phi) and one tangent gradient) ||W||, max|eps
+    phi|, the almost-conserved energy, the structure deviation (relative mass
+    drift for condensates, unit-norm deviation for spins) and chart
+    membership; with a limit run ``kdv_traj``, also the energy proxy and the
+    limit errors against it."""
+    grid, eps = s0.grid, s0.eps
+    mass0 = mass(spec, s0.values, grid) if spec.is_complex else None
+    cols, ref = {}, None
 
-    def collect(times, block, h):
-        for name, value in block_series(times, block, h).items():
+    def consume(times, block):
+        nonlocal ref
+        h = extract_series(spec, block, grid, eps, phase_ref=ref)
+        ref = h.phi[-1]
+        dphi = grid.diff(h.phi)
+        # the proxy reads dphi before almost_hamiltonian turns it into W
+        out = {} if kdv_traj is None else {"energy_proxy": energy_proxy(h, dphi)}
+        energy, w = almost_hamiltonian(spec, h, dphi)
+        if spec.is_complex:
+            dev = np.abs(mass(spec, block, grid) - mass0) / mass0
+        else:
+            dev = unit_norm_deviation(spec, block)
+        out.update(w_norm=l2_norm(w, grid), eps_phi_inf=np.max(np.abs(eps * h.phi), axis=(-2, -1)),
+                   energy=energy, structure_dev=dev, in_chart=h.valid)
+        if kdv_traj is not None:
+            out.update(limit_error(spec, times, h, w, kdv_traj))
+        for name, value in out.items():
             cols.setdefault(name, []).append(value)
 
     def collected():
         return {name: np.concatenate(v) for name, v in cols.items()}
 
-    return chart_blocks(spec, collect), collected
-
-
-def _micro_series(spec, s0, kdv_traj=None):
-    """Per-block diagnostics of a microscopic run from s0, for _streamed
-    (one dx(phi) and one tangent gradient per block): ||W||, max|eps phi|,
-    the almost-conserved energy, the structure deviation (relative mass drift
-    for condensates, unit-norm deviation for spins) and chart membership;
-    with a limit run ``kdv_traj``, also the energy proxy and the limit errors
-    against it."""
-    mass0 = mass(spec, s0) if spec.is_complex else None
-
-    def block_series(times, block, h):
-        dphi = h.grid.diff(h.phi, 1)
-        # the proxy reads dphi before almost_hamiltonian turns it into W
-        cols = {} if kdv_traj is None else {"energy_proxy": energy_proxy(h, dphi)}
-        energy, w = almost_hamiltonian(spec, h, dphi)
-        if spec.is_complex:
-            dev = np.abs(mass(spec, block) - mass0) / mass0
-        else:
-            dev = unit_norm_deviation(spec, block.values)
-        cols.update(w_norm=l2_norm(w, h.grid),
-                    eps_phi_inf=np.max(np.abs(h.eps * h.phi), axis=(-2, -1)),
-                    energy=energy, structure_dev=dev, in_chart=h.valid)
-        if kdv_traj is not None:
-            cols.update(limit_error(spec, times, h, w, kdv_traj))
-        return cols
-
-    return block_series
+    return consume, collected
 
 
 def _well_prepared(cfg: ExperimentConfig, eps: float):
@@ -547,11 +540,11 @@ def _well_prepared(cfg: ExperimentConfig, eps: float):
 def _prepare_micro(cfg: ExperimentConfig, eps: float, kdv_traj=None):
     """The spec, well-prepared initial state and step of one streamed
     microscopic run at eps, at a quarter of the step cap, and its series
-    consumer and collected columns (:func:`_streamed`): the micro
+    consumer and collected columns (:func:`_micro_series`): the micro
     experiment, or one ε-run of converge (with its limit run)."""
     spec, grid, s0 = _well_prepared(cfg, eps)
     dt = cfg.t_final / _micro_steps(spec, eps, grid, cfg.t_final, cfg.snapshots)
-    return (spec, s0, dt) + _streamed(spec, _micro_series(spec, s0, kdv_traj))
+    return (spec, s0, dt) + _micro_series(spec, s0, kdv_traj)
 
 
 def _run_micro(cfg: ExperimentConfig, outdir: Path):
@@ -571,7 +564,7 @@ def _run_micro(cfg: ExperimentConfig, outdir: Path):
     ]
     counters = {
         "micro_steps": traj.meta["steps"],
-        "rhs_evaluations": traj.meta.get("rhs_evals", 0),
+        "rhs_evaluations": traj.meta["rhs_evals"],
         "snapshots": len(traj),
     }
     return assertions, counters
@@ -761,7 +754,7 @@ def _run_hyperbolic(cfg: ExperimentConfig, outdir: Path):
     # characteristics: the scalar flux speed is 2 q u, so the first crossing
     # time from smooth data u0 is 1 / max(-d/dx (2 q u0))
     q = float(Q.coeffs[0, 0, 0])
-    slope = grid.diff(2.0 * q * u0[0], 1)
+    slope = grid.diff(2.0 * q * u0[0])
     steepening = float(np.max(-slope))
     oracle = 1.0 / steepening if steepening > 0 else None
 

@@ -140,7 +140,7 @@ class Grid:
         self.x = np.arange(n_points) * self.spacing
         # 2*pi*fftfreq(N, d=L/N) gives integer multiples of 2*pi/L
         self.wavenumbers = 2.0 * np.pi * np.fft.fftfreq(n_points, d=self.spacing)
-        self._symbols: dict[int | tuple, np.ndarray] = {}  # by order, and by (order, shape)
+        self._symbols: dict[int | tuple, np.ndarray] = {}  # by order, and by diff's spectrum shape
 
     def symbol(self, order: int) -> np.ndarray:
         """Fourier multiplier (i k)**order of d^order/dx^order (cached, read-only).
@@ -163,24 +163,20 @@ class Grid:
         Nyquist rule carries over, since (-ik)**even = (ik)**even."""
         return self.symbol(order)[: self.n_points // 2 + 1]
 
-    def diff(self, values, order: int) -> np.ndarray:
-        """d^order/dx^order of samples along the last axis (any leading shape).
-
-        Real input goes through the rfft half spectrum and gives a real
-        result, complex input a complex one.  The spectrum is multiplied in
-        place by the symbol at the spectrum's shape (cached per shape), since
-        a broadcast operand sends the multiply through numpy's buffered
-        loop, which allocates a buffer of the spectrum's size.
+    def diff(self, values) -> np.ndarray:
+        """d/dx of real samples along the last axis (any leading shape),
+        through the rfft half spectrum.  The spectrum is multiplied in place
+        by the symbol at the spectrum's shape (cached per shape), since a
+        broadcast operand sends the multiply through numpy's buffered loop,
+        which allocates a buffer of the spectrum's size.
         """
-        values = np.asarray(values)
-        real = not np.iscomplexobj(values)
-        spec = _rfft(values) if real else _fft(values)
-        key = (order, spec.shape)  # the spectrum's shape says which half it is
-        if key not in self._symbols:
-            sym = self.rsymbol(order) if real else self.symbol(order)
-            self._symbols[key] = np.broadcast_to(sym, spec.shape).copy()  # C order
-        np.multiply(self._symbols[key], spec, out=spec)
-        return _irfft(spec, self.n_points) if real else _ifft(spec)
+        spec = _rfft(values)
+        sym = self._symbols.get(spec.shape)
+        if sym is None:
+            sym = np.broadcast_to(self.rsymbol(1), spec.shape).copy()  # C order
+            self._symbols[spec.shape] = sym
+        np.multiply(sym, spec, out=spec)
+        return _irfft(spec, self.n_points)
 
     def __repr__(self):
         return f"Grid(n_points={self.n_points}, length={self.length!r})"

@@ -21,7 +21,6 @@ import math
 import numpy as np
 
 from .grid import Trajectory, _hs_norms, fourier_shift, integrate, l2_norm
-from .micro import MicroState
 from .models import chart_extract, dphi_matrix, normal_coupling
 
 
@@ -49,32 +48,16 @@ class HydroState:
             yield HydroState(self.grid, self.eps, phi, n, valid)
 
 
-def extract_series(spec, block: MicroState, phase_ref=None) -> HydroState:
-    """Chart coordinates of a microscopic state, or of a block of consecutive
-    snapshots of a run (``block.values`` of shape (S, m, N)) with the phase
-    branch continued along it.
+def extract_series(spec, values, grid, eps: float, phase_ref=None) -> HydroState:
+    """Chart coordinates of microscopic values (m, N) at ``eps`` on ``grid``,
+    or of a block of consecutive snapshots of a run, values (S, m, N), with
+    the phase branch continued along it.
 
     ``phase_ref`` (a previous phi array, for a block the phi of the snapshot
     before it) selects the phase branch of the first state closest to it.
     """
-    phi, n, info = chart_extract(spec, block.values, block.eps, phase_ref=phase_ref)
-    return HydroState(block.grid, block.eps, phi, n, info["in_chart"])
-
-
-def chart_blocks(spec, consume):
-    """Consumer for one micro run (of ``evolve_micro`` or ``evolve_group``)
-    that extracts the chart coordinates of each block of snapshots, carrying
-    the phase branch across block seams, and passes ``(times, block,
-    hydro_block)`` on to ``consume``."""
-    ref = None
-
-    def extract(times, block):
-        nonlocal ref
-        h = extract_series(spec, block, phase_ref=ref)
-        ref = h.phi[-1]
-        consume(times, block, h)
-
-    return extract
+    phi, n, info = chart_extract(spec, values, eps, phase_ref=phase_ref)
+    return HydroState(grid, eps, phi, n, info["in_chart"])
 
 
 def _tangent_gradient(spec, h: HydroState, dphi) -> np.ndarray:
@@ -130,7 +113,7 @@ def almost_hamiltonian(spec, h: HydroState, dphi):
     n = h.n
     grid = h.grid
     density = g.lam * np.sum(np.square(n), axis=-2)
-    tmp = grid.diff(n, 1)  # one scratch array and in-place updates keep the block working set small
+    tmp = grid.diff(n)  # one scratch array and in-place updates keep the block working set small
     density += 0.25 * eps**4 * np.sum(np.square(tmp, out=tmp), axis=-2)
     f1_nu = -np.einsum("ijm,mk->ijk", g.f1, C)
     cubic, term = np.empty((2,) + density.shape)

@@ -305,7 +305,7 @@ def _evolve_ifrk4(symbol, nonlin, u0: np.ndarray, grid: Grid, T, dt, n_snapshots
     ik = np.tile(grid.rsymbol(1), (len(v0), 1))
     dcoef, grad = np.empty_like(v0), np.empty(u0.shape)
     irfft, irfft_scale = _transform("irfft", n)
-    grad_times, grad_vals = [0.0], [float(np.max(np.abs(grid.diff(u0, 1))))]
+    grad_times, grad_vals = [0.0], [float(np.max(np.abs(grid.diff(u0))))]
     grad_limit = BLOWUP_MULTIPLE * max(grad_vals[0], 1e-12)
     stages = tuple(np.empty((6,) + v0.shape, complex))  # views made once
     v = v0
@@ -346,7 +346,7 @@ def conserved_quantities(model: LimitModel, u: np.ndarray, grid: Grid):
             "use model.as_canonical()"
         )
     _check_state(model, u, grid)
-    h = 0.5 * l2_norm(grid.diff(u, 1), grid) ** 2
+    h = 0.5 * l2_norm(grid.diff(u), grid) ** 2
     Q = model.canonical_q
     if not Q.is_zero:
         ws = Dealias(grid.n_points, 2, model.dim)

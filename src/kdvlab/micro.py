@@ -75,13 +75,11 @@ class MicroState:
 
     ``values`` is (m, N): complex rows u_k for condensates, three real rows
     for a single spin field, six (two stacked spheres) for the staggered pair.
-    A block of S snapshots of a run is one MicroState with values (S, m, N)
-    (``mass`` takes blocks); ``evolve_group`` steps the values of M states
-    stacked as one (M, m, N) batch.
-    Values of the right dtype are wrapped, not copied.
+    ``evolve_group`` steps the values of M states stacked as one (M, m, N)
+    batch.  Values of the right dtype are wrapped, not copied.
     """
 
-    def __init__(self, spec: MicroModelSpec, grid: Grid, eps: float, values, validate=True):
+    def __init__(self, spec: MicroModelSpec, grid: Grid, eps: float, values):
         if not 0.0 < eps <= 1.0:
             raise ValueError(f"eps must lie in (0, 1], got {eps}")
         vals = np.asarray(values)
@@ -93,10 +91,9 @@ class MicroState:
             raise ValueError(
                 f"values must be (..., {spec.n_components}, {grid.n_points}), got {vals.shape}"
             )
-        if validate:
-            if not np.isfinite(vals).all():
-                raise ValueError("state contains non-finite samples")
-            _check_pointwise(spec, vals, strict=True)
+        if not np.isfinite(vals).all():
+            raise ValueError("state contains non-finite samples")
+        _check_pointwise(spec, vals, strict=True)
         self.grid = grid
         self.eps = float(eps)
         self.values = vals
@@ -299,7 +296,7 @@ def evolve_group(spec: MicroModelSpec, states, T: float, dts, n_snapshots: int =
 
     The batch is one :func:`~kdvlab.grid._run` (each run's step plan,
     snapshot schedule, blocks to its ``consume(times, block)``, abort
-    bookkeeping), with ``block`` a MicroState of values (S, m, N) and a
+    bookkeeping), with ``block`` the (S, m, N) values of S snapshots, and a
     snapshot check that aborts a run if its pointwise state invariants fail
     (modulus range or unit norm).  A non-finite state never reaches that
     check: both steppers find it by the vdot of the batch state they make,
@@ -326,15 +323,10 @@ def evolve_group(spec: MicroModelSpec, states, T: float, dts, n_snapshots: int =
             raise ValueError(f"step T/steps = {dt:.3g} exceeds dt_max={cap:.3g}")
         plans.append((steps, dt))
 
-    def blocks_of(s0, consume):
-        return lambda times, block: consume(times, MicroState(spec, s0.grid, s0.eps, block,
-                                                              validate=False))
-
     vals = np.stack([s0.values for s0 in states])
     stepper = _make_stepper(spec, grid, [s0.eps for s0 in states], [dt for _, dt in plans])
-    trajs = _run([(steps, dt, n_snapshots, blocks_of(s0, consume))
-                  for (steps, dt), s0, consume in zip(plans, states, consumers)],
-                 vals, *stepper(vals), check=lambda row: _check_pointwise(spec, row))
+    runs = [(steps, dt, n_snapshots, consume) for (steps, dt), consume in zip(plans, consumers)]
+    trajs = _run(runs, vals, *stepper(vals), check=lambda row: _check_pointwise(spec, row))
     for traj in trajs:
         traj.meta["rhs_evals"] = 0 if spec.is_complex else 4 * traj.meta["steps_taken"]
     return trajs
@@ -434,12 +426,12 @@ def _make_stepper(spec, grid, eps, dt):
     return lambda vals: batch(range(len(vals)), np.ascontiguousarray(vals.transpose(1, 0, 2)))
 
 
-def mass(spec: MicroModelSpec, s: MicroState):
-    """Total ∫ |u|² dx of a condensate state (conserved by the split step),
-    one per snapshot of a block."""
+def mass(spec: MicroModelSpec, values, grid: Grid):
+    """Total ∫ |u|² dx of condensate values (m, N) on ``grid`` (conserved by
+    the split step), or one per snapshot of a block (S, m, N)."""
     if not spec.is_complex:
         raise ValueError(f"mass is a condensate invariant; got {spec.kind}")
-    return integrate(np.sum(np.abs(s.values) ** 2, axis=-2), s.grid)
+    return integrate(np.sum(np.abs(values) ** 2, axis=-2), grid)
 
 
 # ---------------------------------------------------------------------------

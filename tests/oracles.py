@@ -7,10 +7,11 @@ a run, the limit observables, the almost-conserved functional with
 solitary-wave ODE residual and the fixed points of Q(z,z) = z by a direction
 scan, the microscopic right-hand sides and steps from fresh arrays (in
 the lab frame, with a condensate step in the frame moving at c/eps² as the
-frame reference); plus
-``record_micro``, which keeps every snapshot of a microscopic run for the
-tests that need a whole run, and ``replay_blocks``, which hands such a run to
-the per-block diagnostics."""
+frame reference), and the spectral derivative of any order of real or
+complex samples (``derivative``; ``Grid.diff`` is d/dx of real samples only);
+plus ``record_micro``, which keeps every snapshot of a microscopic run for
+the tests that need a whole run, and ``replay_blocks``, which hands such a
+run to a run consumer."""
 
 from types import SimpleNamespace
 
@@ -18,10 +19,25 @@ import numpy as np
 
 from kdvlab import micro
 from kdvlab.analysis import solitary_profile
-from kdvlab.grid import SNAPSHOT_BLOCK, fourier_shift, integrate, l2_norm
-from kdvlab.hydro import chart_blocks, extract_series
+from kdvlab.grid import SNAPSHOT_BLOCK, _fft, _ifft, _irfft, _rfft, fourier_shift, integrate, l2_norm
+from kdvlab.hydro import extract_series
 from kdvlab.kdv import bilinear_apply
 from kdvlab.models import chart_assemble, chart_extract, dphi_matrix, normal_coupling
+
+# ---------------------------------------------------------------------------
+# spectral derivative
+# ---------------------------------------------------------------------------
+
+
+def derivative(values, grid, order):
+    """d^order/dx^order of samples along the last axis (any leading shape):
+    real samples through the rfft half spectrum and ``grid.rsymbol(order)``
+    (a real result), complex ones through the full spectrum and
+    ``grid.symbol(order)``."""
+    if np.iscomplexobj(values):
+        return _ifft(grid.symbol(order) * _fft(values))
+    return _irfft(grid.rsymbol(order) * _rfft(values), grid.n_points)
+
 
 # ---------------------------------------------------------------------------
 # whole microscopic runs
@@ -30,38 +46,26 @@ from kdvlab.models import chart_assemble, chart_extract, dphi_matrix, normal_cou
 
 def record_micro(spec, s0, T, dt, n_snapshots=11):
     """``micro.evolve_micro`` with a consumer that copies every block it is
-    handed: the trajectory gains ``values`` (S, m, N), all snapshots,
-    ``states``, one MicroState per snapshot viewing its row of ``values``,
-    the step ``dt`` taken and the run's ``eps``."""
+    handed: the trajectory gains ``values`` (S, m, N), all snapshots, the
+    run's ``grid`` and ``eps`` and the step ``dt`` taken."""
     blocks = []
     traj = micro.evolve_micro(spec, s0, T, dt=dt, n_snapshots=n_snapshots,
-                              consume=lambda times, block: blocks.append(block.values.copy()))
+                              consume=lambda times, block: blocks.append(block.copy()))
     traj.values = np.concatenate(blocks)
-    traj.states = [micro.MicroState(spec, s0.grid, s0.eps, v, validate=False)
-                   for v in traj.values]
+    traj.grid, traj.eps = s0.grid, s0.eps
     traj.dt = T / traj.meta["steps"]
-    traj.eps = s0.eps
     return traj
 
 
-def replay_blocks(spec, traj, block_series):
-    """Per-snapshot columns of ``block_series(times, block, h)`` along a
-    recorded run, handed the snapshots in the blocks ``evolve_micro`` hands
-    over (SNAPSHOT_BLOCK at a time, phase branch carried by
-    ``hydro.chart_blocks``)."""
-    cols = {}
-
-    def collect(times, block, h):
-        for name, value in block_series(times, block, h).items():
-            cols.setdefault(name, []).append(value)
-
-    consume = chart_blocks(spec, collect)
-    grid, eps = traj.states[0].grid, traj.eps
+def replay_blocks(traj, series):
+    """The columns a run consumer collects along a recorded run: ``series``
+    is its ``(consume, collected)``, and ``consume`` is handed the snapshots
+    in the blocks ``evolve_micro`` hands over, SNAPSHOT_BLOCK at a time."""
+    consume, collected = series
     for start in range(0, len(traj), SNAPSHOT_BLOCK):
         rows = slice(start, start + SNAPSHOT_BLOCK)
-        consume(traj.times[rows], micro.MicroState(spec, grid, eps, traj.values[rows],
-                                                   validate=False))
-    return {name: np.concatenate(v) for name, v in cols.items()}
+        consume(traj.times[rows], traj.values[rows])
+    return collected()
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +90,7 @@ def micro_rhs(spec, vals, grid, eps):
     the workspace of a batch of one run."""
     if spec.is_complex:
         g = _phase_factors(spec, vals)
-        return 1j * (0.5 * eps * grid.diff(vals, 2) + g * vals / eps) / eps**2
+        return 1j * (0.5 * eps * derivative(vals, grid, 2) + g * vals / eps) / eps**2
     work = micro._SpinWork(spec, grid, [eps])  # its shape, with one run, is a view of (m, N)
     out = micro._rhs_raw(vals.reshape(work.shape), np.empty(work.shape), work)
     return out.reshape(vals.shape)
@@ -213,7 +217,7 @@ def linearize_rhs(spec, grid, eps, h=1e-4):
 def tangent_gradient(spec, h):
     """X = DPhi dx(phi) of chart states, as a coordinate array shaped like
     ``h.phi``."""
-    X = h.grid.diff(h.phi, 1)
+    X = h.grid.diff(h.phi)
     if spec.kind == "AF_CHAIN":  # DPhi is the identity on the circle charts
         X = np.einsum("...ijN,...jN->...iN", dphi_matrix(spec, h.phi, h.eps), X)
     return X
@@ -237,7 +241,7 @@ def almost_hamiltonian(spec, h):
     g, eps, n, grid = spec.geometry, h.eps, h.n, h.grid
     C = normal_coupling(spec)
     density = g.lam * np.sum(np.square(n), axis=-2)
-    tmp = grid.diff(n, 1)
+    tmp = grid.diff(n)
     density += 0.25 * eps**4 * np.sum(np.square(tmp, out=tmp), axis=-2)
     f1_nu = -np.einsum("ijm,mk->ijk", g.f1, C)
     density += (eps**2 / 3.0) * np.einsum("ijk,...iN,...jN,...kN->...N", f1_nu, n, n, n)
@@ -407,16 +411,16 @@ def _potential_density(spec, vals):
 
 def _azimuth_momentum_density(axis, p, q, reference, grid):
     """(gamma* - axis component) times the pointwise azimuth derivative."""
-    dp = grid.diff(p, 1)
-    dq = grid.diff(q, 1)
+    dp = grid.diff(p)
+    dq = grid.diff(q)
     planar = p * p + q * q
     with np.errstate(invalid="ignore", divide="ignore"):
         dazi = np.where(planar > 1e-28, (p * dq - q * dp) / planar, 0.0)
     return (reference - axis) * dazi
 
 
-def micro_invariants(spec, s):
-    """Energy and momentum of a MicroState, spectrally evaluated.
+def micro_invariants(spec, vals, grid, eps):
+    """Energy and momentum of microscopic values (m, N), spectrally evaluated.
 
     Condensates: E = ∫ [ eps²/4 |∂x u|² + V(u) ] dx (exactly conserved by the
     rescaled flow) and P = -Im ∫ conj(u)·∂x u dx.  Single spin chain: the
@@ -426,9 +430,8 @@ def micro_invariants(spec, s):
     ∫ [ eps²/4 (|∂x u|² + |∂x v|²) + |u+v|² - eps u·∂x v ] dx and the two
     spheres' magnetic momenta about the easy axis, summed.
     """
-    vals, grid, eps = s.values, s.grid, s.eps
     if spec.is_complex:
-        du = grid.diff(vals, 1)
+        du = derivative(vals, grid, 1)
         energy = integrate(
             0.25 * eps**2 * np.sum(np.abs(du) ** 2, axis=0) + _potential_density(spec, vals),
             grid,
@@ -437,8 +440,8 @@ def micro_invariants(spec, s):
         return energy, momentum
     if spec.kind == "AF_CHAIN":
         u, v = vals[:3], vals[3:]
-        du = grid.diff(u, 1)
-        dv = grid.diff(v, 1)
+        du = grid.diff(u)
+        dv = grid.diff(v)
         dens = (
             0.25 * eps**2 * (np.sum(du**2, axis=0) + np.sum(dv**2, axis=0))
             + np.sum((u + v) ** 2, axis=0)
@@ -451,7 +454,7 @@ def micro_invariants(spec, s):
         )
         return integrate(dens, grid), momentum
     # single spin chain; azimuth measured about the anisotropy axis e3
-    dg = grid.diff(vals, 1)
+    dg = grid.diff(vals)
     energy = integrate(0.5 * np.sum(dg**2, axis=0) + _potential_density(spec, vals), grid)
     gamma0 = 0.0 if spec.kind == "LL_EASY_PLANE" else np.cos(spec.params["theta0"])
     momentum = integrate(_azimuth_momentum_density(vals[2], vals[0], vals[1], gamma0, grid), grid)
@@ -465,12 +468,12 @@ def micro_invariants(spec, s):
 RESIDUAL_KINDS = ("GP_SCALAR", "LL_EASY_PLANE")
 
 
-def _neighbour(spec, state, h):
-    """One step of the run's stepper by h from a snapshot, in the frame moving
-    at c/eps²: the step is made in the lab frame, so its result is
-    translated by -(c/eps²) h."""
-    vals = next(stepper_states(spec, state.grid, state.eps, h, state.values))
-    return fourier_shift(vals, state.grid, -spec.geometry.c / state.eps**2 * h)
+def _neighbour(spec, traj, vals, h):
+    """One step of the run's stepper by h from a snapshot ``vals`` of ``traj``,
+    in the frame moving at c/eps²: the step is made in the lab frame, so its
+    result is translated by -(c/eps²) h."""
+    step = next(stepper_states(spec, traj.grid, traj.eps, h, vals))
+    return fourier_shift(step, traj.grid, -spec.geometry.c / traj.eps**2 * h)
 
 
 def _triplet(spec, traj, idx):
@@ -479,12 +482,12 @@ def _triplet(spec, traj, idx):
     are one integrator step at -dt and at +dt from the snapshot, in the
     moving frame (:func:`_neighbour`; the symmetric Strang step at -dt is the
     exact inverse)."""
-    state = traj.states[idx]
-    prev_vals, next_vals = (_neighbour(spec, state, h) for h in (-traj.dt, traj.dt))
-    cur = extract_series(spec, state)
+    vals = traj.values[idx]
+    prev_vals, next_vals = (_neighbour(spec, traj, vals, h) for h in (-traj.dt, traj.dt))
+    cur = extract_series(spec, vals, traj.grid, traj.eps)
     ref = cur.phi
-    phi_p, n_p, info_p = chart_extract(spec, prev_vals, state.eps, phase_ref=ref)
-    phi_n, n_n, info_n = chart_extract(spec, next_vals, state.eps, phase_ref=ref)
+    phi_p, n_p, info_p = chart_extract(spec, prev_vals, traj.eps, phase_ref=ref)
+    phi_n, n_n, info_n = chart_extract(spec, next_vals, traj.eps, phase_ref=ref)
     if not (cur.valid and info_p["in_chart"] and info_n["in_chart"]):
         return None
     return (phi_p, n_p), cur, (phi_n, n_n)
@@ -510,13 +513,11 @@ def hydro_residual(spec, traj, ablate_singular=False) -> dict:
         )
     g = spec.geometry
     eps, dt = traj.eps, traj.dt
-    grid = traj.states[0].grid
-
-    def dx(f):
-        return grid.diff(f, 1)
+    grid = traj.grid
+    dx = grid.diff
 
     times, r1_norms, r2_norms = [], [], []
-    for idx in range(1, len(traj.states) - 1):
+    for idx in range(1, len(traj) - 1):
         trip = _triplet(spec, traj, idx)
         if trip is None:
             continue
@@ -572,7 +573,7 @@ def soliton_ode_residual(Q, z, grid, profile=None) -> float:
     z = np.atleast_1d(np.asarray(z, dtype=float))
     P = np.outer(z, q(grid.x - 0.5 * grid.length))
     flux = bilinear_apply(Q.coeffs, P, P)
-    resid = grid.diff(P, 1) - grid.diff(P, 3) + grid.diff(flux, 1)
+    resid = grid.diff(P) - derivative(P, grid, 3) + grid.diff(flux)
     return l2_norm(resid, grid)
 
 

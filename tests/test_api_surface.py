@@ -319,3 +319,19 @@ def test_every_readme_reference_resolves_in_src():
     assert len(refs) >= 40  # the check is not vacuous
     stale = sorted(refs - defined)
     assert not stale, f"README names that src/kdvlab does not define: {stale}"
+
+
+def test_every_module_imports_only_the_layers_below_it():
+    # the layer order of the package docstring: a module may import only
+    # modules listed before it under "Layers, bottom up"
+    doc = ast.get_docstring(ast.parse((SRC / "__init__.py").read_text()))
+    order = re.findall(r"``(\w+)``", doc.split("Layers, bottom up:", 1)[1])
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    assert sorted(order) == sorted(modules)  # every module has one place
+    upward = []
+    for rank, mod in enumerate(order):
+        for node in ast.walk(ast.parse((SRC / f"{mod}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                upward += [f"{mod} imports {name}" for name in names if name not in order[:rank]]
+    assert not upward, f"imports of a module at or above the importer's layer: {upward}"

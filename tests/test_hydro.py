@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 
 from kdvlab import experiments
-from kdvlab.experiments import _micro_series, _streamed
+from kdvlab.experiments import _micro_series
 from kdvlab.grid import SNAPSHOT_BLOCK, Grid, l2_norm
 from kdvlab.hydro import (
     HydroState,
     almost_hamiltonian,
-    chart_blocks,
     energy_proxy,
     extract_series,
 )
@@ -76,7 +75,7 @@ def _prepared(kind, params, grid, eps, amp=0.2):
 def test_extract_reconstruct_roundtrip(kind, params):
     grid = Grid(256, 8 * np.pi)
     _, spec, state = _prepared(kind, params, grid, eps=0.2)
-    h = extract_series(spec, state)
+    h = extract_series(spec, state.values, grid, state.eps)
     assert h.valid
     back = chart_assemble(spec, h.phi, h.n, h.eps)
     assert np.max(np.abs(back - state.values)) <= TOL["roundtrip"]
@@ -85,7 +84,7 @@ def test_extract_reconstruct_roundtrip(kind, params):
 def test_condensate_ground_state_has_zero_coordinates():
     grid = Grid(64, 2 * np.pi)
     _, spec = preset("GP_SCALAR")
-    h = extract_series(spec, MicroState(spec, grid, 0.2, np.ones((1, 64), complex)))
+    h = extract_series(spec, np.ones((1, 64), complex), grid, 0.2)
     assert h.valid
     assert np.max(np.abs(h.phi)) == 0.0
     assert np.max(np.abs(h.n)) == 0.0
@@ -96,7 +95,7 @@ def test_modulated_condensate_coordinates():
     eps, grid = 0.1, Grid(64, 2 * np.pi)
     _, spec = preset("GP_SCALAR")
     u = (1.0 + eps**2 * 0.2) * np.exp(1j * eps * 0.5) * np.ones((1, 64), complex)
-    h = extract_series(spec, MicroState(spec, grid, eps, u))
+    h = extract_series(spec, u, grid, eps)
     assert np.max(np.abs(h.phi - 0.5)) <= TOL["exact_chart"]
     assert np.max(np.abs(h.n - 0.2)) <= TOL["exact_chart"]
 
@@ -106,7 +105,7 @@ def test_tilted_spin_coordinates():
     grid = Grid(64, 2 * np.pi)
     _, spec = preset("LL_EASY_PLANE")
     gam = np.tile(np.array([[np.cos(0.3)], [np.sin(0.3)], [0.0]]), 64)
-    h = extract_series(spec, MicroState(spec, grid, 0.1, gam))
+    h = extract_series(spec, gam, grid, 0.1)
     assert np.max(np.abs(h.phi - 3.0)) <= TOL["exact_chart"]
     assert np.max(np.abs(h.n)) <= TOL["exact_chart"]
 
@@ -116,11 +115,10 @@ def test_phase_reference_selects_branch():
     eps, grid = 0.2, Grid(64, 2 * np.pi)
     _, spec = preset("GP_SCALAR")
     u = np.exp(1j * eps * 0.5) * np.ones((1, 64), complex)
-    s = MicroState(spec, grid, eps, u)
-    principal = extract_series(spec, s)
+    principal = extract_series(spec, u, grid, eps)
     assert np.max(np.abs(principal.phi - 0.5)) <= TOL["exact_chart"]
     ref = (0.5 + 2.0 * np.pi / eps) * np.ones((1, 64))
-    shifted = extract_series(spec, s, phase_ref=ref)
+    shifted = extract_series(spec, u, grid, eps, phase_ref=ref)
     assert np.max(np.abs(shifted.phi - ref)) <= TOL["exact_chart"]
 
 
@@ -153,7 +151,7 @@ def test_observables_carry_the_chart_jacobian(kind, params):
     phi = np.stack([3.0 * np.sin((i + 1) * grid.x + 0.3) for i in range(geom.dim)])
     n = np.stack([0.5 * np.cos((i + 2) * grid.x) for i in range(geom.dim)])
     obs = observables(spec, HydroState(grid, eps, phi, n, True))
-    ref = np.einsum("ijN,jN->iN", dphi_matrix(spec, phi, eps), grid.diff(phi, 1))
+    ref = np.einsum("ijN,jN->iN", dphi_matrix(spec, phi, eps), grid.diff(phi))
     got = (obs.U + obs.W) / (2.0 * geom.c)
     assert np.max(np.abs(got - ref)) <= TOL["observables"] * np.max(np.abs(ref))
 
@@ -176,7 +174,7 @@ def test_pure_phase_state_observables(kind):
 def test_well_prepared_data_starts_near_the_limit_manifold(kind, params):
     grid = Grid(256, 8 * np.pi)
     _, spec, state = _prepared(kind, params, grid, eps=0.2)
-    h = extract_series(spec, state)
+    h = extract_series(spec, state.values, grid, state.eps)
     w0 = l2_norm(observables(spec, h).W, grid)
     assert w0 <= TOL["w_prepared"]
 
@@ -190,7 +188,7 @@ def test_zero_state_has_zero_energy():
     grid = Grid(64, 2 * np.pi)
     _, spec = preset("GP_SCALAR")
     h = HydroState(grid, 0.2, np.zeros((1, 64)), np.zeros((1, 64)), True)
-    H, w = almost_hamiltonian(spec, h, grid.diff(h.phi, 1))
+    H, w = almost_hamiltonian(spec, h, grid.diff(h.phi))
     assert H == 0.0 and np.max(np.abs(w)) == 0.0
 
 
@@ -202,8 +200,8 @@ def test_energy_matches_w_norm_to_second_order(kind, params):
     geom, _ = preset(kind, params)
     for eps in (0.2, 0.1):
         _, spec, state = _prepared(kind, params, grid, eps)
-        h = extract_series(spec, state)
-        H, w = almost_hamiltonian(spec, h, grid.diff(h.phi, 1))
+        h = extract_series(spec, state.values, grid, state.eps)
+        H, w = almost_hamiltonian(spec, h, grid.diff(h.phi))
         leading = l2_norm(w, grid)**2 / (4.0 * geom.lam)
         assert abs(H - leading) / eps**2 <= TOL["h_identity"]
 
@@ -217,7 +215,7 @@ def test_energy_leading_term_is_the_observables_w_norm(kind, params):
     phi = np.stack([2.0 * np.sin((i + 1) * grid.x + 0.3) for i in range(geom.dim)])
     n = np.stack([0.5 * np.cos((i + 2) * grid.x) for i in range(geom.dim)])
     h = HydroState(grid, 0.2, phi, n, True)
-    assert np.array_equal(almost_hamiltonian(spec, h, grid.diff(h.phi, 1))[1], observables(spec, h).W)
+    assert np.array_equal(almost_hamiltonian(spec, h, grid.diff(h.phi))[1], observables(spec, h).W)
 
 
 @pytest.mark.parametrize("kind", ["LL_EASY_PLANE", "AF_CHAIN"])
@@ -226,8 +224,8 @@ def test_energy_identity_sharpens_without_curvature_terms(kind):
     grid = Grid(256, 8 * np.pi)
     for eps in (0.2, 0.1, 0.05):
         geom, spec, state = _prepared(kind, None, grid, eps)
-        h = extract_series(spec, state)
-        H, w = almost_hamiltonian(spec, h, grid.diff(h.phi, 1))
+        h = extract_series(spec, state.values, grid, state.eps)
+        H, w = almost_hamiltonian(spec, h, grid.diff(h.phi))
         assert abs(H - l2_norm(w, grid)**2 / (4.0 * geom.lam)) <= TOL["h_zero_tensor"] * eps**4
 
 
@@ -349,7 +347,7 @@ def test_zero_data_gives_zero_limit_error():
     s0 = well_prepared_init(spec, geom, zero, grid, 0.2)
     traj = record_micro(spec, s0, T=0.1, dt=1e-4, n_snapshots=3)
     kdv_traj = evolve_kdv(limit_equation(geom), zero, grid, 0.1, 1e-3, n_snapshots=3)
-    err = replay_blocks(spec, traj, _micro_series(spec, s0, kdv_traj))
+    err = replay_blocks(traj, _micro_series(spec, s0, kdv_traj))
     for name in ("err_amplitude", "err_gradient", "w_norm"):
         assert np.max(err[name]) <= TOL["zero_data"]
 
@@ -362,14 +360,14 @@ def test_limit_error_requires_matching_times():
     traj = record_micro(spec, s0, T=0.1, dt=1e-4, n_snapshots=3)
     kdv_traj = evolve_kdv(limit_equation(geom), zero, grid, 0.07, 1e-3, n_snapshots=3)
     with pytest.raises(ValueError, match="time grids"):
-        replay_blocks(spec, traj, _micro_series(spec, s0, kdv_traj))
+        replay_blocks(traj, _micro_series(spec, s0, kdv_traj))
 
 
 def test_proxy_of_flat_state_counts_only_gradients():
     grid = Grid(64, 2 * np.pi)
     _, spec = preset("GP_SCALAR")
     h = HydroState(grid, 0.2, np.full((1, 64), 0.7), np.zeros((1, 64)), True)
-    assert energy_proxy(h, grid.diff(h.phi, 1)) == 0.0
+    assert energy_proxy(h, grid.diff(h.phi)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -383,21 +381,20 @@ def _per_snapshot_diagnostics(spec, traj):
     almost-conserved energy and ||W|| from the tangent gradient, max|eps phi|,
     the structure deviation and chart membership."""
     g = spec.geometry
-    grid, eps = traj.states[0].grid, traj.states[0].eps
+    grid, eps = traj.grid, traj.eps
     C = normal_coupling(spec)
     f1_nu = -np.einsum("ijm,mk->ijk", g.f1, C)
 
     def mass(vals):
         return float(np.sum(np.sum(np.abs(vals) ** 2, axis=0)) * grid.spacing)
 
-    m0 = mass(traj.states[0].values) if spec.is_complex else None
+    m0 = mass(traj.values[0]) if spec.is_complex else None
     out = {k: [] for k in ("w_norm", "eps_phi_inf", "energy", "structure_dev", "in_chart")}
     ref = None
-    for state in traj.states:
-        vals = state.values
+    for vals in traj.values:
         phi, n, info = chart_extract(spec, vals, eps, phase_ref=ref)
         ref = phi
-        X = grid.diff(phi, 1)
+        X = grid.diff(phi)
         if spec.kind == "AF_CHAIN":
             X = np.einsum("ijN,jN->iN", dphi_matrix(spec, phi, eps), X)
         Cn = C.T @ n
@@ -405,7 +402,7 @@ def _per_snapshot_diagnostics(spec, traj):
         half = X + 0.5 * eps**2 * corr
         density = (
             g.lam * np.sum(n**2, axis=0)
-            + 0.25 * eps**4 * np.sum(grid.diff(n, 1) ** 2, axis=0)
+            + 0.25 * eps**4 * np.sum(grid.diff(n) ** 2, axis=0)
             + (eps**2 / 3.0) * np.einsum("ijk,iN,jN,kN->N", f1_nu, n, n, n)
             + 0.25 * np.sum((X + eps**2 * corr) ** 2, axis=0)
             + np.sum((g.c * half + np.einsum("ij,jN->iN", g.i0b0, half)) * Cn, axis=0)
@@ -426,15 +423,16 @@ def _per_snapshot_diagnostics(spec, traj):
     return {k: np.array(v) for k, v in out.items()}
 
 
-def _seventy_snapshot_run(kind, params, block_series):
+def _seventy_snapshot_run(kind, params, series):
     # 70 snapshots: two full blocks and a partial one; the run streamed
-    # through block_series, and the same run recorded whole
+    # through the consumer series(spec, state) returns with its collected
+    # columns, and the same run recorded whole
     grid = Grid(64, 8 * np.pi)
     eps = 0.2
     _, spec, state = _prepared(kind, params, grid, eps, amp=0.4)
     steps = 2 * 69
     T = steps * 0.25 * dt_max(spec, eps, grid)
-    consume, columns = _streamed(spec, block_series(spec, state))
+    consume, columns = series(spec, state)
     traj = evolve_micro(spec, state, T, T / steps, 70, consume=consume)
     got = columns()
     record = record_micro(spec, state, T=T, dt=T / steps, n_snapshots=70)
@@ -446,7 +444,8 @@ def _seventy_snapshot_run(kind, params, block_series):
 
 @pytest.mark.parametrize("kind,params", PRESETS)
 def test_blocked_diagnostics_match_the_per_snapshot_formulas(kind, params):
-    spec, got, traj = _seventy_snapshot_run(kind, params, _micro_series)
+    spec, got, traj = _seventy_snapshot_run(
+        kind, params, lambda spec, state: _micro_series(spec, state, None))
     want = _per_snapshot_diagnostics(spec, traj)
     assert np.array_equal(got["in_chart"], want["in_chart"]) and want["in_chart"].all()
     for name in ("w_norm", "eps_phi_inf", "energy", "structure_dev"):
@@ -461,58 +460,69 @@ def test_blocked_limit_error_matches_the_per_snapshot_formulas(kind, params):
     def against_zero(spec, state):
         zero = np.zeros((spec.dim, state.grid.n_points))
         ref = SimpleNamespace(times=[], meta={})
-        series = _micro_series(spec, state, ref)
+        consume, collected = _micro_series(spec, state, ref)
 
-        def block_series(times, block, h):
+        def against_block(times, block):
             ref.times, ref.meta["snapshots"] = times, np.array([zero] * len(times))
-            return series(times, block, h)
+            consume(times, block)
 
-        return block_series
+        return against_block, collected
 
     spec, err, traj = _seventy_snapshot_run(kind, params, against_zero)
-    grid = traj.states[0].grid
+    grid = traj.grid
     ref = None
-    for i, state in enumerate(traj.states):
-        h = extract_series(spec, state, phase_ref=ref)
+    for i, vals in enumerate(traj.values):
+        h = extract_series(spec, vals, grid, traj.eps, phase_ref=ref)
         ref = h.phi
         obs = observables(spec, h)
         want = {
             "err_amplitude": l2_norm(obs.A, grid),
             "err_gradient": l2_norm(obs.A + obs.W, grid),
-            "energy_proxy": energy_proxy(h, grid.diff(h.phi, 1)),
+            "energy_proxy": energy_proxy(h, grid.diff(h.phi)),
         }
         for name, value in want.items():
             assert abs(err[name][i] - value) <= 1e-14 * abs(value), (name, i)
 
 
-def test_phase_branch_carries_across_block_seams():
+def test_phase_branch_carries_across_block_seams(monkeypatch):
     # the global phase advances 0.9 rad per snapshot, so the principal branch
-    # wraps every few snapshots, across block seams too; the blocked pass must
-    # shift each snapshot like the sequential phase_ref chain
+    # wraps every few snapshots, across block seams too; the run consumer
+    # must shift each snapshot like the sequential phase_ref chain: its phi,
+    # and the column max|eps phi|, which grows by 0.9 per snapshot and would
+    # fall back at a seam where the branch restarts
     eps, grid = 0.2, Grid(32, 2 * np.pi)
     _, spec = preset("GP_SCALAR")
     count = 3 * SNAPSHOT_BLOCK + 5
     vals = np.exp(1j * (0.9 * np.arange(count)[:, None, None] + 0.3 * np.sin(grid.x)))
-    blocks = []
-    consume = chart_blocks(spec, lambda times, block, h: blocks.append(h.phi))
+    phis = []
+
+    def extract(*args, **kwargs):
+        h = extract_series(*args, **kwargs)
+        phis.append(h.phi)
+        return h
+
+    monkeypatch.setattr(experiments, "extract_series", extract)
+    consume, collected = _micro_series(spec, MicroState(spec, grid, eps, vals[0]), None)
     for start in range(0, count, SNAPSHOT_BLOCK):
         rows = slice(start, start + SNAPSHOT_BLOCK)
-        consume(list(range(count))[rows], MicroState(spec, grid, eps, vals[rows], validate=False))
-    got = np.concatenate(blocks)
+        consume(list(range(count))[rows], vals[rows])
+    phi, got = np.concatenate(phis), collected()["eps_phi_inf"]
 
     period = 2.0 * np.pi
     shifts, ref_mean = [], None
-    for v in vals:
+    for i, v in enumerate(vals):
         principal = chart_extract(spec, v, eps)[0] * eps
         mean = float(np.mean(principal))
         turns = 0.0 if ref_mean is None else np.rint((ref_mean - mean) / period)
         shifts.append(period * turns)
         ref_mean = mean + period * turns
-        assert np.max(np.abs(got[len(shifts) - 1] * eps - principal - shifts[-1])) <= 1e-12
+        assert np.max(np.abs(phi[i] * eps - principal - shifts[-1])) <= 1e-12
+        assert abs(got[i] - np.max(np.abs(principal + shifts[-1]))) <= 1e-12
     seams = range(SNAPSHOT_BLOCK, count, SNAPSHOT_BLOCK)
     assert any(shifts[i] != shifts[i - 1] for i in seams)  # a wrap sits on a seam
     assert len(set(shifts)) > 10
-    np.testing.assert_allclose(np.diff(np.mean(got * eps, axis=(-2, -1))), 0.9, atol=1e-12)
+    np.testing.assert_allclose(np.diff(np.mean(phi * eps, axis=(-2, -1))), 0.9, atol=1e-12)
+    np.testing.assert_allclose(np.diff(got), 0.9, atol=1e-12)
 
 
 def test_dense_micro_experiment_holds_one_block_of_snapshots(tmp_path, monkeypatch):
@@ -525,7 +535,7 @@ def test_dense_micro_experiment_holds_one_block_of_snapshots(tmp_path, monkeypat
 
     def evolve(*args, consume, **kwargs):
         def counted(times, block):
-            sizes.append(len(block.values))
+            sizes.append(len(block))
             consume(times, block)
         return real_evolve(*args, consume=counted, **kwargs)
 
@@ -555,9 +565,9 @@ def _first_block(kind, params):
     dt = 0.25 * dt_max(spec, eps, grid)
     blocks = []
     evolve_micro(spec, state, 2 * SNAPSHOT_BLOCK * dt, dt, n_snapshots=SNAPSHOT_BLOCK + 1,
-                 consume=lambda times, block: blocks.append(block.values.copy()))
+                 consume=lambda times, block: blocks.append(block.copy()))
     assert len(blocks[0]) == SNAPSHOT_BLOCK
-    return spec, MicroState(spec, grid, eps, blocks[0], validate=False)
+    return spec, grid, eps, blocks[0]
 
 
 def _same_bits(a, b):
@@ -571,10 +581,10 @@ def test_almost_hamiltonian_matches_the_einsum_oracle_bitwise(kind, params):
     # einsum's products and summation order: H and W have the same bits, on
     # a real block and on one state (gp_coupled with gamma != 0 has five
     # nonzero F1 entries, the other families at most one per row)
-    spec, block = _first_block(kind, params)
-    h = extract_series(spec, block)
+    spec, grid, eps, block = _first_block(kind, params)
+    h = extract_series(spec, block, grid, eps)
     for states in (h, list(h)[-1]):
-        energy, w = almost_hamiltonian(spec, states, states.grid.diff(states.phi, 1))
+        energy, w = almost_hamiltonian(spec, states, states.grid.diff(states.phi))
         want_energy, want_w = oracles.almost_hamiltonian(spec, states)
         assert _same_bits(energy, want_energy) and _same_bits(w, want_w)
     assert np.ptp(h.n) > 0 and np.ptp(w) > 0  # the data are not trivial
@@ -587,12 +597,12 @@ def test_chart_extract_of_a_condensate_block_allocates_under_three_blocks(kind):
     # bytes (measured 2.5x for one component and 2.1x for two; with
     # np.unwrap's full-array correction and cumulative sum it was 4.5x and
     # 4.3x)
-    spec, block = _first_block(kind, None)
-    chart_extract(spec, block.values, block.eps)
+    spec, _, eps, block = _first_block(kind, None)
+    chart_extract(spec, block, eps)
     tracemalloc.start()
     try:
-        chart_extract(spec, block.values, block.eps)
+        chart_extract(spec, block, eps)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * block.values.nbytes
+    assert peak <= 3 * block.nbytes

@@ -206,9 +206,9 @@ def _full_fft_kdv_rhs(model, u, grid):
     linear = np.fft.ifft(sym * np.fft.fft(u, axis=-1), axis=-1).real
     if model.form == "canonical":
         Q = model.canonical_q.coeffs
-        return linear - grid.diff(_full_fft_bilinear(Q, u, u), 1)
+        return linear - grid.diff(_full_fft_bilinear(Q, u, u))
     c = model.scale["time_factor"] / 8.0
-    flux = _full_fft_bilinear(model.raw_tensor, grid.diff(u, 1), u)
+    flux = _full_fft_bilinear(model.raw_tensor, grid.diff(u), u)
     return linear + flux / (2.0 * c)
 
 

@@ -19,8 +19,8 @@ from kdvlab.micro import (
     well_prepared_init,
 )
 from kdvlab.models import chart_assemble, chart_extract, normal_coupling, preset
-from oracles import (_phase_factors, _potential_density, linearize_rhs, micro_invariants, micro_rhs,
-                     micro_steps, moving_frame_strang_steps, record_micro, stepper_states)
+from oracles import (_phase_factors, _potential_density, derivative, linearize_rhs, micro_invariants,
+                     micro_rhs, micro_steps, moving_frame_strang_steps, record_micro, stepper_states)
 
 TOL = {
     "ground": 1e-14,
@@ -76,13 +76,13 @@ def test_ground_states_are_static(kind, params):
 
 def _reference_spin_rhs(spec, vals, grid, eps, c):
     """The spin right-hand side in the frame moving at c/eps² (c = 0: the lab
-    frame), written with np.cross and one single-order grid.diff per
-    derivative."""
+    frame), written with np.cross, ``Grid.diff`` for each first derivative
+    and ``oracles.derivative`` for each second one."""
     if spec.kind == "AF_CHAIN":
         u, v = vals[:3], vals[3:]
-        du, dv = grid.diff(u, 1), grid.diff(v, 1)
-        wu = -0.5 * eps**2 * grid.diff(u, 2) - eps * dv + 2.0 * v
-        wv = -0.5 * eps**2 * grid.diff(v, 2) + eps * du + 2.0 * u
+        du, dv = grid.diff(u), grid.diff(v)
+        wu = -0.5 * eps**2 * derivative(u, grid, 2) - eps * dv + 2.0 * v
+        wv = -0.5 * eps**2 * derivative(v, grid, 2) + eps * du + 2.0 * u
         ru = (c * eps * du + np.cross(u, wu, axis=0)) / eps**3
         rv = (c * eps * dv + np.cross(v, wv, axis=0)) / eps**3
         return np.concatenate([ru, rv], axis=0)
@@ -92,8 +92,8 @@ def _reference_spin_rhs(spec, vals, grid, eps, c):
     else:
         dev = vals[2] - np.cos(spec.params["theta0"])
         grad[2] = 2.0 * spec.params["alpha"] * dev - 3.0 * spec.params["beta"] * dev**2
-    torque = 0.5 * eps**2 * grid.diff(vals, 2) - grad
-    return (c * eps * grid.diff(vals, 1) + np.cross(vals, torque, axis=0)) / eps**3
+    torque = 0.5 * eps**2 * derivative(vals, grid, 2) - grad
+    return (c * eps * grid.diff(vals) + np.cross(vals, torque, axis=0)) / eps**3
 
 
 SPIN_KINDS = [
@@ -493,12 +493,11 @@ def test_state_validation():
 @pytest.mark.parametrize("kind,rows", [("LL_EASY_PLANE", 3), ("GP_SCALAR", 1)])
 def test_micro_rhs_rejects_nan_state(kind, rows):
     # a NaN sample must count as a pointwise violation, not pass every comparison
-    grid = Grid(8, 2 * np.pi)
     _, spec = preset(kind)
-    state = MicroState(spec, grid, 0.2, np.full((rows, 8), np.nan), validate=False)
-    assert micro._check_pointwise(spec, state.values) is not None
+    vals = np.full((rows, 8), np.nan)
+    assert micro._check_pointwise(spec, vals) is not None
     with pytest.raises(ValueError):
-        micro._check_pointwise(spec, state.values, strict=True)
+        micro._check_pointwise(spec, vals, strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +520,7 @@ def test_gp_linear_mode_frequencies():
         s0 = MicroState(spec, grid, eps, (1.0 + delta * w0)[None, :])
         traj = record_micro(spec, s0, T=t_obs, dt=dt, n_snapshots=2)
         cols0.append(mode_vector(s0.values))
-        colst.append(mode_vector(traj.states[-1].values))
+        colst.append(mode_vector(traj.values[-1]))
     prop = np.column_stack(colst) @ np.linalg.inv(np.column_stack(cols0))
     measured = sorted(np.angle(np.linalg.eigvals(prop)) / (-t_obs))
 
@@ -551,13 +550,13 @@ def test_gp_conservation_over_run():
     grid = Grid(256, 8 * np.pi)
     geom, spec = preset("GP_SCALAR")
     s0 = well_prepared_init(spec, geom, _bump(grid)[None, :], grid, eps)
-    m0 = mass(spec, s0)
-    e0, p0 = micro_invariants(spec, s0)
+    m0 = mass(spec, s0.values, grid)
+    e0, p0 = micro_invariants(spec, s0.values, grid, eps)
     traj = record_micro(spec, s0, T=0.5, dt=0.5 / 693, n_snapshots=6)
     assert not traj.aborted
-    for state in traj.states:
-        e, p = micro_invariants(spec, state)
-        assert abs(mass(spec, state) - m0) / m0 <= TOL["mass_drift"]
+    for vals in traj.values:
+        e, p = micro_invariants(spec, vals, grid, eps)
+        assert abs(mass(spec, vals, grid) - m0) / m0 <= TOL["mass_drift"]
         assert abs(e - e0) / abs(e0) <= TOL["gp_energy_drift"]
         assert abs(p - p0) <= TOL["momentum_drift"]
 
@@ -565,8 +564,7 @@ def test_gp_conservation_over_run():
 def test_gp_ground_state_invariants_vanish():
     grid = Grid(64, 2 * np.pi)
     _, spec = preset("GP_SCALAR")
-    state = MicroState(spec, grid, 0.3, np.ones((1, 64), complex))
-    e, p = micro_invariants(spec, state)
+    e, p = micro_invariants(spec, np.ones((1, 64), complex), grid, 0.3)
     assert abs(e) <= 1e-14 and abs(p) <= 1e-14
 
 
@@ -574,10 +572,8 @@ def test_ll_energy_analytic_value():
     grid = Grid(256, 2 * np.pi)
     _, spec = preset("LL_EASY_PLANE")
     ang = 0.1 * np.sin(grid.x)
-    state = MicroState(
-        spec, grid, 0.2, np.stack([np.cos(ang), np.sin(ang), np.zeros_like(ang)])
-    )
-    e, _ = micro_invariants(spec, state)
+    gam = np.stack([np.cos(ang), np.sin(ang), np.zeros_like(ang)])
+    e, _ = micro_invariants(spec, gam, grid, 0.2)
     assert abs(e - 0.005 * np.pi) <= 1e-13
 
 
@@ -590,12 +586,12 @@ def test_spin_chain_momentum_conserved(kind, params):
     grid = Grid(256, 8 * np.pi)
     geom, spec = preset(kind, params)
     s0 = well_prepared_init(spec, geom, 0.25 * _bump(grid)[None, :] / 0.3, grid, eps)
-    _, p0 = micro_invariants(spec, s0)
+    _, p0 = micro_invariants(spec, s0.values, grid, eps)
     steps = {"LL_EASY_PLANE": 624, "LL_EASY_CONE": 576}[kind]  # a step just under dt_max
     traj = record_micro(spec, s0, T=0.3, dt=0.3 / steps, n_snapshots=4)
     assert not traj.aborted
-    for state in traj.states:
-        _, p = micro_invariants(spec, state)
+    for vals in traj.values:
+        _, p = micro_invariants(spec, vals, grid, eps)
         assert abs(p - p0) <= TOL["momentum_drift"]
 
 
@@ -606,18 +602,15 @@ def test_ll_conserved_energy_variant():
     geom, spec = preset("LL_EASY_PLANE")
     s0 = well_prepared_init(spec, geom, 0.25 * _bump(grid)[None, :] / 0.3, grid, eps)
 
-    def conserved(state):
-        dg = state.grid.diff(state.values, 1)
-        return integrate(
-            0.25 * state.eps**2 * np.sum(dg**2, axis=0)
-            + _potential_density(spec, state.values),
-            state.grid,
-        )
+    def conserved(vals):
+        dg = grid.diff(vals)
+        return integrate(0.25 * eps**2 * np.sum(dg**2, axis=0) + _potential_density(spec, vals),
+                         grid)
 
-    e0 = conserved(s0)
+    e0 = conserved(s0.values)
     traj = record_micro(spec, s0, T=0.3, dt=0.3 / 624, n_snapshots=4)
-    for state in traj.states:
-        assert abs(conserved(state) - e0) / abs(e0) <= 1e-10
+    for vals in traj.values:
+        assert abs(conserved(vals) - e0) / abs(e0) <= 1e-10
 
 
 def test_ll_unit_norm_over_ten_thousand_steps():
@@ -631,8 +624,8 @@ def test_ll_unit_norm_over_ten_thousand_steps():
     traj = record_micro(spec, state, T=10_000 * dt, dt=dt, n_snapshots=3)
     assert not traj.aborted
     assert traj.meta["steps"] == 10_000
-    for st in traj.states:
-        assert np.max(np.abs(np.linalg.norm(st.values, axis=0) - 1.0)) <= TOL["norm_dev"]
+    for vals in traj.values:
+        assert np.max(np.abs(np.linalg.norm(vals, axis=0) - 1.0)) <= TOL["norm_dev"]
 
 
 def test_af_conservation_and_stability():
@@ -641,19 +634,19 @@ def test_af_conservation_and_stability():
     geom, spec = preset("AF_CHAIN")
     A0 = np.stack([_bump(grid, amp=0.2), -0.5 * _bump(grid, amp=0.2)])
     s0 = well_prepared_init(spec, geom, A0, grid, eps)
-    e0, p0 = micro_invariants(spec, s0)
+    e0, p0 = micro_invariants(spec, s0.values, grid, eps)
     size0 = np.linalg.norm(s0.values[1:3])
     traj = record_micro(spec, s0, T=0.5, dt=0.5 / 642, n_snapshots=6)
     assert not traj.aborted
-    for state in traj.states:
-        e, p = micro_invariants(spec, state)
+    for vals in traj.values:
+        e, p = micro_invariants(spec, vals, grid, eps)
         assert abs(e - e0) / abs(e0) <= TOL["af_energy_drift"]
         assert abs(p - p0) <= 1e-10
         for block in (slice(0, 3), slice(3, 6)):
-            dev = np.max(np.abs(np.linalg.norm(state.values[block], axis=0) - 1.0))
+            dev = np.max(np.abs(np.linalg.norm(vals[block], axis=0) - 1.0))
             assert dev <= TOL["norm_dev"]
     # linear stability: the transverse excitation must not grow
-    size_end = np.linalg.norm(traj.states[-1].values[1:3])
+    size_end = np.linalg.norm(traj.values[-1][1:3])
     assert size_end <= 2.0 * size0 + 1e-12
 
 
@@ -698,7 +691,7 @@ def test_evolve_streams_blocks_through_one_buffer():
     seen = []
 
     def consume(times, block):
-        seen.append((list(times), block.values, block.values.copy()))
+        seen.append((list(times), block, block.copy()))
 
     traj = evolve_micro(spec, state, T=0.069, dt=1e-3, n_snapshots=70, consume=consume)
     assert not traj.aborted and len(traj) == 70
@@ -720,7 +713,7 @@ def test_split_step_stays_inside_resonance_threshold():
     s0 = well_prepared_init(spec, geom, _bump(grid)[None, :], grid, eps)
     traj = record_micro(spec, s0, T=0.5, dt=0.5 / 693, n_snapshots=3)
     assert not traj.aborted
-    mod = np.abs(traj.states[-1].values)
+    mod = np.abs(traj.values[-1])
     assert 0.9 <= mod.min() and mod.max() <= 1.1
 
 
@@ -740,12 +733,13 @@ def test_split_step_stable_at_dt_max_over_validated_range(kind, params, eps_kmax
     dt = dt_max(spec, eps, grid)
     traj = record_micro(spec, s0, T=2000 * dt, dt=dt, n_snapshots=11)
     assert not traj.aborted and traj.meta["steps_taken"] == 2000
-    e0, _ = micro_invariants(spec, s0)
+    e0, _ = micro_invariants(spec, s0.values, grid, eps)
     lo, hi = micro._MODULUS_RANGE
-    for state in traj.states:
-        mod = np.abs(state.values)
+    for vals in traj.values:
+        mod = np.abs(vals)
         assert lo <= mod.min() and mod.max() <= hi
-        assert abs(micro_invariants(spec, state)[0] - e0) <= TOL["gp_energy_drift_at_cap"] * abs(e0)
+        e = micro_invariants(spec, vals, grid, eps)[0]
+        assert abs(e - e0) <= TOL["gp_energy_drift_at_cap"] * abs(e0)
 
 
 def test_abort_on_chart_breakdown_returns_partial_run():
@@ -756,7 +750,7 @@ def test_abort_on_chart_breakdown_returns_partial_run():
     traj = record_micro(spec, state, T=0.5, dt=0.5 / 868, n_snapshots=21)
     assert traj.aborted
     assert "modulus" in traj.abort_reason
-    assert 0 < len(traj.states) < 21
+    assert 0 < len(traj.values) < 21
     assert traj.abort_time is not None and 0 < traj.abort_time < 0.5
 
 
@@ -774,7 +768,7 @@ def test_abort_inside_second_block_hands_over_the_partial_block():
     assert every.meta["steps_taken"] == 150
     blocks = []
     traj = evolve_micro(spec, state, T=0.5, dt=dt, n_snapshots=290,
-                        consume=lambda times, block: blocks.append((times, block.values.copy())))
+                        consume=lambda times, block: blocks.append((times, block.copy())))
     assert traj.aborted and "modulus" in traj.abort_reason
     assert traj.meta["steps_taken"] == 150
     assert traj.abort_time == 150 * dt
@@ -806,7 +800,7 @@ def test_split_step_matches_two_factor_strang_step(kind, params):
     traj = record_micro(spec, s0, T=steps * dt, dt=dt, n_snapshots=2)
     assert not traj.aborted and traj.meta["steps"] == steps
     ref = _strang_two_factor(spec, s0.values, grid, eps, traj.dt, steps)
-    got = traj.states[-1].values
+    got = traj.values[-1]
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -979,7 +973,7 @@ def _recorded(spec, states, T, dts, n_snapshots):
     each run's trajectory and the blocks it was handed, copied."""
     blocks = [[] for _ in states]
     trajs = micro.evolve_group(spec, states, T, dts, n_snapshots,
-                               consumers=[lambda t, b, kept=kept: kept.append((t, b.values.copy()))
+                               consumers=[lambda t, b, kept=kept: kept.append((t, b.copy()))
                                           for kept in blocks])
     return list(zip(trajs, blocks))
 
@@ -987,7 +981,7 @@ def _recorded(spec, states, T, dts, n_snapshots):
 def _solo(spec, s0, T, dt, n_snapshots):
     blocks = []
     traj = evolve_micro(spec, s0, T, dt, n_snapshots,
-                        consume=lambda t, b: blocks.append((t, b.values.copy())))
+                        consume=lambda t, b: blocks.append((t, b.copy())))
     return traj, blocks
 
 
@@ -1098,7 +1092,7 @@ def test_snapshot_neighbors_give_centered_time_derivative():
     geom, spec = preset("GP_SCALAR")
     s0 = well_prepared_init(spec, geom, _bump(grid)[None, :], grid, eps)
     traj = record_micro(spec, s0, T=0.2, dt=0.2 / 278, n_snapshots=5)
-    mid = len(traj.states) // 2
+    mid = len(traj.values) // 2
     prev, nxt = (next(stepper_states(spec, grid, eps, h, traj.values[mid]))
                  for h in (-traj.dt, traj.dt))
     central = (nxt - prev) / (2.0 * traj.dt)
@@ -1113,7 +1107,7 @@ def test_trajectory_times_and_endpoints():
     traj = record_micro(spec, state, T=0.1, dt=1e-3, n_snapshots=6)
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(0.1, abs=1e-15)
-    assert np.max(np.abs(traj.states[-1].values - 1.0)) <= 1e-12
+    assert np.max(np.abs(traj.values[-1] - 1.0)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -1209,7 +1203,7 @@ def test_rescaled_run_matches_lab_frame_run():
     geom, spec = preset("GP_SCALAR")
     s0 = well_prepared_init(spec, geom, _bump(grid)[None, :], grid, eps)
     traj = record_micro(spec, s0, T=T, dt=T / 70, n_snapshots=2)
-    u_rescaled = traj.states[-1].values[0]
+    u_rescaled = traj.values[-1][0]
 
     lab = Grid(n, length / eps)
     s_star = T / eps**3
