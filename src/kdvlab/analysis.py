@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Dealias, Grid, _fft, _ifft, fourier_shift, l2_norm
+from .grid import Dealias, Grid, _irfft, _rfft, fourier_shift, l2_norm
 from .kdv import LimitModel, QTensor, _evolve_ifrk4, _pairing, bilinear_apply, evolve_kdv
 
 __all__ = [
@@ -163,8 +163,8 @@ def shift_minimized_error(u: np.ndarray, ref: np.ndarray, grid: Grid):
     (1e-14), or a golden-section search of the error where the slope keeps
     its sign (1e-12), refines it; the refinement must be no worse than delta0.
     """
-    cross = np.sum(_fft(u) * np.conj(_fft(ref)), axis=0)
-    corr = np.real(_ifft(cross))
+    cross = np.sum(_rfft(u) * np.conj(_rfft(ref)), axis=0)
+    corr = _irfft(cross, grid.n_points)
     delta0 = grid.x[int(np.argmax(corr))]
     ref_norm = l2_norm(ref, grid)
 
@@ -172,10 +172,12 @@ def shift_minimized_error(u: np.ndarray, ref: np.ndarray, grid: Grid):
         return l2_norm(u - fourier_shift(ref, grid, delta), grid)
 
     # the squared error is smooth in the shift, so refine by locating the
-    # stationary point of the correlation C(d) = Re sum_k S_k exp(i k d)
+    # stationary point of the correlation C(d) = Re sum_k S_k exp(i k d),
+    # summed over all N modes as the half spectrum with its Hermitian weights
+    k, weights = grid.half_spectrum
+
     def corr_slope(delta):
-        k = grid.wavenumbers
-        return float(np.real(np.sum(1j * k * cross * np.exp(1j * k * delta))))
+        return float(np.sum(weights * np.real(1j * k * cross * np.exp(1j * k * delta))))
 
     lo, hi = delta0 - grid.spacing, delta0 + grid.spacing
     slope_lo = corr_slope(lo)

@@ -575,12 +575,12 @@ def _converge_task(payload):
     in lockstep (:func:`~kdvlab.micro.evolve_group`): the serial path runs
     every ε as one group, a worker pool one ε per task, through this
     function.  Every ε-run is prepared before any steps, so data outside the
-    chart are a config error before a run starts.  Each ε-run is scored
-    against the shared limit reference of the payload and writes its own
-    CSV file; returns one result per ε, in group order.
+    chart are a config error before a run starts.  The payload is the
+    validated config, the group's ε and the shared limit run that every
+    ε-run is scored against.  Each ε-run writes its own CSV file; returns
+    one result per ε, in group order.
     """
-    raw, group, kdv_traj = payload
-    cfg = ExperimentConfig.from_dict(raw)
+    cfg, group, kdv_traj = payload
     specs, states, dts, consumers, collected = zip(*[_prepare_micro(cfg, eps, kdv_traj)
                                                      for eps in group])
     trajs = evolve_group(specs[0], states, cfg.t_final, dts, cfg.snapshots, consumers=consumers)
@@ -618,9 +618,6 @@ def _converge_result(cfg, spec, eps, traj, series, kdv_traj):
 
 
 def _run_converge(cfg: ExperimentConfig, outdir: Path):
-    raw = dict(cfg.echo())
-    raw["output_dir"] = str(outdir)
-    raw["workers"] = cfg.workers
     model = _limit_model(cfg)
     grid = cfg.make_grid()
     A0 = _initial_field(cfg, grid, model.dim)
@@ -639,12 +636,12 @@ def _run_converge(cfg: ExperimentConfig, outdir: Path):
         from multiprocessing import Pool  # only parallel runs pay for this import
         # eps_list decreases, so reversed it hands out the costliest run (the
         # smallest eps) first; the results are put back in eps_list order
-        payloads = [(raw, [eps], kdv_traj) for eps in cfg.eps_list[::-1]]
+        payloads = [(cfg, [eps], kdv_traj) for eps in cfg.eps_list[::-1]]
         with Pool(processes=min(cfg.workers, len(payloads))) as pool:
             results = [r for rs in pool.map(_converge_task, payloads, chunksize=1)[::-1]
                        for r in rs]
     else:
-        results = _converge_task((raw, cfg.eps_list, kdv_traj))
+        results = _converge_task((cfg, cfg.eps_list, kdv_traj))
 
     completed = [r for r in results if not r["aborted"]]
     all_done = len(completed) == len(results)

@@ -33,10 +33,11 @@ __all__ = [
 # behind numpy.fft with its scales (1 forward, 1/n inverse), bit-identical
 # without its per-call wrapper, which costs as much as a 256-point transform.
 # A step kernel binds its transforms once per run with _transform and calls
-# them into its own buffers; one-off transforms call _rfft, _irfft, _fft and
-# _ifft, which bind one and call it into a new array.  ``_POCKETFFT`` is read
-# only by _transform, so it can be swapped (to count calls, or for the
-# fallback) before a run is built; no other module touches it or the scales.
+# them into its own buffers (only the complex split step binds fft/ifft);
+# one-off transforms of real samples call _rfft and _irfft, which bind one
+# and call it into a new array.  ``_POCKETFFT`` is read only by _transform,
+# so it can be swapped (to count calls, or for the fallback) before a run is
+# built; no other module touches it or the scales.
 try:
     from numpy.fft import _pocketfft_umath as _POCKETFFT
 except ImportError:  # numpy < 2.0: through numpy.fft
@@ -99,16 +100,6 @@ def _irfft(a, n):
     return fn(a, scale, np.empty(a.shape[:-1] + (n,)))
 
 
-def _fft(a):
-    fn, scale = _transform("fft", a.shape[-1])
-    return fn(a, scale, np.empty(a.shape, complex))
-
-
-def _ifft(a):
-    fn, scale = _transform("ifft", a.shape[-1])
-    return fn(a, scale, np.empty(a.shape, complex))
-
-
 # Snapshots per block that a run hands to its consumer: the run diagnostics
 # pay the numpy call overhead once per block, and a streamed run holds one
 # block of snapshots, never the whole run (the 2001-snapshot
@@ -124,7 +115,8 @@ class Grid:
     Wavenumbers are the usual FFT layout k_j = 2*pi*j/L for j = 0,...,N/2-1,
     -N/2,...,-1 (numpy fftfreq ordering).  The grid owns the Fourier
     derivative multipliers: :meth:`symbol` builds them and :meth:`diff`
-    applies them.
+    applies them.  ``half_spectrum`` holds the rfft half spectrum's k >= 0 and
+    the Hermitian weights of a sum over all N modes (1 at k = 0 and Nyquist).
     """
 
     def __init__(self, n_points: int, length: float):
@@ -140,6 +132,9 @@ class Grid:
         self.x = np.arange(n_points) * self.spacing
         # 2*pi*fftfreq(N, d=L/N) gives integer multiples of 2*pi/L
         self.wavenumbers = 2.0 * np.pi * np.fft.fftfreq(n_points, d=self.spacing)
+        half = np.arange(n_points // 2 + 1)
+        self.half_spectrum = (np.abs(self.wavenumbers[half]),
+                              np.where((half == 0) | (2 * half == n_points), 1.0, 2.0))
         self._symbols: dict[int | tuple, np.ndarray] = {}  # by order, and by diff's spectrum shape
 
     def symbol(self, order: int) -> np.ndarray:
@@ -200,21 +195,22 @@ class Trajectory:
 
 
 def _hs_norms(values, grid: Grid, s: int) -> np.ndarray:
-    """L2 norms of dx^j f for j = 0..s via Parseval, of samples (..., d, N)
-    (each norm over the full vector-valued function): shape (..., s+1), one
-    row of norms per leading index (per snapshot of a block).  One spectrum
-    is made, and one scratch array of its shape into which each |(ik)^j| is
-    copied before it multiplies the spectrum: a broadcast or real operand
+    """L2 norms of dx^j f for j = 0..s via Parseval on the rfft half
+    spectrum, of real samples (..., d, N) (each norm over the full
+    vector-valued function): shape (..., s+1), one row of norms per leading
+    index (per snapshot of a block).  The power |c_k|^2 of one spectrum is
+    made once, and one scratch array of its shape into which each weighted
+    |(ik)^j|^2 is copied before it multiplies the power: a broadcast operand
     would send the multiply through numpy's buffered loop, which allocates."""
-    coeffs = _fft(values)
-    coeffs /= grid.n_points
-    scratch, power = np.empty_like(coeffs), np.empty(coeffs.shape)
-    norms = np.empty(coeffs.shape[:-2] + (s + 1,))
+    power = np.abs(_rfft(values))
+    power /= grid.n_points
+    np.square(power, out=power)
+    scratch = np.empty_like(power)
+    norms = np.empty(power.shape[:-2] + (s + 1,))
     for j in range(s + 1):
-        np.copyto(scratch, np.abs(grid.symbol(j)))
-        np.multiply(scratch, coeffs, out=scratch)
-        np.square(np.abs(scratch, out=power), out=power)
-        norms[..., j] = np.sqrt(grid.length * np.sum(power, axis=(-2, -1)))
+        np.copyto(scratch, grid.half_spectrum[1] * np.abs(grid.rsymbol(j)) ** 2)
+        scratch *= power
+        norms[..., j] = np.sqrt(grid.length * np.sum(scratch, axis=(-2, -1)))
     return norms
 
 
@@ -514,10 +510,7 @@ class Dealias:
 
 
 def fourier_shift(comps, grid: Grid, delta: float):
-    """Translate samples by delta (f(x) -> f(x - delta)) via a spectral phase."""
+    """Translate real samples by delta (f(x) -> f(x - delta)) via a spectral
+    phase on the half spectrum, which multiplies a Nyquist mode by cos(k_N delta)."""
     comps = np.atleast_2d(np.asarray(comps))
-    phase = np.exp(-1j * grid.wavenumbers * delta)
-    out = _ifft(phase * _fft(comps))
-    if comps.dtype.kind != "c":
-        out = out.real
-    return out
+    return _irfft(np.exp(-1j * grid.half_spectrum[0] * delta) * _rfft(comps), grid.n_points)

@@ -52,9 +52,10 @@ import math
 
 import numpy as np
 
-from .grid import (Grid, Trajectory, _fft, _ifft, _NonFinite, _run, _transform, integrate,
+from .grid import (Grid, Trajectory, _irfft, _NonFinite, _rfft, _run, _transform, integrate,
                    rk4_factors, rk4_step, step_plan)
 from .models import (
+    _MODULUS_RANGE,
     GeometryData,
     MicroModelSpec,
     chart_assemble,
@@ -62,7 +63,6 @@ from .models import (
     normal_coupling,
 )
 
-_MODULUS_RANGE = (0.5, 1.5)
 _NORM_TOL = 1e-10
 _ROLL = np.array([0, 1, 2, 0, 1])  # a (B, 5, N) cross-product buffer holds rows [x, y, z, x, y]
 _ONE = np.array(1.0)  # a 0-d operand: numpy converts a Python float on every ufunc call
@@ -458,11 +458,9 @@ def well_prepared_init(spec: MicroModelSpec, g: GeometryData, A0: np.ndarray, gr
         raise ValueError("A0 must be zero-mean in every component for a periodic phase")
     wave_matrix = g.c * np.eye(g.dim) + g.i0b0
     dphi0 = np.linalg.solve(wave_matrix, A0)
-    spec_hat = _fft(dphi0)
-    k = grid.wavenumbers
-    with np.errstate(divide="ignore", invalid="ignore"):
-        anti = np.where(k != 0.0, spec_hat / (1j * k), 0.0)
-    phi0 = _ifft(anti).real
+    ik, spec_hat = grid.rsymbol(1), _rfft(dphi0)  # k = 0 and Nyquist, where ik = 0, give 0
+    phi0 = _irfft(np.divide(spec_hat, ik, out=np.zeros_like(spec_hat), where=ik != 0),
+                  grid.n_points)
     n0 = -(1.0 / (2.0 * g.lam)) * normal_coupling(spec) @ A0
     if eps * float(np.max(np.abs(phi0))) >= chart_radius(spec):
         raise ValueError("initial phase leaves the model chart; shrink A0 or eps")

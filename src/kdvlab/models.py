@@ -40,6 +40,7 @@ __all__ = [
 KINDS = ("GP_SCALAR", "GP_COUPLED", "LL_EASY_PLANE", "LL_EASY_CONE", "AF_CHAIN")
 
 _SYM_TOL = 1e-12
+_MODULUS_RANGE = (0.5, 1.5)  # the condensate chart's |u|: out of it a run aborts
 
 
 class GeometryData:
@@ -419,7 +420,8 @@ def chart_extract(spec: MicroModelSpec, state: np.ndarray, eps: float, phase_ref
         r = np.abs(state)
         eps_phi, winding = _unwrap_periodic(np.angle(state))
         eps_phi = _apply_phase_ref(eps_phi, phase_ref, eps, 2.0 * np.pi)
-        in_chart = np.all((r >= 0.5) & (r <= 1.5), axis=(-2, -1)) & np.all(winding == 0, axis=-1)
+        lo, hi = _MODULUS_RANGE
+        in_chart = np.all((r >= lo) & (r <= hi), axis=(-2, -1)) & np.all(winding == 0, axis=-1)
         r -= 1.0  # in place: r becomes n, eps_phi becomes phi
         r /= eps**2
         eps_phi /= eps

@@ -8,7 +8,9 @@ solitary-wave ODE residual and the fixed points of Q(z,z) = z by a direction
 scan, the microscopic right-hand sides and steps from fresh arrays (in
 the lab frame, with a condensate step in the frame moving at c/eps² as the
 frame reference), and the spectral derivative of any order of real or
-complex samples (``derivative``; ``Grid.diff`` is d/dx of real samples only);
+complex samples (``derivative``; ``Grid.diff`` is d/dx of real samples only)
+and their translation on the full spectrum (``full_spectrum_shift``;
+``grid.fourier_shift`` translates real samples only);
 plus ``record_micro``, which keeps every snapshot of a microscopic run for
 the tests that need a whole run, and ``replay_blocks``, which hands such a
 run to a run consumer."""
@@ -19,7 +21,7 @@ import numpy as np
 
 from kdvlab import micro
 from kdvlab.analysis import solitary_profile
-from kdvlab.grid import SNAPSHOT_BLOCK, _fft, _ifft, _irfft, _rfft, fourier_shift, integrate, l2_norm
+from kdvlab.grid import SNAPSHOT_BLOCK, _irfft, _rfft, integrate, l2_norm
 from kdvlab.hydro import extract_series
 from kdvlab.kdv import bilinear_apply
 from kdvlab.models import chart_assemble, chart_extract, dphi_matrix, normal_coupling
@@ -35,8 +37,18 @@ def derivative(values, grid, order):
     (a real result), complex ones through the full spectrum and
     ``grid.symbol(order)``."""
     if np.iscomplexobj(values):
-        return _ifft(grid.symbol(order) * _fft(values))
+        return np.fft.ifft(grid.symbol(order) * np.fft.fft(values, axis=-1), axis=-1)
     return _irfft(grid.rsymbol(order) * _rfft(values), grid.n_points)
+
+
+def full_spectrum_shift(comps, grid, delta):
+    """Translate samples by delta (f(x) -> f(x - delta)) via a spectral phase
+    on the full spectrum, with numpy's negative Nyquist wavenumber: complex
+    samples, or real ones, whose result is the real part (as 2-d samples).
+    ``grid.fourier_shift`` shifts real samples on the half spectrum."""
+    comps = np.atleast_2d(np.asarray(comps))
+    out = np.fft.ifft(np.exp(-1j * grid.wavenumbers * delta) * np.fft.fft(comps, axis=-1), axis=-1)
+    return out if np.iscomplexobj(comps) else out.real
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +485,7 @@ def _neighbour(spec, traj, vals, h):
     in the frame moving at c/eps²: the step is made in the lab frame, so its
     result is translated by -(c/eps²) h."""
     step = next(stepper_states(spec, traj.grid, traj.eps, h, vals))
-    return fourier_shift(step, traj.grid, -spec.geometry.c / traj.eps**2 * h)
+    return full_spectrum_shift(step, traj.grid, -spec.geometry.c / traj.eps**2 * h)
 
 
 def _triplet(spec, traj, idx):

@@ -16,9 +16,7 @@ from kdvlab.grid import (
     SNAPSHOT_BLOCK,
     Dealias,
     Grid,
-    _fft,
     _hs_norms,
-    _ifft,
     _irfft,
     _rfft,
     _run,
@@ -80,9 +78,10 @@ def test_transforms_match_numpy_fft_bitwise_property(seed, n, lead, view):
     real, comp, half = sample(n, False), sample(n, True), sample(n // 2 + 1, True)
     assert np.array_equal(_rfft(real), np.fft.rfft(real))
     assert np.array_equal(_irfft(half, n), np.fft.irfft(half, n))
-    assert np.array_equal(_fft(comp), np.fft.fft(comp))
-    assert np.array_equal(_fft(real), np.fft.fft(real))
-    assert np.array_equal(_ifft(comp), np.fft.ifft(comp))
+    for kind, a in (("fft", comp), ("fft", real), ("ifft", comp)):
+        fn, scale = _transform(kind, n)
+        want = getattr(np.fft, kind)(a)
+        assert np.array_equal(fn(a, scale, np.empty_like(want)), want), kind
 
 
 @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
@@ -144,6 +143,37 @@ def test_numpy_fft_is_called_only_by_the_transform_layer():
     assert found == allowed
 
 
+def _full_spectrum_uses(tree):
+    """The top-level scope of every ``_transform`` call whose kind is not a
+    literal "rfft" or "irfft", and of every definition, import or attribute
+    named ``_fft`` or ``_ifft``."""
+    for top in tree.body:
+        scope = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_transform":
+                kind = node.args[0] if node.args else None
+                if not (isinstance(kind, ast.Constant) and kind.value in ("rfft", "irfft")):
+                    yield scope
+            # a def or an imported alias (name), an attribute (attr), a name (id)
+            if {getattr(node, a, None) for a in ("name", "attr", "id")} & {"_fft", "_ifft"}:
+                yield scope
+
+
+def test_full_spectrum_transforms_serve_complex_fields_only():
+    # real samples use the rfft half spectrum: the full complex transforms
+    # are bound only by the condensate split step, and no module defines or
+    # imports an allocating full-spectrum wrapper
+    src = Path(grid_module.__file__).parent
+    found = {(path.stem, scope) for path in sorted(src.glob("*.py"))
+             for scope in _full_spectrum_uses(ast.parse(path.read_text()))}
+    assert found == {("micro", "_make_stepper")}
+    code = ("from .grid import _fft\n"
+            "def _ifft(a):\n    return a\n"
+            "def f(kind):\n    return _transform(kind, 8), _transform('rfft', 8)\n"
+            "def g():\n    return grid._fft(a)\n")
+    assert list(_full_spectrum_uses(ast.parse(code))) == ["<module>", "_ifft", "f", "g"]
+
+
 def _pocketfft_none_tests(tree):
     """The top-level scope ("<module>" or a function or class name) of
     every comparison of ``_POCKETFFT`` with None, in source order."""
@@ -201,7 +231,7 @@ def test_the_checker_flags_a_module_binding_the_gufuncs_itself():
 
 def test_only_the_transform_layer_touches_its_gufuncs_and_scales():
     # one way into the transforms: every other module goes through _rfft,
-    # _irfft, _fft, _ifft or _transform, so swapping grid._POCKETFFT (the
+    # _irfft or _transform, so swapping grid._POCKETFFT (the
     # numpy.fft fallback, the fft_calls fixture) reaches every transform
     src = Path(grid_module.__file__).parent
     found = [f"{path.name}:{line}" for path in sorted(src.glob("*.py")) if path.stem != "grid"
@@ -288,13 +318,16 @@ def test_hs_seminorms_sine_2x(grid):
 
 def test_hs_norms_make_one_spectrum_with_the_broadcast_bits():
     # a real (32, 1, 256) snapshot block, as the energy proxy of a converge
-    # block sees it: the spectrum, one scratch of its shape and the real
-    # power array stay under three spectra (the broadcast form peaked at
-    # 402 kB), with the bits of the broadcast form
+    # block sees it: the half spectrum, its real power array and one scratch
+    # of that shape stay under three half spectra, with the bits of the
+    # broadcast form of Parseval on the half spectrum, L sum w_k |k|^2j |c_k|^2
+    # with the Hermitian weights w_k
     g = Grid(256, 8 * np.pi)
     block = np.random.default_rng(3).normal(size=(32, 1, 256))
-    coeffs = _fft(block) / g.n_points
-    want = np.stack([np.sqrt(g.length * np.sum(np.abs(np.abs(g.symbol(j)) * coeffs) ** 2,
+    spectrum = np.fft.rfft(block)
+    power = (np.abs(spectrum) / g.n_points) ** 2
+    _, weights = g.half_spectrum
+    want = np.stack([np.sqrt(g.length * np.sum(weights * np.abs(g.rsymbol(j)) ** 2 * power,
                                                 axis=(-2, -1))) for j in range(3)], axis=-1)
     _hs_norms(block, g, 2)
     tracemalloc.start()
@@ -303,7 +336,7 @@ def test_hs_norms_make_one_spectrum_with_the_broadcast_bits():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * coeffs.nbytes
+    assert peak < 3 * spectrum.nbytes
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -315,6 +348,7 @@ def test_parseval_matches_physical_quadrature(grid):
         amp = rng.normal() + 1j * rng.normal()
         spec[m] = amp
         spec[-m] = np.conj(amp)
+    spec[grid.n_points // 2] = rng.normal()  # the Nyquist mode counts once
     f = np.fft.ifft(spec).real[None, :] * grid.n_points
     phys = l2_norm(f, grid)
     spectral = _hs_norms(f, grid, 0)[0]
@@ -707,3 +741,21 @@ def test_fourier_shift(grid):
     f = np.sin(grid.x)
     shifted = fourier_shift(f, grid, 0.5)
     assert np.max(np.abs(shifted[0] - np.sin(grid.x - 0.5))) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log_n=st.integers(3, 7),
+    rows=st.integers(1, 3),
+    turns=st.floats(-2.0, 2.0),
+)
+def test_fourier_shift_by_grid_spacings_is_a_roll_property(seed, log_n, rows, turns):
+    # the Nyquist rule on real samples: a shift by m spacings multiplies the
+    # Nyquist mode, a cosine, by cos(pi m) = (-1)^m, so it is the roll by m
+    g = Grid(2**log_n, 2 * np.pi)
+    f = _band_limited(seed, g.n_points, rows)
+    m = round(turns * g.n_points)
+    got = fourier_shift(f, g, m * g.spacing)
+    assert got.dtype == np.float64 and got.shape == f.shape
+    assert np.max(np.abs(got - np.roll(f, m, axis=-1))) <= 1e-12 * np.max(np.abs(f))
