@@ -159,11 +159,12 @@ def shift_minimized_error(u: np.ndarray, ref: np.ndarray, grid: Grid):
     ``grid``, and the best shift.
 
     The coarse optimum delta0 comes from the FFT cross-correlation over grid
-    shifts.  Within one spacing of it a bisection on the correlation slope
+    shifts.  Within one spacing of it a bisection on the slope of the error
     (1e-14), or a golden-section search of the error where the slope keeps
     its sign (1e-12), refines it; the refinement must be no worse than delta0.
     """
-    cross = np.sum(_rfft(u) * np.conj(_rfft(ref)), axis=0)
+    ref_hat = _rfft(ref)
+    cross = np.sum(_rfft(u) * np.conj(ref_hat), axis=0)
     corr = _irfft(cross, grid.n_points)
     delta0 = grid.x[int(np.argmax(corr))]
     ref_norm = l2_norm(ref, grid)
@@ -171,21 +172,27 @@ def shift_minimized_error(u: np.ndarray, ref: np.ndarray, grid: Grid):
     def objective(delta):
         return l2_norm(u - fourier_shift(ref, grid, delta), grid)
 
-    # the squared error is smooth in the shift, so refine by locating the
-    # stationary point of the correlation C(d) = Re sum_k S_k exp(i k d),
-    # summed over all N modes as the half spectrum with its Hermitian weights
+    # the squared error is smooth in the shift, so refine by locating its
+    # stationary point.  With the correlation C(s) = Re sum_k S_k exp(i k s),
+    # summed over all N modes as the half spectrum with its Hermitian
+    # weights, N |u - shift(ref, s)|^2 = const - 2 C(s) + |r_N|^2 cos^2(k_N s),
+    # since a shift multiplies the Nyquist coefficient r_N of even N by
+    # cos(k_N s).  The slope is minus half its derivative:
+    # C'(s) + (k_N/2) |r_N|^2 sin(2 k_N s).
     k, weights = grid.half_spectrum
+    nyquist = 0.0 if grid.n_points % 2 else 0.5 * k[-1] * float(np.sum(np.abs(ref_hat[:, -1])**2))
 
-    def corr_slope(delta):
-        return float(np.sum(weights * np.real(1j * k * cross * np.exp(1j * k * delta))))
+    def slope(delta):
+        return (float(np.sum(weights * np.real(1j * k * cross * np.exp(1j * k * delta))))
+                + nyquist * np.sin(2.0 * k[-1] * delta))
 
     lo, hi = delta0 - grid.spacing, delta0 + grid.spacing
-    slope_lo = corr_slope(lo)
-    if slope_lo * corr_slope(hi) < 0:
+    slope_lo = slope(lo)
+    if slope_lo * slope(hi) < 0:
         # bisection keeps lo on the side of slope_lo's sign
         for _ in range(int(np.ceil(np.log2((hi - lo) / 1e-14)))):
             mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if (corr_slope(mid) < 0) == (slope_lo < 0) else (lo, mid)
+            lo, hi = (mid, hi) if (slope(mid) < 0) == (slope_lo < 0) else (lo, mid)
         refined = 0.5 * (lo + hi)
     else:
         refined = _golden_section(objective, lo, hi, 1e-12)
@@ -215,8 +222,9 @@ def miura_map(Q: QTensor, v: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _mkdv_nonlinear(Q: QTensor, grid: Grid):
-    """dv/dt contribution -(2/3) Q(v, Q(v, dx v)) on (d, n//2+1) rfft
-    coefficients, as ``rhs(w, out)`` writing into ``out``; the cubic term is
+    """dv/dt contribution -(2/3) Q(v, Q(v, dx v)) on (d, n//2+1) coefficients
+    in the state convention of :func:`~kdvlab.kdv._evolve_ifrk4`, as
+    ``rhs(w, out)`` writing into ``out``; the cubic term is
     dealiased by padding [v, dx v] to twice the grid (one irfft) before any
     product is formed, then truncated back (one rfft).  Its symbols are made
     once, at the shape of the coefficients, and the workspace's ``samples``
@@ -226,13 +234,13 @@ def _mkdv_nonlinear(Q: QTensor, grid: Grid):
     ik = np.tile(grid.rsymbol(1), (d, 1))
     ws = Dealias(n, 2, d, 2)
     pair, q = _pairing(Q.coeffs)
-    split, scale = ws.split[:d], ws.fold(-2.0 / 3.0 * q * q, 3)[:d]
+    scale = (ws.fold(-2.0 / 3.0 * q * q, 3) * ws.split)[:d]
     rows, dx_rows, p, p_dx = ws.low[:d], ws.low[d:], ws.padded[:d], ws.padded[d:]
     inner, prod = np.empty((2, d, ws.m))
     samples, coeffs = ws.samples, ws.coeffs
 
     def rhs(w, out):
-        np.multiply(w, split, out=rows)
+        np.copyto(rows, w)
         np.multiply(w, ik, out=dx_rows)  # ik is zero at the Nyquist mode
         samples()
         return np.multiply(scale, coeffs(pair(p, pair(p, p_dx, out=inner), out=prod)), out=out)

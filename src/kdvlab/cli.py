@@ -45,8 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", metavar="PATH",
                         help="JSON config overlaying the experiment defaults")
         sp.add_argument("--eps", type=float,
-                        help="override eps (for converge: run this single eps "
-                             "against the next smaller half)")
+                        help="override eps (micro; for converge: run this single "
+                             "eps against the next smaller half; an error elsewhere)")
         sp.add_argument("--n", type=int, help="override the grid size")
         sp.add_argument("--t-final", type=float, dest="t_final",
                         help="override the final time")

@@ -57,6 +57,17 @@ _PRESET_NAMES = {
 
 _SHAPES = ("bump", "mode", "sine", "soliton")
 
+# The experiments that read each experiment-specific field; elsewhere a
+# field would be dropped without a trace, so it is a config error.
+_READERS = {
+    "eps": ("micro",),
+    "eps_list": ("converge",),
+    "speed": ("soliton", "hyperbolic"),
+    "delta": ("hyperbolic",),
+    "d2_alpha": ("miura",),
+    "d2_beta": ("miura",),
+}
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
@@ -167,7 +178,8 @@ class ExperimentConfig:
     """Validated parameters of one experiment run.
 
     Build with :meth:`from_dict`; the accepted schema is the one produced by
-    :func:`default_config` (unknown keys are rejected, ``grid``, ``time``,
+    :func:`default_config` (unknown keys are rejected, and so are the
+    experiment-specific fields of other experiments; ``grid``, ``time``,
     ``initial`` and ``params`` are mappings, every number is finite and every
     numeric field positive, ``eps_list`` strictly decreasing, grid size a
     power of two).
@@ -192,6 +204,9 @@ class ExperimentConfig:
         experiment = raw.get("experiment")
         _require(experiment in EXPERIMENT_KINDS, "experiment",
                  f"must be one of {EXPERIMENT_KINDS}, got {experiment!r}")
+        for field, readers in _READERS.items():
+            _require(field not in raw or experiment in readers, field,
+                     f"read only by {' and '.join(readers)}, not by {experiment}")
 
         preset_name = raw.get("preset")
         _require(preset_name in _PRESET_NAMES, "preset",

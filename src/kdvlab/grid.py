@@ -269,8 +269,9 @@ def ifrk4_factors(symbol, dt: float):
 def ifrk4_step(v_hat, nonlinear, factors, stages):
     """Integrating-factor RK4 on Fourier coefficients; returns the new ones.
 
-    Integrates d/dt v = L v + N(v) for coefficients v (the rfft half spectrum
-    in this package), where L is diagonal and enters through the ``factors``
+    Integrates d/dt v = L v + N(v) for coefficients v (in this package the
+    rfft half spectrum in the padded form of :class:`Dealias`, its Nyquist
+    mode halved), where L is diagonal and enters through the ``factors``
     of :func:`ifrk4_factors`.  Stage i calls ``nonlinear(y, out=stages[i])``
     and uses the array it returns; e^(L dt/2) v (then e^(L dt) v) is kept in
     ``stages[4]`` and the stage states are formed in ``stages[5]``.
@@ -456,42 +457,45 @@ def l2_norm(values, grid: Grid):
 
 class Dealias:
     """Workspace of one run's dealiased products of d-component fields with
-    rfft coefficients on n points, multiplied on m >= n*factor points.
-    Callers write the coefficients of ``fields`` fields times ``split``
-    (halving the Nyquist mode of even n between +k and -k) into ``low``, a
-    contiguous (fields*d, n//2+1) array.  ``samples()`` is one irfft of it
-    to m points into ``padded`` (the transform zero-pads its short input);
-    ``coeffs(product)`` is one rfft of a (d, m) product back, truncated to
-    n//2+1 modes with the Nyquist imaginary part of even n zeroed.  Each
-    returns a buffer the workspace owns (valid until its next call), and
-    both are closures made once, on transforms bound once, so a step kernel
-    binds them once per run.  The m/n scalings and the factor 2 of the
-    recombined Nyquist mode go into the caller's symbol through
-    :meth:`fold`, once per run.  ``split`` and the folded symbols have the
-    shape of ``low``, and the leading rows of each are contiguous: a ufunc
-    with a broadcast or strided operand runs numpy's buffered loop, which
-    allocates and is 2-3x slower."""
+    rfft coefficients on n points, multiplied on m >= n*factor points.  Its
+    coefficients are in the padded form: the rfft coefficients times
+    ``split``, which halves the Nyquist mode of even n between +k and -k.
+    ``samples(half=low)`` is one irfft of a contiguous (fields*d, n//2+1)
+    array of them (by default ``low``, which callers fill) to m points into
+    ``padded`` (the transform zero-pads its short input); ``coeffs(product)``
+    is one rfft of a (d, m) product back, truncated to n//2+1 modes, with the
+    Nyquist imaginary part of even n zeroed unless the workspace is ``odd``
+    (its caller's output symbol is odd, so zero at that mode).  Each returns
+    a buffer the workspace owns (valid until its next call), and both are
+    closures made once, on transforms bound once, so a step kernel binds
+    them once per run.  The m/n scalings and the factor 2 of the recombined
+    Nyquist mode go into the caller's symbol through :meth:`fold`, once per
+    run; a symbol times ``split`` gives the product in the padded form.
+    ``split`` and the folded symbols have the shape of ``low``, and the
+    leading rows of each are contiguous: a ufunc with a broadcast or strided
+    operand runs numpy's buffered loop, which allocates and is 2-3x
+    slower."""
 
-    def __init__(self, n: int, factor: float, d: int, fields: int = 1):
+    def __init__(self, n: int, factor: float, d: int, fields: int = 1, odd: bool = False):
         m = int(np.ceil(n * factor))
         self.n, self.m = n, m + m % 2  # the smallest even size; factor 3/2 is the 2/3 rule
         k = n // 2 + 1
         self.low = low = np.zeros((fields * d, k), np.complex128)
-        self.split = np.tile(np.where(2 * np.arange(k) == n, 0.5, 1.0), (fields * d, 1))
+        self.split = self.nyquist_split(n, fields * d)
         self.padded = padded = np.empty((fields * d, self.m))
         pad, pad_scale = _transform("irfft", self.m)
         rfft, rfft_scale = _transform("rfft", self.m)
         # the product's spectrum, its truncation to n//2+1 modes, the
         # contiguous array handed out (the truncation itself for one row, a
-        # copy of it for more) and, for even n, the imaginary part of that
-        # array's Nyquist mode
+        # copy of it for more) and, for even n and an even symbol, the
+        # imaginary part of that array's Nyquist mode
         spectrum = np.empty((d, self.m // 2 + 1), np.complex128)
         head = spectrum[:, :k]
         out = head if d == 1 else np.empty((d, k), np.complex128)
-        nyquist = None if n % 2 else out.imag[:, n // 2]
+        nyquist = None if n % 2 or odd else out.imag[:, n // 2]
 
-        def samples():
-            return pad(low, pad_scale, padded)
+        def samples(half=low):
+            return pad(half, pad_scale, padded)
 
         def coeffs(product):
             rfft(product, rfft_scale, spectrum)
@@ -502,6 +506,13 @@ class Dealias:
             return out
 
         self.samples, self.coeffs = samples, coeffs
+
+    @staticmethod
+    def nyquist_split(n: int, rows: int) -> np.ndarray:
+        """``split`` of ``rows`` rows on n points: ones with the Nyquist mode
+        of even n halved.  Scaling by it is exact, so the padded form holds
+        the same bits up to that factor."""
+        return np.tile(np.where(2 * np.arange(n // 2 + 1) == n, 0.5, 1.0), (rows, 1))
 
     def fold(self, symbol, factors: int) -> np.ndarray:
         """``symbol`` times the scale of a product of ``factors`` padded

@@ -216,13 +216,14 @@ def _zero_rhs(v, out):
 
 
 def _nonlinear_rhs(model: LimitModel, grid: Grid):
-    """The nonlinear part as a map ``(v, out)`` of (d, n//2+1) rfft
-    coefficients to rfft coefficients written into ``out`` (and returned);
-    each call pads once (one irfft) and truncates once (one rfft) in a
-    :class:`Dealias` workspace kept for the run, with the product in one held
-    buffer.  Its symbols are made once, at the (d, n//2+1) shape of the
-    coefficients, and the workspace's ``samples`` and ``coeffs`` are bound
-    once."""
+    """The nonlinear part as a map ``(v, out)`` of (d, n//2+1) coefficients
+    in the state convention of :func:`_evolve_ifrk4` to coefficients in it,
+    written into ``out`` (and returned); each call pads once (one irfft) and
+    truncates once (one rfft) in a :class:`Dealias` workspace kept for the
+    run, with the product in one held buffer.  A canonical call pads ``v``
+    itself; a raw one copies it next to its derivative.  Its symbols are made
+    once, at the (d, n//2+1) shape of the coefficients, and the workspace's
+    ``samples`` and ``coeffs`` are bound once."""
     n = grid.n_points
     ik = grid.rsymbol(1)
     if model.form == "canonical":
@@ -232,15 +233,14 @@ def _nonlinear_rhs(model: LimitModel, grid: Grid):
         if Q.is_zero:
             return _zero_rhs
         d = model.dim
-        ws = Dealias(n, 1.5, d)
+        ws = Dealias(n, 1.5, d, odd=True)
         pair, scale = _pairing(Q.coeffs)
-        minus_ik = ws.fold(-scale * ik, 2)
+        minus_ik = ws.fold(-scale * ik, 2) * ws.split
         prod = np.empty((d, ws.m))
-        low, split, samples, coeffs = ws.low, ws.split, ws.samples, ws.coeffs
+        samples, coeffs = ws.samples, ws.coeffs
 
         def nonlin(v, out):
-            np.multiply(v, split, out=low)
-            up = samples()
+            up = samples(v)
             return np.multiply(minus_ik, coeffs(pair(up, up, out=prod)), out=out)
 
         return nonlin
@@ -252,14 +252,14 @@ def _nonlinear_rhs(model: LimitModel, grid: Grid):
     d = model.dim
     ws = Dealias(n, 1.5, d, 2)
     pair, g = _pairing(tensor)
-    ik, split, scale = np.tile(ik, (d, 1)), ws.split[:d], ws.fold(g / (2.0 * c), 2)[:d]
+    ik, scale = np.tile(ik, (d, 1)), (ws.fold(g / (2.0 * c), 2) * ws.split)[:d]
     dx_rows, rows, p_dx, p = ws.low[:d], ws.low[d:], ws.padded[:d], ws.padded[d:]
     prod = np.empty((d, ws.m))
     samples, coeffs = ws.samples, ws.coeffs
 
     def nonlin_raw(v, out):
         np.multiply(v, ik, out=dx_rows)  # ik is zero at the Nyquist mode
-        np.multiply(v, split, out=rows)
+        np.copyto(rows, v)
         samples()
         return np.multiply(scale, coeffs(pair(p_dx, p, out=prod)), out=out)
 
@@ -292,13 +292,24 @@ def evolve_kdv(
 
 def _evolve_ifrk4(symbol, nonlin, u0: np.ndarray, grid: Grid, T, dt, n_snapshots):
     """The IF-RK4 run of :func:`evolve_kdv` for any Fourier-diagonal linear
-    ``symbol`` (rfft half spectrum) and ``nonlin(v, out)`` on rfft
-    coefficients.  The state is carried as coefficients and goes to physical
-    space only for the gradient guard and the snapshots, a block at a time: a
-    step makes 9 transforms (8 in the stepper, 1 for max|dx u|)."""
+    ``symbol`` (rfft half spectrum) and ``nonlin(v, out)`` on coefficients in
+    the state convention below.  The state is carried as coefficients and
+    goes to physical space only for the gradient guard and the snapshots, a
+    block at a time: a step makes 9 transforms (8 in the stepper, 1 for
+    max|dx u|).
+
+    The state convention: every IF-RK4 state is ``_rfft(u) * split`` (the
+    Nyquist mode of even n halved), the padded form a :class:`Dealias`
+    workspace takes and gives, so a stage pads its state as it is.  It is
+    converted on entry and per snapshot block on exit (``block / split``);
+    the gradient guard needs no conversion, as ik is zero at Nyquist.  Each
+    operation on the state is the one on the plain spectrum, scaled by 0.5
+    at the Nyquist mode, and a power of two commutes with rounding, so the
+    run keeps the plain spectrum's bits."""
     steps, dt = step_plan(T, dt)
     n = grid.n_points
-    v0 = _rfft(u0)
+    split = Dealias.nyquist_split(n, len(u0))
+    v0 = _rfft(u0) * split
     # the factors and ik at the coefficients' (d, n//2+1) shape: a broadcast
     # (n//2+1,) operand would send every multiply through a buffered loop
     factors = ifrk4_factors(np.tile(symbol, (len(v0), 1)), dt)
@@ -323,7 +334,8 @@ def _evolve_ifrk4(symbol, nonlin, u0: np.ndarray, grid: Grid, T, dt, n_snapshots
         return "gradient blow-up" if grad_vals[-1] > grad_limit else None
 
     blocks = []
-    [traj] = _run([(steps, dt, n_snapshots, lambda times, block: blocks.append(_irfft(block, n)))],
+    [traj] = _run([(steps, dt, n_snapshots,
+                    lambda times, block: blocks.append(_irfft(block / split, n)))],
                   v0[None], advance, monitor=gradient_guard)
     snapshots = np.concatenate(blocks)
     snapshots[0] = u0  # the initial data, not their transform round trip

@@ -191,6 +191,35 @@ def test_eps_list_must_strictly_decrease():
         ExperimentConfig.from_dict(cfg)
 
 
+@pytest.mark.parametrize("experiment,field,value", [
+    ("kdv", "eps", 0.2),
+    ("converge", "eps", 0.2),
+    ("micro", "eps_list", [0.2, 0.1]),
+    ("kdv", "speed", 4.0),
+    ("miura", "speed", 4.0),
+    ("soliton", "delta", 0),
+    ("kdv", "d2_alpha", 1.0),
+    ("hyperbolic", "d2_beta", [1.0, 0.0]),
+])
+def test_a_field_the_experiment_does_not_read_exits_2(tmp_path, capsys, experiment, field, value):
+    # an experiment-specific field given to another experiment would be
+    # dropped (it reaches neither the run nor the summary): a config error
+    # naming the field, with no artifacts
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, "c.json", {"output_dir": str(out), field: value})
+    assert main([experiment, "--config", cfg]) == 2
+    assert f"invalid configuration: {field}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eps_flag_of_an_experiment_without_eps_exits_2(tmp_path, capsys):
+    # `kdvlab kdv --eps 0.3` used to exit 0 with eps in no summary
+    cfg = _write_config(tmp_path, "c.json", {"output_dir": str(tmp_path / "out")})
+    assert main(["kdv", "--config", cfg, "--eps", "0.3"]) == 2
+    assert "invalid configuration: eps: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("experiment,eps", [
     ("micro", 0.05 / 32),  # eps*kmax = 0.05 on the default grid (kmax = 32): below the range
     ("micro", 0.5),  # eps*kmax = 16

@@ -575,22 +575,27 @@ def test_dealias_samples_zero_pad_bitwise_property(seed, n, rows, factor):
     got = ws.samples()
     assert got is ws.padded and got.shape == (rows, ws.m)
     assert np.array_equal(got, np.fft.irfft(padded, ws.m))
+    # given coefficients are padded as they are, with the same bits
+    given = ws.low.copy()
+    ws.low.fill(np.nan)
+    assert ws.samples(given) is ws.padded and np.array_equal(ws.padded, got)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 96), d=st.integers(1, 3),
-       fields=st.integers(1, 2), factor=st.sampled_from([1.5, 2.0]))
-def test_dealias_coeffs_truncate_bitwise_property(seed, n, d, fields, factor):
+       fields=st.integers(1, 2), factor=st.sampled_from([1.5, 2.0]), odd=st.booleans())
+def test_dealias_coeffs_truncate_bitwise_property(seed, n, d, fields, factor, odd):
     # the one truncation: the rfft of a (d, m) product cut to n//2+1 modes,
-    # with the Nyquist imaginary part of even n zeroed, bit for bit, for
-    # even and odd n, always into the same contiguous buffer
+    # with the Nyquist imaginary part of even n zeroed unless the workspace
+    # is odd, bit for bit, for even and odd n, always into the same
+    # contiguous buffer
     rng = np.random.default_rng(seed)
-    ws = Dealias(n, factor, d, fields)
+    ws = Dealias(n, factor, d, fields, odd=odd)
     outs = []
     for _ in range(2):
         product = rng.normal(size=(d, ws.m))
         want = np.fft.rfft(product)[:, : n // 2 + 1]
-        if n % 2 == 0:
+        if n % 2 == 0 and not odd:
             want.imag[:, n // 2] = 0.0
         got = ws.coeffs(product)
         assert got.flags.c_contiguous and got.shape == want.shape
@@ -607,10 +612,11 @@ def test_dealias_coeffs_truncate_bitwise_property(seed, n, d, fields, factor):
     form=st.sampled_from(["canonical", "raw", "mkdv"]),
 )
 def test_ifrk4_step_matches_oracle_step_property(seed, n, dim, form):
-    # one step with the per-run factors and the workspace nonlinearities
-    # against the plain IF-RK4 formula with pad/truncate nonlinearities; the
-    # step leaves its input alone, returns a fresh array, and keeps no state
-    # in its stages: a second step from NaN-filled stages is bit-identical
+    # one step with the per-run factors and the workspace nonlinearities, on
+    # the state convention, against the plain IF-RK4 formula with
+    # pad/truncate nonlinearities on the rfft coefficients; the step leaves
+    # its input alone, returns a fresh array, and keeps no state in its
+    # stages: a second step from NaN-filled stages is bit-identical
     rng = np.random.default_rng(seed)
     grid = Grid(n, rng.uniform(2.0, 20.0))
     v = np.fft.rfft(rng.normal(size=(dim, n)) * rng.uniform(0.1, 1.0))
@@ -632,6 +638,9 @@ def test_ifrk4_step_matches_oracle_step_property(seed, n, dim, form):
         symbol, nonlin = _linear_symbol(model, grid), _nonlinear_rhs(model, grid)
     e_half = np.exp(symbol * (dt / 2.0))
     want = oracle_ifrk4_step(v, e_half, oracle, dt, e_half * e_half)
+    # the step runs on the state convention, the Nyquist mode halved
+    split = Dealias.nyquist_split(n, dim)
+    v, want = v * split, want * split
     # the factors at the coefficients' shape, as the run builds them
     v_before, factors = v.copy(), ifrk4_factors(np.tile(symbol, (dim, 1)), dt)
     stages = np.empty((6,) + v.shape, complex)

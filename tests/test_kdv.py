@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from kdvlab import kdv
 from kdvlab.analysis import _mkdv_nonlinear
-from kdvlab.grid import Grid, integrate
+from kdvlab.grid import Dealias, Grid, integrate
 from kdvlab.kdv import (
     LimitModel,
     QTensor,
@@ -35,10 +35,11 @@ def canonical_scalar(q=1.0, dispersion=1.0):
 def kdv_rhs(model, u, grid):
     """The right-hand side evolve_kdv integrates, in physical space: the
     Fourier-diagonal linear part plus the nonlinear part, both applied to
-    rfft coefficients."""
-    v = np.fft.rfft(u, axis=-1)
+    rfft coefficients in the state convention (Nyquist mode halved)."""
+    split = Dealias.nyquist_split(grid.n_points, len(u))
+    v = np.fft.rfft(u, axis=-1) * split
     out = _linear_symbol(model, grid) * v + _nonlinear_rhs(model, grid)(v, np.empty_like(v))
-    return np.fft.irfft(out, grid.n_points, axis=-1)
+    return np.fft.irfft(out / split, grid.n_points, axis=-1)
 
 
 @pytest.fixture
