@@ -57,18 +57,6 @@ _PRESET_NAMES = {
 
 _SHAPES = ("bump", "mode", "sine", "soliton")
 
-# The experiments that read each experiment-specific field; elsewhere a
-# field would be dropped without a trace, so it is a config error.
-_READERS = {
-    "eps": ("micro",),
-    "eps_list": ("converge",),
-    "speed": ("soliton", "hyperbolic"),
-    "delta": ("hyperbolic",),
-    "d2_alpha": ("miura",),
-    "d2_beta": ("miura",),
-}
-
-
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
 
@@ -122,6 +110,17 @@ _DEFAULTS = {
         "speed": 4.0,
     },
 }
+
+
+# The fields every experiment reads.  The other fields of an experiment's
+# defaults are its own: another experiment would drop them without a trace,
+# so there they are a config error.
+_SHARED = ("experiment", "preset", "grid", "time", *_COMMON)
+
+
+def _own_fields(experiment: str) -> dict:
+    """The experiment's own fields and their defaults."""
+    return {k: v for k, v in _DEFAULTS[experiment].items() if k not in _SHARED}
 
 
 def default_config(experiment: str) -> dict:
@@ -178,18 +177,13 @@ class ExperimentConfig:
     """Validated parameters of one experiment run.
 
     Build with :meth:`from_dict`; the accepted schema is the one produced by
-    :func:`default_config` (unknown keys are rejected, and so are the
-    experiment-specific fields of other experiments; ``grid``, ``time``,
+    :func:`default_config` (unknown keys are rejected, and so are the own
+    fields of other experiments; an own field left out takes its default,
+    and its value is an attribute of the same name; ``grid``, ``time``,
     ``initial`` and ``params`` are mappings, every number is finite and every
     numeric field positive, ``eps_list`` strictly decreasing, grid size a
     power of two).
     """
-
-    _KNOWN_KEYS = {
-        "experiment", "preset", "params", "grid", "time", "initial",
-        "eps", "eps_list", "output_dir", "workers",
-        "speed", "delta", "d2_alpha", "d2_beta",
-    }
 
     def __init__(self, **fields):
         for name, value in fields.items():
@@ -197,16 +191,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        unknown = set(raw) - cls._KNOWN_KEYS
+        readers = {}
+        for kind in EXPERIMENT_KINDS:
+            for field in _own_fields(kind):
+                readers.setdefault(field, []).append(kind)
+        unknown = set(raw) - set(_SHARED) - set(readers)
         _require(not unknown, sorted(unknown)[0] if unknown else "",
                  "unknown configuration field")
 
         experiment = raw.get("experiment")
         _require(experiment in EXPERIMENT_KINDS, "experiment",
                  f"must be one of {EXPERIMENT_KINDS}, got {experiment!r}")
-        for field, readers in _READERS.items():
-            _require(field not in raw or experiment in readers, field,
-                     f"read only by {' and '.join(readers)}, not by {experiment}")
+        own = {name: raw.get(name, default) for name, default in _own_fields(experiment).items()}
+        for field in sorted(set(raw) & set(readers) - set(own)):  # the first one found
+            raise ConfigError(f"{field}: read only by {' and '.join(readers[field])}, not by {experiment}")
 
         preset_name = raw.get("preset")
         _require(preset_name in _PRESET_NAMES, "preset",
@@ -248,16 +246,15 @@ class ExperimentConfig:
         _require(_is_int(initial["mode"]) and initial["mode"] >= 1,
                  "initial.mode", f"must be an integer >= 1, got {initial['mode']!r}")
 
-        eps = raw.get("eps")
-        if experiment == "micro":
-            eps = _positive_number(eps, "eps")
+        if "eps" in own:
+            eps = own["eps"] = _positive_number(own["eps"], "eps")
             _require(eps < 1.0, "eps", f"must be below 1, got {eps}")
 
-        eps_list = raw.get("eps_list")
-        if experiment == "converge":
+        if "eps_list" in own:
+            eps_list = own["eps_list"]
             _require(isinstance(eps_list, (list, tuple)) and len(eps_list) >= 2,
                      "eps_list", f"must list at least two values, got {eps_list!r}")
-            eps_list = [_positive_number(e, "eps_list") for e in eps_list]
+            eps_list = own["eps_list"] = [_positive_number(e, "eps_list") for e in eps_list]
             _require(all(e < 1.0 for e in eps_list), "eps_list", "entries must be below 1")
             _require(all(b < a for a, b in zip(eps_list, eps_list[1:])),
                      "eps_list", f"must be strictly decreasing, got {eps_list}")
@@ -279,12 +276,16 @@ class ExperimentConfig:
         _require(_is_int(workers) and workers >= 1, "workers",
                  f"must be an integer >= 1, got {workers!r}")
 
-        speed = _positive_number(raw.get("speed", 4.0), "speed")
-        delta = raw.get("delta", 0.0)
-        _require(not isinstance(delta, bool) and delta in (0, 1), "delta",
-                 f"dispersion switch must be 0 or 1, got {delta!r}")
-        d2_alpha = _as_complex(raw.get("d2_alpha", 1.0), "d2_alpha")
-        d2_beta = _as_complex(raw.get("d2_beta", 1.0), "d2_beta")
+        if "speed" in own:
+            own["speed"] = _positive_number(own["speed"], "speed")
+        if "delta" in own:
+            delta = own["delta"]
+            _require(not isinstance(delta, bool) and delta in (0, 1), "delta",
+                     f"dispersion switch must be 0 or 1, got {delta!r}")
+            own["delta"] = float(delta)
+        for name in ("d2_alpha", "d2_beta"):
+            if name in own:
+                own[name] = _as_complex(own[name], name)
 
         return cls(
             experiment=experiment,
@@ -297,14 +298,9 @@ class ExperimentConfig:
             dt=dt,
             snapshots=snapshots,
             initial=initial,
-            eps=eps,
-            eps_list=list(eps_list) if eps_list else None,
             output_dir=output_dir,
             workers=workers,
-            speed=speed,
-            delta=float(delta),
-            d2_alpha=d2_alpha,
-            d2_beta=d2_beta,
+            **own,
         )
 
     def echo(self) -> dict:
@@ -322,18 +318,9 @@ class ExperimentConfig:
             "time": {"t_final": self.t_final, "dt": self.dt, "snapshots": self.snapshots},
             "initial": self.initial,
         }
-        if self.experiment == "micro":
-            out["eps"] = self.eps
-        if self.experiment == "converge":
-            out["eps_list"] = self.eps_list
-        if self.experiment == "soliton":
-            out["speed"] = self.speed
-        if self.experiment == "miura":
-            out["d2_alpha"] = [self.d2_alpha.real, self.d2_alpha.imag]
-            out["d2_beta"] = [self.d2_beta.real, self.d2_beta.imag]
-        if self.experiment == "hyperbolic":
-            out["delta"] = self.delta
-            out["speed"] = self.speed
+        for field in _own_fields(self.experiment):
+            value = getattr(self, field)
+            out[field] = [value.real, value.imag] if isinstance(value, complex) else value
         return out
 
     def make_grid(self) -> Grid:
@@ -423,20 +410,42 @@ def _micro_steps(spec, eps: float, grid: Grid, t_final: float, snapshots: int) -
 
 
 def _limit_model(cfg: ExperimentConfig) -> LimitModel:
-    """The raw-form limit model of the config's preset."""
-    return limit_equation(preset(cfg.kind, cfg.params or None)[0])
+    """The canonical limit model of the config's preset; parameters whose
+    limit tensor overflows are a config error."""
+    try:
+        return limit_equation(preset(cfg.kind, cfg.params or None)[0])
+    except ValueError as exc:
+        raise ConfigError(f"params: {exc}") from None
 
 
 def _scalar_q(cfg: ExperimentConfig):
     """The canonical Q of the config's preset, which must have one component
-    and a conservative nonlinearity (the miura and hyperbolic runs)."""
+    (the miura and hyperbolic runs)."""
     model = _limit_model(cfg)
-    if not model.has_canonical or model.dim != 1:
-        raise ConfigError(
-            f"preset: the {cfg.experiment} experiment needs a one-component preset "
-            "with a conservative nonlinearity"
-        )
-    return model.as_canonical().canonical_q
+    if model.dim != 1:
+        raise ConfigError(f"preset: the {cfg.experiment} experiment needs a one-component preset")
+    return model.canonical_q
+
+
+def _limit_run(cfg: ExperimentConfig, model: LimitModel, grid: Grid, A0: np.ndarray):
+    """The limit run of the config from the profile A0, in A's units: the
+    canonical u = s*A0 evolved over t_final/(8c) with step dt/(8c) (the
+    model's ``scale``).  The trajectory's times and abort time are those of
+    the step plan of t_final and dt, its snapshots are u/s, with row 0 A0
+    itself; ``meta["canonical_snapshots"]`` and ``grad_history`` stay the
+    canonical run's."""
+    step = step_plan(cfg.t_final, cfg.dt)[1]
+    factor, s = model.scale["time_factor"], model.scale["amplitude"]
+    traj = evolve_kdv(model, s * A0, grid, cfg.t_final / factor, step / factor,
+                      n_snapshots=cfg.snapshots)
+    canonical_step = step_plan(cfg.t_final / factor, step / factor)[1]
+    traj.times = [round(t / canonical_step) * step for t in traj.times]
+    if traj.aborted:
+        traj.abort_time = traj.meta["steps_taken"] * step
+    u = traj.meta["canonical_snapshots"] = traj.meta["snapshots"]
+    traj.meta["snapshots"] = u / s
+    traj.meta["snapshots"][0] = A0
+    return traj
 
 
 def _soliton(cfg: ExperimentConfig, Q, grid: Grid) -> np.ndarray:
@@ -450,15 +459,15 @@ def _soliton(cfg: ExperimentConfig, Q, grid: Grid) -> np.ndarray:
         raise ConfigError(f"speed: {cfg.speed!r} gives no soliton on this grid: {exc}") from None
 
 
-def _drift(canonical: LimitModel, u0: np.ndarray, snapshots, grid: Grid):
-    """Drift of the conserved (H, M, P) of the canonical-form (S, d, N)
+def _drift(model: LimitModel, u0: np.ndarray, snapshots, grid: Grid):
+    """Drift of the conserved (H, M, P) of the model's (S, d, N)
     ``snapshots`` from those of u0: one row [|H - H0|/|H0|, |M - M0|/M0,
     max|P - P0|] per snapshot, and the three drift assertions on the column
     maxima (NaN if any is)."""
-    h0, m0, p0 = conserved_quantities(canonical, u0, grid)
+    h0, m0, p0 = conserved_quantities(model, u0, grid)
     rows = []
     for u in snapshots:
-        h, m, p = conserved_quantities(canonical, u, grid)
+        h, m, p = conserved_quantities(model, u, grid)
         rows.append([abs(h - h0) / max(abs(h0), 1e-300), abs(m - m0) / max(m0, 1e-300),
                      float(np.max(np.abs(p - p0)))])
     dh, dm, dp = np.max(rows, axis=0)
@@ -470,32 +479,30 @@ def _drift(canonical: LimitModel, u0: np.ndarray, snapshots, grid: Grid):
 def _run_kdv(cfg: ExperimentConfig, outdir: Path):
     model = _limit_model(cfg)
     grid = cfg.make_grid()
-    u0 = _initial_field(cfg, grid, model.dim)
-    traj = evolve_kdv(model, u0, grid, cfg.t_final, cfg.dt, n_snapshots=cfg.snapshots)
+    A0 = _initial_field(cfg, grid, model.dim)
+    traj = _limit_run(cfg, model, grid, A0)
 
     columns, rows = ["t"], [[t] for t in traj.times]
     assertions = [
         _assertion("run_completed", traj.times[-1] / cfg.t_final, 1.0, not traj.aborted)
     ]
-    if model.has_canonical and model.canonical_q.is_zero:  # linear: against the exact flow
-        u0_hat = np.fft.fft(u0, axis=-1)
+    if model.canonical_q.is_zero:  # linear: against the exact flow of A
+        A0_hat = np.fft.fft(A0, axis=-1)
         errors = []
-        for row, u in zip(rows, traj.meta["snapshots"]):
+        for row, A in zip(rows, traj.meta["snapshots"]):
             exact = np.fft.ifft(
-                np.exp(model.dispersion * grid.symbol(3) * row[0]) * u0_hat, axis=-1
+                np.exp(1.0 / model.scale["time_factor"] * grid.symbol(3) * row[0]) * A0_hat, axis=-1
             ).real
-            errors.append(l2_norm(u - exact, grid))
+            errors.append(l2_norm(A - exact, grid))
             row.append(errors[-1])
         columns.append("dispersion_error")
         assertions.append(_at_most("dispersion_phase_error", np.max(errors), 1e-10))
-    if model.has_canonical:
-        amplitude = model.scale["amplitude"]
-        drifts, checks = _drift(model.as_canonical(), amplitude * u0,
-                                amplitude * traj.meta["snapshots"], grid)
-        for row, drift in zip(rows, drifts):
-            row += drift
-        columns += ["h_drift_rel", "m_drift_rel", "p_drift_abs"]
-        assertions += checks
+    u = traj.meta["canonical_snapshots"]
+    drifts, checks = _drift(model, u[0], u, grid)
+    for row, drift in zip(rows, drifts):
+        row += drift
+    columns += ["h_drift_rel", "m_drift_rel", "p_drift_abs"]
+    assertions += checks
     emit_series(outdir / "kdv_series.csv", columns, rows)
     counters = {"kdv_steps": traj.meta["steps"], "snapshots": len(traj)}
     return assertions, counters
@@ -635,8 +642,7 @@ def _converge_result(cfg, spec, eps, traj, series, kdv_traj):
 def _run_converge(cfg: ExperimentConfig, outdir: Path):
     model = _limit_model(cfg)
     grid = cfg.make_grid()
-    A0 = _initial_field(cfg, grid, model.dim)
-    kdv_traj = evolve_kdv(model, A0, grid, cfg.t_final, cfg.dt, n_snapshots=cfg.snapshots)
+    kdv_traj = _limit_run(cfg, model, grid, _initial_field(cfg, grid, model.dim))
     if kdv_traj.aborted:  # no limit reference to score the ε-runs against
         for eps in cfg.eps_list:  # data outside the chart stay a config error
             _well_prepared(cfg, eps)
@@ -699,18 +705,17 @@ def _run_converge(cfg: ExperimentConfig, outdir: Path):
 
 def _run_soliton(cfg: ExperimentConfig, outdir: Path):
     model = _limit_model(cfg)
-    if not model.has_canonical or model.canonical_q.is_zero:
+    if model.canonical_q.is_zero:
         raise ConfigError(
             "preset: the soliton experiment needs a preset with a nonzero "
-            f"conservative nonlinearity; {cfg.preset_name!r} has none"
+            f"nonlinearity; {cfg.preset_name!r} has none"
         )
-    canonical = model.as_canonical()
     grid = cfg.make_grid()
-    u0 = _soliton(cfg, canonical.canonical_q, grid)
-    traj = evolve_kdv(canonical, u0, grid, cfg.t_final, cfg.dt, n_snapshots=cfg.snapshots)
+    u0 = _soliton(cfg, model.canonical_q, grid)
+    traj = evolve_kdv(model, u0, grid, cfg.t_final, cfg.dt, n_snapshots=cfg.snapshots)
 
     snapshots = traj.meta["snapshots"]
-    drifts, checks = _drift(canonical, u0, snapshots, grid)
+    drifts, checks = _drift(model, u0, snapshots, grid)
     shapes = [shift_minimized_error(u, u0, grid)[0] for u in snapshots]
     emit_series(outdir / "soliton_series.csv",
                 ["t", "h_drift_rel", "m_drift_rel", "p_drift_abs", "shape_error"],
@@ -752,7 +757,7 @@ def _run_miura(cfg: ExperimentConfig, outdir: Path):
 def _run_hyperbolic(cfg: ExperimentConfig, outdir: Path):
     Q = _scalar_q(cfg)
     grid = cfg.make_grid()
-    run_model = LimitModel(1, dispersion=cfg.delta, canonical_q=Q, form="canonical")
+    run_model = LimitModel(1, dispersion=cfg.delta, canonical_q=Q)
     if cfg.initial["shape"] == "soliton":
         u0 = _soliton(cfg, Q, grid)
     else:

@@ -1,14 +1,11 @@
 """The vector KdV system: nonlinearity tensor algebra, evolution, conserved
 quantities, and hyperbolic (zero-dispersion) diagnostics.
 
-Canonical form:   du/dt = delta*dxxx(u) - dx Q(u,u)
+Every model is in canonical form:   du/dt = delta*dxxx(u) - dx Q(u,u)
 with Q a fully symmetric bilinear map encoded by a (d,d,d) coefficient tensor.
-
-Raw form:         2c*dA/dt = (1/4)*dxxx(A) + G(dx A, A)
-with G a bilinear tensor (not necessarily conservative).  A raw model carries
-the affine change of variables u(tau, x) = s*A(8c*tau, x) that turns it into
-the canonical form with Q = -(2/s)*sym(G), so both representations of the same
-dynamics can be run and compared.
+A limit model (:func:`~kdvlab.models.limit_equation`) also carries the affine
+change of variables u(tau, x) = s*A(8c*tau, x) back to the profile A of the
+microscopic run.
 """
 
 from __future__ import annotations
@@ -110,85 +107,29 @@ def bilinear_apply(tensor: np.ndarray, a: np.ndarray, b: np.ndarray):
 
 
 class LimitModel:
-    """A vector KdV model in canonical and/or raw form plus the map between them.
+    """A vector KdV model in canonical form.
 
     Parameters
     ----------
     dim : int
     dispersion : float
-        coefficient of dxxx in the du/dt equation for this form
-        (canonical models from the limit construction have dispersion 1;
-        hyperbolic runs use 0; raw models carry 1/(8c)).
-    raw_nonlinearity : (d,d,d) array, optional
-        G acting as G(dx A, A); a raw model without one is linear.
-    canonical_q : QTensor, optional
+        coefficient of dxxx in du/dt (limit models have 1; hyperbolic runs
+        use 0).
+    canonical_q : QTensor
     scale : dict, optional
-        {"time_factor": 8c, "amplitude": s} with u(tau, x) = s * A(8c*tau, x).
-    form : "canonical" or "raw"
-        which representation evolve_kdv integrates.
+        {"time_factor": 8c, "amplitude": s} with u(tau, x) = s * A(8c*tau, x)
+        for a limit model (:func:`~kdvlab.models.limit_equation`); 1 and 1
+        otherwise.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        dispersion: float,
-        raw_nonlinearity=None,
-        canonical_q: QTensor | None = None,
-        scale: dict | None = None,
-        form: str = "canonical",
-    ):
-        if form not in ("canonical", "raw"):
-            raise ValueError(f"form must be 'canonical' or 'raw', got {form!r}")
+    def __init__(self, dim: int, dispersion: float, canonical_q: QTensor, scale: dict | None = None):
         self.dim = int(dim)
         self.dispersion = float(dispersion)
-        self.form = form
         self.canonical_q = canonical_q
         self.scale = dict(scale) if scale else {"time_factor": 1.0, "amplitude": 1.0}
-        self.raw_tensor = None
-        if raw_nonlinearity is not None:
-            self.raw_tensor = np.asarray(raw_nonlinearity, dtype=float)
-            if self.raw_tensor.shape != (self.dim,) * 3:
-                raise ValueError(f"raw nonlinearity must be {(self.dim,)*3}, got {self.raw_tensor.shape}")
-
-    # -- representation switching ------------------------------------------
-
-    @property
-    def has_canonical(self) -> bool:
-        return self.canonical_q is not None
-
-    def as_canonical(self) -> "LimitModel":
-        """The same dynamics in canonical variables (self if already canonical)."""
-        if self.form == "canonical":
-            return self
-        if not self.has_canonical:
-            raise ValueError(
-                "model has no canonical form (nonlinearity not symmetrizable); "
-                "only raw-form tools are available"
-            )
-        factor = self.scale["time_factor"]  # d/dtau = tf * d/dt
-        out = LimitModel.__new__(LimitModel)
-        out.dim = self.dim
-        out.dispersion = self.dispersion * factor
-        out.form = "canonical"
-        out.canonical_q = self.canonical_q
-        out.scale = self.scale
-        out.raw_tensor = self.raw_tensor
-        return out
 
     def __repr__(self):
-        return f"LimitModel(dim={self.dim}, form={self.form!r}, dispersion={self.dispersion!r})"
-
-
-def symmetrize_bilinear(tensor: np.ndarray) -> tuple[np.ndarray, float]:
-    """Symmetrize a bilinear tensor in its two input slots (i,j); return defect.
-
-    The antisymmetric-in-(i,j) part of G(dx A, A) cannot be written as a total
-    x-derivative, so its size is the obstruction to a conservative rewrite.
-    """
-    t = np.asarray(tensor, dtype=float)
-    sym = 0.5 * (t + t.transpose(1, 0, 2))
-    defect = float(np.max(np.abs(t - sym)))
-    return sym, defect
+        return f"LimitModel(dim={self.dim}, dispersion={self.dispersion!r})"
 
 
 def _check_state(model: LimitModel, u: np.ndarray, grid: Grid):
@@ -199,14 +140,9 @@ def _check_state(model: LimitModel, u: np.ndarray, grid: Grid):
 
 
 def _linear_symbol(model: LimitModel, grid: Grid) -> np.ndarray:
-    """The Fourier-diagonal linear part of the right-hand side on the rfft
-    half spectrum.  With :func:`_nonlinear_rhs` it splits the active form's
-
-        canonical: delta*dxxx(u) - dx Q(u,u),
-        raw:       [ (1/4)*dxxx(A) + G(dx A, A) ] / (2c)
-
-    (raw dispersion = 1/(8c) stored on the model) as evolve_kdv integrates it.
-    """
+    """The Fourier-diagonal linear part delta*dxxx of the right-hand side on
+    the rfft half spectrum; with :func:`_nonlinear_rhs` it splits
+    du/dt = delta*dxxx(u) - dx Q(u,u) as evolve_kdv integrates it."""
     return model.dispersion * grid.rsymbol(3)
 
 
@@ -216,54 +152,29 @@ def _zero_rhs(v, out):
 
 
 def _nonlinear_rhs(model: LimitModel, grid: Grid):
-    """The nonlinear part as a map ``(v, out)`` of (d, n//2+1) coefficients
-    in the state convention of :func:`_evolve_ifrk4` to coefficients in it,
-    written into ``out`` (and returned); each call pads once (one irfft) and
-    truncates once (one rfft) in a :class:`Dealias` workspace kept for the
-    run, with the product in one held buffer.  A canonical call pads ``v``
-    itself; a raw one copies it next to its derivative.  Its symbols are made
-    once, at the (d, n//2+1) shape of the coefficients, and the workspace's
-    ``samples`` and ``coeffs`` are bound once."""
-    n = grid.n_points
-    ik = grid.rsymbol(1)
-    if model.form == "canonical":
-        Q = model.canonical_q
-        if Q is None:
-            raise ValueError("cannot evolve: model has no canonical form")
-        if Q.is_zero:
-            return _zero_rhs
-        d = model.dim
-        ws = Dealias(n, 1.5, d, odd=True)
-        pair, scale = _pairing(Q.coeffs)
-        minus_ik = ws.fold(-scale * ik, 2) * ws.split
-        prod = np.empty((d, ws.m))
-        samples, coeffs = ws.samples, ws.coeffs
-
-        def nonlin(v, out):
-            up = samples(v)
-            return np.multiply(minus_ik, coeffs(pair(up, up, out=prod)), out=out)
-
-        return nonlin
-
-    tensor = model.raw_tensor
-    if tensor is None or np.max(np.abs(tensor)) == 0:
+    """The nonlinear part -dx Q(u,u) as a map ``(v, out)`` of (d, n//2+1)
+    coefficients in the state convention of :func:`_evolve_ifrk4` to
+    coefficients in it, written into ``out`` (and returned); each call pads
+    ``v`` itself once (one irfft) and truncates once (one rfft) in a
+    :class:`Dealias` workspace kept for the run, with the product in one held
+    buffer.  Its symbol is made once, at the (d, n//2+1) shape of the
+    coefficients, and the workspace's ``samples`` and ``coeffs`` are bound
+    once."""
+    Q = model.canonical_q
+    if Q.is_zero:
         return _zero_rhs
-    c = model.scale["time_factor"] / 8.0
     d = model.dim
-    ws = Dealias(n, 1.5, d, 2)
-    pair, g = _pairing(tensor)
-    ik, scale = np.tile(ik, (d, 1)), (ws.fold(g / (2.0 * c), 2) * ws.split)[:d]
-    dx_rows, rows, p_dx, p = ws.low[:d], ws.low[d:], ws.padded[:d], ws.padded[d:]
+    ws = Dealias(grid.n_points, 1.5, d, odd=True)
+    pair, scale = _pairing(Q.coeffs)
+    minus_ik = ws.fold(-scale * grid.rsymbol(1), 2) * ws.split
     prod = np.empty((d, ws.m))
     samples, coeffs = ws.samples, ws.coeffs
 
-    def nonlin_raw(v, out):
-        np.multiply(v, ik, out=dx_rows)  # ik is zero at the Nyquist mode
-        np.copyto(rows, v)
-        samples()
-        return np.multiply(scale, coeffs(pair(p_dx, p, out=prod)), out=out)
+    def nonlin(v, out):
+        up = samples(v)
+        return np.multiply(minus_ik, coeffs(pair(up, up, out=prod)), out=out)
 
-    return nonlin_raw
+    return nonlin
 
 
 def evolve_kdv(
@@ -345,18 +256,12 @@ def _evolve_ifrk4(symbol, nonlin, u0: np.ndarray, grid: Grid, T, dt, n_snapshots
 
 
 def conserved_quantities(model: LimitModel, u: np.ndarray, grid: Grid):
-    """(H, M, P) of the real (d, N) samples u on ``grid`` for a canonical-form
-    model.
+    """(H, M, P) of the real (d, N) samples u on ``grid`` for a model.
 
     H = int [ (1/2)|dx u|^2 + (1/3) Q(u,u).u ] dx, M = int |u|^2 dx,
     P = int u dx (one entry per component).  Quadratic integrals are evaluated
     by Parseval, the cubic one on a doubled (alias-free) grid.
     """
-    if model.form != "canonical" or model.canonical_q is None:
-        raise ValueError(
-            "conserved quantities are defined for the canonical form; "
-            "use model.as_canonical()"
-        )
     _check_state(model, u, grid)
     h = 0.5 * l2_norm(grid.diff(u), grid) ** 2
     Q = model.canonical_q

@@ -4,13 +4,13 @@ Each preset packages the constant geometric data of one microscopic model at
 its reference point (Hessian constant ``lam``, first-order constant ``mu``,
 sound speed ``c = sqrt(lam - mu)``, and the coefficient tensors feeding the
 limit nonlinearity) together with a descriptor of the microscopic equation
-itself.  ``limit_equation`` turns the geometry into the limit model
+itself.  ``limit_equation`` turns the geometry's limit
 
     2c dA/dt = (1/4) dxxx A + M . ii_perp(dxA, A) - (1/(2 lam)) f1(dxA, A),
     M = (3/2 - 2 mu/lam) Id - (2c/lam) i0B0,
 
-wrapped in a :class:`~kdvlab.kdv.LimitModel` that also carries the canonical
-rescaling whenever the nonlinearity admits one.
+into its canonical form, a :class:`~kdvlab.kdv.LimitModel` that carries the
+rescaling back to A.
 
 The chart helpers (:func:`chart_assemble` / :func:`chart_extract`) realize the
 generalized Madelung parameterization u = Psi(Phi(eps*phi), eps^2 n) of each
@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kdv import LimitModel, QTensor, symmetrize_bilinear
+from .kdv import LimitModel, QTensor
 
 __all__ = [
     "GeometryData",
     "MicroModelSpec",
     "KINDS",
     "preset",
+    "limit_tensor",
     "limit_equation",
     "chart_assemble",
     "chart_extract",
@@ -252,41 +253,43 @@ def _reject_unknown(params: dict, allowed):
         raise ValueError(f"unknown parameters {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
-def limit_equation(geom: GeometryData) -> LimitModel:
-    """Assemble the limit model of a geometry, in raw form.
+def limit_tensor(geom: GeometryData) -> np.ndarray:
+    """The bilinear tensor G of the geometry's limit
 
-    The bilinear tensor is G(dxA, A) with
-
+        2c dA/dt = (1/4) dxxxA + G(dxA, A),
         G[i,j,k] = sum_m M[k,m] ii_perp[i,j,m] - f1[i,j,k] / (2 lam),
-        M = (3/2 - 2 mu/lam) Id - (2c/lam) i0B0,
-
-    so that the equation reads 2c dA/dt = (1/4) dxxxA + G(dxA, A).  A
-    canonical form u(tau,x) = s*A(8c tau, x) with Q = -(2/s) sym(G) is attached
-    when G is symmetric enough for the conservative rewrite: the part of G
-    antisymmetric in (i,j) must vanish (else G(dxA,A) is not a total
-    x-derivative) and the resulting Q must be fully symmetric (else the
-    Hamiltonian tooling does not apply).  Otherwise the model is raw-only.
+        M = (3/2 - 2 mu/lam) Id - (2c/lam) i0B0.
     """
     lam, mu, c, d = geom.lam, geom.mu, geom.c, geom.dim
     M = (1.5 - 2.0 * mu / lam) * np.eye(d) - (2.0 * c / lam) * geom.i0b0
-    G = np.einsum("km,ijm->ijk", M, geom.ii_perp) - geom.f1 / (2.0 * lam)
+    return np.einsum("km,ijm->ijk", M, geom.ii_perp) - geom.f1 / (2.0 * lam)
 
-    sym_ij, anti_defect = symmetrize_bilinear(G)
-    smax = float(np.max(np.abs(sym_ij)))
+
+def limit_equation(geom: GeometryData) -> LimitModel:
+    """The limit model of a geometry in canonical form.
+
+    With G from :func:`limit_tensor`, u(tau, x) = s*A(8c tau, x) solves
+    du/dtau = dxxxu - dx Q(u,u) with Q = -(2/s) sym(G), sym the symmetrization
+    in (i,j) and s = -2 max|sym(G)| (1 for a linear limit); the model's
+    ``scale`` is {"time_factor": 8c, "amplitude": s}.  A ``ValueError`` ("no
+    canonical form") is raised when G has no conservative rewrite: when its
+    part antisymmetric in (i,j) does not vanish (G(dxA,A) is then not a total
+    x-derivative) or Q is not fully symmetric (Q(u,u) is then not the
+    gradient of a cubic, and the Hamiltonian does not exist).
+    """
+    G = limit_tensor(geom)
+    sym = 0.5 * (G + G.transpose(1, 0, 2))
+    smax = float(np.max(np.abs(sym)))
     s = -2.0 * smax if smax > 0 else 1.0
-    canonical_q = None
-    if anti_defect <= _SYM_TOL:
-        candidate = QTensor(-(2.0 / s) * sym_ij)
-        if candidate.symmetry_defect <= _SYM_TOL:
-            canonical_q = candidate
-    return LimitModel(
-        dim=d,
-        dispersion=1.0 / (8.0 * c),
-        raw_nonlinearity=G,
-        canonical_q=canonical_q,
-        scale={"time_factor": 8.0 * c, "amplitude": s},
-        form="raw",
-    )
+    Q = QTensor(-(2.0 / s) * sym)
+    anti = float(np.max(np.abs(G - sym)))
+    if anti > _SYM_TOL or Q.symmetry_defect > _SYM_TOL:
+        raise ValueError(
+            f"{geom.label}: the limit nonlinearity has no canonical form (part of G "
+            f"antisymmetric in its arguments {anti:.3g}, symmetry defect of Q "
+            f"{Q.symmetry_defect:.3g})"
+        )
+    return LimitModel(geom.dim, 1.0, Q, scale={"time_factor": 8.0 * geom.c, "amplitude": s})
 
 
 # ---------------------------------------------------------------------------

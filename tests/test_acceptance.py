@@ -23,11 +23,11 @@ from kdvlab.analysis import (
     shift_minimized_error,
     solitary_profile,
 )
-from kdvlab.experiments import ExperimentConfig, default_config, run_experiment
+from kdvlab.experiments import ExperimentConfig, _limit_run, default_config, run_experiment
 from kdvlab.grid import Grid, l2_norm
 from kdvlab.kdv import conserved_quantities, evolve_kdv
 from kdvlab.micro import dt_max, well_prepared_init
-from kdvlab.models import limit_equation, preset
+from kdvlab.models import limit_equation, limit_tensor, preset
 from conftest import CONVERGE_FAMILIES
 from oracles import hydro_residual, record_micro, soliton_ode_residual
 
@@ -96,13 +96,12 @@ def test_criterion_01_model_coefficients():
     started = perf_counter()
     ok = True
 
-    model = limit_equation(preset("GP_SCALAR")[0])
-    ok = ok and abs(model.raw_tensor[0, 0, 0] + 3.0) <= TOL["coeff"]
+    ok = ok and abs(limit_tensor(preset("GP_SCALAR")[0])[0, 0, 0] + 3.0) <= TOL["coeff"]
 
     for kind in ("LL_EASY_PLANE", "AF_CHAIN"):
-        zero = limit_equation(preset(kind)[0])
-        ok = ok and np.max(np.abs(zero.raw_tensor)) <= TOL["coeff"]
-        ok = ok and zero.canonical_q.norm() <= TOL["coeff"]
+        geom = preset(kind)[0]
+        ok = ok and np.max(np.abs(limit_tensor(geom))) <= TOL["coeff"]
+        ok = ok and limit_equation(geom).canonical_q.norm() <= TOL["coeff"]
 
     rng = np.random.default_rng(2026)
     for _ in range(10):
@@ -114,11 +113,11 @@ def test_criterion_01_model_coefficients():
         s, co = np.sin(theta0), np.cos(theta0)
         b = alpha * s * co + beta * s**3
         expected = 1.5 * co / s + 3.0 * b / (2.0 * geom.lam)
-        got = limit_equation(geom).raw_tensor[0, 0, 0]
+        got = limit_tensor(geom)[0, 0, 0]
         ok = ok and abs(got - expected) <= TOL["coeff"] * max(1.0, abs(expected))
 
     lam, gamma = 1.3, 0.7
-    G = limit_equation(preset("GP_COUPLED", {"lam": lam, "gamma": gamma})[0]).raw_tensor
+    G = limit_tensor(preset("GP_COUPLED", {"lam": lam, "gamma": gamma})[0])
     for k in range(2):
         ok = ok and abs(G[k, k, k] + 3.0) <= TOL["coeff"]
     for idx in ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
@@ -134,10 +133,14 @@ def test_criterion_02_dispersion_exactness():
     for kind in ("LL_EASY_PLANE", "AF_CHAIN"):
         geom, _ = preset(kind)
         model = limit_equation(geom)
-        grid = Grid(128, 2 * np.pi)
+        # the limit run of the kdv experiment, read back in A's units
+        cfg = ExperimentConfig.from_dict(dict(
+            default_config("kdv"), preset=kind.lower(), grid={"n": 128, "length": 2 * np.pi},
+            time={"t_final": 1.0, "dt": 1e-3, "snapshots": 5}))
+        grid = cfg.make_grid()
         base = np.cos(2.0 * np.pi * grid.x / grid.length)
         A0 = np.stack([(-0.5) ** i * base for i in range(geom.dim)])
-        traj = evolve_kdv(model, A0, grid, 1.0, 1e-3, n_snapshots=5)
+        traj = _limit_run(cfg, model, grid, A0)
         k3 = grid.wavenumbers ** 3
         k3[grid.n_points // 2] = 0.0
         hat = np.fft.fft(A0, axis=-1)
@@ -149,7 +152,7 @@ def test_criterion_02_dispersion_exactness():
 
 
 def test_criterion_03_soliton_conservation():
-    model = limit_equation(preset("GP_SCALAR")[0]).as_canonical()
+    model = limit_equation(preset("GP_SCALAR")[0])
     Q = model.canonical_q
     z = find_fixed_point(Q)[0]
     grid = Grid(512, 16 * np.pi)
@@ -170,7 +173,7 @@ def test_criterion_03_soliton_conservation():
 
 
 def test_criterion_04_soliton_ode_residual():
-    model = limit_equation(preset("GP_SCALAR")[0]).as_canonical()
+    model = limit_equation(preset("GP_SCALAR")[0])
     Q = model.canonical_q
     z = find_fixed_point(Q)[0]
     grid = Grid(1024, 64 * np.pi)
@@ -184,7 +187,7 @@ def test_criterion_04_soliton_ode_residual():
 
 
 def test_criterion_05_miura_transform():
-    model = limit_equation(preset("GP_SCALAR")[0]).as_canonical()
+    model = limit_equation(preset("GP_SCALAR")[0])
     grid = Grid(512, 2 * np.pi)
     v0 = (0.5 * np.sin(grid.x))[None, :]
     discrepancy, aborted = miura_crosscheck(model.canonical_q, v0, grid, 0.5, 1e-3, n_snapshots=11)

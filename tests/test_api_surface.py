@@ -220,7 +220,9 @@ def test_every_config_field_is_read_in_a_run():
     methods = {n.name: n for n in config.body if isinstance(n, ast.FunctionDef)}
     build = next(n for n in ast.walk(methods["from_dict"])
                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "cls")
-    fields = {k.arg for k in build.keywords}
+    # the named fields, and each experiment's own fields, passed as **own
+    fields = {k.arg for k in build.keywords if k.arg is not None}
+    fields |= {f for kind in experiments.EXPERIMENT_KINDS for f in experiments._own_fields(kind)}
     echo = range(methods["echo"].lineno, methods["echo"].end_lineno + 1)
     read = {n.attr for n in ast.walk(tree)
             if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)

@@ -146,6 +146,21 @@ def test_data_outside_the_chart_exit_2_without_traceback(tmp_path, experiment, w
     assert not list((tmp_path / "out").glob("converge_eps_*.csv"))
 
 
+@pytest.mark.parametrize("preset,params", [
+    ("gp_coupled", {"lam": 1e-300, "gamma": 1e300}),
+    ("ll_easy_cone", {"alpha": 1e-300, "beta": 1e300, "theta0": 1.0}),
+])
+def test_parameters_whose_limit_overflows_exit_2(tmp_path, capsys, preset, params):
+    # finite parameters whose limit tensor G overflows have no canonical
+    # limit model: a config error naming params, and no summary
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, "c.json", {"output_dir": str(out), "preset": preset, "params": params})
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["kdv", "--config", cfg]) == 2
+    assert "invalid configuration: params: " in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 @pytest.mark.parametrize("experiment", ["kdv", "micro", "converge"])
 def test_non_finite_initial_data_exit_2_without_traceback(tmp_path, experiment):
     # a bump of amplitude 1.7e308 overflows in its mean: a config error
@@ -210,6 +225,22 @@ def test_a_field_the_experiment_does_not_read_exits_2(tmp_path, capsys, experime
     assert main([experiment, "--config", cfg]) == 2
     assert f"invalid configuration: {field}: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_field_added_to_one_experiments_defaults_needs_no_other_edit(monkeypatch):
+    # the defaults are the one config table: a new field in the soliton
+    # defaults is accepted (given or defaulted) and echoed there, and a
+    # config error naming it in every other experiment
+    monkeypatch.setitem(experiments._DEFAULTS, "soliton",
+                        dict(experiments._DEFAULTS["soliton"], probe=2.5))
+    assert ExperimentConfig.from_dict(default_config("soliton")).echo()["probe"] == 2.5
+    given = dict(default_config("soliton"), probe=7.0)
+    assert ExperimentConfig.from_dict(given).echo()["probe"] == 7.0
+    for kind in experiments.EXPERIMENT_KINDS:
+        if kind != "soliton":
+            assert "probe" not in ExperimentConfig.from_dict(default_config(kind)).echo()
+            with pytest.raises(ConfigError, match=f"^probe: read only by soliton, not by {kind}$"):
+                ExperimentConfig.from_dict(dict(default_config(kind), probe=2.5))
 
 
 def test_eps_flag_of_an_experiment_without_eps_exits_2(tmp_path, capsys):

@@ -136,6 +136,17 @@ def test_every_config_ends_in_a_summary_or_a_named_config_error(tmp_path, capsys
     assert again == (status, err, summary), raw
 
 
+def test_the_aborted_limit_run_stops_on_its_step(tmp_path, capsys):
+    # the gradient guard compares max|dx u| with its initial value, a ratio
+    # that the amplitude of the canonical limit run cancels: the limit run
+    # of ABORTED_LIMIT_RUN stops on step 7 of its 20
+    status, err, summary = _run(ABORTED_LIMIT_RUN, tmp_path / "run", capsys)
+    assert status == 1 and "Traceback" not in err
+    timings = json.loads(summary)["timings"]
+    assert timings["kdv_steps"] == 20
+    assert timings["aborts"] == {"kdv": {"abort_reason": "gradient blow-up", "steps_taken": 7}}
+
+
 def test_the_limit_run_step_count_must_divide_into_the_snapshots(tmp_path, capsys):
     # the check counts the steps the limit run takes (at least one), so the
     # sub-step config is a time.dt error, and with two snapshots it runs

@@ -39,7 +39,6 @@ from oracles import (
     derivative,
     mkdv_nonlinear,
     pad_to,
-    raw_nonlinear,
     truncate_to,
 )
 from oracles import ifrk4_step as oracle_ifrk4_step
@@ -107,8 +106,8 @@ def test_numpy_fft_fallback_gives_identical_runs(monkeypatch):
             out.append(s0.values)
             evolve_micro(spec, s0, 5e-4, 1e-4, n_snapshots=6,
                          consume=lambda times, block: out.append(block.copy()))
-        # the short-input irfft of all three nonlinear forms: raw (d = 2),
-        # canonical (d = 1) and, through the Miura square, the mKdV one
+        # the short-input irfft of both nonlinear forms: canonical (d = 2
+        # and d = 1) and, through the Miura square, the mKdV one
         traj = evolve_kdv(limit_equation(preset("GP_COUPLED")[0]), A0, grid, 5e-3, 1e-3,
                           n_snapshots=6)
         out += list(traj.meta["snapshots"])
@@ -609,7 +608,7 @@ def test_dealias_coeffs_truncate_bitwise_property(seed, n, d, fields, factor, od
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(16, 64),
     dim=st.integers(1, 2),
-    form=st.sampled_from(["canonical", "raw", "mkdv"]),
+    form=st.sampled_from(["canonical", "mkdv"]),
 )
 def test_ifrk4_step_matches_oracle_step_property(seed, n, dim, form):
     # one step with the per-run factors and the workspace nonlinearities, on
@@ -625,16 +624,9 @@ def test_ifrk4_step_matches_oracle_step_property(seed, n, dim, form):
     if form == "mkdv":
         Q = QTensor(tensor)
         symbol, nonlin, oracle = grid.rsymbol(3), _mkdv_nonlinear(Q, grid), mkdv_nonlinear(Q, grid)
-    elif form == "canonical":
+    else:
         model = LimitModel(dim, rng.uniform(-2, 2), canonical_q=QTensor(tensor))
         oracle = canonical_nonlinear(model.canonical_q, grid)
-    else:
-        c = rng.uniform(0.3, 2.0)
-        model = LimitModel(dim, 1.0 / (8.0 * c), raw_nonlinearity=tensor,
-                           scale={"time_factor": 8.0 * c, "amplitude": 1.0},
-                           form="raw")
-        oracle = raw_nonlinear(tensor, c, grid)
-    if form != "mkdv":
         symbol, nonlin = _linear_symbol(model, grid), _nonlinear_rhs(model, grid)
     e_half = np.exp(symbol * (dt / 2.0))
     want = oracle_ifrk4_step(v, e_half, oracle, dt, e_half * e_half)

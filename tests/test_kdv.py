@@ -22,10 +22,10 @@ from kdvlab.kdv import (
     conserved_quantities,
     evolve_kdv,
     symmetrize,
-    symmetrize_bilinear,
 )
-from kdvlab.models import limit_equation, preset
-from oracles import advance_linear
+from kdvlab.experiments import ExperimentConfig, _limit_run, default_config
+from kdvlab.models import limit_equation, limit_tensor, preset
+from oracles import advance_linear, ifrk4_step, raw_nonlinear
 
 
 def canonical_scalar(q=1.0, dispersion=1.0):
@@ -165,15 +165,11 @@ def test_rhs_constant_state_is_static(grid):
 
 def test_rhs_raw_scalar_matches_quadrature(grid):
     # 2 dt rho = (1/4) dxxx rho - 3 rho dx rho, evaluated at rho = sin(x):
-    # rhs = (-(1/4) cos x - 3 sin x cos x) / 2
-    model = LimitModel(
-        1,
-        dispersion=1.0 / 8.0,
-        raw_nonlinearity=np.array([[[-3.0]]]),
-        scale={"time_factor": 8.0, "amplitude": -6.0},
-        form="raw",
-    )
-    out = kdv_rhs(model, np.sin(grid.x)[None, :], grid)
+    # rhs = (-(1/4) cos x - 3 sin x cos x) / 2, through the canonical limit
+    # model: u(tau) = s rho(8 tau) gives d rho/dt = (du/dtau) / (8 s)
+    model = limit_equation(preset("GP_SCALAR")[0])
+    s, factor = model.scale["amplitude"], model.scale["time_factor"]
+    out = kdv_rhs(model, s * np.sin(grid.x)[None, :], grid) / (factor * s)
     expected = (-0.25 * np.cos(grid.x) - 3 * np.sin(grid.x) * np.cos(grid.x)) / 2.0
     assert np.max(np.abs(out[0] - expected)) < 1e-11
 
@@ -205,12 +201,7 @@ def _full_fft_kdv_rhs(model, u, grid):
     """The right-hand side written with full complex transforms in physical space."""
     sym = model.dispersion * grid.symbol(3)
     linear = np.fft.ifft(sym * np.fft.fft(u, axis=-1), axis=-1).real
-    if model.form == "canonical":
-        Q = model.canonical_q.coeffs
-        return linear - grid.diff(_full_fft_bilinear(Q, u, u))
-    c = model.scale["time_factor"] / 8.0
-    flux = _full_fft_bilinear(model.raw_tensor, grid.diff(u), u)
-    return linear + flux / (2.0 * c)
+    return linear - grid.diff(_full_fft_bilinear(model.canonical_q.coeffs, u, u))
 
 
 @settings(max_examples=25, deadline=None)
@@ -218,9 +209,8 @@ def _full_fft_kdv_rhs(model, u, grid):
     seed=st.integers(0, 2**32 - 1),
     log_n=st.integers(4, 7),
     dim=st.integers(1, 3),
-    form=st.sampled_from(["canonical", "raw"]),
 )
-def test_kdv_rhs_matches_full_fft_formula_property(seed, log_n, dim, form):
+def test_kdv_rhs_matches_full_fft_formula_property(seed, log_n, dim):
     rng = np.random.default_rng(seed)
     grid = Grid(2**log_n, rng.uniform(2.0, 20.0))
     n = grid.n_points
@@ -230,14 +220,7 @@ def test_kdv_rhs_matches_full_fft_formula_property(seed, log_n, dim, form):
     spec[:, : kmax + 1] = rng.normal(size=(dim, kmax + 1)) + 1j * rng.normal(size=(dim, kmax + 1))
     spec[:, n // 2] = rng.normal(size=dim)
     u = np.fft.irfft(spec, n) * rng.uniform(0.5, 4.0)
-    tensor = rng.normal(size=(dim, dim, dim))
-    if form == "canonical":
-        model = LimitModel(dim, rng.uniform(-2, 2), canonical_q=QTensor(tensor))
-    else:
-        c = rng.uniform(0.3, 2.0)
-        model = LimitModel(dim, 1.0 / (8.0 * c), raw_nonlinearity=tensor,
-                           scale={"time_factor": 8.0 * c, "amplitude": 1.0},
-                           form="raw")
+    model = LimitModel(dim, rng.uniform(-2, 2), canonical_q=QTensor(rng.normal(size=(dim,) * 3)))
     got = kdv_rhs(model, u, grid)
     want = _full_fft_kdv_rhs(model, u, grid)
     assert np.max(np.abs(got - want)) <= 1e-12 * float(np.max(np.abs(want)))
@@ -274,17 +257,16 @@ def test_evolve_rejects_state_of_wrong_shape(shape):
         conserved_quantities(canonical_scalar(-1.0), u0, grid)
 
 
-@pytest.mark.parametrize("form", ["canonical", "raw"])
-def test_evolve_transforms_per_step(fft_calls, form):
+@pytest.mark.parametrize("case", ["canonical", "gp_coupled"])
+def test_evolve_transforms_per_step(fft_calls, case):
     # the state stays in coefficient space: a step without a snapshot makes
     # 8 transforms in the stepper (an irfft and an rfft per stage) and 1
     # irfft of the d rows for the gradient guard
     grid = Grid(64, 2 * np.pi)
-    if form == "canonical":
+    if case == "canonical":
         model = canonical_scalar(-1.0)
     else:
         model = limit_equation(preset("gp_coupled")[0])
-    assert model.form == form
     u0 = 0.1 * np.stack([np.sin(grid.x), np.cos(grid.x)][: model.dim])
 
     def transforms(steps):
@@ -292,18 +274,15 @@ def test_evolve_transforms_per_step(fft_calls, form):
         evolve_kdv(model, u0, grid, steps * 1e-3, 1e-3, n_snapshots=2)
         return fft_calls - before
 
-    # rows per call: a canonical stage pads the d rows of u and truncates
-    # the d rows of Q(u, u); a raw stage pads [dx A, A] (2d rows) and
-    # truncates the d rows of G(dx A, A)
+    # rows per call: a stage pads the d rows of u and truncates the d rows
+    # of Q(u, u)
     d = model.dim
-    padded = d if form == "canonical" else 2 * d
-    want = collections.Counter({("rfft", d): 40, ("irfft", padded): 40})
+    want = collections.Counter({("rfft", d): 40, ("irfft", d): 40})
     want["irfft", d] += 10
     assert transforms(20) - transforms(10) == want
 
 
-@pytest.mark.parametrize("form,dim", [("canonical", 1), ("canonical", 2), ("raw", 2),
-                                      ("mkdv", 1), ("mkdv", 2)])
+@pytest.mark.parametrize("form,dim", [("canonical", 1), ("canonical", 2), ("mkdv", 1), ("mkdv", 2)])
 def test_ifrk4_steps_allocate_only_the_new_state(monkeypatch, form, dim):
     # once the run has built its factors, workspace and stages, each of 200
     # IF-RK4 steps at N = 512 allocates the coefficients it returns and small
@@ -331,13 +310,9 @@ def test_ifrk4_steps_allocate_only_the_new_state(monkeypatch, form, dim):
         Q = QTensor(tensor)
         start = lambda: kdv._evolve_ifrk4(grid.rsymbol(3), _mkdv_nonlinear(Q, grid), u0, grid, 0.2,
                                           1e-3, 5)
-    elif form == "canonical":
+    else:
         start = lambda: evolve_kdv(LimitModel(dim, 1.0, canonical_q=QTensor(tensor)), u0, grid, 0.2,
                                    1e-3, 5)
-    else:
-        model = LimitModel(dim, 0.1, raw_nonlinearity=tensor, form="raw",
-                           scale={"time_factor": 1.25, "amplitude": 1.0})
-        start = lambda: evolve_kdv(model, u0, grid, 0.2, 1e-3, 5)
     tracemalloc.start()
     try:
         traj = start()
@@ -393,31 +368,36 @@ def test_evolve_rejects_zero_dt(grid):
         evolve_kdv(canonical_scalar(-1.0), u0, grid, 0.5, 0.0)
 
 
-def test_raw_and_canonical_runs_agree():
-    # evolve the raw form and the canonically rescaled form of the same
-    # dynamics; map states across and compare
-    grid = Grid(128, 2 * np.pi)
-    scale = {"time_factor": 8.0, "amplitude": -6.0}
-    raw = LimitModel(
-        1,
-        dispersion=1.0 / 8.0,
-        raw_nonlinearity=np.array([[[-3.0]]]),
-        canonical_q=QTensor([[[-1.0]]]),
-        scale=scale,
-        form="raw",
-    )
-    sym, _ = symmetrize_bilinear(raw.raw_tensor)
-    assert np.max(np.abs(-(2.0 / scale["amplitude"]) * sym - raw.canonical_q.coeffs)) < 1e-14
-    canonical = raw.as_canonical()
-    assert canonical.dispersion == 1.0
+@pytest.mark.parametrize("kind,params", [("gp_scalar", {}), ("gp_coupled", {"gamma": 0.7})],
+                         ids=["gp_scalar", "gp_coupled"])
+def test_limit_run_maps_back_to_raw_oracle_steps(kind, params):
+    # the limit run of an experiment integrates the canonical u = s A over
+    # t/(8c) and reads A = u/s back at the times of the step plan of t; the
+    # raw form 2c dA/dt = (1/4) dxxx A + G(dx A, A), stepped by the oracle
+    # IF-RK4 on the rfft coefficients of A, gives the same A to rounding
+    # (measured: 4.6e-15 of max|A0|)
+    raw = default_config("kdv")
+    raw.update(preset=kind, params=params, grid={"n": 64, "length": 2 * np.pi},
+               time={"t_final": 0.3, "dt": 1e-3, "snapshots": 4})
+    cfg = ExperimentConfig.from_dict(raw)
+    geom = preset(cfg.kind, cfg.params)[0]
+    model, grid = limit_equation(geom), cfg.make_grid()
+    A0 = 0.3 * np.stack([(-0.5) ** i * np.cos(grid.x) for i in range(model.dim)])
+    traj = _limit_run(cfg, model, grid, A0)
+    assert not traj.aborted and traj.meta["steps"] == 300
+    assert traj.times == [k * 1e-3 for k in (0, 100, 200, 300)]
+    assert np.array_equal(traj.meta["snapshots"][0], A0)
 
-    a0 = 0.2 * np.sin(grid.x)[None, :]
-    T = 0.8
-    raw_traj = evolve_kdv(raw, a0, grid, T, 1e-3)
-    can_traj = evolve_kdv(canonical, scale["amplitude"] * a0, grid, T / 8.0, 1e-3 / 8.0)
-    mapped = scale["amplitude"] * raw_traj.meta["snapshots"][-1]
-    err = np.max(np.abs(mapped - can_traj.meta["snapshots"][-1]))
-    assert err < 1e-8
+    c = geom.c
+    e_half = np.exp(grid.rsymbol(3) / (8.0 * c) * 0.5e-3)
+    nonlin = raw_nonlinear(limit_tensor(geom), c, grid)
+    v, want = np.fft.rfft(A0, axis=-1), [A0]
+    for step in range(1, 301):
+        v = ifrk4_step(v, e_half, nonlin, 1e-3, e_half * e_half)
+        if step % 100 == 0:
+            want.append(np.fft.irfft(v, grid.n_points, axis=-1))
+    err = np.max(np.abs(traj.meta["snapshots"] - np.array(want)))
+    assert err <= 1e-13 * np.max(np.abs(A0))
 
 
 # -- conserved quantities ------------------------------------------------------
@@ -442,18 +422,6 @@ def test_conserved_sine_cubic_term_vanishes(grid):
     model = canonical_scalar(1.0)
     h, _, _ = conserved_quantities(model, np.sin(grid.x)[None, :], grid)
     assert abs(h - np.pi / 2) < 1e-12
-
-
-def test_conserved_requires_canonical(grid):
-    model = LimitModel(
-        1,
-        dispersion=1.0 / 8.0,
-        raw_nonlinearity=np.array([[[-3.0]]]),
-        scale={"time_factor": 8.0, "amplitude": -6.0},
-        form="raw",
-    )
-    with pytest.raises(ValueError):
-        conserved_quantities(model, np.zeros((1, grid.n_points)), grid)
 
 
 # -- blow-up monitoring ----------------------------------------------------------

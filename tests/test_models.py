@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kdvlab.grid import Grid
-from kdvlab.kdv import QTensor, symmetrize_bilinear
+from kdvlab.kdv import QTensor
 from kdvlab.models import (
     GeometryData,
     MicroModelSpec,
@@ -16,6 +16,7 @@ from kdvlab.models import (
     chart_radius,
     dphi_matrix,
     limit_equation,
+    limit_tensor,
     normal_coupling,
     preset,
 )
@@ -144,26 +145,22 @@ def test_geometry_validation():
 
 def test_limit_gp_scalar_coefficient():
     geom, _ = preset("GP_SCALAR")
+    assert abs(limit_tensor(geom)[0, 0, 0] + 3.0) <= TOL["coeff"]
     model = limit_equation(geom)
-    assert model.form == "raw"
-    assert abs(model.raw_tensor[0, 0, 0] + 3.0) <= TOL["coeff"]
-    assert abs(model.dispersion - 0.125) <= TOL["coeff"]
+    assert model.dispersion == 1.0
     assert model.scale["time_factor"] == 8.0
     assert abs(model.scale["amplitude"] + 6.0) <= TOL["coeff"]
-    assert model.has_canonical
     assert abs(model.canonical_q.coeffs[0, 0, 0] + 1.0) <= TOL["coeff"]
-    canon = model.as_canonical()
-    assert abs(canon.dispersion - 1.0) <= TOL["coeff"]
 
 
 @pytest.mark.parametrize("kind,params", [("LL_EASY_PLANE", {"k": 2.5}), ("AF_CHAIN", None)])
 def test_limit_zero_nonlinearity_presets(kind, params):
     geom, _ = preset(kind, params)
     model = limit_equation(geom)
-    assert np.max(np.abs(model.raw_tensor)) <= TOL["coeff"]
-    assert model.has_canonical and model.canonical_q.norm() <= TOL["coeff"]
+    assert np.max(np.abs(limit_tensor(geom))) <= TOL["coeff"]
+    assert model.canonical_q.norm() <= TOL["coeff"]
     assert model.scale["amplitude"] == 1.0
-    assert abs(model.dispersion - 1.0 / (8.0 * geom.c)) <= TOL["coeff"]
+    assert model.scale["time_factor"] == 8.0 * geom.c
 
 
 def test_limit_easy_cone_coefficient_formula():
@@ -173,25 +170,22 @@ def test_limit_easy_cone_coefficient_formula():
         beta = float(rng.uniform(-2.0, 2.0))
         theta0 = float(rng.uniform(0.15, np.pi - 0.15))
         geom, _ = preset("LL_EASY_CONE", {"alpha": alpha, "beta": beta, "theta0": theta0})
-        model = limit_equation(geom)
         s, co = np.sin(theta0), np.cos(theta0)
         b = alpha * s * co + beta * s**3
         lam = alpha * s * s
         expected = 1.5 * co / s + 3.0 * b / (2.0 * lam)
-        assert abs(model.raw_tensor[0, 0, 0] - expected) <= TOL["coeff"] * max(1.0, abs(expected))
+        assert abs(limit_tensor(geom)[0, 0, 0] - expected) <= TOL["coeff"] * max(1.0, abs(expected))
 
 
 def test_limit_coupled_diagonal_and_coupling():
     lam, gamma = 1.3, 0.7
     geom, _ = preset("GP_COUPLED", {"lam": lam, "gamma": gamma})
-    model = limit_equation(geom)
-    G = model.raw_tensor
+    G = limit_tensor(geom)
     for k in range(2):
         assert abs(G[k, k, k] + 3.0) <= TOL["coeff"]
     for idx in ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
         assert abs(G[idx] - 4.0 * gamma / lam) <= TOL["coeff"]
-    assert model.has_canonical
-    assert model.canonical_q.symmetry_defect <= TOL["coeff"]
+    assert limit_equation(geom).canonical_q.symmetry_defect <= TOL["coeff"]
 
 
 def test_limit_af_uses_first_order_matrix():
@@ -210,9 +204,9 @@ def test_raw_to_canonical_round_trip_on_tensors():
     ]:
         geom, _ = preset(kind, params)
         model = limit_equation(geom)
-        assert model.has_canonical
         s = model.scale["amplitude"]
-        sym, _ = symmetrize_bilinear(model.raw_tensor)
+        G = limit_tensor(geom)
+        sym = 0.5 * (G + G.transpose(1, 0, 2))
         recovered = -(s / 2.0) * model.canonical_q.coeffs
         assert np.max(np.abs(recovered - sym)) <= TOL["roundtrip"]
 
@@ -227,8 +221,7 @@ def _coupled_gp_geometry(lam, f1):
 
 
 def test_coupled_gp_limit_zero_f1_decouples():
-    model = limit_equation(_coupled_gp_geometry(1.0, np.zeros((2, 2, 2))))
-    G = model.raw_tensor
+    G = limit_tensor(_coupled_gp_geometry(1.0, np.zeros((2, 2, 2))))
     for k in range(2):
         assert abs(G[k, k, k] + 1.5) <= TOL["coeff"]
     off = G.copy()
@@ -240,7 +233,8 @@ def test_coupled_gp_limit_zero_f1_decouples():
 def test_coupled_gp_limit_matches_scalar_path():
     direct = limit_equation(preset("GP_SCALAR")[0])
     via_coupled = limit_equation(_coupled_gp_geometry(1.0, [[[3.0]]]))
-    assert np.array_equal(direct.raw_tensor, via_coupled.raw_tensor)
+    assert np.array_equal(limit_tensor(preset("GP_SCALAR")[0]),
+                          limit_tensor(_coupled_gp_geometry(1.0, [[[3.0]]])))
     assert direct.scale == via_coupled.scale
     assert np.array_equal(direct.canonical_q.coeffs, via_coupled.canonical_q.coeffs)
 
@@ -248,18 +242,54 @@ def test_coupled_gp_limit_matches_scalar_path():
 def test_coupled_gp_limit_cross_coupling_is_raw_only():
     # f1(rho, dx rho)_k = rho_{k'} dx rho_{k'} with k' != k: a legitimate
     # symmetric bilinear, but the rescaled tensor is not fully symmetric, so
-    # the canonical Hamiltonian tooling must be disabled.
+    # the limit has no canonical form and limit_equation refuses it
     f1 = np.zeros((2, 2, 2))
     f1[1, 1, 0] = 1.0
     f1[0, 0, 1] = 1.0
-    model = limit_equation(_coupled_gp_geometry(1.0, f1))
-    sym, anti_defect = symmetrize_bilinear(model.raw_tensor)
-    assert anti_defect <= 1e-15
+    geom = _coupled_gp_geometry(1.0, f1)
+    G = limit_tensor(geom)
+    sym = 0.5 * (G + G.transpose(1, 0, 2))
+    assert np.max(np.abs(G - sym)) <= 1e-15
     # the canonical candidate -(2/s) sym(G), s = -2 max|sym(G)|
     assert 0.2 < QTensor(sym / np.max(np.abs(sym))).symmetry_defect < 0.25
-    assert not model.has_canonical
     with pytest.raises(ValueError, match="no canonical form"):
-        model.as_canonical()
+        limit_equation(geom)
+
+
+# magnitudes over 16 decades, either sign where preset takes any sign, and
+# theta0 within 1e-4 of its open interval: the ranges preset accepts, short
+# of the extremes where the geometry underflows or G overflows
+_MAGNITUDE = st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e)
+_SIGNED = st.tuples(st.sampled_from([-1.0, 0.0, 1.0]), _MAGNITUDE).map(lambda t: t[0] * t[1])
+_PRESET_PARAMS = st.one_of(
+    st.tuples(st.just("GP_SCALAR"), st.just({})),
+    st.tuples(st.just("GP_COUPLED"), st.fixed_dictionaries({"lam": _MAGNITUDE, "gamma": _SIGNED})),
+    st.tuples(st.just("LL_EASY_PLANE"), st.fixed_dictionaries({"k": _MAGNITUDE})),
+    st.tuples(st.just("LL_EASY_CONE"), st.fixed_dictionaries({
+        "alpha": _MAGNITUDE, "beta": _SIGNED,
+        "theta0": st.floats(1e-4, np.pi - 1e-4)})),
+    st.tuples(st.just("AF_CHAIN"), st.just({})),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PRESET_PARAMS)
+def test_every_preset_limit_has_a_canonical_form_property(kind_params):
+    # no config reaches a limit without a conservative rewrite: for every
+    # preset and any parameters it accepts, limit_equation returns a model
+    # whose Q is fully symmetric and recovers sym(G) through the amplitude
+    kind, params = kind_params
+    geom, _ = preset(kind, params)
+    model = limit_equation(geom)
+    q = model.canonical_q.coeffs
+    for perm in [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]:
+        assert np.max(np.abs(q - q.transpose(perm))) <= TOL["coeff"]
+    assert model.canonical_q.symmetry_defect <= TOL["coeff"]
+    G = limit_tensor(geom)
+    sym = 0.5 * (G + G.transpose(1, 0, 2))
+    assert np.max(np.abs(G - sym)) <= TOL["coeff"] * max(1.0, np.max(np.abs(G)))
+    scale = max(1.0, np.max(np.abs(sym)))
+    assert np.max(np.abs(-(model.scale["amplitude"] / 2.0) * q - sym)) <= TOL["roundtrip"] * scale
 
 
 def test_coupled_gp_limit_rejects_asymmetric_f1():

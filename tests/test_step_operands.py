@@ -112,12 +112,11 @@ def test_micro_steps_pass_no_scalar_to_a_ufunc(guarded, kind, params):
     assert sum(guarded.values()) >= 6 * 5  # the proxy saw the steps
 
 
-@pytest.mark.parametrize("form", ["canonical", "raw", "mkdv"])
+@pytest.mark.parametrize("form", ["canonical", "gp_coupled", "mkdv"])
 def test_ifrk4_steps_pass_no_scalar_to_a_ufunc(guarded, form):
     g = Grid(64, 2 * np.pi)
-    if form == "raw":
+    if form == "gp_coupled":
         model = limit_equation(preset("gp_coupled")[0])
-        assert model.form == "raw"
     else:
         model = LimitModel(2, 1.0, canonical_q=QTensor(0.3 * np.ones((2, 2, 2))))
     u0 = 0.1 * np.stack([np.sin(g.x), np.cos(g.x)])
