@@ -297,7 +297,7 @@ def miura_crosscheck(Q: QTensor, v0: np.ndarray, grid: Grid, T: float, dt: float
     legs = {
         "kdv": evolve_kdv(model, miura_map(Q, v0, grid), grid, T, dt, n_snapshots=n_snapshots),
         "mkdv": _evolve_ifrk4(grid.rsymbol(3), _mkdv_nonlinear(Q, grid), v0, grid, T, dt,
-                              n_snapshots),
+                              n_snapshots, 1),
     }
     kdv_at = {round(t, 10): u for t, u in zip(legs["kdv"].times, legs["kdv"].meta["snapshots"])}
     worst = max(l2_norm(miura_map(Q, v, grid) - kdv_at[round(t, 10)], grid)

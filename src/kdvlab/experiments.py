@@ -356,6 +356,15 @@ def _write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _aborts(runs: dict) -> dict:
+    """The ``aborts`` counter of the runs (a Trajectory by name): {"aborts":
+    {name: {abort_reason, steps_taken}}} of the runs that aborted, and {}
+    when none did, so a passing run's summary keeps its bytes."""
+    aborts = {name: {"abort_reason": t.abort_reason, "steps_taken": t.meta["steps_taken"]}
+              for name, t in runs.items() if t.aborted}
+    return {"aborts": aborts} if aborts else {}
+
+
 def _assertion(name: str, value: float, threshold: float, ok: bool) -> dict:
     return {
         "name": name,
@@ -427,27 +436,6 @@ def _scalar_q(cfg: ExperimentConfig):
     return model.canonical_q
 
 
-def _limit_run(cfg: ExperimentConfig, model: LimitModel, grid: Grid, A0: np.ndarray):
-    """The limit run of the config from the profile A0, in A's units: the
-    canonical u = s*A0 evolved over t_final/(8c) with step dt/(8c) (the
-    model's ``scale``).  The trajectory's times and abort time are those of
-    the step plan of t_final and dt, its snapshots are u/s, with row 0 A0
-    itself; ``meta["canonical_snapshots"]`` and ``grad_history`` stay the
-    canonical run's."""
-    step = step_plan(cfg.t_final, cfg.dt)[1]
-    factor, s = model.scale["time_factor"], model.scale["amplitude"]
-    traj = evolve_kdv(model, s * A0, grid, cfg.t_final / factor, step / factor,
-                      n_snapshots=cfg.snapshots)
-    canonical_step = step_plan(cfg.t_final / factor, step / factor)[1]
-    traj.times = [round(t / canonical_step) * step for t in traj.times]
-    if traj.aborted:
-        traj.abort_time = traj.meta["steps_taken"] * step
-    u = traj.meta["canonical_snapshots"] = traj.meta["snapshots"]
-    traj.meta["snapshots"] = u / s
-    traj.meta["snapshots"][0] = A0
-    return traj
-
-
 def _soliton(cfg: ExperimentConfig, Q, grid: Grid) -> np.ndarray:
     """The solitary wave of speed ``cfg.speed`` along the smallest fixed
     point z of Q(z,z) = z; a speed whose wave the grid cannot hold (too
@@ -480,7 +468,7 @@ def _run_kdv(cfg: ExperimentConfig, outdir: Path):
     model = _limit_model(cfg)
     grid = cfg.make_grid()
     A0 = _initial_field(cfg, grid, model.dim)
-    traj = _limit_run(cfg, model, grid, A0)
+    traj = evolve_kdv(model, A0, grid, cfg.t_final, cfg.dt, n_snapshots=cfg.snapshots)
 
     columns, rows = ["t"], [[t] for t in traj.times]
     assertions = [
@@ -504,7 +492,8 @@ def _run_kdv(cfg: ExperimentConfig, outdir: Path):
     columns += ["h_drift_rel", "m_drift_rel", "p_drift_abs"]
     assertions += checks
     emit_series(outdir / "kdv_series.csv", columns, rows)
-    counters = {"kdv_steps": traj.meta["steps"], "snapshots": len(traj)}
+    counters = {"kdv_steps": traj.meta["steps"], "snapshots": len(traj),
+                **_aborts({"kdv": traj})}
     return assertions, counters
 
 
@@ -588,6 +577,7 @@ def _run_micro(cfg: ExperimentConfig, outdir: Path):
         "micro_steps": traj.meta["steps"],
         "rhs_evaluations": traj.meta["rhs_evals"],
         "snapshots": len(traj),
+        **_aborts({"micro": traj}),
     }
     return assertions, counters
 
@@ -606,20 +596,14 @@ def _converge_task(payload):
     specs, states, dts, consumers, collected = zip(*[_prepare_micro(cfg, eps, kdv_traj)
                                                      for eps in group])
     trajs = evolve_group(specs[0], states, cfg.t_final, dts, cfg.snapshots, consumers=consumers)
-    return [_converge_result(cfg, specs[0], eps, traj, series(), kdv_traj)
+    return [_converge_result(cfg, specs[0], eps, traj, series())
             for eps, traj, series in zip(group, trajs, collected)]
 
 
-def _converge_result(cfg, spec, eps, traj, series, kdv_traj):
-    """The result of one ε-run of converge, its CSV file written."""
-    out = {
-        "eps": eps,
-        "aborted": traj.aborted,
-        "abort_reason": traj.abort_reason,
-        "steps_taken": traj.meta["steps_taken"],
-        "micro_steps": traj.meta["steps"],
-        "kdv_steps": kdv_traj.meta["steps"],
-    }
+def _converge_result(cfg, spec, eps, traj, series):
+    """The result of one ε-run of converge (its ε, its trajectory and, if it
+    completed, its error figures), its CSV file written."""
+    out = {"eps": eps, "traj": traj}
     path = Path(cfg.output_dir) / f"converge_eps_{eps!r}.csv"
     if traj.aborted:
         # partial artifact: the chart series of whatever was reached
@@ -642,17 +626,14 @@ def _converge_result(cfg, spec, eps, traj, series, kdv_traj):
 def _run_converge(cfg: ExperimentConfig, outdir: Path):
     model = _limit_model(cfg)
     grid = cfg.make_grid()
-    kdv_traj = _limit_run(cfg, model, grid, _initial_field(cfg, grid, model.dim))
+    kdv_traj = evolve_kdv(model, _initial_field(cfg, grid, model.dim), grid, cfg.t_final, cfg.dt,
+                          n_snapshots=cfg.snapshots)
     if kdv_traj.aborted:  # no limit reference to score the ε-runs against
         for eps in cfg.eps_list:  # data outside the chart stay a config error
             _well_prepared(cfg, eps)
         assertions = [_assertion("limit_run_completed", kdv_traj.times[-1] / cfg.t_final, 1.0,
                                  False)]
-        return assertions, {
-            "kdv_steps": kdv_traj.meta["steps"],
-            "aborts": {"kdv": {"abort_reason": kdv_traj.abort_reason,
-                               "steps_taken": kdv_traj.meta["steps_taken"]}},
-        }
+        return assertions, {"kdv_steps": kdv_traj.meta["steps"], **_aborts({"kdv": kdv_traj})}
     if cfg.workers > 1:
         from multiprocessing import Pool  # only parallel runs pay for this import
         # eps_list decreases, so reversed it hands out the costliest run (the
@@ -664,7 +645,7 @@ def _run_converge(cfg: ExperimentConfig, outdir: Path):
     else:
         results = _converge_task((cfg, cfg.eps_list, kdv_traj))
 
-    completed = [r for r in results if not r["aborted"]]
+    completed = [r for r in results if not r["traj"].aborted]
     all_done = len(completed) == len(results)
     assertions = [
         _assertion("all_runs_completed", float(len(completed)), float(len(results)),
@@ -691,27 +672,25 @@ def _run_converge(cfg: ExperimentConfig, outdir: Path):
                        and max(r["max_eps_phi"] for r in results)
                        < results[0]["chart_radius"]),
         ]
+    runs = {f"{r['eps']!r}": r["traj"] for r in results}
     counters = {
-        "kdv_steps": results[0]["kdv_steps"],
-        "micro_steps": {f"{r['eps']!r}": r["micro_steps"] for r in results},
+        "kdv_steps": kdv_traj.meta["steps"],
+        "micro_steps": {eps: traj.meta["steps"] for eps, traj in runs.items()},
+        **_aborts(runs),
     }
-    if not all_done:
-        counters["aborts"] = {
-            f"{r['eps']!r}": {"abort_reason": r["abort_reason"], "steps_taken": r["steps_taken"]}
-            for r in results if r["aborted"]
-        }
     return assertions, counters
 
 
 def _run_soliton(cfg: ExperimentConfig, outdir: Path):
-    model = _limit_model(cfg)
-    if model.canonical_q.is_zero:
+    Q = _limit_model(cfg).canonical_q
+    if Q.is_zero:
         raise ConfigError(
             "preset: the soliton experiment needs a preset with a nonzero "
             f"nonlinearity; {cfg.preset_name!r} has none"
         )
+    model = LimitModel(Q.dim, 1.0, Q)  # the canonical soliton, at unit scale
     grid = cfg.make_grid()
-    u0 = _soliton(cfg, model.canonical_q, grid)
+    u0 = _soliton(cfg, Q, grid)
     traj = evolve_kdv(model, u0, grid, cfg.t_final, cfg.dt, n_snapshots=cfg.snapshots)
 
     snapshots = traj.meta["snapshots"]
@@ -726,7 +705,8 @@ def _run_soliton(cfg: ExperimentConfig, outdir: Path):
         *checks,
         _at_most("shape_error", np.max(shapes), 1e-4),
     ]
-    counters = {"kdv_steps": traj.meta["steps"], "snapshots": len(traj)}
+    counters = {"kdv_steps": traj.meta["steps"], "snapshots": len(traj),
+                **_aborts({"kdv": traj})}
     return assertions, counters
 
 
@@ -745,12 +725,7 @@ def _run_miura(cfg: ExperimentConfig, outdir: Path):
         _at_most("d2_condition", defect, 1e-12),
     ]
     steps, _ = step_plan(cfg.t_final, cfg.dt)
-    counters = {"kdv_steps": steps, "mkdv_steps": steps}
-    if aborted:
-        counters["aborts"] = {
-            leg: {"abort_reason": traj.abort_reason, "steps_taken": traj.meta["steps_taken"]}
-            for leg, traj in aborted.items()
-        }
+    counters = {"kdv_steps": steps, "mkdv_steps": steps, **_aborts(aborted)}
     return assertions, counters
 
 

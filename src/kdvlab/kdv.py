@@ -3,9 +3,10 @@ quantities, and hyperbolic (zero-dispersion) diagnostics.
 
 Every model is in canonical form:   du/dt = delta*dxxx(u) - dx Q(u,u)
 with Q a fully symmetric bilinear map encoded by a (d,d,d) coefficient tensor.
-A limit model (:func:`~kdvlab.models.limit_equation`) also carries the affine
-change of variables u(tau, x) = s*A(8c*tau, x) back to the profile A of the
-microscopic run.
+A limit model (:func:`~kdvlab.models.limit_equation`) also has the affine
+change of variables u(tau, x) = s*A(8c*tau, x) to the profile A of the
+microscopic run, and :func:`evolve_kdv` applies it: it takes and returns A,
+in A's time, and integrates u.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ class LimitModel:
     scale : dict, optional
         {"time_factor": 8c, "amplitude": s} with u(tau, x) = s * A(8c*tau, x)
         for a limit model (:func:`~kdvlab.models.limit_equation`); 1 and 1
-        otherwise.
+        otherwise, where A is u.  :func:`evolve_kdv` applies it.
     """
 
     def __init__(self, dim: int, dispersion: float, canonical_q: QTensor, scale: dict | None = None):
@@ -179,35 +180,51 @@ def _nonlinear_rhs(model: LimitModel, grid: Grid):
 
 def evolve_kdv(
     model: LimitModel,
-    u0: np.ndarray,
+    A0: np.ndarray,
     grid: Grid,
     T: float,
     dt: float,
     n_snapshots: int = 65,
 ) -> Trajectory:
-    """Integrate the model from the real (d, N) samples u0 on ``grid`` with
-    integrating-factor RK4 and snapshot the result.
+    """Integrate the model from the real (d, N) profile A0 on ``grid`` over T
+    with step dt by integrating-factor RK4 and snapshot A; A0, T and dt are
+    in A's units.
 
-    The stiff dispersion is handled exactly by the integrating factor; dt is
-    limited only by the nonlinearity.  The run is one :func:`~kdvlab.grid._run`
-    (step plan, snapshot schedule, abort bookkeeping), whose per-step monitor
-    aborts it as a gradient blow-up (the breakdown, at ``abort_time``) once
-    max|dx u| exceeds BLOWUP_MULTIPLE times its initial value.
-    ``meta["snapshots"]`` holds the snapshots as one (S, d, N) array and
-    ``meta["grad_history"]`` the (times, max|dx u|) of every step run.
+    The model's ``scale`` is applied here: the run integrates the canonical
+    u = s*A0 over T/f (f the time factor 8c) and stamps its times in A's
+    units (:func:`_evolve_ifrk4`).  The stiff dispersion is handled exactly
+    by the integrating factor; dt is limited only by the nonlinearity.  The
+    run is one :func:`~kdvlab.grid._run` (step plan, snapshot schedule,
+    abort bookkeeping), whose per-step monitor aborts it as a gradient
+    blow-up (the breakdown, at ``abort_time``) once max|dx u| exceeds
+    BLOWUP_MULTIPLE times its initial value.  ``meta["snapshots"]`` holds
+    the snapshots of A = u/s as one (S, d, N) array, row 0 A0 itself,
+    ``meta["canonical_snapshots"]`` those of u (the same array at unit
+    scale) and ``meta["grad_history"]`` the (times, max|dx u|) of every step
+    run.
     """
-    _check_state(model, u0, grid)
-    return _evolve_ifrk4(_linear_symbol(model, grid), _nonlinear_rhs(model, grid),
-                         u0, grid, T, dt, n_snapshots)
+    _check_state(model, A0, grid)
+    s = model.scale["amplitude"]
+    traj = _evolve_ifrk4(_linear_symbol(model, grid), _nonlinear_rhs(model, grid),
+                         s * A0, grid, T, dt, n_snapshots, model.scale["time_factor"])
+    u = traj.meta["canonical_snapshots"] = traj.meta["snapshots"]
+    if s != 1.0:
+        traj.meta["snapshots"] = u / s
+        traj.meta["snapshots"][0] = A0
+    return traj
 
 
-def _evolve_ifrk4(symbol, nonlin, u0: np.ndarray, grid: Grid, T, dt, n_snapshots):
+def _evolve_ifrk4(symbol, nonlin, u0: np.ndarray, grid: Grid, T, dt, n_snapshots, time_factor):
     """The IF-RK4 run of :func:`evolve_kdv` for any Fourier-diagonal linear
     ``symbol`` (rfft half spectrum) and ``nonlin(v, out)`` on coefficients in
-    the state convention below.  The state is carried as coefficients and
-    goes to physical space only for the gradient guard and the snapshots, a
-    block at a time: a step makes 9 transforms (8 in the stepper, 1 for
-    max|dx u|).
+    the state convention below, from u0.  T and dt are in the units of a
+    time f = ``time_factor`` times the integrated one: the run takes the
+    steps of ``step_plan(T, dt)``, each ``step_plan(T/f, step/f)[1]`` long in
+    the integrated time (a plain step/f can move the IF-RK4 factors by an
+    ulp), and stamps the times, ``abort_time`` and ``grad_history`` with the
+    step of T.  The state is carried as coefficients and goes to physical space only
+    for the gradient guard and the snapshots, a block at a time: a step
+    makes 9 transforms (8 in the stepper, 1 for max|dx u|).
 
     The state convention: every IF-RK4 state is ``_rfft(u) * split`` (the
     Nyquist mode of even n halved), the padded form a :class:`Dealias`
@@ -217,13 +234,14 @@ def _evolve_ifrk4(symbol, nonlin, u0: np.ndarray, grid: Grid, T, dt, n_snapshots
     operation on the state is the one on the plain spectrum, scaled by 0.5
     at the Nyquist mode, and a power of two commutes with rounding, so the
     run keeps the plain spectrum's bits."""
-    steps, dt = step_plan(T, dt)
+    steps, step = step_plan(T, dt)
     n = grid.n_points
     split = Dealias.nyquist_split(n, len(u0))
     v0 = _rfft(u0) * split
     # the factors and ik at the coefficients' (d, n//2+1) shape: a broadcast
     # (n//2+1,) operand would send every multiply through a buffered loop
-    factors = ifrk4_factors(np.tile(symbol, (len(v0), 1)), dt)
+    factors = ifrk4_factors(np.tile(symbol, (len(v0), 1)),
+                            step_plan(T / time_factor, step / time_factor)[1])
     ik = np.tile(grid.rsymbol(1), (len(v0), 1))
     dcoef, grad = np.empty_like(v0), np.empty(u0.shape)
     irfft, irfft_scale = _transform("irfft", n)
@@ -237,15 +255,15 @@ def _evolve_ifrk4(symbol, nonlin, u0: np.ndarray, grid: Grid, T, dt, n_snapshots
         v = ifrk4_step(v, nonlin, factors, stages)
         return (v,)
 
-    def gradient_guard(step, state):
+    def gradient_guard(k, state):
         np.multiply(ik, state[0], out=dcoef)
         irfft(dcoef, irfft_scale, grad)
         grad_vals.append(float(np.maximum.reduce(np.abs(grad, out=grad), axis=None)))
-        grad_times.append(step * dt)
+        grad_times.append(k * step)
         return "gradient blow-up" if grad_vals[-1] > grad_limit else None
 
     blocks = []
-    [traj] = _run([(steps, dt, n_snapshots,
+    [traj] = _run([(steps, step, n_snapshots,
                     lambda times, block: blocks.append(_irfft(block / split, n)))],
                   v0[None], advance, monitor=gradient_guard)
     snapshots = np.concatenate(blocks)

@@ -21,7 +21,7 @@ from kdvlab.analysis import (
     solitary_profile,
 )
 from kdvlab.grid import Grid, fourier_shift, l2_norm
-from kdvlab.kdv import QTensor, bilinear_apply, evolve_kdv
+from kdvlab.kdv import LimitModel, QTensor, bilinear_apply, evolve_kdv
 from kdvlab.models import limit_equation, preset
 from oracles import derivative, scan_fixed_points, soliton_ode_residual
 
@@ -389,9 +389,10 @@ def test_shift_recovered_when_a_higher_mode_dominates_property(seed, rows, lengt
 
 
 def test_soliton_transit_preserves_shape():
-    # one full domain transit of the canonical scalar-condensate soliton
-    model = limit_equation(preset("GP_SCALAR")[0])
-    Q = model.canonical_q
+    # one full domain transit of the canonical scalar-condensate soliton,
+    # under the unit-scale model of the canonical equation it solves
+    Q = limit_equation(preset("GP_SCALAR")[0]).canonical_q
+    model = LimitModel(1, 1.0, canonical_q=Q)
     z = find_fixed_point(Q)[0]
     grid = Grid(512, 16 * np.pi)
     speed = 4.0

@@ -177,7 +177,8 @@ def _small(kind, **overlay):
 
 def test_every_trajectory_field_a_run_writes_is_read_in_src(tmp_path, monkeypatch):
     # each experiment once, small; the hyperbolic run aborts (its verdict
-    # reads the abort time), the converge ε-runs report their abort fields
+    # reads the abort time), and so does a second kdv run, whose summary
+    # reports its abort fields
     log = {"written": set(), "read": set()}
 
     class Logged(grid.Trajectory):
@@ -203,6 +204,9 @@ def test_every_trajectory_field_a_run_writes_is_read_in_src(tmp_path, monkeypatc
         _small("soliton", time={"t_final": 0.1}),
         _small("miura", time={"t_final": 0.1}),
         _small("hyperbolic", grid={"n": 128}),
+        _small("kdv", preset="ll_easy_cone", params={"alpha": 0.5, "theta0": 0.3},
+               grid={"n": 32, "length": 1.0}, time={"t_final": 0.05, "dt": 0.0025, "snapshots": 3},
+               initial={"shape": "mode", "amplitude": 1.0, "width": 0.3}),
     ]
     for i, raw in enumerate(runs):
         raw["output_dir"] = str(tmp_path / str(i))

@@ -507,6 +507,19 @@ def test_converge_summary_reports_each_abort(tmp_path, monkeypatch):
             == (tmp_path / "healthy" / "converge_eps_0.2.csv").read_bytes())
 
 
+def test_micro_summary_reports_its_abort(tmp_path, monkeypatch):
+    # the micro run gets a NaN rotation factor on step 7 and aborts there:
+    # the summary names the reason and the exact step
+    cfg = {"output_dir": str(tmp_path / "out"), "grid": {"n": 64, "length": 8 * np.pi},
+           "time": {"t_final": 0.1, "dt": 1e-3, "snapshots": 3}}
+    _poison_last_row(monkeypatch, 8)
+    assert main(["micro", "--config", _write_config(tmp_path, "cfg.json", cfg)]) == 1
+    summary = _summary(tmp_path / "out")
+    assert not _assertion_map(summary)["run_completed"]["pass"]
+    assert summary["timings"]["aborts"] == {
+        "micro": {"abort_reason": "non-finite state", "steps_taken": 7}}
+
+
 def test_converge_with_an_aborted_limit_run_fails_with_a_summary(tmp_path):
     # the limit reference of this config blows up at t = 0.0175: no ε-run is
     # scored against it, and the summary names the limit run's abort

@@ -41,6 +41,10 @@ ABORTED_LIMIT_RUN = {
     "initial": {"shape": "mode", "amplitude": 1.0, "width": 0.3},
     "eps_list": [0.9, 0.5],
 }
+# a soliton too fast for its step: its run blows up on the first step
+FAST_SOLITON = {"experiment": "soliton", "preset": "gp_scalar",
+                "grid": {"n": 128, "length": 4.0 * math.pi},
+                "time": {"t_final": 0.5, "dt": 0.01, "snapshots": 3}, "speed": 64.0}
 # the default converge config (the rest comes from the defaults the command
 # line overlays) with t_final/dt = 0.4: the limit run takes one step, which
 # 11 snapshots cannot divide; it once passed validation and crashed in
@@ -145,6 +149,22 @@ def test_the_aborted_limit_run_stops_on_its_step(tmp_path, capsys):
     timings = json.loads(summary)["timings"]
     assert timings["kdv_steps"] == 20
     assert timings["aborts"] == {"kdv": {"abort_reason": "gradient blow-up", "steps_taken": 7}}
+
+
+@pytest.mark.parametrize("raw,steps,taken", [
+    ({**{k: v for k, v in ABORTED_LIMIT_RUN.items() if k != "eps_list"}, "experiment": "kdv"},
+     20, 7),
+    (FAST_SOLITON, 50, 1),
+], ids=["kdv", "soliton"])
+def test_an_aborted_limit_run_names_its_abort_in_the_summary(tmp_path, capsys, raw, steps, taken):
+    # a kdv or soliton run that aborts reports the reason and the step, as
+    # the limit run of converge does: the kdv run of ABORTED_LIMIT_RUN's
+    # settings stops on the same step 7
+    status, err, summary = _run(raw, tmp_path / "run", capsys)
+    assert status == 1 and "Traceback" not in err
+    assert json.loads(summary)["timings"] == {
+        "kdv_steps": steps, "snapshots": 2,
+        "aborts": {"kdv": {"abort_reason": "gradient blow-up", "steps_taken": taken}}}
 
 
 def test_the_limit_run_step_count_must_divide_into_the_snapshots(tmp_path, capsys):

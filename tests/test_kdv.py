@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from kdvlab import kdv
 from kdvlab.analysis import _mkdv_nonlinear
-from kdvlab.grid import Dealias, Grid, integrate
+from kdvlab.grid import Dealias, Grid, integrate, snapshot_steps, step_plan
 from kdvlab.kdv import (
     LimitModel,
     QTensor,
@@ -23,7 +23,7 @@ from kdvlab.kdv import (
     evolve_kdv,
     symmetrize,
 )
-from kdvlab.experiments import ExperimentConfig, _limit_run, default_config
+from kdvlab.experiments import ExperimentConfig, default_config
 from kdvlab.models import limit_equation, limit_tensor, preset
 from oracles import advance_linear, ifrk4_step, raw_nonlinear
 
@@ -309,7 +309,7 @@ def test_ifrk4_steps_allocate_only_the_new_state(monkeypatch, form, dim):
     if form == "mkdv":  # the run of the mKdV leg of miura_crosscheck
         Q = QTensor(tensor)
         start = lambda: kdv._evolve_ifrk4(grid.rsymbol(3), _mkdv_nonlinear(Q, grid), u0, grid, 0.2,
-                                          1e-3, 5)
+                                          1e-3, 5, 1)
     else:
         start = lambda: evolve_kdv(LimitModel(dim, 1.0, canonical_q=QTensor(tensor)), u0, grid, 0.2,
                                    1e-3, 5)
@@ -383,7 +383,7 @@ def test_limit_run_maps_back_to_raw_oracle_steps(kind, params):
     geom = preset(cfg.kind, cfg.params)[0]
     model, grid = limit_equation(geom), cfg.make_grid()
     A0 = 0.3 * np.stack([(-0.5) ** i * np.cos(grid.x) for i in range(model.dim)])
-    traj = _limit_run(cfg, model, grid, A0)
+    traj = evolve_kdv(model, A0, grid, cfg.t_final, cfg.dt, n_snapshots=cfg.snapshots)
     assert not traj.aborted and traj.meta["steps"] == 300
     assert traj.times == [k * 1e-3 for k in (0, 100, 200, 300)]
     assert np.array_equal(traj.meta["snapshots"][0], A0)
@@ -398,6 +398,83 @@ def test_limit_run_maps_back_to_raw_oracle_steps(kind, params):
             want.append(np.fft.irfft(v, grid.n_points, axis=-1))
     err = np.max(np.abs(traj.meta["snapshots"] - np.array(want)))
     assert err <= 1e-13 * np.max(np.abs(A0))
+
+
+# the five families' limit models (the easy cone at the benchmark's parameters)
+LIMIT_PRESETS = [("GP_SCALAR", None), ("GP_COUPLED", None), ("LL_EASY_PLANE", None),
+                 ("LL_EASY_CONE", {"alpha": 1.0, "theta0": 1.0}), ("AF_CHAIN", None)]
+
+
+def _check_change_of_variables(model, A0, grid, T, dt, n_snapshots):
+    """evolve_kdv of a limit model in A's units against the unit-scale run of
+    the canonical u = s A0 over T/f, with f and s the model's scale; returns
+    the run in A's units."""
+    f, s = model.scale["time_factor"], model.scale["amplitude"]
+    steps, step = step_plan(T, dt)
+    traj = evolve_kdv(model, A0, grid, T, dt, n_snapshots)
+    unit = evolve_kdv(LimitModel(model.dim, 1.0, canonical_q=model.canonical_q), s * A0, grid,
+                      T / f, step / f, n_snapshots)
+    u = unit.meta["snapshots"]
+    assert np.array_equal(traj.meta["canonical_snapshots"], u)
+    assert np.array_equal(traj.meta["snapshots"][1:], u[1:] / s)
+    assert np.array_equal(traj.meta["snapshots"][0], A0)
+    assert (traj.aborted, traj.abort_reason) == (unit.aborted, unit.abort_reason)
+    assert traj.meta["steps"] == steps
+    taken = traj.meta["steps_taken"]
+    assert taken == unit.meta["steps_taken"]
+    # the times, abort time and gradient history in A's units
+    finite = traj.abort_reason != "non-finite state"
+    snaps = [k for k in snapshot_steps(steps, n_snapshots)[1] if k < taken]
+    if finite:  # the last step, or the step the gradient guard stopped on
+        snaps.append(taken)
+    assert traj.times == [k * step for k in snaps]
+    assert traj.abort_time == (taken * step if traj.aborted else None)
+    grad_t, grad_v = traj.meta["grad_history"]
+    assert np.array_equal(grad_t, np.arange(taken + finite) * step)
+    assert np.array_equal(grad_v, unit.meta["grad_history"][1])
+    return traj
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(LIMIT_PRESETS),
+    log_n=st.integers(4, 6),
+    amplitude=st.floats(-2.0, 0.5),
+    T=st.floats(1e-3, 0.1),
+    steps=st.integers(1, 120),
+    backward=st.booleans(),
+    n_snapshots=st.integers(2, 9),
+)
+def test_evolve_kdv_applies_the_change_of_variables_property(
+        seed, family, log_n, amplitude, T, steps, backward, n_snapshots):
+    # u(tau) = s A(f tau): a run in A's units is the unit-scale run of s A0
+    # over T/f read back as u/s, bitwise, stamped with the step of T
+    rng = np.random.default_rng(seed)
+    model = limit_equation(preset(*family)[0])
+    grid = Grid(2**log_n, rng.uniform(1.0, 20.0))
+    spec = np.zeros((model.dim, grid.n_points // 2 + 1), complex)
+    spec[:, 1:4] = rng.normal(size=(model.dim, 3)) + 1j * rng.normal(size=(model.dim, 3))
+    A0 = np.fft.irfft(spec, grid.n_points, axis=-1)
+    A0 *= 10.0**amplitude / np.max(np.abs(A0))
+    dt = (-1.0 if backward else 1.0) * rng.uniform(0.5, 1.5) * T / steps
+    _check_change_of_variables(model, A0, grid, T, dt, n_snapshots)
+
+
+@pytest.mark.parametrize("family,amplitude,reason,taken", [
+    # the limit run of tests/test_corpus.py::ABORTED_LIMIT_RUN (time factor
+    # 8c = 1.67, amplitude s = -19.4)
+    (("LL_EASY_CONE", {"alpha": 0.5, "theta0": 0.3}), 1.0, "gradient blow-up", 7),
+    (("GP_SCALAR", None), 1e30, "non-finite state", 1),
+], ids=["blow-up", "non-finite"])
+def test_evolve_kdv_abort_is_in_the_units_of_a(family, amplitude, reason, taken):
+    model = limit_equation(preset(*family)[0])
+    grid = Grid(32, 1.0)
+    A0 = amplitude * np.cos(2.0 * np.pi * grid.x)[None, :]
+    with np.errstate(all="ignore"):
+        traj = _check_change_of_variables(model, A0, grid, 0.05, 0.0025, 3)
+    assert traj.aborted and traj.abort_reason == reason
+    assert traj.meta["steps_taken"] == taken and traj.abort_time == taken * 0.0025
 
 
 # -- conserved quantities ------------------------------------------------------

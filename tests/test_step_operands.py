@@ -122,7 +122,7 @@ def test_ifrk4_steps_pass_no_scalar_to_a_ufunc(guarded, form):
     u0 = 0.1 * np.stack([np.sin(g.x), np.cos(g.x)])
     if form == "mkdv":  # the run of the mKdV leg of miura_crosscheck
         traj = kdv._evolve_ifrk4(g.rsymbol(3), analysis._mkdv_nonlinear(model.canonical_q, g),
-                                 u0, g, 6e-3, 1e-3, 3)
+                                 u0, g, 6e-3, 1e-3, 3, 1)
     else:
         traj = kdv.evolve_kdv(model, u0, g, 6e-3, 1e-3, n_snapshots=3)
     assert not traj.aborted and traj.meta["steps_taken"] == 6

@@ -1,0 +1,75 @@
+"""Hash the artifacts of the benchmark's experiments and of the CLI defaults.
+
+Usage::
+
+    python3 tools/artifact_hashes.py ROOT OUT
+
+ROOT is a kdvlab checkout.  Its ``src`` is imported, and the runs are the
+experiments of every workload in its ``perfbench/workloads.py`` at seed 0,
+then the default config of each of the six experiment kinds, each run
+through the command line into a temporary directory.  OUT receives one JSON
+document that maps each run to its exit status and the sha256 of every CSV
+file and ``summary.json`` it wrote (``timings.json`` holds wall-clock times
+and is left out).  Two checkouts write byte-identical artifacts with the
+same statuses exactly when their OUT files are equal::
+
+    python3 tools/artifact_hashes.py ../parent old.json
+    python3 tools/artifact_hashes.py . new.json
+    cmp old.json new.json
+
+Nothing is written under ROOT.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+
+def _runs(workloads, default_config, kinds):
+    """(name, raw config) of every run: the workloads' experiments at seed 0,
+    then the default config of each experiment kind."""
+    for workload in workloads.WORKLOADS:
+        for i, raw in enumerate(workloads.experiment_dicts(workload, 0, default_config)):
+            yield f"{workload}/{i}-{raw['experiment']}", raw
+    for kind in kinds:
+        yield f"default/{kind}", default_config(kind)
+
+
+def main() -> int:
+    args = sys.argv[1:]
+    if len(args) != 2:
+        print("usage: python3 tools/artifact_hashes.py ROOT OUT", file=sys.stderr)
+        return 2
+    root, out = Path(args[0]).resolve(), Path(args[1])
+    sys.dont_write_bytecode = True  # leave no __pycache__ under ROOT
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import workloads
+    from kdvlab import cli, experiments
+
+    if not Path(experiments.__file__).resolve().is_relative_to(root / "src"):
+        raise SystemExit(f"kdvlab imported from {experiments.__file__}, not {root / 'src'}")
+    hashes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, raw in _runs(workloads, experiments.default_config, experiments.EXPERIMENT_KINDS):
+            outdir = Path(tmp) / name
+            cfg = dict(raw, output_dir=str(outdir))
+            kind = cfg.pop("experiment")
+            path = Path(tmp) / f"{name.replace('/', '_')}.json"
+            path.write_text(json.dumps(cfg))
+            status = cli.main([kind, "--config", str(path)])
+            files = sorted(outdir.glob("*.csv")) + [outdir / "summary.json"]
+            hashes[name] = {
+                "status": status,
+                "sha256": {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                           for f in files if f.exists()},
+            }
+    out.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
