@@ -5,9 +5,11 @@ Usage::
     kdvlab <experiment> [--config cfg.json] [--eps E] [--n N] [--t-final T]
 
 The configuration is a JSON document following the schema of
-:func:`kdvlab.experiments.default_config`; the file overlays the defaults of
-the chosen experiment, and the targeted flags override the file.  The exit
-status is 0 exactly when every assertion in the emitted summary passed.
+:func:`kdvlab.experiments.default_config`: a field it leaves out takes the
+chosen experiment's default, an unknown field is an error, and an
+``experiment`` it names must be the subcommand.  The targeted flags override
+the file.  The exit status is 0 exactly when every assertion in the emitted
+summary passed, 1 when one failed and 2 for an invalid configuration.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .experiments import (
     EXPERIMENT_KINDS,
     ConfigError,
     ExperimentConfig,
-    default_config,
     run_experiment,
 )
 
@@ -43,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     for kind in EXPERIMENT_KINDS:
         sp = sub.add_parser(kind, help=_HELP[kind])
         sp.add_argument("--config", metavar="PATH",
-                        help="JSON config overlaying the experiment defaults")
+                        help="JSON config; a field left out takes the experiment default")
         sp.add_argument("--eps", type=float,
                         help="override eps (micro; for converge: run this single "
                              "eps against the next smaller half; an error elsewhere)")
@@ -53,24 +54,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge(base: dict, overlay: dict) -> dict:
-    for key, value in overlay.items():
-        if isinstance(value, dict) and isinstance(base.get(key), dict):
-            _merge(base[key], value)
-        else:
-            base[key] = value
-    return base
-
-
 def _section(cfg: dict, name: str) -> dict:
     """The section ``name`` of ``cfg``, which a flag is about to override."""
-    if not isinstance(cfg.get(name), dict):
-        raise ConfigError(f"{name}: must be a mapping, got {cfg.get(name)!r}")
+    if not isinstance(cfg.setdefault(name, {}), dict):
+        raise ConfigError(f"{name}: must be a mapping, got {cfg[name]!r}")
     return cfg[name]
 
 
 def load_config(args) -> ExperimentConfig:
-    cfg = default_config(args.experiment)
+    cfg = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             try:
@@ -79,7 +71,11 @@ def load_config(args) -> ExperimentConfig:
                 raise ConfigError(f"{args.config}: not UTF-8 text ({exc.reason})") from None
         if not isinstance(document, dict):
             raise ConfigError(f"{args.config}: must be a JSON object, got {type(document).__name__}")
-        cfg = _merge(cfg, document)
+        cfg = document
+    experiment = cfg.setdefault("experiment", args.experiment)
+    if experiment != args.experiment:
+        raise ConfigError(f"experiment: the document names {experiment!r}, "
+                          f"the subcommand {args.experiment!r}")
     if args.eps is not None:
         if args.experiment == "converge":
             cfg["eps_list"] = [args.eps, 0.5 * args.eps]

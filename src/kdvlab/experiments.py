@@ -34,7 +34,7 @@ from .hydro import almost_hamiltonian, energy_proxy, extract_series, limit_error
 from .kdv import LimitModel, conserved_quantities, evolve_kdv
 from .micro import (SPLIT_STEP_RANGE, dt_max, evolve_group, evolve_micro, mass,
                     unit_norm_deviation, well_prepared_init)
-from .models import chart_radius, limit_equation, preset
+from .models import KINDS, chart_radius, limit_equation, preset
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -47,15 +47,8 @@ __all__ = [
 
 EXPERIMENT_KINDS = ("kdv", "micro", "converge", "soliton", "miura", "hyperbolic")
 
-_PRESET_NAMES = {
-    "gp_scalar": "GP_SCALAR",
-    "gp_coupled": "GP_COUPLED",
-    "ll_easy_plane": "LL_EASY_PLANE",
-    "ll_easy_cone": "LL_EASY_CONE",
-    "af_chain": "AF_CHAIN",
-}
-
 _SHAPES = ("bump", "mode", "sine", "soliton")
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
@@ -112,23 +105,10 @@ _DEFAULTS = {
 }
 
 
-# The fields every experiment reads.  The other fields of an experiment's
-# defaults are its own: another experiment would drop them without a trace,
-# so there they are a config error.
-_SHARED = ("experiment", "preset", "grid", "time", *_COMMON)
-
-
-def _own_fields(experiment: str) -> dict:
-    """The experiment's own fields and their defaults."""
-    return {k: v for k, v in _DEFAULTS[experiment].items() if k not in _SHARED}
-
-
 def default_config(experiment: str) -> dict:
     """Baseline configuration dictionary for one experiment kind."""
-    if experiment not in EXPERIMENT_KINDS:
-        raise ConfigError(
-            f"experiment: must be one of {EXPERIMENT_KINDS}, got {experiment!r}"
-        )
+    _require(experiment in EXPERIMENT_KINDS, "experiment",
+             f"must be one of {EXPERIMENT_KINDS}, got {experiment!r}")
     cfg = copy.deepcopy(_COMMON)
     cfg.update(copy.deepcopy(_DEFAULTS[experiment]))
     cfg["experiment"] = experiment
@@ -148,180 +128,168 @@ def _is_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and _is_number(value)
-
-
-def _mapping(raw: dict, field: str) -> dict:
-    value = raw.get(field, {})
-    _require(isinstance(value, dict), field, f"must be a mapping, got {value!r}")
-    return value
-
-
-def _positive_number(value, field: str) -> float:
+def _number(value, field: str) -> float:
     _require(_is_number(value), field, f"must be a finite number, got {value!r}")
-    _require(value > 0, field, f"must be positive, got {value!r}")
+    return float(value)
+
+
+def _positive(value, field: str) -> float:
+    _require(_number(value, field) > 0, field, f"must be positive, got {value!r}")
+    return float(value)
+
+
+def _count(minimum: int):
+    def read(value, field: str) -> int:
+        _require(isinstance(value, int) and _is_number(value) and value >= minimum, field,
+                 f"must be an integer >= {minimum}, got {value!r}")
+        return value
+    return read
+
+
+def _choice(options: tuple):
+    def read(value, field: str):
+        _require(value in options, field, f"must be one of {options}, got {value!r}")
+        return value
+    return read
+
+
+def _grid_size(value, field: str) -> int:
+    n = _count(8)(value, field)
+    _require(n & (n - 1) == 0, field, f"must be a power of two >= 8, got {n}")
+    return n
+
+
+def _eps(value, field: str) -> float:
+    eps = _positive(value, field)
+    _require(eps < 1.0, field, f"must be below 1, got {eps}")
+    return eps
+
+
+def _eps_list(value, field: str) -> list:
+    _require(isinstance(value, (list, tuple)) and len(value) >= 2,
+             field, f"must list at least two values, got {value!r}")
+    eps_list = [_eps(e, field) for e in value]
+    _require(all(b < a for a, b in zip(eps_list, eps_list[1:])),
+             field, f"must be strictly decreasing, got {eps_list}")
+    return eps_list
+
+
+def _switch(value, field: str) -> float:
+    _require(not isinstance(value, bool) and value in (0, 1), field,
+             f"dispersion switch must be 0 or 1, got {value!r}")
     return float(value)
 
 
 def _as_complex(value, field: str) -> complex:
-    if isinstance(value, (list, tuple)):
-        _require(len(value) == 2 and all(_is_number(v) for v in value), field,
-                 f"expects a finite number or [re, im], got {value!r}")
-        return complex(float(value[0]), float(value[1]))
-    _require(_is_number(value), field, f"must be a finite number or [re, im], got {value!r}")
-    return complex(float(value))
+    pair = value if isinstance(value, (list, tuple)) else [value, 0.0]
+    _require(len(pair) == 2 and all(_is_number(v) for v in pair), field,
+             f"must be a finite number or [re, im], got {value!r}")
+    return complex(float(pair[0]), float(pair[1]))
+
+
+def _path(value, field: str) -> str:
+    _require(isinstance(value, str) and value, field, f"must be a non-empty path, got {value!r}")
+    return value
+
+
+def _params(value, field: str) -> dict:
+    _require(isinstance(value, dict), field, f"must be a mapping, got {value!r}")
+    return {name: _number(v, f"{field}.{name}") for name, v in value.items()}
+
+
+# The reader of each leaf by dotted name: it returns the value read, or
+# raises a ConfigError naming the field.  A leaf with no entry is a finite
+# number; a mapping in the defaults with no entry is read key by key.
+_READERS = {
+    "experiment": _choice(EXPERIMENT_KINDS),
+    "preset": _choice(tuple(kind.lower() for kind in KINDS)),
+    "params": _params,
+    "output_dir": _path,
+    "workers": _count(1),
+    "grid.n": _grid_size,
+    "grid.length": _positive,
+    "time.t_final": _positive,
+    "time.dt": _positive,
+    "time.snapshots": _count(2),
+    "initial.shape": _choice(_SHAPES),
+    "initial.amplitude": _positive,
+    "initial.width": _positive,
+    "initial.mode": _count(1),
+    "eps": _eps,
+    "eps_list": _eps_list,
+    "speed": _positive,
+    "delta": _switch,
+    "d2_alpha": _as_complex,
+    "d2_beta": _as_complex,
+}
+
+
+def _read(raw, defaults: dict, prefix: str = "") -> dict:
+    """``raw`` read over ``defaults``: a key the defaults lack is an unknown
+    field, a key left out takes its default, and each leaf goes through its
+    reader."""
+    _require(isinstance(raw, dict), prefix[:-1], f"must be a mapping, got {raw!r}")
+    for key in raw:
+        _require(key in defaults, f"{prefix}{key}", "unknown configuration field")
+    fields = {}
+    for key, default in defaults.items():
+        name, value = prefix + key, raw.get(key, default)
+        if isinstance(default, dict) and name not in _READERS:
+            fields[key] = _read(value, default, name + ".")
+        else:
+            fields[key] = _READERS.get(name, _number)(value, name)
+    return fields
 
 
 class ExperimentConfig:
     """Validated parameters of one experiment run.
 
-    Build with :meth:`from_dict`; the accepted schema is the one produced by
-    :func:`default_config` (unknown keys are rejected, and so are the own
-    fields of other experiments; an own field left out takes its default,
-    and its value is an attribute of the same name; ``grid``, ``time``,
-    ``initial`` and ``params`` are mappings, every number is finite and every
-    numeric field positive, ``eps_list`` strictly decreasing, grid size a
-    power of two).
+    Build with :meth:`from_dict`, which reads a raw dict over the
+    :func:`default_config` of its ``experiment``: a key the defaults lack is
+    an unknown field at any depth (the own fields of other experiments too),
+    a key left out takes its default, and each leaf goes through its reader
+    in ``_READERS``.  Each field is an attribute of its name, the fields of
+    ``grid`` and ``time`` too, and ``preset`` is ``preset_name``.
     """
 
-    def __init__(self, **fields):
+    def __init__(self, fields: dict):
+        self._fields = fields
         for name, value in fields.items():
-            setattr(self, name, value)
+            if name in ("grid", "time"):
+                vars(self).update(value)
+            else:
+                setattr(self, "preset_name" if name == "preset" else name, value)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        readers = {}
-        for kind in EXPERIMENT_KINDS:
-            for field in _own_fields(kind):
-                readers.setdefault(field, []).append(kind)
-        unknown = set(raw) - set(_SHARED) - set(readers)
-        _require(not unknown, sorted(unknown)[0] if unknown else "",
-                 "unknown configuration field")
-
-        experiment = raw.get("experiment")
-        _require(experiment in EXPERIMENT_KINDS, "experiment",
-                 f"must be one of {EXPERIMENT_KINDS}, got {experiment!r}")
-        own = {name: raw.get(name, default) for name, default in _own_fields(experiment).items()}
-        for field in sorted(set(raw) & set(readers) - set(own)):  # the first one found
-            raise ConfigError(f"{field}: read only by {' and '.join(readers[field])}, not by {experiment}")
-
-        preset_name = raw.get("preset")
-        _require(preset_name in _PRESET_NAMES, "preset",
-                 f"must be one of {sorted(_PRESET_NAMES)}, got {preset_name!r}")
-        params = _mapping(raw, "params")
-        for name, value in params.items():
-            _require(_is_number(value), f"params.{name}", f"must be a finite number, got {value!r}")
+        cfg = cls(_read(raw, default_config(raw.get("experiment"))))
         try:
-            params = {k: float(v) for k, v in params.items()}
-            _, spec = preset(_PRESET_NAMES[preset_name], params)
+            _, spec = preset(cfg.preset_name, cfg.params)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"params: {exc}") from None
-
-        grid = _mapping(raw, "grid")
-        n = grid.get("n")
-        _require(_is_int(n), "grid.n",
-                 f"must be an integer, got {n!r}")
-        _require(n >= 8 and (n & (n - 1)) == 0, "grid.n",
-                 f"must be a power of two >= 8, got {n}")
-        length = _positive_number(grid.get("length"), "grid.length")
-
-        tblock = _mapping(raw, "time")
-        t_final = _positive_number(tblock.get("t_final"), "time.t_final")
-        dt = _positive_number(tblock.get("dt"), "time.dt")
-        snapshots = tblock.get("snapshots")
-        _require(_is_int(snapshots) and snapshots >= 2, "time.snapshots",
-                 f"must be an integer >= 2, got {snapshots!r}")
-
-        initial = dict(_COMMON["initial"])
-        given = _mapping(raw, "initial")
-        bad = set(given) - set(initial)
-        _require(not bad, f"initial.{sorted(bad)[0] if bad else ''}",
-                 "unknown initial-data field")
-        initial.update(given)
-        _require(initial["shape"] in _SHAPES, "initial.shape",
-                 f"must be one of {_SHAPES}, got {initial['shape']!r}")
-        initial["amplitude"] = _positive_number(initial["amplitude"], "initial.amplitude")
-        initial["width"] = _positive_number(initial["width"], "initial.width")
-        _require(_is_int(initial["mode"]) and initial["mode"] >= 1,
-                 "initial.mode", f"must be an integer >= 1, got {initial['mode']!r}")
-
-        if "eps" in own:
-            eps = own["eps"] = _positive_number(own["eps"], "eps")
-            _require(eps < 1.0, "eps", f"must be below 1, got {eps}")
-
-        if "eps_list" in own:
-            eps_list = own["eps_list"]
-            _require(isinstance(eps_list, (list, tuple)) and len(eps_list) >= 2,
-                     "eps_list", f"must list at least two values, got {eps_list!r}")
-            eps_list = own["eps_list"] = [_positive_number(e, "eps_list") for e in eps_list]
-            _require(all(e < 1.0 for e in eps_list), "eps_list", "entries must be below 1")
-            _require(all(b < a for a, b in zip(eps_list, eps_list[1:])),
-                     "eps_list", f"must be strictly decreasing, got {eps_list}")
-            steps, _ = step_plan(t_final, dt)
-            _require(steps % (snapshots - 1) == 0, "time.dt",
+        if cfg.experiment == "converge":
+            steps, _ = step_plan(cfg.t_final, cfg.dt)
+            _require(steps % (cfg.snapshots - 1) == 0, "time.dt",
                      f"the limit run's {steps} steps (t_final/dt rounded, at least 1) "
-                     f"must be a multiple of snapshots-1 = {snapshots - 1} so snapshot "
+                     f"must be a multiple of snapshots-1 = {cfg.snapshots - 1} so snapshot "
                      "times match between the limit run and the microscopic runs")
-        if spec.is_complex and experiment in ("micro", "converge"):
-            (lo, hi), kmax = SPLIT_STEP_RANGE, np.pi * n / length
-            for e in [eps] if experiment == "micro" else eps_list:
-                _require(lo <= e * kmax <= hi, "eps" if experiment == "micro" else "eps_list",
+        if spec.is_complex and cfg.experiment in ("micro", "converge"):
+            (lo, hi), kmax = SPLIT_STEP_RANGE, np.pi * cfg.n / cfg.length
+            for e in [cfg.eps] if cfg.experiment == "micro" else cfg.eps_list:
+                _require(lo <= e * kmax <= hi, "eps" if cfg.experiment == "micro" else "eps_list",
                          f"eps*kmax = {e * kmax:.3g} is outside the validated condensate range [{lo}, {hi}]")
-
-        output_dir = raw.get("output_dir")
-        _require(isinstance(output_dir, str) and output_dir, "output_dir",
-                 f"must be a non-empty path, got {output_dir!r}")
-        workers = raw.get("workers", 1)
-        _require(_is_int(workers) and workers >= 1, "workers",
-                 f"must be an integer >= 1, got {workers!r}")
-
-        if "speed" in own:
-            own["speed"] = _positive_number(own["speed"], "speed")
-        if "delta" in own:
-            delta = own["delta"]
-            _require(not isinstance(delta, bool) and delta in (0, 1), "delta",
-                     f"dispersion switch must be 0 or 1, got {delta!r}")
-            own["delta"] = float(delta)
-        for name in ("d2_alpha", "d2_beta"):
-            if name in own:
-                own[name] = _as_complex(own[name], name)
-
-        return cls(
-            experiment=experiment,
-            preset_name=preset_name,
-            kind=_PRESET_NAMES[preset_name],
-            params=params,
-            n=n,
-            length=length,
-            t_final=t_final,
-            dt=dt,
-            snapshots=snapshots,
-            initial=initial,
-            output_dir=output_dir,
-            workers=workers,
-            **own,
-        )
+        return cfg
 
     def echo(self) -> dict:
-        """The result-determining configuration, for the JSON summary.
+        """The result-determining configuration, for the JSON summary: the
+        fields read, complex values as [re, im].
 
         Execution mechanics (worker count, output directory) do not influence
         the computed numbers and are left out so that serial and parallel runs
         of the same experiment emit byte-identical summaries.
         """
-        out = {
-            "experiment": self.experiment,
-            "preset": self.preset_name,
-            "params": self.params,
-            "grid": {"n": self.n, "length": self.length},
-            "time": {"t_final": self.t_final, "dt": self.dt, "snapshots": self.snapshots},
-            "initial": self.initial,
-        }
-        for field in _own_fields(self.experiment):
-            value = getattr(self, field)
-            out[field] = [value.real, value.imag] if isinstance(value, complex) else value
-        return out
+        return {name: [value.real, value.imag] if isinstance(value, complex) else value
+                for name, value in self._fields.items() if name not in ("output_dir", "workers")}
 
     def make_grid(self) -> Grid:
         return Grid(self.n, self.length)
@@ -422,7 +390,7 @@ def _limit_model(cfg: ExperimentConfig) -> LimitModel:
     """The canonical limit model of the config's preset; parameters whose
     limit tensor overflows are a config error."""
     try:
-        return limit_equation(preset(cfg.kind, cfg.params or None)[0])
+        return limit_equation(preset(cfg.preset_name, cfg.params or None)[0])
     except ValueError as exc:
         raise ConfigError(f"params: {exc}") from None
 
@@ -539,7 +507,7 @@ def _well_prepared(cfg: ExperimentConfig, eps: float):
     """The spec, grid and well-prepared initial state of the config at eps;
     data that leave the model chart (or its modulus range) are a config
     error."""
-    geom, spec = preset(cfg.kind, cfg.params or None)
+    geom, spec = preset(cfg.preset_name, cfg.params or None)
     grid = cfg.make_grid()
     A0 = _initial_field(cfg, grid, geom.dim)
     try:
@@ -750,9 +718,9 @@ def _run_hyperbolic(cfg: ExperimentConfig, outdir: Path):
     steepening = float(np.max(-slope))
     oracle = 1.0 / steepening if steepening > 0 else None
 
-    # the breakdown is the run's abort: a gradient blow-up (or a non-finite
-    # step) at abort_time
-    broke = traj.aborted
+    # the breakdown is the run's gradient blow-up at abort_time; a run that
+    # went non-finite has not been seen to break down
+    broke = traj.abort_reason == "gradient blow-up"
     if cfg.delta == 0.0 and oracle is not None:
         rel_gap = (abs(traj.abort_time - oracle) / oracle) if broke else np.inf
         assertions = [
@@ -763,10 +731,10 @@ def _run_hyperbolic(cfg: ExperimentConfig, outdir: Path):
         ]
     else:
         assertions = [
-            _assertion("no_breakdown", 1.0 if broke else 0.0, 0.0, not broke),
+            _assertion("no_breakdown", 1.0 if traj.aborted else 0.0, 0.0, not traj.aborted),
         ]
     counters = {"kdv_steps": traj.meta["steps"], "kdv_steps_taken": traj.meta["steps_taken"],
-                "gradient_checks": len(grad_t)}
+                "gradient_checks": len(grad_t), **_aborts({"kdv": traj})}
     return assertions, counters
 
 
@@ -786,10 +754,14 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     Artifacts land in ``cfg.output_dir``: the experiment's CSV series,
     ``summary.json`` (configuration echo + assertions + work counters, byte
     deterministic) and ``timings.json`` (wall clock).  The status is 0 exactly
-    when every assertion passed.
+    when every assertion passed.  The ``summary.json`` and ``timings.json``
+    of an earlier run are removed first, so a run that ends in a config
+    error leaves none.
     """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
+    for name in ("summary.json", "timings.json"):
+        (outdir / name).unlink(missing_ok=True)
     started = time.perf_counter()
     assertions, counters = _RUNNERS[cfg.experiment](cfg, outdir)
     elapsed = time.perf_counter() - started

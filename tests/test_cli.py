@@ -115,6 +115,9 @@ def test_unknown_experiment_rejected():
         ({"params": {"k": float("nan")}}, "params.k"),
         ({"d2_beta": [1.0, float("inf")]}, "d2_beta"),
         ({"initial": {"mode": 10**400}}, "initial.mode"),
+        # an unknown key is an error at any depth
+        ({"grid": {"points": 64}}, "grid.points"),
+        ({"time": {"steps": 5}}, "time.steps"),
     ],
 )
 def test_validation_names_the_offending_field(patch, field):
@@ -199,6 +202,23 @@ def test_malformed_config_document_exit_2_without_traceback(tmp_path, document, 
     assert not list(tmp_path.rglob("summary.json"))
 
 
+def test_a_field_left_out_takes_the_experiments_default():
+    # from_dict reads a dict over the experiment's defaults, as the command
+    # line does
+    for kind in experiments.EXPERIMENT_KINDS:
+        full = ExperimentConfig.from_dict(default_config(kind))
+        assert ExperimentConfig.from_dict({"experiment": kind}).echo() == full.echo()
+
+
+def test_a_document_naming_another_experiment_exits_2(tmp_path, capsys):
+    # `kdvlab kdv` with a micro document used to run the micro experiment
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, "c.json", {"experiment": "micro", "output_dir": str(out)})
+    assert main(["kdv", "--config", cfg]) == 2
+    assert "invalid configuration: experiment: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eps_list_must_strictly_decrease():
     cfg = default_config("converge")
     cfg["eps_list"] = [0.1, 0.2]
@@ -229,8 +249,8 @@ def test_a_field_the_experiment_does_not_read_exits_2(tmp_path, capsys, experime
 
 def test_a_field_added_to_one_experiments_defaults_needs_no_other_edit(monkeypatch):
     # the defaults are the one config table: a new field in the soliton
-    # defaults is accepted (given or defaulted) and echoed there, and a
-    # config error naming it in every other experiment
+    # defaults is accepted (given or defaulted) and echoed there, and an
+    # unknown field in every other experiment
     monkeypatch.setitem(experiments._DEFAULTS, "soliton",
                         dict(experiments._DEFAULTS["soliton"], probe=2.5))
     assert ExperimentConfig.from_dict(default_config("soliton")).echo()["probe"] == 2.5
@@ -239,7 +259,7 @@ def test_a_field_added_to_one_experiments_defaults_needs_no_other_edit(monkeypat
     for kind in experiments.EXPERIMENT_KINDS:
         if kind != "soliton":
             assert "probe" not in ExperimentConfig.from_dict(default_config(kind)).echo()
-            with pytest.raises(ConfigError, match=f"^probe: read only by soliton, not by {kind}$"):
+            with pytest.raises(ConfigError, match="^probe: unknown configuration field$"):
                 ExperimentConfig.from_dict(dict(default_config(kind), probe=2.5))
 
 
@@ -642,6 +662,20 @@ def test_hyperbolic_breakdown_matches_characteristics(tmp_path):
     assert 0 < summary["timings"]["kdv_steps_taken"] < 2000
 
 
+def test_hyperbolic_non_finite_step_is_no_breakdown(tmp_path):
+    # at amplitude 1e100 the first step overflows: the run aborts non-finite,
+    # which is no gradient breakdown, and the summary names the abort
+    cfg = dict(default_config("hyperbolic"), output_dir=str(tmp_path / "out"))
+    cfg["initial"]["amplitude"] = 1e100
+    cfg["time"]["dt"] = 0.25
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["hyperbolic", "--config", _write_config(tmp_path, "cfg.json", cfg)]) == 1
+    summary = _summary(tmp_path / "out")
+    assert not _assertion_map(summary)["breakdown_detected"]["pass"]
+    assert summary["timings"]["gradient_checks"] == 1
+    assert summary["timings"]["aborts"]["kdv"]["abort_reason"] != "gradient blow-up"
+
+
 def test_hyperbolic_soliton_control_reports_no_breakdown(tmp_path):
     cfg = _write_config(
         tmp_path, "cfg.json",
@@ -681,6 +715,21 @@ def test_soliton_speed_the_grid_cannot_hold_exits_2_without_traceback(tmp_path, 
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)))
     assert out.returncode == 2
     assert "speed" in out.stderr and "Traceback" not in out.stderr
+
+
+def test_a_config_error_leaves_no_earlier_summary(tmp_path, capsys):
+    # a soliton too fast for its step fails with a summary; a soliton the
+    # grid cannot hold, run into the same directory, is a config error and
+    # must not leave that summary behind as its own
+    out = tmp_path / "out"
+    fast = _write_config(tmp_path, "fast.json", {"output_dir": str(out), "speed": 64.0})
+    assert main(["soliton", "--config", fast]) == 1
+    assert (out / "summary.json").exists()
+    wide = _write_config(tmp_path, "wide.json", {
+        "output_dir": str(out), "speed": 4.0, "grid": {"n": 512, "length": 4 * np.pi}})
+    assert main(["soliton", "--config", wide]) == 2
+    assert "invalid configuration: speed: " in capsys.readouterr().err
+    assert not (out / "summary.json").exists() and not (out / "timings.json").exists()
 
 
 def test_summary_schema(tmp_path):

@@ -380,7 +380,7 @@ def test_limit_run_maps_back_to_raw_oracle_steps(kind, params):
     raw.update(preset=kind, params=params, grid={"n": 64, "length": 2 * np.pi},
                time={"t_final": 0.3, "dt": 1e-3, "snapshots": 4})
     cfg = ExperimentConfig.from_dict(raw)
-    geom = preset(cfg.kind, cfg.params)[0]
+    geom = preset(cfg.preset_name, cfg.params)[0]
     model, grid = limit_equation(geom), cfg.make_grid()
     A0 = 0.3 * np.stack([(-0.5) ** i * np.cos(grid.x) for i in range(model.dim)])
     traj = evolve_kdv(model, A0, grid, cfg.t_final, cfg.dt, n_snapshots=cfg.snapshots)

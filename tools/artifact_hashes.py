@@ -1,4 +1,5 @@
-"""Hash the artifacts of the benchmark's experiments and of the CLI defaults.
+"""Hash the artifacts of the benchmark's experiments, of the CLI defaults and
+of the fixed config corpus.
 
 Usage::
 
@@ -6,12 +7,15 @@ Usage::
 
 ROOT is a kdvlab checkout.  Its ``src`` is imported, and the runs are the
 experiments of every workload in its ``perfbench/workloads.py`` at seed 0,
-then the default config of each of the six experiment kinds, each run
-through the command line into a temporary directory.  OUT receives one JSON
-document that maps each run to its exit status and the sha256 of every CSV
-file and ``summary.json`` it wrote (``timings.json`` holds wall-clock times
-and is left out).  Two checkouts write byte-identical artifacts with the
-same statuses exactly when their OUT files are equal::
+then the default config of each of the six experiment kinds, then the fixed
+configs of the test corpus (``corpus(extra=0)`` of ``tests/test_corpus.py``,
+taken from this tool's own checkout, so that two checkouts run the same
+configs), each run through the command line into a temporary directory.
+OUT receives one JSON document that maps each run to its exit status and
+the sha256 of every CSV file and ``summary.json`` it wrote (``timings.json``
+holds wall-clock times and is left out).  Two checkouts write
+byte-identical artifacts with the same statuses exactly when their OUT
+files are equal::
 
     python3 tools/artifact_hashes.py ../parent old.json
     python3 tools/artifact_hashes.py . new.json
@@ -23,20 +27,34 @@ Nothing is written under ROOT.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import sys
 import tempfile
 from pathlib import Path
 
 
+CORPUS = Path(__file__).resolve().parent.parent / "tests" / "test_corpus.py"
+
+
+def _corpus():
+    """The fixed configs of the test corpus of this tool's checkout."""
+    spec = importlib.util.spec_from_file_location("kdvlab_corpus", CORPUS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.corpus(extra=0)
+
+
 def _runs(workloads, default_config, kinds):
     """(name, raw config) of every run: the workloads' experiments at seed 0,
-    then the default config of each experiment kind."""
+    the default config of each experiment kind, then the corpus."""
     for workload in workloads.WORKLOADS:
         for i, raw in enumerate(workloads.experiment_dicts(workload, 0, default_config)):
             yield f"{workload}/{i}-{raw['experiment']}", raw
     for kind in kinds:
         yield f"default/{kind}", default_config(kind)
+    for i, raw in enumerate(_corpus()):
+        yield f"corpus/{i:02d}-{raw['experiment']}", raw
 
 
 def main() -> int:
