@@ -249,7 +249,8 @@ class ExperimentConfig:
     an unknown field at any depth (the own fields of other experiments too),
     a key left out takes its default, and each leaf goes through its reader
     in ``_READERS``.  Each field is an attribute of its name, the fields of
-    ``grid`` and ``time`` too, and ``preset`` is ``preset_name``.
+    ``grid`` and ``time`` too, and ``preset`` is ``preset_name``.  A miura
+    config whose ``d2_alpha``/``d2_beta`` tensor overflows is a config error.
     """
 
     def __init__(self, fields: dict):
@@ -262,6 +263,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        _require(isinstance(raw, dict), "config", f"must be a mapping, got {raw!r}")
         cfg = cls(_read(raw, default_config(raw.get("experiment"))))
         try:
             _, spec = preset(cfg.preset_name, cfg.params)
@@ -273,6 +275,12 @@ class ExperimentConfig:
                      f"the limit run's {steps} steps (t_final/dt rounded, at least 1) "
                      f"must be a multiple of snapshots-1 = {cfg.snapshots - 1} so snapshot "
                      "times match between the limit run and the microscopic runs")
+        if cfg.experiment == "miura":
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    complex_q_d2(cfg.d2_alpha, cfg.d2_beta)
+            except ValueError as exc:
+                raise ConfigError(f"d2_alpha, d2_beta: {exc}") from None
         if spec.is_complex and cfg.experiment in ("micro", "converge"):
             (lo, hi), kmax = SPLIT_STEP_RANGE, np.pi * cfg.n / cfg.length
             for e in [cfg.eps] if cfg.experiment == "micro" else cfg.eps_list:
@@ -344,6 +352,11 @@ def _assertion(name: str, value: float, threshold: float, ok: bool) -> dict:
 
 def _at_most(name: str, value: float, threshold: float) -> dict:
     return _assertion(name, value, threshold, value <= threshold)
+
+
+def _completed(name: str, traj, t_final: float) -> dict:
+    """Whether a run reached ``t_final``: the share of it reached, at most 1."""
+    return _assertion(name, traj.times[-1] / t_final, 1.0, not traj.aborted)
 
 
 def _initial_field(cfg: ExperimentConfig, grid: Grid, dim: int) -> np.ndarray:
@@ -439,9 +452,7 @@ def _run_kdv(cfg: ExperimentConfig, outdir: Path):
     traj = evolve_kdv(model, A0, grid, cfg.t_final, cfg.dt, n_snapshots=cfg.snapshots)
 
     columns, rows = ["t"], [[t] for t in traj.times]
-    assertions = [
-        _assertion("run_completed", traj.times[-1] / cfg.t_final, 1.0, not traj.aborted)
-    ]
+    assertions = [_completed("run_completed", traj, cfg.t_final)]
     if model.canonical_q.is_zero:  # linear: against the exact flow of A
         A0_hat = np.fft.fft(A0, axis=-1)
         errors = []
@@ -507,11 +518,11 @@ def _well_prepared(cfg: ExperimentConfig, eps: float):
     """The spec, grid and well-prepared initial state of the config at eps;
     data that leave the model chart (or its modulus range) are a config
     error."""
-    geom, spec = preset(cfg.preset_name, cfg.params or None)
+    _, spec = preset(cfg.preset_name, cfg.params or None)
     grid = cfg.make_grid()
-    A0 = _initial_field(cfg, grid, geom.dim)
+    A0 = _initial_field(cfg, grid, spec.geometry.dim)
     try:
-        return spec, grid, well_prepared_init(spec, geom, A0, grid, eps)
+        return spec, grid, well_prepared_init(spec, A0, grid, eps)
     except ValueError as exc:
         raise ConfigError(f"initial.amplitude: {exc} (eps = {eps!r})") from None
 
@@ -537,7 +548,7 @@ def _run_micro(cfg: ExperimentConfig, outdir: Path):
     structure_name = "mass_drift_rel" if spec.is_complex else "unit_norm_deviation"
     in_chart = bool(series["in_chart"].all())
     assertions = [
-        _assertion("run_completed", traj.times[-1] / cfg.t_final, 1.0, not traj.aborted),
+        _completed("run_completed", traj, cfg.t_final),
         _at_most(structure_name, float(np.max(series["structure_dev"])), 1e-10),
         _assertion("stayed_in_chart", 1.0 if in_chart else 0.0, 1.0, in_chart),
     ]
@@ -599,8 +610,7 @@ def _run_converge(cfg: ExperimentConfig, outdir: Path):
     if kdv_traj.aborted:  # no limit reference to score the ε-runs against
         for eps in cfg.eps_list:  # data outside the chart stay a config error
             _well_prepared(cfg, eps)
-        assertions = [_assertion("limit_run_completed", kdv_traj.times[-1] / cfg.t_final, 1.0,
-                                 False)]
+        assertions = [_completed("limit_run_completed", kdv_traj, cfg.t_final)]
         return assertions, {"kdv_steps": kdv_traj.meta["steps"], **_aborts({"kdv": kdv_traj})}
     if cfg.workers > 1:
         from multiprocessing import Pool  # only parallel runs pay for this import
@@ -624,15 +634,11 @@ def _run_converge(cfg: ExperimentConfig, outdir: Path):
             vals = [r[key] for r in results]
             return max(b / a for a, b in zip(vals, vals[1:]))
 
+        assertions += [_assertion(name, r, 1.0, r < 1.0) for name, r in (
+            ("amplitude_error_strictly_decreasing", ratios("sup_err_amplitude")),
+            ("gradient_error_strictly_decreasing", ratios("sup_err_gradient")),
+            ("w_norm_decreasing", ratios("sup_w")))]
         assertions += [
-            _assertion("amplitude_error_strictly_decreasing",
-                       ratios("sup_err_amplitude"), 1.0,
-                       ratios("sup_err_amplitude") < 1.0),
-            _assertion("gradient_error_strictly_decreasing",
-                       ratios("sup_err_gradient"), 1.0,
-                       ratios("sup_err_gradient") < 1.0),
-            _assertion("w_norm_decreasing", ratios("sup_w"), 1.0,
-                       ratios("sup_w") < 1.0),
             _assertion("phase_within_chart",
                        max(r["max_eps_phi"] for r in results),
                        results[0]["chart_radius"],
@@ -656,7 +662,7 @@ def _run_soliton(cfg: ExperimentConfig, outdir: Path):
             "preset: the soliton experiment needs a preset with a nonzero "
             f"nonlinearity; {cfg.preset_name!r} has none"
         )
-    model = LimitModel(Q.dim, 1.0, Q)  # the canonical soliton, at unit scale
+    model = LimitModel(Q, 1.0)  # the canonical soliton, at unit scale
     grid = cfg.make_grid()
     u0 = _soliton(cfg, Q, grid)
     traj = evolve_kdv(model, u0, grid, cfg.t_final, cfg.dt, n_snapshots=cfg.snapshots)
@@ -669,7 +675,7 @@ def _run_soliton(cfg: ExperimentConfig, outdir: Path):
                 [[t, *drift, shape] for t, drift, shape in zip(traj.times, drifts, shapes)])
 
     assertions = [
-        _assertion("run_completed", traj.times[-1] / cfg.t_final, 1.0, not traj.aborted),
+        _completed("run_completed", traj, cfg.t_final),
         *checks,
         _at_most("shape_error", np.max(shapes), 1e-4),
     ]
@@ -700,7 +706,7 @@ def _run_miura(cfg: ExperimentConfig, outdir: Path):
 def _run_hyperbolic(cfg: ExperimentConfig, outdir: Path):
     Q = _scalar_q(cfg)
     grid = cfg.make_grid()
-    run_model = LimitModel(1, dispersion=cfg.delta, canonical_q=Q)
+    run_model = LimitModel(Q, cfg.delta)
     if cfg.initial["shape"] == "soliton":
         u0 = _soliton(cfg, Q, grid)
     else:
@@ -754,14 +760,20 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     Artifacts land in ``cfg.output_dir``: the experiment's CSV series,
     ``summary.json`` (configuration echo + assertions + work counters, byte
     deterministic) and ``timings.json`` (wall clock).  The status is 0 exactly
-    when every assertion passed.  The ``summary.json`` and ``timings.json``
-    of an earlier run are removed first, so a run that ends in a config
-    error leaves none.
+    when every assertion passed.  The artifacts of an earlier run of the
+    same experiment (``summary.json``, ``timings.json`` and its own series:
+    ``<experiment>_series.csv``, every ``converge_eps_*.csv`` for converge)
+    are removed first, so a run that ends in a config error leaves none and
+    a run over fewer ε leaves no stale series; no other file is touched.
     """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name in ("summary.json", "timings.json"):
-        (outdir / name).unlink(missing_ok=True)
+    stale = [outdir / name for name in ("summary.json", "timings.json",
+                                        f"{cfg.experiment}_series.csv")]
+    if cfg.experiment == "converge":
+        stale += outdir.glob("converge_eps_*.csv")
+    for path in stale:
+        path.unlink(missing_ok=True)
     started = time.perf_counter()
     assertions, counters = _RUNNERS[cfg.experiment](cfg, outdir)
     elapsed = time.perf_counter() - started

@@ -56,8 +56,8 @@ def extract_series(spec, values, grid, eps: float, phase_ref=None) -> HydroState
     ``phase_ref`` (a previous phi array, for a block the phi of the snapshot
     before it) selects the phase branch of the first state closest to it.
     """
-    phi, n, info = chart_extract(spec, values, eps, phase_ref=phase_ref)
-    return HydroState(grid, eps, phi, n, info["in_chart"])
+    phi, n, in_chart = chart_extract(spec, values, eps, phase_ref=phase_ref)
+    return HydroState(grid, eps, phi, n, in_chart)
 
 
 def _tangent_gradient(spec, h: HydroState, dphi) -> np.ndarray:
@@ -65,7 +65,7 @@ def _tangent_gradient(spec, h: HydroState, dphi) -> np.ndarray:
     from ``dphi`` = dx(phi) (returned itself on the circle charts)."""
     if spec.kind != "AF_CHAIN":  # DPhi is the identity on the circle charts
         return dphi
-    J = dphi_matrix(spec, h.phi, h.eps)
+    J = dphi_matrix(h.phi, h.eps)
     return np.einsum("...ijN,...jN->...iN", J, dphi)
 
 

@@ -58,16 +58,18 @@ class QTensor:
     """Fully symmetric trilinear coefficients c[i][j][k] = Q(e_i, e_j) . e_k.
 
     Input coefficients are symmetrized at construction; the symmetry defect of
-    the raw input is recorded in ``symmetry_defect``.
+    the raw input is recorded in ``symmetry_defect``.  Coefficients that are
+    not finite, or whose symmetrization overflows, raise ``ValueError``.
     """
 
     def __init__(self, coeffs):
         c = np.asarray(coeffs, dtype=float)
         if c.ndim != 3 or len(set(c.shape)) != 1:
             raise ValueError(f"coeffs must be (d,d,d), got {c.shape}")
-        if not np.isfinite(c).all():
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next
+            self.coeffs, self.symmetry_defect = symmetrize(c)
+        if not np.isfinite(self.coeffs).all():
             raise ValueError("QTensor coefficients must be finite")
-        self.coeffs, self.symmetry_defect = symmetrize(c)
         self.dim = c.shape[0]
 
     @property
@@ -112,21 +114,21 @@ class LimitModel:
 
     Parameters
     ----------
-    dim : int
+    canonical_q : QTensor
+        the nonlinearity; the model's ``dim`` is ``canonical_q.dim``.
     dispersion : float
         coefficient of dxxx in du/dt (limit models have 1; hyperbolic runs
         use 0).
-    canonical_q : QTensor
     scale : dict, optional
         {"time_factor": 8c, "amplitude": s} with u(tau, x) = s * A(8c*tau, x)
         for a limit model (:func:`~kdvlab.models.limit_equation`); 1 and 1
         otherwise, where A is u.  :func:`evolve_kdv` applies it.
     """
 
-    def __init__(self, dim: int, dispersion: float, canonical_q: QTensor, scale: dict | None = None):
-        self.dim = int(dim)
-        self.dispersion = float(dispersion)
+    def __init__(self, canonical_q: QTensor, dispersion: float, scale: dict | None = None):
         self.canonical_q = canonical_q
+        self.dim = canonical_q.dim
+        self.dispersion = float(dispersion)
         self.scale = dict(scale) if scale else {"time_factor": 1.0, "amplitude": 1.0}
 
     def __repr__(self):

@@ -56,7 +56,6 @@ from .grid import (Grid, Trajectory, _irfft, _NonFinite, _rfft, _run, _transform
                    rk4_factors, rk4_step, step_plan)
 from .models import (
     _MODULUS_RANGE,
-    GeometryData,
     MicroModelSpec,
     chart_assemble,
     chart_radius,
@@ -82,11 +81,7 @@ class MicroState:
     def __init__(self, spec: MicroModelSpec, grid: Grid, eps: float, values):
         if not 0.0 < eps <= 1.0:
             raise ValueError(f"eps must lie in (0, 1], got {eps}")
-        vals = np.asarray(values)
-        if vals.ndim == 1:
-            vals = vals[None, :]
-        want_complex = spec.is_complex
-        vals = vals.astype(np.complex128 if want_complex else np.float64, copy=False)
+        vals = np.asarray(values, dtype=np.complex128 if spec.is_complex else np.float64)
         if vals.shape[-2:] != (spec.n_components, grid.n_points):
             raise ValueError(
                 f"values must be (..., {spec.n_components}, {grid.n_points}), got {vals.shape}"
@@ -242,7 +237,7 @@ def _rhs_raw(vals, out, work):
 
 
 def dt_max(spec: MicroModelSpec, eps: float, grid: Grid) -> float:
-    """Largest admissible step for evolve_micro at this scaling and grid.
+    """Largest admissible step for a micro run at this scaling and grid.
 
     Although both split-step subflows are exact isometries, the composition
     develops high-wavenumber resonance instabilities.  The measured stability
@@ -439,8 +434,7 @@ def mass(spec: MicroModelSpec, values, grid: Grid):
 # ---------------------------------------------------------------------------
 
 
-def well_prepared_init(spec: MicroModelSpec, g: GeometryData, A0: np.ndarray, grid: Grid,
-                       eps: float) -> MicroState:
+def well_prepared_init(spec: MicroModelSpec, A0: np.ndarray, grid: Grid, eps: float) -> MicroState:
     """Microscopic initial state whose wave observable vanishes at the grid level.
 
     Solves (c + i0B0) DΦ(0) ∂x φ₀ = A₀ with a spectral antiderivative and
@@ -448,6 +442,7 @@ def well_prepared_init(spec: MicroModelSpec, g: GeometryData, A0: np.ndarray, gr
     assembled through the model chart.  A₀ must be real (d, N) samples on
     ``grid``, componentwise zero-mean (φ₀ could not be periodic otherwise).
     """
+    g = spec.geometry
     if A0.shape != (g.dim, grid.n_points):
         raise ValueError(f"A0 must be {(g.dim, grid.n_points)}, got {A0.shape}")
     if np.iscomplexobj(A0):

@@ -149,13 +149,6 @@ class MicroModelSpec:
             "AF_CHAIN": 6,
         }[self.kind]
 
-    @property
-    def dim(self) -> int:
-        """Dimension of the limit profile (tangent coordinates)."""
-        return {"GP_SCALAR": 1, "GP_COUPLED": 2, "LL_EASY_PLANE": 1, "LL_EASY_CONE": 1, "AF_CHAIN": 2}[
-            self.kind
-        ]
-
     def __repr__(self):
         return f"MicroModelSpec({self.kind}, {self.params})"
 
@@ -289,7 +282,7 @@ def limit_equation(geom: GeometryData) -> LimitModel:
             f"antisymmetric in its arguments {anti:.3g}, symmetry defect of Q "
             f"{Q.symmetry_defect:.3g})"
         )
-    return LimitModel(geom.dim, 1.0, Q, scale={"time_factor": 8.0 * geom.c, "amplitude": s})
+    return LimitModel(Q, 1.0, scale={"time_factor": 8.0 * geom.c, "amplitude": s})
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +309,8 @@ def normal_coupling(spec: MicroModelSpec) -> np.ndarray:
     -Gamma x per sublattice for the antiferromagnet (opposite exchange sign).
     """
     if spec.kind in ("LL_EASY_PLANE", "LL_EASY_CONE"):
-        return np.eye(spec.dim)
-    return -np.eye(spec.dim)
+        return np.eye(spec.geometry.dim)
+    return -np.eye(spec.geometry.dim)
 
 
 def _unwrap_periodic(raw: np.ndarray):
@@ -325,36 +318,22 @@ def _unwrap_periodic(raw: np.ndarray):
     periodic closure (nonzero winding means the state is not chart-valued).
 
     The unwrapped angles are those of ``np.unwrap(raw, axis=-1)``, bit for
-    bit: each sample after the first gets the cumulative sum of the
-    corrections of the jumps up to it (differences d with |d| >= pi, or
-    NaN), where the correction of a jump d is its remainder in [-pi, pi)
-    minus d (the remainder is +pi where a d > 0 maps onto -pi, d = pi among
-    them).  Over the whole
-    array only the differences and the jump test are made; the corrections
-    and their cumulative sum are made for the rows that have a jump.  A row
-    without one, the usual case for a state in its chart, gets raw + 0.0
-    (-0.0 becomes +0.0), and the first sample is kept as it is.  The result
-    is C-contiguous whatever the layout of ``raw``, so the rows with a jump
-    are written through a view of it.
+    bit.  Only the rows with a jump (a difference d with |d| >= pi, or NaN)
+    go through ``np.unwrap``; a row without one, the usual case for a state
+    in its chart, gets raw + 0.0 (-0.0 becomes +0.0) with its first sample
+    kept as it is.  The jump test is reduced per row before the result is
+    allocated, so the full-size differences are gone by then.  The result is
+    C-contiguous whatever the layout of ``raw``.
     """
+    n = raw.shape[-1]
     dd = raw[..., 1:] - raw[..., :-1]
-    smooth = np.abs(dd) < np.pi
+    jump = ~(np.abs(dd, out=dd) < np.pi).all(axis=-1)
+    del dd
     unwrapped = np.add(raw, 0.0, order="C")
     unwrapped[..., 0] = raw[..., 0]
-    if not smooth.all():
-        n = raw.shape[-1]
-        jumps = ~smooth.reshape(-1, n - 1)
-        rows = np.flatnonzero(jumps.any(axis=-1))
-        at = jumps[rows]
-        d = dd.reshape(-1, n - 1)[rows][at]
-        low = -np.pi
-        wrapped = np.mod(d - low, 2.0 * np.pi) + low
-        wrapped[(wrapped == low) & (d > 0)] = np.pi
-        correction = np.zeros(at.shape)
-        correction[at] = wrapped - d
-        np.cumsum(correction, axis=-1, out=correction)
-        out = unwrapped.reshape(-1, n)
-        out[rows, 1:] = np.reshape(raw, (-1, n))[rows, 1:] + correction
+    if jump.any():
+        rows = np.flatnonzero(jump)
+        unwrapped.reshape(-1, n)[rows] = np.unwrap(np.reshape(raw, (-1, n))[rows], axis=-1)
     closure = unwrapped[..., -1] - unwrapped[..., 0]
     seam = np.angle(np.exp(1j * (raw[..., 0] - raw[..., -1])))
     winding = np.rint((closure + seam) / (2.0 * np.pi)).astype(int)
@@ -387,7 +366,7 @@ def chart_assemble(spec: MicroModelSpec, phi: np.ndarray, n: np.ndarray, eps: fl
     """Microscopic state from chart coordinates phi, n of shape (dim, N)."""
     phi = np.atleast_2d(np.asarray(phi, dtype=float))
     n = np.atleast_2d(np.asarray(n, dtype=float))
-    d = spec.dim
+    d = spec.geometry.dim
     if phi.shape != n.shape or phi.shape[0] != d:
         raise ValueError(f"phi and n must both have shape ({d}, N), got {phi.shape}, {n.shape}")
     kind = spec.kind
@@ -408,12 +387,12 @@ def chart_assemble(spec: MicroModelSpec, phi: np.ndarray, n: np.ndarray, eps: fl
 
 
 def chart_extract(spec: MicroModelSpec, state: np.ndarray, eps: float, phase_ref=None):
-    """Chart coordinates (phi, n, info) of a microscopic state (m, N), or of
-    a run of snapshots (S, m, N) at once; phi and n are (..., d, N).
+    """Chart coordinates (phi, n, in_chart) of a microscopic state (m, N), or
+    of a run of snapshots (S, m, N) at once; phi and n are (..., d, N).
 
-    ``info["in_chart"]`` is a boolean per state (radial/tilt range and zero
-    winding); the circle charts also report the per-row ``winding``.  The
-    phase branch is continued along the snapshot axis, and ``phase_ref`` (a
+    ``in_chart`` is a boolean per state (radial/tilt range and zero winding;
+    :func:`_unwrap_periodic` gives the winding of each row).  The phase
+    branch is continued along the snapshot axis, and ``phase_ref`` (a
     previous phi array) selects the branch of the first snapshot that stays
     closest to it, for continuity across calls.
     """
@@ -428,13 +407,13 @@ def chart_extract(spec: MicroModelSpec, state: np.ndarray, eps: float, phase_ref
         r -= 1.0  # in place: r becomes n, eps_phi becomes phi
         r /= eps**2
         eps_phi /= eps
-        return eps_phi, r, {"in_chart": in_chart, "winding": winding}
+        return eps_phi, r, in_chart
     if kind == "LL_EASY_PLANE":
         tilt = np.arcsin(np.clip(state[..., 2, :], -1.0, 1.0))
         eps_phi, winding = _unwrap_periodic(np.arctan2(state[..., 1, :], state[..., 0, :]))
         eps_phi = _apply_phase_ref(eps_phi[..., None, :], phase_ref, eps, 2.0 * np.pi)
         in_chart = (np.max(np.abs(tilt), axis=-1) < 0.5 * np.pi * (1.0 - 1e-9)) & (winding == 0)
-        return eps_phi / eps, (tilt / eps**2)[..., None, :], {"in_chart": in_chart, "winding": winding}
+        return eps_phi / eps, (tilt / eps**2)[..., None, :], in_chart
     if kind == "LL_EASY_CONE":
         theta0 = float(spec.params["theta0"])
         theta = np.arccos(np.clip(state[..., 2, :], -1.0, 1.0))
@@ -444,22 +423,20 @@ def chart_extract(spec: MicroModelSpec, state: np.ndarray, eps: float, phase_ref
         in_chart = ((np.min(theta, axis=-1) > 1e-9) & (np.max(theta, axis=-1) < np.pi * (1.0 - 1e-9))
                     & (winding == 0))
         n = ((theta - theta0) / eps**2)[..., None, :]
-        return eps_phi / eps, n, {"in_chart": in_chart, "winding": winding}
+        return eps_phi / eps, n, in_chart
     if kind == "AF_CHAIN":
         return _af_extract(state, eps)
     raise ValueError(kind)  # pragma: no cover
 
 
-def dphi_matrix(spec: MicroModelSpec, phi: np.ndarray, eps: float) -> np.ndarray:
-    """Coordinate matrix of D(Phi) at eps*phi in the transported frames, shape
-    (..., d, d, N) for phi (..., d, N).  Identity for the circle-valued
-    charts; the two-sphere chart of the antiferromagnet picks up the radial
-    Jacobi factor sin(r)/r."""
+def dphi_matrix(phi: np.ndarray, eps: float) -> np.ndarray:
+    """Coordinate matrix of D(Phi) at eps*phi in the transported frames of the
+    antiferromagnet's two-sphere chart, shape (..., 2, 2, N) for phi
+    (..., 2, N): the radial direction is kept and the transverse one picks
+    up the Jacobi factor sin(r)/r, r = eps|phi|/sqrt(2).  On the
+    circle-valued charts of the other families D(Phi) is the identity."""
     phi = np.atleast_2d(np.asarray(phi, dtype=float))
-    d = spec.dim
-    eye = np.eye(d)[:, :, None]
-    if spec.kind != "AF_CHAIN":
-        return np.broadcast_to(eye, phi.shape[:-2] + (d, d, phi.shape[-1])).copy()
+    eye = np.eye(2)[:, :, None]
     norm = np.sqrt(np.sum(phi**2, axis=-2))
     jac = np.sinc(eps * norm / np.sqrt(2.0) / np.pi)
     hat = phi / np.where(norm > 0, norm, 1.0)[..., None, :]
@@ -533,4 +510,4 @@ def _af_extract(state: np.ndarray, eps: float):
     n = np.stack([n3, -np.sum(np.multiply(Y, f2, out=f2), axis=-2)], axis=-2)
     n *= np.sqrt(2.0) / eps**2
     in_chart = (np.min(mid_norm, axis=(-2, -1)) > 1e-6) & (np.max(dist, axis=-1) < np.pi * (1.0 - 1e-9))
-    return eps_phi, n, {"in_chart": in_chart}
+    return eps_phi, n, in_chart

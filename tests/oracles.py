@@ -201,7 +201,7 @@ def linearize_rhs(spec, grid, eps, h=1e-4):
     is column r of every S(κ) at once), combined by the fourth-order central
     difference, which is exact for the right-hand sides (polynomials of
     degree at most 5 in the state, 4 with gamma = 0) up to rounding."""
-    d, n = spec.dim, grid.n_points
+    d, n = spec.geometry.dim, grid.n_points
     background = chart_assemble(spec, np.zeros((d, n)), np.zeros((d, n)), eps)
     base = np.concatenate([background.real, background.imag]) if spec.is_complex else background
     m = len(base)
@@ -231,7 +231,7 @@ def tangent_gradient(spec, h):
     ``h.phi``."""
     X = h.grid.diff(h.phi)
     if spec.kind == "AF_CHAIN":  # DPhi is the identity on the circle charts
-        X = np.einsum("...ijN,...jN->...iN", dphi_matrix(spec, h.phi, h.eps), X)
+        X = np.einsum("...ijN,...jN->...iN", dphi_matrix(h.phi, h.eps), X)
     return X
 
 
@@ -498,9 +498,9 @@ def _triplet(spec, traj, idx):
     prev_vals, next_vals = (_neighbour(spec, traj, vals, h) for h in (-traj.dt, traj.dt))
     cur = extract_series(spec, vals, traj.grid, traj.eps)
     ref = cur.phi
-    phi_p, n_p, info_p = chart_extract(spec, prev_vals, traj.eps, phase_ref=ref)
-    phi_n, n_n, info_n = chart_extract(spec, next_vals, traj.eps, phase_ref=ref)
-    if not (cur.valid and info_p["in_chart"] and info_n["in_chart"]):
+    phi_p, n_p, in_chart_p = chart_extract(spec, prev_vals, traj.eps, phase_ref=ref)
+    phi_n, n_n, in_chart_n = chart_extract(spec, next_vals, traj.eps, phase_ref=ref)
+    if not (cur.valid and in_chart_p and in_chart_n):
         return None
     return (phi_p, n_p), cur, (phi_n, n_n)
 

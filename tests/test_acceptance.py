@@ -77,7 +77,7 @@ def condensate_residuals():
     for eps in (0.2, 0.1):
         cap = dt_max(spec, eps, grid)
         steps = int(np.ceil(T / (cap / 8.0) / 10.0)) * 10
-        s0 = well_prepared_init(spec, geom, A0, grid, eps)
+        s0 = well_prepared_init(spec, A0, grid, eps)
         traj = record_micro(spec, s0, T=T, dt=T / steps, n_snapshots=11)
         assert not traj.aborted
         out[eps] = {
@@ -154,7 +154,7 @@ def test_criterion_02_dispersion_exactness():
 def test_criterion_03_soliton_conservation():
     # the canonical soliton solves the canonical equation, a unit-scale model
     Q = limit_equation(preset("GP_SCALAR")[0]).canonical_q
-    model = LimitModel(1, 1.0, canonical_q=Q)
+    model = LimitModel(Q, 1.0)
     z = find_fixed_point(Q)[0]
     grid = Grid(512, 16 * np.pi)
     u0 = build_soliton(SolitonSpec(speed=4.0, direction=z, q_tensor=Q), grid)

@@ -392,7 +392,7 @@ def test_soliton_transit_preserves_shape():
     # one full domain transit of the canonical scalar-condensate soliton,
     # under the unit-scale model of the canonical equation it solves
     Q = limit_equation(preset("GP_SCALAR")[0]).canonical_q
-    model = LimitModel(1, 1.0, canonical_q=Q)
+    model = LimitModel(Q, 1.0)
     z = find_fixed_point(Q)[0]
     grid = Grid(512, 16 * np.pi)
     speed = 4.0

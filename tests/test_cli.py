@@ -720,16 +720,68 @@ def test_soliton_speed_the_grid_cannot_hold_exits_2_without_traceback(tmp_path, 
 def test_a_config_error_leaves_no_earlier_summary(tmp_path, capsys):
     # a soliton too fast for its step fails with a summary; a soliton the
     # grid cannot hold, run into the same directory, is a config error and
-    # must not leave that summary behind as its own
+    # must not leave that summary, or that series, behind as its own
     out = tmp_path / "out"
     fast = _write_config(tmp_path, "fast.json", {"output_dir": str(out), "speed": 64.0})
     assert main(["soliton", "--config", fast]) == 1
-    assert (out / "summary.json").exists()
+    assert (out / "summary.json").exists() and (out / "soliton_series.csv").exists()
     wide = _write_config(tmp_path, "wide.json", {
         "output_dir": str(out), "speed": 4.0, "grid": {"n": 512, "length": 4 * np.pi}})
     assert main(["soliton", "--config", wide]) == 2
     assert "invalid configuration: speed: " in capsys.readouterr().err
     assert not (out / "summary.json").exists() and not (out / "timings.json").exists()
+    assert not (out / "soliton_series.csv").exists()
+
+
+def test_a_converge_rerun_over_fewer_eps_leaves_no_stale_series(tmp_path):
+    # a 2-eps run into the directory of a 3-eps run removes the third
+    # series, and no file that is not its own
+    out = tmp_path / "out"
+    base = {
+        "output_dir": str(out),
+        "grid": {"n": 128, "length": 8 * np.pi},
+        "time": {"t_final": 0.1, "dt": 1e-3, "snapshots": 6},
+    }
+    three = dict(base, eps_list=[0.4, 0.2, 0.1])
+    assert main(["converge", "--config", _write_config(tmp_path, "3.json", three)]) in (0, 1)
+    assert (out / "converge_eps_0.1.csv").exists()
+    others = ["soliton_series.csv", "converge.csv", "notes.txt"]
+    for name in others:
+        (out / name).write_text("kept\n")
+    two = dict(base, eps_list=[0.4, 0.2])
+    assert main(["converge", "--config", _write_config(tmp_path, "2.json", two)]) in (0, 1)
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["converge_eps_0.4.csv", "converge_eps_0.2.csv", "summary.json", "timings.json"] + others)
+
+
+@pytest.mark.parametrize("d2", [{"d2_alpha": 1e308, "d2_beta": 1e308},
+                                {"d2_alpha": [1e308, 1e308]}])
+def test_d2_coefficients_whose_tensor_overflows_exit_2(tmp_path, capsys, d2):
+    # finite d2_* whose tensor overflows: a config error naming them, and no
+    # summary, not a traceback
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, "c.json", dict(d2, output_dir=str(out)))
+    assert main(["miura", "--config", cfg]) == 2
+    assert "invalid configuration: d2_alpha, d2_beta: " in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("alpha,beta", [([345.6, 821.6], 330.4), (1e200, 3e2)])
+def test_large_finite_d2_coefficients_run_to_a_summary(tmp_path, alpha, beta):
+    # the tensor's symmetry is checked relative to its size: large d2_*,
+    # whose tensor rounds to an absolute symmetry defect above 1e-13, run
+    # the miura experiment to a summary
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, "c.json", {"output_dir": str(out), "d2_alpha": alpha,
+                                             "d2_beta": beta, "time": {"t_final": 0.01}})
+    with np.errstate(over="ignore", invalid="ignore"):  # the d2 condition overflows at 1e200
+        assert main(["miura", "--config", cfg]) in (0, 1)
+    assert (out / "summary.json").exists()
+
+
+def test_a_config_that_is_not_a_mapping_is_a_config_error():
+    with pytest.raises(ConfigError, match="^config: must be a mapping"):
+        ExperimentConfig.from_dict([1])
 
 
 def test_summary_schema(tmp_path):

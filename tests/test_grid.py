@@ -102,7 +102,7 @@ def test_numpy_fft_fallback_gives_identical_runs(monkeypatch):
         for kind, params in (("GP_SCALAR", None), ("GP_COUPLED", None), ("LL_EASY_PLANE", None),
                              ("LL_EASY_CONE", {"alpha": 1.0, "theta0": 1.0}), ("AF_CHAIN", None)):
             geom, spec = preset(kind, params)
-            s0 = well_prepared_init(spec, geom, A0[:geom.dim], grid, 0.2)
+            s0 = well_prepared_init(spec, A0[:geom.dim], grid, 0.2)
             out.append(s0.values)
             evolve_micro(spec, s0, 5e-4, 1e-4, n_snapshots=6,
                          consume=lambda times, block: out.append(block.copy()))
@@ -112,7 +112,7 @@ def test_numpy_fft_fallback_gives_identical_runs(monkeypatch):
                           n_snapshots=6)
         out += list(traj.meta["snapshots"])
         v0 = A0[:1]
-        traj = evolve_kdv(LimitModel(1, 1.0, canonical_q=QTensor([[[0.7]]])), v0, grid, 5e-3,
+        traj = evolve_kdv(LimitModel(QTensor([[[0.7]]]), 1.0), v0, grid, 5e-3,
                           1e-3, n_snapshots=6)
         discrepancy, aborted = miura_crosscheck(QTensor([[[0.7]]]), v0, grid, 5e-3, 1e-3,
                                                 n_snapshots=6)
@@ -625,7 +625,7 @@ def test_ifrk4_step_matches_oracle_step_property(seed, n, dim, form):
         Q = QTensor(tensor)
         symbol, nonlin, oracle = grid.rsymbol(3), _mkdv_nonlinear(Q, grid), mkdv_nonlinear(Q, grid)
     else:
-        model = LimitModel(dim, rng.uniform(-2, 2), canonical_q=QTensor(tensor))
+        model = LimitModel(QTensor(tensor), rng.uniform(-2, 2))
         oracle = canonical_nonlinear(model.canonical_q, grid)
         symbol, nonlin = _linear_symbol(model, grid), _nonlinear_rhs(model, grid)
     e_half = np.exp(symbol * (dt / 2.0))

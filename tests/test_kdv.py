@@ -29,7 +29,7 @@ from oracles import advance_linear, ifrk4_step, raw_nonlinear
 
 
 def canonical_scalar(q=1.0, dispersion=1.0):
-    return LimitModel(1, dispersion, canonical_q=QTensor([[[q]]]))
+    return LimitModel(QTensor([[[q]]]), dispersion)
 
 
 def kdv_rhs(model, u, grid):
@@ -220,7 +220,7 @@ def test_kdv_rhs_matches_full_fft_formula_property(seed, log_n, dim):
     spec[:, : kmax + 1] = rng.normal(size=(dim, kmax + 1)) + 1j * rng.normal(size=(dim, kmax + 1))
     spec[:, n // 2] = rng.normal(size=dim)
     u = np.fft.irfft(spec, n) * rng.uniform(0.5, 4.0)
-    model = LimitModel(dim, rng.uniform(-2, 2), canonical_q=QTensor(rng.normal(size=(dim,) * 3)))
+    model = LimitModel(dispersion=rng.uniform(-2, 2), canonical_q=QTensor(rng.normal(size=(dim,) * 3)))
     got = kdv_rhs(model, u, grid)
     want = _full_fft_kdv_rhs(model, u, grid)
     assert np.max(np.abs(got - want)) <= 1e-12 * float(np.max(np.abs(want)))
@@ -311,7 +311,7 @@ def test_ifrk4_steps_allocate_only_the_new_state(monkeypatch, form, dim):
         start = lambda: kdv._evolve_ifrk4(grid.rsymbol(3), _mkdv_nonlinear(Q, grid), u0, grid, 0.2,
                                           1e-3, 5, 1)
     else:
-        start = lambda: evolve_kdv(LimitModel(dim, 1.0, canonical_q=QTensor(tensor)), u0, grid, 0.2,
+        start = lambda: evolve_kdv(LimitModel(QTensor(tensor), 1.0), u0, grid, 0.2,
                                    1e-3, 5)
     tracemalloc.start()
     try:
@@ -412,7 +412,7 @@ def _check_change_of_variables(model, A0, grid, T, dt, n_snapshots):
     f, s = model.scale["time_factor"], model.scale["amplitude"]
     steps, step = step_plan(T, dt)
     traj = evolve_kdv(model, A0, grid, T, dt, n_snapshots)
-    unit = evolve_kdv(LimitModel(model.dim, 1.0, canonical_q=model.canonical_q), s * A0, grid,
+    unit = evolve_kdv(LimitModel(model.canonical_q, 1.0), s * A0, grid,
                       T / f, step / f, n_snapshots)
     u = unit.meta["snapshots"]
     assert np.array_equal(traj.meta["canonical_snapshots"], u)

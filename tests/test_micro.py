@@ -50,7 +50,7 @@ def _condensate_init(kind, params, grid, eps):
     """Well-prepared condensate state; the two coupled components differ."""
     geom, spec = preset(kind, params)
     comps = [_bump(grid), -0.5 * _bump(grid, amp=0.2, width=1.0)][: geom.dim]
-    return spec, well_prepared_init(spec, geom, np.stack(comps), grid, eps)
+    return spec, well_prepared_init(spec, np.stack(comps), grid, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +71,7 @@ def _condensate_init(kind, params, grid, eps):
 def test_ground_states_are_static(kind, params):
     grid = Grid(64, 2 * np.pi)
     geom, spec = preset(kind, params)
-    state = well_prepared_init(spec, geom, np.zeros((geom.dim, 64)), grid, 0.2)
+    state = well_prepared_init(spec, np.zeros((geom.dim, 64)), grid, 0.2)
     assert np.max(np.abs(micro_rhs(spec, state.values, grid, 0.2))) <= TOL["ground"]
 
 
@@ -119,7 +119,7 @@ def test_normal_coupling_matches_chart_frames(kind, params):
     eps, h = 0.2, 1e-4
     grid = Grid(32, 2 * np.pi)
     _, spec = preset(kind, params)
-    d = spec.dim
+    d = spec.geometry.dim
     base = chart_assemble(spec, np.zeros((d, grid.n_points)), np.zeros((d, grid.n_points)), eps)
 
     def frame(a, coord):
@@ -158,7 +158,7 @@ def _slow_branch(spec, eps, grid, modes):
         lam, vec = np.linalg.eig(S[j])
         lam = lam + 1j * kappa * c / eps**2
         limit = -1j * kappa**3 / (8.0 * c)
-        yield kappa, lam, vec, limit, np.argsort(np.abs(lam - limit))[: spec.dim]
+        yield kappa, lam, vec, limit, np.argsort(np.abs(lam - limit))[: spec.geometry.dim]
 
 
 @pytest.mark.parametrize("kind,params", CONDENSATES + SPIN_KINDS)
@@ -184,7 +184,7 @@ def _chart_frames(spec, eps, h=1e-3):
     """The chart's linearization at its background as a real (m, 2d) matrix:
     columns dU/dphi_a, then dU/dn_a (chart_assemble is pointwise, so constant
     fields give it; fourth-order central differences)."""
-    d, frames = spec.dim, []
+    d, frames = spec.geometry.dim, []
     for coord in range(2):
         for a in range(d):
             step = np.zeros((2, d, 4))
@@ -207,7 +207,7 @@ def test_slow_eigenvectors_carry_no_wave_observable(kind, params):
     # (eps kappa/c)² is 0.088-0.125)
     grid = Grid(32, 8 * np.pi)
     geom, spec = preset(kind, params)
-    C, d = normal_coupling(spec), spec.dim
+    C, d = normal_coupling(spec), spec.geometry.dim
     for eps in (0.2, 0.1, 0.05):
         frames = _chart_frames(spec, eps)
         for kappa, _, vec, _, slow in _slow_branch(spec, eps, grid, (2, 4)):
@@ -241,7 +241,7 @@ def test_fast_eigenvalues_are_the_sound_branch(kind, params):
     # within 1e-17 c kappa/eps²
     grid = Grid(32, 8 * np.pi)
     geom, spec = preset(kind, params)
-    c, d = geom.c, spec.dim
+    c, d = geom.c, spec.geometry.dim
     gaps = {}
     for eps in (0.2, 0.1, 0.05):
         for kappa, lam, _, _, slow in _slow_branch(spec, eps, grid, (2, 4)):
@@ -269,13 +269,13 @@ def test_well_prepared_data_lie_on_the_slow_eigenspace(kind, params):
     # eps 1.9946-2.0000
     grid = Grid(32, 8 * np.pi)
     geom, spec = preset(kind, params)
-    c, d, modes = geom.c, spec.dim, (1, 2, 3, 4)
+    c, d, modes = geom.c, spec.geometry.dim, (1, 2, 3, 4)
     A0 = 1e-4 * np.stack([sum(np.cos(grid.wavenumbers[j] * grid.x + 0.7 * j + 1.3 * a)
                               for j in modes) for a in range(d)])
     shares = {}
     for eps in (0.2, 0.1, 0.05):
-        tangent = (well_prepared_init(spec, geom, A0, grid, eps).values
-                   - well_prepared_init(spec, geom, -A0, grid, eps).values) / 2.0
+        tangent = (well_prepared_init(spec, A0, grid, eps).values
+                   - well_prepared_init(spec, -A0, grid, eps).values) / 2.0
         coeffs = np.fft.rfft(_real_rows(tangent), axis=-1)
         for j, (kappa, _, vec, _, slow) in zip(modes, _slow_branch(spec, eps, grid, modes)):
             parts = np.linalg.solve(vec, coeffs[:, j])
@@ -293,7 +293,7 @@ def test_fused_spin_rhs_matches_reference(kind, params):
     grid = Grid(128, 8 * np.pi)
     geom, spec = preset(kind, params)
     A0 = np.stack([_bump(grid, width=1.0 + 0.5 * j) for j in range(geom.dim)])
-    vals = well_prepared_init(spec, geom, A0, grid, eps).values
+    vals = well_prepared_init(spec, A0, grid, eps).values
     got = micro_rhs(spec, vals, grid, eps)
     want = _reference_spin_rhs(spec, vals, grid, eps, 0.0)
     assert got.shape == want.shape == vals.shape
@@ -309,7 +309,7 @@ def test_workspace_spin_steps_match_allocating_rk4(kind, params):
     grid = Grid(128, 8 * np.pi)
     geom, spec = preset(kind, params)
     A0 = np.stack([_bump(grid, width=1.0 + 0.5 * j) for j in range(geom.dim)])
-    s0 = well_prepared_init(spec, geom, A0, grid, eps)
+    s0 = well_prepared_init(spec, A0, grid, eps)
     dt = dt_max(spec, eps, grid)
 
     def rhs(v):
@@ -406,7 +406,7 @@ def _init(kind, params, grid, eps):
     """Well-prepared state of any family, from one bump per limit component."""
     geom, spec = preset(kind, params)
     A0 = np.stack([_bump(grid, width=1.0 + 0.5 * j) for j in range(geom.dim)])
-    return spec, well_prepared_init(spec, geom, A0, grid, eps)
+    return spec, well_prepared_init(spec, A0, grid, eps)
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.1])
@@ -550,7 +550,7 @@ def test_gp_conservation_over_run():
     eps = 0.2
     grid = Grid(256, 8 * np.pi)
     geom, spec = preset("GP_SCALAR")
-    s0 = well_prepared_init(spec, geom, _bump(grid)[None, :], grid, eps)
+    s0 = well_prepared_init(spec, _bump(grid)[None, :], grid, eps)
     m0 = mass(spec, s0.values, grid)
     e0, p0 = micro_invariants(spec, s0.values, grid, eps)
     traj = record_micro(spec, s0, T=0.5, dt=0.5 / 693, n_snapshots=6)
@@ -586,7 +586,7 @@ def test_spin_chain_momentum_conserved(kind, params):
     eps = 0.2
     grid = Grid(256, 8 * np.pi)
     geom, spec = preset(kind, params)
-    s0 = well_prepared_init(spec, geom, 0.25 * _bump(grid)[None, :] / 0.3, grid, eps)
+    s0 = well_prepared_init(spec, 0.25 * _bump(grid)[None, :] / 0.3, grid, eps)
     _, p0 = micro_invariants(spec, s0.values, grid, eps)
     steps = {"LL_EASY_PLANE": 624, "LL_EASY_CONE": 576}[kind]  # a step just under dt_max
     traj = record_micro(spec, s0, T=0.3, dt=0.3 / steps, n_snapshots=4)
@@ -601,7 +601,7 @@ def test_ll_conserved_energy_variant():
     eps = 0.2
     grid = Grid(256, 8 * np.pi)
     geom, spec = preset("LL_EASY_PLANE")
-    s0 = well_prepared_init(spec, geom, 0.25 * _bump(grid)[None, :] / 0.3, grid, eps)
+    s0 = well_prepared_init(spec, 0.25 * _bump(grid)[None, :] / 0.3, grid, eps)
 
     def conserved(vals):
         dg = grid.diff(vals)
@@ -634,7 +634,7 @@ def test_af_conservation_and_stability():
     grid = Grid(128, 4 * np.pi)
     geom, spec = preset("AF_CHAIN")
     A0 = np.stack([_bump(grid, amp=0.2), -0.5 * _bump(grid, amp=0.2)])
-    s0 = well_prepared_init(spec, geom, A0, grid, eps)
+    s0 = well_prepared_init(spec, A0, grid, eps)
     e0, p0 = micro_invariants(spec, s0.values, grid, eps)
     size0 = np.linalg.norm(s0.values[1:3])
     traj = record_micro(spec, s0, T=0.5, dt=0.5 / 642, n_snapshots=6)
@@ -711,7 +711,7 @@ def test_split_step_stays_inside_resonance_threshold():
     geom, spec = preset("GP_SCALAR")
     kmax = np.max(np.abs(grid.wavenumbers))
     assert dt_max(spec, eps, grid) * (geom.c * kmax + 0.5 * eps * kmax**2) / eps**2 <= np.pi
-    s0 = well_prepared_init(spec, geom, _bump(grid)[None, :], grid, eps)
+    s0 = well_prepared_init(spec, _bump(grid)[None, :], grid, eps)
     traj = record_micro(spec, s0, T=0.5, dt=0.5 / 693, n_snapshots=3)
     assert not traj.aborted
     mod = np.abs(traj.values[-1])
@@ -814,7 +814,7 @@ def test_transforms_per_micro_step(fft_calls, kind, params):
     eps, grid = 0.2, Grid(64, 8 * np.pi)
     geom, spec = preset(kind, params)
     A0 = np.stack([_bump(grid, width=1.0 + 0.5 * j) for j in range(geom.dim)])
-    s0 = well_prepared_init(spec, geom, A0, grid, eps)
+    s0 = well_prepared_init(spec, A0, grid, eps)
     dt = 0.5 * dt_max(spec, eps, grid)
 
     def transforms(steps):
@@ -833,7 +833,7 @@ def test_transforms_per_micro_step(fft_calls, kind, params):
 def test_split_step_computes_one_rotation_factor_per_step(monkeypatch):
     grid = Grid(64, 2 * np.pi)
     geom, spec = preset("GP_SCALAR")
-    s0 = well_prepared_init(spec, geom, _bump(grid, width=0.5)[None, :], grid, 0.5)
+    s0 = well_prepared_init(spec, _bump(grid, width=0.5)[None, :], grid, 0.5)
     calls = []
     phase_factors = micro._phase_factors
 
@@ -855,7 +855,7 @@ def test_split_step_aborts_on_the_exact_non_finite_step(monkeypatch, half):
     # snapshot (the last step of the run here).
     grid = Grid(64, 2 * np.pi)
     geom, spec = preset("GP_SCALAR")
-    s0 = well_prepared_init(spec, geom, _bump(grid, width=0.5)[None, :], grid, 0.5)
+    s0 = well_prepared_init(spec, _bump(grid, width=0.5)[None, :], grid, 0.5)
     steps = 40
     bad_call, bad_step = [(1, 1), (8, 7)][half]
     calls = []
@@ -1091,7 +1091,7 @@ def test_snapshot_neighbors_give_centered_time_derivative():
     eps = 0.2
     grid = Grid(256, 8 * np.pi)
     geom, spec = preset("GP_SCALAR")
-    s0 = well_prepared_init(spec, geom, _bump(grid)[None, :], grid, eps)
+    s0 = well_prepared_init(spec, _bump(grid)[None, :], grid, eps)
     traj = record_micro(spec, s0, T=0.2, dt=0.2 / 278, n_snapshots=5)
     mid = len(traj.values) // 2
     prev, nxt = (next(stepper_states(spec, grid, eps, h, traj.values[mid]))
@@ -1120,7 +1120,7 @@ def test_well_prepared_rejects_nonzero_mean():
     grid = Grid(64, 2 * np.pi)
     geom, spec = preset("GP_SCALAR")
     with pytest.raises(ValueError, match="zero-mean"):
-        well_prepared_init(spec, geom, np.ones((1, 64)), grid, 0.2)
+        well_prepared_init(spec, np.ones((1, 64)), grid, 0.2)
 
 
 @pytest.mark.parametrize("A0,match", [
@@ -1134,7 +1134,7 @@ def test_well_prepared_rejects_data_of_wrong_shape_or_dtype(A0, match):
     grid = Grid(64, 2 * np.pi)
     geom, spec = preset("GP_SCALAR")
     with pytest.raises(ValueError, match=match):
-        well_prepared_init(spec, geom, A0, grid, 0.2)
+        well_prepared_init(spec, A0, grid, 0.2)
 
 
 def test_well_prepared_rejects_phase_outside_chart():
@@ -1142,7 +1142,7 @@ def test_well_prepared_rejects_phase_outside_chart():
     geom, spec = preset("GP_SCALAR")
     big = (3.0 * np.sin(grid.x / 4.0))[None, :]
     with pytest.raises(ValueError, match="chart"):
-        well_prepared_init(spec, geom, big, grid, 0.9)
+        well_prepared_init(spec, big, grid, 0.9)
 
 
 @pytest.mark.parametrize(
@@ -1163,9 +1163,9 @@ def test_well_prepared_chart_roundtrip(kind, params):
     if geom.dim == 2:
         comps.append(-0.5 * _bump(grid, amp=0.2))
     A0 = np.stack(comps)
-    state = well_prepared_init(spec, geom, A0, grid, eps)
-    phi, n, info = chart_extract(spec, state.values, eps)
-    assert info["in_chart"]
+    state = well_prepared_init(spec, A0, grid, eps)
+    phi, n, in_chart = chart_extract(spec, state.values, eps)
+    assert in_chart
     # n must match the amplitude coordinate -C A0 / (2 lam)
     n_ref = -(1.0 / (2.0 * geom.lam)) * normal_coupling(spec) @ A0
     assert np.max(np.abs(n - n_ref)) <= TOL["init_roundtrip"]
@@ -1181,10 +1181,10 @@ def test_well_prepared_chart_roundtrip(kind, params):
 def test_well_prepared_zero_data_gives_ground_state():
     grid = Grid(64, 2 * np.pi)
     geom, spec = preset("GP_SCALAR")
-    state = well_prepared_init(spec, geom, np.zeros((1, 64)), grid, 0.2)
+    state = well_prepared_init(spec, np.zeros((1, 64)), grid, 0.2)
     assert np.max(np.abs(state.values - 1.0)) == 0.0
     geom, spec = preset("AF_CHAIN")
-    state = well_prepared_init(spec, geom, np.zeros((2, 64)), grid, 0.2)
+    state = well_prepared_init(spec, np.zeros((2, 64)), grid, 0.2)
     staggered = np.tile([[1.0], [0.0], [0.0], [-1.0], [0.0], [0.0]], 64)
     assert np.max(np.abs(state.values - staggered)) <= 1e-15
 
@@ -1202,7 +1202,7 @@ def test_rescaled_run_matches_lab_frame_run():
     n, length = 256, 8 * np.pi
     grid = Grid(n, length)
     geom, spec = preset("GP_SCALAR")
-    s0 = well_prepared_init(spec, geom, _bump(grid)[None, :], grid, eps)
+    s0 = well_prepared_init(spec, _bump(grid)[None, :], grid, eps)
     traj = record_micro(spec, s0, T=T, dt=T / 70, n_snapshots=2)
     u_rescaled = traj.values[-1][0]
 

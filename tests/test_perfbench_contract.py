@@ -54,7 +54,7 @@ def test_traced_steps_and_trajectory_counters_resolve(monkeypatch):
         counted(module, name)
 
     grid = Grid(32, 2 * np.pi)
-    model = kdv.LimitModel(1, 1.0, canonical_q=kdv.QTensor([[[1.0]]]))
+    model = kdv.LimitModel(kdv.QTensor([[[1.0]]]), 1.0)
     traj = kdv.evolve_kdv(model, 0.1 * np.sin(grid.x)[None, :], grid, 0.01, 1e-3, n_snapshots=3)
     assert _trajectory_counts(traj) == {"steps": 10, "rhs_evals": 0, "aborts": 0}
     assert traj.meta["steps"] == calls["ifrk4_step"] == 10

@@ -105,7 +105,7 @@ def test_micro_steps_pass_no_scalar_to_a_ufunc(guarded, kind, params):
     g, eps = Grid(64, 8 * np.pi), 0.2
     geom, spec = preset(kind, params)
     A0 = np.stack([_bump(g, 1.0 + 0.5 * j) for j in range(geom.dim)])
-    s0 = well_prepared_init(spec, geom, A0, g, eps)
+    s0 = well_prepared_init(spec, A0, g, eps)
     dt = dt_max(spec, eps, g)
     traj = evolve_micro(spec, s0, 6 * dt, dt, n_snapshots=3, consume=lambda times, block: None)
     assert not traj.aborted and traj.meta["steps_taken"] == 6
@@ -118,7 +118,7 @@ def test_ifrk4_steps_pass_no_scalar_to_a_ufunc(guarded, form):
     if form == "gp_coupled":
         model = limit_equation(preset("gp_coupled")[0])
     else:
-        model = LimitModel(2, 1.0, canonical_q=QTensor(0.3 * np.ones((2, 2, 2))))
+        model = LimitModel(QTensor(0.3 * np.ones((2, 2, 2))), 1.0)
     u0 = 0.1 * np.stack([np.sin(g.x), np.cos(g.x)])
     if form == "mkdv":  # the run of the mKdV leg of miura_crosscheck
         traj = kdv._evolve_ifrk4(g.rsymbol(3), analysis._mkdv_nonlinear(model.canonical_q, g),
@@ -148,7 +148,7 @@ def test_canonical_ifrk4_step_ufunc_calls(counted):
     # 4 stages the pointwise product and the symbol product, and the
     # gradient guard a multiply, an absolute value and a maximum
     g = Grid(64, 2 * np.pi)
-    model = LimitModel(1, 1.0, canonical_q=QTensor([[[1.0]]]))
+    model = LimitModel(QTensor([[[1.0]]]), 1.0)
     u0 = 0.1 * np.sin(g.x)[None]
     runs = []
     for steps in (4, 8):

@@ -57,12 +57,10 @@ def _runs(workloads, default_config, kinds):
         yield f"corpus/{i:02d}-{raw['experiment']}", raw
 
 
-def main() -> int:
-    args = sys.argv[1:]
-    if len(args) != 2:
-        print("usage: python3 tools/artifact_hashes.py ROOT OUT", file=sys.stderr)
-        return 2
-    root, out = Path(args[0]).resolve(), Path(args[1])
+def _setup(root: Path):
+    """The ``workloads`` module of ROOT's ``perfbench`` and the ``cli`` and
+    ``experiments`` modules of ROOT's ``src``, imported with no bytecode
+    written."""
     sys.dont_write_bytecode = True  # leave no __pycache__ under ROOT
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
@@ -70,15 +68,31 @@ def main() -> int:
 
     if not Path(experiments.__file__).resolve().is_relative_to(root / "src"):
         raise SystemExit(f"kdvlab imported from {experiments.__file__}, not {root / 'src'}")
+    return workloads, cli, experiments
+
+
+def _run(cli, tmp: Path, name: str, raw: dict):
+    """Run one config through the command line into ``tmp/name``; returns
+    the exit status and the output directory."""
+    outdir = tmp / name
+    cfg = dict(raw, output_dir=str(outdir))
+    kind = cfg.pop("experiment")
+    path = tmp / f"{name.replace('/', '_')}.json"
+    path.write_text(json.dumps(cfg))
+    return cli.main([kind, "--config", str(path)]), outdir
+
+
+def main() -> int:
+    args = sys.argv[1:]
+    if len(args) != 2:
+        print("usage: python3 tools/artifact_hashes.py ROOT OUT", file=sys.stderr)
+        return 2
+    root, out = Path(args[0]).resolve(), Path(args[1])
+    workloads, cli, experiments = _setup(root)
     hashes = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, raw in _runs(workloads, experiments.default_config, experiments.EXPERIMENT_KINDS):
-            outdir = Path(tmp) / name
-            cfg = dict(raw, output_dir=str(outdir))
-            kind = cfg.pop("experiment")
-            path = Path(tmp) / f"{name.replace('/', '_')}.json"
-            path.write_text(json.dumps(cfg))
-            status = cli.main([kind, "--config", str(path)])
+            status, outdir = _run(cli, Path(tmp), name, raw)
             files = sorted(outdir.glob("*.csv")) + [outdir / "summary.json"]
             hashes[name] = {
                 "status": status,
