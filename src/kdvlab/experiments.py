@@ -58,7 +58,6 @@ _COMMON = {
     "params": {},
     "output_dir": "results",
     "workers": 1,
-    "initial": {"shape": "bump", "amplitude": 0.3, "width": 2.0, "mode": 1},
 }
 
 _DEFAULTS = {
@@ -72,12 +71,14 @@ _DEFAULTS = {
         "preset": "gp_scalar",
         "grid": {"n": 256, "length": 8 * np.pi},
         "time": {"t_final": 0.5, "dt": 1e-3, "snapshots": 11},
+        "initial": {"shape": "bump", "amplitude": 0.3, "width": 2.0, "mode": 1},
         "eps": 0.2,
     },
     "converge": {
         "preset": "gp_scalar",
         "grid": {"n": 256, "length": 8 * np.pi},
         "time": {"t_final": 0.5, "dt": 1e-3, "snapshots": 11},
+        "initial": {"shape": "bump", "amplitude": 0.3, "width": 2.0, "mode": 1},
         "eps_list": [0.2, 0.1, 0.05],
     },
     "soliton": {

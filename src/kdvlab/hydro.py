@@ -92,16 +92,17 @@ def almost_hamiltonian(spec, h: HydroState, dphi):
 
     Returns ``(H, W)``, both from one tangent gradient of ``dphi`` =
     dx(phi): H a float for one state and one value per snapshot of a block,
-    W the coordinate array (c + i0B0) DPhi dx(phi) + 2 lam C^T n shaped like
+    W the coordinate array (c + i0B0) DPhi dx(phi) + 2 lam s n shaped like
     ``h.phi``.  On the circle charts DPhi is the identity and ``dphi`` itself
     is overwritten with W, so a caller that needs dx(phi) reads it first.
     Here
 
         H = int [ lam |n|^2 + (1/4)|eps^2 dx n|^2 + (eps^2/3) F1(n,n).n
                   + (1/4)|S0 DPhi dx(phi)|^2
-                  + (c+iB)(DPhi dx(phi) + (eps^2/2) II(DPhi dx(phi), n)) . Cn ]
+                  + (c+iB)(DPhi dx(phi) + (eps^2/2) II(DPhi dx(phi), n)) . s n ]
 
-    with S0 = Id + eps^2 II(., n) and II(., n) the shape-operator correction.
+    with S0 = Id + eps^2 II(., n), II(., n) the shape-operator correction
+    and s the chart's normal sign (:func:`~kdvlab.models.normal_coupling`).
     H matches the leading term ||W||^2/(4 lam) up to O(eps^2); along a
     microscopic run it drifts by O(eps).  The contractions with the geometry
     tensors run over their nonzero entries (:func:`_contract`); for the
@@ -109,21 +110,21 @@ def almost_hamiltonian(spec, h: HydroState, dphi):
     """
     g = spec.geometry
     eps = h.eps
-    C = normal_coupling(spec)
+    s = normal_coupling(spec)
     n = h.n
     grid = h.grid
     density = g.lam * np.sum(np.square(n), axis=-2)
     tmp = grid.diff(n)  # one scratch array and in-place updates keep the block working set small
     density += 0.25 * eps**4 * np.sum(np.square(tmp, out=tmp), axis=-2)
-    f1_nu = -np.einsum("ijm,mk->ijk", g.f1, C)
+    f1_nu = -s * g.f1
     cubic, term = np.empty((2,) + density.shape)
     _contract(f1_nu, lambda i, j, k: (cubic, (n[..., i, :], n[..., j, :], n[..., k, :])), cubic, term)
     cubic *= eps**2 / 3.0
     density += cubic
     X = _tangent_gradient(spec, h, dphi)
-    Cn = C.T @ n
+    sn = s * n
     corr = np.empty(X.shape)
-    _contract(g.ii_perp, lambda i, j, m: (corr[..., j, :], (X[..., i, :], Cn[..., m, :])), corr, term)
+    _contract(g.ii_perp, lambda i, j, m: (corr[..., j, :], (X[..., i, :], sn[..., m, :])), corr, term)
     corr *= eps**2
     density += 0.25 * np.sum(np.square(np.add(X, corr, out=tmp), out=tmp), axis=-2)
     corr *= 0.5
@@ -131,13 +132,13 @@ def almost_hamiltonian(spec, h: HydroState, dphi):
     _contract(g.i0b0, lambda i, j: (tmp[..., i, :], (corr[..., j, :],)), tmp, term)
     corr *= g.c
     corr += tmp
-    corr *= Cn
+    corr *= sn
     density += np.sum(corr, axis=-2)
     _contract(g.i0b0, lambda i, j: (tmp[..., i, :], (X[..., j, :],)), tmp, term)
     X *= g.c  # X becomes W
     X += tmp
-    Cn *= 2.0 * g.lam
-    X += Cn
+    sn *= 2.0 * g.lam
+    X += sn
     return integrate(density, grid), X
 
 
@@ -177,7 +178,7 @@ def limit_error(spec, times, h: HydroState, w, kdv_traj: Trajectory) -> dict:
         )
 
     grid = h.grid
-    A = -2.0 * spec.geometry.lam * (normal_coupling(spec).T @ h.n)
+    A = -2.0 * spec.geometry.lam * (normal_coupling(spec) * h.n)
     a_limit = kdv_traj.meta["snapshots"][picks]  # a copy: the rows are shifted in place
     speed = spec.geometry.c / h.eps**2
     for row, t in zip(a_limit, t_micro):

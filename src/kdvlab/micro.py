@@ -88,30 +88,25 @@ class MicroState:
             )
         if not np.isfinite(vals).all():
             raise ValueError("state contains non-finite samples")
-        _check_pointwise(spec, vals, strict=True)
+        if (violation := _check_pointwise(spec, vals)) is not None:
+            raise ValueError(violation)
         self.grid = grid
         self.eps = float(eps)
         self.values = vals
 
 
-def _check_pointwise(spec, vals, strict=False):
+def _check_pointwise(spec, vals):
     """Return None if the pointwise state invariants hold, else a message
     (the comparisons are written so that a NaN sample violates them)."""
     if spec.is_complex:
         mod = np.abs(vals)
         lo, hi = float(mod.min()), float(mod.max())
         if not (_MODULUS_RANGE[0] <= lo and hi <= _MODULUS_RANGE[1]):
-            msg = f"modulus left [{_MODULUS_RANGE[0]}, {_MODULUS_RANGE[1]}]: range ({lo:.3g}, {hi:.3g})"
-            if strict:
-                raise ValueError(msg)
-            return msg
+            return f"modulus left [{_MODULUS_RANGE[0]}, {_MODULUS_RANGE[1]}]: range ({lo:.3g}, {hi:.3g})"
     else:
         dev = float(np.max(unit_norm_deviation(spec, vals)))
         if not dev <= _NORM_TOL:
-            msg = f"unit-norm deviation {dev:.3g} exceeds {_NORM_TOL}"
-            if strict:
-                raise ValueError(msg)
-            return msg
+            return f"unit-norm deviation {dev:.3g} exceeds {_NORM_TOL}"
     return None
 
 
@@ -456,7 +451,7 @@ def well_prepared_init(spec: MicroModelSpec, A0: np.ndarray, grid: Grid, eps: fl
     ik, spec_hat = grid.rsymbol(1), _rfft(dphi0)  # k = 0 and Nyquist, where ik = 0, give 0
     phi0 = _irfft(np.divide(spec_hat, ik, out=np.zeros_like(spec_hat), where=ik != 0),
                   grid.n_points)
-    n0 = -(1.0 / (2.0 * g.lam)) * normal_coupling(spec) @ A0
+    n0 = (-(1.0 / (2.0 * g.lam)) * normal_coupling(spec)) * A0
     if eps * float(np.max(np.abs(phi0))) >= chart_radius(spec):
         raise ValueError("initial phase leaves the model chart; shrink A0 or eps")
     return MicroState(spec, grid, eps, chart_assemble(spec, phi0, n0, eps))

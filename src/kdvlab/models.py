@@ -299,18 +299,17 @@ def chart_radius(spec: MicroModelSpec) -> float:
     return float(np.pi)
 
 
-def normal_coupling(spec: MicroModelSpec) -> np.ndarray:
-    """Matrix C with i0 tau_a = sum_b C[b,a] nu_b for the chart's frames.
+def normal_coupling(spec: MicroModelSpec) -> float:
+    """Sign s with i0 tau_a = s nu_a for the chart's frames.
 
     tau is the tangent frame underlying the phase coordinates and nu the
-    normal frame underlying n; C converts between the two bookkeepings
-    (e.g. the profile observable is A = -2 lam C^T n in tangent coordinates).
-    i0 is the factor of the micro equation's dispersive term: i, Gamma x, and
-    -Gamma x per sublattice for the antiferromagnet (opposite exchange sign).
+    normal frame underlying n; in every family the normal frame is the
+    tangent frame turned by i0, up to this sign (e.g. the profile observable
+    is A = -2 lam s n in tangent coordinates).  i0 is the factor of the micro
+    equation's dispersive term: i, Gamma x, and -Gamma x per sublattice for
+    the antiferromagnet (opposite exchange sign).
     """
-    if spec.kind in ("LL_EASY_PLANE", "LL_EASY_CONE"):
-        return np.eye(spec.geometry.dim)
-    return -np.eye(spec.geometry.dim)
+    return 1.0 if spec.kind in ("LL_EASY_PLANE", "LL_EASY_CONE") else -1.0
 
 
 def _unwrap_periodic(raw: np.ndarray):

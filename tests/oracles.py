@@ -238,10 +238,11 @@ def tangent_gradient(spec, h):
 def observables(spec, h):
     """The limit observables of chart states from their definitions, as
     coordinate arrays shaped like ``h.phi``: with X = DPhi dx(phi) and
-    A = -2 lam C^T n, W = (c + i0B0) X - A and U = (c - i0B0) X + A."""
+    A = -2 lam s n (s the normal sign), W = (c + i0B0) X - A and
+    U = (c - i0B0) X + A."""
     g = spec.geometry
     X = tangent_gradient(spec, h)
-    A = -2.0 * g.lam * (normal_coupling(spec).T @ h.n)
+    A = -2.0 * g.lam * (normal_coupling(spec) * h.n)
     BX = np.einsum("ij,...jN->...iN", g.i0b0, X)
     return SimpleNamespace(W=(g.c * X + BX) - A, U=(g.c * X - BX) + A, A=A)
 
@@ -251,7 +252,7 @@ def almost_hamiltonian(spec, h):
     each contraction with a geometry tensor one ``np.einsum`` over all its
     entries."""
     g, eps, n, grid = spec.geometry, h.eps, h.n, h.grid
-    C = normal_coupling(spec)
+    C = normal_coupling(spec) * np.eye(g.dim)  # the coupling matrix s I
     density = g.lam * np.sum(np.square(n), axis=-2)
     tmp = grid.diff(n)
     density += 0.25 * eps**4 * np.sum(np.square(tmp, out=tmp), axis=-2)

@@ -235,6 +235,7 @@ def test_eps_list_must_strictly_decrease():
     ("soliton", "delta", 0),
     ("kdv", "d2_alpha", 1.0),
     ("hyperbolic", "d2_beta", [1.0, 0.0]),
+    ("soliton", "initial", {"amplitude": 0.5}),
 ])
 def test_a_field_the_experiment_does_not_read_exits_2(tmp_path, capsys, experiment, field, value):
     # an experiment-specific field given to another experiment would be
@@ -245,6 +246,58 @@ def test_a_field_the_experiment_does_not_read_exits_2(tmp_path, capsys, experime
     assert main([experiment, "--config", cfg]) == 2
     assert f"invalid configuration: {field}: " in capsys.readouterr().err
     assert not out.exists()
+
+
+# the (experiment, field) pairs a config accepts though its run does not read
+# them: only converge has a worker pool, but the benchmark's workloads set
+# workers for every experiment; a micro run steps at a quarter of dt_max, but
+# the benchmark's self-test passes time.dt
+ACCEPTED_UNREAD = {(kind, "workers") for kind in experiments.EXPERIMENT_KINDS
+                   if kind != "converge"} | {("micro", "time.dt")}
+
+
+def _schema(kind):
+    """The ExperimentConfig attribute of each field of ``kind``'s defaults
+    by dotted name, less output_dir."""
+    attrs = {}
+    for key, value in default_config(kind).items():
+        if key in ("grid", "time"):
+            attrs.update({f"{key}.{leaf}": leaf for leaf in value})
+        elif key != "output_dir":
+            attrs[key] = "preset_name" if key == "preset" else key
+    return attrs
+
+
+def test_every_schema_field_is_read_by_its_run(tmp_path, monkeypatch):
+    # a field the defaults accept is one the run reads: the attributes of
+    # ExperimentConfig read while a small run of each experiment is
+    # validated and run are its schema less output_dir and ACCEPTED_UNREAD.
+    # hyperbolic reads speed only for a soliton start, so a second run
+    # starts from one
+    reads = set()
+
+    def spy(self, name):
+        reads.add(name)
+        return object.__getattribute__(self, name)
+
+    monkeypatch.setattr(ExperimentConfig, "__getattribute__", spy)
+    small = {"time": {"t_final": 0.01, "dt": 1e-3, "snapshots": 3}}
+    runs = [dict(small, experiment=kind) for kind in experiments.EXPERIMENT_KINDS]
+    runs[experiments.EXPERIMENT_KINDS.index("converge")]["eps_list"] = [0.2, 0.1]
+    runs.append(dict(small, experiment="hyperbolic", delta=1.0, initial={"shape": "soliton"},
+                     grid={"n": 512, "length": 16 * np.pi}))
+    read = {}
+    for i, raw in enumerate(runs):
+        kind = raw["experiment"]
+        reads.clear()
+        cfg = ExperimentConfig.from_dict(
+            dict(default_config(kind), **raw, output_dir=str(tmp_path / str(i))))
+        assert run_experiment(cfg) in (0, 1), kind
+        read.setdefault(kind, set()).update(
+            field for field, attr in _schema(kind).items() if attr in reads)
+    for kind, fields in read.items():
+        unread = set(_schema(kind)) - fields
+        assert unread == {f for k, f in ACCEPTED_UNREAD if k == kind}, kind
 
 
 def test_a_field_added_to_one_experiments_defaults_needs_no_other_edit(monkeypatch):

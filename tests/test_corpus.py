@@ -55,7 +55,8 @@ SUB_STEP_RUN = {"experiment": "converge", "preset": "gp_scalar",
 
 def draw_config(rng, experiment, preset, length=None):
     """One random configuration of ``experiment`` on ``preset``: the grid,
-    time, initial data and the experiment's own fields drawn from ``rng``."""
+    time, initial data (which ``soliton`` has none of) and the experiment's
+    own fields drawn from ``rng``."""
     snapshots = rng.choice([2, 3, 5])
     raw = {
         "experiment": experiment,
@@ -76,6 +77,7 @@ def draw_config(rng, experiment, preset, length=None):
         eps = rng.uniform(0.4, 0.9)
         raw["eps_list"] = [eps, eps * rng.uniform(0.5, 0.9)]
     elif experiment == "soliton":
+        del raw["initial"]  # drawn all the same, so the draws after it stay put
         raw["speed"] = 10.0 ** rng.uniform(math.log10(0.5), math.log10(20.0))
     elif experiment == "miura":
         raw["d2_alpha"] = [rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)]

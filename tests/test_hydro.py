@@ -129,13 +129,13 @@ def test_phase_reference_selects_branch():
 
 @pytest.mark.parametrize("kind,params", PRESETS)
 def test_pure_amplitude_state_observables(kind, params):
-    # with phi = 0 the gradient part vanishes: W = -A, U = A, A = -2 lam C^T n
+    # with phi = 0 the gradient part vanishes: W = -A, U = A, A = -2 lam s n
     grid = Grid(128, 2 * np.pi)
     geom, spec = preset(kind, params)
     n = np.stack([0.1 * np.cos((i + 1) * grid.x) for i in range(geom.dim)])
     h = HydroState(grid, 0.2, np.zeros((geom.dim, 128)), n, True)
     obs = observables(spec, h)
-    a_ref = -2.0 * geom.lam * (normal_coupling(spec).T @ n)
+    a_ref = -2.0 * geom.lam * (normal_coupling(spec) * n)
     assert np.max(np.abs(obs.A - a_ref)) <= TOL["observables"]
     assert np.max(np.abs(obs.W + a_ref)) <= TOL["observables"]
     assert np.max(np.abs(obs.U - a_ref)) <= TOL["observables"]
@@ -384,7 +384,7 @@ def _per_snapshot_diagnostics(spec, traj):
     the structure deviation and chart membership."""
     g = spec.geometry
     grid, eps = traj.grid, traj.eps
-    C = normal_coupling(spec)
+    C = normal_coupling(spec) * np.eye(g.dim)  # the coupling matrix s I
     f1_nu = -np.einsum("ijm,mk->ijk", g.f1, C)
 
     def mass(vals):

@@ -111,11 +111,12 @@ def _real_rows(vals):
 
 @pytest.mark.parametrize("kind,params", CONDENSATES + SPIN_KINDS)
 def test_normal_coupling_matches_chart_frames(kind, params):
-    # C is defined by i0 tau_a = sum_b C[b,a] nu_b at the chart background,
-    # with tau_a = dU/d(eps phi_a) and nu_b = dU/d(eps^2 n_b) read off
-    # chart_assemble, and i0 the complex structure of the micro equation,
-    # read off its dispersive term i0 (1/(2 eps)) dx^2 from the cos(kappa x)
-    # part of the linearized right-hand side at two wavenumbers
+    # the coupling C with i0 tau_a = sum_b C[b,a] nu_b at the chart background
+    # is s I, s = normal_coupling, with tau_a = dU/d(eps phi_a) and
+    # nu_b = dU/d(eps^2 n_b) read off chart_assemble, and i0 the complex
+    # structure of the micro equation, read off its dispersive term
+    # i0 (1/(2 eps)) dx^2 from the cos(kappa x) part of the linearized
+    # right-hand side at two wavenumbers
     eps, h = 0.2, 1e-4
     grid = Grid(32, 2 * np.pi)
     _, spec = preset(kind, params)
@@ -141,7 +142,7 @@ def test_normal_coupling_matches_chart_frames(kind, params):
         i0_tau = 2.0 * eps * (cos_parts[0] - cos_parts[1]) / (2**2 - 1**2)
         coupling[:, a] = np.linalg.lstsq(nu, i0_tau, rcond=None)[0]
         assert np.max(np.abs(nu @ coupling[:, a] - i0_tau)) <= 1e-6  # i0 tau is normal
-    assert np.max(np.abs(coupling - normal_coupling(spec))) <= 1e-6
+    assert np.max(np.abs(coupling - normal_coupling(spec) * np.eye(d))) <= 1e-6
 
 
 def _slow_branch(spec, eps, grid, modes):
@@ -201,13 +202,13 @@ def _chart_frames(spec, eps, h=1e-3):
 @pytest.mark.parametrize("kind,params", CONDENSATES + SPIN_KINDS)
 def test_slow_eigenvectors_carry_no_wave_observable(kind, params):
     # in chart coordinates (phi, n), a slow eigenvector has the hydro wave
-    # observable W = (c + i0B0) dx(phi) + 2 lam C^T n at O(eps²) of the
-    # amplitude A = -2 lam C^T n, with C = normal_coupling: the slow branch
+    # observable W = (c + i0B0) dx(phi) + 2 lam s n at O(eps²) of the
+    # amplitude A = -2 lam s n, with s = normal_coupling: the slow branch
     # is the W = 0 manifold the limit lives on (measured: |W|/|A| over
     # (eps kappa/c)² is 0.088-0.125)
     grid = Grid(32, 8 * np.pi)
     geom, spec = preset(kind, params)
-    C, d = normal_coupling(spec), spec.geometry.dim
+    s, d = normal_coupling(spec), spec.geometry.dim
     for eps in (0.2, 0.1, 0.05):
         frames = _chart_frames(spec, eps)
         for kappa, _, vec, _, slow in _slow_branch(spec, eps, grid, (2, 4)):
@@ -215,7 +216,7 @@ def test_slow_eigenvectors_carry_no_wave_observable(kind, params):
                 coords, residual = np.linalg.lstsq(frames.astype(complex), v, rcond=None)[:2]
                 assert residual.size == 0 or residual[0] <= 1e-20  # v is tangent to the chart
                 phi, n = coords[:d], coords[d:]
-                amplitude = -2.0 * geom.lam * C.T @ n
+                amplitude = -2.0 * geom.lam * s * n
                 wave = (geom.c * np.eye(d) + geom.i0b0) @ (1j * kappa * phi) - amplitude
                 ratio = np.linalg.norm(wave) / np.linalg.norm(amplitude)
                 assert ratio <= 0.13 * (eps * kappa / geom.c) ** 2, (eps, kappa)
@@ -496,9 +497,7 @@ def test_micro_rhs_rejects_nan_state(kind, rows):
     # a NaN sample must count as a pointwise violation, not pass every comparison
     _, spec = preset(kind)
     vals = np.full((rows, 8), np.nan)
-    assert micro._check_pointwise(spec, vals) is not None
-    with pytest.raises(ValueError):
-        micro._check_pointwise(spec, vals, strict=True)
+    assert isinstance(micro._check_pointwise(spec, vals), str)
 
 
 # ---------------------------------------------------------------------------
@@ -1166,8 +1165,8 @@ def test_well_prepared_chart_roundtrip(kind, params):
     state = well_prepared_init(spec, A0, grid, eps)
     phi, n, in_chart = chart_extract(spec, state.values, eps)
     assert in_chart
-    # n must match the amplitude coordinate -C A0 / (2 lam)
-    n_ref = -(1.0 / (2.0 * geom.lam)) * normal_coupling(spec) @ A0
+    # n must match the amplitude coordinate -s A0 / (2 lam)
+    n_ref = -(1.0 / (2.0 * geom.lam)) * normal_coupling(spec) * A0
     assert np.max(np.abs(n - n_ref)) <= TOL["init_roundtrip"]
     # phi must be the zero-mean spectral antiderivative of the solved gradient
     target = np.linalg.solve(geom.c * np.eye(geom.dim) + geom.i0b0, A0)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from kdvlab import experiments, kdv, micro
+from kdvlab import experiments, hydro, kdv, micro
 from kdvlab.grid import Grid
 from kdvlab.models import preset
 
@@ -112,3 +112,21 @@ def test_a_traced_pass_of_a_serial_converge_and_a_micro_run_resolves_its_counter
                                 "rhs_evals": micro_run["rhs_evaluations"], "aborts": 0}],
     }
     assert micro_run["rhs_evaluations"] == 4 * micro_run["micro_steps"] > 0
+
+
+def test_the_series_counters_read_the_length_and_chart_flags_of_a_block(monkeypatch):
+    # perfbench/layers.py counts the snapshots and the out-of-chart states
+    # of what hydro.extract_series returns by taking its len() and iterating
+    # its states' valid flags, in every traced pass
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from layers import _series_counts
+
+    grid, eps = Grid(32, 2 * np.pi), 0.2
+    _, spec = preset("GP_SCALAR")
+    s0 = micro.well_prepared_init(spec, 0.1 * np.sin(grid.x)[None, :], grid, eps)
+    block = np.stack([s0.values] * 3)
+    assert _series_counts(hydro.extract_series(spec, block, grid, eps)) == {
+        "snapshots": 3, "out_of_chart": 0}
+    block[1] *= np.exp(1j * grid.x)  # a phase winding once: out of the chart
+    assert _series_counts(hydro.extract_series(spec, block, grid, eps)) == {
+        "snapshots": 3, "out_of_chart": 1}

@@ -4,6 +4,7 @@ of the fixed config corpus.
 Usage::
 
     python3 tools/artifact_hashes.py ROOT OUT
+    python3 tools/artifact_hashes.py --diff OLD NEW
 
 ROOT is a kdvlab checkout.  Its ``src`` is imported, and the runs are the
 experiments of every workload in its ``perfbench/workloads.py`` at seed 0,
@@ -19,9 +20,11 @@ files are equal::
 
     python3 tools/artifact_hashes.py ../parent old.json
     python3 tools/artifact_hashes.py . new.json
-    cmp old.json new.json
+    python3 tools/artifact_hashes.py --diff old.json new.json
 
-Nothing is written under ROOT.
+``--diff OLD NEW`` prints each run whose exit status or any file hash
+differs between two OUT files, one line per status and per file, and exits
+1 if any does (0 if the files agree).  Nothing is written under ROOT.
 """
 
 from __future__ import annotations
@@ -82,10 +85,35 @@ def _run(cli, tmp: Path, name: str, raw: dict):
     return cli.main([kind, "--config", str(path)]), outdir
 
 
+def _diff(old: dict, new: dict) -> list:
+    """One line per run status and per file hash that differs between two
+    OUT documents (a run or file present on one side only included)."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        if name not in old or name not in new:
+            lines.append(f"{name}: only in {'NEW' if name in new else 'OLD'}")
+            continue
+        a, b = old[name], new[name]
+        if a["status"] != b["status"]:
+            lines.append(f"{name}: status {a['status']} -> {b['status']}")
+        for f in sorted(a["sha256"].keys() | b["sha256"].keys()):
+            was, now = a["sha256"].get(f), b["sha256"].get(f)
+            if was != now:
+                change = "differs" if was and now else "only in " + ("NEW" if now else "OLD")
+                lines.append(f"{name}: {f} {change}")
+    return lines
+
+
 def main() -> int:
     args = sys.argv[1:]
+    if len(args) == 3 and args[0] == "--diff":
+        old, new = (json.loads(Path(p).read_text()) for p in args[1:])
+        lines = _diff(old, new)
+        print("\n".join(lines) if lines else "no differences")
+        return 1 if lines else 0
     if len(args) != 2:
-        print("usage: python3 tools/artifact_hashes.py ROOT OUT", file=sys.stderr)
+        print("usage: python3 tools/artifact_hashes.py ROOT OUT\n"
+              "       python3 tools/artifact_hashes.py --diff OLD NEW", file=sys.stderr)
         return 2
     root, out = Path(args[0]).resolve(), Path(args[1])
     workloads, cli, experiments = _setup(root)
