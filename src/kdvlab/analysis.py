@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Dealias, Grid, _irfft, _rfft, fourier_shift, l2_norm
+from .grid import Dealias, Grid, l2_norm
 from .kdv import LimitModel, QTensor, _evolve_ifrk4, _pairing, bilinear_apply, evolve_kdv
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "SolitonSpec",
     "find_fixed_point",
     "build_soliton",
-    "shift_minimized_error",
     "miura_condition",
     "miura_map",
     "miura_crosscheck",
@@ -135,101 +134,6 @@ def build_soliton(spec: SolitonSpec, grid: Grid) -> np.ndarray:
             "boundary; enlarge the grid"
         )
     return comps
-
-
-def _golden_section(f, lo: float, hi: float, xtol: float) -> float:
-    """Golden-section search: a minimizer of f (unimodal) on [lo, hi] to xtol."""
-    g = 0.5 * (np.sqrt(5.0) - 1.0)
-    a, b = hi - g * (hi - lo), lo + g * (hi - lo)
-    fa, fb = f(a), f(b)
-    for _ in range(int(np.ceil(np.log(xtol / (hi - lo)) / np.log(g)))):
-        if fa <= fb:
-            hi, b, fb = b, a, fa
-            a = hi - g * (hi - lo)
-            fa = f(a)
-        else:
-            lo, a, fa = a, b, fb
-            b = lo + g * (hi - lo)
-            fb = f(b)
-    return a if fa <= fb else b
-
-
-def shift_minimized_error(u: np.ndarray, ref: np.ndarray, grid: Grid):
-    """Relative L2 distance of u to the translates of ref, (d, N) samples on
-    ``grid``, and the best shift.
-
-    The coarse optimum delta0 comes from the FFT cross-correlation over grid
-    shifts.  Within one spacing of it a bisection on the slope of the error
-    (1e-14), or a golden-section search of the error where the slope keeps
-    its sign (1e-12), refines it; the refinement must be no worse than delta0.
-    A curvature bound of the error between grid points then rules out the
-    other grid intervals: each one where the error could still fall more
-    than rounding below the best one is refined the same way, and the best
-    shift found is returned.  Each refinement finds one stationary point of
-    its bracket, so a bracket holding two minima (the window around delta0
-    included) may keep the worse one.
-    """
-    ref_hat = _rfft(ref)
-    cross = np.sum(_rfft(u) * np.conj(ref_hat), axis=0)
-    corr = _irfft(cross, grid.n_points)
-    j0 = int(np.argmax(corr))
-    delta0, h, n = grid.x[j0], grid.spacing, grid.n_points
-
-    def objective(delta):
-        return l2_norm(u - fourier_shift(ref, grid, delta), grid)
-
-    # the squared error is smooth in the shift, so refine by locating its
-    # stationary point.  With the correlation C(s) = Re sum_k S_k exp(i k s),
-    # summed over all N modes as the half spectrum with its Hermitian
-    # weights, N |u - shift(ref, s)|^2 = const - 2 C(s) + |r_N|^2 cos^2(k_N s),
-    # since a shift multiplies the Nyquist coefficient r_N of even N by
-    # cos(k_N s).  The slope is minus half its derivative:
-    # C'(s) + (k_N/2) |r_N|^2 sin(2 k_N s).
-    k, weights = grid.half_spectrum
-    r_n2 = 0.0 if n % 2 else float(np.sum(np.abs(ref_hat[:, -1])**2))
-
-    def slope(delta):
-        return (float(np.sum(weights * np.real(1j * k * cross * np.exp(1j * k * delta))))
-                + 0.5 * k[-1] * r_n2 * np.sin(2.0 * k[-1] * delta))
-
-    def refine(lo, hi):
-        slope_lo = slope(lo)
-        if slope_lo * slope(hi) < 0:
-            # bisection keeps lo on the side of slope_lo's sign
-            for _ in range(int(np.ceil(np.log2((hi - lo) / 1e-14)))):
-                mid = 0.5 * (lo + hi)
-                lo, hi = (mid, hi) if (slope(mid) < 0) == (slope_lo < 0) else (lo, mid)
-            return 0.5 * (lo + hi)
-        return _golden_section(objective, lo, hi, 1e-12)
-
-    refined = refine(delta0 - h, delta0 + h)
-    best = refined if objective(refined) <= objective(delta0) else delta0
-    best_err = objective(best)
-
-    # The certificate, in D(s) = sum over samples of |u - shift(ref, s)|^2
-    # = (const - 2 C(s) + |r_N|^2 cos^2(k_N s)) / N, which is
-    # |u|^2 + |ref|^2 - 2 corr at the grid shifts.  At t in [0, 1] of a grid
-    # interval, -2C/N lies above its chord less (h^2/N) sum_k w_k k^2 |S_k|
-    # t(1-t) (its curvature bound), and the Nyquist term, equal at both
-    # ends, is its end value less (|r_N|^2/N) sin^2(pi t), at most
-    # (4 |r_N|^2/N) t(1-t) less.  So D >= chord - b t(1-t), whose minimum
-    # over t bounds D on the interval from below.
-    norms = float(np.sum(u * u) + np.sum(ref * ref))
-    ends = norms - 2.0 * corr
-    b = (h * h * float(np.sum(weights * k * k * np.abs(cross))) + 4.0 * r_n2) / n
-    rise = np.roll(ends, -1) - ends
-    t = np.clip(0.5 - rise / (2.0 * b), 0.0, 1.0) if b > 0 else (rise < 0).astype(float)
-    lower = ends + rise * t - b * t * (1.0 - t)
-    lower[[j0 - 1, j0]] = np.inf  # the intervals refined above
-    slack = 1e-13 * norms  # the rounding of ends
-    for m in np.argsort(lower, kind="stable"):
-        if lower[m] >= best_err**2 / h - slack:
-            break
-        candidate = refine(grid.x[m], grid.x[m] + h)
-        err = objective(candidate)
-        if err < best_err:
-            best, best_err = candidate, err
-    return best_err / l2_norm(ref, grid), float(best)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 
 import numpy as np
 
@@ -522,6 +523,9 @@ class Dealias:
 
 def fourier_shift(comps, grid: Grid, delta: float):
     """Translate real samples by delta (f(x) -> f(x - delta)) via a spectral
-    phase on the half spectrum, which multiplies a Nyquist mode by cos(k_N delta)."""
+    phase on the half spectrum, which multiplies a Nyquist mode by cos(k_N delta).
+    delta is reduced mod L first (a shift by L changes no grid function), so
+    a large shift loses no phase to rounding."""
     comps = np.atleast_2d(np.asarray(comps))
+    delta = math.fmod(delta, grid.length)
     return _irfft(np.exp(-1j * grid.half_spectrum[0] * delta) * _rfft(comps), grid.n_points)

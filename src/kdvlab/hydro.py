@@ -16,8 +16,6 @@ against a limit-equation trajectory.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .grid import Trajectory, _hs_norms, fourier_shift, integrate, l2_norm
@@ -160,9 +158,8 @@ def limit_error(spec, times, h: HydroState, w, kdv_traj: Trajectory) -> dict:
     A = 2 i lam n and the gradient observable A + W = (c+iB) DPhi dx(phi) —
     against the limit profile A(t).  The limit lives in the frame moving at
     c/eps^2 and the micro run in the lab frame, so each limit snapshot is
-    translated by (c/eps^2) t first, reduced mod L (a shift by L changes no
-    grid function).  The other diagnostics are translation-invariant and
-    read the lab-frame block as it is.
+    translated by (c/eps^2) t first.  The other diagnostics are
+    translation-invariant and read the lab-frame block as it is.
     """
     t_micro = np.asarray(times)
     t_kdv = np.asarray(kdv_traj.times)
@@ -182,7 +179,7 @@ def limit_error(spec, times, h: HydroState, w, kdv_traj: Trajectory) -> dict:
     a_limit = kdv_traj.meta["snapshots"][picks]  # a copy: the rows are shifted in place
     speed = spec.geometry.c / h.eps**2
     for row, t in zip(a_limit, t_micro):
-        row[...] = fourier_shift(row, grid, math.fmod(speed * t, grid.length))
+        row[...] = fourier_shift(row, grid, speed * t)
     return {
         "err_amplitude": l2_norm(A - a_limit, grid),
         "err_gradient": l2_norm(A + w - a_limit, grid),

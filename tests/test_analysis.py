@@ -1,8 +1,6 @@
 """Tests for solitary waves, fixed points, Miura machinery, and the d=2
 complex nonlinearity family."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +15,6 @@ from kdvlab.analysis import (
     miura_condition,
     miura_crosscheck,
     miura_map,
-    shift_minimized_error,
     solitary_profile,
 )
 from kdvlab.grid import Grid, fourier_shift, l2_norm
@@ -239,158 +236,10 @@ def test_soliton_residual_scaling_invariance():
         assert abs(ratio - 1.0) <= 1e-10
 
 
-def test_shift_minimized_error_recovers_translation():
-    grid = Grid(256, 2 * np.pi)
-    ref = np.exp(np.cos(grid.x))[None, :] - 1.0
-    delta = 0.3456
-    shifted = np.exp(np.cos(grid.x - delta))[None, :] - 1.0
-    err, best = shift_minimized_error(shifted, ref, grid)
-    assert err <= 1e-10
-    assert abs(best - delta) <= 1e-6
-
-
-def _spy_golden_section(monkeypatch):
-    """Record the bracket of every golden-section fallback of the shift search."""
-    
-    brackets = []
-    real = kdvlab.analysis._golden_section
-
-    def spy(f, lo, hi, xtol):
-        brackets.append((lo, hi))
-        return real(f, lo, hi, xtol)
-
-    monkeypatch.setattr(kdvlab.analysis, "_golden_section", spy)
-    return brackets
-
-
-def _grid_shift_error(u, ref, grid):
-    """(delta0, error at delta0): the best whole-grid shift by cross-correlation."""
-    cross = np.sum(np.fft.fft(u, axis=-1) * np.conj(np.fft.fft(ref, axis=-1)), axis=0)
-    delta0 = grid.x[int(np.argmax(np.real(np.fft.ifft(cross))))]
-    err = l2_norm(u - fourier_shift(ref, grid, delta0), grid)
-    return delta0, err / l2_norm(ref, grid)
-
-
-@pytest.mark.parametrize("n, length, delta", [(64, 2 * np.pi, 0.3456), (128, 10.0, 3.21)])
-def test_shift_bisection_recovers_subgrid_translation(monkeypatch, n, length, delta):
-    brackets = _spy_golden_section(monkeypatch)
-    grid = Grid(n, length)
-    wave = 2 * np.pi / length
-    ref = np.exp(np.cos(wave * grid.x))[None, :] - 1.0
-    shifted = np.exp(np.cos(wave * (grid.x - delta)))[None, :] - 1.0
-    err, best = shift_minimized_error(shifted, ref, grid)
-    assert brackets == []  # the correlation slope changes sign: bisection
-    assert abs(best - delta) <= 1e-10
-    assert err <= 1e-10
-
-
-@pytest.mark.parametrize("delta", [0.03, 0.07, 0.14])
-def test_shift_golden_section_without_slope_sign_change(monkeypatch, delta):
-    # a near-Nyquist mode dominates the correlation slope, which then keeps
-    # its sign across [delta0 - h, delta0 + h]: the error itself is minimized
-    brackets = _spy_golden_section(monkeypatch)
-    grid = Grid(32, 2 * np.pi)
-    ref = (0.5 * np.cos(15 * grid.x) + np.cos(grid.x))[None, :]
-    shifted = fourier_shift(ref, grid, delta)
-    err, best = shift_minimized_error(shifted, ref, grid)
-    delta0, err0 = _grid_shift_error(shifted, ref, grid)
-    assert brackets == [(delta0 - grid.spacing, delta0 + grid.spacing)]
-    assert err <= err0
-    assert abs(best - delta) <= 1e-9
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    log_n=st.integers(4, 7),
-    rows=st.integers(1, 3),
-    length=st.floats(1.0, 20.0),
-    steps=st.floats(-128.0, 128.0),
-)
-def test_shift_recovered_with_a_nyquist_component_property(seed, log_n, rows, length, steps):
-    # real samples of modes 1..3 plus a Nyquist component, shifted by any
-    # number of spacings: the shift multiplies the Nyquist mode by
-    # cos(k_N delta), so the norm of the shifted ref varies with the shift
-    # and the correlation alone is stationary away from delta (by about 2%
-    # of L on this data); the slope of the error is zero at delta, which is
-    # recovered to 1e-12 L with an error of at most 1e-10 (measured on 20000
-    # draws: 4e-15 L and 9e-13).  Modes 2 and 3 are halved so that mode 1
-    # keeps the coarse grid optimum within a spacing of delta: a dominant
-    # mode 3 can put a near-alias of delta on the grid, with the Nyquist
-    # mode zeroed too.
-    grid = Grid(2**log_n, length)
-    rng = np.random.default_rng(seed)
-    spec = np.zeros((rows, grid.n_points // 2 + 1), complex)
-    spec[:, 1:4] = rng.normal(size=(rows, 3)) + 1j * rng.normal(size=(rows, 3))
-    spec[:, 2:4] *= 0.5
-    spec[:, -1] = rng.normal(size=rows)
-    ref = np.fft.irfft(spec * grid.n_points, grid.n_points)
-    delta = steps * grid.spacing
-    err, best = shift_minimized_error(fourier_shift(ref, grid, delta), ref, grid)
-    assert abs(math.remainder(best - delta, length)) <= 1e-12 * length
-    assert err <= 1e-10
-
-
-def test_shift_refinement_never_worse_than_grid_optimum(monkeypatch):
-    # a fallback that lands on a worse shift (here the bracket end, a grid
-    # neighbour of delta0) is discarded in favour of delta0; on this data no
-    # grid interval outside the refined window can beat delta0 either
-    monkeypatch.setattr(kdvlab.analysis, "_golden_section", lambda f, lo, hi, xtol: hi)
-    grid = Grid(32, 2 * np.pi)
-    ref = (0.3 * np.cos(15 * grid.x) + np.cos(grid.x))[None, :]
-    shifted = fourier_shift(ref, grid, 0.07)
-    delta0, err0 = _grid_shift_error(shifted, ref, grid)
-    assert shift_minimized_error(shifted, ref, grid) == (err0, delta0)
-
-
-def test_shift_certificate_refines_an_interval_that_beats_the_window(monkeypatch):
-    # with the window's fallback sabotaged as above, the error bound of the
-    # grid interval around the lobe of mode 15 near delta + 2 pi/15 lies
-    # below delta0's error, so that interval is refined, and its shift wins
-    # (error 0.369 against 0.453 at delta0)
-    monkeypatch.setattr(kdvlab.analysis, "_golden_section", lambda f, lo, hi, xtol: hi)
-    grid = Grid(32, 2 * np.pi)
-    ref = (0.5 * np.cos(15 * grid.x) + np.cos(grid.x))[None, :]
-    shifted = fourier_shift(ref, grid, 0.07)
-    delta0, err0 = _grid_shift_error(shifted, ref, grid)
-    err, best = shift_minimized_error(shifted, ref, grid)
-    assert err < err0 and best != delta0 + grid.spacing
-    assert abs(best - (0.07 + 2 * np.pi / 15)) < 0.5 * grid.spacing
-    assert err == l2_norm(shifted - fourier_shift(ref, grid, best), grid) / l2_norm(ref, grid)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    rows=st.integers(1, 2),
-    length=st.floats(1.0, 20.0),
-    steps=st.floats(-8.0, 8.0),
-)
-def test_shift_recovered_when_a_higher_mode_dominates_property(seed, rows, length, steps):
-    # N = 16, modes 1..3 with mode 3 five times mode 1 and a Nyquist
-    # component, shifted by any real number of spacings: a lobe of mode 3
-    # between grid points, or a near-alias of delta on the grid, can beat
-    # the grid winner's neighbourhood, and only the curvature certificate
-    # sends the refinement to the interval of delta.  delta is recovered to
-    # 1e-12 L with an error of at most 1e-10 (measured on 20000 draws:
-    # 3.8e-15 L and 7.6e-14); without the certificate 281 of 2000 draws end
-    # with an error above 1e-8, up to 0.53, by up to a third of L
-    grid = Grid(16, length)
-    rng = np.random.default_rng(seed)
-    spec = np.zeros((rows, 9), complex)
-    spec[:, 1:4] = rng.normal(size=(rows, 3)) + 1j * rng.normal(size=(rows, 3))
-    spec[:, 3] *= 5.0 * np.abs(spec[:, 1]) / np.abs(spec[:, 3])
-    spec[:, -1] = rng.normal(size=rows)
-    ref = np.fft.irfft(spec * grid.n_points, grid.n_points)
-    delta = steps * grid.spacing
-    err, best = shift_minimized_error(fourier_shift(ref, grid, delta), ref, grid)
-    assert abs(math.remainder(best - delta, length)) <= 1e-12 * length
-    assert err <= 1e-10
-
-
 def test_soliton_transit_preserves_shape():
     # one full domain transit of the canonical scalar-condensate soliton,
-    # under the unit-scale model of the canonical equation it solves
+    # under the unit-scale model of the canonical equation it solves: the
+    # exact wave u0(x + c_w T) is u0 itself again
     Q = limit_equation(preset("GP_SCALAR")[0]).canonical_q
     model = LimitModel(Q, 1.0)
     z = find_fixed_point(Q)[0]
@@ -400,7 +249,8 @@ def test_soliton_transit_preserves_shape():
     T = grid.length / speed
     traj = evolve_kdv(model, u0, grid, T, dt=1e-3, n_snapshots=5)
     assert not traj.aborted
-    err, _ = shift_minimized_error(traj.meta["snapshots"][-1], u0, grid)
+    exact = fourier_shift(u0, grid, -speed * T)
+    err = l2_norm(traj.meta["snapshots"][-1] - exact, grid) / l2_norm(u0, grid)
     assert err <= TOL["transit_shape"]
 
 

@@ -19,6 +19,7 @@ from kdvlab.experiments import (
     emit_series,
     run_experiment,
 )
+from kdvlab.grid import fourier_shift
 
 TOL = {
     "dispersion": 1e-10,
@@ -532,6 +533,31 @@ def test_converge_serial_and_parallel_agree_bytewise(tmp_path):
         assert (tmp_path / "ser" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
 
 
+@pytest.mark.parametrize("key, name", [
+    ("sup_err_amplitude", "amplitude_error_strictly_decreasing"),
+    ("max_eps_phi", "phase_within_chart"),
+])
+def test_converge_nan_at_the_last_eps_fails(tmp_path, monkeypatch, key, name):
+    # a NaN figure that is not the first of the eps-runs must fail its
+    # assertion: Python's max would skip it ([1e-3, 5e-4, nan] has ratios
+    # [0.5, nan], whose max() is 0.5)
+    real = experiments._converge_task
+
+    def task(payload):
+        results = real(payload)
+        for r, value in zip(results, [1e-3, 5e-4, np.nan]):
+            r[key] = value
+        return results
+
+    monkeypatch.setattr(experiments, "_converge_task", task)
+    cfg = dict(default_config("converge"), output_dir=str(tmp_path / "out"), workers=1,
+               grid={"n": 64, "length": 8 * np.pi},
+               time={"t_final": 0.05, "dt": 1e-3, "snapshots": 3})
+    assert run_experiment(ExperimentConfig.from_dict(cfg)) == 1
+    check = _assertion_map(_summary(tmp_path / "out"))[name]
+    assert np.isnan(check["value"]) and not check["pass"]
+
+
 def _poison_last_row(monkeypatch, bad_call):
     """Give the last row of a condensate batch, the smallest eps of a serial
     converge, a NaN rotation factor at the ``bad_call``-th factor built (the
@@ -744,14 +770,36 @@ def test_hyperbolic_soliton_control_reports_no_breakdown(tmp_path):
 
 
 def test_soliton_nan_shape_error_fails(tmp_path, monkeypatch):
-    # a NaN shape error (say 0/0 from a wave whose norm underflows) must fail
-    # its assertion, not drop out of a max
-    monkeypatch.setattr(experiments, "shift_minimized_error", lambda u, ref, grid: (np.nan, 0.0))
+    # a NaN shape error (here from a NaN exact wave) must fail its
+    # assertion, not drop out of a max
+    monkeypatch.setattr(experiments, "fourier_shift",
+                        lambda comps, grid, delta: np.full_like(comps, np.nan))
     cfg = dict(default_config("soliton"), output_dir=str(tmp_path / "out"))
     cfg["time"] = {"t_final": 0.01, "dt": 1e-3, "snapshots": 2}
     assert run_experiment(ExperimentConfig.from_dict(cfg)) == 1
     shape = _assertion_map(_summary(tmp_path / "out"))["shape_error"]
     assert np.isnan(shape["value"]) and not shape["pass"]
+
+
+def test_soliton_at_the_wrong_speed_fails_its_shape_error(tmp_path, monkeypatch):
+    # a run whose snapshots are the exact solitary wave at 1.001 c_w keeps
+    # its shape and its conserved quantities, but it is not the solution: the
+    # shape error against the exact wave at c_w fails (7.2e-3 against 1e-4),
+    # where a minimum over all shifts of u0 forgave the speed
+    cfg = dict(default_config("soliton"), output_dir=str(tmp_path / "out"))
+    real = experiments.evolve_kdv
+
+    def too_fast(model, u0, grid, *args, **kwargs):
+        traj = real(model, u0, grid, *args, **kwargs)
+        traj.meta["snapshots"] = np.array([fourier_shift(u0, grid, -1.001 * cfg["speed"] * t)
+                                           for t in traj.times])
+        return traj
+
+    monkeypatch.setattr(experiments, "evolve_kdv", too_fast)
+    assert run_experiment(ExperimentConfig.from_dict(cfg)) == 1
+    checks = _assertion_map(_summary(tmp_path / "out"))
+    assert not checks.pop("shape_error")["pass"]
+    assert all(check["pass"] for check in checks.values()), checks
 
 
 @pytest.mark.parametrize("speed", [0.05, 1e-300, 1.7e308])

@@ -742,6 +742,8 @@ def test_fourier_shift(grid):
     f = np.sin(grid.x)
     shifted = fourier_shift(f, grid, 0.5)
     assert np.max(np.abs(shifted[0] - np.sin(grid.x - 0.5))) < 1e-12
+    # the shift is reduced mod L: three turns more move nothing
+    assert np.max(np.abs(fourier_shift(f, grid, 0.5 + 3 * grid.length) - shifted)) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)

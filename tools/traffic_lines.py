@@ -7,8 +7,13 @@ Usage::
 ROOT is a kdvlab checkout.  The runs are those of ``artifact_hashes.py``
 (the benchmark's experiments at seed 0, the default config of each
 experiment kind, then the fixed corpus), each run through the command line
-into a temporary directory under a line tracer, set from the import of
-kdvlab on, that follows only the frames of ``ROOT/src/kdvlab``.  OUT
+into a temporary directory, then one traced pass of ROOT's perfbench
+(``sample.run_pass`` with its tracer installed, over a small serial
+``converge`` and a small ``micro`` run), whose counters reach code that no
+untraced run calls (``perfbench/layers.py`` takes the ``len()`` of what
+``hydro.extract_series`` returns).  All of it runs under a line tracer, set
+from the import of kdvlab on, that follows only the frames of
+``ROOT/src/kdvlab``.  OUT
 receives one line ``module:line: source`` per statement that never ran,
 sorted by module and line.  The statements are
 found with ``ast``; left out are raise statements, docstrings, ``global``
@@ -25,6 +30,7 @@ written under ROOT::
 from __future__ import annotations
 
 import ast
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -94,6 +100,25 @@ def _tracer(prefix: str):
     return trace, ran
 
 
+def _traced_pass(experiments, tmp: Path) -> None:
+    """One pass of perfbench's ``sample.run_pass`` with its tracer
+    installed, over a serial converge of two eps-runs and a micro run, both
+    at a small size, into ``tmp``."""
+    import sample
+    import tracer as tracing
+
+    small = {"grid": {"n": 64, "length": 8 * math.pi},
+             "time": {"t_final": 0.05, "dt": 1e-3, "snapshots": 3}}
+    raws = [dict(experiments.default_config("converge"), eps_list=[0.2, 0.1], **small),
+            dict(experiments.default_config("micro"), preset="ll_easy_plane", **small)]
+    configs = [experiments.ExperimentConfig.from_dict(dict(raw, output_dir=str(tmp / f"traced-{i}")))
+               for i, raw in enumerate(raws)]
+    statuses, _ = sample.run_pass(experiments, configs, tracing.Tracer())
+    raised = [s for s in statuses if isinstance(s, str)]
+    if raised:
+        raise SystemExit(f"the traced pass raised: {raised[0]}")
+
+
 def main() -> int:
     args = sys.argv[1:]
     if len(args) != 2:
@@ -109,6 +134,7 @@ def main() -> int:
             for name, raw in _runs(workloads, experiments.default_config,
                                    experiments.EXPERIMENT_KINDS):
                 _run(cli, Path(tmp), name, raw)
+            _traced_pass(experiments, Path(tmp))
     finally:
         sys.settrace(None)
     report = []
