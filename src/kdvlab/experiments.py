@@ -711,7 +711,8 @@ def _run_hyperbolic(cfg: ExperimentConfig, outdir: Path):
         u0 = _soliton(cfg, Q, grid)
     else:
         u0 = _initial_field(cfg, grid, 1)
-    traj = evolve_kdv(run_model, u0, grid, cfg.t_final, cfg.dt, n_snapshots=cfg.snapshots)
+    traj = evolve_kdv(run_model, u0, grid, cfg.t_final, cfg.dt, n_snapshots=cfg.snapshots,
+                      record_gradient=True)
 
     grad_t, grad_v = traj.meta["grad_history"]
     emit_series(outdir / "hyperbolic_series.csv", ["t", "max_gradient"],

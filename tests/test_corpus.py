@@ -51,6 +51,12 @@ FAST_SOLITON = {"experiment": "soliton", "preset": "gp_scalar",
 # hydro.limit_error with a traceback and no summary
 SUB_STEP_RUN = {"experiment": "converge", "preset": "gp_scalar",
                 "time": {"t_final": 0.0004, "dt": 0.001, "snapshots": 11}}
+# the hyperbolic soliton control: a dispersive run from the solitary wave
+# that records max|dx u| on every step and reports no breakdown
+HYPERBOLIC_SOLITON = {"experiment": "hyperbolic", "preset": "gp_scalar", "delta": 1,
+                      "grid": {"n": 64, "length": 16.0 * math.pi},
+                      "time": {"t_final": 0.05, "dt": 1e-3, "snapshots": 3},
+                      "initial": {"shape": "soliton"}}
 
 
 def draw_config(rng, experiment, preset, length=None):
@@ -90,15 +96,15 @@ def draw_config(rng, experiment, preset, length=None):
 
 def corpus(seed=SEED, extra=EXTRA):
     """Every experiment with every preset, spin micro and converge runs on
-    each domain length, the aborted-limit-run and sub-step converge
-    configs, then ``extra`` configurations of random experiment and
-    preset."""
+    each domain length, the aborted-limit-run and sub-step converge configs
+    and the hyperbolic soliton control, then ``extra`` configurations of
+    random experiment and preset."""
     rng = random.Random(seed)
     configs = [draw_config(rng, experiment, preset)
                for experiment in EXPERIMENT_KINDS for preset in PARAMS]
     configs += [draw_config(rng, experiment, rng.choice(SPINS), length)
                 for experiment in ("micro", "converge") for length in LENGTHS]
-    configs += [ABORTED_LIMIT_RUN, SUB_STEP_RUN]
+    configs += [ABORTED_LIMIT_RUN, SUB_STEP_RUN, HYPERBOLIC_SOLITON]
     configs += [draw_config(rng, rng.choice(EXPERIMENT_KINDS), rng.choice(list(PARAMS)))
                 for _ in range(extra)]
     return configs
@@ -151,6 +157,15 @@ def test_the_aborted_limit_run_stops_on_its_step(tmp_path, capsys):
     timings = json.loads(summary)["timings"]
     assert timings["kdv_steps"] == 20
     assert timings["aborts"] == {"kdv": {"abort_reason": "gradient blow-up", "steps_taken": 7}}
+
+
+def test_the_hyperbolic_soliton_control_passes_and_records_every_step(tmp_path, capsys):
+    # the one corpus run of the recording gradient guard: max|dx u| at the
+    # start and after each of its 50 steps, and no breakdown
+    status, err, summary = _run(HYPERBOLIC_SOLITON, tmp_path / "run", capsys)
+    assert status == 0 and "Traceback" not in err
+    assert json.loads(summary)["timings"] == {"gradient_checks": 51, "kdv_steps": 50,
+                                             "kdv_steps_taken": 50}
 
 
 @pytest.mark.parametrize("raw,steps,taken", [

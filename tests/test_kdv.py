@@ -260,8 +260,9 @@ def test_evolve_rejects_state_of_wrong_shape(shape):
 @pytest.mark.parametrize("case", ["canonical", "gp_coupled"])
 def test_evolve_transforms_per_step(fft_calls, case):
     # the state stays in coefficient space: a step without a snapshot makes
-    # 8 transforms in the stepper (an irfft and an rfft per stage) and 1
-    # irfft of the d rows for the gradient guard
+    # 8 transforms in the stepper (an irfft and an rfft per stage); the
+    # gradient guard's bound screens it with no transform, and a run that
+    # records the gradient makes 1 irfft of the d rows per step for it
     grid = Grid(64, 2 * np.pi)
     if case == "canonical":
         model = canonical_scalar(-1.0)
@@ -269,24 +270,57 @@ def test_evolve_transforms_per_step(fft_calls, case):
         model = limit_equation(preset("gp_coupled")[0])
     u0 = 0.1 * np.stack([np.sin(grid.x), np.cos(grid.x)][: model.dim])
 
-    def transforms(steps):
+    def transforms(steps, record):
         before = fft_calls.copy()
-        evolve_kdv(model, u0, grid, steps * 1e-3, 1e-3, n_snapshots=2)
+        evolve_kdv(model, u0, grid, steps * 1e-3, 1e-3, n_snapshots=2, record_gradient=record)
         return fft_calls - before
 
     # rows per call: a stage pads the d rows of u and truncates the d rows
     # of Q(u, u)
     d = model.dim
     want = collections.Counter({("rfft", d): 40, ("irfft", d): 40})
+    assert transforms(20, False) - transforms(10, False) == want
     want["irfft", d] += 10
-    assert transforms(20) - transforms(10) == want
+    assert transforms(20, True) - transforms(10, True) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    n=st.integers(8, 65),
+    modes=st.integers(1, 4),
+    log_scale=st.floats(-6.0, 6.0),
+    length=st.floats(0.5, 50.0),
+)
+def test_gradient_bound_is_at_least_the_max_gradient_property(seed, d, n, modes, log_scale,
+                                                              length):
+    # the guard's screen bounds max|dx u| over the d rows from above, on
+    # band-limited states of even and odd n in the state convention (Nyquist
+    # mode halved), the Nyquist mode of even n drawn among the others; to
+    # within rounding far inside the guard's 1e-9 margin, as a single mode
+    # peaking on a grid point makes the two equal
+    rng = np.random.default_rng(seed)
+    grid = Grid(n, length)
+    spec = np.zeros((d, n // 2 + 1), complex)
+    for row in spec:
+        k = rng.choice(np.arange(n // 2 + 1), size=min(modes, n // 2 + 1), replace=False)
+        row[k] = rng.normal(size=len(k)) + 1j * rng.normal(size=len(k))
+        row[k[0]] = 10.0 ** log_scale * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    spec[:, 0] = spec[:, 0].real
+    if n % 2 == 0:
+        spec[:, -1] = spec[:, -1].real
+    u = np.fft.irfft(spec, n, axis=-1)
+    v = np.fft.rfft(u, axis=-1) * Dealias.nyquist_split(n, d)
+    assert np.max(np.abs(grid.diff(u))) <= kdv._gradient_bound(grid, d)(v) * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("form,dim", [("canonical", 1), ("canonical", 2), ("mkdv", 1), ("mkdv", 2)])
 def test_ifrk4_steps_allocate_only_the_new_state(monkeypatch, form, dim):
     # once the run has built its factors, workspace and stages, each of 200
     # IF-RK4 steps at N = 512 allocates the coefficients it returns and small
-    # objects, and the gradient guard small objects only.  The rise of the
+    # objects, and the gradient guard small objects only, whether its bound
+    # screens the step or the run records max|dx u| exactly.  The rise of the
     # traced memory within a call is measured against what it starts with,
     # since freed Python objects kept on free lists stay traced
     grid = Grid(512, 16 * np.pi)
@@ -308,17 +342,18 @@ def test_ifrk4_steps_allocate_only_the_new_state(monkeypatch, form, dim):
     monkeypatch.setattr(kdv, "_run", lambda *args, monitor: run(*args, monitor=traced(monitor, guard_rises)))
     if form == "mkdv":  # the run of the mKdV leg of miura_crosscheck
         Q = QTensor(tensor)
-        start = lambda: kdv._evolve_ifrk4(grid.rsymbol(3), _mkdv_nonlinear(Q, grid), u0, grid, 0.2,
-                                          1e-3, 5, 1)
+        start = lambda record: kdv._evolve_ifrk4(grid.rsymbol(3), _mkdv_nonlinear(Q, grid), u0,
+                                                 grid, 0.2, 1e-3, 5, 1, record)
     else:
-        start = lambda: evolve_kdv(LimitModel(QTensor(tensor), 1.0), u0, grid, 0.2,
-                                   1e-3, 5)
+        start = lambda record: evolve_kdv(LimitModel(QTensor(tensor), 1.0), u0, grid, 0.2,
+                                          1e-3, 5, record_gradient=record)
     tracemalloc.start()
     try:
-        traj = start()
+        trajs = [start(record) for record in (False, True)]
     finally:
         tracemalloc.stop()
-    assert not traj.aborted and len(step_rises) == len(guard_rises) == 200
+    assert not any(traj.aborted for traj in trajs)
+    assert len(step_rises) == len(guard_rises) == 400
     # measured on numpy 2.4: 1.7 kB over the new coefficients (2.2 kB for
     # the d = 2 canonical einsum) and 1.1 kB in the guard; a broadcast or
     # strided ufunc operand adds a buffer of its output's size (9.3 kB at
@@ -411,9 +446,9 @@ def _check_change_of_variables(model, A0, grid, T, dt, n_snapshots):
     the run in A's units."""
     f, s = model.scale["time_factor"], model.scale["amplitude"]
     steps, step = step_plan(T, dt)
-    traj = evolve_kdv(model, A0, grid, T, dt, n_snapshots)
+    traj = evolve_kdv(model, A0, grid, T, dt, n_snapshots, record_gradient=True)
     unit = evolve_kdv(LimitModel(model.canonical_q, 1.0), s * A0, grid,
-                      T / f, step / f, n_snapshots)
+                      T / f, step / f, n_snapshots, record_gradient=True)
     u = unit.meta["snapshots"]
     assert np.array_equal(traj.meta["canonical_snapshots"], u)
     assert np.array_equal(traj.meta["snapshots"][1:], u[1:] / s)
@@ -517,7 +552,7 @@ def test_aborted_run_reports_the_steps_taken():
     # initial one
     grid = Grid(128, 2 * np.pi)
     model = canonical_scalar(1.0, dispersion=0.0)
-    traj = evolve_kdv(model, np.sin(grid.x)[None, :], grid, 1.0, 2e-3)
+    traj = evolve_kdv(model, np.sin(grid.x)[None, :], grid, 1.0, 2e-3, record_gradient=True)
     assert traj.aborted and traj.abort_reason == "gradient blow-up"
     assert traj.meta["steps"] == 500
     taken = traj.meta["steps_taken"]
@@ -527,6 +562,33 @@ def test_aborted_run_reports_the_steps_taken():
     assert times[-1] == traj.abort_time
     crossed = np.flatnonzero(grads > BLOWUP_MULTIPLE * grads[0])
     assert crossed.tolist() == [taken]
+
+
+@pytest.mark.parametrize("family,amplitude,reason,taken", [
+    (None, 1.0, "gradient blow-up", 302),
+    (("LL_EASY_CONE", {"alpha": 0.5, "theta0": 0.3}), 1.0, "gradient blow-up", 7),
+    (("GP_SCALAR", None), 1e30, "non-finite state", 1),
+], ids=["burgers", "aborted-limit-run", "non-finite"])
+def test_screened_and_recorded_runs_agree(family, amplitude, reason, taken):
+    # the bound only spares the guard's exact max: a run that records max|dx u|
+    # on every step stops on the same step for the same reason, with the same
+    # snapshots, as one whose guard is screened.  The runs: the sin x blow-up
+    # of test_aborted_run_reports_the_steps_taken, and the two limit runs of
+    # test_evolve_kdv_abort_is_in_the_units_of_a
+    if family is None:
+        model, grid, T, dt = canonical_scalar(1.0, 0.0), Grid(128, 2 * np.pi), 1.0, 2e-3
+        A0 = np.sin(grid.x)[None, :]
+    else:
+        model, grid, T, dt = limit_equation(preset(*family)[0]), Grid(32, 1.0), 0.05, 0.0025
+        A0 = amplitude * np.cos(2.0 * np.pi * grid.x)[None, :]
+    with np.errstate(all="ignore"):
+        screened, recorded = (evolve_kdv(model, A0, grid, T, dt, 3, record_gradient=record)
+                              for record in (False, True))
+    assert screened.abort_reason == recorded.abort_reason == reason
+    assert screened.meta["steps_taken"] == recorded.meta["steps_taken"] == taken
+    assert screened.abort_time == recorded.abort_time and screened.times == recorded.times
+    assert screened.meta["snapshots"].tobytes() == recorded.meta["snapshots"].tobytes()
+    assert "grad_history" not in screened.meta and "grad_history" in recorded.meta
 
 
 def test_burgers_breakdown_near_oracle_time():
