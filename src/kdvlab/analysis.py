@@ -16,7 +16,6 @@ from .kdv import LimitModel, QTensor, _evolve_ifrk4, _pairing, bilinear_apply, e
 
 __all__ = [
     "solitary_profile",
-    "SolitonSpec",
     "find_fixed_point",
     "build_soliton",
     "miura_condition",
@@ -32,27 +31,6 @@ def solitary_profile(xi):
     with np.errstate(over="ignore"):
         sech = 1.0 / np.cosh(0.5 * xi)
     return -1.5 * sech * sech
-
-
-class SolitonSpec:
-    """Parameters of one member of the solitary family.
-
-    speed : wave speed c_w > 0.
-    direction : d-vector z; when ``q_tensor`` is given, Q(z,z)=z is enforced
-        to 1e-10 max(1, |z|^2) at construction (the bound of
-        :func:`find_fixed_point`, scaled as the rounding of Q(z,z)).
-    """
-
-    def __init__(self, speed, direction, q_tensor: QTensor | None = None):
-        self.speed = float(speed)
-        if not self.speed > 0:
-            raise ValueError(f"speed must be positive, got {speed}")
-        self.direction = np.atleast_1d(np.asarray(direction, dtype=float))
-        if q_tensor is not None:
-            z = self.direction
-            defect = np.linalg.norm(q_tensor.apply_vectors(z, z) - z)
-            if defect > 1e-10 * max(1.0, z @ z):
-                raise ValueError(f"direction is not a fixed point of Q: |Q(z,z)-z| = {defect:.3g}")
 
 
 def _flux_jacobian(Q: QTensor, u: np.ndarray) -> np.ndarray:
@@ -109,20 +87,24 @@ def find_fixed_point(Q: QTensor):
     return roots
 
 
-def build_soliton(spec: SolitonSpec, grid: Grid) -> np.ndarray:
-    """Sample u(x) = c_w q0(sqrt(c_w)(x - x0)) z on the grid, centred
-    mid-domain (x0 = L/2), as a (d, N) array.
+def build_soliton(speed: float, direction, grid: Grid) -> np.ndarray:
+    """Sample u(x) = c_w q0(sqrt(c_w)(x - x0)) z, with c_w = ``speed`` and z
+    the d-vector ``direction`` (a fixed point of Q(z,z) = z, as
+    :func:`find_fixed_point` returns), on the grid, centred mid-domain
+    (x0 = L/2), as a (d, N) array.
 
-    Raises when a sample is not finite (the wave overflows), when the profile
-    tails exceed 1e-12 min(1, peak) at the point of the periodic domain
-    farthest from the center (the domain is then too short for the periodic
-    surrogate to represent the decaying wave), and when the sampled wave
-    underflows to zero.
+    Raises when the speed is not positive, when a sample is not finite (the
+    wave overflows), when the profile tails exceed 1e-12 min(1, peak) at the
+    point of the periodic domain farthest from the center (the domain is
+    then too short for the periodic surrogate to represent the decaying
+    wave), and when the sampled wave underflows to zero.
     """
+    if not speed > 0:
+        raise ValueError(f"speed must be positive, got {speed}")
     x0 = 0.5 * grid.length
-    xi = np.sqrt(spec.speed) * (grid.x - x0)
+    xi = np.sqrt(speed) * (grid.x - x0)
     with np.errstate(over="ignore", invalid="ignore"):
-        comps = np.outer(spec.direction, spec.speed * solitary_profile(xi))
+        comps = np.outer(direction, speed * solitary_profile(xi))
     if not np.isfinite(comps).all():
         raise ValueError("the soliton samples are not finite")
     dist = np.abs((grid.x - x0 + 0.5 * grid.length) % grid.length - 0.5 * grid.length)

@@ -2,14 +2,15 @@
 
 Usage::
 
-    kdvlab <experiment> [--config cfg.json] [--eps E] [--n N] [--t-final T]
+    kdvlab <experiment> [--config cfg.json]
 
 The configuration is a JSON document following the schema of
 :func:`kdvlab.experiments.default_config`: a field it leaves out takes the
 chosen experiment's default, an unknown field is an error, and an
-``experiment`` it names must be the subcommand.  The targeted flags override
-the file.  The exit status is 0 exactly when every assertion in the emitted
-summary passed, 1 when one failed and 2 for an invalid configuration.
+``experiment`` it names must be the subcommand.  The document is the only
+way to set a field.  The exit status is 0 exactly when every assertion in
+the emitted summary passed, 1 when one failed and 2 for an invalid
+configuration or command line.
 """
 
 from __future__ import annotations
@@ -45,20 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(kind, help=_HELP[kind])
         sp.add_argument("--config", metavar="PATH",
                         help="JSON config; a field left out takes the experiment default")
-        sp.add_argument("--eps", type=float,
-                        help="override eps (micro; for converge: run this single "
-                             "eps against the next smaller half; an error elsewhere)")
-        sp.add_argument("--n", type=int, help="override the grid size")
-        sp.add_argument("--t-final", type=float, dest="t_final",
-                        help="override the final time")
     return parser
-
-
-def _section(cfg: dict, name: str) -> dict:
-    """The section ``name`` of ``cfg``, which a flag is about to override."""
-    if not isinstance(cfg.setdefault(name, {}), dict):
-        raise ConfigError(f"{name}: must be a mapping, got {cfg[name]!r}")
-    return cfg[name]
 
 
 def load_config(args) -> ExperimentConfig:
@@ -76,15 +64,6 @@ def load_config(args) -> ExperimentConfig:
     if experiment != args.experiment:
         raise ConfigError(f"experiment: the document names {experiment!r}, "
                           f"the subcommand {args.experiment!r}")
-    if args.eps is not None:
-        if args.experiment == "converge":
-            cfg["eps_list"] = [args.eps, 0.5 * args.eps]
-        else:
-            cfg["eps"] = args.eps
-    if args.n is not None:
-        _section(cfg, "grid")["n"] = args.n
-    if args.t_final is not None:
-        _section(cfg, "time")["t_final"] = args.t_final
     return ExperimentConfig.from_dict(cfg)
 
 

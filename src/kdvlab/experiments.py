@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    SolitonSpec,
     build_soliton,
     complex_q_d2,
     find_fixed_point,
@@ -399,11 +398,17 @@ def _micro_steps(spec, eps: float, grid: Grid, t_final: float, snapshots: int) -
 # ---------------------------------------------------------------------------
 
 
-def _limit_model(cfg: ExperimentConfig) -> LimitModel:
-    """The canonical limit model of the config's preset; parameters whose
+def _spec(cfg: ExperimentConfig):
+    """The microscopic model spec of the config's preset (its parameters
+    were checked in :meth:`ExperimentConfig.from_dict`)."""
+    return preset(cfg.preset_name, cfg.params)[1]
+
+
+def _limit_model(spec) -> LimitModel:
+    """The canonical limit model of the spec's geometry; parameters whose
     limit tensor overflows are a config error."""
     try:
-        return limit_equation(preset(cfg.preset_name, cfg.params or None)[0])
+        return limit_equation(spec.geometry)
     except ValueError as exc:
         raise ConfigError(f"params: {exc}") from None
 
@@ -411,7 +416,7 @@ def _limit_model(cfg: ExperimentConfig) -> LimitModel:
 def _scalar_q(cfg: ExperimentConfig):
     """The canonical Q of the config's preset, which must have one component
     (the miura and hyperbolic runs)."""
-    model = _limit_model(cfg)
+    model = _limit_model(_spec(cfg))
     if model.dim != 1:
         raise ConfigError(f"preset: the {cfg.experiment} experiment needs a one-component preset")
     return model.canonical_q
@@ -423,7 +428,7 @@ def _soliton(cfg: ExperimentConfig, Q, grid: Grid) -> np.ndarray:
     slow, so too wide, or underflowing) is a config error."""
     z = find_fixed_point(Q)[0]
     try:
-        return build_soliton(SolitonSpec(speed=cfg.speed, direction=z, q_tensor=Q), grid)
+        return build_soliton(cfg.speed, z, grid)
     except ValueError as exc:
         raise ConfigError(f"speed: {cfg.speed!r} gives no soliton on this grid: {exc}") from None
 
@@ -446,7 +451,7 @@ def _drift(model: LimitModel, u0: np.ndarray, snapshots, grid: Grid):
 
 
 def _run_kdv(cfg: ExperimentConfig, outdir: Path):
-    model = _limit_model(cfg)
+    model = _limit_model(_spec(cfg))
     grid = cfg.make_grid()
     A0 = _initial_field(cfg, grid, model.dim)
     traj = evolve_kdv(model, A0, grid, cfg.t_final, cfg.dt, n_snapshots=cfg.snapshots)
@@ -514,31 +519,31 @@ def _micro_series(spec, s0, kdv_traj):
     return consume, collected
 
 
-def _well_prepared(cfg: ExperimentConfig, eps: float):
-    """The spec, grid and well-prepared initial state of the config at eps;
-    data that leave the model chart (or its modulus range) are a config
-    error."""
-    _, spec = preset(cfg.preset_name, cfg.params or None)
-    grid = cfg.make_grid()
-    A0 = _initial_field(cfg, grid, spec.geometry.dim)
+def _well_prepared(spec, A0: np.ndarray, grid: Grid, eps: float):
+    """The well-prepared initial state of the spec at eps from the initial
+    field A0; data that leave the model chart (or its modulus range) are a
+    config error."""
     try:
-        return spec, grid, well_prepared_init(spec, A0, grid, eps)
+        return well_prepared_init(spec, A0, grid, eps)
     except ValueError as exc:
         raise ConfigError(f"initial.amplitude: {exc} (eps = {eps!r})") from None
 
 
-def _prepare_micro(cfg: ExperimentConfig, eps: float, kdv_traj=None):
-    """The spec, well-prepared initial state and step of one streamed
-    microscopic run at eps, at a quarter of the step cap, and its series
-    consumer and collected columns (:func:`_micro_series`): the micro
+def _prepare_micro(cfg: ExperimentConfig, spec, A0: np.ndarray, grid: Grid, eps: float,
+                   kdv_traj=None):
+    """The well-prepared initial state and step of one streamed microscopic
+    run of the spec from A0 at eps, at a quarter of the step cap, and its
+    series consumer and collected columns (:func:`_micro_series`): the micro
     experiment, or one ε-run of converge (with its limit run)."""
-    spec, grid, s0 = _well_prepared(cfg, eps)
+    s0 = _well_prepared(spec, A0, grid, eps)
     dt = cfg.t_final / _micro_steps(spec, eps, grid, cfg.t_final, cfg.snapshots)
-    return (spec, s0, dt) + _micro_series(spec, s0, kdv_traj)
+    return (s0, dt) + _micro_series(spec, s0, kdv_traj)
 
 
 def _run_micro(cfg: ExperimentConfig, outdir: Path):
-    spec, s0, dt, consume, collected = _prepare_micro(cfg, cfg.eps)
+    spec, grid = _spec(cfg), cfg.make_grid()
+    s0, dt, consume, collected = _prepare_micro(
+        cfg, spec, _initial_field(cfg, grid, spec.geometry.dim), grid, cfg.eps)
     traj = evolve_micro(spec, s0, cfg.t_final, dt, cfg.snapshots, consume=consume)
     series = collected()
     columns = ["t", "w_norm", "eps_phi_inf", "energy", "structure_dev"]
@@ -567,15 +572,16 @@ def _converge_task(payload):
     every ε as one group, a worker pool one ε per task, through this
     function.  Every ε-run is prepared before any steps, so data outside the
     chart are a config error before a run starts.  The payload is the
-    validated config, the group's ε and the shared limit run that every
-    ε-run is scored against.  Each ε-run writes its own CSV file; returns
-    one result per ε, in group order.
+    validated config, the spec, initial field and grid of the limit run,
+    the group's ε and the shared limit run that every ε-run is scored
+    against.  Each ε-run writes its own CSV file; returns one result per ε,
+    in group order.
     """
-    cfg, group, kdv_traj = payload
-    specs, states, dts, consumers, collected = zip(*[_prepare_micro(cfg, eps, kdv_traj)
-                                                     for eps in group])
-    trajs = evolve_group(specs[0], states, cfg.t_final, dts, cfg.snapshots, consumers=consumers)
-    return [_converge_result(cfg, specs[0], eps, traj, series())
+    cfg, spec, A0, grid, group, kdv_traj = payload
+    states, dts, consumers, collected = zip(*[_prepare_micro(cfg, spec, A0, grid, eps, kdv_traj)
+                                              for eps in group])
+    trajs = evolve_group(spec, states, cfg.t_final, dts, cfg.snapshots, consumers=consumers)
+    return [_converge_result(cfg, spec, eps, traj, series())
             for eps, traj, series in zip(group, trajs, collected)]
 
 
@@ -603,25 +609,25 @@ def _converge_result(cfg, spec, eps, traj, series):
 
 
 def _run_converge(cfg: ExperimentConfig, outdir: Path):
-    model = _limit_model(cfg)
-    grid = cfg.make_grid()
-    kdv_traj = evolve_kdv(model, _initial_field(cfg, grid, model.dim), grid, cfg.t_final, cfg.dt,
-                          n_snapshots=cfg.snapshots)
+    spec, grid = _spec(cfg), cfg.make_grid()
+    model = _limit_model(spec)
+    A0 = _initial_field(cfg, grid, model.dim)
+    kdv_traj = evolve_kdv(model, A0, grid, cfg.t_final, cfg.dt, n_snapshots=cfg.snapshots)
     if kdv_traj.aborted:  # no limit reference to score the ε-runs against
         for eps in cfg.eps_list:  # data outside the chart stay a config error
-            _well_prepared(cfg, eps)
+            _well_prepared(spec, A0, grid, eps)
         assertions = [_completed("limit_run_completed", kdv_traj, cfg.t_final)]
         return assertions, {"kdv_steps": kdv_traj.meta["steps"], **_aborts({"kdv": kdv_traj})}
     if cfg.workers > 1:
         from multiprocessing import Pool  # only parallel runs pay for this import
         # eps_list decreases, so reversed it hands out the costliest run (the
         # smallest eps) first; the results are put back in eps_list order
-        payloads = [(cfg, [eps], kdv_traj) for eps in cfg.eps_list[::-1]]
+        payloads = [(cfg, spec, A0, grid, [eps], kdv_traj) for eps in cfg.eps_list[::-1]]
         with Pool(processes=min(cfg.workers, len(payloads))) as pool:
             results = [r for rs in pool.map(_converge_task, payloads, chunksize=1)[::-1]
                        for r in rs]
     else:
-        results = _converge_task((cfg, cfg.eps_list, kdv_traj))
+        results = _converge_task((cfg, spec, A0, grid, cfg.eps_list, kdv_traj))
 
     completed = [r for r in results if not r["traj"].aborted]
     all_done = len(completed) == len(results)
@@ -653,7 +659,7 @@ def _run_converge(cfg: ExperimentConfig, outdir: Path):
 
 
 def _run_soliton(cfg: ExperimentConfig, outdir: Path):
-    Q = _limit_model(cfg).canonical_q
+    Q = _limit_model(_spec(cfg)).canonical_q
     if Q.is_zero:
         raise ConfigError(
             "preset: the soliton experiment needs a preset with a nonzero "

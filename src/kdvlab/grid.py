@@ -312,14 +312,15 @@ def ifrk4_step(v_hat, nonlinear, factors, stages):
 
 def snapshot_steps(steps: int, n_snapshots: int):
     """The snapshot schedule of a run of ``steps`` steps asking for about
-    ``n_snapshots`` snapshots: (every, snaps), with snaps the steps 0, every,
-    2 every, ... and the last step, so that a limit run and a microscopic run
-    of the same step count snapshot at the same times."""
+    ``n_snapshots`` snapshots: the steps 0, every, 2 every, ... and the last
+    step, with every = steps // (n_snapshots - 1) (at least 1), so that a
+    limit run and a microscopic run of the same step count snapshot at the
+    same times."""
     every = max(1, steps // max(1, n_snapshots - 1))
     snaps = list(range(0, steps + 1, every))
     if snaps[-1] != steps:
         snaps.append(steps)
-    return every, snaps
+    return snaps
 
 
 def step_plan(T: float, dt: float):
@@ -372,7 +373,7 @@ def _run(runs, state, advance, keep=None, monitor=None, check=None) -> list[Traj
     trajs = [Trajectory() for _ in runs]
     bufs, blocks, upcoming, due = [], [], [], []
     for row, (steps, _, n_snapshots, _) in enumerate(runs):
-        _, snaps = snapshot_steps(steps, n_snapshots)
+        snaps = snapshot_steps(steps, n_snapshots)
         buf = np.empty((min(SNAPSHOT_BLOCK, len(snaps)),) + state.shape[1:], state.dtype)
         buf[0] = state[row]
         bufs.append(buf)

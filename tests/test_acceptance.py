@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from kdvlab.analysis import (
-    SolitonSpec,
     build_soliton,
     complex_q_d2,
     find_fixed_point,
@@ -157,7 +156,7 @@ def test_criterion_03_soliton_conservation():
     z = find_fixed_point(Q)[0]
     grid = Grid(512, 16 * np.pi)
     speed = 4.0
-    u0 = build_soliton(SolitonSpec(speed=speed, direction=z, q_tensor=Q), grid)
+    u0 = build_soliton(speed, z, grid)
     traj = evolve_kdv(model, u0, grid, 2.0, 1e-3, n_snapshots=5)
     h0, m0, p0 = conserved_quantities(model, u0, grid)
     dh = dm = dp = shape = 0.0

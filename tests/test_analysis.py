@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import kdvlab.analysis
 from kdvlab.analysis import (
-    SolitonSpec,
     build_soliton,
     complex_q_d2,
     find_fixed_point,
@@ -158,37 +157,24 @@ def test_fixed_point_rejects_d3():
 # ---------------------------------------------------------------------------
 
 
-def test_soliton_spec_validation():
-    with pytest.raises(ValueError):
-        SolitonSpec(speed=0.0, direction=[1.0])
-    with pytest.raises(ValueError, match="fixed point"):
-        SolitonSpec(speed=1.0, direction=[0.5], q_tensor=QTensor([[[1.0]]]))
-    SolitonSpec(speed=1.0, direction=[1.0], q_tensor=QTensor([[[1.0]]]))
-
-
-@pytest.mark.parametrize("seed", [434, 974, 1017, 1611, 1632])
-def test_soliton_spec_accepts_every_returned_root(seed):
-    # each of these Gaussian tensors has a root of norm 1e3-4e4 whose
-    # Q(z,z) rounds to a defect above 1e-10; the bound scales with |z|^2,
-    # as find_fixed_point's does, so every root it returns is a direction
-    Q = QTensor(np.random.default_rng(seed).standard_normal((2, 2, 2)))
-    roots = find_fixed_point(Q)
-    assert max(np.linalg.norm(Q.apply_vectors(z, z) - z) for z in roots) > 1e-10
-    for z in roots:
-        SolitonSpec(speed=1.0, direction=z, q_tensor=Q)
+@pytest.mark.parametrize("speed", [0.0, -1.0, np.nan])
+def test_build_soliton_rejects_a_speed_that_is_not_positive(speed):
+    # without the check, speed 0 reports zero tails and a negative speed
+    # warns in sqrt
+    with pytest.raises(ValueError, match="^speed must be positive"):
+        build_soliton(speed, [1.0], Grid(64, 8.0))
 
 
 def test_build_soliton_rejects_overflowing_wave():
     # c_w q0(0) = -1.5 c_w overflows at c_w = 1.7e308
     grid = Grid(64, 8.0)
     with pytest.raises(ValueError, match="not finite"):
-        build_soliton(SolitonSpec(speed=1.7e308, direction=[1.0]), grid)
+        build_soliton(1.7e308, [1.0], grid)
 
 
 def test_build_soliton_samples_formula():
     grid = Grid(512, 64 * np.pi)
-    spec = SolitonSpec(speed=2.0, direction=[-1.0])
-    u = build_soliton(spec, grid)
+    u = build_soliton(2.0, [-1.0], grid)
     x0 = 32 * np.pi
     expected = 2.0 * solitary_profile(np.sqrt(2.0) * (grid.x - x0)) * (-1.0)
     assert np.max(np.abs(u[0] - expected)) <= 1e-15
@@ -197,7 +183,7 @@ def test_build_soliton_samples_formula():
 def test_build_soliton_rejects_short_domain():
     grid = Grid(64, 8.0)
     with pytest.raises(ValueError, match="tails"):
-        build_soliton(SolitonSpec(speed=1.0, direction=[1.0]), grid)
+        build_soliton(1.0, [1.0], grid)
 
 
 def test_soliton_ode_residual_true_profile():
@@ -245,7 +231,7 @@ def test_soliton_transit_preserves_shape():
     z = find_fixed_point(Q)[0]
     grid = Grid(512, 16 * np.pi)
     speed = 4.0
-    u0 = build_soliton(SolitonSpec(speed=speed, direction=z, q_tensor=Q), grid)
+    u0 = build_soliton(speed, z, grid)
     T = grid.length / speed
     traj = evolve_kdv(model, u0, grid, T, dt=1e-3, n_snapshots=5)
     assert not traj.aborted

@@ -3,6 +3,7 @@ artifact formats, per-experiment summaries, and determinism."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -180,23 +181,23 @@ def test_non_finite_initial_data_exit_2_without_traceback(tmp_path, experiment):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
-@pytest.mark.parametrize("document,flags,message", [
-    (b"[1, 2]", [], "JSON object"),
-    (b'"x"', [], "JSON object"),
-    (b'{"grid": 5}', ["--n", "64"], "grid: must be a mapping"),
-    (b'{"time": [1]}', ["--t-final", "0.5"], "time: must be a mapping"),
-    (b"\xff\xfe", [], "not UTF-8"),
+@pytest.mark.parametrize("document,message", [
+    (b"[1, 2]", "JSON object"),
+    (b'"x"', "JSON object"),
+    (b'{"grid": 5}', "grid: must be a mapping"),
+    (b'{"time": [1]}', "time: must be a mapping"),
+    (b"\xff\xfe", "not UTF-8"),
 ])
-def test_malformed_config_document_exit_2_without_traceback(tmp_path, document, flags, message):
-    # a document that is not an object, a flag-overridden section that is
-    # not a mapping, or a file that does not decode is an invalid
-    # configuration: exit 2, no traceback and no summary (in the default
-    # output directory, relative to the working directory)
+def test_malformed_config_document_exit_2_without_traceback(tmp_path, document, message):
+    # a document that is not an object, a section that is not a mapping,
+    # or a file that does not decode is an invalid configuration: exit 2,
+    # no traceback and no summary (in the default output directory,
+    # relative to the working directory)
     path = tmp_path / "cfg.json"
     path.write_bytes(document)
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
-        [sys.executable, "-m", "kdvlab.cli", "kdv", "--config", str(path), *flags],
+        [sys.executable, "-m", "kdvlab.cli", "kdv", "--config", str(path)],
         capture_output=True, text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)))
     assert out.returncode == 2
     assert message in out.stderr and "Traceback" not in out.stderr
@@ -315,14 +316,6 @@ def test_a_field_added_to_one_experiments_defaults_needs_no_other_edit(monkeypat
             assert "probe" not in ExperimentConfig.from_dict(default_config(kind)).echo()
             with pytest.raises(ConfigError, match="^probe: unknown configuration field$"):
                 ExperimentConfig.from_dict(dict(default_config(kind), probe=2.5))
-
-
-def test_eps_flag_of_an_experiment_without_eps_exits_2(tmp_path, capsys):
-    # `kdvlab kdv --eps 0.3` used to exit 0 with eps in no summary
-    cfg = _write_config(tmp_path, "c.json", {"output_dir": str(tmp_path / "out")})
-    assert main(["kdv", "--config", cfg, "--eps", "0.3"]) == 2
-    assert "invalid configuration: eps: " in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("experiment,eps", [
@@ -898,19 +891,26 @@ def test_summary_schema(tmp_path):
     assert "wall_seconds" in timings
 
 
-def test_cli_overrides(tmp_path):
-    cfg = _write_config(tmp_path, "cfg.json", {"output_dir": str(tmp_path / "out")})
-    rc = main(["kdv", "--config", cfg, "--n", "64", "--t-final", "0.5"])
-    assert rc == 0
-    echo = _summary(tmp_path / "out")["config_echo"]
-    assert echo["grid"]["n"] == 64
-    assert echo["time"]["t_final"] == 0.5
-
-
-def test_cli_rejects_bad_grid_size(capsys):
-    rc = main(["kdv", "--n", "100"])
+def test_cli_rejects_bad_grid_size(tmp_path, capsys):
+    rc = main(["kdv", "--config", _write_config(tmp_path, "cfg.json", {"grid": {"n": 100}})])
     assert rc == 2
     assert "grid.n" in capsys.readouterr().err
+
+
+def test_the_document_is_the_only_way_to_set_a_field(tmp_path, monkeypatch, capsys):
+    # each subcommand takes --config alone: a field flag is an unknown
+    # argument, exit 2 before any run (nothing is written in the working
+    # directory, where the default output directory is)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["micro", "--eps", "0.1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --eps 0.1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as exc:
+        main(["micro", "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {"--help", "--config"}
 
 
 @pytest.mark.parametrize("payload", [

@@ -7,7 +7,10 @@ finite assertion values and no aborts, and a rerun writes the same
 preset, spin ``micro`` and ``converge`` runs on each domain length and 60
 configurations of random experiment and preset, on grids of at most 64
 points.  ``KDVLAB_CORPUS_EXTRA=K`` makes that K random configurations
-instead (a longer opt-in run draws from the same generator).
+instead (a longer opt-in run draws from the same generator).  A fixed
+config's test id is its name and a drawn config's its index in the corpus,
+the NN of its ``corpus/NN-…`` run in ``tools/artifact_hashes.py``; a fixed
+config added later goes after the random draws, so no draw's id moves.
 """
 
 import json
@@ -57,6 +60,11 @@ HYPERBOLIC_SOLITON = {"experiment": "hyperbolic", "preset": "gp_scalar", "delta"
                       "grid": {"n": 64, "length": 16.0 * math.pi},
                       "time": {"t_final": 0.05, "dt": 1e-3, "snapshots": 3},
                       "initial": {"shape": "soliton"}}
+# the fixed configs by test id: the first three sit between the spin runs
+# and the random draws, where the draws' ids were first recorded, and any
+# later one after the random draws
+FIXED = {"aborted-limit-run": ABORTED_LIMIT_RUN, "sub-step-run": SUB_STEP_RUN,
+         "hyperbolic-soliton": HYPERBOLIC_SOLITON}
 
 
 def draw_config(rng, experiment, preset, length=None):
@@ -98,16 +106,26 @@ def corpus(seed=SEED, extra=EXTRA):
     """Every experiment with every preset, spin micro and converge runs on
     each domain length, the aborted-limit-run and sub-step converge configs
     and the hyperbolic soliton control, then ``extra`` configurations of
-    random experiment and preset."""
+    random experiment and preset, then any fixed config added after those
+    three."""
     rng = random.Random(seed)
     configs = [draw_config(rng, experiment, preset)
                for experiment in EXPERIMENT_KINDS for preset in PARAMS]
     configs += [draw_config(rng, experiment, rng.choice(SPINS), length)
                 for experiment in ("micro", "converge") for length in LENGTHS]
-    configs += [ABORTED_LIMIT_RUN, SUB_STEP_RUN, HYPERBOLIC_SOLITON]
+    fixed = list(FIXED.values())
+    configs += fixed[:3]
     configs += [draw_config(rng, rng.choice(EXPERIMENT_KINDS), rng.choice(list(PARAMS)))
                 for _ in range(extra)]
+    configs += fixed[3:]
     return configs
+
+
+def corpus_ids(configs):
+    """The test id of each config of ``configs``: its name in FIXED, or
+    else its index in ``configs``."""
+    names = {id(raw): name for name, raw in FIXED.items()}
+    return [names.get(id(raw), str(i)) for i, raw in enumerate(configs)]
 
 
 def _run(raw, path, capsys):
@@ -130,9 +148,11 @@ def test_corpus_covers_the_spin_runs_on_every_length():
     assert max(c.get("eps", 0.0) for c in corpus()) > 0.85
 
 
-@pytest.mark.parametrize("index", range(len(corpus())))
-def test_every_config_ends_in_a_summary_or_a_named_config_error(tmp_path, capsys, index):
-    raw = corpus()[index]
+CORPUS = corpus()
+
+
+@pytest.mark.parametrize("raw", CORPUS, ids=corpus_ids(CORPUS))
+def test_every_config_ends_in_a_summary_or_a_named_config_error(tmp_path, capsys, raw):
     status, err, summary = _run(raw, tmp_path / "first", capsys)
     assert status in (0, 1, 2), raw
     assert "Traceback" not in err, raw

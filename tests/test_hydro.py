@@ -16,6 +16,7 @@ from kdvlab.hydro import (
     almost_hamiltonian,
     energy_proxy,
     extract_series,
+    limit_error,
 )
 from kdvlab.kdv import evolve_kdv
 from kdvlab.micro import MicroState, dt_max, evolve_micro, well_prepared_init
@@ -363,6 +364,27 @@ def test_limit_error_requires_matching_times():
     kdv_traj = evolve_kdv(limit_equation(geom), zero, grid, 0.07, 1e-3, n_snapshots=3)
     with pytest.raises(ValueError, match="time grids"):
         replay_blocks(traj, _micro_series(spec, s0, kdv_traj))
+
+
+def test_limit_error_pairs_snapshots_by_time_and_rejects_one_off_its_times():
+    # a limit run that aborted keeps an off-schedule last snapshot (here at
+    # t = 0.0625 after 0.05), so snapshots pair by time, not by index; a
+    # micro snapshot with no limit counterpart raises instead of being
+    # scored against the nearest limit snapshot
+    grid, eps = Grid(32, 2 * np.pi), 0.2
+    _, spec = preset("GP_SCALAR")
+    limit = np.array([k * np.sin(grid.x)[None, :] for k in (1.0, 2.0, 3.0)])
+    kdv_traj = SimpleNamespace(times=[0.0, 0.05, 0.0625], meta={"snapshots": limit})
+    zero = np.zeros((2, 1, 32))
+    h = HydroState(grid, eps, zero, zero, [True, True])
+    err = limit_error(spec, [0.0, 0.0625], h, zero, kdv_traj)
+    np.testing.assert_allclose(err["err_amplitude"], [l2_norm(limit[0], grid),
+                                                      l2_norm(limit[2], grid)], rtol=1e-12)
+    with pytest.raises(ValueError, match=r"^time grids do not match: micro snapshot "
+                                         r"t=0\.06 has no limit-run counterpart "
+                                         r"\(nearest 0\.0625\)$"):
+        limit_error(spec, [0.0, 0.06], h, zero, kdv_traj)
+    assert np.array_equal(kdv_traj.meta["snapshots"], limit)  # shifted copies only
 
 
 def test_proxy_of_flat_state_counts_only_gradients():

@@ -459,7 +459,7 @@ def _check_change_of_variables(model, A0, grid, T, dt, n_snapshots):
     assert taken == unit.meta["steps_taken"]
     # the times, abort time and gradient history in A's units
     finite = traj.abort_reason != "non-finite state"
-    snaps = [k for k in snapshot_steps(steps, n_snapshots)[1] if k < taken]
+    snaps = [k for k in snapshot_steps(steps, n_snapshots) if k < taken]
     if finite:  # the last step, or the step the gradient guard stopped on
         snaps.append(taken)
     assert traj.times == [k * step for k in snaps]
