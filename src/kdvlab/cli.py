@@ -10,7 +10,8 @@ chosen experiment's default, an unknown field is an error, and an
 ``experiment`` it names must be the subcommand.  The document is the only
 way to set a field.  The exit status is 0 exactly when every assertion in
 the emitted summary passed, 1 when one failed and 2 for an invalid
-configuration or command line.
+configuration or command line; :func:`main` returns it (0 after ``--help``)
+and raises no ``SystemExit``.
 """
 
 from __future__ import annotations
@@ -68,7 +69,10 @@ def load_config(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a bad command line
+        return exc.code
     try:
         cfg = load_config(args)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:

@@ -225,7 +225,7 @@ def rk4_factors(dt: float):
 def rk4_step(state, rhs, factors, stages):
     """One classical RK4 step for d/dt state = rhs(state); returns a new array.
 
-    Stage i calls ``rhs(y, out=k_i)`` and uses the array it returns; y is
+    Stage i calls ``rhs(y, k_i)`` and uses the array it returns; y is
     formed in the fifth stage buffer.  ``factors`` are those of
     :func:`rk4_factors` (or, for a batch of runs, each run's stacked at the
     state's shape), and ``stages`` holds the five buffers k_1..k_4, y of
@@ -236,19 +236,19 @@ def rk4_step(state, rhs, factors, stages):
     """
     half, full, two, sixth = factors
     k1, k2, k3, k4, y = stages
-    k1 = rhs(state, out=k1)
-    np.multiply(k1, half, out=y)
+    k1 = rhs(state, k1)
+    np.multiply(k1, half, y)
     y += state
-    k2 = rhs(y, out=k2)
-    np.multiply(k2, half, out=y)
+    k2 = rhs(y, k2)
+    np.multiply(k2, half, y)
     y += state
-    k3 = rhs(y, out=k3)
-    np.multiply(k3, full, out=y)
+    k3 = rhs(y, k3)
+    np.multiply(k3, full, y)
     y += state
-    k4 = rhs(y, out=k4)
+    k4 = rhs(y, k4)
     out = np.multiply(k2, two)  # state + dt/6 (k1 + 2 k2 + 2 k3 + k4), in that order
     out += k1
-    out += np.multiply(k3, two, out=y)
+    out += np.multiply(k3, two, y)
     out += k4
     out *= sixth
     out += state

@@ -27,14 +27,18 @@ stacked at the full shape of their operands, so a run in a batch has the
 bits of the same run stepped alone; a run leaves the batch when it ends or
 aborts, and the others carry their state on.
 
-Both steps run on buffers and transforms bound once per batch
-(``grid._transform``), so a step looks nothing up: the split step holds its
-bound fft and ifft, its spectrum, the linear flow's factor and the rotation
-scale (each run's, at the state's shape), the phase factors and rotation
-factor, and the leading-rotated state; the spin step holds the RK4 stages
-and factors, the norms, and one tuple (``_SpinWork.stage``) of the bound
-rfft and irfft, symbols, shifted cross-product copies and their views that
-each right-hand side unpacks.  A step allocates only the state it yields.
+Both steps run on buffers, transforms (``grid._transform``) and ufuncs
+bound once per batch, and hand every ufunc its output positionally, so a
+step looks nothing up: the split step holds its bound fft, ifft, cos, sin
+and multiply, its spectrum, the linear flow's factor (each run's, at the
+state's shape), the rotation factor, the leading-rotated state, and the
+angle function ``_phase_factors`` builds, which holds the rotation scale,
+the phase-factor buffers and their views, the coupled constants and its
+own ufuncs; the spin step holds the RK4 stages and factors, the norms, its
+renormalization's ufuncs, and one tuple (``_SpinWork.stage``) of the bound
+rfft, irfft, multiply and subtract, symbols, shifted cross-product copies
+and their views that each right-hand side unpacks.  A step allocates only
+the state it yields.
 Every constant a step hands to a ufunc is an array made once: numpy converts
 a Python scalar operand on every call, and a broadcast one sends the call
 through a buffered loop that allocates.  A spin step is one RK4 step on the
@@ -47,7 +51,6 @@ it fails is each run checked on its own.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -100,7 +103,7 @@ def _check_pointwise(spec, vals):
     (the comparisons are written so that a NaN sample violates them)."""
     if spec.is_complex:
         mod = np.abs(vals)
-        lo, hi = float(mod.min()), float(mod.max())
+        lo, hi = np.minimum.reduce(mod, axis=None), np.maximum.reduce(mod, axis=None)
         if not (_MODULUS_RANGE[0] <= lo and hi <= _MODULUS_RANGE[1]):
             return f"modulus left [{_MODULUS_RANGE[0]}, {_MODULUS_RANGE[1]}]: range ({lo:.3g}, {hi:.3g})"
     else:
@@ -118,31 +121,41 @@ def unit_norm_deviation(spec, vals):
                    for b in blocks], axis=0)
 
 
-@functools.lru_cache(maxsize=None)
-def _coupled_constants(lam: float, gamma: float):
-    """lam, 4 gamma and 2 gamma of the coupled condensate as 0-d arrays, made
-    once per parameter pair."""
-    return np.array(lam), np.array(4.0 * gamma), np.array(2.0 * gamma)
-
-
-def _phase_factors(spec, vals, out):
-    """Local self-interaction factors g_k with force +i g_k u_k / eps, written
-    into out[0] of a real (2, *vals.shape) buffer whose row 1 is scratch."""
-    g = np.abs(vals, out=out[0])
-    np.square(g, out=g)
-    np.subtract(_ONE, g, out=g)  # d_k = 1 - |u_k|^2, the scalar factor
+def _phase_factors(spec, out, scale):
+    """The angle function of a condensate batch: ``theta(z)`` writes scale
+    times the local self-interaction factors g_k of z (force +i g_k u_k /
+    eps) into out[0] of a real (2, *z.shape) buffer whose row 1 is scratch,
+    and returns it.  The views, the coupled constants lam, 4 gamma and 2
+    gamma (0-d arrays) and the ufuncs are bound here, once per batch."""
+    (g, t), one = out, _ONE
+    absolute, square, subtract, multiply, add = (np.absolute, np.square, np.subtract,
+                                                 np.multiply, np.add)
     if spec.kind == "GP_SCALAR":
-        return g
-    lam, gamma4, gamma2 = _coupled_constants(spec.params["lam"], spec.params["gamma"])
+        def theta(z):
+            absolute(z, g)
+            square(g, g)
+            subtract(one, g, g)  # d_k = 1 - |u_k|^2, the scalar factor
+            return multiply(g, scale, g)
+
+        return theta
+    lam, gamma = spec.params["lam"], spec.params["gamma"]
+    lam, gamma4, gamma2 = np.array(lam), np.array(4.0 * gamma), np.array(2.0 * gamma)
     d1, d2 = g[..., 0, :], g[..., 1, :]
-    t1, t2 = out[1][..., 0, :], out[1][..., 1, :]
-    np.multiply(gamma4, d1, out=t1)
-    t1 *= d2
-    np.multiply(gamma2, d1, out=t2)
-    t2 *= d1
-    g *= lam
-    g += out[1]  # [lam d1 + 4 gamma d1 d2, lam d2 + 2 gamma d1 d1]
-    return g
+    t1, t2 = t[..., 0, :], t[..., 1, :]
+
+    def theta(z):
+        absolute(z, g)
+        square(g, g)
+        subtract(one, g, g)
+        multiply(gamma4, d1, t1)
+        multiply(t1, d2, t1)
+        multiply(gamma2, d1, t2)
+        multiply(t2, d1, t2)
+        multiply(g, lam, g)
+        add(g, t, g)  # [lam d1 + 4 gamma d1 d2, lam d2 + 2 gamma d1 d1]
+        return multiply(g, scale, g)
+
+    return theta
 
 
 class _SpinWork:
@@ -199,36 +212,36 @@ class _SpinWork:
         torque = np.empty(self.shape)
         g5, t5 = np.empty((2,) + spheres + (5, len(eps), n))
         lo, hi = np.s_[..., 1:4, :, :], np.s_[..., 2:5, :, :]
-        self.stage = (*_transform("rfft", n), *_transform("irfft", n), sym, coef, dcoef, couple,
-                      cone, torque, torque[..., 2, :, :], g5, g5[..., 2, :, :], t5, g5[lo], g5[hi],
-                      t5[lo], t5[hi])
+        self.stage = (*_transform("rfft", n), *_transform("irfft", n), np.multiply, np.subtract,
+                      sym, coef, dcoef, couple, cone, torque, torque[..., 2, :, :], g5,
+                      g5[..., 2, :, :], t5, g5[lo], g5[hi], t5[lo], t5[hi])
 
 
 def _rhs_raw(vals, out, work):
     """The spin right-hand side Γ × T(Γ) of a batch, written into ``out``:
     ``vals`` and ``out`` have the shape of ``work``, the :class:`_SpinWork`
     built for the family and each run's eps."""
-    (rfft, rfft_scale, irfft, irfft_scale, sym, coef, dcoef, couple, cone, torque, torque_z,
-     g5, g_z, t5, g_lo, g_hi, t_lo, t_hi) = work.stage
+    (rfft, rfft_scale, irfft, irfft_scale, multiply, subtract, sym, coef, dcoef, couple, cone,
+     torque, torque_z, g5, g_z, t5, g_lo, g_hi, t_lo, t_hi) = work.stage
     rfft(vals, rfft_scale, coef)
-    np.multiply(sym, coef, out=dcoef)
+    multiply(sym, coef, dcoef)
     if couple is not None:
         couple_u, coef_v, mixed_u, couple_v, coef_u, mixed_v, mixed = couple
-        np.multiply(couple_u, coef_v, out=mixed_u)
-        np.multiply(couple_v, coef_u, out=mixed_v)
+        multiply(couple_u, coef_v, mixed_u)
+        multiply(couple_v, coef_u, mixed_v)
         dcoef += mixed
     irfft(dcoef, irfft_scale, torque)
     vals.take(_ROLL, axis=-3, out=g5, mode="clip")  # "raise" would copy g5 first
     if cone is not None:
         cos0, quad, lin, dev, term = cone
-        np.subtract(g_z, cos0, out=dev)
-        np.multiply(quad, dev, out=term)
+        subtract(g_z, cos0, dev)
+        multiply(quad, dev, term)
         term -= lin
-        torque_z += np.multiply(dev, term, out=term)  # dev (quad dev - lin)
+        torque_z += multiply(dev, term, term)  # dev (quad dev - lin)
     torque.take(_ROLL, axis=-3, out=t5, mode="clip")
     # torque now lives in t5, so its buffer is the cross product's scratch
-    np.multiply(g_lo, t_hi, out=out)
-    return np.subtract(out, np.multiply(g_hi, t_lo, out=torque), out=out)
+    multiply(g_lo, t_hi, out)
+    return subtract(out, multiply(g_hi, t_lo, torque), out)
 
 
 def dt_max(spec: MicroModelSpec, eps: float, grid: Grid) -> float:
@@ -353,27 +366,28 @@ def _make_stepper(spec, grid, eps, dt):
             # step computes one factor, and a run carries its state as
             # ``ahead``, the state with its leading half rotation applied.
             spectrum, field, rot = np.empty((3,) + state.shape, complex)
-            factors = np.empty((2,) + state.shape)
             flow = np.stack([np.tile(lin[i], (state.shape[1], 1)) for i in runs])
-            theta_scale = np.stack([np.full(state.shape[1:], scale[i]) for i in runs])
-            cos, sin = rot.real, rot.imag
-
-            def rotation(z):
-                theta = _phase_factors(spec, z, out=factors)
-                theta *= theta_scale
-                np.cos(theta, out=cos)
-                np.sin(theta, out=sin)
-                return rot
-
-            ahead = state if rotated else np.multiply(state, rotation(state))
+            theta = _phase_factors(spec, np.empty((2,) + state.shape),
+                                   np.stack([np.full(state.shape[1:], scale[i]) for i in runs]))
+            re, im = rot.real, rot.imag
+            cos, sin, multiply, vdot, isfinite = np.cos, np.sin, np.multiply, np.vdot, math.isfinite
+            ahead = state
+            if not rotated:
+                angle = theta(state)
+                cos(angle, re)
+                sin(angle, im)
+                ahead = multiply(state, rot)
 
             def advance():
                 fft(ahead, fft_scale, spectrum)
-                np.multiply(spectrum, flow, out=spectrum)
+                multiply(spectrum, flow, spectrum)
                 ifft(spectrum, ifft_scale, field)
-                u = np.multiply(field, rotation(field))  # the step's one allocation
-                np.multiply(u, rot, out=ahead)
-                if not math.isfinite(np.vdot(u, u).real):  # the mass catches NaN/inf
+                angle = theta(field)
+                cos(angle, re)
+                sin(angle, im)
+                u = multiply(field, rot)  # the step's one allocation
+                multiply(u, rot, ahead)
+                if not isfinite(vdot(u, u).real):  # the mass catches NaN/inf
                     raise _nonfinite(u)
                 return u
 
@@ -386,7 +400,10 @@ def _make_stepper(spec, grid, eps, dt):
     def batch(runs, gam):
         work = _SpinWork(spec, grid, [eps[i] for i in runs])
         gam = gam.reshape(work.shape)
-        rhs = functools.partial(_rhs_raw, work=work)
+
+        def rhs(vals, out):  # _rhs_raw is looked up per call, so a wrapper set by name sees it
+            return _rhs_raw(vals, out, work)
+
         m, n = work.shape[-2:]
 
         def stacked(j):  # each run's factor j at the shape of its rows
@@ -397,17 +414,19 @@ def _make_stepper(spec, grid, eps, dt):
         stages = tuple(np.empty((5,) + work.shape))
         norms, spread = np.empty(work.shape[:-3] + (m, n)), np.empty(work.shape)
         columns, flat = norms[..., None, :, :], (3 * work.blocks, m, n)
+        add_rows, multiply, sqrt, copyto, vdot, isfinite = (np.add.reduce, np.multiply, np.sqrt,
+                                                           np.copyto, np.vdot, math.isfinite)
 
         def advance():
             nonlocal gam
             gam = rk4_step(gam, rhs, factors, stages)
             # the squared norms summed over each sphere's 3 rows, in row order
-            np.add.reduce(np.multiply(gam, gam, out=spread), axis=-3, out=norms)
-            np.sqrt(norms, out=norms)
-            np.copyto(spread, columns)  # a broadcast divisor would allocate a buffer
+            add_rows(multiply(gam, gam, spread), axis=-3, out=norms)
+            sqrt(norms, norms)
+            copyto(spread, columns)  # a broadcast divisor would allocate a buffer
             gam /= spread
             state = gam.reshape(flat).transpose(1, 0, 2)  # run r's (m, N) rows: state[r]
-            if not math.isfinite(np.vdot(gam, gam)):  # a zero-norm point gives 0/0
+            if not isfinite(vdot(gam, gam)):  # a zero-norm point gives 0/0
                 raise _nonfinite(state)
             return state
 

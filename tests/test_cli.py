@@ -553,19 +553,25 @@ def test_converge_nan_at_the_last_eps_fails(tmp_path, monkeypatch, key, name):
 
 def _poison_last_row(monkeypatch, bad_call):
     """Give the last row of a condensate batch, the smallest eps of a serial
-    converge, a NaN rotation factor at the ``bad_call``-th factor built (the
-    factor of step k is the (k+1)-th)."""
+    converge, NaN angles at the ``bad_call``-th call of the angle functions
+    that ``micro._phase_factors`` builds (the angles of step k are the
+    (k+1)-th)."""
     import kdvlab.micro
 
     real_factors = kdvlab.micro._phase_factors
     calls = []
 
-    def poisoned(spec, vals, out=None):
-        calls.append(None)
-        g = real_factors(spec, vals, out)
-        if len(calls) == bad_call:
-            g[-1] *= np.nan
-        return g
+    def poisoned(spec, out, scale):  # the batch's angle function, counted over every batch
+        theta = real_factors(spec, out, scale)
+
+        def poisoned_theta(z):
+            calls.append(None)
+            angles = theta(z)
+            if len(calls) == bad_call:
+                angles[-1] *= np.nan
+            return angles
+
+        return poisoned_theta
 
     monkeypatch.setattr(kdvlab.micro, "_phase_factors", poisoned)
 
@@ -902,14 +908,10 @@ def test_the_document_is_the_only_way_to_set_a_field(tmp_path, monkeypatch, caps
     # argument, exit 2 before any run (nothing is written in the working
     # directory, where the default output directory is)
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(["micro", "--eps", "0.1"])
-    assert exc.value.code == 2
+    assert main(["micro", "--eps", "0.1"]) == 2
     assert "unrecognized arguments: --eps 0.1" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
-    with pytest.raises(SystemExit) as exc:
-        main(["micro", "--help"])
-    assert exc.value.code == 0
+    assert main(["micro", "--help"]) == 0
     assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {"--help", "--config"}
 
 
@@ -925,9 +927,11 @@ def test_cli_rejects_bad_preset_params(tmp_path, capsys, payload):
     assert "params" in capsys.readouterr().err
 
 
-def test_cli_rejects_unknown_subcommand():
+def test_cli_rejects_unknown_subcommand(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["dance"])
+    assert main(["dance"]) == 2  # main returns the status argparse exits with
+    assert "invalid choice: 'dance'" in capsys.readouterr().err
 
 
 def test_run_experiment_returns_failure_status(tmp_path):

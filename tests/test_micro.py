@@ -836,14 +836,19 @@ def test_split_step_computes_one_rotation_factor_per_step(monkeypatch):
     calls = []
     phase_factors = micro._phase_factors
 
-    def counted(spec, vals, out):
-        calls.append(None)
-        return phase_factors(spec, vals, out)
+    def counted(spec, out, scale):  # the batch's angle function, counting its calls
+        theta = phase_factors(spec, out, scale)
+
+        def counted_theta(z):
+            calls.append(None)
+            return theta(z)
+
+        return counted_theta
 
     monkeypatch.setattr(micro, "_phase_factors", counted)
     traj = record_micro(spec, s0, T=0.05, dt=0.05 / 40, n_snapshots=5)
     assert not traj.aborted and traj.meta["steps"] == 40
-    assert len(calls) <= 40 + 1
+    assert len(calls) == 40 + 1  # the leading factor of step 1, then one a step
 
 
 @pytest.mark.parametrize("half", [0, 1])
@@ -860,10 +865,15 @@ def test_split_step_aborts_on_the_exact_non_finite_step(monkeypatch, half):
     calls = []
     phase_factors = micro._phase_factors
 
-    def poisoned(spec, vals, out):
-        calls.append(None)
-        g = phase_factors(spec, vals, out)
-        return g * np.nan if len(calls) == bad_call else g
+    def poisoned(spec, out, scale):  # the batch's angle function, NaN on call bad_call
+        theta = phase_factors(spec, out, scale)
+
+        def poisoned_theta(z):
+            calls.append(None)
+            angles = theta(z)
+            return angles * np.nan if len(calls) == bad_call else angles
+
+        return poisoned_theta
 
     monkeypatch.setattr(micro, "_phase_factors", poisoned)
     traj = record_micro(spec, s0, T=0.05, dt=0.05 / steps, n_snapshots=2)
@@ -1012,20 +1022,27 @@ def test_group_runs_have_the_bits_of_solo_runs(kind, params):
 
 
 def _poison_row(monkeypatch, name, bad_call, row):
-    """Make ``micro.<name>`` (``_phase_factors`` or ``_rhs_raw``) write NaN
-    into the batch row ``row`` on its ``bad_call``-th call."""
-    real = getattr(micro, name)
+    """Make the spin right-hand side ``micro._rhs_raw``, or the angle function
+    that ``micro._phase_factors`` builds for each batch, write NaN into the
+    batch row ``row`` on its ``bad_call``-th call (counted over every batch)."""
     calls = []
 
-    def poisoned(*args, **kwargs):
-        calls.append(None)
-        out = real(*args, **kwargs)
-        if len(calls) == bad_call:
-            rows = out if name == "_phase_factors" else np.moveaxis(out, -2, 0)  # runs at -2
-            rows[row] *= np.nan
-        return out
+    def poison(fn):
+        def poisoned(*args, **kwargs):
+            calls.append(None)
+            out = fn(*args, **kwargs)
+            if len(calls) == bad_call:
+                rows = out if name == "_phase_factors" else np.moveaxis(out, -2, 0)  # runs at -2
+                rows[row] *= np.nan
+            return out
 
-    monkeypatch.setattr(micro, name, poisoned)
+        return poisoned
+
+    real = getattr(micro, name)
+    if name == "_phase_factors":
+        monkeypatch.setattr(micro, name, lambda *args: poison(real(*args)))
+    else:
+        monkeypatch.setattr(micro, name, poison(real))
 
 
 @pytest.mark.parametrize("kind,params,name,bad_call,bad_step", [

@@ -5,12 +5,13 @@ numpy converts a Python scalar operand to an array on every ufunc call
 kernels take their scalars as 0-d arrays made once per run.  The runs below
 step with the ``np`` of ``grid``, ``micro``, ``kdv`` and ``analysis``
 replaced by a proxy whose ufuncs, ``.reduce`` included, reject a scalar
-operand.  The proxy is in place for the run loop only (``grid._run``: every
-step, the per-step monitor and the snapshot check), since the set-up of a
-run may convert its scalars once.  In-place operators do not go through the
-proxy; the kernels write them with 0-d operands too.  The same proxy, with
-scalars allowed and installed before a run is built, counts the ufunc calls
-of one IF-RK4 step.
+operand.  The proxy is installed before a run is built, so a kernel that
+binds its ufuncs once per batch binds the proxy's, and it rejects scalars
+in the run loop only (``grid._run``: every step, the per-step monitor and
+the snapshot check), since the set-up of a run may convert its scalars
+once.  In-place operators do not go through the proxy; the kernels write
+them with 0-d operands too.  The same proxy, with scalars allowed, counts
+the ufunc calls of one IF-RK4 step.
 """
 
 import collections
@@ -28,13 +29,13 @@ _SCALARS = (float, int, complex, np.generic)  # bool is an int
 
 
 class _GuardedUfunc:
-    def __init__(self, ufunc, calls, strict=True):
-        self._ufunc, self._calls, self._strict = ufunc, calls, strict
+    def __init__(self, ufunc, proxy):
+        self._ufunc, self._proxy = ufunc, proxy
 
     def _check(self, operands):
-        self._calls[self._ufunc.__name__] += 1
+        self._proxy.calls[self._ufunc.__name__] += 1
         for a in operands:
-            if self._strict and isinstance(a, _SCALARS):
+            if self._proxy.strict and isinstance(a, _SCALARS):
                 raise AssertionError(f"np.{self._ufunc.__name__} got the scalar operand {a!r}")
 
     def __call__(self, *args, **kwargs):
@@ -51,42 +52,51 @@ class _GuardedUfunc:
 
 class _GuardedNumpy:
     """numpy, with each ufunc wrapped in a :class:`_GuardedUfunc` that counts
-    its calls in ``calls`` (and, if ``strict``, rejects scalar operands)."""
+    its calls in ``calls`` and, while ``strict``, rejects scalar operands."""
 
     def __init__(self, strict=True):
-        self.calls, self._strict = collections.Counter(), strict
+        self.calls, self.strict = collections.Counter(), strict
 
     def __getattr__(self, name):
         obj = getattr(np, name)
-        return _GuardedUfunc(obj, self.calls, self._strict) if isinstance(obj, np.ufunc) else obj
+        return _GuardedUfunc(obj, self) if isinstance(obj, np.ufunc) else obj
 
 
 @pytest.fixture
 def guarded(monkeypatch):
-    """Runs whose loop sees the guarded numpy; returns its call counter."""
-    proxy, run = _GuardedNumpy(), grid._run
+    """Runs built with the guarded numpy, strict in their loop only; returns
+    the counter of the ufunc calls made in the loop."""
+    proxy, run, in_run = _GuardedNumpy(strict=False), grid._run, collections.Counter()
+    for module in (grid, micro, kdv, analysis):
+        monkeypatch.setattr(module, "np", proxy)
 
     def guarded_run(*args, **kwargs):
-        with monkeypatch.context() as m:
-            for module in (grid, micro, kdv, analysis):
-                m.setattr(module, "np", proxy)
+        before, proxy.strict = proxy.calls.copy(), True
+        try:
             return run(*args, **kwargs)
+        finally:
+            proxy.strict = False
+            in_run.update(proxy.calls - before)
 
     for module in (kdv, micro):
         monkeypatch.setattr(module, "_run", guarded_run)
-    return proxy.calls
+    return in_run
 
 
 def test_the_proxy_rejects_scalar_operands():
-    calls, a = collections.Counter(), np.ones(3)
-    proxy = _GuardedUfunc(np.multiply, calls)
+    a, proxy = np.ones(3), _GuardedNumpy()
     for scalar in (0.5, 2, 1j, np.float64(0.5), True):
         with pytest.raises(AssertionError, match="scalar operand"):
-            proxy(a, scalar, out=a)
+            proxy.multiply(a, scalar, out=a)
     with pytest.raises(AssertionError, match="scalar operand"):
-        _GuardedUfunc(np.add, calls).reduce(a, initial=0.0)
-    assert np.array_equal(proxy(a, np.array(0.5), out=a), np.full(3, 0.5))
-    assert _GuardedUfunc(np.add, calls).reduce(a, axis=None) == 1.5
+        proxy.add.reduce(a, initial=0.0)
+    assert np.array_equal(proxy.multiply(a, np.array(0.5), out=a), np.full(3, 0.5))
+    assert proxy.add.reduce(a, axis=None) == 1.5
+    bound, proxy.strict = proxy.multiply, False  # a ufunc bound before the run, checked in it
+    bound(a, 0.5, a)
+    proxy.strict = True
+    with pytest.raises(AssertionError, match="scalar operand"):
+        bound(a, 0.5, a)
 
 
 def _bump(g, width):
@@ -110,6 +120,18 @@ def test_micro_steps_pass_no_scalar_to_a_ufunc(guarded, kind, params):
     traj = evolve_micro(spec, s0, 6 * dt, dt, n_snapshots=3, consume=lambda times, block: None)
     assert not traj.aborted and traj.meta["steps_taken"] == 6
     assert sum(guarded.values()) >= 6 * 5  # the proxy saw the steps
+
+
+def test_a_bound_kernel_handed_a_python_scalar_fails_the_guard(guarded, monkeypatch):
+    # the split step's angle function binds the constant 1 of d = 1 - |u|^2
+    # when its batch is built: made a Python float, the first step fails
+    g, eps = Grid(64, 8 * np.pi), 0.2
+    _, spec = preset("GP_SCALAR")
+    s0 = well_prepared_init(spec, _bump(g, 1.0)[None], g, eps)
+    dt = dt_max(spec, eps, g)
+    monkeypatch.setattr(micro, "_ONE", 1.0)
+    with pytest.raises(AssertionError, match="np.subtract got the scalar operand 1.0"):
+        evolve_micro(spec, s0, 6 * dt, dt, n_snapshots=3, consume=lambda times, block: None)
 
 
 @pytest.mark.parametrize("form", ["canonical", "gp_coupled", "mkdv"])

@@ -35,3 +35,13 @@ def test_artifact_hashes_diff_lists_each_moved_status_and_file(tmp_path, monkeyp
     monkeypatch.setattr(sys, "argv", ["artifact_hashes.py", "--diff", str(paths[0]), str(paths[2])])
     assert tool.main() == 0
     assert capsys.readouterr().out == "no differences\n"
+
+
+def test_step_times_times_every_kernel_of_each_root():
+    tool, root = _tool("step_times"), TOOLS.parent
+    result = tool.measure([root, root], rounds=1, steps=2, repeats=1)
+    assert result["roots"] == [str(root)] * 2
+    assert list(result["us_per_step"]) == ["gp_scalar", "gp_coupled", "ll_easy_plane",
+                                           "ll_easy_cone", "af_chain", "ll_easy_plane x2",
+                                           "ifrk4 N=512"]
+    assert all(len(us) == 2 and min(us) > 0 for us in result["us_per_step"].values())
