@@ -52,6 +52,8 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
 
 
+# the benchmark's workload configs set ``workers`` on every experiment; a
+# converge steps its ε-runs as one batch, so 1 is the only value it reads
 _COMMON = {
     "params": {},
     "output_dir": "results",
@@ -186,6 +188,12 @@ def _as_complex(value, field: str) -> complex:
     return complex(float(pair[0]), float(pair[1]))
 
 
+def _one(value, field: str) -> int:
+    _require(isinstance(value, int) and not isinstance(value, bool) and value == 1, field,
+             f"must be 1 (every run is serial), got {value!r}")
+    return value
+
+
 def _path(value, field: str) -> str:
     _require(isinstance(value, str) and value, field, f"must be a non-empty path, got {value!r}")
     return value
@@ -204,7 +212,7 @@ _READERS = {
     "preset": _choice(tuple(kind.lower() for kind in KINDS)),
     "params": _params,
     "output_dir": _path,
-    "workers": _count(1),
+    "workers": _one,
     "grid.n": _grid_size,
     "grid.length": _positive,
     "time.t_final": _positive,
@@ -291,9 +299,9 @@ class ExperimentConfig:
         """The result-determining configuration, for the JSON summary: the
         fields read, complex values as [re, im].
 
-        Execution mechanics (worker count, output directory) do not influence
-        the computed numbers and are left out so that serial and parallel runs
-        of the same experiment emit byte-identical summaries.
+        The output directory does not influence the computed numbers, and
+        ``workers`` can only be 1: both are left out, so the same experiment
+        run into any directory emits a byte-identical summary.
         """
         return {name: [value.real, value.imag] if isinstance(value, complex) else value
                 for name, value in self._fields.items() if name not in ("output_dir", "workers")}
@@ -424,8 +432,12 @@ def _scalar_q(cfg: ExperimentConfig):
 
 def _soliton(cfg: ExperimentConfig, Q, grid: Grid) -> np.ndarray:
     """The solitary wave of speed ``cfg.speed`` along the smallest fixed
-    point z of Q(z,z) = z; a speed whose wave the grid cannot hold (too
-    slow, so too wide, or underflowing) is a config error."""
+    point z of Q(z,z) = z; a linear preset (Q = 0, no fixed point) and a
+    speed whose wave the grid cannot hold (too slow, so too wide, or
+    underflowing) are config errors."""
+    if Q.is_zero:
+        raise ConfigError(f"preset: a soliton needs a nonzero nonlinearity; "
+                          f"{cfg.preset_name!r} has none")
     z = find_fixed_point(Q)[0]
     try:
         return build_soliton(cfg.speed, z, grid)
@@ -566,30 +578,11 @@ def _run_micro(cfg: ExperimentConfig, outdir: Path):
     return assertions, counters
 
 
-def _converge_task(payload):
-    """The ε-runs of the convergence experiment at the ε of one group, stepped
-    in lockstep (:func:`~kdvlab.micro.evolve_group`): the serial path runs
-    every ε as one group, a worker pool one ε per task, through this
-    function.  Every ε-run is prepared before any steps, so data outside the
-    chart are a config error before a run starts.  The payload is the
-    validated config, the spec, initial field and grid of the limit run,
-    the group's ε and the shared limit run that every ε-run is scored
-    against.  Each ε-run writes its own CSV file; returns one result per ε,
-    in group order.
-    """
-    cfg, spec, A0, grid, group, kdv_traj = payload
-    states, dts, consumers, collected = zip(*[_prepare_micro(cfg, spec, A0, grid, eps, kdv_traj)
-                                              for eps in group])
-    trajs = evolve_group(spec, states, cfg.t_final, dts, cfg.snapshots, consumers=consumers)
-    return [_converge_result(cfg, spec, eps, traj, series())
-            for eps, traj, series in zip(group, trajs, collected)]
-
-
-def _converge_result(cfg, spec, eps, traj, series):
+def _converge_result(outdir: Path, spec, eps, traj, series):
     """The result of one ε-run of converge (its ε, its trajectory and, if it
-    completed, its error figures), its CSV file written."""
+    completed, its error figures), its CSV file written into ``outdir``."""
     out = {"eps": eps, "traj": traj}
-    path = Path(cfg.output_dir) / f"converge_eps_{eps!r}.csv"
+    path = outdir / f"converge_eps_{eps!r}.csv"
     if traj.aborted:
         # partial artifact: the chart series of whatever was reached
         emit_series(path, ["t", "w_norm"], np.column_stack([traj.times, series["w_norm"]]))
@@ -618,16 +611,13 @@ def _run_converge(cfg: ExperimentConfig, outdir: Path):
             _well_prepared(spec, A0, grid, eps)
         assertions = [_completed("limit_run_completed", kdv_traj, cfg.t_final)]
         return assertions, {"kdv_steps": kdv_traj.meta["steps"], **_aborts({"kdv": kdv_traj})}
-    if cfg.workers > 1:
-        from multiprocessing import Pool  # only parallel runs pay for this import
-        # eps_list decreases, so reversed it hands out the costliest run (the
-        # smallest eps) first; the results are put back in eps_list order
-        payloads = [(cfg, spec, A0, grid, [eps], kdv_traj) for eps in cfg.eps_list[::-1]]
-        with Pool(processes=min(cfg.workers, len(payloads))) as pool:
-            results = [r for rs in pool.map(_converge_task, payloads, chunksize=1)[::-1]
-                       for r in rs]
-    else:
-        results = _converge_task((cfg, spec, A0, grid, cfg.eps_list, kdv_traj))
+    # every ε-run is prepared before any steps, so data outside the chart
+    # are a config error before a run starts; the runs step in lockstep
+    states, dts, consumers, collected = zip(*[_prepare_micro(cfg, spec, A0, grid, eps, kdv_traj)
+                                              for eps in cfg.eps_list])
+    trajs = evolve_group(spec, states, cfg.t_final, dts, cfg.snapshots, consumers=consumers)
+    results = [_converge_result(outdir, spec, eps, traj, series())
+               for eps, traj, series in zip(cfg.eps_list, trajs, collected)]
 
     completed = [r for r in results if not r["traj"].aborted]
     all_done = len(completed) == len(results)
@@ -660,11 +650,6 @@ def _run_converge(cfg: ExperimentConfig, outdir: Path):
 
 def _run_soliton(cfg: ExperimentConfig, outdir: Path):
     Q = _limit_model(_spec(cfg)).canonical_q
-    if Q.is_zero:
-        raise ConfigError(
-            "preset: the soliton experiment needs a preset with a nonzero "
-            f"nonlinearity; {cfg.preset_name!r} has none"
-        )
     model = LimitModel(Q, 1.0)  # the canonical soliton, at unit scale
     grid = cfg.make_grid()
     u0 = _soliton(cfg, Q, grid)
@@ -769,18 +754,21 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     deterministic) and ``timings.json`` (wall clock).  The status is 0 exactly
     when every assertion passed.  The artifacts of an earlier run of the
     same experiment (``summary.json``, ``timings.json`` and its own series:
-    ``<experiment>_series.csv``, every ``converge_eps_*.csv`` for converge)
-    are removed first, so a run that ends in a config error leaves none and
-    a run over fewer ε leaves no stale series; no other file is touched.
+    ``<experiment>_series.csv``, or every ``converge_eps_*.csv`` for
+    converge) are removed first, so a run that ends in a config error leaves
+    none and a run over fewer ε leaves no stale series; no other file is
+    touched.  An output directory that cannot be made or cleared (a path
+    through a regular file, say) is a config error.
     """
     outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    stale = [outdir / name for name in ("summary.json", "timings.json",
-                                        f"{cfg.experiment}_series.csv")]
-    if cfg.experiment == "converge":
-        stale += outdir.glob("converge_eps_*.csv")
-    for path in stale:
-        path.unlink(missing_ok=True)
+    series = (outdir.glob("converge_eps_*.csv") if cfg.experiment == "converge"
+              else [outdir / f"{cfg.experiment}_series.csv"])
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for path in [outdir / "summary.json", outdir / "timings.json", *series]:
+            path.unlink(missing_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir: cannot prepare {cfg.output_dir!r}: {exc.strerror}") from None
     started = time.perf_counter()
     assertions, counters = _RUNNERS[cfg.experiment](cfg, outdir)
     elapsed = time.perf_counter() - started

@@ -61,15 +61,15 @@ CONVERGE_FAMILIES = {
 @pytest.fixture(scope="session")
 def converge_run(tmp_path_factory):
     """``converge_run(family)``: the artifacts of one ``converge`` run of a
-    family of CONVERGE_FAMILIES through ``run_experiment`` (two workers),
-    made once per pytest session.  Returns a namespace with the exit ``status``, the
-    ``summary``, its assertions by name (``checks``) and ``series``, the
+    family of CONVERGE_FAMILIES through ``run_experiment`` (its ε-runs
+    stepped as one batch), made once per pytest session.  Returns a
+    namespace with the exit ``status``, the ``summary``, its assertions by name (``checks``) and ``series``, the
     columns of each ``converge_eps_*.csv`` by eps."""
     root = tmp_path_factory.mktemp("converge")
 
     @functools.cache
     def run(family):
-        raw = dict(default_config("converge"), preset=family, workers=2,
+        raw = dict(default_config("converge"), preset=family,
                    output_dir=str(root / family), **CONVERGE_FAMILIES[family])
         cfg = ExperimentConfig.from_dict(raw)
         status = run_experiment(cfg)

@@ -288,19 +288,19 @@ def test_criterion_11_determinism(tmp_path):
     base["eps_list"] = [0.2, 0.1]
 
     outputs = {}
-    for name, workers in (("serial", 1), ("repeat", 1), ("parallel", 2)):
-        cfg = dict(base, output_dir=str(tmp_path / name), workers=workers)
+    for name in ("serial", "repeat"):
+        cfg = dict(base, output_dir=str(tmp_path / name))
         rc = run_experiment(ExperimentConfig.from_dict(cfg))
         assert rc == 0
         outputs[name] = (tmp_path / name / "summary.json").read_bytes()
 
-    ok = outputs["serial"] == outputs["repeat"] == outputs["parallel"]
+    ok = outputs["serial"] == outputs["repeat"]
     for eps in (0.2, 0.1):
         series = {
             name: (tmp_path / name / f"converge_eps_{eps}.csv").read_bytes()
             for name in outputs
         }
-        ok = ok and series["serial"] == series["repeat"] == series["parallel"]
+        ok = ok and series["serial"] == series["repeat"]
     _verdict(11, "determinism", ok,
              f"summary {len(outputs['serial'])} bytes identical across "
-             "repeat and worker-pool runs")
+             "repeated runs")

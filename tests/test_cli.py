@@ -35,9 +35,9 @@ def _write_config(tmp_path, name, payload):
 
 
 def test_cli_import_loads_numpy_and_stdlib_only():
-    # every CLI call, benchmark sample and pool worker starts by importing
-    # the package: besides numpy it may load only the standard library, and
-    # not multiprocessing, which only parallel runs need
+    # every CLI call and benchmark sample starts by importing the package:
+    # besides numpy it may load only the standard library, and not
+    # multiprocessing, which no run needs (every run is serial)
     src = Path(__file__).resolve().parent.parent / "src"
     code = "\n".join([
         "import sys",
@@ -120,6 +120,8 @@ def test_unknown_experiment_rejected():
         # an unknown key is an error at any depth
         ({"grid": {"points": 64}}, "grid.points"),
         ({"time": {"steps": 5}}, "time.steps"),
+        # every run is serial: a config that asks for a worker pool is an error
+        ({"workers": 2}, "workers"),
     ],
 )
 def test_validation_names_the_offending_field(patch, field):
@@ -133,14 +135,13 @@ def test_validation_names_the_offending_field(patch, field):
         ExperimentConfig.from_dict(cfg)
 
 
-@pytest.mark.parametrize("experiment,workers", [("micro", 1), ("converge", 1), ("converge", 2)])
-def test_data_outside_the_chart_exit_2_without_traceback(tmp_path, experiment, workers):
+# explicit ids, so the test ids stay stable for test selection
+@pytest.mark.parametrize("experiment", ["micro", "converge"], ids=["micro-1", "converge-1"])
+def test_data_outside_the_chart_exit_2_without_traceback(tmp_path, experiment):
     # well-prepared data of amplitude 80 leave the model chart: a config
-    # error naming the field, also when a pool worker meets it; a serial
-    # converge prepares every eps-run of its group before it steps any, so
-    # no eps-run writes its series
-    cfg = {"output_dir": str(tmp_path / "out"), "workers": workers,
-           "initial": {"amplitude": 80.0}}
+    # error naming the field; a converge prepares every eps-run before it
+    # steps any, so no eps-run writes its series
+    cfg = {"output_dir": str(tmp_path / "out"), "initial": {"amplitude": 80.0}}
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
         [sys.executable, "-m", "kdvlab.cli", experiment,
@@ -251,11 +252,11 @@ def test_a_field_the_experiment_does_not_read_exits_2(tmp_path, capsys, experime
 
 
 # the (experiment, field) pairs a config accepts though its run does not read
-# them: only converge has a worker pool, but the benchmark's workloads set
-# workers for every experiment; a micro run steps at a quarter of dt_max, but
-# the benchmark's self-test passes time.dt
-ACCEPTED_UNREAD = {(kind, "workers") for kind in experiments.EXPERIMENT_KINDS
-                   if kind != "converge"} | {("micro", "time.dt")}
+# them: every run is serial, but the benchmark's workloads set workers (to 1,
+# its only value) for every experiment; a micro run steps at a quarter of
+# dt_max, but the benchmark's self-test passes time.dt
+ACCEPTED_UNREAD = {(kind, "workers") for kind in experiments.EXPERIMENT_KINDS} | {
+    ("micro", "time.dt")}
 
 
 def _schema(kind):
@@ -512,20 +513,6 @@ def test_coupled_condensate_converges(converge_run):
         assert sups[1] / sups[0] <= 0.4, (key, sups)
 
 
-def test_converge_serial_and_parallel_agree_bytewise(tmp_path):
-    base = {
-        "grid": {"n": 128, "length": 8 * np.pi},
-        "time": {"t_final": 0.25, "dt": 1e-3, "snapshots": 6},
-        "eps_list": [0.2, 0.1],
-    }
-    ser = dict(base, output_dir=str(tmp_path / "ser"), workers=1)
-    par = dict(base, output_dir=str(tmp_path / "par"), workers=2)
-    assert main(["converge", "--config", _write_config(tmp_path, "s.json", ser)]) == 0
-    assert main(["converge", "--config", _write_config(tmp_path, "p.json", par)]) == 0
-    for name in ("summary.json", "converge_eps_0.2.csv", "converge_eps_0.1.csv"):
-        assert (tmp_path / "ser" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
-
-
 @pytest.mark.parametrize("key, name", [
     ("sup_err_amplitude", "amplitude_error_strictly_decreasing"),
     ("max_eps_phi", "phase_within_chart"),
@@ -534,16 +521,13 @@ def test_converge_nan_at_the_last_eps_fails(tmp_path, monkeypatch, key, name):
     # a NaN figure that is not the first of the eps-runs must fail its
     # assertion: Python's max would skip it ([1e-3, 5e-4, nan] has ratios
     # [0.5, nan], whose max() is 0.5)
-    real = experiments._converge_task
+    real, values = experiments._converge_result, iter([1e-3, 5e-4, np.nan])
 
-    def task(payload):
-        results = real(payload)
-        for r, value in zip(results, [1e-3, 5e-4, np.nan]):
-            r[key] = value
-        return results
+    def result(*args):  # one call per eps-run, in eps_list order
+        return dict(real(*args), **{key: next(values)})
 
-    monkeypatch.setattr(experiments, "_converge_task", task)
-    cfg = dict(default_config("converge"), output_dir=str(tmp_path / "out"), workers=1,
+    monkeypatch.setattr(experiments, "_converge_result", result)
+    cfg = dict(default_config("converge"), output_dir=str(tmp_path / "out"),
                grid={"n": 64, "length": 8 * np.pi},
                time={"t_final": 0.05, "dt": 1e-3, "snapshots": 3})
     assert run_experiment(ExperimentConfig.from_dict(cfg)) == 1
@@ -585,7 +569,6 @@ def test_converge_summary_reports_each_abort(tmp_path, monkeypatch):
         "grid": {"n": 64, "length": 8 * np.pi},
         "time": {"t_final": 0.1, "dt": 1e-3, "snapshots": 3},
         "eps_list": [0.2, 0.1],
-        "workers": 1,
     }
     healthy = dict(base, output_dir=str(tmp_path / "healthy"))
     assert main(["converge", "--config", _write_config(tmp_path, "h.json", healthy)]) == 0
@@ -652,7 +635,6 @@ def test_converge_abort_inside_second_block_writes_the_partial_series(tmp_path, 
         "grid": {"n": 64, "length": 8 * np.pi},
         "time": {"t_final": 0.12, "dt": 1e-3, "snapshots": 61},
         "eps_list": [0.2, 0.1],
-        "workers": 1,
     }
     healthy = dict(base, output_dir=str(tmp_path / "healthy"))
     assert main(["converge", "--config", _write_config(tmp_path, "h.json", healthy)]) == 0
@@ -845,13 +827,25 @@ def test_a_converge_rerun_over_fewer_eps_leaves_no_stale_series(tmp_path):
     three = dict(base, eps_list=[0.4, 0.2, 0.1])
     assert main(["converge", "--config", _write_config(tmp_path, "3.json", three)]) in (0, 1)
     assert (out / "converge_eps_0.1.csv").exists()
-    others = ["soliton_series.csv", "converge.csv", "notes.txt"]
+    others = ["soliton_series.csv", "converge_series.csv", "converge.csv", "notes.txt"]
     for name in others:
         (out / name).write_text("kept\n")
     two = dict(base, eps_list=[0.4, 0.2])
     assert main(["converge", "--config", _write_config(tmp_path, "2.json", two)]) in (0, 1)
     assert sorted(p.name for p in out.iterdir()) == sorted(
         ["converge_eps_0.4.csv", "converge_eps_0.2.csv", "summary.json", "timings.json"] + others)
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+def test_an_output_dir_that_is_or_lies_under_a_file_exits_2(tmp_path, capsys, below):
+    # the directory cannot be made: a config error naming output_dir, not
+    # a traceback, and the file is left as it was
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    cfg = _write_config(tmp_path, "c.json", {"output_dir": str(blocker / below)})
+    assert main(["kdv", "--config", cfg]) == 2
+    assert "invalid configuration: output_dir: " in capsys.readouterr().err
+    assert blocker.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("d2", [{"d2_alpha": 1e308, "d2_beta": 1e308},

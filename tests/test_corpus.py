@@ -60,11 +60,19 @@ HYPERBOLIC_SOLITON = {"experiment": "hyperbolic", "preset": "gp_scalar", "delta"
                       "grid": {"n": 64, "length": 16.0 * math.pi},
                       "time": {"t_final": 0.05, "dt": 1e-3, "snapshots": 3},
                       "initial": {"shape": "soliton"}}
+# a soliton start on a linear preset: its Q is zero, so there is no
+# solitary wave; it once crashed in analysis.find_fixed_point with a
+# traceback instead of a config error naming the preset
+HYPERBOLIC_LINEAR_SOLITON = {"experiment": "hyperbolic", "preset": "ll_easy_plane", "delta": 1,
+                             "grid": {"n": 16, "length": 8.0 * math.pi},
+                             "time": {"t_final": 0.01, "dt": 1e-3, "snapshots": 2},
+                             "initial": {"shape": "soliton"}}
 # the fixed configs by test id: the first three sit between the spin runs
 # and the random draws, where the draws' ids were first recorded, and any
 # later one after the random draws
 FIXED = {"aborted-limit-run": ABORTED_LIMIT_RUN, "sub-step-run": SUB_STEP_RUN,
-         "hyperbolic-soliton": HYPERBOLIC_SOLITON}
+         "hyperbolic-soliton": HYPERBOLIC_SOLITON,
+         "hyperbolic-linear-soliton": HYPERBOLIC_LINEAR_SOLITON}
 
 
 def draw_config(rng, experiment, preset, length=None):
@@ -106,8 +114,8 @@ def corpus(seed=SEED, extra=EXTRA):
     """Every experiment with every preset, spin micro and converge runs on
     each domain length, the aborted-limit-run and sub-step converge configs
     and the hyperbolic soliton control, then ``extra`` configurations of
-    random experiment and preset, then any fixed config added after those
-    three."""
+    random experiment and preset, then the fixed configs added after those
+    three (the hyperbolic soliton start on a linear preset)."""
     rng = random.Random(seed)
     configs = [draw_config(rng, experiment, preset)
                for experiment in EXPERIMENT_KINDS for preset in PARAMS]
@@ -132,7 +140,7 @@ def _run(raw, path, capsys):
     """Exit status, stderr and summary.json bytes (None if absent) of one
     command-line run of ``raw`` with output under ``path``."""
     out = path / "out"
-    cfg = dict(raw, output_dir=str(out), workers=1)
+    cfg = dict(raw, output_dir=str(out))
     experiment = cfg.pop("experiment")
     path.mkdir()
     (path / "cfg.json").write_text(json.dumps(cfg))
@@ -202,6 +210,18 @@ def test_an_aborted_limit_run_names_its_abort_in_the_summary(tmp_path, capsys, r
     assert json.loads(summary)["timings"] == {
         "kdv_steps": steps, "snapshots": 2,
         "aborts": {"kdv": {"abort_reason": "gradient blow-up", "steps_taken": taken}}}
+
+
+@pytest.mark.parametrize("raw", [
+    HYPERBOLIC_LINEAR_SOLITON,
+    {**{k: v for k, v in HYPERBOLIC_LINEAR_SOLITON.items() if k not in ("delta", "initial")},
+     "experiment": "soliton"},
+], ids=["hyperbolic", "soliton"])
+def test_a_soliton_on_a_linear_preset_is_a_preset_error(tmp_path, capsys, raw):
+    # one check serves both runners that build a soliton
+    status, err, summary = _run(raw, tmp_path / "run", capsys)
+    assert (status, summary) == (2, None)
+    assert err.startswith("kdvlab: invalid configuration: preset: a soliton needs a nonzero")
 
 
 def test_the_limit_run_step_count_must_divide_into_the_snapshots(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """The repository tools under ``tools/``."""
 
+import ast
 import importlib.util
 import json
 import sys
@@ -45,3 +46,57 @@ def test_step_times_times_every_kernel_of_each_root():
                                            "ll_easy_cone", "af_chain", "ll_easy_plane x2",
                                            "ifrk4 N=512"]
     assert all(len(us) == 2 and min(us) > 0 for us in result["us_per_step"].values())
+
+
+def test_traffic_lines_counts_each_statement_by_its_own_lines(monkeypatch):
+    # docstrings, raises and statements outside a function (module and class
+    # bodies) are left out; a decorator's line belongs to its def, and an if
+    # or def owns none of the lines of the statements nested in it
+    monkeypatch.syspath_prepend(str(TOOLS))  # the tool imports artifact_hashes
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    source = "\n".join([
+        '"""Module docstring."""',          # 1
+        "X = 1",                            # 2
+        "",
+        "",
+        "def deco(f):",                     # 5
+        '    """Docstring."""',             # 6
+        "    return f",                     # 7
+        "",
+        "",
+        "def outer(a):",                    # 10
+        "    @deco",                        # 11
+        "    def inner():",                 # 12
+        "        return a",                 # 13
+        "    if a:",                        # 14
+        "        raise ValueError(a)",      # 15
+        "    total = (a +",                 # 16
+        "             1)",                  # 17
+        "    return total",                 # 18
+        "",
+        "",
+        "class C:",                         # 21
+        "    y = 2",                        # 22
+        "",
+        "    def method(self):",            # 24
+        "        return self.y",            # 25
+    ])
+    tool = _tool("traffic_lines")
+    assert tool._statements(ast.parse(source)) == [
+        (7, {7}), (12, {11, 12}), (13, {13}), (14, {14}), (16, {16, 17}), (18, {18}),
+        (25, {25})]
+
+
+def test_artifact_hashes_gives_a_run_that_raises_status_1(tmp_path, capsys):
+    # the console script exits 1 on an uncaught exception: the hashes record
+    # that status, and the next runs go on
+    tool = _tool("artifact_hashes")
+
+    class Cli:
+        @staticmethod
+        def main(argv):
+            raise ValueError("no fixed point")
+
+    status, outdir = tool._run(Cli, tmp_path, "corpus/00-kdv", {"experiment": "kdv"})
+    assert (status, outdir) == (1, tmp_path / "corpus/00-kdv")
+    assert "ValueError: no fixed point" in capsys.readouterr().err

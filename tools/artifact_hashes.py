@@ -14,7 +14,8 @@ taken from this tool's own checkout, so that two checkouts run the same
 configs), each run through the command line into a temporary directory.
 OUT receives one JSON document that maps each run to its exit status and
 the sha256 of every CSV file and ``summary.json`` it wrote (``timings.json``
-holds wall-clock times and is left out).  Two checkouts write
+holds wall-clock times and is left out); a run that raises has status 1, as
+the console script exits.  Two checkouts write
 byte-identical artifacts with the same statuses exactly when their OUT
 files are equal::
 
@@ -34,6 +35,7 @@ import importlib.util
 import json
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 
@@ -76,13 +78,18 @@ def _setup(root: Path):
 
 def _run(cli, tmp: Path, name: str, raw: dict):
     """Run one config through the command line into ``tmp/name``; returns
-    the exit status and the output directory."""
+    the exit status and the output directory.  A run that raises prints its
+    traceback and has status 1, the console script's exit status."""
     outdir = tmp / name
     cfg = dict(raw, output_dir=str(outdir))
     kind = cfg.pop("experiment")
     path = tmp / f"{name.replace('/', '_')}.json"
     path.write_text(json.dumps(cfg))
-    return cli.main([kind, "--config", str(path)]), outdir
+    try:
+        return cli.main([kind, "--config", str(path)]), outdir
+    except Exception:
+        traceback.print_exc()
+        return 1, outdir
 
 
 def _diff(old: dict, new: dict) -> list:

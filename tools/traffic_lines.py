@@ -19,10 +19,8 @@ sorted by module and line.  The statements are
 found with ``ast``; left out are raise statements, docstrings, ``global``
 and ``nonlocal``, and every statement outside a function (module and class
 bodies run at import).  A multi-line statement ran when any of its own
-lines did, the lines of the statements nested in it not counted.  Only the
-calling process is traced, so code that only a worker pool's processes run
-(``converge`` with ``workers`` > 1) is listed as never run.  Nothing is
-written under ROOT::
+lines did, the lines of the statements nested in it not counted.  Nothing
+is written under ROOT::
 
     python3 tools/traffic_lines.py . never_ran.txt
 """
